@@ -1,17 +1,14 @@
 //! Ablation A2: scheduling disciplines for the parallel run.
 //!
-//! Compares the paper's centralized dynamic balancer against a static
-//! initial partition and against full repartitioning — all three on
-//! the level-barrier runtime, the only one that applies them — and
-//! against the work-stealing runtime, both as real 4-thread runs and
-//! as virtual-processor makespans over measured costs (the latter
-//! isolates the policy from host-core contention).
+//! Times the real work-stealing runtime on 4 threads, then compares
+//! disciplines as virtual-processor makespans over the same measured
+//! costs on 16 processors: the paper's LPT planner, a static
+//! round-robin partition, and online work stealing. The virtual runs
+//! isolate the policy from host-core contention.
 
 use gsb_bench::timer::bench;
 use gsb_core::sink::CountSink;
-use gsb_core::{
-    BalanceStrategy, CliqueEnumerator, EnumConfig, ParallelConfig, ParallelEnumerator, Scheduler,
-};
+use gsb_core::{CliqueEnumerator, EnumConfig, ParallelConfig, ParallelEnumerator};
 use gsb_graph::generators::{planted, Module};
 use gsb_par::vsim::{SimConfig, Strategy, VirtualScheduler};
 use std::sync::Arc;
@@ -29,37 +26,15 @@ fn main() {
         ],
         11,
     ));
-    let runs = [
-        (
-            "barrier_dynamic",
-            Scheduler::Barrier,
-            BalanceStrategy::Dynamic,
-        ),
-        (
-            "barrier_static",
-            Scheduler::Barrier,
-            BalanceStrategy::Static,
-        ),
-        (
-            "barrier_repartition",
-            Scheduler::Barrier,
-            BalanceStrategy::Repartition,
-        ),
-        ("work_stealing", Scheduler::Steal, BalanceStrategy::Dynamic),
-    ];
-    for (name, scheduler, strategy) in runs {
-        let enumerator = ParallelEnumerator::new(ParallelConfig {
-            threads: 4,
-            scheduler,
-            strategy,
-            ..Default::default()
-        });
-        bench(&format!("balance_real_4threads/{name}"), || {
-            let mut sink = CountSink::default();
-            enumerator.enumerate(&g, &mut sink);
-            sink.count
-        });
-    }
+    let enumerator = ParallelEnumerator::new(ParallelConfig {
+        threads: 4,
+        ..Default::default()
+    });
+    bench("balance_real_4threads/work_stealing", || {
+        let mut sink = CountSink::default();
+        enumerator.enumerate(&g, &mut sink);
+        sink.count
+    });
 
     // Virtual comparison: identical measured costs, different policies.
     let mut sink = CountSink::default();
@@ -69,7 +44,11 @@ fn main() {
     })
     .enumerate(&g, &mut sink);
     let costs = stats.costs_ns().expect("recorded");
-    for (name, strategy) in [("lpt", Strategy::Lpt), ("static", Strategy::Static)] {
+    for (name, strategy) in [
+        ("lpt", Strategy::Lpt),
+        ("static", Strategy::Static),
+        ("steal", Strategy::Steal),
+    ] {
         let vs = VirtualScheduler::new(
             costs.clone(),
             SimConfig {

@@ -1,6 +1,6 @@
 //! Committed scheduler baseline (`results/BENCH_steal.json`): the
-//! barrier runtime (LPT on `SubList::cost()` estimates, the paper's
-//! centralized balancer) vs. the work-stealing runtime (online greedy,
+//! paper's level-barrier discipline (LPT on `SubList::cost()` estimates,
+//! its centralized planner) vs. the work-stealing runtime (online greedy,
 //! no estimates), replayed on 8 virtual processors over *measured*
 //! per-sub-list costs from a real sequential run — the same vsim
 //! substitution DESIGN.md §2 uses for the Altix scaling figures (this
@@ -77,7 +77,7 @@ fn measured_run(g: &BitGraph) -> EnumStats {
 }
 
 /// Walk the level loop again collecting `SubList::cost()` — the
-/// estimate the barrier scheduler plans with — for every sub-list in
+/// estimate the paper's barrier planner uses — for every sub-list in
 /// the same per-level order the measured run recorded actuals in.
 fn planner_estimates(g: &BitGraph) -> Vec<Vec<u64>> {
     let seq = CliqueEnumerator::new(EnumConfig::default());

@@ -11,13 +11,12 @@ use crate::workloads::Workload;
 use gsb_core::kose::{kose_ram_with, KoseSearch};
 use gsb_core::sink::CountSink;
 use gsb_core::{
-    BalanceStrategy, CliqueEnumerator, EnumConfig, EnumStats, ParallelConfig, ParallelEnumerator,
-    Scheduler,
+    CliqueEnumerator, EnumConfig, EnumStats, Level, LevelReport, ParallelStats, SubList,
 };
 use gsb_graph::BitGraph;
 use gsb_par::vsim::{SimConfig, VirtualScheduler};
+use gsb_par::{partition_greedy, rebalance, BalancePolicy, LevelStats};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Processor counts used by the paper's Figs. 5–7.
@@ -294,35 +293,100 @@ pub fn fig7(scale: f64) -> String {
     out
 }
 
+/// Thread-free replay of the paper's centralized balancer (§2.3) on
+/// `threads` workers: the first level is seeded by LPT on
+/// [`SubList::cost`], every child stays on its parent's worker, and
+/// after each level [`rebalance`] moves sub-lists from heavy to light
+/// workers under [`BalancePolicy::default`]. Each worker's queue is
+/// expanded with [`CliqueEnumerator::step`], so a worker's load is the
+/// deterministic work units its queue cost — what a threaded run of the
+/// same schedule would count, without the host's core contention.
+fn balancer_replay(g: &BitGraph, enum_config: EnumConfig, threads: usize) -> ParallelStats {
+    let wall = Instant::now();
+    let seq = CliqueEnumerator::new(enum_config);
+    let mut sink = CountSink::default();
+    let mut init_stats = EnumStats::default();
+    let init = seq.init_level(g, &mut sink, &mut init_stats);
+    let mut stats = ParallelStats {
+        total_maximal: init_stats.total_maximal,
+        ..Default::default()
+    };
+    let costs: Vec<u64> = init.sublists.iter().map(SubList::cost).collect();
+    let mut seeds: Vec<Option<SubList>> = init.sublists.into_iter().map(Some).collect();
+    let mut queues: Vec<Vec<SubList>> = partition_greedy(&costs, threads)
+        .iter()
+        .map(|part| {
+            part.iter()
+                .map(|&i| seeds[i].take().expect("seeded once"))
+                .collect()
+        })
+        .collect();
+    let mut k = init.k;
+    while queues.iter().any(|q| !q.is_empty()) && enum_config.max_k.is_none_or(|mx| k < mx) {
+        let mut timing = LevelStats {
+            level: k,
+            ..Default::default()
+        };
+        let mut level: Option<LevelReport> = None;
+        let mut children = Vec::with_capacity(threads);
+        for sublists in std::mem::take(&mut queues) {
+            timing.per_worker_tasks.push(sublists.len());
+            let (next, r) = seq.step(g, &Level { k, sublists }, &mut sink);
+            timing.per_worker_ns.push(r.ns);
+            timing.per_worker_units.push(r.units);
+            children.push(next.sublists);
+            // The level's report sums its workers'; its time is the
+            // slowest worker's.
+            level = Some(match level {
+                None => r,
+                Some(mut l) => {
+                    l.sublists += r.sublists;
+                    l.candidates += r.candidates;
+                    l.maximal_found += r.maximal_found;
+                    l.ns = l.ns.max(r.ns);
+                    l.memory.n_sublists += r.memory.n_sublists;
+                    l.memory.n_cliques += r.memory.n_cliques;
+                    l.memory.formula_bytes += r.memory.formula_bytes;
+                    l.memory.heap_bytes += r.memory.heap_bytes;
+                    l.units += r.units;
+                    l.and_ops += r.and_ops;
+                    l.maximality_tests += r.maximality_tests;
+                    l
+                }
+            });
+        }
+        timing.transfers = rebalance(&mut children, SubList::cost, &BalancePolicy::default());
+        let level = level.expect("at least one worker");
+        stats.total_maximal += level.maximal_found;
+        stats.levels.push(level);
+        stats.run.levels.push(timing);
+        queues = children;
+        k += 1;
+    }
+    stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
+    stats
+}
+
 /// **Figure 8** — load balance: mean ± stddev of per-processor load
 /// for P ∈ {2,…,16} (paper: stddev within 10% of mean). Loads are the
-/// deterministic work units each worker actually executed in a real
-/// multithreaded run under the centralized dynamic balancer — the
-/// contention-free measure of how well the *balancer* did (this host
-/// timeshares one core, so per-worker wall times measure the OS, not
-/// the algorithm).
+/// deterministic work units each worker executes under the paper's
+/// centralized dynamic balancer, replayed without threads (LPT seeding,
+/// children on their parent's worker, [`rebalance`] after each level)
+/// — the contention-free measure of how well the *balancer* did
+/// (per-worker wall times on a shared host measure the OS, not the
+/// algorithm).
 pub fn fig8(scale: f64) -> String {
     let (g, omega) = figure_graph(scale);
     let init_k = omega.saturating_sub(10).max(3);
-    let garc = Arc::new(g);
     let mut t = Table::new(&["P", "mean load", "stddev", "stddev/mean", "transfers"]);
     let mut worst = 0.0f64;
     let mut last_stats = None;
     for threads in [2usize, 4, 8, 16] {
-        let mut sink = CountSink::default();
-        let pstats = ParallelEnumerator::new(ParallelConfig {
-            threads,
-            enum_config: EnumConfig {
-                min_k: init_k,
-                ..Default::default()
-            },
-            strategy: BalanceStrategy::Dynamic,
-            // The paper's balancer runs at the level barrier; the steal
-            // runtime ignores `strategy` and would count steals.
-            scheduler: Scheduler::Barrier,
+        let enum_config = EnumConfig {
+            min_k: init_k,
             ..Default::default()
-        })
-        .enumerate(&garc, &mut sink);
+        };
+        let pstats = balancer_replay(&g, enum_config, threads);
         let loads = pstats.run.per_worker_unit_totals();
         let mean = gsb_par::stats::mean(&loads);
         let sd = gsb_par::stats::stddev(&loads);
@@ -418,6 +482,29 @@ mod tests {
         assert_eq!(init_ks(28), vec![3, 18, 19, 20]);
         assert_eq!(init_ks(20), vec![3, 10, 11, 12]);
         assert_eq!(init_ks(5), vec![3]);
+    }
+
+    #[test]
+    fn balancer_replay_does_the_sequential_work() {
+        // However the balancer spreads the sub-lists, the replay expands
+        // exactly the sequential run's levels: same cliques, same units.
+        use gsb_graph::generators::{planted, Module};
+        let g = planted(60, 0.1, &[Module::clique(9), Module::clique(7)], 3);
+        let config = EnumConfig::default();
+        let seq = CliqueEnumerator::new(config).enumerate(&g, &mut CountSink::default());
+        let seq_units: u64 = seq.levels.iter().map(|l| l.units).sum();
+        for threads in [1, 3, 8] {
+            let replay = balancer_replay(&g, config, threads);
+            assert_eq!(replay.total_maximal, seq.total_maximal, "threads={threads}");
+            assert_eq!(replay.levels.len(), seq.levels.len(), "threads={threads}");
+            let units: u64 = replay.run.per_worker_unit_totals().iter().sum();
+            assert_eq!(units, seq_units, "threads={threads}");
+            assert!(replay
+                .run
+                .levels
+                .iter()
+                .all(|l| l.per_worker_units.len() == threads));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use gsb_core::sink::{CollectSink, CountSink};
 use gsb_core::store::SpillConfig;
 use gsb_core::{
     BackendChoice, CliqueEnumerator, CliquePipeline, EnumConfig, EnumStats, ParallelConfig,
-    ParallelEnumerator, PipelineReport, Scheduler, WriterSink,
+    ParallelEnumerator, PipelineReport, WriterSink,
 };
 use gsb_graph::BitGraph;
 use gsb_telemetry::{RunTelemetry, TelemetryConfig};
@@ -36,7 +36,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
             "disk-budget",
             "worker-deadline-secs",
             "metrics-out",
-            "scheduler",
         ],
         &["count-only", "progress"],
         1,
@@ -54,10 +53,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
     let backend = match a.flag("backend") {
         Some(name) => name.parse::<BackendChoice>().map_err(CliError::Usage)?,
         None => BackendChoice::Dense,
-    };
-    let scheduler = match a.flag("scheduler") {
-        Some(name) => name.parse::<Scheduler>().map_err(CliError::Usage)?,
-        None => Scheduler::default(),
     };
 
     // Pipeline path: a non-dense backend, checkpointing, and/or a
@@ -96,7 +91,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
             &g,
             config,
             backend,
-            scheduler,
             threads,
             count_only,
             checkpoint_dir.as_deref(),
@@ -154,7 +148,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
             let enumerator = ParallelEnumerator::new(ParallelConfig {
                 threads,
                 enum_config: config,
-                scheduler,
                 ..Default::default()
             });
             let garc = Arc::new(g);
@@ -199,7 +192,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
         let enumerator = ParallelEnumerator::new(ParallelConfig {
             threads,
             enum_config: config,
-            scheduler,
             ..Default::default()
         });
         let garc = Arc::new(g);
@@ -221,7 +213,6 @@ fn cliques_pipeline(
     g: &BitGraph,
     config: EnumConfig,
     backend: BackendChoice,
-    scheduler: Scheduler,
     threads: usize,
     count_only: bool,
     checkpoint_dir: Option<&str>,
@@ -235,7 +226,6 @@ fn cliques_pipeline(
         .min_size(config.min_k)
         .threads(threads)
         .backend(backend)
-        .scheduler(scheduler)
         .skip_exact_bound();
     if let Some(mx) = config.max_k {
         pipe = pipe.max_size(mx);
@@ -279,7 +269,6 @@ fn cliques_pipeline(
             threads,
             out: Some(out_path.to_string()),
             backend,
-            scheduler,
         }
         .save(Path::new(dir))?;
         // Supervised mode: checkpointed runs react to SIGINT/SIGTERM

@@ -423,56 +423,76 @@ mod tests {
             level = next;
         }
         let k_ckpt = level.k;
-        let mgr = CheckpointManager::new(CheckpointConfig::every_level(&dir)).unwrap();
-        {
-            let mut mgr = mgr;
-            mgr.force(&level).unwrap();
-            // crash: dropped without finish(), files stay
-        }
-        RunMeta {
-            graph: path.clone(),
-            min_k: 3,
-            max_k: None,
-            threads: 1,
-            out: Some(out.clone()),
-            backend: BackendChoice::Dense,
-            ..Default::default()
-        }
-        .save(Path::new(&dir))
-        .unwrap();
         let pre_count = pre.cliques.iter().filter(|c| c.len() <= k_ckpt).count() as u64;
-        RunProgress {
-            cliques_emitted: pre_count,
-            levels_done: k_ckpt as u64 - 2,
-            wall_ms: 1500,
-        }
-        .save(Path::new(&dir))
-        .unwrap();
         let mut crashed = String::new();
         for c in pre.cliques.iter().filter(|c| c.len() <= k_ckpt) {
             let verts: Vec<String> = c.iter().map(|v| v.to_string()).collect();
             let _ = writeln!(crashed, "{}\t{}", c.len(), verts.join(" "));
         }
         crashed.push_str("6\t1 2"); // torn by the crash: no newline, wrong arity
-        std::fs::write(&out, &crashed).unwrap();
-
-        let report = resume(&argv(&[&dir])).unwrap();
-        assert!(
-            report.contains(&format!("level-{k_ckpt} checkpoint")),
-            "{report}"
-        );
-        assert!(
-            report.contains(&format!("prior progress: {pre_count} cliques")),
-            "{report}"
-        );
-        assert!(report.contains("1.5s before the interruption"), "{report}");
-        let resumed = std::fs::read_to_string(&out).unwrap();
-        let mut got: Vec<&str> = resumed.lines().collect();
         let mut want: Vec<&str> = expected.lines().filter(|l| !l.starts_with('#')).collect();
-        got.sort();
         want.sort();
-        assert_eq!(got.len(), want.len(), "clique counts differ");
-        assert_eq!(got, want);
+
+        // Two run.meta inputs: the current format, and one as builds
+        // with a second parallel runtime wrote it — four threads and a
+        // `scheduler=barrier` line — which resumes on the one runtime.
+        let meta = RunMeta {
+            graph: path.clone(),
+            min_k: 3,
+            max_k: None,
+            threads: 1,
+            out: Some(out.clone()),
+            backend: BackendChoice::Dense,
+        };
+        let older = RunMeta {
+            threads: 4,
+            ..meta.clone()
+        };
+        for (meta, extra_line) in [(meta, ""), (older, "scheduler=barrier\n")] {
+            let mgr = CheckpointManager::new(CheckpointConfig::every_level(&dir)).unwrap();
+            {
+                let mut mgr = mgr;
+                mgr.force(&level).unwrap();
+                // crash: dropped without finish(), files stay
+            }
+            meta.save(Path::new(&dir)).unwrap();
+            let meta_path = Path::new(&dir).join("run.meta");
+            let mut meta_text = std::fs::read_to_string(&meta_path).unwrap();
+            meta_text.push_str(extra_line);
+            std::fs::write(&meta_path, meta_text).unwrap();
+            RunProgress {
+                cliques_emitted: pre_count,
+                levels_done: k_ckpt as u64 - 2,
+                wall_ms: 1500,
+            }
+            .save(Path::new(&dir))
+            .unwrap();
+            std::fs::write(&out, &crashed).unwrap();
+
+            let report = resume(&argv(&[&dir])).unwrap();
+            let threads = meta.threads;
+            assert!(
+                report.contains(&format!("level-{k_ckpt} checkpoint")),
+                "threads={threads}: {report}"
+            );
+            assert!(
+                report.contains(&format!("prior progress: {pre_count} cliques")),
+                "threads={threads}: {report}"
+            );
+            assert!(
+                report.contains("1.5s before the interruption"),
+                "threads={threads}: {report}"
+            );
+            let resumed = std::fs::read_to_string(&out).unwrap();
+            let mut got: Vec<&str> = resumed.lines().collect();
+            got.sort();
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "threads={threads}: clique counts differ"
+            );
+            assert_eq!(got, want, "threads={threads}");
+        }
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&out);
@@ -528,7 +548,6 @@ mod tests {
             threads: 1,
             out: Some(out.clone()),
             backend: BackendChoice::Wah,
-            ..Default::default()
         }
         .save(Path::new(&dir))
         .unwrap();

@@ -67,7 +67,6 @@ pub fn resume(argv: &[String]) -> Result<String, CliError> {
         .min_size(meta.min_k.max(1))
         .threads(threads)
         .backend(meta.backend)
-        .scheduler(meta.scheduler)
         .skip_exact_bound()
         .checkpoint(CheckpointConfig::every_level(dir))
         .shutdown(ShutdownToken::global())

@@ -150,7 +150,7 @@ USAGE:
                [--order natural|degeneracy|degree]
                [--out FILE] [--checkpoint-dir DIR] [--checkpoint-secs S]
                [--memory-budget BYTES] [--disk-budget BYTES]
-               [--worker-deadline-secs S] [--scheduler steal|barrier]
+               [--worker-deadline-secs S]
                [--metrics-out RUN_JSONL] [--progress]
   gsb resume CHECKPOINT_DIR [--threads T] [--worker-deadline-secs S]
                [--metrics-out RUN_JSONL] [--progress]
@@ -203,13 +203,10 @@ compressed backends trade AND throughput for a smaller working set on
 sparse genome-scale graphs. Checkpoints are written in the selected
 representation and `gsb resume` picks the backend up from run.meta.
 
-Schedulers: `cliques --scheduler steal|barrier` selects the parallel
-runtime — work-stealing per-sub-list tasks with steal-scope epochs
-(default; idle workers steal from busy ones, no central balancer), or
-the paper's level-synchronous barrier rounds with the centralized
-spread balancer. Both emit byte-identical output; run.meta records the
-choice and `gsb resume` re-derives it (older run.meta files without a
-scheduler line resume under barrier, which is what wrote them).
+Parallel runtime: `cliques --threads T` runs each level as a
+work-stealing epoch — every sub-list is a task, idle workers steal
+from busy ones, and the output is byte-identical to the sequential
+run. Older run.meta files that name a scheduler resume on this runtime.
 
 Crash recovery: `cliques --checkpoint-dir DIR --out FILE` persists the
 current level at each barrier (every --checkpoint-secs seconds if
@@ -223,10 +220,10 @@ shutdown — the in-flight level finishes, a final checkpoint is forced,
 and the process exits 130/143 with the directory ready for `gsb
 resume` (which reports why the previous run stopped).
 `--worker-deadline-secs S` declares a parallel worker stuck after S
-seconds without progress: it is replaced, the level retried, and
-deterministic offenders are skipped into `quarantine.jsonl` next to the
-checkpoints (reported by `gsb report`; the output stays exact except
-descendants of the quarantined prefixes). `--disk-budget BYTES` caps
+seconds inside one sub-list: it is replaced and the level retried, and
+a sub-list that stalls again (or panics twice) is skipped into
+`quarantine.jsonl` next to the checkpoints (reported by `gsb report`;
+the output stays exact except descendants of the quarantined prefixes). `--disk-budget BYTES` caps
 total checkpoint bytes, pruning old checkpoints (and surviving ENOSPC)
 by keeping at least the newest one. Transient I/O errors on checkpoint
 and spill writes are retried with jittered exponential backoff.

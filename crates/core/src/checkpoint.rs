@@ -16,7 +16,6 @@
 //! invocation.
 
 use crate::backend::BackendChoice;
-use crate::parallel::Scheduler;
 use crate::store::{self, StoreError};
 use crate::sublist::Level;
 use crate::supervise::RetryPolicy;
@@ -401,12 +400,6 @@ pub struct RunMeta {
     /// written by an older build has no `backend=` line and loads as
     /// [`BackendChoice::Dense`] — exactly what those builds ran.
     pub backend: BackendChoice,
-    /// Parallel scheduler the run was started with. A `run.meta`
-    /// written before the work-stealing runtime existed has no
-    /// `scheduler=` line and loads as [`Scheduler::Barrier`] — exactly
-    /// what those builds ran — even though fresh runs now default to
-    /// [`Scheduler::Steal`].
-    pub scheduler: Scheduler,
 }
 
 impl RunMeta {
@@ -423,7 +416,6 @@ impl RunMeta {
             text.push_str(&format!("out={out}\n"));
         }
         text.push_str(&format!("backend={}\n", self.backend));
-        text.push_str(&format!("scheduler={}\n", self.scheduler));
         let path = dir.join(RUN_META_FILE);
         let tmp = dir.join(format!("{RUN_META_FILE}.tmp"));
         RetryPolicy::default().run_store(|| {
@@ -435,16 +427,13 @@ impl RunMeta {
     }
 
     /// Load `run.meta` from `dir`. Unknown keys are ignored so older
-    /// builds can read files written by newer ones.
+    /// builds can read files written by newer ones, and newer builds
+    /// read keys older ones wrote and no longer use (a `scheduler=`
+    /// line resumes on the one parallel runtime, whose output is
+    /// identical).
     pub fn load(dir: &Path) -> Result<Self, StoreError> {
         let text = std::fs::read_to_string(dir.join(RUN_META_FILE))?;
-        let mut meta = RunMeta {
-            // Pre-steal-runtime builds wrote no scheduler line; they
-            // ran barrier rounds, so that (not the fresh-run default)
-            // is what an absent key must mean.
-            scheduler: Scheduler::Barrier,
-            ..RunMeta::default()
-        };
+        let mut meta = RunMeta::default();
         for line in text.lines() {
             let Some((key, value)) = line.split_once('=') else {
                 continue;
@@ -456,9 +445,6 @@ impl RunMeta {
                 "threads" => meta.threads = value.parse().unwrap_or(0),
                 "out" => meta.out = Some(value.to_string()),
                 "backend" => meta.backend = value.parse().unwrap_or_default(),
-                "scheduler" => {
-                    meta.scheduler = value.parse().unwrap_or(Scheduler::Barrier);
-                }
                 _ => {}
             }
         }
@@ -634,7 +620,6 @@ mod tests {
             threads: 0,
             out: Some("out.txt".into()),
             backend: BackendChoice::Dense,
-            scheduler: Scheduler::Steal,
         }
         .save(&dir)
         .unwrap();
@@ -683,26 +668,24 @@ mod tests {
             threads: 8,
             out: Some("cliques.tsv".into()),
             backend: BackendChoice::Wah,
-            scheduler: Scheduler::Steal,
         };
         meta.save(&dir).unwrap();
         assert_eq!(RunMeta::load(&dir).unwrap(), meta);
         // a meta written by an older build has no backend line → dense,
-        // and no scheduler line → the barrier runtime those builds ran.
+        // and may carry a scheduler line, which is ignored.
         let path = dir.join(RUN_META_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.starts_with("backend=") && !l.starts_with("scheduler="))
-            .fold(String::new(), |mut acc, l| {
-                acc.push_str(l);
-                acc.push('\n');
-                acc
-            });
-        std::fs::write(&path, stripped).unwrap();
+        assert!(text.contains("backend=wah\n"));
+        let old_text = text.replace("backend=wah\n", "") + "scheduler=barrier\n";
+        std::fs::write(&path, old_text).unwrap();
         let old = RunMeta::load(&dir).unwrap();
-        assert_eq!(old.backend, BackendChoice::Dense);
-        assert_eq!(old.scheduler, Scheduler::Barrier);
+        assert_eq!(
+            old,
+            RunMeta {
+                backend: BackendChoice::Dense,
+                ..meta
+            }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

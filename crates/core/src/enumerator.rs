@@ -86,6 +86,9 @@ pub struct LevelReport {
     /// backend the heap figure is what the level *would* hold fully
     /// resident; the formula bytes are representation-independent.
     pub memory: LevelMemory,
+    /// Deterministic work units spent expanding this level (the
+    /// per-sub-list units of [`EnumStats::costs`], summed).
+    pub units: u64,
     /// Bitmap AND operations performed (one per prefix extension, one
     /// per surviving pair's maximality probe, one per kept sub-list's
     /// common-neighbor clone).
@@ -420,6 +423,7 @@ impl<S: NeighborSet, B: LevelBackend<S>> CliqueEnumerator<S, B> {
             next.reserve(memory.n_cliques.saturating_sub(2 * memory.n_sublists));
             let mut next_mem = LevelMemory::default();
             let mut maximal_found = 0usize;
+            let mut units = 0u64;
             let mut and_ops = 0u64;
             let mut maximality_tests = 0u64;
             let record = stats.costs.is_some();
@@ -445,6 +449,7 @@ impl<S: NeighborSet, B: LevelBackend<S>> CliqueEnumerator<S, B> {
                     }
                 });
                 maximal_found += out.maximal;
+                units += out.units;
                 and_ops += out.and_ops;
                 maximality_tests += out.tests;
                 if record {
@@ -466,6 +471,7 @@ impl<S: NeighborSet, B: LevelBackend<S>> CliqueEnumerator<S, B> {
                 maximal_found,
                 ns: level_start.elapsed().as_nanos() as u64,
                 memory,
+                units,
                 and_ops,
                 maximality_tests,
                 spilled,
@@ -532,6 +538,7 @@ impl<S: NeighborSet> CliqueEnumerator<S, InMemoryLevel<S>> {
         };
         let mut buf = S::empty(g.n());
         let mut maximal_found = 0usize;
+        let mut units = 0u64;
         let mut and_ops = 0u64;
         let mut maximality_tests = 0u64;
         for sl in &level.sublists {
@@ -539,6 +546,7 @@ impl<S: NeighborSet> CliqueEnumerator<S, InMemoryLevel<S>> {
                 next.sublists.push(child);
             });
             maximal_found += out.maximal;
+            units += out.units;
             and_ops += out.and_ops;
             maximality_tests += out.tests;
         }
@@ -550,6 +558,7 @@ impl<S: NeighborSet> CliqueEnumerator<S, InMemoryLevel<S>> {
             maximal_found,
             ns: level_start.elapsed().as_nanos() as u64,
             memory,
+            units,
             and_ops,
             maximality_tests,
             spilled: 0,

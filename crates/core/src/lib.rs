@@ -75,7 +75,7 @@ pub use enumerator::{CliqueEnumerator, EnumConfig, EnumStats, LevelReport};
 pub use kose::{kose_ram, kose_ram_with, KoseSearch};
 pub use maxclique::{maximum_clique, maximum_clique_size};
 pub use neighborhood::{cliques_created_by_edge, maximal_cliques_induced};
-pub use parallel::{BalanceStrategy, ParallelConfig, ParallelEnumerator, ParallelStats, Scheduler};
+pub use parallel::{ParallelConfig, ParallelEnumerator, ParallelStats};
 pub use pipeline::{CliquePipeline, PipelineError, PipelineReport};
 pub use quarantine::QuarantineEntry;
 pub use sink::{

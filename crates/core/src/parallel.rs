@@ -1,51 +1,49 @@
 //! The multithreaded Clique Enumerator (§2.3, "Parallelism for
-//! shared-memory machines") — under either of two schedulers.
+//! shared-memory machines") on the work-stealing runtime.
 //!
-//! [`Scheduler::Barrier`] is faithful to the paper's runtime:
-//! persistent worker threads expand their *local* sub-lists
-//! independently (no communication inside a level); a centralized task
-//! scheduler synchronizes levels, collects results, and transfers
-//! sub-lists from heavy to light workers when the spread exceeds the
-//! threshold policy — transfers move owned structures between queues,
-//! i.e. addresses, not data, exactly as on the Altix.
-//!
-//! [`Scheduler::Steal`] (the default) replaces the level barrier with a
-//! *steal-scope epoch*: every sub-list is its own task on its owner's
-//! deque, idle workers steal (owner-LIFO / thief-FIFO), and the level
-//! ends at quiescence — which is where the barrier hooks (checkpoint,
-//! degradation, halt) re-attach with unchanged semantics. Children stay
-//! on the worker that produced them as the next epoch's seed queues, so
-//! the paper's task-affinity property survives; the centralized
-//! balancer is retired on this path because stealing balances online.
+//! Each level is a *steal-scope epoch* (Das et al., *Shared-Memory
+//! Parallel Maximal Clique Enumeration*): every sub-list is its own
+//! task on its owner's deque, idle workers steal (owner-LIFO /
+//! thief-FIFO), and the level ends at quiescence — which is where the
+//! paper's level-barrier hooks (checkpoint, degradation, halt) attach.
+//! The initial level is spread by LPT on estimated sub-list costs, and
+//! children stay on the worker that produced them as the next epoch's
+//! seed queues, so the paper's task-affinity property survives; the
+//! centralized balancer is not needed because stealing balances online
+//! (Fig. 8 still measures the paper's balancer through a thread-free
+//! replay in `gsb-bench`).
 //!
 //! Determinism: within a level the set of maximal cliques is
 //! independent of the partition *and* of the steal schedule; results
 //! are staged per level and released sorted (see
 //! [`crate::sink::SequencingSink`]), so output is byte-identical to the
-//! sequential enumerator under both schedulers.
+//! sequential enumerator.
 //!
 //! ## Fault tolerance
 //!
 //! [`enumerate_resilient`](ParallelEnumerator::enumerate_resilient) is
-//! the crash-aware driver: a round whose worker panics is discarded
-//! wholesale (no partial emissions), dead threads are respawned, and
-//! the level is retried once from its snapshot before the failure is
-//! surfaced as a typed [`ParallelRunError`]. A per-level barrier hook
-//! lets the pipeline write checkpoints and demand degradation to the
-//! out-of-core path mid-flight, or halt for a graceful signal-driven
-//! shutdown ([`BarrierControl::Halt`]).
+//! the crash-aware driver: a task that panics is retried inline once,
+//! and a task that panics twice is convicted. An epoch that fails
+//! supervision (stuck worker, dead thread) is discarded wholesale (no
+//! partial emissions), dead threads are respawned, and the level is
+//! retried once from its snapshot before the failure is surfaced as a
+//! typed [`ParallelRunError`]. A per-level barrier hook lets the
+//! pipeline write checkpoints and demand degradation to the out-of-core
+//! path mid-flight, or halt for a graceful signal-driven shutdown
+//! ([`BarrierControl::Halt`]).
 //!
 //! ## Supervision
 //!
 //! With a worker deadline configured
-//! ([`ParallelConfig::worker_deadline`]) workers heartbeat once per
-//! sub-list; a thread silent past the deadline is declared stuck and
-//! abandoned, not waited on forever. With a quarantine sidecar
-//! configured ([`ParallelEnumerator::quarantine_to`]) a level whose
-//! retry also fails is *isolated* instead of aborted: the suspect
-//! sub-lists are probed one per worker, the poison ones are recorded to
-//! `quarantine.jsonl` and skipped, and the level continues — degraded
-//! exact, never silently dropped (see [`crate::quarantine`]).
+//! ([`ParallelConfig::worker_deadline`]) a worker silent inside one
+//! sub-list past the deadline is declared stuck and abandoned, not
+//! waited on forever, and the failure names that sub-list. With a
+//! quarantine sidecar configured
+//! ([`ParallelEnumerator::quarantine_to`]) convicted sub-lists — those
+//! that panic twice, or stall past the deadline again on the level's
+//! retry — are recorded to `quarantine.jsonl` and skipped, and the
+//! level continues: degraded exact, never silently dropped (see
+//! [`crate::quarantine`]).
 
 use crate::backend::InMemoryLevel;
 use crate::enumerator::{EnumConfig, LevelReport};
@@ -57,7 +55,7 @@ use crate::sublist::{Level, SubList};
 use crate::Clique;
 use gsb_bitset::{BitSet, NeighborSet};
 use gsb_graph::BitGraph;
-use gsb_par::balance::{partition_greedy, rebalance, BalancePolicy};
+use gsb_par::balance::partition_greedy;
 use gsb_par::pool::EpochOut;
 use gsb_par::stats::{LevelStats, RunStats};
 use gsb_par::{Heartbeat, RoundError, WorkerFailure, WorkerPool};
@@ -66,58 +64,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How work is distributed across levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BalanceStrategy {
-    /// The paper's centralized dynamic balancer: children stay on their
-    /// parent's worker; after each level, transfer sub-lists when the
-    /// load spread exceeds the policy threshold.
-    Dynamic,
-    /// No balancing after the initial partition (ablation A2).
-    Static,
-    /// Re-partition every level from scratch with LPT (upper reference
-    /// for balance quality; ignores affinity).
-    Repartition,
-}
-
-/// Which runtime drives each level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduler {
-    /// The paper's level-synchronous rounds: pre-partitioned batches,
-    /// a barrier per level, and the centralized spread balancer. Kept
-    /// as the differential oracle for the steal scheduler.
-    Barrier,
-    /// Work-stealing steal-scope epochs: per-worker deques of
-    /// individual sub-lists, idle workers steal, and the level's
-    /// barrier hooks run at epoch quiescence. Balances online, so no
-    /// centralized balancer runs between levels.
-    #[default]
-    Steal,
-}
-
-impl fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Scheduler::Barrier => "barrier",
-            Scheduler::Steal => "steal",
-        })
-    }
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "barrier" => Ok(Scheduler::Barrier),
-            "steal" => Ok(Scheduler::Steal),
-            other => Err(format!(
-                "unknown scheduler '{other}' (expected 'barrier' or 'steal')"
-            )),
-        }
-    }
-}
-
 /// Configuration of a parallel run.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelConfig {
@@ -125,18 +71,10 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Size bounds and seeding, as for the sequential enumerator.
     pub enum_config: EnumConfig,
-    /// Transfer threshold policy (barrier scheduler only).
-    pub policy: BalancePolicy,
-    /// Distribution strategy (barrier scheduler only; the steal
-    /// scheduler always keeps children on their parent's worker and
-    /// lets stealing correct any imbalance online).
-    pub strategy: BalanceStrategy,
-    /// Which runtime drives each level.
-    pub scheduler: Scheduler,
-    /// Stuck-worker deadline: a worker whose per-sub-list heartbeats
-    /// stop advancing for this long is declared dead and abandoned.
-    /// `None` (the default) disables the watchdog — a wedged thread
-    /// then blocks the level barrier indefinitely.
+    /// Stuck-worker deadline: a worker that stays inside one sub-list
+    /// without a heartbeat for this long is declared dead and
+    /// abandoned. `None` (the default) disables the watchdog — a wedged
+    /// thread then blocks the level indefinitely.
     pub worker_deadline: Option<Duration>,
 }
 
@@ -145,9 +83,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads: 4,
             enum_config: EnumConfig::default(),
-            policy: BalancePolicy::default(),
-            strategy: BalanceStrategy::Dynamic,
-            scheduler: Scheduler::default(),
             worker_deadline: None,
         }
     }
@@ -162,12 +97,11 @@ pub struct ParallelStats {
     pub run: RunStats,
     /// Total maximal cliques reported.
     pub total_maximal: usize,
-    /// Levels whose first round failed (worker panic) and were retried
-    /// successfully from their snapshot.
+    /// Levels whose first epoch failed supervision (stuck worker, dead
+    /// thread) and were re-run from their snapshot.
     pub retried_levels: Vec<usize>,
-    /// Individual tasks that panicked once and succeeded on the steal
-    /// scheduler's inline retry (always 0 under the barrier scheduler,
-    /// which can only retry whole levels).
+    /// Individual tasks that panicked once and succeeded on the inline
+    /// retry.
     pub retried_tasks: u64,
     /// Sub-lists isolated into the quarantine sidecar and skipped
     /// (degraded-exact mode): their descendant cliques are missing from
@@ -213,13 +147,14 @@ pub enum ParallelOutcome<S: NeighborSet = BitSet> {
 /// A resilient parallel run failed.
 #[derive(Debug)]
 pub enum ParallelRunError<S: NeighborSet = BitSet> {
-    /// A level's round failed twice (original + one retry from the
-    /// snapshot). `level` is the unexpanded snapshot, so the caller can
-    /// persist a final checkpoint before aborting.
+    /// A level failed: its epoch failed twice (original + one retry
+    /// from the snapshot), or a task was convicted with no quarantine
+    /// sidecar to take it. `level` is the unexpanded snapshot, so the
+    /// caller can persist a final checkpoint before aborting.
     Round {
         /// The level being expanded when the workers failed.
         k: usize,
-        /// The worker failures of the retry round.
+        /// The worker failures of the failing epoch.
         error: RoundError,
         /// The unexpanded level snapshot.
         level: Level<S>,
@@ -254,77 +189,7 @@ impl<S: NeighborSet> From<StoreError> for ParallelRunError<S> {
     }
 }
 
-/// What one worker returns for one level.
-struct WorkerOut<S: NeighborSet> {
-    new_sublists: Vec<SubList<S>>,
-    maximal: Vec<Clique>,
-    tasks: usize,
-    units: u64,
-    and_ops: u64,
-    tests: u64,
-}
-
-/// The per-round job: expand a batch of sub-lists locally, no
-/// cross-talk. Built by a free function so a retry can recreate it
-/// after the original closure was consumed by the failed round. The
-/// per-vertex neighbor rows (already converted to `S`) are shared
-/// across workers and rounds.
-fn worker_job<S: NeighborSet>(
-    graph: Arc<BitGraph>,
-    rows: Arc<Vec<S>>,
-) -> impl Fn(usize, Vec<SubList<S>>, &Heartbeat) -> WorkerOut<S> + Send + Sync {
-    move |w, batch: Vec<SubList<S>>, hb: &Heartbeat| {
-        if let Err(e) = crate::failpoint::inject("parallel.worker") {
-            panic!("{e}");
-        }
-        let local_m: usize = batch.iter().map(SubList::len).sum();
-        // paper's bound N[k+1] <= M[k] - 2N[k], per worker
-        let mut new_sublists: Vec<SubList<S>> =
-            Vec::with_capacity(local_m.saturating_sub(2 * batch.len()));
-        let (mut units, mut and_ops, mut tests) = (0u64, 0u64, 0u64);
-        let mut collect = CollectSink::default();
-        let mut buf = S::empty(graph.n());
-        for sl in &batch {
-            // One beat per sub-list: the supervisor's stuck-worker
-            // deadline measures *progress between sub-lists*, so a
-            // worker grinding through a huge batch is alive while a
-            // wedged one is not.
-            hb.beat(w);
-            // Per-sub-list failpoint, keyed by prefix, so tests can
-            // poison exactly one sub-list. Gated: the tag string is
-            // never built in production runs.
-            #[cfg(feature = "failpoints")]
-            {
-                let tag = sl
-                    .prefix
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("-");
-                if let Err(e) = crate::failpoint::inject_tagged("parallel.sublist", &tag) {
-                    panic!("{e}");
-                }
-            }
-            let expanded =
-                crate::enumerator::expand_sublist(&graph, &rows, sl, &mut buf, &mut collect, |c| {
-                    new_sublists.push(c)
-                });
-            units += expanded.units;
-            and_ops += expanded.and_ops;
-            tests += expanded.tests;
-        }
-        WorkerOut {
-            new_sublists,
-            maximal: collect.cliques,
-            tasks: batch.len(),
-            units,
-            and_ops,
-            tests,
-        }
-    }
-}
-
-/// What one steal-scheduler task (a single sub-list) produces.
+/// What one task (a single sub-list) produces.
 struct TaskOut<S: NeighborSet> {
     new_sublists: Vec<SubList<S>>,
     maximal: Vec<Clique>,
@@ -333,11 +198,10 @@ struct TaskOut<S: NeighborSet> {
     tests: u64,
 }
 
-/// The per-task job of the work-stealing scheduler: expand exactly one
-/// sub-list. The pool heartbeats before each task, so the stuck-worker
-/// deadline measures progress *between sub-lists*, same as the barrier
-/// path's per-sub-list beat.
-fn steal_task_job<S: NeighborSet>(
+/// The per-task job: expand exactly one sub-list. The pool heartbeats
+/// as each task starts, so the stuck-worker deadline measures progress
+/// *between sub-lists*.
+fn task_job<S: NeighborSet>(
     graph: Arc<BitGraph>,
     rows: Arc<Vec<S>>,
 ) -> impl Fn(usize, &SubList<S>, &Heartbeat) -> TaskOut<S> + Send + Sync {
@@ -377,14 +241,14 @@ fn steal_task_job<S: NeighborSet>(
     }
 }
 
-/// Everything one level expansion produced, whichever scheduler ran it.
+/// Everything one level expansion produced.
 struct LevelExpansion<S: NeighborSet> {
     /// Next level's per-worker seed queues (children keep their
-    /// producer's affinity; the barrier path additionally applies its
-    /// balance strategy).
+    /// producer's affinity).
     new_queues: Vec<Vec<SubList<S>>>,
     /// Maximal cliques of the level, unsorted.
     maximal: Vec<Clique>,
+    units: u64,
     and_ops: u64,
     maximality_tests: u64,
     /// Per-worker timing with the unified moved-work count filled in.
@@ -395,7 +259,7 @@ struct LevelExpansion<S: NeighborSet> {
     /// Whether anything was retried at all (level or single task) —
     /// the telemetry `retried` flag.
     retried: bool,
-    /// Tasks that succeeded on an inline retry (steal scheduler only).
+    /// Tasks that succeeded on an inline retry.
     retried_tasks: u64,
     /// Sub-lists isolated to the quarantine sidecar this level.
     quarantined: usize,
@@ -427,7 +291,7 @@ pub struct ParallelEnumerator {
     // behind the long-standing `&self` entry points.
     pool: Mutex<WorkerPool>,
     /// Quarantine sidecar path; `None` keeps the historical behavior
-    /// (a twice-failed level aborts the run).
+    /// (a convicted sub-list aborts the run).
     quarantine: Option<PathBuf>,
 }
 
@@ -443,15 +307,16 @@ impl ParallelEnumerator {
 
     /// The worker pool, locked. Poisoning is ignored: a job's panic is
     /// caught on its worker thread and a dead worker is respawned
-    /// before the next round, so a panic that unwound through a lock
+    /// before the next epoch, so a panic that unwound through a lock
     /// holder leaves the pool usable.
     fn pool(&self) -> MutexGuard<'_, WorkerPool> {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enable the quarantine sidecar: when a level fails its retry, the
-    /// poison sub-lists are isolated to `path` (JSON lines, appended)
-    /// and skipped instead of aborting the run. See [`crate::quarantine`].
+    /// Enable the quarantine sidecar: convicted sub-lists (a double
+    /// panic, or a stall past the worker deadline on the level's retry)
+    /// are recorded to `path` (JSON lines, appended) and skipped instead
+    /// of aborting the run. See [`crate::quarantine`].
     pub fn quarantine_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.quarantine = Some(path.into());
         self
@@ -460,7 +325,7 @@ impl ParallelEnumerator {
     /// Enumerate maximal cliques of `g`, delivering them level by level
     /// (non-decreasing size) into `sink`.
     ///
-    /// Panics if a worker round fails twice; use
+    /// Panics if a level fails; use
     /// [`enumerate_resilient`](Self::enumerate_resilient) to handle
     /// failures as values.
     pub fn enumerate(&self, g: &Arc<BitGraph>, sink: &mut impl CliqueSink) -> ParallelStats {
@@ -488,11 +353,12 @@ impl ParallelEnumerator {
     ///   [`BarrierControl::Degrade`], which stops the in-core run and
     ///   returns the unexpanded level for out-of-core continuation.
     ///
-    /// A round that fails (worker panic) is discarded — partial results
-    /// never reach `sink` — dead workers are respawned, and the level is
-    /// retried once from its snapshot. A second failure aborts with
-    /// [`ParallelRunError::Round`] carrying the snapshot, so the caller
-    /// can write a final checkpoint.
+    /// An epoch that fails supervision (stuck worker, dead thread) is
+    /// discarded — partial results never reach `sink` — dead workers
+    /// are respawned, and the level is retried once from its snapshot.
+    /// A second failure, or a convicted sub-list with no quarantine
+    /// sidecar, aborts with [`ParallelRunError::Round`] carrying the
+    /// snapshot, so the caller can write a final checkpoint.
     pub fn enumerate_resilient<S, K, B>(
         &self,
         g: &Arc<BitGraph>,
@@ -510,9 +376,9 @@ impl ParallelEnumerator {
 
     /// [`enumerate_resilient`](Self::enumerate_resilient) with a
     /// telemetry tap: `observe` runs right after each level completes
-    /// (results collected, cliques emitted, balancer applied) with the
-    /// level's algorithmic report, its per-worker timing, and whether
-    /// the level's first round failed and was retried. This is how the
+    /// (results collected, cliques emitted) with the level's
+    /// algorithmic report, its per-worker timing, and whether anything
+    /// in the level was retried or quarantined. This is how the
     /// pipeline exports one consistent record per level barrier without
     /// the workers ever touching a shared channel mid-level.
     pub fn enumerate_observed<S, K, B, O>(
@@ -566,7 +432,7 @@ impl ParallelEnumerator {
             }
             // Snapshot this level before consuming it: the barrier hook
             // checkpoints it, the memory watchdog inspects it, and a
-            // failed round retries from it.
+            // failed epoch retries from it.
             let level_view = Level {
                 k,
                 sublists: queues.iter().flatten().cloned().collect(),
@@ -587,20 +453,10 @@ impl ParallelEnumerator {
                 }
             }
 
-            // Expand the level: a level-synchronous round under the
-            // barrier scheduler, a steal-scope epoch under the steal
-            // scheduler. Either way the sink sees nothing until the
-            // level is fully collected.
-            let batches: Vec<Vec<SubList<S>>> = std::mem::take(&mut queues);
-            let expanded = match self.config.scheduler {
-                Scheduler::Barrier => {
-                    self.expand_level_barrier(g, &rows, &level_view, batches, threads)
-                }
-                Scheduler::Steal => {
-                    self.expand_level_steal(g, &rows, &level_view, batches, threads)
-                }
-            };
-            let expansion = match expanded {
+            // Expand the level as one steal-scope epoch; the sink sees
+            // nothing until the level is fully collected.
+            let seeds = std::mem::take(&mut queues);
+            let expansion = match self.expand_level(g, &rows, &level_view, seeds, threads) {
                 Ok(expansion) => expansion,
                 Err(e) => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
@@ -633,6 +489,7 @@ impl ParallelEnumerator {
                 maximal_found,
                 ns: *expansion.timing.per_worker_ns.iter().max().unwrap_or(&0),
                 memory,
+                units: expansion.units,
                 and_ops: expansion.and_ops,
                 maximality_tests: expansion.maximality_tests,
                 spilled: 0,
@@ -651,125 +508,19 @@ impl ParallelEnumerator {
         Ok(ParallelOutcome::Complete(stats))
     }
 
-    /// Expand one level as a level-synchronous round (the paper's §2.3
-    /// runtime): pre-partitioned batches, all-or-nothing collection, a
-    /// whole-level retry on failure, and the centralized balance
-    /// strategy applied to the children.
-    fn expand_level_barrier<S: NeighborSet>(
-        &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        batches: Vec<Vec<SubList<S>>>,
-        threads: usize,
-    ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
-        let deadline = self.config.worker_deadline;
-        let first = self.pool().run_round_supervised(
-            batches,
-            worker_job(Arc::clone(g), Arc::clone(rows)),
-            deadline,
-        );
-        let mut retried_level = false;
-        let mut quarantined = 0usize;
-        let outputs = match first {
-            Ok(outputs) => outputs,
-            Err(round_error) => {
-                // The whole round is discarded; re-partition the
-                // snapshot and retry once on respawned workers.
-                let retry_batches = partition_level(level_view.sublists.clone(), threads);
-                // Bind before matching: a `self.pool()` in the
-                // scrutinee would hold the guard across every arm,
-                // deadlocking the quarantine arm's own lock.
-                let retry = self.pool().run_round_supervised(
-                    retry_batches,
-                    worker_job(Arc::clone(g), Arc::clone(rows)),
-                    deadline,
-                );
-                match retry {
-                    Ok(outputs) => {
-                        retried_level = true;
-                        outputs
-                    }
-                    Err(error) if self.quarantine.is_some() => {
-                        // Last resort before aborting: isolate the
-                        // poison sub-lists, quarantine them, and
-                        // keep the level going without them.
-                        let _ = round_error; // superseded
-                        let (outputs, n_quarantined) =
-                            self.quarantine_level(g, rows, level_view, threads, &error)?;
-                        retried_level = true;
-                        quarantined = n_quarantined;
-                        outputs
-                    }
-                    Err(error) => {
-                        let _ = round_error; // superseded by the retry's error
-                        return Err(ParallelRunError::Round {
-                            k: level_view.k,
-                            error,
-                            level: level_view.clone(),
-                        });
-                    }
-                }
-            }
-        };
-
-        let mut timing = LevelStats {
-            level: level_view.k,
-            ..Default::default()
-        };
-        let mut and_ops = 0u64;
-        let mut maximality_tests = 0u64;
-        let mut maximal: Vec<Clique> = Vec::new();
-        let mut new_queues: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (out, ns) in outputs {
-            timing.per_worker_ns.push(ns);
-            timing.per_worker_units.push(out.units);
-            timing.per_worker_tasks.push(out.tasks);
-            and_ops += out.and_ops;
-            maximality_tests += out.tests;
-            maximal.extend(out.maximal);
-            new_queues.push(out.new_sublists);
-        }
-
-        // Load balancing decision (paper: after collecting results,
-        // transfer from the heaviest to the lightest when the gap
-        // exceeds the threshold).
-        timing.transfers = match self.config.strategy {
-            BalanceStrategy::Dynamic => {
-                rebalance(&mut new_queues, SubList::cost, &self.config.policy)
-            }
-            BalanceStrategy::Static => 0,
-            BalanceStrategy::Repartition => {
-                let flat: Vec<SubList<S>> = new_queues.drain(..).flatten().collect();
-                new_queues = partition_level(flat, threads);
-                0
-            }
-        };
-
-        Ok(LevelExpansion {
-            new_queues,
-            maximal,
-            and_ops,
-            maximality_tests,
-            timing,
-            retried_level,
-            retried: retried_level,
-            retried_tasks: 0,
-            quarantined,
-        })
-    }
-
     /// Expand one level as a steal-scope epoch: each sub-list is its
     /// own task, idle workers steal, and children stay on the worker
-    /// that produced them as the next epoch's seed queues. A task that
-    /// panics is retried inline once by the pool; a deterministic
-    /// double-panic convicts just that sub-list — quarantined and
-    /// skipped when the sidecar is configured, otherwise surfaced as a
-    /// level failure (the barrier path's abort semantics). Only
-    /// supervision failures (stuck worker, dead thread) discard the
-    /// epoch wholesale, which then gets the same one-retry-per-level
-    /// treatment as a barrier round.
-    fn expand_level_steal<S: NeighborSet>(
+    /// that produced them as the next epoch's seed queues.
+    ///
+    /// A task that panics is retried inline once by the pool, and a
+    /// deterministic double panic convicts just that sub-list. An epoch
+    /// that fails supervision (stuck worker, dead thread) is discarded
+    /// and re-run from the snapshot; a worker stuck again on that retry
+    /// convicts the sub-list its failure names, and the epoch reruns
+    /// without it. Convicted sub-lists are quarantined and skipped when
+    /// the sidecar is configured; otherwise the level fails with
+    /// [`ParallelRunError::Round`] — the sink has seen nothing of it.
+    fn expand_level<S: NeighborSet>(
         &self,
         g: &Arc<BitGraph>,
         rows: &Arc<Vec<S>>,
@@ -777,133 +528,127 @@ impl ParallelEnumerator {
         queues: Vec<Vec<SubList<S>>>,
         threads: usize,
     ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
-        let deadline = self.config.worker_deadline;
-        let first = self.pool().run_epoch(
-            queues,
-            steal_task_job(Arc::clone(g), Arc::clone(rows)),
-            deadline,
-        );
+        let epoch = |queues| {
+            self.pool().run_epoch(
+                queues,
+                task_job(Arc::clone(g), Arc::clone(rows)),
+                self.config.worker_deadline,
+            )
+        };
+        let fail = |error| ParallelRunError::Round {
+            k: level_view.k,
+            error,
+            level: level_view.clone(),
+        };
+        let convict = |sl: &SubList<S>, reason: &str| QuarantineEntry {
+            k: level_view.k as u64,
+            prefix: sl.prefix.clone(),
+            tails: sl.tails.clone(),
+            reason: reason.to_string(),
+        };
         let mut retried_level = false;
-        let out = match first {
+        let mut convicted: Vec<QuarantineEntry> = Vec::new();
+        let out = match epoch(queues) {
             Ok(out) => out,
-            Err(round_error) => {
+            Err(_) => {
                 // Supervision failure: the epoch was frozen and its
-                // results discarded. Re-seed from the snapshot and
-                // retry once on respawned workers.
-                let retry_queues = partition_level(level_view.sublists.clone(), threads);
-                let retry = self.pool().run_epoch(
-                    retry_queues,
-                    steal_task_job(Arc::clone(g), Arc::clone(rows)),
-                    deadline,
-                );
-                match retry {
-                    Ok(out) => {
-                        retried_level = true;
-                        out
+                // results discarded. Re-seed from the snapshot and retry
+                // on respawned workers.
+                retried_level = true;
+                let snapshot = &level_view.sublists;
+                // Snapshot indices of the sub-lists still in the level.
+                let mut live: Vec<usize> = (0..snapshot.len()).collect();
+                loop {
+                    let costs: Vec<u64> = live.iter().map(|&i| snapshot[i].cost()).collect();
+                    let parts = partition_greedy(&costs, threads);
+                    let seeds = parts
+                        .iter()
+                        .map(|part| part.iter().map(|&j| snapshot[live[j]].clone()).collect())
+                        .collect();
+                    let error = match epoch(seeds) {
+                        Ok(out) => break out,
+                        Err(error) => error,
+                    };
+                    // Stuck again: every failure must name the sub-list
+                    // its worker was wedged in, and the sidecar must be
+                    // there to take it.
+                    let named = error
+                        .failures
+                        .iter()
+                        .all(|f| f.deadline && f.task.is_some());
+                    if !named || self.quarantine.is_none() {
+                        return Err(fail(error));
                     }
-                    Err(_) if self.quarantine.is_some() => {
-                        // A steal schedule doesn't map failures onto
-                        // deterministic batches, so isolation falls
-                        // back to the barrier machinery for this one
-                        // level: its deterministic retry + probe
-                        // rounds pin the poison sub-list(s) exactly.
-                        let batches = partition_level(level_view.sublists.clone(), threads);
-                        let _ = round_error; // superseded
-                        return self.expand_level_barrier(g, rows, level_view, batches, threads);
-                    }
-                    Err(error) => {
-                        let _ = round_error; // superseded by the retry's error
-                        return Err(ParallelRunError::Round {
-                            k: level_view.k,
-                            error,
-                            level: level_view.clone(),
-                        });
+                    // Seed index (the pool's task numbering) -> snapshot index.
+                    let seeded: Vec<usize> = parts.iter().flatten().map(|&j| live[j]).collect();
+                    for f in &error.failures {
+                        let i = seeded[f.task.expect("checked above")];
+                        convicted.push(convict(&snapshot[i], &f.panic_message));
+                        live.retain(|&j| j != i);
                     }
                 }
             }
         };
-
-        // Convicted tasks: quarantine them (degraded-exact, recorded)
-        // or fail the level exactly as a twice-failed barrier round
-        // would — the sink has seen nothing of this level either way.
-        let mut quarantined = 0usize;
-        if !out.poisoned.is_empty() {
-            match &self.quarantine {
-                Some(path) => {
-                    let entries: Vec<QuarantineEntry> = out
-                        .poisoned
-                        .iter()
-                        .map(|p| QuarantineEntry {
-                            k: level_view.k as u64,
-                            prefix: p.task.prefix.clone(),
-                            tails: p.task.tails.clone(),
-                            reason: p.panic_message.clone(),
-                        })
-                        .collect();
-                    crate::quarantine::append_entries(path, &entries)
-                        .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
-                    quarantined = entries.len();
-                }
-                None => {
-                    let error = RoundError {
-                        failures: out
-                            .poisoned
-                            .iter()
-                            .map(|p| WorkerFailure {
-                                worker: p.worker,
-                                deadline: false,
-                                panic_message: p.panic_message.clone(),
-                            })
-                            .collect(),
-                    };
-                    return Err(ParallelRunError::Round {
-                        k: level_view.k,
-                        error,
-                        level: level_view.clone(),
-                    });
-                }
-            }
-        }
 
         let EpochOut {
             results,
             steal_stats,
-            poisoned: _,
+            poisoned,
             retried_tasks,
         } = out;
+        if !poisoned.is_empty() && self.quarantine.is_none() {
+            return Err(fail(RoundError {
+                failures: poisoned
+                    .iter()
+                    .map(|p| WorkerFailure {
+                        worker: p.worker,
+                        deadline: false,
+                        task: None,
+                        panic_message: p.panic_message.clone(),
+                    })
+                    .collect(),
+            }));
+        }
+        convicted.extend(poisoned.iter().map(|p| convict(&p.task, &p.panic_message)));
+        if let (Some(path), false) = (&self.quarantine, convicted.is_empty()) {
+            crate::quarantine::append_entries(path, &convicted)
+                .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
+        }
+
         let mut timing = LevelStats {
             level: level_view.k,
             ..Default::default()
         };
-        let mut and_ops = 0u64;
-        let mut maximality_tests = 0u64;
+        let (mut units, mut and_ops, mut maximality_tests) = (0u64, 0u64, 0u64);
         let mut maximal: Vec<Clique> = Vec::new();
         let mut new_queues: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
         for (task_outs, ss) in results.into_iter().zip(&steal_stats) {
             let mut children: Vec<SubList<S>> = Vec::new();
-            let mut units = 0u64;
+            let mut worker_units = 0u64;
             for t in task_outs {
                 children.extend(t.new_sublists);
                 maximal.extend(t.maximal);
-                units += t.units;
+                worker_units += t.units;
                 and_ops += t.and_ops;
                 maximality_tests += t.tests;
             }
+            units += worker_units;
             new_queues.push(children);
             timing.per_worker_ns.push(ss.busy_ns);
-            timing.per_worker_units.push(units);
+            timing.per_worker_units.push(worker_units);
             timing.per_worker_tasks.push(ss.tasks as usize);
             timing.per_worker_steals.push(ss.steals);
             timing.per_worker_idle_ns.push(ss.idle_ns);
             timing.failed_steals += ss.failed_steals;
         }
-        // Unified moved-work count: a successful steal is the steal
-        // scheduler's "transfer".
+        // Unified moved-work count: a successful steal is a transfer.
         timing.transfers = timing.per_worker_steals.iter().sum::<u64>() as usize;
 
+        let quarantined = convicted.len();
         Ok(LevelExpansion {
             new_queues,
             maximal,
+            units,
             and_ops,
             maximality_tests,
             timing,
@@ -913,99 +658,6 @@ impl ParallelEnumerator {
             quarantined,
         })
     }
-
-    /// Isolate a level that failed its retry: rerun the batches of the
-    /// workers that *didn't* fail (all-or-nothing still applies to
-    /// them), then probe the failed workers' sub-lists one per worker
-    /// so each failure pins down exactly one sub-list. Poison sub-lists
-    /// go to the quarantine sidecar; everything else is folded back
-    /// into the level's outputs. Returns the merged per-worker outputs
-    /// and how many sub-lists were quarantined.
-    #[allow(clippy::type_complexity)]
-    fn quarantine_level<S: NeighborSet>(
-        &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        threads: usize,
-        error: &RoundError,
-    ) -> Result<(Vec<(WorkerOut<S>, u64)>, usize), ParallelRunError<S>> {
-        let path = self.quarantine.as_ref().expect("caller checked");
-        let deadline = self.config.worker_deadline;
-        // The retry round's partition is deterministic (LPT over the
-        // same snapshot), so recreating it maps each reported worker
-        // failure back onto the exact batch that triggered it.
-        let batches = partition_level(level_view.sublists.clone(), threads);
-        let mut failed = vec![false; threads];
-        for f in &error.failures {
-            if let Some(slot) = failed.get_mut(f.worker) {
-                *slot = true;
-            }
-        }
-        let mut suspects: Vec<SubList<S>> = Vec::new();
-        let mut clean_batches: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (w, batch) in batches.into_iter().enumerate() {
-            if failed[w] {
-                suspects.extend(batch);
-                clean_batches.push(Vec::new());
-            } else {
-                clean_batches.push(batch);
-            }
-        }
-        let mut outputs = self
-            .pool()
-            .run_round_supervised(
-                clean_batches,
-                worker_job(Arc::clone(g), Arc::clone(rows)),
-                deadline,
-            )
-            .map_err(|error| ParallelRunError::Round {
-                k: level_view.k,
-                error,
-                level: level_view.clone(),
-            })?;
-        // Probe the suspects in waves of one sub-list per worker.
-        let mut entries: Vec<QuarantineEntry> = Vec::new();
-        for wave in suspects.chunks(threads) {
-            let mut probe_batches: Vec<Vec<SubList<S>>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (j, sl) in wave.iter().enumerate() {
-                probe_batches[j] = vec![sl.clone()];
-            }
-            let slots = self.pool().run_round_isolated(
-                probe_batches,
-                worker_job(Arc::clone(g), Arc::clone(rows)),
-                deadline,
-            );
-            for (j, slot) in slots.into_iter().enumerate() {
-                let Some(suspect) = wave.get(j) else {
-                    continue; // padding slot (empty batch)
-                };
-                match slot {
-                    Ok((out, ns)) => {
-                        let (acc, acc_ns) = &mut outputs[j];
-                        acc.new_sublists.extend(out.new_sublists);
-                        acc.maximal.extend(out.maximal);
-                        acc.tasks += out.tasks;
-                        acc.units += out.units;
-                        acc.and_ops += out.and_ops;
-                        acc.tests += out.tests;
-                        *acc_ns += ns;
-                    }
-                    Err(failure) => entries.push(QuarantineEntry {
-                        k: level_view.k as u64,
-                        prefix: suspect.prefix.clone(),
-                        tails: suspect.tails.clone(),
-                        reason: failure.panic_message,
-                    }),
-                }
-            }
-        }
-        let n_quarantined = entries.len();
-        crate::quarantine::append_entries(path, &entries)
-            .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
-        Ok((outputs, n_quarantined))
-    }
 }
 
 #[cfg(test)]
@@ -1013,7 +665,7 @@ mod tests {
     use super::*;
     use crate::bk::base_bk_sorted;
     use crate::Vertex;
-    use gsb_graph::generators::{gnp, planted, Module};
+    use gsb_graph::generators::{planted, Module};
 
     fn parallel_sorted(g: &BitGraph, config: ParallelConfig) -> (Vec<Vec<Vertex>>, ParallelStats) {
         let g = Arc::new(g.clone());
@@ -1048,55 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree() {
-        // Balance strategies only exist on the barrier path; pin it.
-        let g = gnp(32, 0.35, 7);
-        let expect = bk_at_least(&g, 3);
-        for strategy in [
-            BalanceStrategy::Dynamic,
-            BalanceStrategy::Static,
-            BalanceStrategy::Repartition,
-        ] {
-            let (got, _) = parallel_sorted(
-                &g,
-                ParallelConfig {
-                    threads: 4,
-                    strategy,
-                    scheduler: Scheduler::Barrier,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(got, expect, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn schedulers_agree_with_each_other_and_sequential() {
-        let g = planted(40, 0.1, &[Module::clique(9), Module::clique(6)], 12);
-        let expect = bk_at_least(&g, 3);
-        for threads in [1, 4] {
-            let (barrier, _) = parallel_sorted(
-                &g,
-                ParallelConfig {
-                    threads,
-                    scheduler: Scheduler::Barrier,
-                    ..Default::default()
-                },
-            );
-            let (steal, _) = parallel_sorted(
-                &g,
-                ParallelConfig {
-                    threads,
-                    scheduler: Scheduler::Steal,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(barrier, expect, "barrier threads={threads}");
-            assert_eq!(steal, expect, "steal threads={threads}");
-        }
-    }
-
-    #[test]
     fn steal_levels_report_steal_counters() {
         // A graph with a planted heavy module skews per-task costs, so
         // at least one level must record a successful steal — and every
@@ -1106,7 +709,6 @@ mod tests {
             &g,
             ParallelConfig {
                 threads: 4,
-                scheduler: Scheduler::Steal,
                 ..Default::default()
             },
         );
@@ -1123,16 +725,6 @@ mod tests {
             stats.run.total_transfers() > 0,
             "skewed levels should trigger at least one steal"
         );
-    }
-
-    #[test]
-    fn scheduler_parses_and_displays() {
-        assert_eq!("steal".parse::<Scheduler>().unwrap(), Scheduler::Steal);
-        assert_eq!("barrier".parse::<Scheduler>().unwrap(), Scheduler::Barrier);
-        assert!("both".parse::<Scheduler>().is_err());
-        assert_eq!(Scheduler::Steal.to_string(), "steal");
-        assert_eq!(Scheduler::Barrier.to_string(), "barrier");
-        assert_eq!(Scheduler::default(), Scheduler::Steal);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! 2. projects the next level's footprint and, when it would exceed the
 //!    budget, *degrades* mid-flight to the out-of-core enumerator
 //!    instead of dying on allocation;
-//! 3. contains worker panics: a failed parallel round is discarded and
-//!    retried once on respawned workers; a second failure writes a
-//!    final checkpoint and surfaces [`PipelineError::Workers`].
+//! 3. contains worker faults: a panicking task is retried inline, a
+//!    level whose epoch fails supervision is discarded and retried once
+//!    on respawned workers, and a level that still fails writes a final
+//!    checkpoint and surfaces [`PipelineError::Workers`].
 //!
 //! Without those options `run` takes the original in-core fast path.
 
@@ -35,7 +36,7 @@ use crate::maxclique::maximum_clique_size;
 use crate::memory::LevelMemory;
 use crate::parallel::{
     BarrierControl, ParallelConfig, ParallelEnumerator, ParallelOutcome, ParallelRunError,
-    ParallelStats, Scheduler,
+    ParallelStats,
 };
 use crate::sink::CliqueSink;
 use crate::store::{SpillConfig, StoreError};
@@ -59,14 +60,14 @@ pub enum PipelineError {
     /// Checkpoint or spill I/O / corruption, or a durable sink that
     /// could not be flushed at a barrier.
     Store(StoreError),
-    /// A parallel level failed twice (original round + retry). When
+    /// A parallel level failed (see [`ParallelRunError::Round`]). When
     /// checkpointing is configured, a final checkpoint of the failed
     /// level was written before this was returned, so the run is
     /// resumable.
     Workers {
         /// The level whose workers failed.
         k: usize,
-        /// The retry round's failures.
+        /// The failing epoch's worker failures.
         error: RoundError,
     },
     /// `resume` found no checkpoint (none configured, none written, or
@@ -130,7 +131,6 @@ pub struct CliquePipeline {
     shutdown: Option<ShutdownToken>,
     worker_deadline: Option<Duration>,
     quarantine: Option<PathBuf>,
-    scheduler: Scheduler,
 }
 
 impl Default for CliquePipeline {
@@ -148,7 +148,6 @@ impl Default for CliquePipeline {
             shutdown: None,
             worker_deadline: None,
             quarantine: None,
-            scheduler: Scheduler::default(),
         }
     }
 }
@@ -284,33 +283,23 @@ impl CliquePipeline {
         self
     }
 
-    /// Stuck-worker deadline: a parallel worker that goes this long
-    /// without a heartbeat (one beat per sub-list processed) is
-    /// declared stuck, abandoned, and replaced; its round is retried
-    /// and, with [`quarantine`](Self::quarantine) configured, poison
-    /// sub-lists are isolated instead of failing the run.
+    /// Stuck-worker deadline: a parallel worker that stays this long
+    /// inside one sub-list without a heartbeat is declared stuck,
+    /// abandoned, and replaced; its level is retried and, with
+    /// [`quarantine`](Self::quarantine) configured, a sub-list that
+    /// stalls again is convicted instead of failing the run.
     pub fn worker_deadline(mut self, deadline: Duration) -> Self {
         self.worker_deadline = Some(deadline);
         self
     }
 
-    /// Quarantine sidecar path (`quarantine.jsonl`): when a parallel
-    /// level fails its retry, re-run it isolating the failing workers'
-    /// sub-lists one by one; deterministic offenders are appended to
+    /// Quarantine sidecar path (`quarantine.jsonl`): convicted
+    /// sub-lists — a task that panics twice, or one whose worker stalls
+    /// past the deadline again on the level's retry — are appended to
     /// this file and skipped (degraded-exact) instead of aborting the
     /// run.
     pub fn quarantine(mut self, path: impl Into<PathBuf>) -> Self {
         self.quarantine = Some(path.into());
-        self
-    }
-
-    /// Parallel scheduling discipline: the work-stealing steal-scope
-    /// runtime (default) or the paper's level-synchronous barrier
-    /// rounds with the centralized spread balancer. Both emit
-    /// byte-identical output; `run.meta` records the choice so
-    /// [`resume`](Self::resume) re-derives it.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -399,8 +388,6 @@ impl CliquePipeline {
                     threads: self.threads,
                     enum_config: config,
                     worker_deadline: self.worker_deadline,
-                    scheduler: self.scheduler,
-                    ..Default::default()
                 });
                 if let Some(q) = self.quarantine.clone() {
                     par = par.quarantine_to(q);
@@ -712,8 +699,6 @@ impl CliquePipeline {
             threads: self.threads,
             enum_config: config,
             worker_deadline: self.worker_deadline,
-            scheduler: self.scheduler,
-            ..Default::default()
         });
         if let Some(q) = self.quarantine.clone() {
             par = par.quarantine_to(q);

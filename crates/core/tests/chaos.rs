@@ -22,7 +22,7 @@ mod util;
 use gsb_core::checkpoint::{latest_checkpoint, CheckpointConfig};
 use gsb_core::failpoint::{self, chaos_schedule};
 use gsb_core::sink::{CliqueSink, CollectSink};
-use gsb_core::{CliquePipeline, Scheduler, Vertex};
+use gsb_core::{CliquePipeline, Vertex};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
 use std::panic::AssertUnwindSafe;
@@ -39,21 +39,9 @@ const SCHEDULES: u64 = 224;
 /// means the runtime looped without making progress.
 const MAX_ATTEMPTS: u32 = 20;
 
-/// Which parallel runtime the sweep drives, from `GSB_CHAOS_SCHEDULER`
-/// (`barrier` | `steal`; default steal, matching the production
-/// default). CI runs the sweep once per value.
-fn sweep_scheduler() -> Scheduler {
-    match std::env::var("GSB_CHAOS_SCHEDULER") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e: String| panic!("GSB_CHAOS_SCHEDULER: {e}")),
-        Err(_) => Scheduler::Steal,
-    }
-}
-
 fn workload() -> BitGraph {
     // Slightly bigger than the resilience-suite workload: more levels
-    // means more barriers, checkpoints, and rounds for a schedule to
+    // means more barriers, checkpoints, and epochs for a schedule to
     // bite on, while a ~50-vertex graph keeps 200+ sweeps fast.
     planted(48, 0.12, &[Module::clique(8), Module::clique(6)], 11)
 }
@@ -91,14 +79,13 @@ fn run_schedule(seed: u64, g: &BitGraph, expect: &[Vec<Vertex>]) -> u32 {
     }
     let dir = TempDirGuard::new("chaos");
     // Alternate drivers so the sweep covers both the sequential and
-    // the supervised parallel barrier paths.
+    // the supervised parallel paths.
     let threads = if seed.is_multiple_of(2) { 1 } else { 4 };
     // An unreachable memory budget keeps the budget probe (and its
     // failpoint site) on the hot path without ever degrading.
     let pipe = CliquePipeline::new()
         .min_size(3)
         .threads(threads)
-        .scheduler(sweep_scheduler())
         .skip_exact_bound()
         .memory_budget(usize::MAX)
         .checkpoint(CheckpointConfig::every_level(dir.path()));

@@ -168,9 +168,10 @@ mod failpoints {
     use gsb_core::failpoint::{FailAction, FailGuard};
     use gsb_core::sink::CliqueSink;
     use gsb_core::store::SpillConfig;
-    use gsb_core::{PipelineError, Scheduler};
+    use gsb_core::PipelineError;
     use std::panic::AssertUnwindSafe;
     use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::time::Duration;
 
     /// Failpoints are process-global; the harness runs tests on
     /// parallel threads, so every failpoint test takes this lock.
@@ -293,32 +294,86 @@ mod failpoints {
         panic!("run never completed: more than 32 barriers?");
     }
 
+    /// A stall that lands once: the worker misses its deadline, the
+    /// epoch is discarded and re-run from the level snapshot, and the
+    /// retry succeeds — nothing is quarantined and the output is exact.
     #[test]
-    fn worker_panic_is_retried_and_output_is_unchanged() {
+    fn one_shot_stall_past_the_deadline_retries_the_level() {
         let _serial = serialize();
-        let dir = TempDirGuard::new("fp-worker-once");
+        let dir = TempDirGuard::new("fp-stall-once");
         let g = workload();
         let expect = plain_sorted(&g);
-        let _fp = FailGuard::new("parallel.worker", FailAction::panic_once());
+        let victim = richest_sublist(&g, &CliqueEnumerator::default());
         let mut sink = CollectSink::default();
-        // Pinned to the barrier scheduler: its retry unit is a whole
-        // round, observable via `retried_levels`. The steal runtime's
-        // finer-grained retry is covered by the counterpart below.
-        let report = CliquePipeline::new()
-            .min_size(3)
-            .threads(4)
-            .scheduler(Scheduler::Barrier)
-            .checkpoint(CheckpointConfig::every_level(dir.path()))
-            .try_run(&g, &mut sink)
-            .expect("transient worker panic must not fail the run");
+        let report = {
+            let _fp = FailGuard::tagged(
+                "parallel.sublist",
+                &prefix_tag(&victim),
+                FailAction::Delay {
+                    skip: 0,
+                    times: 1,
+                    ms: 1_000,
+                },
+            );
+            CliquePipeline::new()
+                .min_size(3)
+                .threads(4)
+                .checkpoint(CheckpointConfig::every_level(dir.path()))
+                .worker_deadline(Duration::from_millis(150))
+                .try_run(&g, &mut sink)
+                .expect("a transient stall must not fail the run")
+        };
         let stats = report.parallel_stats.expect("parallel run");
-        assert!(
-            !stats.retried_levels.is_empty(),
-            "panic was injected but no level was retried"
-        );
+        // The victim sits in the level whose sub-lists have its prefix
+        // length plus one vertex per clique.
+        let k = victim.prefix.len() + 1;
+        assert_eq!(stats.retried_levels, vec![k]);
+        assert_eq!(stats.quarantined, 0);
         let mut got = sink.cliques;
         got.sort();
         assert_eq!(got, expect);
+    }
+
+    /// A stall that never clears, with no quarantine sidecar: the
+    /// level's retry misses the deadline again, so the run fails with a
+    /// typed deadline failure — after writing a final checkpoint of the
+    /// failed level, so it is resumable once the fault is gone.
+    #[test]
+    fn persistent_stall_without_a_sidecar_fails_and_leaves_a_checkpoint() {
+        let _serial = serialize();
+        let dir = TempDirGuard::new("fp-stall-always");
+        let g = workload();
+        let victim = richest_sublist(&g, &CliqueEnumerator::default());
+        let err = {
+            let _fp = FailGuard::tagged(
+                "parallel.sublist",
+                &prefix_tag(&victim),
+                FailAction::Delay {
+                    skip: 0,
+                    times: u32::MAX,
+                    ms: 2_000,
+                },
+            );
+            CliquePipeline::new()
+                .min_size(3)
+                .threads(4)
+                .checkpoint(CheckpointConfig::every_level(dir.path()))
+                .worker_deadline(Duration::from_millis(150))
+                .try_run(&g, &mut CollectSink::default())
+                .unwrap_err()
+        };
+        let PipelineError::Workers { k, error } = err else {
+            panic!("expected Workers error, got: {err}");
+        };
+        assert_eq!(k, victim.prefix.len() + 1);
+        assert!(
+            error.failures.iter().any(|f| f.deadline),
+            "the failure must be the missed deadline: {error}"
+        );
+        let (k_ckpt, _) = latest_checkpoint::<gsb_bitset::BitSet>(dir.path(), g.n())
+            .expect("checkpoint dir readable")
+            .expect("no final checkpoint after the stall");
+        assert_eq!(k_ckpt, k);
     }
 
     #[test]
@@ -332,14 +387,13 @@ mod failpoints {
         let report = CliquePipeline::new()
             .min_size(3)
             .threads(4)
-            .scheduler(Scheduler::Steal)
             .checkpoint(CheckpointConfig::every_level(dir.path()))
             .try_run(&g, &mut sink)
             .expect("transient worker panic must not fail the run");
         let stats = report.parallel_stats.expect("parallel run");
-        // The steal runtime retries the poisoned task inline instead
-        // of replaying the whole level: the task counter moves, the
-        // level counter stays empty.
+        // The poisoned task is retried inline instead of replaying the
+        // whole level: the task counter moves, the level counter stays
+        // empty.
         assert!(
             stats.retried_tasks > 0,
             "panic was injected but no task was retried"
@@ -532,7 +586,9 @@ mod failpoints {
 
     /// A worker that stops making progress (here: wedged by an
     /// injected stall far beyond the deadline) is detected via missed
-    /// heartbeats, its sub-list quarantined, and the run completes.
+    /// heartbeats. The level's retry stalls again, the failure names
+    /// the sub-list, that sub-list alone is quarantined, and the run
+    /// completes.
     #[test]
     fn stuck_worker_misses_its_deadline_and_is_quarantined() {
         let _serial = serialize();
@@ -559,7 +615,7 @@ mod failpoints {
                 .threads(4)
                 .checkpoint(CheckpointConfig::every_level(dir.path()))
                 .quarantine(qpath.clone())
-                .worker_deadline(std::time::Duration::from_millis(150))
+                .worker_deadline(Duration::from_millis(150))
                 .try_run(&g, &mut sink)
                 .expect("a wedged sub-list must be quarantined, not hang the run")
         };

@@ -49,9 +49,9 @@ impl BitGraph {
     pub fn grown(&self, n: usize) -> Self {
         assert!(n >= self.n(), "grown() cannot shrink a graph");
         let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for v in 0..self.n() {
-            for w in self.adj[v].iter_ones() {
-                adj[v].insert(w);
+        for (row, old) in adj.iter_mut().zip(&self.adj) {
+            for w in old.iter_ones() {
+                row.insert(w);
             }
         }
         BitGraph { adj, m: self.m }

@@ -324,7 +324,7 @@ impl CliqueIndex {
         let mut runs = directory.size_runs.clone();
         for g in &chain {
             blocks.extend_from_slice(&g.blocks);
-            block_bound.extend(std::iter::repeat(g.n).take(g.blocks.len()));
+            block_bound.extend(std::iter::repeat_n(g.n, g.blocks.len()));
             runs.extend_from_slice(&g.size_runs);
         }
         if blocks.len() as u64 != meta.blocks {

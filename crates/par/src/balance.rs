@@ -62,8 +62,8 @@ pub fn partition_greedy(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
 /// below the policy threshold (or no single move can improve it).
 /// Mutates the real task queues directly — `cost` prices each task —
 /// and returns the number of tasks moved, which callers fold into the
-/// unified moved-work count of [`LevelStats::transfers`]
-/// (crate::stats::LevelStats::transfers).
+/// unified moved-work count of
+/// [`LevelStats::transfers`](crate::stats::LevelStats::transfers).
 pub fn rebalance<T>(
     queues: &mut [Vec<T>],
     cost: impl Fn(&T) -> u64,
@@ -104,15 +104,6 @@ pub fn rebalance<T>(
     moved
 }
 
-/// Makespan (max per-worker load) of a cost partition.
-pub fn makespan(queues: &[Vec<u64>]) -> u64 {
-    queues
-        .iter()
-        .map(|q| q.iter().sum::<u64>())
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,11 +128,11 @@ mod tests {
     fn lpt_beats_naive_on_skewed_costs() {
         let costs = vec![10, 10, 10, 1, 1, 1, 1, 1, 1];
         let parts = partition_greedy(&costs, 3);
-        let queues: Vec<Vec<u64>> = parts
+        let makespan = parts
             .iter()
-            .map(|p| p.iter().map(|&i| costs[i]).collect())
-            .collect();
-        assert_eq!(makespan(&queues), 12); // 10+1+1 each
+            .map(|p| p.iter().map(|&i| costs[i]).sum::<u64>())
+            .max();
+        assert_eq!(makespan, Some(12)); // 10+1+1 each
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # gsb-par — barrier-round and work-stealing parallel runtimes
+//! # gsb-par — the work-stealing parallel runtime
 //!
 //! The SC'05 Clique Enumerator parallelizes by exploiting that "the
 //! generation of (k+1)-cliques from a k-clique sub-list is independent of
@@ -13,22 +13,23 @@
 //!    load), and starts the next level;
 //! 4. on shared memory, "transferring" a task passes an address, not data.
 //!
-//! This crate implements that runtime *and* its modern replacement:
+//! This crate keeps steps 1, 2 and 4 and replaces the centralized
+//! decision of step 3 with work stealing (Das et al., *Shared-Memory
+//! Parallel Maximal Clique Enumeration*):
 //!
-//! * [`pool::WorkerPool`] — persistent worker threads supporting two
-//!   execution disciplines: [`run_round`](pool::WorkerPool::run_round),
-//!   the paper's barrier round (one pre-partitioned batch per worker,
-//!   collect at a barrier), and
-//!   [`run_epoch`](pool::WorkerPool::run_epoch), a work-stealing
-//!   *steal-scope epoch* (per-worker deques, idle workers steal, the
-//!   epoch ends at quiescence — where the old barrier hooks re-attach);
+//! * [`pool::WorkerPool`] — persistent worker threads running one
+//!   [`run_epoch`](pool::WorkerPool::run_epoch) per level: a
+//!   *steal-scope epoch* (per-worker seed deques, idle workers steal,
+//!   the epoch ends at quiescence — where the per-level hooks attach),
+//!   with per-task panic conviction and stuck-task detection;
 //! * [`steal`] — the std-only Chase–Lev-style deque discipline
 //!   (owner-LIFO / thief-FIFO) plus per-worker [`StealStats`] counters;
-//! * [`balance`] — initial partitioning and the centralized transfer
-//!   policy used by the barrier path, as pure, testable functions;
+//! * [`balance`] — the LPT initial partition and the paper's
+//!   centralized transfer policy, as pure, testable functions (Fig. 8
+//!   replays the policy without threads);
 //! * [`stats`] — per-worker/per-level timing records with one unified
-//!   imbalance model for both schedulers (Fig. 8's mean ± stddev and
-//!   the steal-balance table come straight from these);
+//!   moved-work model (Fig. 8's mean ± stddev and the steal-balance
+//!   table come straight from these);
 //! * [`rows`] — [`triangular_rows`], the scoped-thread helper the
 //!   all-pairs correlation and alignment stages share;
 //! * [`vsim`] — a deterministic **virtual-processor scheduler simulator**

@@ -1,37 +1,35 @@
-//! Persistent worker pool with per-worker queues and per-round timing.
+//! Persistent worker pool running work-stealing epochs.
 //!
 //! Workers are long-lived ("multiple threads are forked to perform clique
-//! generation simultaneously and independently" — §2.3) and each round
-//! delivers one batch per worker, preserving task affinity: a worker
-//! keeps operating on its own batch unless the balancer moved work.
+//! generation simultaneously and independently" — §2.3). Each level is
+//! one *steal-scope epoch* ([`WorkerPool::run_epoch`]): every worker
+//! starts on its own seed queue, preserving task affinity, and idle
+//! workers steal from busy ones until the epoch quiesces.
 //!
 //! ## Panic containment
 //!
-//! A panic inside a job is caught on the worker thread and reported
-//! through the round's result channel, so one poisoned sub-list cannot
-//! deadlock the barrier or kill a multi-hour run: the round returns
-//! [`RoundError`] naming the failed workers, the surviving workers'
-//! results are discarded (a round is all-or-nothing), and
-//! [`WorkerPool::run_round_checked`] respawns any dead threads before
-//! the next round.
+//! A panic inside a task is caught on the worker thread and the task is
+//! retried inline once; a second panic convicts just that task
+//! ([`EpochOut::poisoned`]) while the rest of the epoch continues, so
+//! one poisoned sub-list cannot deadlock the epoch or kill a multi-hour
+//! run. Dead threads are respawned before the next epoch.
 //!
 //! ## Stuck-worker detection
 //!
-//! A panic is loud; a wedged thread is silent. The supervised round
-//! variants ([`WorkerPool::run_round_supervised`],
-//! [`WorkerPool::run_round_isolated`]) hand each job a [`Heartbeat`]
-//! the job beats once per work unit (the parallel enumerator beats per
-//! sub-list). If a worker's beat count stops advancing for the
-//! configured deadline, the round marks it failed
-//! ([`WorkerFailure::deadline`]), *abandons* the stuck thread (a fresh
-//! worker takes over its queue; the old thread is detached and its late
-//! result, if any, is discarded), and the level can continue without
-//! it.
+//! A panic is loud; a wedged thread is silent. Every task gets a
+//! [`Heartbeat`] that is beaten when the task starts (long tasks may
+//! beat more often). If a worker stays inside one task without a beat
+//! for the configured deadline, the epoch marks it failed
+//! ([`WorkerFailure::deadline`]), names the task it was running
+//! ([`WorkerFailure::task`]), freezes the epoch, and *abandons* the
+//! stuck thread: a fresh worker takes over its slot, and the old thread
+//! is detached with its late result, if any, discarded. Workers that
+//! are idle between tasks are never stuck.
 
 use crate::steal::{EpochTasks, StealStats};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -39,20 +37,27 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Per-worker progress counters for one round. Jobs call
+/// `Heartbeat::running` value of a worker between tasks.
+const IDLE: usize = usize::MAX;
+
+/// Per-worker progress counters for one epoch. Tasks may call
 /// [`beat`](Self::beat) at every unit of progress (cheap: one relaxed
-/// atomic increment); the supervising round watches the counters and
-/// declares a worker stuck when its count stops moving for the
-/// deadline.
+/// atomic increment); the supervisor watches the counters and declares
+/// a worker stuck when its count stops moving for the deadline while it
+/// runs a task.
 #[derive(Clone, Debug)]
 pub struct Heartbeat {
     beats: Arc<Vec<AtomicU64>>,
+    /// Seed index of the task each worker is running (`IDLE` between
+    /// tasks). Relaxed like the beats: it publishes only its own value.
+    running: Arc<Vec<AtomicUsize>>,
 }
 
 impl Heartbeat {
     fn new(threads: usize) -> Self {
         Heartbeat {
             beats: Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect()),
+            running: Arc::new((0..threads).map(|_| AtomicUsize::new(IDLE)).collect()),
         }
     }
 
@@ -68,9 +73,24 @@ impl Heartbeat {
             .get(worker)
             .map_or(0, |b| b.load(Ordering::Relaxed))
     }
+
+    /// `worker` starts the task with seed index `task`: one beat, and
+    /// the task is named if the worker goes silent inside it.
+    fn start(&self, worker: usize, task: usize) {
+        self.running[worker].store(task, Ordering::Relaxed);
+        self.beat(worker);
+    }
+
+    fn finish(&self, worker: usize) {
+        self.running[worker].store(IDLE, Ordering::Relaxed);
+    }
+
+    fn running(&self, worker: usize) -> Option<usize> {
+        Some(self.running[worker].load(Ordering::Relaxed)).filter(|&t| t != IDLE)
+    }
 }
 
-/// One worker's failure within a round.
+/// One worker's failure within an epoch.
 #[derive(Clone, Debug)]
 pub struct WorkerFailure {
     /// Index of the worker whose job failed.
@@ -78,18 +98,24 @@ pub struct WorkerFailure {
     /// True when the failure was a missed heartbeat deadline (a stuck
     /// thread, abandoned) rather than a caught panic.
     pub deadline: bool,
+    /// For a deadline failure, the seed index of the task the worker
+    /// was stuck in: its position in the epoch's seed queues taken in
+    /// order, worker 0's queue first.
+    pub task: Option<usize>,
     /// The panic payload, stringified (`Box<dyn Any>` payloads that are
     /// not strings become `"<non-string panic payload>"`), or the
     /// deadline report for stuck workers.
     pub panic_message: String,
 }
 
-/// A round in which at least one worker's job panicked (or its thread
-/// died). The round's outputs are discarded wholesale — partial results
-/// never reach the caller, so a retried round cannot double-count.
+/// An epoch in which at least one worker failed (stuck past its
+/// deadline, or its thread died); the levelwise driver also reports a
+/// convicted task it cannot quarantine this way. The epoch's outputs
+/// are discarded wholesale — partial results never reach the caller,
+/// so a retried epoch cannot double-count.
 #[derive(Clone, Debug)]
 pub struct RoundError {
-    /// Every worker that failed this round.
+    /// Every worker that failed this epoch.
     pub failures: Vec<WorkerFailure>,
 }
 
@@ -122,12 +148,11 @@ pub struct PoisonedTask<T> {
     pub panic_message: String,
 }
 
-/// Everything one work-stealing epoch produced. Unlike a
-/// level-synchronous round, per-task panics do not discard the epoch:
-/// they are retried inline once and, if deterministic, surfaced in
-/// [`poisoned`](Self::poisoned) while every other task's result is
-/// kept. Only supervision failures (stuck-worker deadline, worker
-/// thread death) fail the epoch as a whole.
+/// Everything one work-stealing epoch produced. Per-task panics do not
+/// discard the epoch: they are retried inline once and, if
+/// deterministic, surfaced in [`poisoned`](Self::poisoned) while every
+/// other task's result is kept. Only supervision failures (stuck-worker
+/// deadline, worker thread death) fail the epoch as a whole.
 #[derive(Debug)]
 pub struct EpochOut<T, R> {
     /// Per-worker task results, in completion order. Indexed by worker;
@@ -164,7 +189,7 @@ fn spawn_worker(i: usize) -> (Sender<Job>, JoinHandle<()>) {
         .name(format!("gsb-worker-{i}"))
         .spawn(move || {
             // Run until the channel closes (pool drop). Jobs are
-            // panic-wrapped by run_round, so this loop only exits on
+            // panic-wrapped by run_epoch, so this loop only exits on
             // channel close — but a defensive catch keeps a raw job
             // from killing the thread either way.
             for job in rx.iter() {
@@ -194,18 +219,9 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// How many worker threads have terminated (panicked through the
-    /// defensive net, or otherwise died).
-    pub fn dead_workers(&self) -> usize {
-        self.handles
-            .iter()
-            .filter(|h| h.as_ref().is_none_or(JoinHandle::is_finished))
-            .count()
-    }
-
     /// Respawn every terminated worker thread; returns how many were
     /// replaced. Queued jobs on a dead worker's channel are lost (the
-    /// round that enqueued them has already been reported failed).
+    /// epoch that enqueued them has already been reported failed).
     pub fn respawn_dead(&mut self) -> usize {
         let mut respawned = 0;
         for i in 0..self.handles.len() {
@@ -221,91 +237,6 @@ impl WorkerPool {
             }
         }
         respawned
-    }
-
-    /// Execute one level-synchronous round: worker `i` applies `f(i,
-    /// batch_i)`; blocks until every worker finishes. Returns each
-    /// worker's output and its busy time in nanoseconds (the raw data
-    /// behind the paper's Fig. 8 load-balance plot).
-    ///
-    /// `batches.len()` must equal [`threads`](Self::threads).
-    ///
-    /// Panics if any worker's job panics — use
-    /// [`run_round_checked`](Self::run_round_checked) to get a
-    /// [`RoundError`] instead.
-    pub fn run_round<T, R, F>(&self, batches: Vec<T>, f: F) -> Vec<(R, u64)>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
-    {
-        aggregate(self.round_core(batches, move |i, b, _hb: &Heartbeat| f(i, b), None))
-            .unwrap_or_else(|e| panic!("worker round failed: {e}"))
-    }
-
-    /// Fault-tolerant round: like [`run_round`](Self::run_round), but a
-    /// panicking job yields `Err(RoundError)` instead of panicking the
-    /// caller, and dead worker threads are respawned before the round
-    /// starts. On error the entire round's outputs are discarded, so
-    /// the caller can retry the same batches without double-counting.
-    pub fn run_round_checked<T, R, F>(
-        &mut self,
-        batches: Vec<T>,
-        f: F,
-    ) -> Result<Vec<(R, u64)>, RoundError>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
-    {
-        self.respawn_dead();
-        aggregate(self.round_core(batches, move |i, b, _hb: &Heartbeat| f(i, b), None))
-    }
-
-    /// Supervised round: like [`run_round_checked`](Self::run_round_checked)
-    /// but the job receives a [`Heartbeat`] it must beat per work unit,
-    /// and a worker whose beats stop advancing for `deadline` is marked
-    /// failed ([`WorkerFailure::deadline`]) and its thread abandoned (a
-    /// fresh worker replaces it for subsequent rounds). `deadline:
-    /// None` supervises panics only, identical to `run_round_checked`.
-    pub fn run_round_supervised<T, R, F>(
-        &mut self,
-        batches: Vec<T>,
-        f: F,
-        deadline: Option<Duration>,
-    ) -> Result<Vec<(R, u64)>, RoundError>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T, &Heartbeat) -> R + Send + Sync + 'static,
-    {
-        self.respawn_dead();
-        let slots = self.round_core(batches, f, deadline);
-        self.abandon_stuck(&slots);
-        aggregate(slots)
-    }
-
-    /// Per-worker round: every worker's outcome is reported
-    /// individually — a failure in one slot does not discard its
-    /// neighbors' results. This is the probe primitive the quarantine
-    /// protocol uses to pin a poison sub-list down to one work unit.
-    /// Stuck workers (per `deadline`) are abandoned exactly as in
-    /// [`run_round_supervised`](Self::run_round_supervised).
-    pub fn run_round_isolated<T, R, F>(
-        &mut self,
-        batches: Vec<T>,
-        f: F,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<(R, u64), WorkerFailure>>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T, &Heartbeat) -> R + Send + Sync + 'static,
-    {
-        self.respawn_dead();
-        let slots = self.round_core(batches, f, deadline);
-        self.abandon_stuck(&slots);
-        slots
     }
 
     /// Replace the worker at `i` with a fresh thread. The old thread is
@@ -324,84 +255,22 @@ impl WorkerPool {
         }
     }
 
-    fn abandon_stuck<P>(&mut self, slots: &[Result<P, WorkerFailure>]) {
-        let stuck: Vec<usize> = slots
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .filter(|f| f.deadline)
-            .map(|f| f.worker)
-            .collect();
-        for i in stuck {
-            self.abandon_worker(i);
-        }
-    }
-
-    /// The shared round engine: dispatch one batch per worker, collect
-    /// per-worker outcomes. With a deadline, collection polls and
-    /// watches the heartbeat counters; a silent worker is declared
-    /// failed without waiting for it, and any result it sends later is
-    /// discarded.
-    fn round_core<T, R, F>(
-        &self,
-        batches: Vec<T>,
-        f: F,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<(R, u64), WorkerFailure>>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T, &Heartbeat) -> R + Send + Sync + 'static,
-    {
-        assert_eq!(
-            batches.len(),
-            self.threads(),
-            "one batch per worker required"
-        );
-        let threads = self.threads();
-        let f = Arc::new(f);
-        let hb = Heartbeat::new(threads);
-        type Done<R> = (usize, Result<(R, u64), String>);
-        let (done_tx, done_rx) = sync_channel::<Done<R>>(threads);
-        for (i, batch) in batches.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let done = done_tx.clone();
-            let hb = hb.clone();
-            let job: Job = Box::new(move || {
-                let start = Instant::now();
-                hb.beat(i); // "alive and starting" — a job that never even starts is stuck by definition
-                let out = catch_unwind(AssertUnwindSafe(|| f(i, batch, &hb)))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                let ns = start.elapsed().as_nanos() as u64;
-                // Receiver outlives the round (sync_channel(threads) never
-                // blocks); a send error means the pool is tearing down.
-                let _ = done.send((i, out.map(|r| (r, ns))));
-            });
-            if let Err(send_err) = self.senders[i].send(job) {
-                // Worker thread is gone (channel closed). Run its job
-                // inline so the round still completes — the job's own
-                // catch_unwind reports any panic like a worker would.
-                (send_err.0)();
-            }
-        }
-        drop(done_tx);
-        supervise_collect(&done_rx, threads, &hb, deadline, || {})
-    }
-
     /// Execute one work-stealing epoch: the tasks in `queues` (one seed
     /// queue per worker, queues may be empty) are consumed
     /// owner-LIFO/thief-FIFO until quiescence — every task completed.
-    /// `f` runs once per task, by shared reference, and must beat the
-    /// [`Heartbeat`] (one beat per task is automatic; long tasks should
-    /// beat more often).
+    /// `f` runs once per task, by shared reference; the [`Heartbeat`]
+    /// is beaten as each task starts, and long tasks may beat more
+    /// often.
     ///
-    /// Fault containment is per-task, not per-round: a panicking task
-    /// is retried inline once and, when the panic repeats, convicted
-    /// into [`EpochOut::poisoned`] (the owned task is handed back for
+    /// Fault containment is per-task: a panicking task is retried
+    /// inline once and, when the panic repeats, convicted into
+    /// [`EpochOut::poisoned`] (the owned task is handed back for
     /// quarantine) while the rest of the epoch continues. Only
-    /// supervision failures — a worker silent past `deadline` (the
-    /// stuck thread is abandoned and the epoch frozen so live workers
-    /// drain-stop) or a dead worker thread — fail the epoch with
-    /// [`RoundError`], discarding all of its outputs.
+    /// supervision failures — a worker silent inside one task past
+    /// `deadline` (the stuck thread is abandoned, the failure names its
+    /// task, and the epoch is frozen so live workers drain-stop) or a
+    /// dead worker thread — fail the epoch with [`RoundError`],
+    /// discarding all of its outputs.
     ///
     /// With a single worker the epoch runs inline on the calling
     /// thread: no deques, no channels, no supervision — the degenerate
@@ -427,6 +296,13 @@ impl WorkerPool {
         }
         self.respawn_dead();
         let threads = self.threads();
+        // Tag every task with its seed index so a stuck worker can name
+        // the task it is wedged in.
+        let mut seeds = 0..;
+        let queues: Vec<Vec<(T, usize)>> = queues
+            .into_iter()
+            .map(|q| q.into_iter().zip(&mut seeds).collect())
+            .collect();
         let epoch = Arc::new(EpochTasks::new(queues));
         let f = Arc::new(f);
         let hb = Heartbeat::new(threads);
@@ -455,7 +331,6 @@ impl WorkerPool {
         // redistributed safely (it may still be executing one), so live
         // workers drain-stop and the epoch is retried by the caller.
         let slots = supervise_collect(&done_rx, threads, &hb, deadline, || epoch.abort());
-        self.abandon_stuck(&slots);
         let mut results = Vec::with_capacity(threads);
         let mut steal_stats = Vec::with_capacity(threads);
         let mut retried_tasks = 0u64;
@@ -471,6 +346,9 @@ impl WorkerPool {
             }
         }
         if !failures.is_empty() {
+            for stuck in failures.iter().filter(|fl| fl.deadline) {
+                self.abandon_worker(stuck.worker);
+            }
             failures.sort_by_key(|fl| fl.worker);
             return Err(RoundError { failures });
         }
@@ -488,6 +366,21 @@ impl WorkerPool {
     }
 }
 
+/// Run `task` under a panic catch, retrying a panic once inline.
+/// Returns the result and whether it took the retry, or the payload of
+/// the second (convicting) panic.
+fn run_with_retry<T, R>(task: &T, f: impl Fn(&T) -> R) -> Result<(R, bool), String> {
+    match catch_unwind(AssertUnwindSafe(|| f(task))) {
+        Ok(r) => Ok((r, false)),
+        // First panic: transient or deterministic? The task is still
+        // owned (executed by reference), so retry in place — a fresh
+        // attempt with no partial state carried over.
+        Err(_) => catch_unwind(AssertUnwindSafe(|| f(task)))
+            .map(|r| (r, true))
+            .map_err(|payload| panic_message(payload.as_ref())),
+    }
+}
+
 /// One worker's epoch loop: acquire (own deque, then steal), execute
 /// by reference under a panic catch, retry a panicking task once
 /// inline, convict on the second panic. Every acquired task is marked
@@ -495,7 +388,7 @@ impl WorkerPool {
 /// quiescence count cannot wedge.
 fn worker_epoch_loop<T, R, F>(
     w: usize,
-    epoch: &EpochTasks<T>,
+    epoch: &EpochTasks<(T, usize)>,
     f: &F,
     hb: &Heartbeat,
     poisoned: &Mutex<Vec<PoisonedTask<T>>>,
@@ -506,37 +399,26 @@ where
     let mut results = Vec::new();
     let mut stats = StealStats::default();
     let mut retried = 0u64;
-    while let Some(task) = epoch.acquire(w, &mut stats) {
-        hb.beat(w);
+    while let Some((task, seed)) = epoch.acquire(w, &mut stats) {
+        hb.start(w, seed);
         let t0 = Instant::now();
-        let out = match catch_unwind(AssertUnwindSafe(|| f(w, &task, hb))) {
-            Ok(r) => Some(r),
-            // First panic: transient or deterministic? The task is
-            // still owned (executed by reference), so retry in place —
-            // a fresh attempt with no partial state carried over.
-            Err(_) => match catch_unwind(AssertUnwindSafe(|| f(w, &task, hb))) {
-                Ok(r) => {
-                    retried += 1;
-                    Some(r)
-                }
-                Err(payload) => {
-                    poisoned
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(PoisonedTask {
-                            worker: w,
-                            task,
-                            panic_message: panic_message(payload.as_ref()),
-                        });
-                    None
-                }
-            },
-        };
+        match run_with_retry(&task, |t| f(w, t, hb)) {
+            Ok((r, was_retried)) => {
+                retried += u64::from(was_retried);
+                results.push(r);
+            }
+            Err(panic_message) => poisoned
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(PoisonedTask {
+                    worker: w,
+                    task,
+                    panic_message,
+                }),
+        }
+        hb.finish(w);
         stats.busy_ns += t0.elapsed().as_nanos() as u64;
         stats.tasks += 1;
-        if let Some(r) = out {
-            results.push(r);
-        }
         epoch.complete();
     }
     (results, stats, retried)
@@ -557,28 +439,19 @@ where
     for task in queues.into_iter().flatten() {
         hb.beat(0);
         let t0 = Instant::now();
-        let out = match catch_unwind(AssertUnwindSafe(|| f(0, &task, &hb))) {
-            Ok(r) => Some(r),
-            Err(_) => match catch_unwind(AssertUnwindSafe(|| f(0, &task, &hb))) {
-                Ok(r) => {
-                    retried_tasks += 1;
-                    Some(r)
-                }
-                Err(payload) => {
-                    poisoned.push(PoisonedTask {
-                        worker: 0,
-                        task,
-                        panic_message: panic_message(payload.as_ref()),
-                    });
-                    None
-                }
-            },
-        };
+        match run_with_retry(&task, |t| f(0, t, &hb)) {
+            Ok((r, was_retried)) => {
+                retried_tasks += u64::from(was_retried);
+                results.push(r);
+            }
+            Err(panic_message) => poisoned.push(PoisonedTask {
+                worker: 0,
+                task,
+                panic_message,
+            }),
+        }
         stats.busy_ns += t0.elapsed().as_nanos() as u64;
         stats.tasks += 1;
-        if let Some(r) = out {
-            results.push(r);
-        }
     }
     EpochOut {
         results: vec![results],
@@ -588,12 +461,11 @@ where
     }
 }
 
-/// The shared supervision/collection loop behind rounds and epochs:
-/// wait for every worker's report, watching heartbeats when a deadline
-/// is set. A silent worker is declared failed without waiting for it
-/// (`on_deadline_failure` fires once per such worker — the epoch
-/// engine uses it to freeze the deque set), and any result it sends
-/// later is discarded.
+/// Wait for every worker's report, watching heartbeats when a deadline
+/// is set. A worker silent inside one task for the deadline is declared
+/// failed without waiting for it (`on_deadline_failure` fires once per
+/// such worker — the epoch uses it to freeze the deque set), and any
+/// result it sends later is discarded.
 fn supervise_collect<P>(
     done_rx: &Receiver<(usize, Result<P, String>)>,
     threads: usize,
@@ -604,9 +476,10 @@ fn supervise_collect<P>(
     let mut slots: Vec<Option<Result<P, WorkerFailure>>> = (0..threads).map(|_| None).collect();
     let mut reported = 0;
     // Stuck detection state: a worker makes progress when its beat
-    // count changes between polls. u64::MAX forces the first poll
-    // to record a baseline, so the clock starts at observation, not
-    // at dispatch.
+    // count changes between polls, and an idle worker (between tasks,
+    // waiting to steal) is always making progress. u64::MAX forces the
+    // first poll to record a baseline, so the clock starts at
+    // observation, not at dispatch.
     let mut last_beats: Vec<u64> = vec![u64::MAX; threads];
     let mut last_progress: Vec<Instant> = vec![Instant::now(); threads];
     let poll = deadline.map(|d| (d / 4).max(Duration::from_millis(5)));
@@ -621,6 +494,7 @@ fn supervise_collect<P>(
                     slots[i] = Some(out.map_err(|panic_message| WorkerFailure {
                         worker: i,
                         deadline: false,
+                        task: None,
                         panic_message,
                     }));
                     reported += 1;
@@ -636,13 +510,15 @@ fn supervise_collect<P>(
                         continue;
                     }
                     let beats = hb.count(i);
-                    if beats != last_beats[i] {
+                    let task = hb.running(i);
+                    if beats != last_beats[i] || task.is_none() {
                         last_beats[i] = beats;
                         last_progress[i] = now;
                     } else if now.duration_since(last_progress[i]) >= d {
                         slots[i] = Some(Err(WorkerFailure {
                             worker: i,
                             deadline: true,
+                            task,
                             panic_message: format!(
                                 "no heartbeat for {:.1}s (deadline {:.1}s)",
                                 now.duration_since(last_progress[i]).as_secs_f64(),
@@ -663,7 +539,8 @@ fn supervise_collect<P>(
                         *slot = Some(Err(WorkerFailure {
                             worker: i,
                             deadline: false,
-                            panic_message: "worker thread died mid-round".to_string(),
+                            task: None,
+                            panic_message: "worker thread died mid-epoch".to_string(),
                         }));
                         reported += 1;
                     }
@@ -675,26 +552,6 @@ fn supervise_collect<P>(
         .into_iter()
         .map(|s| s.expect("every slot reported"))
         .collect()
-}
-
-/// Collapse per-worker outcomes into an all-or-nothing round result:
-/// any failure discards every output (so a retried round cannot
-/// double-count) and reports all failures, sorted by worker.
-fn aggregate<R>(slots: Vec<Result<(R, u64), WorkerFailure>>) -> Result<Vec<(R, u64)>, RoundError> {
-    let mut results = Vec::with_capacity(slots.len());
-    let mut failures = Vec::new();
-    for slot in slots {
-        match slot {
-            Ok(v) => results.push(v),
-            Err(f) => failures.push(f),
-        }
-    }
-    if failures.is_empty() {
-        Ok(results)
-    } else {
-        failures.sort_by_key(|fl| fl.worker);
-        Err(RoundError { failures })
-    }
 }
 
 impl Drop for WorkerPool {
@@ -711,239 +568,92 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn round_applies_per_worker() {
-        let pool = WorkerPool::new(4);
-        let out = pool.run_round(vec![1u64, 2, 3, 4], |i, x| x * 10 + i as u64);
-        let values: Vec<u64> = out.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, vec![10, 21, 32, 43]);
+    /// Values of an epoch's results, sorted (stolen results land on
+    /// the thief, so per-worker order is schedule-dependent).
+    fn sorted<R: Ord + Copy>(out: &EpochOut<impl Sized, R>) -> Vec<R> {
+        let mut all: Vec<R> = out.results.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all
     }
 
     #[test]
     fn workers_run_concurrently() {
         // All 4 workers must be in-flight at once for the rendezvous
-        // counter to reach 4.
-        let pool = WorkerPool::new(4);
+        // counter to reach 4. No task can be stolen before that: a
+        // worker only steals once its own single task has completed.
+        let mut pool = WorkerPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
-        let out = pool.run_round(vec![(); 4], {
-            let counter = Arc::clone(&counter);
-            move |_, ()| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + std::time::Duration::from_secs(2);
-                while counter.load(Ordering::SeqCst) < 4 {
-                    if Instant::now() > deadline {
-                        return false;
+        let out = pool
+            .run_epoch(
+                vec![vec![()]; 4],
+                {
+                    let counter = Arc::clone(&counter);
+                    move |_, (), _hb: &Heartbeat| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while counter.load(Ordering::SeqCst) < 4 {
+                            if Instant::now() > deadline {
+                                return false;
+                            }
+                            std::hint::spin_loop();
+                        }
+                        true
                     }
-                    std::hint::spin_loop();
-                }
-                true
-            }
-        });
-        assert!(out.iter().all(|(ok, _)| *ok), "workers did not overlap");
-    }
-
-    #[test]
-    fn multiple_rounds_reuse_threads() {
-        let pool = WorkerPool::new(2);
-        for round in 0..10u64 {
-            let out = pool.run_round(vec![round, round], |_, x| x + 1);
-            assert!(out.iter().all(|(v, _)| *v == round + 1));
-        }
+                },
+                None,
+            )
+            .expect("healthy epoch");
+        assert_eq!(sorted(&out), vec![true; 4], "workers did not overlap");
     }
 
     #[test]
     fn timings_reported() {
-        let pool = WorkerPool::new(2);
-        let out = pool.run_round(vec![(), ()], |_, ()| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        });
-        for (_, ns) in out {
-            assert!(ns >= 4_000_000, "busy time {ns}ns too small");
-        }
-    }
-
-    #[test]
-    fn zero_threads_clamped_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.run_round(vec![7], |_, x: i32| x * 2);
-        assert_eq!(out[0].0, 14);
-    }
-
-    #[test]
-    #[should_panic]
-    fn batch_count_must_match() {
-        let pool = WorkerPool::new(2);
-        pool.run_round(vec![1], |_, x: i32| x);
-    }
-
-    #[test]
-    fn panicking_job_returns_err_not_deadlock() {
-        let mut pool = WorkerPool::new(3);
-        let err = pool
-            .run_round_checked(vec![0u64, 1, 2], |_, x| {
-                if x == 1 {
-                    panic!("poisoned sub-list {x}");
-                }
-                x * 2
-            })
-            .unwrap_err();
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].worker, 1);
-        assert!(
-            err.failures[0].panic_message.contains("poisoned sub-list"),
-            "message: {}",
-            err.failures[0].panic_message
-        );
-    }
-
-    #[test]
-    fn failed_round_does_not_poison_later_rounds() {
         let mut pool = WorkerPool::new(2);
-        let err = pool.run_round_checked(vec![true, false], |_, fail| {
-            if fail {
-                panic!("boom");
-            }
-            7u64
-        });
-        assert!(err.is_err());
-        // subsequent rounds run normally on the same pool
-        for round in 0..3u64 {
-            let out = pool
-                .run_round_checked(vec![round, round], |_, x| x + 1)
-                .expect("healthy round");
-            assert!(out.iter().all(|(v, _)| *v == round + 1));
-        }
-        // the panicking variant still works on the same pool too
-        let out = pool.run_round(vec![1u64, 2], |_, x| x);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn all_workers_panicking_reports_all() {
-        let mut pool = WorkerPool::new(4);
-        let err = pool
-            .run_round_checked(vec![(); 4], |i, ()| -> u64 { panic!("w{i}") })
-            .unwrap_err();
-        assert_eq!(err.failures.len(), 4);
-        let workers: Vec<usize> = err.failures.iter().map(|f| f.worker).collect();
-        assert_eq!(workers, vec![0, 1, 2, 3]);
-        // pool recovers
         let out = pool
-            .run_round_checked(vec![(); 4], |i, ()| i as u64)
-            .expect("recovered");
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker round failed")]
-    fn unchecked_round_panics_on_worker_panic() {
-        let pool = WorkerPool::new(2);
-        let _ = pool.run_round(vec![true, false], |_, fail: bool| {
-            if fail {
-                panic!("boom");
-            }
-        });
+            .run_epoch(
+                vec![vec![()], vec![()]],
+                |_, (), _hb: &Heartbeat| std::thread::sleep(Duration::from_millis(5)),
+                None,
+            )
+            .expect("healthy epoch");
+        let busy: u64 = out.steal_stats.iter().map(|s| s.busy_ns).sum();
+        assert!(busy >= 8_000_000, "busy time {busy}ns too small");
+        assert_eq!(out.steal_stats.iter().map(|s| s.tasks).sum::<u64>(), 2);
     }
 
     #[test]
     fn respawn_dead_is_noop_on_healthy_pool() {
         let mut pool = WorkerPool::new(3);
-        assert_eq!(pool.dead_workers(), 0);
         assert_eq!(pool.respawn_dead(), 0);
     }
 
     #[test]
-    fn supervised_round_without_deadline_matches_checked() {
-        let mut pool = WorkerPool::new(3);
-        let out = pool
-            .run_round_supervised(
-                vec![1u64, 2, 3],
-                |i, x, hb: &Heartbeat| {
-                    hb.beat(i);
-                    x * 10
-                },
-                None,
-            )
-            .expect("healthy round");
-        let values: Vec<u64> = out.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn stuck_worker_is_detected_and_abandoned() {
-        let mut pool = WorkerPool::new(2);
-        // Worker 1 beats once then stalls far beyond the deadline;
-        // worker 0 finishes normally. The round must report worker 1 as
-        // a deadline failure without waiting out the full stall.
-        let release = Arc::new(AtomicUsize::new(0));
-        let t0 = Instant::now();
-        let err = pool
-            .run_round_supervised(
-                vec![false, true],
-                {
-                    let release = Arc::clone(&release);
-                    move |_, stall, _hb: &Heartbeat| {
-                        if stall {
-                            let deadline = Instant::now() + Duration::from_secs(30);
-                            while release.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-                                std::thread::sleep(Duration::from_millis(10));
-                            }
-                        }
-                        7u64
-                    }
-                },
-                Some(Duration::from_millis(200)),
-            )
-            .unwrap_err();
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "waited for the stall"
-        );
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].worker, 1);
-        assert!(err.failures[0].deadline);
-        assert!(
-            err.failures[0].panic_message.contains("no heartbeat"),
-            "message: {}",
-            err.failures[0].panic_message
-        );
-        // The stuck thread was abandoned: its replacement serves the
-        // next round immediately, and the stalled job's late result is
-        // not misdelivered into it.
-        let out = pool
-            .run_round_supervised(vec![1u64, 2], |_, x, _hb: &Heartbeat| x + 1, None)
-            .expect("replacement worker serves the next round");
-        let values: Vec<u64> = out.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, vec![2, 3]);
-        release.store(1, Ordering::SeqCst); // un-wedge the detached thread
-    }
-
-    #[test]
     fn heartbeats_keep_a_slow_worker_alive() {
-        let mut pool = WorkerPool::new(1);
-        // Total runtime (350ms) far exceeds the deadline (100ms), but
-        // the worker beats every 20ms, so it must NOT be declared stuck.
+        // Total runtime (320ms) far exceeds the deadline (100ms), but
+        // the task beats every 20ms, so it must NOT be declared stuck —
+        // and the second worker, idle with nothing to steal, is not
+        // stuck either.
+        let mut pool = WorkerPool::new(2);
         let out = pool
-            .run_round_supervised(
-                vec![()],
-                |i, (), hb: &Heartbeat| {
+            .run_epoch(
+                vec![vec![()], vec![]],
+                |w, (), hb: &Heartbeat| {
                     for _ in 0..16 {
                         std::thread::sleep(Duration::from_millis(20));
-                        hb.beat(i);
+                        hb.beat(w);
                     }
                     42u64
                 },
                 Some(Duration::from_millis(100)),
             )
             .expect("beating worker must survive");
-        assert_eq!(out[0].0, 42);
+        assert_eq!(sorted(&out), vec![42]);
     }
 
     #[test]
     fn epoch_zero_threads_clamped_to_one_runs_inline() {
-        // Mirrors `zero_threads_clamped_to_one`: new(0) is one worker,
-        // and a one-worker epoch executes inline with no deques.
+        // new(0) is one worker, and a one-worker epoch executes inline
+        // with no deques.
         let mut pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
         let out = pool
@@ -958,8 +668,8 @@ mod tests {
 
     #[test]
     fn epoch_single_thread_convicts_poison_inline() {
-        // Mirrors the one-worker round tests: the inline path has the
-        // same per-task conviction semantics as the concurrent one.
+        // The inline path has the same per-task conviction semantics as
+        // the concurrent one.
         let mut pool = WorkerPool::new(1);
         let out = pool
             .run_epoch(
@@ -1004,9 +714,7 @@ mod tests {
                 None,
             )
             .expect("healthy epoch");
-        let mut all: Vec<u64> = out.results.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
+        assert_eq!(sorted(&out), (0..64).collect::<Vec<_>>());
         let steals: u64 = out.steal_stats.iter().map(|s| s.steals).sum();
         assert!(steals > 0, "no worker ever stole from the skewed seed");
         assert_eq!(
@@ -1036,9 +744,7 @@ mod tests {
                 None,
             )
             .expect("transient panic must be absorbed");
-        let mut all: Vec<u64> = out.results.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![10, 20, 30, 40]);
+        assert_eq!(sorted(&out), vec![10, 20, 30, 40]);
         assert_eq!(out.retried_tasks, 1);
         assert!(out.poisoned.is_empty());
     }
@@ -1058,9 +764,7 @@ mod tests {
                 None,
             )
             .expect("per-task conviction must not fail the epoch");
-        let mut all: Vec<u64> = out.results.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![10, 20, 40], "healthy tasks survive");
+        assert_eq!(sorted(&out), vec![10, 20, 40], "healthy tasks survive");
         assert_eq!(out.poisoned.len(), 1);
         assert_eq!(out.poisoned[0].task, 13);
         assert!(out.poisoned[0].panic_message.contains("poison sub-list"));
@@ -1090,7 +794,18 @@ mod tests {
             )
             .unwrap_err();
         assert!(t0.elapsed() < Duration::from_secs(10), "waited for stall");
-        assert!(err.failures.iter().any(|f| f.deadline));
+        // Only the stalled worker failed (the other went idle, which is
+        // not stuck), and the failure names the stalled task: seed
+        // index 1, the first task of worker 1's queue.
+        assert_eq!(err.failures.len(), 1, "{err}");
+        let failure = &err.failures[0];
+        assert!(failure.deadline);
+        assert_eq!(failure.task, Some(1), "the failure must name the stall");
+        assert!(
+            failure.panic_message.contains("no heartbeat"),
+            "message: {}",
+            failure.panic_message
+        );
         // The abandoned worker was replaced: the next epoch is healthy.
         let out = pool
             .run_epoch(
@@ -1099,30 +814,7 @@ mod tests {
                 None,
             )
             .expect("replacement worker serves the next epoch");
-        let mut all: Vec<u64> = out.results.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![2, 3]);
+        assert_eq!(sorted(&out), vec![2, 3]);
         release.store(1, Ordering::SeqCst);
-    }
-
-    #[test]
-    fn isolated_round_keeps_surviving_results() {
-        let mut pool = WorkerPool::new(3);
-        let slots = pool.run_round_isolated(
-            vec![0u64, 1, 2],
-            |_, x, _hb: &Heartbeat| {
-                if x == 1 {
-                    panic!("poison");
-                }
-                x * 2
-            },
-            None,
-        );
-        assert_eq!(slots.len(), 3);
-        assert_eq!(slots[0].as_ref().unwrap().0, 0);
-        let failure = slots[1].as_ref().unwrap_err();
-        assert!(!failure.deadline);
-        assert!(failure.panic_message.contains("poison"));
-        assert_eq!(slots[2].as_ref().unwrap().0, 4);
     }
 }

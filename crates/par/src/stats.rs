@@ -5,12 +5,11 @@
 //! spread within 10% of the mean. These types capture exactly that data
 //! from real runs (and from the virtual simulator).
 
-/// Busy times of every worker for one level (a synchronous round under
-/// the barrier scheduler, a steal-scope epoch under the work-stealing
-/// scheduler). One imbalance model covers both: [`transfers`]
-/// (Self::transfers) counts every task that changed workers, whether
-/// the centralized balancer moved it at the barrier or an idle worker
-/// stole it mid-epoch.
+/// Busy times of every worker for one level (a steal-scope epoch of the
+/// work-stealing runtime, or one level of a balancer replay). One
+/// imbalance model covers both: [`transfers`](Self::transfers) counts
+/// every task that changed workers, whether an idle worker stole it
+/// mid-epoch or the centralized balancer moved it between levels.
 #[derive(Clone, Debug, Default)]
 pub struct LevelStats {
     /// Clique size (or generic level id) this round produced.
@@ -23,21 +22,20 @@ pub struct LevelStats {
     pub per_worker_units: Vec<u64>,
     /// Number of tasks each worker processed.
     pub per_worker_tasks: Vec<usize>,
-    /// Tasks that moved between workers at this level: balancer
-    /// transfers under the barrier scheduler, successful steals under
-    /// the steal scheduler. The unified "moved work" count.
+    /// Tasks that moved between workers at this level: successful
+    /// steals in a live epoch, balancer transfers in a replay. The
+    /// unified "moved work" count.
     pub transfers: usize,
-    /// Per-worker successful steals (empty under the barrier
-    /// scheduler; sums to [`transfers`](Self::transfers) under the
-    /// steal scheduler).
+    /// Per-worker successful steals (sums to
+    /// [`transfers`](Self::transfers) in a live epoch; empty in a
+    /// balancer replay).
     pub per_worker_steals: Vec<u64>,
     /// Victim scans that found nothing stealable while work was still
-    /// in flight (steal scheduler only).
+    /// in flight.
     pub failed_steals: u64,
     /// Per-worker nanoseconds spent waiting for stealable work (the
-    /// quiescence tail; empty under the barrier scheduler, whose idle
-    /// time hides inside the barrier wait and is *not* observable
-    /// per-worker — exactly what Fig. 8 infers from the busy spread).
+    /// quiescence tail; empty in a balancer replay, which has no idle
+    /// time to observe — Fig. 8 infers it from the busy spread).
     pub per_worker_idle_ns: Vec<u64>,
 }
 
@@ -119,15 +117,13 @@ impl RunStats {
         totals
     }
 
-    /// Total moved work across levels: balancer transfers plus steals
-    /// (the two schedulers' unified imbalance model — see
-    /// [`LevelStats::transfers`]).
+    /// Total moved work across levels (steals or balancer transfers —
+    /// see [`LevelStats::transfers`]).
     pub fn total_transfers(&self) -> usize {
         self.levels.iter().map(|l| l.transfers).sum()
     }
 
-    /// Total failed steal scans across levels (0 under the barrier
-    /// scheduler).
+    /// Total failed steal scans across levels.
     pub fn total_failed_steals(&self) -> u64 {
         self.levels.iter().map(|l| l.failed_steals).sum()
     }

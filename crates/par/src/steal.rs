@@ -121,17 +121,6 @@ pub struct StealStats {
     pub idle_ns: u64,
 }
 
-impl StealStats {
-    /// Fold another worker-epoch's counters into this one.
-    pub fn merge(&mut self, other: &StealStats) {
-        self.tasks += other.tasks;
-        self.steals += other.steals;
-        self.failed_steals += other.failed_steals;
-        self.busy_ns += other.busy_ns;
-        self.idle_ns += other.idle_ns;
-    }
-}
-
 /// The shared state of one steal-scope epoch: every worker's deque,
 /// the count of not-yet-completed tasks (quiescence = zero), and an
 /// abort flag that freezes the epoch when supervision declares a
@@ -154,11 +143,6 @@ impl<T> EpochTasks<T> {
             remaining: AtomicUsize::new(remaining),
             aborted: AtomicBool::new(false),
         }
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.deques.len()
     }
 
     /// Tasks not yet completed (0 = quiescent).
@@ -223,16 +207,6 @@ impl<T> EpochTasks<T> {
         }
         acquired
     }
-
-    /// Owner push onto `worker`'s deque, growing the epoch by one task
-    /// (used when children join the *same* epoch; the levelwise driver
-    /// instead defers children to the next epoch's seed queues).
-    pub fn push(&self, worker: usize, task: T) {
-        if let Some(d) = self.deques.get(worker) {
-            self.remaining.fetch_add(1, Ordering::AcqRel);
-            d.push(task);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,19 +252,6 @@ mod tests {
         let mut s = StealStats::default();
         assert_eq!(epoch.acquire(0, &mut s), None);
         assert!(epoch.is_aborted());
-    }
-
-    #[test]
-    fn same_epoch_push_extends_quiescence() {
-        let epoch = EpochTasks::new(vec![vec![1]]);
-        let mut s = StealStats::default();
-        let t = epoch.acquire(0, &mut s).unwrap();
-        epoch.push(0, t + 10);
-        epoch.complete();
-        assert_eq!(epoch.remaining(), 1);
-        assert_eq!(epoch.acquire(0, &mut s), Some(11));
-        epoch.complete();
-        assert_eq!(epoch.remaining(), 0);
     }
 
     #[test]

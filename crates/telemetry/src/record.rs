@@ -39,18 +39,18 @@ pub struct LevelRecord {
     pub units: Vec<u64>,
     /// Per-worker task (sub-list) counts for this level.
     pub tasks: Vec<u64>,
-    /// Sub-lists that moved between workers at this level: balancer
-    /// transfers (barrier scheduler) or successful steals (steal
-    /// scheduler) — the unified moved-work count.
+    /// Sub-lists that moved between workers at this level: successful
+    /// steals in a live run, balancer transfers in Fig. 8's replay —
+    /// the unified moved-work count.
     pub transfers: u64,
-    /// Per-worker successful steals this level (empty under the
-    /// barrier scheduler).
+    /// Per-worker successful steals this level (empty in a balancer
+    /// replay).
     pub steals: Vec<u64>,
     /// Per-worker nanoseconds spent waiting for stealable work (the
-    /// epoch quiescence tail; empty under the barrier scheduler).
+    /// epoch quiescence tail; empty in a balancer replay).
     pub idle_ns: Vec<u64>,
     /// Victim scans that found nothing stealable while work was still
-    /// in flight (steal scheduler only).
+    /// in flight.
     pub failed_steals: u64,
     /// Memory-watchdog projection for the next level, bytes.
     pub projected_bytes: u64,

@@ -1,11 +1,10 @@
 //! The multithreaded Clique Enumerator must be indistinguishable from
-//! the sequential one — for every thread count, balancing strategy, and
-//! seeding — and must honor the non-decreasing-size delivery contract.
+//! the sequential one — for every thread count and seeding — and must
+//! honor the non-decreasing-size delivery contract. The sequential
+//! enumerator is the oracle.
 
 use gsb::core::sink::CollectSink;
-use gsb::core::{
-    BalanceStrategy, CliqueEnumerator, EnumConfig, ParallelConfig, ParallelEnumerator, Scheduler,
-};
+use gsb::core::{CliqueEnumerator, EnumConfig, ParallelConfig, ParallelEnumerator};
 use gsb::graph::generators::{correlation_like, gnp, planted, CorrelationProfile, Module};
 use gsb::graph::BitGraph;
 use std::sync::Arc;
@@ -24,21 +23,8 @@ fn sequential(g: &BitGraph, config: EnumConfig) -> Vec<Vec<u32>> {
     v
 }
 
-fn parallel(
-    g: &Arc<BitGraph>,
-    threads: usize,
-    strategy: BalanceStrategy,
-    config: EnumConfig,
-) -> Vec<Vec<u32>> {
-    let mut sink = CollectSink::default();
-    ParallelEnumerator::new(ParallelConfig {
-        threads,
-        strategy,
-        enum_config: config,
-        ..Default::default()
-    })
-    .enumerate(g, &mut sink);
-    let mut v = sink.cliques;
+fn parallel(g: &Arc<BitGraph>, threads: usize, config: EnumConfig) -> Vec<Vec<u32>> {
+    let mut v = parallel_ordered(g, threads, config);
     v.sort();
     v
 }
@@ -50,17 +36,11 @@ fn sequential_ordered(g: &BitGraph, config: EnumConfig) -> Vec<Vec<u32>> {
     sink.cliques
 }
 
-/// Parallel emission order, unsorted, under an explicit scheduler.
-fn parallel_ordered(
-    g: &Arc<BitGraph>,
-    threads: usize,
-    scheduler: Scheduler,
-    config: EnumConfig,
-) -> Vec<Vec<u32>> {
+/// Parallel emission order, unsorted.
+fn parallel_ordered(g: &Arc<BitGraph>, threads: usize, config: EnumConfig) -> Vec<Vec<u32>> {
     let mut sink = CollectSink::default();
     ParallelEnumerator::new(ParallelConfig {
         threads,
-        scheduler,
         enum_config: config,
         ..Default::default()
     })
@@ -76,38 +56,10 @@ fn all_thread_counts_match_sequential() {
     let garc = Arc::new(g);
     for threads in [1, 2, 3, 4, 7, 8, 16] {
         assert_eq!(
-            parallel(&garc, threads, BalanceStrategy::Dynamic, config),
+            parallel(&garc, threads, config),
             expect,
             "threads {threads}"
         );
-    }
-}
-
-#[test]
-fn all_strategies_match_sequential() {
-    let g = workload(2);
-    let config = EnumConfig::default();
-    let expect = sequential(&g, config);
-    let garc = Arc::new(g);
-    for strategy in [
-        BalanceStrategy::Dynamic,
-        BalanceStrategy::Static,
-        BalanceStrategy::Repartition,
-    ] {
-        // Balance strategies steer the barrier runtime; the steal
-        // runtime ignores them.
-        let mut sink = CollectSink::default();
-        ParallelEnumerator::new(ParallelConfig {
-            threads: 4,
-            strategy,
-            scheduler: Scheduler::Barrier,
-            enum_config: config,
-            ..Default::default()
-        })
-        .enumerate(&garc, &mut sink);
-        let mut got = sink.cliques;
-        got.sort();
-        assert_eq!(got, expect, "{strategy:?}");
     }
 }
 
@@ -121,11 +73,7 @@ fn seeded_parallel_matches_sequential() {
         };
         let expect = sequential(&g, config);
         let garc = Arc::new(g.clone());
-        assert_eq!(
-            parallel(&garc, 4, BalanceStrategy::Dynamic, config),
-            expect,
-            "min_k {min_k}"
-        );
+        assert_eq!(parallel(&garc, 4, config), expect, "min_k {min_k}");
     }
 }
 
@@ -150,8 +98,8 @@ fn parallel_delivery_is_size_ordered_and_duplicate_free() {
 fn repeated_runs_are_deterministic_in_content() {
     let g = Arc::new(workload(5));
     let config = EnumConfig::default();
-    let a = parallel(&g, 4, BalanceStrategy::Dynamic, config);
-    let b = parallel(&g, 4, BalanceStrategy::Dynamic, config);
+    let a = parallel(&g, 4, config);
+    let b = parallel(&g, 4, config);
     assert_eq!(a, b);
 }
 
@@ -170,7 +118,7 @@ fn steal_output_is_byte_identical_to_sequential_on_random_graphs() {
         let g = Arc::new(gnp(n, p, seed));
         let expect = sequential_ordered(&g, config);
         for threads in [1usize, 4, 8] {
-            let got = parallel_ordered(&g, threads, Scheduler::Steal, config);
+            let got = parallel_ordered(&g, threads, config);
             assert_eq!(
                 got, expect,
                 "seed {seed} (n={n}, p={p:.2}), threads {threads}: emission order diverged"
@@ -194,25 +142,8 @@ fn steal_output_is_byte_identical_under_extreme_sublist_skew() {
     let expect = sequential_ordered(&g, config);
     assert!(expect.iter().any(|c| c.len() == 14), "module not planted");
     for threads in [1usize, 4, 8] {
-        for scheduler in [Scheduler::Steal, Scheduler::Barrier] {
-            let got = parallel_ordered(&g, threads, scheduler, config);
-            assert_eq!(got, expect, "threads {threads}, {scheduler}");
-        }
-    }
-}
-
-/// Differential oracle: the retained barrier runtime and the steal
-/// runtime agree with each other and with sequential, byte for byte.
-#[test]
-fn barrier_and_steal_schedulers_are_byte_identical() {
-    let g = Arc::new(workload(6));
-    let config = EnumConfig::default();
-    let expect = sequential_ordered(&g, config);
-    for threads in [2usize, 4] {
-        let barrier = parallel_ordered(&g, threads, Scheduler::Barrier, config);
-        let steal = parallel_ordered(&g, threads, Scheduler::Steal, config);
-        assert_eq!(barrier, expect, "barrier vs sequential, threads {threads}");
-        assert_eq!(steal, expect, "steal vs sequential, threads {threads}");
+        let got = parallel_ordered(&g, threads, config);
+        assert_eq!(got, expect, "threads {threads}");
     }
 }
 
