@@ -1,12 +1,12 @@
 //! `gsb` binary entry point: parse argv, dispatch, print or fail.
 //!
-//! For supervised invocations (`resume`, or `cliques` with a
-//! checkpoint directory) SIGINT/SIGTERM handlers are installed that
-//! flip the process-global shutdown flag; the pipeline polls it at
-//! level barriers, writes a final checkpoint, and the process exits
-//! with the conventional `128 + signal` code. Other subcommands keep
-//! the default kill-me-now behavior — they hold no durable state worth
-//! a graceful wind-down.
+//! For supervised invocations (`resume`, `cliques` with a checkpoint
+//! directory, `serve`, `router`) SIGINT/SIGTERM handlers are installed
+//! that flip the process-global shutdown flag; the pipeline polls it at
+//! level barriers and writes a final checkpoint, a server drains, and
+//! the process exits with the conventional `128 + signal` code. Other
+//! subcommands keep the default kill-me-now behavior — they hold no
+//! durable state worth a graceful wind-down.
 
 /// SIGINT/SIGTERM → the global shutdown flag, via a direct `signal(2)`
 /// FFI declaration (the workspace deliberately has no libc-style
@@ -36,10 +36,11 @@ mod signals {
 
 /// Graceful shutdown only makes sense when there is durable state to
 /// hand over (`resume`, or `cliques` running with a checkpoint dir) or
-/// in-flight work to drain (`serve` answering accepted connections).
+/// in-flight work to drain (`serve` and `router` answering accepted
+/// connections).
 fn wants_supervision(argv: &[String]) -> bool {
     match argv.first().map(String::as_str) {
-        Some("resume") | Some("serve") => true,
+        Some("resume") | Some("serve") | Some("router") => true,
         Some("cliques") => argv.iter().any(|a| a == "--checkpoint-dir"),
         _ => false,
     }
@@ -58,6 +59,30 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(e.exit_code());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wants_supervision;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn long_lived_and_checkpointed_commands_are_supervised() {
+        for line in [
+            "resume ckpt/",
+            "serve idx/ --addr 127.0.0.1:7700",
+            "router topo.txt --addr 127.0.0.1:7800",
+            "cliques g.txt --checkpoint-dir ckpt/",
+        ] {
+            assert!(wants_supervision(&argv(line)), "{line}");
+        }
+        for line in ["", "cliques g.txt", "index g.txt --out idx/", "bench-serve"] {
+            assert!(!wants_supervision(&argv(line)), "{line}");
         }
     }
 }

@@ -20,6 +20,9 @@
 //!   answering JSON queries, with per-endpoint latency histograms from
 //!   `gsb_telemetry`, graceful SIGINT/SIGTERM drain via
 //!   [`gsb_core::ShutdownToken`], and a per-connection deadline.
+//!   [`router`] (`gsb router`) fronts replicated shards of it; both
+//!   run on one crate-private HTTP core (accept, admission queue,
+//!   workers, header reader, drain).
 //!
 //! ## Why the size order matters
 //!
@@ -36,6 +39,7 @@
 
 pub mod compact;
 pub mod format;
+mod http;
 pub mod reader;
 pub mod router;
 pub mod scrub;

@@ -40,27 +40,32 @@
 //!   pass through). Only when *no* shard has a live replica does the
 //!   router answer a typed 503.
 //!
-//! The front reuses the serving substrate: bounded admission queue
-//! with typed sheds, request-deadline budget from accept, worker panic
-//! containment, `X-Gsb-Trace` propagation to backends (so `gsb tail`
-//! stitches router→backend spans), and `/metrics` Prometheus output
-//! with per-backend breaker-state gauges and hedge/retry counters.
+//! The front runs on the same HTTP core as `gsb serve` (`http.rs`):
+//! blocking accept with a shutdown waker, bounded admission queue,
+//! request-deadline budget from accept, worker panic containment, and
+//! the drain sweep. Only the queue-full policy differs: where the
+//! server still answers its probe and scrape endpoints inline, the
+//! router sheds every request with a typed `503`. On top come `X-Gsb-Trace`
+//! propagation to backends (so `gsb tail` stitches router→backend
+//! spans) and `/metrics` Prometheus output with per-backend
+//! breaker-state gauges and hedge/retry counters.
 
+use crate::http::{
+    respond_full, status_key, trace_headers, AddNamed, Http, HttpConfig, Service,
+    CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, STATUS_LABELS,
+};
 use crate::server::{
-    find_head_end, header_value, latency_key, parse_route, requests_key, respond_full, status_key,
-    AddNamed, Route, CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, ENDPOINTS, STATUS_LABELS,
+    latency_key, parse_route, record_answer, requests_key, total_requests, Route, ENDPOINTS,
 };
 use gsb_core::{RetryPolicy, ShutdownToken, StoreError};
 use gsb_rng::SplitMix64;
 use gsb_telemetry::json::{parse as json_parse, JsonValue};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
-use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
-use gsb_telemetry::AtomicRecorder;
+use gsb_telemetry::trace::SpanRecorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -468,15 +473,12 @@ impl LatencyWindow {
 
 /// Everything the workers, accept loop, and prober share.
 struct RouterState {
+    /// The transport: recorder, admission queue, drain flag, trace ids.
+    http: Http,
     topology: Topology,
     config: RouterConfig,
     /// `backends[shard][replica]`.
     backends: Vec<Vec<Arc<Backend>>>,
-    recorder: AtomicRecorder,
-    queue_depth: AtomicUsize,
-    draining: AtomicBool,
-    started: Instant,
-    trace_ids: Mutex<TraceIdGen>,
     /// Round-robin cursor spreading load across replicas.
     rr: AtomicUsize,
     /// Per-shard latency windows feeding the hedge delay.
@@ -488,10 +490,6 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn next_trace_id(&self) -> String {
-        self.trace_ids.lock().unwrap().next_id()
-    }
-
     /// The hedge delay for `shard`: observed `hedge_percentile`
     /// latency, floored at `hedge_min`.
     fn hedge_delay(&self, shard: usize) -> Duration {
@@ -500,31 +498,49 @@ impl RouterState {
             .unwrap_or(self.config.hedge_min);
         observed.max(self.config.hedge_min)
     }
+}
 
-    fn retry_after_secs(&self) -> u32 {
-        let limit = self.config.queue_limit.max(1);
-        let depth = self.queue_depth.load(Ordering::Acquire).min(limit);
-        (1 + (7 * depth) / limit) as u32
+impl Service for RouterState {
+    fn http(&self) -> &Http {
+        &self.http
     }
 
-    /// Shed a client connection with a typed response (drains one
-    /// bounded read first so the kernel does not RST the reply away).
-    fn shed(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
-        self.recorder.add_named(key, 1);
-        self.recorder.add_named("http.shed_total", 1);
-        self.recorder.add_named(status_key(status), 1);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut scratch = [0u8; 1024];
-        let _ = stream.read(&mut scratch);
-        let body = format!("{{\"error\":\"{message}\",\"shed\":true}}");
-        let retry = self.retry_after_secs();
-        if respond_full(stream, status, &body, 0, retry, CONTENT_TYPE_JSON, &[]).is_err() {
-            self.recorder.add_named("http.write_errors", 1);
+    /// Route one client request, answer it.
+    fn answer(
+        &self,
+        stream: &mut TcpStream,
+        head: &str,
+        accepted_at: Instant,
+        mut span: SpanRecorder,
+    ) {
+        let recorder = &self.http.recorder;
+        let (route, limit) = parse_route(head.lines().next().unwrap_or(""));
+        let started = Instant::now();
+        let (status, body, degraded, content_type) =
+            dispatch(self, &route, limit, accepted_at, span.trace_id());
+        span.stage("gather");
+        record_answer(
+            recorder,
+            route.endpoint(),
+            status,
+            started.elapsed().as_nanos() as u64,
+        );
+        if degraded > 0 {
+            recorder.add_named("router.degraded_answers", 1);
+        }
+        let extra = trace_headers(&span);
+        if respond_full(stream, status, &body, degraded, 1, content_type, &extra).is_err() {
+            recorder.add_named("http.write_errors", 1);
         }
     }
 
-    fn live_metrics_json(&self) -> String {
-        render_router_metrics_json(self)
+    fn overloaded(&self, stream: &mut TcpStream) {
+        self.http.shed(
+            stream,
+            503,
+            "router overloaded, admission queue full",
+            "http.shed.queue_full",
+        );
     }
 }
 
@@ -533,12 +549,6 @@ pub struct Router {
     listener: TcpListener,
     topology: Topology,
     config: RouterConfig,
-}
-
-/// A client connection waiting in the admission queue.
-struct Conn {
-    stream: TcpStream,
-    accepted_at: Instant,
 }
 
 impl Router {
@@ -560,8 +570,6 @@ impl Router {
     /// the backend server: answer everything accepted, shed the
     /// backlog typed, join workers and the prober, export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<RouterReport> {
-        let started = Instant::now();
-        self.listener.set_nonblocking(true)?;
         let backends: Vec<Vec<Arc<Backend>>> = self
             .topology
             .shards
@@ -575,19 +583,24 @@ impl Router {
             })
             .collect();
         let shard_count = self.topology.shards.len();
+        let c = &self.config;
         let state = Arc::new(RouterState {
+            http: Http::new(HttpConfig {
+                role: "router",
+                threads: c.threads,
+                deadline: c.deadline,
+                request_deadline: c.request_deadline,
+                queue_limit: c.queue_limit,
+                max_header_bytes: c.max_header_bytes,
+                trace_seed: c.trace_seed,
+            }),
             topology: self.topology,
             backends,
-            recorder: AtomicRecorder::new(),
-            queue_depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            started,
-            trace_ids: Mutex::new(TraceIdGen::seeded(self.config.trace_seed)),
             rr: AtomicUsize::new(0),
             latency: (0..shard_count).map(|_| LatencyWindow::new()).collect(),
             shard_unavailable: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            rng: Mutex::new(SplitMix64::new(self.config.retry_seed)),
-            config: self.config.clone(),
+            rng: Mutex::new(SplitMix64::new(c.retry_seed)),
+            config: c.clone(),
         });
 
         let prober = {
@@ -597,108 +610,20 @@ impl Router {
                 .name("gsb-router-probe".into())
                 .spawn(move || probe_loop(&state, &shutdown))?
         };
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = self.config.threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("gsb-router-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))?,
-            );
-        }
-
-        let mut connections = 0u64;
-        while !shutdown.is_requested() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    connections += 1;
-                    state.recorder.add_named("http.connections", 1);
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(self.config.deadline));
-                    let _ = stream.set_write_timeout(Some(self.config.deadline));
-                    let _ = stream.set_nodelay(true);
-                    let depth = state.queue_depth.load(Ordering::Acquire);
-                    if depth >= self.config.queue_limit {
-                        let mut stream = stream;
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                        state.shed(
-                            &mut stream,
-                            503,
-                            "router overloaded, admission queue full",
-                            "http.shed.queue_full",
-                        );
-                        continue;
-                    }
-                    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-                    state.recorder.gauge("http.queue_depth").set(depth as u64);
-                    if tx
-                        .send(Conn {
-                            stream,
-                            accepted_at: Instant::now(),
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => {
-                    state.recorder.add_named("http.accept_errors", 1);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-
-        state.draining.store(true, Ordering::Release);
-        while let Ok((mut stream, _)) = self.listener.accept() {
-            connections += 1;
-            state.recorder.add_named("http.connections", 1);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            state.shed(
-                &mut stream,
-                503,
-                "router draining for shutdown",
-                "http.shed.draining",
-            );
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        let connections = crate::http::run(&self.listener, &state, shutdown)?;
         let _ = prober.join();
 
-        let mut requests = 0u64;
-        for ep in ENDPOINTS {
-            requests += state.recorder.counter(requests_key(ep)).get();
-        }
+        let r = &state.http.recorder;
         let metrics_json = render_router_metrics_json(&state);
-        if let Some(path) = &self.config.metrics_out {
-            let bytes = metrics_json.clone().into_bytes();
-            RetryPolicy::default().run_io(|| {
-                let tmp = path.with_extension("json.tmp");
-                {
-                    let mut f = std::fs::File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                }
-                std::fs::rename(&tmp, path)
-            })?;
-        }
+        crate::http::write_metrics(c.metrics_out.as_deref(), &metrics_json)?;
         Ok(RouterReport {
             connections,
-            requests,
-            shed: state.recorder.counter("http.shed_total").get(),
-            retries: state.recorder.counter("router.retries").get(),
-            hedges: state.recorder.counter("router.hedges").get(),
-            hedge_wins: state.recorder.counter("router.hedge_wins").get(),
-            degraded_answers: state.recorder.counter("router.degraded_answers").get(),
+            requests: total_requests(r),
+            shed: r.counter("http.shed_total").get(),
+            retries: r.counter("router.retries").get(),
+            hedges: r.counter("router.hedges").get(),
+            hedge_wins: r.counter("router.hedge_wins").get(),
+            degraded_answers: r.counter("router.degraded_answers").get(),
             metrics_json,
         })
     }
@@ -730,128 +655,6 @@ fn probe_loop(state: &RouterState, shutdown: &ShutdownToken) {
                 }
             }
         }
-    }
-}
-
-/// One worker: pop client connections, answer them, contain panics.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Conn>>, state: &RouterState) {
-    loop {
-        let conn = rx.lock().unwrap().recv();
-        let Ok(mut conn) = conn else {
-            break;
-        };
-        let depth = state.queue_depth.fetch_sub(1, Ordering::AcqRel) - 1;
-        state.recorder.gauge("http.queue_depth").set(depth as u64);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_client(&mut conn.stream, conn.accepted_at, state)
-        }));
-        if outcome.is_err() {
-            state.recorder.add_named("http.worker_panics", 1);
-            state.recorder.add_named(status_key(500), 1);
-            let _ = respond_full(
-                &mut conn.stream,
-                500,
-                "{\"error\":\"internal error answering this request\"}",
-                0,
-                1,
-                CONTENT_TYPE_JSON,
-                &[],
-            );
-        }
-    }
-}
-
-/// Read one client request head, route it, answer it.
-fn handle_client(stream: &mut TcpStream, accepted_at: Instant, state: &RouterState) {
-    let config = &state.config;
-    if accepted_at.elapsed() >= config.request_deadline {
-        state.shed(
-            stream,
-            503,
-            "request exceeded its deadline budget while queued",
-            "http.shed.deadline",
-        );
-        return;
-    }
-    let mut buf = vec![0u8; config.max_header_bytes.max(64)];
-    let mut used = 0usize;
-    let head_len = loop {
-        let Some(remaining) = config.request_deadline.checked_sub(accepted_at.elapsed()) else {
-            state.shed(
-                stream,
-                408,
-                "request header did not complete within the deadline budget",
-                "http.shed.slow_client",
-            );
-            return;
-        };
-        if used == buf.len() {
-            state.recorder.add_named("http.bad_request.requests", 1);
-            state.recorder.add_named(status_key(431), 1);
-            let _ = respond_full(
-                stream,
-                431,
-                "{\"error\":\"request header too large\"}",
-                0,
-                1,
-                CONTENT_TYPE_JSON,
-                &[],
-            );
-            return;
-        }
-        let per_read = remaining.min(config.deadline).max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(per_read));
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => return,
-            Ok(k) => {
-                used += k;
-                if let Some(end) = find_head_end(&buf[..used]) {
-                    break end;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                state.recorder.add_named("http.read_errors", 1);
-                return;
-            }
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buf[..head_len]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    let trace = match header_value(&head, "x-gsb-trace") {
-        Some(v) if valid_trace_id(v) => v.to_string(),
-        _ => state.next_trace_id(),
-    };
-    let mut span = SpanRecorder::started_at(trace, accepted_at);
-    span.stage("parse");
-
-    let started = Instant::now();
-    let (status, body, degraded, content_type) =
-        dispatch(state, &route, limit, accepted_at, span.trace_id());
-    span.stage("gather");
-    state.recorder.add_named(requests_key(endpoint), 1);
-    state.recorder.add_named(status_key(status), 1);
-    state
-        .recorder
-        .histogram(latency_key(endpoint))
-        .observe(started.elapsed().as_nanos() as u64);
-    if degraded > 0 {
-        state.recorder.add_named("router.degraded_answers", 1);
-    }
-    let extra = [
-        ("X-Gsb-Trace", span.trace_id().to_string()),
-        ("X-Gsb-Trace-Ns", span.total_ns().to_string()),
-    ];
-    if respond_full(stream, status, &body, degraded, 1, content_type, &extra).is_err() {
-        state.recorder.add_named("http.write_errors", 1);
     }
 }
 
@@ -1047,7 +850,7 @@ fn shard_request(
                             outcome.backend.on_success();
                             state.latency[shard].record(outcome.elapsed.as_nanos() as u64);
                             if outcome.hedged {
-                                state.recorder.add_named("router.hedge_wins", 1);
+                                state.http.recorder.add_named("router.hedge_wins", 1);
                             }
                             winner = Some(resp);
                             break;
@@ -1062,7 +865,7 @@ fn shard_request(
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if hedging && !hedge_launched {
                         hedge_launched = true;
-                        state.recorder.add_named("router.hedges", 1);
+                        state.http.recorder.add_named("router.hedges", 1);
                         if let Some(h) = &hedge_candidate {
                             spawn_try(Arc::clone(h), true, tx.clone());
                             inflight += 1;
@@ -1094,7 +897,7 @@ fn shard_request(
         if let Some(resp) = winner {
             return Some(resp);
         }
-        state.recorder.add_named("router.retries", 1);
+        state.http.recorder.add_named("router.retries", 1);
         // Jittered exponential backoff before the next replica, capped
         // so the sleep cannot eat the remaining deadline.
         let backoff = {
@@ -1218,7 +1021,7 @@ fn dispatch(
             json,
         ),
         Route::Ready => {
-            let draining = state.draining.load(Ordering::Acquire);
+            let draining = state.http.draining();
             let live = live_shards(state);
             let ready = !draining && live == state.topology.shards.len();
             let status = if ready { 200 } else { 503 };
@@ -1233,7 +1036,7 @@ fn dispatch(
             )
         }
         Route::Metrics => (200, render_router_promtext(state), 0, CONTENT_TYPE_PROM),
-        Route::MetricsJson => (200, state.live_metrics_json(), 0, json),
+        Route::MetricsJson => (200, render_router_metrics_json(state), 0, json),
         Route::Stats => {
             let answers = scatter(state, &all_shards, &|_| "/stats".into(), accepted, trace);
             let mut missing = Vec::new();
@@ -1460,7 +1263,7 @@ fn all_down(missing: &[usize]) -> (u16, String, u64, &'static str) {
 /// robustness internals — per-backend breaker state, failure and probe
 /// counters, hedge/retry/degradation totals.
 fn render_router_promtext(state: &RouterState) -> String {
-    let r = &state.recorder;
+    let r = &state.http.recorder;
     let mut w = PromWriter::new();
 
     let req = w.family(
@@ -1583,6 +1386,21 @@ fn render_router_promtext(state: &RouterState) -> String {
             "http.shed_total",
             "Client connections shed by admission control.",
         ),
+        (
+            "gsb_router_read_errors_total",
+            "http.read_errors",
+            "Client connections lost while reading the request.",
+        ),
+        (
+            "gsb_router_write_errors_total",
+            "http.write_errors",
+            "Responses that failed to write.",
+        ),
+        (
+            "gsb_router_accept_errors_total",
+            "http.accept_errors",
+            "Accept-path failures.",
+        ),
     ] {
         let fam = w.family(name, PromKind::Counter, help);
         w.sample(&fam, &[], r.counter(key).get());
@@ -1598,17 +1416,14 @@ fn render_router_promtext(state: &RouterState) -> String {
         PromKind::Gauge,
         "Seconds since the router started.",
     );
-    w.sample_f64(&uptime, &[], state.started.elapsed().as_secs_f64());
+    w.sample_f64(&uptime, &[], state.http.started.elapsed().as_secs_f64());
     w.finish()
 }
 
 /// The `--metrics-out`-shaped JSON snapshot (also `GET /metrics-json`).
 fn render_router_metrics_json(state: &RouterState) -> String {
-    let r = &state.recorder;
-    let mut requests = 0u64;
-    for ep in ENDPOINTS {
-        requests += r.counter(requests_key(ep)).get();
-    }
+    let r = &state.http.recorder;
+    let requests = total_requests(r);
     let mut backends = String::new();
     for replicas in &state.backends {
         for b in replicas {

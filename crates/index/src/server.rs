@@ -11,8 +11,9 @@
 //! stay up under pressure:
 //!
 //! * **Admission control.** Accepted connections enter a *bounded*
-//!   queue (`queue_limit`); when it is full the accept loop sheds the
-//!   connection inline with a typed `503` + `Retry-After` instead of
+//!   queue (`queue_limit`); when it is full the acceptor answers
+//!   `/health`, `/ready` and the metrics endpoints inline and sheds
+//!   everything else with a typed `503` + `Retry-After` instead of
 //!   letting latency grow without bound. The queue depth is exported
 //!   as the `http.queue_depth` gauge, sheds as `http.shed_total`.
 //! * **Per-request deadline budget.** Distinct from the per-connection
@@ -35,9 +36,6 @@
 //!   validates the new index off the serving path, then swaps the
 //!   shared `Arc<CliqueIndex>`. In-flight requests keep their snapshot
 //!   — no request is ever dropped or mixed across generations.
-//! * **Worker panic containment.** Each request runs under
-//!   `catch_unwind`; a panic answers `500`, bumps
-//!   `http.worker_panics`, and the worker lives on.
 //! * **Live observability.** `GET /metrics` exposes every recorder
 //!   series as Prometheus text (`gsb_telemetry::promtext`) and
 //!   `GET /metrics-json` serves the same snapshot `--metrics-out`
@@ -53,12 +51,11 @@
 //!   `--access-log-max-bytes`); `--slow-query-ms` tees outliers with
 //!   their full span breakdown into a slow-query log.
 //!
-//! HTTP/1.1, one request per connection (`Connection: close`): every
-//! response carries an exact `Content-Length` and the socket closes
-//! after it, so a drained shutdown can never truncate a response
-//! mid-body. On shutdown the server answers everything it accepted,
-//! then sweeps the kernel backlog, shedding each waiting connection
-//! with a `503` rather than a silent RST.
+//! The transport — blocking accept with a shutdown waker, the bounded
+//! queue, the worker pool, the budgeted header reader (`408`/`431`),
+//! the drain sweep and the metrics file — is the crate's HTTP core
+//! (`http.rs`), which `gsb router` runs on too. This module is the
+//! query surface: routes, rate limits, the index, and the access log.
 //!
 //! Endpoints (all GET, JSON responses):
 //!
@@ -78,19 +75,19 @@
 //! Clique-list endpoints accept `?limit=K` (default 1000) and report
 //! the full `count` alongside the possibly-truncated `cliques` array.
 
+use crate::http::{
+    find_head_end, header_value, read_head_briefly, respond_full, status_key, trace_headers,
+    AddNamed, Http, HttpConfig, Service, CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, STATUS_LABELS,
+};
 use crate::reader::CliqueIndex;
-use gsb_core::supervise::is_transient;
-use gsb_core::{Clique, RetryPolicy, ShutdownToken};
+use gsb_core::{Clique, ShutdownToken};
 use gsb_telemetry::access::{AccessRecord, RotatingWriter};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
-use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
+use gsb_telemetry::trace::SpanRecorder;
 use gsb_telemetry::{AtomicRecorder, Histogram};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Server tuning knobs.
@@ -250,36 +247,6 @@ fn rate_limited_key(endpoint: &str) -> &'static str {
     }
 }
 
-/// Per-status response counters, for the `gsb_http_responses_total`
-/// Prometheus family.
-pub(crate) fn status_key(status: u16) -> &'static str {
-    match status {
-        200 => "http.status.200",
-        400 => "http.status.400",
-        404 => "http.status.404",
-        405 => "http.status.405",
-        408 => "http.status.408",
-        429 => "http.status.429",
-        431 => "http.status.431",
-        500 => "http.status.500",
-        503 => "http.status.503",
-        _ => "http.status.other",
-    }
-}
-
-/// Statuses with a dedicated counter, in exposition order.
-pub(crate) const STATUS_LABELS: [(&str, u16); 9] = [
-    ("200", 200),
-    ("400", 400),
-    ("404", 404),
-    ("405", 405),
-    ("408", 408),
-    ("429", 429),
-    ("431", 431),
-    ("500", 500),
-    ("503", 503),
-];
-
 /// Endpoints exempt from the token buckets and from queue-full
 /// shedding: liveness, readiness, and scrapes must keep answering
 /// during overload — a router probing `/ready` must learn "still
@@ -342,21 +309,13 @@ impl TokenBuckets {
 
 /// Everything the workers, accept loop, and reload watcher share.
 struct ServeState {
+    /// The transport: recorder, admission queue, drain flag, trace ids.
+    http: Http,
     /// The live index. Workers clone the `Arc` per request, so a
     /// hot-reload swap never invalidates an in-flight answer.
     index: Mutex<Arc<CliqueIndex>>,
-    recorder: AtomicRecorder,
     config: ServeConfig,
-    queue_depth: AtomicUsize,
-    /// Set once shutdown is requested: `/ready` flips to 503 so a
-    /// router ejects this backend *before* the drain sweep sheds its
-    /// queries, while `/health` keeps answering 200 (still alive).
-    draining: AtomicBool,
     buckets: Option<TokenBuckets>,
-    /// When the server started (uptime for `/metrics`).
-    started: Instant,
-    /// Seeded trace-id generator for requests without `X-Gsb-Trace`.
-    trace_ids: Mutex<TraceIdGen>,
     /// The JSONL access log, when enabled.
     access: Option<Mutex<RotatingWriter>>,
     /// The slow-query log, when enabled.
@@ -369,24 +328,16 @@ impl ServeState {
         self.index.lock().unwrap().clone()
     }
 
-    /// A fresh trace id from the seeded generator.
-    fn next_trace_id(&self) -> String {
-        self.trace_ids.lock().unwrap().next_id()
-    }
-
     /// The live `--metrics-out`-shaped JSON snapshot (same renderer the
     /// shutdown write uses), served by `GET /metrics-json`.
     fn live_metrics_json(&self) -> String {
-        let connections = self.recorder.counter("http.connections").get();
-        let requests: u64 = ENDPOINTS
-            .iter()
-            .map(|ep| self.recorder.counter(requests_key(ep)).get())
-            .sum();
+        let r = &self.http.recorder;
+        let connections = r.counter("http.connections").get();
         render_metrics(
-            &self.recorder,
+            r,
             connections,
-            requests,
-            self.started.elapsed(),
+            total_requests(r),
+            self.http.started.elapsed(),
         )
     }
 
@@ -407,7 +358,7 @@ impl ServeState {
             .slow_query_ms
             .is_some_and(|ms| total_ns >= ms.saturating_mul(1_000_000));
         if slow {
-            self.recorder.add_named("http.slow_queries", 1);
+            self.http.recorder.add_named("http.slow_queries", 1);
         }
         let write_access = self.access.is_some();
         let write_slow = slow && self.slow.is_some();
@@ -436,56 +387,18 @@ impl ServeState {
         if write_access {
             if let Some(w) = &self.access {
                 if w.lock().unwrap().append_line(&line).is_err() {
-                    self.recorder.add_named("http.access_log_errors", 1);
+                    self.http.recorder.add_named("http.access_log_errors", 1);
                 }
             }
         }
         if write_slow {
             if let Some(w) = &self.slow {
                 if w.lock().unwrap().append_line(&line).is_err() {
-                    self.recorder.add_named("http.access_log_errors", 1);
+                    self.http.recorder.add_named("http.access_log_errors", 1);
                 }
             }
         }
     }
-
-    /// `Retry-After` seconds for a shed 503, scaled with how deep the
-    /// admission queue currently is: an empty queue suggests a blip
-    /// (come back in 1s), a full queue means real overload (back off up
-    /// to 8s). Bounded so a buggy depth can never tell clients to wait
-    /// forever, and load-dependent so a fleet of backoff clients does
-    /// not re-arrive on one fixed beat.
-    fn retry_after_secs(&self) -> u32 {
-        let limit = self.config.queue_limit.max(1);
-        let depth = self.queue_depth.load(Ordering::Acquire).min(limit);
-        (1 + (7 * depth) / limit) as u32
-    }
-
-    /// Shed a connection with a typed, complete response. The pending
-    /// request bytes are drained first (one bounded read): closing with
-    /// unread data in the receive buffer makes the kernel reset the
-    /// connection, and the client would see ECONNRESET instead of the
-    /// typed 503/429 the whole design promises. The read is bounded to
-    /// 50ms so a silent client cannot stall the shedding path.
-    fn shed(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
-        self.recorder.add_named(key, 1);
-        self.recorder.add_named("http.shed_total", 1);
-        self.recorder.add_named(status_key(status), 1);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut scratch = [0u8; 1024];
-        let _ = stream.read(&mut scratch);
-        let body = format!("{{\"error\":\"{message}\",\"shed\":true}}");
-        let retry = self.retry_after_secs();
-        if respond_retry(stream, status, &body, retry).is_err() {
-            self.recorder.add_named("http.write_errors", 1);
-        }
-    }
-}
-
-/// A connection waiting in the admission queue.
-struct Conn {
-    stream: TcpStream,
-    accepted_at: Instant,
 }
 
 /// A bound, not-yet-running query server.
@@ -514,51 +427,31 @@ impl Server {
     /// answer every accepted connection, shed the kernel backlog with
     /// `503`, join the workers, and export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<ServeReport> {
-        let started = Instant::now();
-        self.listener.set_nonblocking(true)?;
-        let access = match &self.config.access_log {
-            Some(path) => Some(Mutex::new(RotatingWriter::open(
-                path,
-                self.config.access_log_max_bytes,
-            )?)),
-            None => None,
+        let open_log = |path: &Option<PathBuf>| -> std::io::Result<_> {
+            path.as_ref()
+                .map(|p| RotatingWriter::open(p, self.config.access_log_max_bytes).map(Mutex::new))
+                .transpose()
         };
-        let slow = match &self.config.slow_query_log {
-            Some(path) => Some(Mutex::new(RotatingWriter::open(
-                path,
-                self.config.access_log_max_bytes,
-            )?)),
-            None => None,
-        };
+        let c = &self.config;
         let state = Arc::new(ServeState {
+            http: Http::new(HttpConfig {
+                role: "server",
+                threads: c.threads,
+                deadline: c.deadline,
+                request_deadline: c.request_deadline,
+                queue_limit: c.queue_limit,
+                max_header_bytes: c.max_header_bytes,
+                trace_seed: c.trace_seed,
+            }),
             index: Mutex::new(Arc::clone(&self.index)),
-            recorder: AtomicRecorder::new(),
-            queue_depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            buckets: self
-                .config
+            buckets: c
                 .rate_limit
-                .map(|rate| TokenBuckets::new(rate, self.config.rate_burst)),
-            started,
-            trace_ids: Mutex::new(TraceIdGen::seeded(self.config.trace_seed)),
-            access,
-            slow,
-            config: self.config.clone(),
+                .map(|rate| TokenBuckets::new(rate, c.rate_burst)),
+            access: open_log(&c.access_log)?,
+            slow: open_log(&c.slow_query_log)?,
+            config: c.clone(),
         });
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = self.config.threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("gsb-serve-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))?,
-            );
-        }
-        let watcher = match (&self.config.reload_poll, &self.config.index_dir) {
+        let watcher = match (&c.reload_poll, &c.index_dir) {
             (Some(poll), Some(dir)) => {
                 let state = Arc::clone(&state);
                 let shutdown = shutdown.clone();
@@ -572,143 +465,40 @@ impl Server {
             _ => None,
         };
 
-        let mut connections = 0u64;
-        while !shutdown.is_requested() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    connections += 1;
-                    state.recorder.add_named("http.connections", 1);
-                    if gsb_core::failpoint::inject("serve.accept").is_err() {
-                        // Injected accept-path fault: account and drop,
-                        // exactly like a socket that died post-accept.
-                        state.recorder.add_named("http.accept_errors", 1);
-                        continue;
-                    }
-                    configure_stream(&stream, &self.config);
-                    let depth = state.queue_depth.load(Ordering::Acquire);
-                    if depth >= self.config.queue_limit {
-                        // Queue full: answer /health and the metrics
-                        // endpoints inline (an overloaded server must
-                        // stay probe-able and scrapeable), shed the
-                        // rest with a typed 503 under a short write
-                        // budget so one slow victim cannot stall the
-                        // accept loop.
-                        let mut stream = stream;
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                        overload_inline(&state, &mut stream);
-                        continue;
-                    }
-                    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-                    state.recorder.gauge("http.queue_depth").set(depth as u64);
-                    if tx
-                        .send(Conn {
-                            stream,
-                            accepted_at: Instant::now(),
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if is_transient(&e) => continue,
-                Err(_) => {
-                    state.recorder.add_named("http.accept_errors", 1);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-
-        // From here on `/ready` answers 503: queued requests still
-        // drain to completion, but a router probing readiness ejects
-        // this backend instead of routing new work at a closing door.
-        state.draining.store(true, Ordering::Release);
-
-        // Drain sweep: everything already accepted drains through the
-        // workers; connections still waiting in the kernel backlog are
-        // shed with a typed 503 instead of a silent reset.
-        while let Ok((mut stream, _)) = self.listener.accept() {
-            connections += 1;
-            state.recorder.add_named("http.connections", 1);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            state.shed(
-                &mut stream,
-                503,
-                "server draining for shutdown",
-                "http.shed.draining",
-            );
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        let connections = crate::http::run(&self.listener, &state, shutdown)?;
         if let Some(w) = watcher {
             let _ = w.join();
         }
 
-        let mut requests = 0u64;
-        for ep in ENDPOINTS {
-            requests += state.recorder.counter(requests_key(ep)).get();
-        }
-        let metrics_json =
-            render_metrics(&state.recorder, connections, requests, started.elapsed());
-        if let Some(path) = &self.config.metrics_out {
-            let bytes = metrics_json.clone().into_bytes();
-            RetryPolicy::default().run_io(|| write_atomic_file(path, &bytes))?;
-        }
+        let r = &state.http.recorder;
+        let requests = total_requests(r);
+        let metrics_json = render_metrics(r, connections, requests, state.http.started.elapsed());
+        crate::http::write_metrics(c.metrics_out.as_deref(), &metrics_json)?;
         Ok(ServeReport {
             connections,
             requests,
-            shed: state.recorder.counter("http.shed_total").get(),
-            rate_limited: state.recorder.counter("http.rate_limited_total").get(),
-            degraded: state.recorder.counter("http.degraded_total").get(),
-            reloads: state.recorder.counter("http.reloads").get(),
+            shed: r.counter("http.shed_total").get(),
+            rate_limited: r.counter("http.rate_limited_total").get(),
+            degraded: r.counter("http.degraded_total").get(),
+            reloads: r.counter("http.reloads").get(),
             metrics_json,
         })
     }
 }
 
-/// Socket options for an accepted connection (sockets inherit the
-/// listener's non-blocking flag; workers want blocking bounded reads).
-fn configure_stream(stream: &TcpStream, config: &ServeConfig) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.deadline));
-    let _ = stream.set_write_timeout(Some(config.deadline));
-    let _ = stream.set_nodelay(true);
+/// Requests answered with a routed response, all endpoints.
+pub(crate) fn total_requests(recorder: &AtomicRecorder) -> u64 {
+    ENDPOINTS
+        .iter()
+        .map(|ep| recorder.counter(requests_key(ep)).get())
+        .sum()
 }
 
-/// One worker: pop connections, answer them, contain panics.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Conn>>, state: &ServeState) {
-    loop {
-        // Holding the lock only across recv keeps the other workers
-        // free to pick up the next connection.
-        let conn = rx.lock().unwrap().recv();
-        let Ok(mut conn) = conn else {
-            // Channel closed after drain: every queued connection has
-            // been answered.
-            break;
-        };
-        let depth = state.queue_depth.fetch_sub(1, Ordering::AcqRel) - 1;
-        state.recorder.gauge("http.queue_depth").set(depth as u64);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(&mut conn.stream, conn.accepted_at, state)
-        }));
-        if outcome.is_err() {
-            // The worker survives a panicking request; the client gets
-            // a typed 500 instead of a dead socket.
-            state.recorder.add_named("http.worker_panics", 1);
-            state.recorder.add_named(status_key(500), 1);
-            let _ = respond(
-                &mut conn.stream,
-                500,
-                "{\"error\":\"internal error answering this request\"}",
-                0,
-            );
-        }
-    }
+/// Count one answered request: its endpoint, status, and latency.
+pub(crate) fn record_answer(recorder: &AtomicRecorder, endpoint: &str, status: u16, ns: u64) {
+    recorder.add_named(requests_key(endpoint), 1);
+    recorder.add_named(status_key(status), 1);
+    recorder.histogram(latency_key(endpoint)).observe(ns);
 }
 
 /// Poll `index.meta`; on change, open + validate the new index off the
@@ -743,28 +533,17 @@ fn watch_index(
                 let generation = new_index.generation();
                 *state.index.lock().unwrap() = Arc::new(new_index);
                 last = text;
-                state.recorder.add_named("http.reloads", 1);
+                state.http.recorder.add_named("http.reloads", 1);
                 eprintln!("gsb serve: hot-reloaded index (generation {generation})");
             }
             Err(e) => {
                 // Keep serving the old index; `last` stays unchanged so
                 // the next poll retries the reload.
-                state.recorder.add_named("http.reload_errors", 1);
+                state.http.recorder.add_named("http.reload_errors", 1);
                 eprintln!("gsb serve: index reload failed, keeping current index: {e}");
             }
         }
     }
-}
-
-/// Atomic sibling-tmp write for the metrics file (safe to retry whole).
-fn write_atomic_file(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// The per-endpoint latency/QPS export plus the overload counters: one
@@ -827,7 +606,7 @@ fn render_metrics(
 /// `gsb_`-prefixed counter so new series are never silently dropped
 /// from scrapes.
 fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
-    let r = &state.recorder;
+    let r = &state.http.recorder;
     let mut w = PromWriter::new();
 
     let req = w.family(
@@ -1049,7 +828,7 @@ fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
         PromKind::Gauge,
         "Seconds since the server started.",
     );
-    w.sample_f64(&uptime, &[], state.started.elapsed().as_secs_f64());
+    w.sample_f64(&uptime, &[], state.http.started.elapsed().as_secs_f64());
 
     // Sweep: any counter not claimed above still gets exposed, under a
     // sanitized gsb_-prefixed name, so new instrumentation is never
@@ -1081,7 +860,7 @@ fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
     for (_, code) in STATUS_LABELS {
         claimed.insert(status_key(code));
     }
-    for (key, value) in state.recorder.snapshot_counters() {
+    for (key, value) in r.snapshot_counters() {
         if claimed.contains(key) {
             continue;
         }
@@ -1096,344 +875,129 @@ fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
     w.finish()
 }
 
-/// The queue is full: answer an admission-exempt request (`/health`,
-/// `/metrics`, `/metrics-json`) inline from the accept loop, shed
-/// anything else with a typed 503. The header read is bounded (50ms,
-/// 1 KiB) so a slow client cannot stall accepting.
-fn overload_inline(state: &ServeState, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut buf = [0u8; 1024];
-    let mut used = 0usize;
-    for _ in 0..2 {
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => break,
-            Ok(k) => {
-                used += k;
-                if find_head_end(&buf[..used]).is_some() || used == buf.len() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..used]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    if admission_exempt(endpoint) && find_head_end(&buf[..used]).is_some() {
-        let mut span = SpanRecorder::new(resolve_trace_id(state, &head));
-        span.stage("parse");
-        let index = state.index();
-        let (status, body, skipped, content_type) =
-            execute(state, &index, &route, limit, &mut span);
-        state.recorder.add_named(requests_key(endpoint), 1);
-        state.recorder.add_named(status_key(status), 1);
-        state
-            .recorder
-            .histogram(latency_key(endpoint))
-            .observe(span.total_ns());
-        let extra = trace_headers(&span);
-        if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-            state.recorder.add_named("http.write_errors", 1);
-        }
-        span.stage("respond");
-        state.log_access(
-            &span,
-            endpoint,
-            status,
-            "overload_exempt",
-            body.len() as u64,
-        );
-    } else {
-        state.recorder.add_named("http.shed.queue_full", 1);
-        state.recorder.add_named("http.shed_total", 1);
-        state.recorder.add_named(status_key(503), 1);
-        let body = "{\"error\":\"server overloaded, admission queue full\",\"shed\":true}";
-        let retry = state.retry_after_secs();
-        if respond_retry(stream, 503, body, retry).is_err() {
-            state.recorder.add_named("http.write_errors", 1);
-        }
-    }
-}
-
-/// The `X-Gsb-Trace` / `X-Gsb-Trace-Ns` response headers for a span.
-fn trace_headers(span: &SpanRecorder) -> [(&'static str, String); 2] {
-    [
-        ("X-Gsb-Trace", span.trace_id().to_string()),
-        ("X-Gsb-Trace-Ns", span.total_ns().to_string()),
-    ]
-}
-
-/// The request's trace id: an incoming valid `X-Gsb-Trace` header wins,
-/// else the server's seeded generator supplies one.
-fn resolve_trace_id(state: &ServeState, head: &str) -> String {
-    match header_value(head, "x-gsb-trace") {
-        Some(v) if valid_trace_id(v) => v.to_string(),
-        _ => state.next_trace_id(),
-    }
-}
-
-/// Case-insensitive lookup of one request-header value.
-pub(crate) fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
-    for line in head.lines().skip(1) {
-        if let Some((key, value)) = line.split_once(':') {
-            if key.trim().eq_ignore_ascii_case(name) {
-                return Some(value.trim());
-            }
-        }
-    }
-    None
-}
-
-/// Trait bridge: `AtomicRecorder::add` takes `&'static str`; this
-/// helper keeps call sites tidy.
-pub(crate) trait AddNamed {
-    fn add_named(&self, key: &'static str, delta: u64);
-}
-
-impl AddNamed for AtomicRecorder {
-    fn add_named(&self, key: &'static str, delta: u64) {
-        self.counter(key).add(delta);
-    }
-}
-
-/// Read the request head incrementally (progress bounded by the
-/// request budget, size bounded by `max_header_bytes`), answer it,
-/// close. One request per connection by design: `Connection: close`
-/// makes drain semantics ("no truncated responses") auditable.
-fn handle_connection(stream: &mut TcpStream, accepted_at: Instant, state: &ServeState) {
-    let config = &state.config;
-    // The span's clock starts at accept: the first stage is the queue
-    // wait this request already paid for.
-    let mut span = SpanRecorder::started_at(String::new(), accepted_at);
-    span.stage("queue");
-    // The budget already paid for queueing; a request that spent it all
-    // waiting is shed rather than started.
-    if accepted_at.elapsed() >= config.request_deadline {
-        state.shed(
-            stream,
-            503,
-            "request exceeded its deadline budget while queued",
-            "http.shed.deadline",
-        );
-        state.log_access(&span, "unparsed", 503, "deadline", 0);
-        return;
+impl Service for ServeState {
+    fn http(&self) -> &Http {
+        &self.http
     }
 
-    let mut buf = vec![0u8; config.max_header_bytes.max(64)];
-    let mut used = 0usize;
-    let head_len = loop {
-        let Some(remaining) = config.request_deadline.checked_sub(accepted_at.elapsed()) else {
-            // Anti-slow-loris: each read made "progress", but the head
-            // never completed within the budget.
-            state.shed(
-                stream,
-                408,
-                "request header did not complete within the deadline budget",
-                "http.shed.slow_client",
-            );
-            span.stage("parse");
-            state.log_access(&span, "unparsed", 408, "slow_client", 0);
-            return;
-        };
-        if used == buf.len() {
-            state.recorder.add_named("http.bad_request.requests", 1);
-            state.recorder.add_named(status_key(431), 1);
-            if respond(stream, 431, "{\"error\":\"request header too large\"}", 0).is_err() {
-                state.recorder.add_named("http.write_errors", 1);
-            }
-            span.stage("parse");
-            state.log_access(&span, "bad_request", 431, "header_too_large", 0);
-            return;
-        }
-        let per_read = remaining.min(config.deadline).max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(per_read));
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => return, // peer closed before sending a request
-            Ok(k) => {
-                used += k;
-                if let Some(end) = find_head_end(&buf[..used]) {
-                    break end;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Read timed out: loop back so the budget check above
-                // decides between another read and a 408.
-                continue;
-            }
-            Err(_) => {
-                // Connection reset or similar: nothing to answer.
-                state.recorder.add_named("http.read_errors", 1);
-                return;
-            }
-        }
-    };
+    /// Route the request, apply the caller deadline and the rate
+    /// limiter, answer it, and log it.
+    fn answer(
+        &self,
+        stream: &mut TcpStream,
+        head: &str,
+        accepted_at: Instant,
+        mut span: SpanRecorder,
+    ) {
+        let recorder = &self.http.recorder;
+        let (route, limit) = parse_route(head.lines().next().unwrap_or(""));
+        let endpoint = route.endpoint();
 
-    let head = String::from_utf8_lossy(&buf[..head_len]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    span.set_trace_id(resolve_trace_id(state, &head));
-    span.stage("parse");
-
-    // Caller-supplied deadline (`X-Gsb-Deadline-Ms`, measured from our
-    // accept): the router carves per-try budgets from its own request
-    // deadline and propagates the remainder, so a backend that cannot
-    // start in time sheds instead of computing an answer nobody is
-    // waiting for.
-    if let Some(ms) = header_value(&head, "x-gsb-deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
-        if accepted_at.elapsed() >= Duration::from_millis(ms) {
-            state.shed(
+        // Caller-supplied deadline (`X-Gsb-Deadline-Ms`, measured from
+        // our accept): the router carves per-try budgets from its own
+        // request deadline and propagates the remainder, so a backend
+        // that cannot start in time sheds instead of computing an
+        // answer nobody is waiting for.
+        let caller_deadline =
+            header_value(head, "x-gsb-deadline-ms").and_then(|v| v.parse::<u64>().ok());
+        if caller_deadline.is_some_and(|ms| accepted_at.elapsed() >= Duration::from_millis(ms)) {
+            self.http.shed(
                 stream,
                 503,
                 "caller deadline already expired",
                 "http.shed.deadline",
             );
-            state.log_access(&span, endpoint, 503, "caller_deadline", 0);
+            self.log_access(&span, endpoint, 503, "caller_deadline", 0);
             return;
         }
+
+        // Rate limiting sits between parse and execution: cheap typed
+        // 429s under saturation, no index work spent on a shed request.
+        // `/health` and the metrics endpoints are exempt so liveness
+        // probes and scrapes pass during overload.
+        let limited = !admission_exempt(endpoint)
+            && self.buckets.as_ref().is_some_and(|b| !b.try_take(endpoint));
+        span.stage("admission");
+        if limited {
+            recorder.add_named(rate_limited_key(endpoint), 1);
+            recorder.add_named("http.rate_limited_total", 1);
+            recorder.add_named(status_key(429), 1);
+            let body = "{\"error\":\"rate limit exceeded for this endpoint\"}";
+            let extra = trace_headers(&span);
+            if respond_full(stream, 429, body, 0, 1, CONTENT_TYPE_JSON, &extra).is_err() {
+                recorder.add_named("http.write_errors", 1);
+            }
+            span.stage("respond");
+            self.log_access(&span, endpoint, 429, "rate_limited", 0);
+            return;
+        }
+
+        let index = self.index();
+        let started = Instant::now();
+        let (status, body, skipped, content_type) = execute(self, &index, &route, limit, &mut span);
+        record_answer(
+            recorder,
+            endpoint,
+            status,
+            started.elapsed().as_nanos() as u64,
+        );
+        if skipped > 0 {
+            recorder.add_named("http.degraded_total", 1);
+        }
+        let extra = trace_headers(&span);
+        if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
+            recorder.add_named("http.write_errors", 1);
+        }
+        span.stage("respond");
+        let cause = if skipped > 0 { "degraded_exact" } else { "" };
+        self.log_access(&span, endpoint, status, cause, body.len() as u64);
     }
 
-    // Rate limiting sits between parse and execution: cheap typed 429s
-    // under saturation, no index work spent on a shed request.
-    // `/health` and the metrics endpoints are exempt so liveness probes
-    // and scrapes pass during overload.
-    if !admission_exempt(endpoint) {
-        if let Some(buckets) = &state.buckets {
-            if !buckets.try_take(endpoint) {
-                state.recorder.add_named(rate_limited_key(endpoint), 1);
-                state.recorder.add_named("http.rate_limited_total", 1);
-                state.recorder.add_named(status_key(429), 1);
-                span.stage("admission");
-                let extra = trace_headers(&span);
-                if respond_full(
-                    stream,
-                    429,
-                    "{\"error\":\"rate limit exceeded for this endpoint\"}",
-                    0,
-                    1,
-                    CONTENT_TYPE_JSON,
-                    &extra,
-                )
-                .is_err()
-                {
-                    state.recorder.add_named("http.write_errors", 1);
-                }
-                span.stage("respond");
-                state.log_access(&span, endpoint, 429, "rate_limited", 0);
-                return;
+    /// The queue is full: answer an admission-exempt request (`/health`,
+    /// `/ready`, `/metrics`, `/metrics-json`) inline from the accept
+    /// loop, shed anything else with a typed 503. The header read is
+    /// bounded (50ms, 1 KiB) so a slow client cannot stall accepting.
+    fn overloaded(&self, stream: &mut TcpStream) {
+        let mut buf = [0u8; 1024];
+        let used = read_head_briefly(stream, &mut buf);
+        let head = String::from_utf8_lossy(&buf[..used]);
+        let (route, limit) = parse_route(head.lines().next().unwrap_or(""));
+        let endpoint = route.endpoint();
+        let recorder = &self.http.recorder;
+        if admission_exempt(endpoint) && find_head_end(&buf[..used]).is_some() {
+            let mut span = SpanRecorder::new(self.http.trace_id(&head));
+            span.stage("parse");
+            let index = self.index();
+            let (status, body, skipped, content_type) =
+                execute(self, &index, &route, limit, &mut span);
+            record_answer(recorder, endpoint, status, span.total_ns());
+            let extra = trace_headers(&span);
+            if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
+                recorder.add_named("http.write_errors", 1);
+            }
+            span.stage("respond");
+            self.log_access(
+                &span,
+                endpoint,
+                status,
+                "overload_exempt",
+                body.len() as u64,
+            );
+        } else {
+            recorder.add_named("http.shed.queue_full", 1);
+            recorder.add_named("http.shed_total", 1);
+            recorder.add_named(status_key(503), 1);
+            let body = "{\"error\":\"server overloaded, admission queue full\",\"shed\":true}";
+            let retry = self.http.retry_after_secs();
+            if respond_full(stream, 503, body, 0, retry, CONTENT_TYPE_JSON, &[]).is_err() {
+                recorder.add_named("http.write_errors", 1);
             }
         }
     }
-    span.stage("admission");
 
-    let index = state.index();
-    let started = Instant::now();
-    let (status, body, skipped, content_type) = execute(state, &index, &route, limit, &mut span);
-    state.recorder.add_named(requests_key(endpoint), 1);
-    state.recorder.add_named(status_key(status), 1);
-    state
-        .recorder
-        .histogram(latency_key(endpoint))
-        .observe(started.elapsed().as_nanos() as u64);
-    if skipped > 0 {
-        state.recorder.add_named("http.degraded_total", 1);
+    fn answered_early(&self, span: &SpanRecorder, endpoint: &str, status: u16, cause: &str) {
+        self.log_access(span, endpoint, status, cause, 0);
     }
-    let extra = trace_headers(&span);
-    if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-        state.recorder.add_named("http.write_errors", 1);
-    }
-    span.stage("respond");
-    let cause = if skipped > 0 { "degraded_exact" } else { "" };
-    state.log_access(&span, endpoint, status, cause, body.len() as u64);
-}
-
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// The default response content type.
-pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
-
-/// Prometheus text exposition content type.
-pub(crate) const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// Write one complete response. Every response closes the connection
-/// and carries an exact `Content-Length`; every error/shed status also
-/// carries `Retry-After`, and a degraded-exact answer is marked with
-/// `X-Gsb-Degraded: <skipped ids>`.
-fn respond(stream: &mut TcpStream, status: u16, body: &str, degraded: u64) -> std::io::Result<()> {
-    respond_full(stream, status, body, degraded, 1, CONTENT_TYPE_JSON, &[])
-}
-
-/// [`respond`] with an explicit queue-depth-scaled `Retry-After`
-/// (shed paths; see [`ServeState::retry_after_secs`]).
-fn respond_retry(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    retry_after_secs: u32,
-) -> std::io::Result<()> {
-    respond_full(
-        stream,
-        status,
-        body,
-        0,
-        retry_after_secs,
-        CONTENT_TYPE_JSON,
-        &[],
-    )
-}
-
-/// [`respond`] with an explicit content type and extra headers (the
-/// trace id/total pair).
-pub(crate) fn respond_full(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    degraded: u64,
-    retry_after_secs: u32,
-    content_type: &str,
-    extra: &[(&'static str, String)],
-) -> std::io::Result<()> {
-    gsb_core::failpoint::inject("serve.respond")?;
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
-    let retry_after = if status >= 400 {
-        format!("Retry-After: {}\r\n", retry_after_secs.clamp(1, 8))
-    } else {
-        String::new()
-    };
-    let degraded_header = if degraded > 0 {
-        format!("X-Gsb-Degraded: {degraded}\r\n")
-    } else {
-        String::new()
-    };
-    let mut extra_headers = String::new();
-    for (name, value) in extra {
-        extra_headers.push_str(name);
-        extra_headers.push_str(": ");
-        extra_headers.push_str(value);
-        extra_headers.push_str("\r\n");
-    }
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}{degraded_header}{extra_headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
 }
 
 /// A parsed request target, ready for rate limiting and execution.
@@ -1550,7 +1114,7 @@ fn execute(
     match route {
         Route::Health => (200, "{\"status\":\"ok\"}".into(), 0, json),
         Route::Ready => {
-            if state.draining.load(Ordering::Acquire) {
+            if state.http.draining() {
                 (503, "{\"ready\":false,\"draining\":true}".into(), 0, json)
             } else {
                 (
@@ -1765,12 +1329,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn head_end_detection() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-    }
-
-    #[test]
     fn limit_parsing() {
         assert_eq!(parse_limit(""), 1000);
         assert_eq!(parse_limit("limit=5"), 5);
@@ -1843,39 +1401,6 @@ mod tests {
         ));
         assert_eq!(Route::Ready.endpoint(), "ready");
         assert_eq!(Route::Get(0).endpoint(), "get");
-    }
-
-    #[test]
-    fn retry_after_scales_with_queue_depth_and_stays_bounded() {
-        let scale = |depth: usize, limit: usize| {
-            let limit = limit.max(1);
-            let depth = depth.min(limit);
-            (1 + (7 * depth) / limit) as u32
-        };
-        assert_eq!(scale(0, 128), 1);
-        assert_eq!(scale(64, 128), 4);
-        assert_eq!(scale(128, 128), 8);
-        // depth beyond limit (racy reads) still clamps to the cap
-        assert_eq!(scale(10_000, 128), 8);
-        // a zero limit cannot divide by zero
-        assert_eq!(scale(5, 0), 8);
-    }
-
-    #[test]
-    fn header_value_is_case_insensitive_and_trimmed() {
-        let head = "GET / HTTP/1.1\r\nHost: x\r\nX-Gsb-Trace:  abc-123 \r\n\r\n";
-        assert_eq!(header_value(head, "x-gsb-trace"), Some("abc-123"));
-        assert_eq!(header_value(head, "host"), Some("x"));
-        assert_eq!(header_value(head, "missing"), None);
-    }
-
-    #[test]
-    fn status_keys_are_distinct_per_status() {
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, code) in STATUS_LABELS {
-            assert!(seen.insert(status_key(code)), "duplicate for {code}");
-        }
-        assert_eq!(status_key(418), "http.status.other");
     }
 
     #[test]

@@ -748,3 +748,90 @@ fn breaker_reopens_then_recloses_after_replica_restart() {
         handle.join().expect("backend join").expect("backend run");
     }
 }
+
+#[test]
+fn idle_router_returns_within_a_second_of_shutdown() {
+    // The router's acceptor blocks in accept() like the server's; the
+    // shutdown waker must return it on a loopback or wildcard listener.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let topology = Topology {
+            shards: vec![ShardSpec {
+                id_lo: 0,
+                id_hi: 1,
+                size_lo: 1,
+                size_hi: 1,
+                replicas: vec![dead_port().to_string()],
+            }],
+        };
+        let router = Router::bind(topology, addr, router_config()).expect("bind router");
+        let shutdown = ShutdownToken::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || tx.send(router.run(&shutdown).expect("router run")));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        shutdown.request(15);
+        let report = rx
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{addr}: run still blocked 1 s after the shutdown request"));
+        assert_eq!(report.connections, 0, "{addr}: the waker was counted");
+        assert_eq!(report.shed, 0, "{addr}: the waker was shed");
+    }
+}
+
+#[test]
+fn shutdown_wake_is_invisible_to_router_counters() {
+    // N requests through a live tier; the last is a /metrics scrape on
+    // a connection accepted before the shutdown request and sent after
+    // it, so it sees the counters once the waker's connection has been
+    // through the acceptor.
+    const N: u64 = 10;
+    let fx = build_fixture("wake");
+    let (addr0, h0) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
+    let (addr1, h1) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
+    let replicas = vec![vec![addr0.to_string()], vec![addr1.to_string()]];
+    let (router, shutdown, handle) = start_router(fx.topology(&replicas));
+    let v = fx.truth[0][0];
+    for i in 0..N - 1 {
+        let path = match i % 3 {
+            0 => "/health".to_string(),
+            1 => format!("/containing/{v}"),
+            _ => "/stats".to_string(),
+        };
+        let (status, _, body) = get(router, &path);
+        assert_eq!(status, 200, "{path}: {body}");
+    }
+    let mut held = TcpStream::connect(router).expect("connect");
+    held.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.request(15);
+    std::thread::sleep(Duration::from_millis(300));
+    write!(held, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let mut response = String::new();
+    held.read_to_string(&mut response).expect("read");
+    assert!(response.contains("200 OK"), "held scrape: {response:?}");
+
+    let report = join_router(&shutdown, handle);
+    assert_eq!(report.connections, N);
+    assert_eq!(report.requests, N);
+    assert_eq!(report.shed, 0);
+    let sample = |name: &str| -> Option<u64> {
+        response
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+    };
+    for (metric, want) in [
+        ("gsb_router_connections_total", N),
+        ("gsb_router_responses_total{status=\"503\"}", 0),
+        ("gsb_router_write_errors_total", 0),
+        ("gsb_router_shed_requests_total", 0),
+    ] {
+        assert_eq!(sample(metric), Some(want), "{metric}");
+    }
+    for (token, handle) in [h0, h1] {
+        token.request(15);
+        handle.join().expect("backend join").expect("backend run");
+    }
+}

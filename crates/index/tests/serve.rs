@@ -394,3 +394,107 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     assert!(report.shed >= 1, "queue-full shed not counted");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A small served index for the shutdown-wake tests.
+fn small_index(name: &str) -> (PathBuf, Arc<CliqueIndex>) {
+    let g = planted(30, 0.1, &[Module::clique(5)], 5);
+    let dir = tmp(name);
+    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut writer);
+    writer.finish().expect("finish");
+    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
+    (dir, index)
+}
+
+/// The value of one unlabelled or fully labelled Prometheus sample.
+fn sample(promtext: &str, name: &str) -> Option<u64> {
+    promtext
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn idle_server_returns_within_a_second_of_shutdown() {
+    // The acceptor blocks in accept(); only the shutdown waker's
+    // connection can return it, on a loopback or a wildcard listener.
+    let (dir, index) = small_index("idle");
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(Arc::clone(&index), addr, ServeConfig::default()).expect("bind");
+        let shutdown = ShutdownToken::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || tx.send(server.run(&shutdown).expect("run")));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        shutdown.request(15);
+        let report = rx
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{addr}: run still blocked 1 s after the shutdown request"));
+        assert_eq!(report.connections, 0, "{addr}: the waker was counted");
+        assert_eq!(report.shed, 0, "{addr}: the waker was shed");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
+    // N requests; the last one is a /metrics scrape on a connection
+    // accepted before the shutdown request and sent after it, so it
+    // sees the counters once the waker's connection has been through
+    // the acceptor.
+    const N: u64 = 12;
+    let (dir, index) = small_index("wake");
+    let access_path = dir.join("access.jsonl");
+    let server = Server::bind(
+        index,
+        "127.0.0.1:0",
+        ServeConfig {
+            threads: 2,
+            access_log: Some(access_path.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let shutdown = ShutdownToken::new();
+    let server_thread = {
+        let shutdown = shutdown.clone();
+        std::thread::spawn(move || server.run(&shutdown).expect("run"))
+    };
+
+    for i in 0..N - 1 {
+        let path = if i % 2 == 0 {
+            "/health"
+        } else {
+            "/containing/0"
+        };
+        assert_eq!(get(addr, path).0, 200, "{path}");
+    }
+    let mut held = TcpStream::connect(addr).expect("connect");
+    held.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.request(15);
+    std::thread::sleep(Duration::from_millis(300));
+    write!(held, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let mut response = String::new();
+    held.read_to_string(&mut response).expect("read");
+    assert!(response.contains("200 OK"), "held scrape: {response:?}");
+
+    let report = server_thread.join().expect("join");
+    assert_eq!(report.connections, N);
+    assert_eq!(report.requests, N);
+    assert_eq!(report.shed, 0);
+    for (metric, want) in [
+        ("gsb_http_connections_total", N),
+        ("gsb_http_responses_total{status=\"503\"}", 0),
+        ("gsb_http_write_errors_total", 0),
+        ("gsb_http_shed_total{cause=\"draining\"}", 0),
+    ] {
+        assert_eq!(sample(&response, metric), Some(want), "{metric}");
+    }
+    let access = std::fs::read_to_string(&access_path).expect("access log");
+    assert_eq!(access.lines().count() as u64, N, "{access}");
+    std::fs::remove_dir_all(&dir).ok();
+}
