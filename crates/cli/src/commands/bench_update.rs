@@ -6,9 +6,10 @@
 //! re-indexing the patched graph from scratch. The point of the delta
 //! chain is that a single-edge edit touches one neighborhood instead
 //! of the whole graph — the bench asserts that claim (≥10× for
-//! single-edge edits at full size) and commits the numbers to a JSON
-//! file (default `results/BENCH_update.json`) whose *schema* is diffed
-//! in CI; values are hardware-dependent, the shape is not.
+//! single-edge edits at full size) and that the largest batch has no
+//! cliff (≥3× at full size), and commits the numbers to a JSON file
+//! (default `results/BENCH_update.json`) whose *schema* is diffed in
+//! CI; values are hardware-dependent, the shape is not.
 
 use crate::args::Args;
 use crate::CliError;
@@ -23,6 +24,9 @@ use std::time::Instant;
 
 const MIN_K: usize = 3;
 const BATCHES: [usize; 4] = [1, 4, 16, 64];
+/// Full-size floor on the largest batch's speedup: an update that
+/// costs as much as a rebuild is a performance cliff.
+const BATCH_FLOOR: f64 = 3.0;
 
 /// `gsb bench-update`
 pub fn bench_update(argv: &[String]) -> Result<String, CliError> {
@@ -128,6 +132,13 @@ pub fn bench_update(argv: &[String]) -> Result<String, CliError> {
     if single < required {
         return Err(CliError::Runtime(format!(
             "single-edge update speedup {single:.1}x is below the required {required:.0}x"
+        )));
+    }
+    let largest = rows.last().expect("one row per batch");
+    if !smoke && largest.speedup < BATCH_FLOOR {
+        return Err(CliError::Runtime(format!(
+            "{}-edit update speedup {:.1}x is below the required {BATCH_FLOOR:.0}x",
+            largest.edits, largest.speedup
         )));
     }
     Ok(out)

@@ -74,7 +74,7 @@ pub use checkpoint::{
 pub use enumerator::{CliqueEnumerator, EnumConfig, EnumStats, LevelReport};
 pub use kose::{kose_ram, kose_ram_with, KoseSearch};
 pub use maxclique::{maximum_clique, maximum_clique_size};
-pub use neighborhood::{cliques_created_by_edge, maximal_cliques_induced};
+pub use neighborhood::{common_neighborhood_cliques, maximal_cliques_induced};
 pub use parallel::{ParallelConfig, ParallelEnumerator, ParallelStats};
 pub use pipeline::{CliquePipeline, PipelineError, PipelineReport};
 pub use quarantine::QuarantineEntry;

@@ -5,11 +5,13 @@
 //! maximal-clique set changes only inside the edited edge's
 //! neighborhood: adding `{u, v}` creates exactly the cliques
 //! `{u, v} ∪ M` for each maximal clique `M` of the subgraph induced by
-//! `N(u) ∩ N(v)`. This module builds that induced subproblem and runs
-//! the same generic [`CliqueEnumerator`] kernel on it, mapping vertex
-//! ids back to the host graph — the delta path reuses the exact code
-//! paths (and ordering contract) of a full enumeration, just on a
-//! graph that is usually a few dozen vertices instead of genome-scale.
+//! `N(u) ∩ N(v)`, and subsumes exactly the cliques `M ∪ {u}` and
+//! `M ∪ {v}` that were maximal without the edge. This module builds
+//! that induced subproblem and runs the same generic
+//! [`CliqueEnumerator`] kernel on it, mapping vertex ids back to the
+//! host graph — the delta path reuses the exact code paths (and
+//! ordering contract) of a full enumeration, just on a graph that is
+//! usually a few dozen vertices instead of genome-scale.
 
 use crate::enumerator::{CliqueEnumerator, EnumConfig};
 use crate::sink::CollectSink;
@@ -43,28 +45,19 @@ pub fn maximal_cliques_induced(g: &BitGraph, keep: &BitSet) -> Vec<Clique> {
     sink.cliques
 }
 
-/// The maximal cliques created by adding edge `{u, v}` to `g`, where
-/// `g` already contains the edge: `{u, v} ∪ M` for each maximal `M` of
-/// the common neighborhood, or `{u, v}` alone when that neighborhood is
-/// empty. Every returned clique is sorted ascending.
-pub fn cliques_created_by_edge(g: &BitGraph, u: usize, v: usize) -> Vec<Clique> {
-    debug_assert!(g.has_edge(u, v));
+/// The maximal cliques `M` of the subgraph of `g` induced by
+/// `N(u) ∩ N(v)`, or `[∅]` when that neighborhood is empty; each
+/// sorted ascending. The common neighborhood is the same whether or
+/// not `{u, v}` is an edge, and toggling the edge moves the
+/// maximal-clique set between exactly two families built from these:
+/// the cliques `M ∪ {u, v}`, maximal with the edge, and the cliques
+/// `M ∪ {u}` / `M ∪ {v}` that are maximal without it.
+pub fn common_neighborhood_cliques(g: &BitGraph, u: usize, v: usize) -> Vec<Clique> {
     let cn = g.common_neighbors(&[u, v]);
     if cn.none() {
-        return vec![sorted_pair(u, v)];
+        return vec![Clique::new()];
     }
-    let mut out = maximal_cliques_induced(g, &cn);
-    for m in &mut out {
-        m.push(u as Vertex);
-        m.push(v as Vertex);
-        m.sort_unstable();
-    }
-    out
-}
-
-fn sorted_pair(u: usize, v: usize) -> Clique {
-    let (a, b) = if u < v { (u, v) } else { (v, u) };
-    vec![a as Vertex, b as Vertex]
+    maximal_cliques_induced(g, &cn)
 }
 
 #[cfg(test)]
@@ -120,15 +113,17 @@ mod tests {
     }
 
     #[test]
-    fn edge_addition_cliques() {
+    fn common_neighborhood_cliques_with_and_without_the_edge() {
         // triangle 0-1-2 plus pendant 3 on vertex 2
         let mut g = BitGraph::from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]);
-        // adding {1, 3}: common neighborhood {2} → new clique {1, 2, 3}
+        // {1, 3}: common neighborhood {2} → M = {2}, either way
+        assert_eq!(common_neighborhood_cliques(&g, 1, 3), vec![vec![2]]);
         g.add_edge(1, 3);
-        assert_eq!(cliques_created_by_edge(&g, 1, 3), vec![vec![1, 2, 3]]);
-        // adding an edge between two isolated-from-each-other vertices
-        let mut h = BitGraph::new(3);
-        h.add_edge(0, 2);
-        assert_eq!(cliques_created_by_edge(&h, 2, 0), vec![vec![0, 2]]);
+        assert_eq!(common_neighborhood_cliques(&g, 3, 1), vec![vec![2]]);
+        // {0, 3} after that: common neighborhood {1, 2}, one edge
+        assert_eq!(common_neighborhood_cliques(&g, 0, 3), vec![vec![1, 2]]);
+        // no common neighbor at all: the single empty clique
+        let h = BitGraph::from_edges(3, [(0, 2)]);
+        assert_eq!(common_neighborhood_cliques(&h, 2, 0), vec![Clique::new()]);
     }
 }

@@ -153,8 +153,12 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic bytewise
+/// table, and `CRC32_TABLES[k][b]` is the CRC state contribution of
+/// byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -167,13 +171,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -204,9 +218,24 @@ fn take_u64(buf: &mut &[u8]) -> u64 {
 /// CRC-32 (IEEE 802.3 polynomial) of `data` — the per-record integrity
 /// check of the spill/checkpoint formats.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let (lo, hi) = chunk.split_at(4);
+        let lo = c ^ u32::from_le_bytes(lo.try_into().expect("4-byte half"));
+        let hi = u32::from_le_bytes(hi.try_into().expect("4-byte half"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -856,6 +885,32 @@ mod tests {
         for (a, b) in back.iter().zip(&sls) {
             assert_eq!(a.tails, b.tails);
         }
+    }
+
+    /// The bytewise definition the sliced loop must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_length_and_offset() {
+        let mut rng = gsb_rng::SplitMix64::new(0xC3C3);
+        let buf: Vec<u8> = (0..120).map(|_| rng.below(256) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=100 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -41,19 +41,39 @@ impl BitGraph {
         g
     }
 
+    /// A graph from its adjacency rows: `rows[v]` is `N(v)` over a
+    /// universe of `rows.len()` bits. The rows must be symmetric and
+    /// irreflexive (checked in debug builds); panics when a row's
+    /// universe is not `rows.len()`.
+    pub fn from_rows(rows: Vec<BitSet>) -> Self {
+        let n = rows.len();
+        assert!(rows.iter().all(|r| r.len() == n), "row universe mismatch");
+        let m = rows.iter().map(BitSet::count_ones).sum::<usize>() / 2;
+        let g = BitGraph { adj: rows, m };
+        #[cfg(debug_assertions)]
+        g.validate();
+        g
+    }
+
     /// The same graph re-embedded on `n ≥ self.n()` vertices: existing
     /// edges are preserved, the new vertices start isolated. Dynamic
     /// edge additions may name vertices the indexed graph has never
-    /// seen; the adjacency bitmaps are fixed-width, so growth is a
-    /// rebuild rather than an in-place resize.
+    /// seen; the adjacency bitmaps are fixed-width, so growth copies
+    /// each row's words into a wider one.
     pub fn grown(&self, n: usize) -> Self {
         assert!(n >= self.n(), "grown() cannot shrink a graph");
-        let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for (row, old) in adj.iter_mut().zip(&self.adj) {
-            for w in old.iter_ones() {
-                row.insert(w);
-            }
+        if n == self.n() {
+            return self.clone();
         }
+        let adj = (0..n)
+            .map(|v| {
+                let mut words = vec![0u64; gsb_bitset::words_for(n)];
+                if let Some(old) = self.adj.get(v) {
+                    words[..old.words().len()].copy_from_slice(old.words());
+                }
+                BitSet::from_words(n, words)
+            })
+            .collect();
         BitGraph { adj, m: self.m }
     }
 
@@ -318,6 +338,23 @@ mod tests {
         assert_eq!(g.common_neighbors(&[0, 1, 2]).to_vec(), vec![3]);
         assert!(g.common_neighbors(&[0, 1, 2, 3]).none());
         assert_eq!(g.common_neighbors(&[]).count_ones(), 4);
+    }
+
+    #[test]
+    fn grown_keeps_edges_across_word_boundaries() {
+        for (from, to) in [(5, 5), (5, 7), (63, 66), (64, 65), (127, 130)] {
+            let g =
+                BitGraph::from_edges(from, (1..from).map(|v| (v - 1, v)).chain([(0, from - 1)]));
+            let h = g.grown(to);
+            h.validate();
+            assert_eq!((h.n(), h.m()), (to, g.m()));
+            assert!((0..from).all(|u| (0..from).all(|v| h.has_edge(u, v) == g.has_edge(u, v))));
+            assert!((from..to).all(|v| h.degree(v) == 0));
+            assert_eq!(
+                BitGraph::from_rows((0..to).map(|v| h.neighbors(v).clone()).collect()),
+                h
+            );
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! `gsb compact` — fold a delta chain back into a clean base index.
 //!
 //! Compaction materializes every live clique (base minus tombstones,
-//! plus all delta generations), sorts them into the canonical
-//! `(size, lex)` order the enumerators emit, and rebuilds the four-file
-//! index in a scratch directory (`compact.tmp/`) with [`IndexWriter`] —
-//! the exact code path `gsb index` uses. Because the emission order is
-//! canonical, the compacted `cliques.gsi` / `postings.gsp` /
-//! `index.gsd` / `graph.gsg` are **byte-identical** to a fresh
-//! `gsb index` rebuild of the patched graph at the same `--min`; only
-//! the manifest generation differs (it outranks the live one so the
-//! serving layer hot-reloads).
+//! plus all delta generations) block by block — the live ids ascend,
+//! so each store block is read and decoded once — sorts them into the
+//! canonical `(size, lex)` order the enumerators emit, and rebuilds the
+//! four-file index in a scratch directory (`compact.tmp/`) with
+//! [`IndexWriter`] — the exact code path `gsb index` uses. Because the
+//! emission order is canonical, the compacted `cliques.gsi` /
+//! `postings.gsp` / `index.gsd` / `graph.gsg` are **byte-identical** to
+//! a fresh `gsb index` rebuild of the patched graph at the same
+//! `--min`; only the manifest generation differs (it outranks the live
+//! one so the serving layer hot-reloads).
 //!
 //! ## Crash model
 //!
@@ -30,7 +31,7 @@ use crate::reader::CliqueIndex;
 use crate::update::patched_graph;
 use crate::writer::{sync_dir, IndexWriter};
 use gsb_core::store::StoreError;
-use gsb_core::{Clique, CliqueSink};
+use gsb_core::CliqueSink;
 use std::path::Path;
 
 /// What [`compact`] did.
@@ -114,15 +115,11 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
 
     let idx = CliqueIndex::open(dir)?;
     let g = patched_graph(dir, &idx, meta0.n)?;
-    // Materialize the live set and restore the canonical global order;
-    // ids ascend within each generation, so this is a merge of
+    // Materialize the live set block by block (ascending ids decode
+    // each block once) and restore the canonical global order; ids
+    // ascend within each generation, so this is a merge of
     // already-(size, lex)-sorted runs, but a plain sort keeps it simple.
-    let mut live: Vec<Clique> = Vec::with_capacity(idx.live_len() as usize);
-    for id in 0..idx.len() {
-        if idx.is_live(id) {
-            live.push(idx.get(id)?);
-        }
-    }
+    let mut live = idx.materialize((0..idx.len()).filter(|&id| idx.is_live(id)))?;
     live.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
 
     let mut w = IndexWriter::create(&tmp, g.n())?

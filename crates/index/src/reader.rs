@@ -535,6 +535,18 @@ impl CliqueIndex {
         Some(self.runs[run_i].size)
     }
 
+    /// The id ranges of every size run (base and delta) holding cliques
+    /// of exactly `size` — live and tombstoned ids alike.
+    pub(crate) fn size_run_ids(
+        &self,
+        size: u32,
+    ) -> impl Iterator<Item = std::ops::Range<u64>> + '_ {
+        self.runs
+            .iter()
+            .filter(move |r| r.size == size)
+            .map(|r| r.first_id..r.first_id + r.count)
+    }
+
     /// `cliques-containing(v)`: ids of every *live* clique containing
     /// vertex `v`, ascending. A vertex outside the graph contains
     /// nothing; vertices added by later generations answer from the

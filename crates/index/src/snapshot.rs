@@ -11,10 +11,16 @@
 //! Layout: the standard 16-byte header (`GRAPH_MAGIC`, `n`), then one
 //! CRC-framed record per vertex `v` holding the delta-coded ascending
 //! list of neighbors `w > v` — each edge stored exactly once.
+//!
+//! Every update and compaction loads the snapshot, so loading is one
+//! pass: the whole-file CRC, then each frame's CRC and id bounds, with
+//! every decoded edge set straight into both endpoints' adjacency
+//! words.
 
 use std::fs;
 use std::path::Path;
 
+use gsb_bitset::{words_for, BitSet, WORD_BITS};
 use gsb_core::store::{crc32, StoreError};
 use gsb_graph::BitGraph;
 
@@ -46,11 +52,12 @@ pub fn encode_graph(g: &BitGraph) -> Vec<u8> {
 }
 
 /// Decode `graph.gsg` bytes back into a graph; every frame, every id
-/// bound, and the exact byte extent are verified.
+/// bound, and the exact byte extent are verified. Each stored edge
+/// sets its bit in both endpoints' adjacency words directly.
 pub fn decode_graph(bytes: &[u8]) -> Result<BitGraph, StoreError> {
     const CTX: &str = "graph snapshot";
     let n = check_header(bytes, GRAPH_MAGIC, CTX)? as usize;
-    let mut g = BitGraph::new(n);
+    let mut rows = vec![vec![0u64; words_for(n)]; n];
     let mut pos = HEADER_LEN;
     for v in 0..n {
         let (payload, next) = parse_frame(bytes, pos, CTX)?;
@@ -65,13 +72,18 @@ pub fn decode_graph(bytes: &[u8]) -> Result<BitGraph, StoreError> {
             if w <= v {
                 return Err(StoreError::Codec { context: CTX });
             }
-            g.add_edge(v, w);
+            rows[v][w / WORD_BITS] |= 1 << (w % WORD_BITS);
+            rows[w][v / WORD_BITS] |= 1 << (v % WORD_BITS);
         }
     }
     if pos != bytes.len() {
         return Err(StoreError::Codec { context: CTX });
     }
-    Ok(g)
+    Ok(BitGraph::from_rows(
+        rows.into_iter()
+            .map(|words| BitSet::from_words(n, words))
+            .collect(),
+    ))
 }
 
 /// Read `dir/graph.gsg` and verify it against the manifest's recorded

@@ -1,23 +1,32 @@
 //! `gsb update` — incremental index maintenance for dynamic graphs.
 //!
 //! Das et al. (*Shared-Memory Parallel Maximal Clique Enumeration from
-//! Static and Dynamic Graphs*) localize the effect of an edge edit:
+//! Static and Dynamic Graphs*) localize the effect of an edge edit. Let
+//! `Ms` be the maximal cliques of the subgraph induced by
+//! `N(u) ∩ N(v)`, or `[∅]` when that set is empty; it is the same set
+//! with or without the edge. Toggling `{u, v}` then moves the maximal
+//! cliques between two families:
 //!
-//! * **Adding `{u, v}`** creates exactly the maximal cliques
-//!   `{u, v} ∪ M` for each maximal clique `M` of the subgraph induced
-//!   by `N(u) ∩ N(v)` (or `{u, v}` alone when that neighborhood is
-//!   empty), and subsumes every existing maximal clique `C` with
-//!   `u ∈ C, v ∉ C, C∖{u} ⊆ N(v)` (and symmetrically).
-//! * **Removing `{u, v}`** kills every maximal clique containing both
-//!   endpoints; each survivor candidate `C∖{u}` / `C∖{v}` is kept iff
-//!   it is still maximal and not already present.
+//! * `W = { M ∪ {u, v} }`, the maximal cliques holding both endpoints
+//!   while the edge exists;
+//! * `W̄`, every `M ∪ {u}` and `M ∪ {v}` that is maximal without the
+//!   edge. Only a neighbor of `u` outside `N(v)` can extend `M ∪ {u}`,
+//!   so the test is one AND-chain over that difference.
+//!
+//! **Adding** the edge kills `W̄` and inserts `W`; **removing** it kills
+//! `W` and inserts `W̄`. Every edit costs one enumeration of its common
+//! neighborhood plus postings lookups for the cliques it kills: `W` is
+//! every live clique holding both endpoints (one postings overlap), and
+//! each `W̄` clique's id is found from its members' postings within the
+//! size runs of its size. No store block is decoded.
 //!
 //! The engine applies a batch sequentially (removals, then additions)
 //! against the evolving graph plus an in-memory overlay, so after every
 //! edit the maintained set is exactly `{maximal cliques of the current
 //! graph with size ≥ min_size}` — the same set a full re-enumeration of
-//! the patched graph produces. Cliques created then killed within one
-//! batch never touch disk.
+//! the patched graph produces. Vertices the batch grows the graph by
+//! start isolated, so at `--min 1` each enters as a singleton. Cliques
+//! created then killed within one batch never touch disk.
 //!
 //! A commit appends — never rewrites: delta blocks to `cliques.gsi`,
 //! one postings frame to `postings.gsp`, one [`DeltaGeneration`] record
@@ -89,16 +98,15 @@ struct Maintainer<'a> {
     idx: &'a CliqueIndex,
     g: BitGraph,
     min_k: usize,
-    killed_stored: Vec<u64>,
-    killed_set: HashSet<u64>,
-    added: Vec<Option<Clique>>,
-    added_index: HashMap<Clique, usize>,
+    /// Stored ids killed by this batch.
+    killed: HashSet<u64>,
+    /// Cliques this batch made live (and has not killed again).
+    added: HashSet<Clique>,
     /// Memoized raw postings (reader-level tombstones already filtered).
     /// Stored postings are immutable for the life of a batch — kills
-    /// live in `killed_set` and are filtered at use time — and the
-    /// survivor/subsumption checks after an edit hit the same few
-    /// vertices over and over, so this turns O(candidates) postings
-    /// reads into O(distinct vertices).
+    /// live in `killed` and are filtered at use time — and consecutive
+    /// lookups hit the same few vertices over and over, so this turns
+    /// O(lookups) postings reads into O(distinct vertices).
     postings: HashMap<usize, Rc<Vec<u64>>>,
 }
 
@@ -120,85 +128,92 @@ impl<'a> Maintainer<'a> {
         let a = self.raw_containing(u)?;
         let b = self.raw_containing(v)?;
         let mut out = intersect_sorted(&a, &b);
-        out.retain(|id| !self.killed_set.contains(id));
+        out.retain(|id| !self.killed.contains(id));
         Ok(out)
     }
 
-    /// Live stored ids containing a vertex, minus batch kills.
-    fn stored_containing(&mut self, v: usize) -> Result<Vec<u64>, StoreError> {
-        let raw = self.raw_containing(v)?;
-        Ok(raw
+    /// The live stored id of clique `c`, from postings alone: an id in
+    /// every member's list holds a superset of `c`, and one inside a
+    /// size run of `|c|` holds exactly `c`. Within each such run the two
+    /// shortest member lists are merged and the others binary-probed,
+    /// shortest first.
+    fn stored_id(&mut self, c: &Clique) -> Result<Option<u64>, StoreError> {
+        let lists = c
             .iter()
-            .copied()
-            .filter(|id| !self.killed_set.contains(id))
-            .collect())
+            .map(|&x| self.raw_containing(x as usize))
+            .collect::<Result<Vec<_>, _>>()?;
+        for run in self.idx.size_run_ids(c.len() as u32) {
+            let mut within: Vec<&[u64]> = lists
+                .iter()
+                .map(|ids| {
+                    let lo = ids.partition_point(|&id| id < run.start);
+                    let hi = ids.partition_point(|&id| id < run.end);
+                    &ids[lo..hi]
+                })
+                .collect();
+            within.sort_unstable_by_key(|ids| ids.len());
+            let (candidates, probe) = match within.as_slice() {
+                [] => return Ok(None),
+                [only] => (only.to_vec(), &[][..]),
+                [a, b, rest @ ..] => (intersect_sorted(a, b), rest),
+            };
+            let found = candidates.into_iter().find(|id| {
+                probe.iter().all(|ids| ids.binary_search(id).is_ok()) && !self.killed.contains(id)
+            });
+            if found.is_some() {
+                return Ok(found);
+            }
+        }
+        Ok(None)
     }
 
     /// Is `c` in the maintained set right now?
-    ///
-    /// Postings arithmetic only — no store block is decoded. A stored
-    /// clique equals `c` iff its id appears in every member's postings
-    /// list (which forces ⊇ c) and its size is exactly |c| (which pins
-    /// equality).
     fn contains(&mut self, c: &Clique) -> Result<bool, StoreError> {
-        if self.added_index.contains_key(c) {
-            return Ok(true);
-        }
-        // The first pairwise merge does the heavy pruning; after that
-        // the candidate list is short enough that binary probes into
-        // the remaining members' lists beat re-merging them. Kill and
-        // size checks wait for the (tiny) surviving set.
-        let mut ids = if c.len() >= 2 {
-            let a = self.raw_containing(c[0] as usize)?;
-            let b = self.raw_containing(c[1] as usize)?;
-            intersect_sorted(&a, &b)
-        } else {
-            self.raw_containing(c[0] as usize)?.to_vec()
-        };
-        for &v in c.iter().skip(2) {
-            if ids.is_empty() {
-                return Ok(false);
+        Ok(self.added.contains(c) || self.stored_id(c)?.is_some())
+    }
+
+    /// Kill a clique the current graph holds as maximal. An index
+    /// whose live set lacks it — growth past a gap vertex once left
+    /// `--min 1` indexes without that vertex's singleton — has nothing
+    /// to tombstone, and the edit brings it back in step.
+    fn kill(&mut self, c: &Clique) -> Result<(), StoreError> {
+        if !self.added.remove(c) {
+            if let Some(id) = self.stored_id(c)? {
+                self.killed.insert(id);
             }
-            let next = self.raw_containing(v as usize)?;
-            ids.retain(|id| next.binary_search(id).is_ok());
         }
-        Ok(ids.into_iter().any(|id| {
-            !self.killed_set.contains(&id) && self.idx.size_of(id) == Some(c.len() as u32)
-        }))
+        Ok(())
     }
 
-    fn kill_stored(&mut self, id: u64) {
-        if self.killed_set.insert(id) {
-            self.killed_stored.push(id);
+    /// Make a clique that just became maximal live.
+    fn insert(&mut self, c: Clique) -> Result<(), StoreError> {
+        if c.len() >= self.min_k {
+            debug_assert!(!self.contains(&c)?, "{c:?} is already live");
+            self.added.insert(c);
         }
+        Ok(())
     }
 
-    fn kill_added(&mut self, slot: usize) {
-        if let Some(c) = self.added[slot].take() {
-            self.added_index.remove(&c);
+    /// `W̄`: each `M ∪ {a}`, `a ∈ {u, v}`, that is maximal in the
+    /// current graph, which must not hold the edge `{u, v}`.
+    fn one_sided(&self, ms: &[Clique], u: usize, v: usize) -> Vec<Clique> {
+        debug_assert!(!self.g.has_edge(u, v));
+        let mut out = Vec::new();
+        for (a, b) in [(u, v), (v, u)] {
+            // A common neighbor extending M ∪ {a} would extend M inside
+            // the common neighborhood, so only these can.
+            let outside = self.g.neighbors(a).and_not(self.g.neighbors(b));
+            for m in ms {
+                let mut ext = outside.clone();
+                for &x in m {
+                    ext.and_assign(self.g.neighbors(x as usize));
+                }
+                if ext.none() {
+                    out.push(with(m, &[a]));
+                }
+            }
         }
-    }
-
-    fn insert(&mut self, c: Clique) {
-        if c.len() < self.min_k {
-            return;
-        }
-        let slot = self.added.len();
-        self.added.push(Some(c.clone()));
-        self.added_index.insert(c, slot);
-    }
-
-    /// Batch-alive added cliques containing every vertex of `vs`.
-    fn added_slots_containing(&self, vs: &[usize]) -> Vec<usize> {
-        self.added
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.as_ref()
-                    .is_some_and(|c| vs.iter().all(|&v| c.binary_search(&(v as Vertex)).is_ok()))
-            })
-            .map(|(i, _)| i)
-            .collect()
+        out
     }
 
     /// Process one removal. Returns whether the edge existed.
@@ -206,108 +221,50 @@ impl<'a> Maintainer<'a> {
         if u >= self.g.n() || v >= self.g.n() || !self.g.has_edge(u, v) {
             return Ok(false);
         }
-        // Dying cliques: everything currently containing both endpoints.
-        // Their members are reconstructed from postings — every member
-        // of a clique containing {u, v} is u, v, or a common neighbor,
-        // so walking the common neighborhood's postings lists in vertex
-        // order rebuilds each clique (sorted) without decoding a single
-        // store block.
+        let ms = neighborhood::common_neighborhood_cliques(&self.g, u, v);
+        // Every live clique holding both endpoints is some M ∪ {u, v}.
         let stored = self.stored_overlap(u, v)?;
-        let slots = self.added_slots_containing(&[u, v]);
-        let mut dying: Vec<Clique> = Vec::with_capacity(stored.len() + slots.len());
-        if !stored.is_empty() {
-            let mut members: Vec<Clique> = vec![Clique::new(); stored.len()];
-            for w in 0..self.g.n() {
-                if w != u && w != v && !(self.g.has_edge(w, u) && self.g.has_edge(w, v)) {
-                    continue;
-                }
-                let posting = self.raw_containing(w)?;
-                for pos in intersect_positions(&stored, &posting) {
-                    members[pos].push(w as Vertex);
-                }
-            }
-            dying.append(&mut members);
+        let mut dying = stored.len();
+        for m in &ms {
+            dying += usize::from(self.added.remove(&with(m, &[u, v])));
         }
-        for &s in &slots {
-            dying.push(self.added[s].clone().expect("slot alive"));
-        }
+        debug_assert_eq!(
+            dying,
+            ms.iter().filter(|m| m.len() + 2 >= self.min_k).count()
+        );
+        self.killed.extend(stored);
         self.g.remove_edge(u, v);
-        for id in stored {
-            self.kill_stored(id);
-        }
-        for s in slots {
-            self.kill_added(s);
-        }
-        // Survivor candidates: C∖{u} and C∖{v} for each dying C, kept
-        // iff still maximal in the edited graph and not already present.
-        for c in dying {
-            for &gone in &[u, v] {
-                let d: Clique = c.iter().copied().filter(|&x| x as usize != gone).collect();
-                if d.len() < self.min_k.max(1) {
-                    continue;
-                }
-                let dv: Vec<usize> = d.iter().map(|&x| x as usize).collect();
-                if !self.g.is_maximal_clique(&dv) {
-                    continue;
-                }
-                if !self.contains(&d)? {
-                    self.insert(d);
-                }
-            }
+        for c in self.one_sided(&ms, u, v) {
+            self.insert(c)?;
         }
         Ok(true)
     }
 
     /// Process one addition. Returns whether the edge was new.
     fn add_edge(&mut self, u: usize, v: usize) -> Result<bool, StoreError> {
-        if self.g.has_edge(u, v) {
+        if u == v || self.g.has_edge(u, v) {
             return Ok(false);
         }
-        // Subsumption first (against the pre-edit graph): a maximal C
-        // containing one endpoint whose remainder is fully adjacent to
-        // the other stops being maximal once {u, v} lands.
-        for &(a, b) in &[(u, v), (v, u)] {
-            // Postings arithmetic again: a stored C ∋ a is subsumed iff
-            // every other member sits in N(a) ∩ N(b) (clique-internal
-            // adjacency forces N(a); the subsumption condition forces
-            // N(b), and b itself can never qualify). Counting common-
-            // neighborhood memberships per candidate id decides that
-            // without decoding any store block.
-            let s = self.stored_containing(a)?;
-            if !s.is_empty() {
-                let mut counts = vec![0u32; s.len()];
-                for w in 0..self.g.n() {
-                    if w == a || w == b || !(self.g.has_edge(w, a) && self.g.has_edge(w, b)) {
-                        continue;
-                    }
-                    let posting = self.raw_containing(w)?;
-                    for pos in intersect_positions(&s, &posting) {
-                        counts[pos] += 1;
-                    }
-                }
-                for (i, &id) in s.iter().enumerate() {
-                    if self.idx.size_of(id) == Some(counts[i] + 1) {
-                        self.kill_stored(id);
-                    }
-                }
-            }
-            for slot in self.added_slots_containing(&[a]) {
-                let c = self.added[slot].clone().expect("slot alive");
-                if subsumed_by_edge(&c, a, b, &self.g) {
-                    self.kill_added(slot);
-                }
+        let ms = neighborhood::common_neighborhood_cliques(&self.g, u, v);
+        for c in self.one_sided(&ms, u, v) {
+            if c.len() >= self.min_k {
+                self.kill(&c)?;
             }
         }
         self.g.add_edge(u, v);
-        // New maximal cliques: {u, v} ∪ M over the common neighborhood,
-        // re-enumerated with the same generic kernel.
-        for k in neighborhood::cliques_created_by_edge(&self.g, u, v) {
-            if k.len() >= self.min_k && !self.contains(&k)? {
-                self.insert(k);
-            }
+        for m in &ms {
+            self.insert(with(m, &[u, v]))?;
         }
         Ok(true)
     }
+}
+
+/// `m` plus the vertices `extra`, sorted ascending.
+fn with(m: &Clique, extra: &[usize]) -> Clique {
+    let mut c = m.clone();
+    c.extend(extra.iter().map(|&x| x as Vertex));
+    c.sort_unstable();
+    c
 }
 
 /// Linear merge intersection of two ascending id lists.
@@ -326,34 +283,6 @@ fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Positions in ascending `base` whose id also appears in ascending
-/// `probe` — the membership-marking primitive behind postings-only
-/// clique reconstruction.
-fn intersect_positions(base: &[u64], probe: &[u64]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < base.len() && j < probe.len() {
-        match base[i].cmp(&probe[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(i);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Does adding edge `{a, b}` (not yet in `g`) subsume maximal clique
-/// `c ∋ a`? True iff `b ∉ c` and every other member is adjacent to `b`.
-fn subsumed_by_edge(c: &Clique, a: usize, b: usize, g: &BitGraph) -> bool {
-    c.iter()
-        .all(|&x| x as usize == a || (x as usize != b && g.has_edge(x as usize, b)))
-        && !c.iter().any(|&x| x as usize == b)
 }
 
 /// Truncate a data file back to its committed extent, repairing a torn
@@ -437,7 +366,7 @@ pub fn update(
     let n_target = script
         .add
         .iter()
-        .map(|&(_, v)| v + 1)
+        .map(|&(u, v)| u.max(v) + 1)
         .chain([meta0.n])
         .max()
         .unwrap_or(meta0.n);
@@ -447,12 +376,15 @@ pub fn update(
         idx: &idx,
         g,
         min_k: meta0.min_size as usize,
-        killed_stored: Vec::new(),
-        killed_set: HashSet::new(),
-        added: Vec::new(),
-        added_index: HashMap::new(),
+        killed: HashSet::new(),
+        added: HashSet::new(),
         postings: HashMap::new(),
     };
+    // Vertices the batch grows the graph by start isolated: each is a
+    // maximal singleton until an edit below attaches it.
+    for w in meta0.n..n_target {
+        m.insert(vec![w as Vertex])?;
+    }
     let mut out = UpdateOutcome {
         generation: meta0.generation,
         total: meta0.cliques,
@@ -485,9 +417,9 @@ pub fn update(
     // Canonical per-generation emission: (size, lex) — the same order
     // the enumerators produce, which is what makes compaction
     // byte-identical to a fresh rebuild.
-    let mut new_cliques: Vec<Clique> = m.added.into_iter().flatten().collect();
+    let mut new_cliques: Vec<Clique> = m.added.into_iter().collect();
     new_cliques.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    let mut tombstones = m.killed_stored;
+    let mut tombstones: Vec<u64> = m.killed.into_iter().collect();
     tombstones.sort_unstable();
     removed_effective.sort_unstable();
     added_effective.sort_unstable();
@@ -606,6 +538,12 @@ pub fn update(
         .rev()
         .find(|&(_, &c)| c > 0)
         .map_or(0, |(&s, _)| s);
+
+    debug_assert_eq!(
+        idx.io_stats().blocks_decoded,
+        0,
+        "an update decoded a store block"
+    );
 
     // Append, fsync, then commit via the manifest rename. Order
     // matters: data before directory record before manifest.
