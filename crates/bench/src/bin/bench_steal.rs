@@ -3,9 +3,9 @@
 //! its centralized planner) vs. the work-stealing runtime (online greedy,
 //! no estimates), replayed on 8 virtual processors over *measured*
 //! per-sub-list costs from a real sequential run — the same vsim
-//! substitution DESIGN.md §2 uses for the Altix scaling figures (this
-//! container timeshares one core, so an 8-thread wall clock would
-//! measure the OS scheduler, not ours).
+//! substitution DESIGN.md §2 uses for the Altix scaling figures (on a
+//! 2-vCPU host an 8-thread wall clock would measure the OS scheduler,
+//! not ours).
 //!
 //! The workload is a ~10⁴-vertex skewed-degree graph built to have the
 //! cost profile that separates the schedulers: seven hub vertices

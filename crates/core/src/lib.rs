@@ -78,9 +78,7 @@ pub use neighborhood::{common_neighborhood_cliques, maximal_cliques_induced};
 pub use parallel::{ParallelConfig, ParallelEnumerator, ParallelStats};
 pub use pipeline::{CliquePipeline, PipelineError, PipelineReport};
 pub use quarantine::QuarantineEntry;
-pub use sink::{
-    CliqueSink, CollectSink, CountSink, FnSink, HistogramSink, SequencingSink, TeeSink, WriterSink,
-};
+pub use sink::{CliqueSink, CollectSink, CountSink, FnSink, HistogramSink, TeeSink, WriterSink};
 pub use store::{SpillConfig, StoreError};
 pub use sublist::{Level, SubList};
 pub use supervise::{RetryPolicy, ShutdownToken};

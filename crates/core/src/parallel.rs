@@ -2,67 +2,81 @@
 //! shared-memory machines") on the work-stealing runtime.
 //!
 //! Each level is a *steal-scope epoch* (Das et al., *Shared-Memory
-//! Parallel Maximal Clique Enumeration*): every sub-list is its own
-//! task on its owner's deque, idle workers steal (owner-LIFO /
-//! thief-FIFO), and the level ends at quiescence — which is where the
-//! paper's level-barrier hooks (checkpoint, degradation, halt) attach.
-//! The initial level is spread by LPT on estimated sub-list costs, and
-//! children stay on the worker that produced them as the next epoch's
-//! seed queues, so the paper's task-affinity property survives; the
+//! Parallel Maximal Clique Enumeration*). The level is shared, read
+//! only, behind an `Arc`, and cut into cost-balanced *runs* of
+//! consecutive sub-lists, [`RUNS_PER_WORKER`] per worker: a run is one
+//! steal task. Worker w is seeded with the w-th contiguous block of
+//! runs, so the children it produces mostly stay with it; idle workers
+//! steal whole runs (owner-LIFO / thief-FIFO), and the level ends at
+//! quiescence — which is where the paper's level-barrier hooks
+//! (checkpoint, degradation, halt) attach. A sub-list expands in about
+//! a microsecond on the §3 co-expression graph, so a task holds many:
+//! the deque lock, the panic frame, the clock reads, the n-bit scratch
+//! buffer and the output vectors are paid once per run. The paper's
 //! centralized balancer is not needed because stealing balances online
-//! (Fig. 8 still measures the paper's balancer through a thread-free
-//! replay in `gsb-bench`).
+//! (Fig. 8 still measures it through a thread-free replay in
+//! `gsb-bench`).
 //!
-//! Determinism: within a level the set of maximal cliques is
-//! independent of the partition *and* of the steal schedule; results
-//! are staged per level and released sorted (see
-//! [`crate::sink::SequencingSink`]), so output is byte-identical to the
-//! sequential enumerator.
+//! Determinism: each run returns its children and its maximal cliques
+//! in expansion order, and the runs are concatenated in level order.
+//! That is exactly the sequential enumerator's order, so the sink gets
+//! the cliques with no staging or sort, the next level is already in
+//! prefix order, and output is byte-identical to the sequential
+//! enumerator at every thread count. Every level the driver hands out
+//! — to the barrier hook, in [`ParallelOutcome::Degraded`] or in
+//! [`ParallelRunError::Round`] — is in the order of the start level.
 //!
 //! ## Fault tolerance
 //!
 //! [`enumerate_resilient`](ParallelEnumerator::enumerate_resilient) is
-//! the crash-aware driver: a task that panics is retried inline once,
-//! and a task that panics twice is convicted. An epoch that fails
-//! supervision (stuck worker, dead thread) is discarded wholesale (no
-//! partial emissions), dead threads are respawned, and the level is
-//! retried once from its snapshot before the failure is surfaced as a
-//! typed [`ParallelRunError`]. A per-level barrier hook lets the
-//! pipeline write checkpoints and demand degradation to the out-of-core
-//! path mid-flight, or halt for a graceful signal-driven shutdown
-//! ([`BarrierControl::Halt`]).
+//! the crash-aware driver, and its fault unit is the sub-list, not the
+//! run: inside a run a panicking sub-list is retried inline once, and
+//! one that panics twice is convicted alone while the rest of its run's
+//! output is kept. An epoch that fails supervision (stuck worker, dead
+//! thread) is discarded wholesale (no partial emissions), dead threads
+//! are respawned, and the level is retried once before the failure is
+//! surfaced as a typed [`ParallelRunError`]. A per-level barrier hook
+//! lets the pipeline write checkpoints and demand degradation to the
+//! out-of-core path mid-flight, or halt for a graceful signal-driven
+//! shutdown ([`BarrierControl::Halt`]).
 //!
 //! ## Supervision
 //!
 //! With a worker deadline configured
 //! ([`ParallelConfig::worker_deadline`]) a worker silent inside one
 //! sub-list past the deadline is declared stuck and abandoned, not
-//! waited on forever, and the failure names that sub-list. With a
-//! quarantine sidecar configured
-//! ([`ParallelEnumerator::quarantine_to`]) convicted sub-lists — those
-//! that panic twice, or stall past the deadline again on the level's
-//! retry — are recorded to `quarantine.jsonl` and skipped, and the
-//! level continues: degraded exact, never silently dropped (see
-//! [`crate::quarantine`]).
+//! waited on forever. A run names each sub-list on its heartbeat as it
+//! enters it, so the failure names that sub-list. With a quarantine
+//! sidecar configured ([`ParallelEnumerator::quarantine_to`]) convicted
+//! sub-lists — those that panic twice, or stall past the deadline
+//! again on the level's retry — are recorded to `quarantine.jsonl` and
+//! skipped, and the level continues: degraded exact, never silently
+//! dropped (see [`crate::quarantine`]).
 
 use crate::backend::InMemoryLevel;
 use crate::enumerator::{EnumConfig, LevelReport};
 use crate::memory::LevelMemory;
 use crate::quarantine::QuarantineEntry;
-use crate::sink::{CliqueSink, CollectSink, SequencingSink};
+use crate::sink::{CliqueSink, FnSink};
 use crate::store::StoreError;
 use crate::sublist::{Level, SubList};
-use crate::Clique;
+use crate::Vertex;
 use gsb_bitset::{BitSet, NeighborSet};
 use gsb_graph::BitGraph;
-use gsb_par::balance::partition_greedy;
-use gsb_par::pool::EpochOut;
+use gsb_par::pool::{run_with_retry, EpochOut};
 use gsb_par::stats::{LevelStats, RunStats};
 use gsb_par::{Heartbeat, RoundError, WorkerFailure, WorkerPool};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Steal tasks per worker: each level is cut into this many runs of
+/// consecutive sub-lists per thread. Enough that a worker whose block
+/// finishes early finds whole runs left to steal, few enough that a
+/// run holds many microsecond-sized sub-lists.
+pub const RUNS_PER_WORKER: usize = 32;
 
 /// Configuration of a parallel run.
 #[derive(Clone, Copy, Debug)]
@@ -98,10 +112,9 @@ pub struct ParallelStats {
     /// Total maximal cliques reported.
     pub total_maximal: usize,
     /// Levels whose first epoch failed supervision (stuck worker, dead
-    /// thread) and were re-run from their snapshot.
+    /// thread) and were re-run.
     pub retried_levels: Vec<usize>,
-    /// Individual tasks that panicked once and succeeded on the inline
-    /// retry.
+    /// Sub-lists that panicked once and succeeded on the inline retry.
     pub retried_tasks: u64,
     /// Sub-lists isolated into the quarantine sidecar and skipped
     /// (degraded-exact mode): their descendant cliques are missing from
@@ -130,7 +143,7 @@ pub enum ParallelOutcome<S: NeighborSet = BitSet> {
     /// The barrier hook demanded degradation; `level` is unexpanded and
     /// everything of size `< level.k + 1` was already emitted.
     Degraded {
-        /// The snapshot to continue from.
+        /// The unexpanded level to continue from.
         level: Level<S>,
         /// Statistics up to the handoff.
         stats: ParallelStats,
@@ -147,16 +160,16 @@ pub enum ParallelOutcome<S: NeighborSet = BitSet> {
 /// A resilient parallel run failed.
 #[derive(Debug)]
 pub enum ParallelRunError<S: NeighborSet = BitSet> {
-    /// A level failed: its epoch failed twice (original + one retry
-    /// from the snapshot), or a task was convicted with no quarantine
-    /// sidecar to take it. `level` is the unexpanded snapshot, so the
-    /// caller can persist a final checkpoint before aborting.
+    /// A level failed: its epoch failed twice (original + one retry),
+    /// or a sub-list was convicted with no quarantine sidecar to take
+    /// it. `level` is the unexpanded level, so the caller can persist a
+    /// final checkpoint before aborting.
     Round {
         /// The level being expanded when the workers failed.
         k: usize,
         /// The worker failures of the failing epoch.
         error: RoundError,
-        /// The unexpanded level snapshot.
+        /// The unexpanded level.
         level: Level<S>,
     },
     /// The barrier hook (checkpoint write, budget check) failed.
@@ -189,97 +202,155 @@ impl<S: NeighborSet> From<StoreError> for ParallelRunError<S> {
     }
 }
 
-/// What one task (a single sub-list) produces.
-struct TaskOut<S: NeighborSet> {
-    new_sublists: Vec<SubList<S>>,
-    maximal: Vec<Clique>,
+/// What one run (a steal task) produces, in expansion order.
+struct RunOut<S: NeighborSet> {
+    /// Level index of the run's first sub-list: orders the runs.
+    start: usize,
+    /// Children of the run's sub-lists.
+    children: Vec<SubList<S>>,
+    /// Maximal cliques, flat: expanding level k finds (k+1)-cliques.
+    cliques: Vec<Vertex>,
+    /// Sub-lists the run took on (expanded or convicted).
+    sublists: u64,
     units: u64,
     and_ops: u64,
     tests: u64,
+    /// Sub-lists that panicked once and succeeded on the inline retry.
+    retried: u64,
+    /// Sub-lists that panicked twice: level index and panic message.
+    convicted: Vec<(usize, String)>,
 }
 
-/// The per-task job: expand exactly one sub-list. The pool heartbeats
-/// as each task starts, so the stuck-worker deadline measures progress
-/// *between sub-lists*.
-fn task_job<S: NeighborSet>(
+/// The per-run job: expand the run's sub-lists of the shared `level` in
+/// order with one scratch buffer, skipping the `excluded` ones
+/// (convicted earlier in this level). Each sub-list is entered on the
+/// heartbeat before anything else, so the stuck-worker deadline
+/// measures progress *between sub-lists* and a stuck worker's failure
+/// names its sub-list. A panicking sub-list is retried once through the
+/// pool's retry helper and then convicted alone: its partial output is
+/// truncated away and the run goes on.
+fn run_job<S: NeighborSet>(
     graph: Arc<BitGraph>,
     rows: Arc<Vec<S>>,
-) -> impl Fn(usize, &SubList<S>, &Heartbeat) -> TaskOut<S> + Send + Sync {
-    move |_w, sl: &SubList<S>, _hb: &Heartbeat| {
-        if let Err(e) = crate::failpoint::inject("parallel.worker") {
-            panic!("{e}");
-        }
-        // Per-sub-list failpoint, keyed by prefix, so tests can poison
-        // exactly one sub-list. Gated: the tag string is never built in
-        // production runs.
-        #[cfg(feature = "failpoints")]
-        {
-            let tag = sl
-                .prefix
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("-");
-            if let Err(e) = crate::failpoint::inject_tagged("parallel.sublist", &tag) {
-                panic!("{e}");
+    level: Arc<Level<S>>,
+    excluded: Vec<usize>,
+) -> impl Fn(usize, &Range<usize>, &Heartbeat) -> RunOut<S> + Send + Sync {
+    move |w, run: &Range<usize>, hb: &Heartbeat| {
+        let mut out = RunOut {
+            start: run.start,
+            children: Vec::new(),
+            cliques: Vec::new(),
+            sublists: 0,
+            units: 0,
+            and_ops: 0,
+            tests: 0,
+            retried: 0,
+            convicted: Vec::new(),
+        };
+        let mut buf = S::empty(graph.n());
+        for i in run.clone().filter(|i| !excluded.contains(i)) {
+            hb.enter(w, i);
+            out.sublists += 1;
+            let marks = (out.children.len(), out.cliques.len());
+            let expand = |sl: &SubList<S>| {
+                // Every attempt starts from the run's output before
+                // this sub-list.
+                out.children.truncate(marks.0);
+                out.cliques.truncate(marks.1);
+                if let Err(e) = crate::failpoint::inject("parallel.worker") {
+                    panic!("{e}");
+                }
+                // Per-sub-list failpoint, keyed by prefix, so tests can
+                // poison exactly one sub-list. Gated: the tag string is
+                // never built in production runs.
+                #[cfg(feature = "failpoints")]
+                {
+                    let tag = sl
+                        .prefix
+                        .iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join("-");
+                    if let Err(e) = crate::failpoint::inject_tagged("parallel.sublist", &tag) {
+                        panic!("{e}");
+                    }
+                }
+                let mut sink = FnSink(|c: &[Vertex]| out.cliques.extend_from_slice(c));
+                crate::enumerator::expand_sublist(&graph, &rows, sl, &mut buf, &mut sink, |c| {
+                    out.children.push(c)
+                })
+            };
+            match run_with_retry(&level.sublists[i], expand) {
+                Ok((expanded, was_retried)) => {
+                    out.units += expanded.units;
+                    out.and_ops += expanded.and_ops;
+                    out.tests += expanded.tests;
+                    out.retried += u64::from(was_retried);
+                }
+                Err(message) => {
+                    out.children.truncate(marks.0);
+                    out.cliques.truncate(marks.1);
+                    out.convicted.push((i, message));
+                }
             }
         }
-        let mut new_sublists: Vec<SubList<S>> = Vec::new();
-        let mut collect = CollectSink::default();
-        let mut buf = S::empty(graph.n());
-        let expanded =
-            crate::enumerator::expand_sublist(&graph, &rows, sl, &mut buf, &mut collect, |c| {
-                new_sublists.push(c)
-            });
-        TaskOut {
-            new_sublists,
-            maximal: collect.cliques,
-            units: expanded.units,
-            and_ops: expanded.and_ops,
-            tests: expanded.tests,
+        out
+    }
+}
+
+/// Cut `sublists` into runs of consecutive sub-lists, closing a run
+/// once it holds its share of the level's estimated cost
+/// ([`SubList::cost`]) — at most `runs + 1` of them. A sub-list at
+/// least as heavy as a share closes its run by itself.
+fn cut_runs<S>(sublists: &[SubList<S>], runs: usize) -> Vec<Range<usize>> {
+    let total: u64 = sublists.iter().map(SubList::cost).sum();
+    let share = total.div_ceil(runs as u64).max(1);
+    let mut cuts = Vec::with_capacity(runs + 1);
+    let (mut start, mut held) = (0, 0u64);
+    for (i, sl) in sublists.iter().enumerate() {
+        held += sl.cost();
+        if held >= share {
+            cuts.push(start..i + 1);
+            (start, held) = (i + 1, 0);
         }
     }
+    if start < sublists.len() {
+        cuts.push(start..sublists.len());
+    }
+    cuts
+}
+
+/// One seed queue per worker: worker w gets the w-th contiguous block
+/// of runs.
+fn seed_queues(runs: &[Range<usize>], threads: usize) -> Vec<Vec<Range<usize>>> {
+    let block = runs.len().div_ceil(threads).max(1);
+    let mut queues: Vec<Vec<Range<usize>>> = runs.chunks(block).map(<[_]>::to_vec).collect();
+    queues.resize_with(threads, Vec::new);
+    queues
 }
 
 /// Everything one level expansion produced.
 struct LevelExpansion<S: NeighborSet> {
-    /// Next level's per-worker seed queues (children keep their
-    /// producer's affinity).
-    new_queues: Vec<Vec<SubList<S>>>,
-    /// Maximal cliques of the level, unsorted.
-    maximal: Vec<Clique>,
+    /// The next level, in the order of this one.
+    next: Level<S>,
+    /// Maximal cliques of the level, flat, one vector per run in level
+    /// order: the sequential emission order.
+    cliques: Vec<Vec<Vertex>>,
     units: u64,
     and_ops: u64,
     maximality_tests: u64,
     /// Per-worker timing with the unified moved-work count filled in.
     timing: LevelStats,
-    /// Whether the whole level was discarded and re-run from its
-    /// snapshot (counts toward [`ParallelStats::retried_levels`]).
+    /// Whether the whole level was discarded and re-run (counts toward
+    /// [`ParallelStats::retried_levels`]).
     retried_level: bool,
-    /// Whether anything was retried at all (level or single task) —
+    /// Whether anything was retried at all (level or single sub-list) —
     /// the telemetry `retried` flag.
     retried: bool,
-    /// Tasks that succeeded on an inline retry.
+    /// Sub-lists that succeeded on an inline retry.
     retried_tasks: u64,
     /// Sub-lists isolated to the quarantine sidecar this level.
     quarantined: usize,
-}
-
-/// Partition sub-lists over `threads` queues with LPT on estimated cost.
-fn partition_level<S: NeighborSet>(
-    sublists: Vec<SubList<S>>,
-    threads: usize,
-) -> Vec<Vec<SubList<S>>> {
-    let costs: Vec<u64> = sublists.iter().map(SubList::cost).collect();
-    let parts = partition_greedy(&costs, threads);
-    let mut queues: Vec<Vec<SubList<S>>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut slots: Vec<Option<SubList<S>>> = sublists.into_iter().map(Some).collect();
-    for (w, idxs) in parts.iter().enumerate() {
-        for &i in idxs {
-            queues[w].push(slots[i].take().expect("each task assigned once"));
-        }
-    }
-    queues
 }
 
 /// The multithreaded Clique Enumerator.
@@ -345,20 +416,22 @@ impl ParallelEnumerator {
     ///
     /// * `start`: `None` runs from scratch (seeding `min_k`-cliques and
     ///   emitting them as the sequential enumerator does); `Some(level)`
-    ///   continues from a snapshot — e.g. a checkpoint — whose seeds
-    ///   were already emitted by the original run.
+    ///   continues from a level — e.g. a checkpoint — whose seeds were
+    ///   already emitted by the original run. Emission follows the
+    ///   order of `start`, so a level in prefix order (as every driver
+    ///   writes them) reproduces the sequential run.
     /// * `barrier` runs once per level *before* expansion, with the
-    ///   level snapshot and its memory accounting; it may persist a
-    ///   checkpoint (errors propagate) and may demand
-    ///   [`BarrierControl::Degrade`], which stops the in-core run and
-    ///   returns the unexpanded level for out-of-core continuation.
+    ///   level and its memory accounting; it may persist a checkpoint
+    ///   (errors propagate) and may demand [`BarrierControl::Degrade`],
+    ///   which stops the in-core run and returns the unexpanded level
+    ///   for out-of-core continuation.
     ///
     /// An epoch that fails supervision (stuck worker, dead thread) is
     /// discarded — partial results never reach `sink` — dead workers
-    /// are respawned, and the level is retried once from its snapshot.
-    /// A second failure, or a convicted sub-list with no quarantine
-    /// sidecar, aborts with [`ParallelRunError::Round`] carrying the
-    /// snapshot, so the caller can write a final checkpoint.
+    /// are respawned, and the level is retried once. A second failure,
+    /// or a convicted sub-list with no quarantine sidecar, aborts with
+    /// [`ParallelRunError::Round`] carrying the unexpanded level, so
+    /// the caller can write a final checkpoint.
     pub fn enumerate_resilient<S, K, B>(
         &self,
         g: &Arc<BitGraph>,
@@ -400,7 +473,7 @@ impl ParallelEnumerator {
         let threads = self.pool().threads();
         let rows = Arc::new(crate::enumerator::neighbor_rows::<S>(g));
 
-        let init = match start {
+        let mut level = match start {
             Some(level) => level,
             None => {
                 // Initialization is sequential and cheap relative to
@@ -415,37 +488,24 @@ impl ParallelEnumerator {
                 init
             }
         };
-        let mut k = init.k;
-
-        // Initial distribution: LPT over estimated sub-list costs.
-        let mut queues = partition_level(init.sublists, threads);
 
         loop {
-            let total_tasks: usize = queues.iter().map(Vec::len).sum();
-            if total_tasks == 0 {
+            if level.sublists.is_empty() {
                 break;
             }
             if let Some(mx) = self.config.enum_config.max_k {
-                if k >= mx {
+                if level.k >= mx {
                     break;
                 }
             }
-            // Snapshot this level before consuming it: the barrier hook
-            // checkpoints it, the memory watchdog inspects it, and a
-            // failed epoch retries from it.
-            let level_view = Level {
-                k,
-                sublists: queues.iter().flatten().cloned().collect(),
-            };
-            let memory = LevelMemory::account(&level_view, g.n());
-            match barrier(&level_view, &memory, sink)? {
+            // The barrier hook checkpoints the level and the memory
+            // watchdog inspects it, both by reference.
+            let memory = LevelMemory::account(&level, g.n());
+            match barrier(&level, &memory, sink)? {
                 BarrierControl::Continue => {}
                 BarrierControl::Degrade => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-                    return Ok(ParallelOutcome::Degraded {
-                        level: level_view,
-                        stats,
-                    });
+                    return Ok(ParallelOutcome::Degraded { level, stats });
                 }
                 BarrierControl::Halt => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
@@ -455,31 +515,29 @@ impl ParallelEnumerator {
 
             // Expand the level as one steal-scope epoch; the sink sees
             // nothing until the level is fully collected.
-            let seeds = std::mem::take(&mut queues);
-            let expansion = match self.expand_level(g, &rows, &level_view, seeds, threads) {
+            let k = level.k;
+            let expansion = match self.expand_level(g, &rows, level, threads) {
                 Ok(expansion) => expansion,
                 Err(e) => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
                     return Err(e);
                 }
             };
-            drop(level_view);
             if expansion.retried_level {
                 stats.retried_levels.push(k);
             }
             stats.retried_tasks += expansion.retried_tasks;
             stats.quarantined += expansion.quarantined;
 
-            // Release the level's cliques in canonical (sequential)
-            // order: stage level-tagged, sort, forward — the sequencing
-            // discipline that preserves the paper's size-order output
-            // guarantee regardless of the completion order inside the
-            // level.
-            let mut seq = SequencingSink::new(&mut *sink);
-            for c in expansion.maximal {
-                seq.stage(k, c);
+            // The runs in level order are the sequential emission
+            // order: forward the cliques as they are.
+            let mut maximal_found = 0;
+            for run in &expansion.cliques {
+                for clique in run.chunks_exact(k + 1) {
+                    sink.maximal(clique);
+                }
+                maximal_found += run.len() / (k + 1);
             }
-            let maximal_found = seq.release(k);
             stats.total_maximal += maximal_found;
 
             stats.levels.push(LevelReport {
@@ -501,21 +559,20 @@ impl ParallelEnumerator {
                 stats.run.levels.last().expect("just pushed"),
                 expansion.retried,
             );
-            queues = expansion.new_queues;
-            k += 1;
+            level = expansion.next;
         }
         stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
         Ok(ParallelOutcome::Complete(stats))
     }
 
-    /// Expand one level as a steal-scope epoch: each sub-list is its
-    /// own task, idle workers steal, and children stay on the worker
-    /// that produced them as the next epoch's seed queues.
+    /// Expand one level as a steal-scope epoch: the level moves into an
+    /// `Arc`, is cut into runs, and worker w starts on the w-th block
+    /// of runs while idle workers steal.
     ///
-    /// A task that panics is retried inline once by the pool, and a
-    /// deterministic double panic convicts just that sub-list. An epoch
-    /// that fails supervision (stuck worker, dead thread) is discarded
-    /// and re-run from the snapshot; a worker stuck again on that retry
+    /// A sub-list that panics is retried inline once, and a double
+    /// panic convicts just that sub-list. An epoch that fails
+    /// supervision (stuck worker, dead thread) is discarded and re-run
+    /// over the same shared level; a worker stuck again on that retry
     /// convicts the sub-list its failure names, and the epoch reruns
     /// without it. Convicted sub-lists are quarantined and skipped when
     /// the sidecar is configured; otherwise the level fails with
@@ -524,69 +581,69 @@ impl ParallelEnumerator {
         &self,
         g: &Arc<BitGraph>,
         rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        queues: Vec<Vec<SubList<S>>>,
+        level: Level<S>,
         threads: usize,
     ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
-        let epoch = |queues| {
+        let k = level.k;
+        let level = Arc::new(level);
+        let runs = cut_runs(&level.sublists, threads * RUNS_PER_WORKER);
+        let epoch = |excluded: &[usize]| {
             self.pool().run_epoch(
-                queues,
-                task_job(Arc::clone(g), Arc::clone(rows)),
+                seed_queues(&runs, threads),
+                run_job(
+                    Arc::clone(g),
+                    Arc::clone(rows),
+                    Arc::clone(&level),
+                    excluded.to_vec(),
+                ),
                 self.config.worker_deadline,
             )
         };
-        let fail = |error| ParallelRunError::Round {
-            k: level_view.k,
+        // A failed epoch's workers (an abandoned one for good) may still
+        // hold the level, so handing it out can take a copy.
+        let fail = |level: Arc<Level<S>>, error| ParallelRunError::Round {
+            k,
             error,
-            level: level_view.clone(),
+            level: Arc::try_unwrap(level).unwrap_or_else(|shared| (*shared).clone()),
         };
-        let convict = |sl: &SubList<S>, reason: &str| QuarantineEntry {
-            k: level_view.k as u64,
-            prefix: sl.prefix.clone(),
-            tails: sl.tails.clone(),
+        let convict = |i: usize, reason: &str| QuarantineEntry {
+            k: k as u64,
+            prefix: level.sublists[i].prefix.clone(),
+            tails: level.sublists[i].tails.clone(),
             reason: reason.to_string(),
         };
         let mut retried_level = false;
         let mut convicted: Vec<QuarantineEntry> = Vec::new();
-        let out = match epoch(queues) {
-            Ok(out) => out,
-            Err(_) => {
-                // Supervision failure: the epoch was frozen and its
-                // results discarded. Re-seed from the snapshot and retry
-                // on respawned workers.
+        // Sub-lists convicted by a missed deadline, skipped by reruns.
+        let mut excluded: Vec<usize> = Vec::new();
+        let out = loop {
+            let error = match epoch(&excluded) {
+                Ok(out) => break out,
+                Err(error) => error,
+            };
+            // Supervision failure: the epoch was frozen and its results
+            // discarded. The first one is retried as is on respawned
+            // workers.
+            if !retried_level {
                 retried_level = true;
-                let snapshot = &level_view.sublists;
-                // Snapshot indices of the sub-lists still in the level.
-                let mut live: Vec<usize> = (0..snapshot.len()).collect();
-                loop {
-                    let costs: Vec<u64> = live.iter().map(|&i| snapshot[i].cost()).collect();
-                    let parts = partition_greedy(&costs, threads);
-                    let seeds = parts
-                        .iter()
-                        .map(|part| part.iter().map(|&j| snapshot[live[j]].clone()).collect())
-                        .collect();
-                    let error = match epoch(seeds) {
-                        Ok(out) => break out,
-                        Err(error) => error,
-                    };
-                    // Stuck again: every failure must name the sub-list
-                    // its worker was wedged in, and the sidecar must be
-                    // there to take it.
-                    let named = error
-                        .failures
-                        .iter()
-                        .all(|f| f.deadline && f.task.is_some());
-                    if !named || self.quarantine.is_none() {
-                        return Err(fail(error));
-                    }
-                    // Seed index (the pool's task numbering) -> snapshot index.
-                    let seeded: Vec<usize> = parts.iter().flatten().map(|&j| live[j]).collect();
-                    for f in &error.failures {
-                        let i = seeded[f.task.expect("checked above")];
-                        convicted.push(convict(&snapshot[i], &f.panic_message));
-                        live.retain(|&j| j != i);
-                    }
-                }
+                continue;
+            }
+            // Stuck again: every failure must name a sub-list not yet
+            // convicted that its worker was wedged in, and the sidecar
+            // must be there to take it. Each rerun then convicts at
+            // least one more sub-list, so the loop ends.
+            let named = error.failures.iter().all(|f| {
+                f.deadline
+                    && f.task
+                        .is_some_and(|i| i < level.sublists.len() && !excluded.contains(&i))
+            });
+            if !named || self.quarantine.is_none() {
+                return Err(fail(level, error));
+            }
+            for f in &error.failures {
+                let i = f.task.expect("checked above");
+                convicted.push(convict(i, &f.panic_message));
+                excluded.push(i);
             }
         };
 
@@ -596,65 +653,83 @@ impl ParallelEnumerator {
             poisoned,
             retried_tasks,
         } = out;
-        if !poisoned.is_empty() && self.quarantine.is_none() {
-            return Err(fail(RoundError {
-                failures: poisoned
-                    .iter()
-                    .map(|p| WorkerFailure {
-                        worker: p.worker,
-                        deadline: false,
-                        task: None,
-                        panic_message: p.panic_message.clone(),
-                    })
-                    .collect(),
-            }));
+        let mut timing = LevelStats {
+            level: k,
+            ..Default::default()
+        };
+        let (mut units, mut and_ops, mut maximality_tests) = (0u64, 0u64, 0u64);
+        let mut retried_sublists = retried_tasks;
+        // Sub-lists that panicked twice: worker, level index, message.
+        let mut panicked: Vec<(usize, usize, String)> = Vec::new();
+        let mut outs: Vec<RunOut<S>> = Vec::with_capacity(runs.len());
+        for (w, (worker_outs, ss)) in results.into_iter().zip(&steal_stats).enumerate() {
+            let (mut worker_units, mut worker_sublists) = (0u64, 0u64);
+            for mut run in worker_outs {
+                worker_units += run.units;
+                worker_sublists += run.sublists;
+                and_ops += run.and_ops;
+                maximality_tests += run.tests;
+                retried_sublists += run.retried;
+                panicked.extend(run.convicted.drain(..).map(|(i, msg)| (w, i, msg)));
+                outs.push(run);
+            }
+            units += worker_units;
+            timing.per_worker_ns.push(ss.busy_ns);
+            timing.per_worker_units.push(worker_units);
+            timing.per_worker_tasks.push(worker_sublists as usize);
+            timing.per_worker_steals.push(ss.steals);
+            timing.per_worker_idle_ns.push(ss.idle_ns);
+            timing.failed_steals += ss.failed_steals;
         }
-        convicted.extend(poisoned.iter().map(|p| convict(&p.task, &p.panic_message)));
+        // Unified moved-work count: a stolen run is a transfer.
+        timing.transfers = timing.per_worker_steals.iter().sum::<u64>() as usize;
+        // A run whose job panicked outside its per-sub-list retry lost
+        // all of its output: each of its sub-lists stands convicted.
+        for p in &poisoned {
+            let lost = p.task.clone().filter(|i| !excluded.contains(i));
+            panicked.extend(lost.map(|i| (p.worker, i, p.panic_message.clone())));
+        }
+        if !panicked.is_empty() && self.quarantine.is_none() {
+            let failures = panicked
+                .iter()
+                .map(|(worker, _, message)| WorkerFailure {
+                    worker: *worker,
+                    deadline: false,
+                    task: None,
+                    panic_message: message.clone(),
+                })
+                .collect();
+            return Err(fail(level, RoundError { failures }));
+        }
+        convicted.extend(panicked.iter().map(|(_, i, message)| convict(*i, message)));
         if let (Some(path), false) = (&self.quarantine, convicted.is_empty()) {
             crate::quarantine::append_entries(path, &convicted)
                 .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
         }
 
-        let mut timing = LevelStats {
-            level: level_view.k,
-            ..Default::default()
+        // Level order: concatenating the runs reproduces the sequential
+        // enumerator's children and emissions.
+        outs.sort_unstable_by_key(|run| run.start);
+        let mut next = Level {
+            k: k + 1,
+            sublists: Vec::with_capacity(outs.iter().map(|run| run.children.len()).sum()),
         };
-        let (mut units, mut and_ops, mut maximality_tests) = (0u64, 0u64, 0u64);
-        let mut maximal: Vec<Clique> = Vec::new();
-        let mut new_queues: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (task_outs, ss) in results.into_iter().zip(&steal_stats) {
-            let mut children: Vec<SubList<S>> = Vec::new();
-            let mut worker_units = 0u64;
-            for t in task_outs {
-                children.extend(t.new_sublists);
-                maximal.extend(t.maximal);
-                worker_units += t.units;
-                and_ops += t.and_ops;
-                maximality_tests += t.tests;
-            }
-            units += worker_units;
-            new_queues.push(children);
-            timing.per_worker_ns.push(ss.busy_ns);
-            timing.per_worker_units.push(worker_units);
-            timing.per_worker_tasks.push(ss.tasks as usize);
-            timing.per_worker_steals.push(ss.steals);
-            timing.per_worker_idle_ns.push(ss.idle_ns);
-            timing.failed_steals += ss.failed_steals;
+        let mut cliques = Vec::with_capacity(outs.len());
+        for run in outs {
+            next.sublists.extend(run.children);
+            cliques.push(run.cliques);
         }
-        // Unified moved-work count: a successful steal is a transfer.
-        timing.transfers = timing.per_worker_steals.iter().sum::<u64>() as usize;
-
         let quarantined = convicted.len();
         Ok(LevelExpansion {
-            new_queues,
-            maximal,
+            next,
+            cliques,
             units,
             and_ops,
             maximality_tests,
             timing,
             retried_level,
-            retried: retried_level || retried_tasks > 0 || quarantined > 0,
-            retried_tasks,
+            retried: retried_level || retried_sublists > 0 || quarantined > 0,
+            retried_tasks: retried_sublists,
             quarantined,
         })
     }
@@ -664,6 +739,7 @@ impl ParallelEnumerator {
 mod tests {
     use super::*;
     use crate::bk::base_bk_sorted;
+    use crate::sink::CollectSink;
     use crate::Vertex;
     use gsb_graph::generators::{planted, Module};
 
@@ -697,6 +773,37 @@ mod tests {
             );
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn runs_tile_the_level_by_cost_shares_and_seed_contiguous_blocks() {
+        let g = planted(200, 0.05, &[Module::clique(12)], 7);
+        let seq = crate::enumerator::CliqueEnumerator::new(EnumConfig::default());
+        let mut init_stats = crate::enumerator::EnumStats::default();
+        let level = seq.init_level(&g, &mut CollectSink::default(), &mut init_stats);
+        let cost = |run: &Range<usize>| level.sublists[run.clone()].iter().map(SubList::cost);
+        let share = cost(&(0..level.sublists.len())).sum::<u64>().div_ceil(8);
+        let runs = cut_runs(&level.sublists, 8);
+        assert!(runs.len() <= 9, "{} runs", runs.len());
+        assert_eq!(runs.first().map(|r| r.start), Some(0));
+        assert_eq!(runs.last().map(|r| r.end), Some(level.sublists.len()));
+        assert!(runs.windows(2).all(|w| w[0].end == w[1].start));
+        // Every run but the last closes on the sub-list that brings it
+        // to its share.
+        for run in &runs[..runs.len() - 1] {
+            let held: u64 = cost(run).sum();
+            let last = level.sublists[run.end - 1].cost();
+            assert!(held >= share && held - last < share, "{run:?}");
+        }
+        let queues = seed_queues(&runs, 3);
+        assert_eq!(queues.len(), 3);
+        assert_eq!(queues.concat(), runs, "contiguous blocks in level order");
+        // More workers than runs: the spare ones start empty.
+        let one = &runs[..1];
+        assert_eq!(
+            seed_queues(one, 4),
+            vec![one.to_vec(), vec![], vec![], vec![]]
+        );
     }
 
     #[test]

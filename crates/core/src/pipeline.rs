@@ -466,9 +466,15 @@ impl CliquePipeline {
             .checkpoint
             .as_ref()
             .ok_or(PipelineError::NoCheckpoint)?;
-        let Some((k, level)) = latest_checkpoint::<S>(&ckpt.dir, g.n())? else {
+        let Some((k, mut level)) = latest_checkpoint::<S>(&ckpt.dir, g.n())? else {
             return Err(PipelineError::NoCheckpoint);
         };
+        // Parallel runs of earlier versions checkpointed their levels in
+        // worker order; in prefix order, every resume emits in the
+        // sequential run's order.
+        level
+            .sublists
+            .sort_unstable_by(|a, b| a.prefix.cmp(&b.prefix));
         // Carry the interrupted run's cumulative progress into this
         // run's telemetry so totals keep counting from where it died.
         // A checkpoint dir written by an older build has no progress

@@ -154,52 +154,6 @@ impl<W: std::io::Write> CliqueSink for WriterSink<W> {
     }
 }
 
-/// Sequences level-tagged cliques for the work-stealing scheduler:
-/// cliques are *staged* under their level as workers finish tasks in
-/// steal order, and a level is *released* — sorted into the canonical
-/// within-level order and forwarded to the inner sink — only once its
-/// steal-scope epoch is quiescent. This preserves the paper's
-/// size-order output guarantee (and byte-identity with the sequential
-/// enumerator) without any barrier inside the level.
-pub struct SequencingSink<'a, K: CliqueSink + ?Sized> {
-    inner: &'a mut K,
-    staged: std::collections::BTreeMap<usize, Vec<Clique>>,
-}
-
-impl<'a, K: CliqueSink + ?Sized> SequencingSink<'a, K> {
-    /// Wrap an inner sink for the duration of one or more epochs.
-    pub fn new(inner: &'a mut K) -> Self {
-        SequencingSink {
-            inner,
-            staged: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Stage one maximal clique found while expanding `level`.
-    pub fn stage(&mut self, level: usize, clique: Clique) {
-        self.staged.entry(level).or_default().push(clique);
-    }
-
-    /// Cliques currently staged (all levels).
-    pub fn staged_len(&self) -> usize {
-        self.staged.values().map(Vec::len).sum()
-    }
-
-    /// Release `level`: sort its staged cliques into canonical order,
-    /// forward them to the inner sink, and return how many were
-    /// released. Releasing a level with nothing staged is a no-op.
-    pub fn release(&mut self, level: usize) -> usize {
-        let Some(mut cliques) = self.staged.remove(&level) else {
-            return 0;
-        };
-        cliques.sort();
-        for c in &cliques {
-            self.inner.maximal(c);
-        }
-        cliques.len()
-    }
-}
-
 /// Adapts a closure into a sink.
 pub struct FnSink<F: FnMut(&[Vertex])>(pub F);
 
@@ -316,28 +270,6 @@ mod tests {
         );
         sink.flush_barrier().unwrap();
         assert_eq!(&*shared.0.borrow(), b"3\t1 2 3\n");
-    }
-
-    #[test]
-    fn sequencing_sink_releases_levels_sorted() {
-        let mut collect = CollectSink::default();
-        {
-            let mut seq = SequencingSink::new(&mut collect);
-            // staged out of order, across two levels
-            seq.stage(4, vec![2, 3, 5, 9]);
-            seq.stage(3, vec![7, 8, 9]);
-            seq.stage(3, vec![1, 2, 3]);
-            assert_eq!(seq.staged_len(), 3);
-            assert_eq!(seq.release(3), 2, "level 3 released alone");
-            assert_eq!(seq.staged_len(), 1);
-            assert_eq!(seq.release(4), 1);
-            assert_eq!(seq.release(5), 0, "empty level is a no-op");
-        }
-        assert_eq!(
-            collect.cliques,
-            vec![vec![1, 2, 3], vec![7, 8, 9], vec![2, 3, 5, 9]],
-            "within-level sorted, levels in release order"
-        );
     }
 
     #[test]

@@ -11,18 +11,34 @@ mod util;
 use gsb_core::sink::CollectSink;
 use gsb_core::store::{read_level, write_level};
 use gsb_core::{CliqueEnumerator, CliquePipeline, EnumStats, Vertex};
-use gsb_graph::generators::{planted, Module};
+use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use util::TempDirGuard;
+
+/// Failpoints are process-global; the harness runs tests on parallel
+/// threads, so every failpoint test — and every other test that drives
+/// the pipeline's barriers, which are failpoint sites — takes this lock.
+fn serialize() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn workload() -> BitGraph {
     planted(30, 0.1, &[Module::clique(7), Module::clique(5)], 11)
 }
 
-fn plain_sorted(g: &BitGraph) -> Vec<Vec<Vertex>> {
+/// The sequential run's emission order: the byte-identity reference.
+fn plain_ordered(g: &BitGraph) -> Vec<Vec<Vertex>> {
     let mut sink = CollectSink::default();
     CliquePipeline::new().min_size(3).run(g, &mut sink);
-    let mut v = sink.cliques;
+    sink.cliques
+}
+
+fn plain_sorted(g: &BitGraph) -> Vec<Vec<Vertex>> {
+    let mut v = plain_ordered(g);
     v.sort();
     v
 }
@@ -82,23 +98,31 @@ fn single_bit_corruption_is_always_detected() {
 
 #[test]
 fn degraded_runs_match_in_core_runs_at_any_thread_count() {
-    let g = workload();
-    let expect = plain_sorted(&g);
-    for threads in [1usize, 4] {
-        let mut sink = CollectSink::default();
-        let report = CliquePipeline::new()
-            .min_size(3)
-            .threads(threads)
-            .memory_budget(64)
-            .try_run(&g, &mut sink)
-            .expect("degraded run");
-        assert!(
-            report.degraded_at.is_some(),
-            "threads={threads}: tiny budget never degraded"
-        );
-        let mut got = sink.cliques;
-        got.sort();
-        assert_eq!(got, expect, "threads={threads}");
+    let _serial = serialize();
+    // 64 bytes degrades at the first barrier. The dense graph's levels
+    // grow, so 150 kB degrades at k = 4, after two parallel levels, and
+    // about 1,700 maximal cliques come from the out-of-core tail. Either way
+    // the level handed to the tail must be in the sequential order for
+    // the emission to match.
+    let growing = gnp(60, 0.5, 5);
+    for (g, budget) in [(workload(), 64), (growing, 150_000)] {
+        let expect = plain_ordered(&g);
+        let expect_sorted = plain_sorted(&g);
+        for threads in [1usize, 4] {
+            let case = format!("n={} budget={budget} threads={threads}", g.n());
+            let mut sink = CollectSink::default();
+            let report = CliquePipeline::new()
+                .min_size(3)
+                .threads(threads)
+                .memory_budget(budget)
+                .try_run(&g, &mut sink)
+                .expect("degraded run");
+            assert!(report.degraded_at.is_some(), "{case}: never degraded");
+            let mut got = sink.cliques.clone();
+            got.sort();
+            assert_eq!(got, expect_sorted, "{case}: cliques");
+            assert_eq!(sink.cliques, expect, "{case}: emission order");
+        }
     }
 }
 
@@ -170,17 +194,8 @@ mod failpoints {
     use gsb_core::store::SpillConfig;
     use gsb_core::PipelineError;
     use std::panic::AssertUnwindSafe;
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
-
-    /// Failpoints are process-global; the harness runs tests on
-    /// parallel threads, so every failpoint test takes this lock.
-    fn serialize() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     /// A sink whose collected cliques survive an unwinding panic — the
     /// in-process stand-in for the output a killed run left on disk.
@@ -515,6 +530,40 @@ mod failpoints {
             .join("-")
     }
 
+    /// A first level wide enough that a 4-thread run cuts it into runs
+    /// of several sub-lists each (`workload`'s level has fewer
+    /// sub-lists than runs, so each of its runs is one sub-list). The
+    /// richest sub-list's run here holds sub-lists before and after it
+    /// that own maximal cliques.
+    fn wide_workload() -> BitGraph {
+        planted(1000, 0.012, &[Module::clique(7), Module::clique(5)], 11)
+    }
+
+    /// The poisoning tests' graphs and victims. On `workload` every
+    /// 4-thread steal run is a single sub-list; on `wide_workload` the
+    /// victim is lighter than a run's share of its level, so its run
+    /// holds healthy sub-lists whose output must survive the
+    /// conviction.
+    fn victim_cases() -> [(BitGraph, gsb_core::SubList<gsb_bitset::BitSet>); 2] {
+        let seq = CliqueEnumerator::default();
+        let wide = wide_workload();
+        let victim = richest_sublist(&wide, &seq);
+        let level = seq.init_level(
+            &wide,
+            &mut CollectSink::default(),
+            &mut EnumStats::default(),
+        );
+        let cost: u64 = level.sublists.iter().map(gsb_core::SubList::cost).sum();
+        let runs = 4 * gsb_core::parallel::RUNS_PER_WORKER as u64;
+        assert!(
+            victim.cost() * runs < cost,
+            "the wide victim is heavy enough to be a run alone"
+        );
+        let small = workload();
+        let small_victim = richest_sublist(&small, &seq);
+        [(small, small_victim), (wide, victim)]
+    }
+
     /// The full quarantine round-trip: a deterministically poisoned
     /// sub-list is skipped (the run completes), logged to the sidecar,
     /// surfaced in the stats, and re-enumerating exactly the recorded
@@ -522,66 +571,70 @@ mod failpoints {
     #[test]
     fn quarantined_sublist_is_skipped_logged_and_recoverable() {
         let _serial = serialize();
-        let dir = TempDirGuard::new("fp-quarantine");
-        let g = workload();
-        let expect = plain_sorted(&g);
         let seq = CliqueEnumerator::default();
-        let victim = richest_sublist(&g, &seq);
-        let tag = prefix_tag(&victim);
-        let qpath = dir.file("quarantine.jsonl");
-        let mut sink = CollectSink::default();
-        let report = {
-            let _fp = FailGuard::tagged("parallel.sublist", &tag, FailAction::panic_always());
-            CliquePipeline::new()
-                .min_size(3)
-                .threads(4)
-                .checkpoint(CheckpointConfig::every_level(dir.path()))
-                .quarantine(qpath.clone())
-                .try_run(&g, &mut sink)
-                .expect("quarantine mode must complete despite the poison sub-list")
-        };
-        let stats = report.parallel_stats.expect("parallel run");
-        assert_eq!(stats.quarantined, 1, "exactly the victim is quarantined");
-        let entries = gsb_core::quarantine::load_entries(&qpath).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].prefix, victim.prefix);
-        assert!(
-            entries[0].reason.contains("failpoint"),
-            "reason must carry the panic message: {:?}",
-            entries[0].reason
-        );
-        let mut got = sink.cliques;
-        got.sort();
-        assert_ne!(
-            got, expect,
-            "the victim owned descendants; some must be missing"
-        );
-        // Degraded-exact: everything emitted is a real maximal clique.
-        assert!(
-            got.iter().all(|c| expect.binary_search(c).is_ok()),
-            "quarantine run emitted a clique the clean run does not have"
-        );
-        // Re-enumerate exactly the recorded work unit; no dedup below,
-        // so the recovery must also not double-emit anything.
-        let mut recovered = CollectSink::default();
-        seq.enumerate_from_level(
-            &g,
-            gsb_core::Level {
-                k: entries[0].k as usize,
-                sublists: entries
-                    .iter()
-                    .map(|e| e.to_sublist::<gsb_bitset::BitSet>(&g))
-                    .collect(),
-            },
-            &mut recovered,
-        );
-        assert!(!recovered.cliques.is_empty());
-        got.extend(recovered.cliques);
-        got.sort();
-        assert_eq!(
-            got, expect,
-            "re-enumerating the quarantined prefix must recover exactly the loss"
-        );
+        for (g, victim) in victim_cases() {
+            let n = g.n();
+            let dir = TempDirGuard::new("fp-quarantine");
+            let expect = plain_sorted(&g);
+            let tag = prefix_tag(&victim);
+            let qpath = dir.file("quarantine.jsonl");
+            let mut sink = CollectSink::default();
+            let report = {
+                let _fp = FailGuard::tagged("parallel.sublist", &tag, FailAction::panic_always());
+                CliquePipeline::new()
+                    .min_size(3)
+                    .threads(4)
+                    .checkpoint(CheckpointConfig::every_level(dir.path()))
+                    .quarantine(qpath.clone())
+                    .try_run(&g, &mut sink)
+                    .expect("quarantine mode must complete despite the poison sub-list")
+            };
+            let stats = report.parallel_stats.expect("parallel run");
+            assert_eq!(
+                stats.quarantined, 1,
+                "n={n}: exactly the victim is quarantined"
+            );
+            let entries = gsb_core::quarantine::load_entries(&qpath).unwrap();
+            assert_eq!(entries.len(), 1);
+            assert_eq!(entries[0].prefix, victim.prefix);
+            assert!(
+                entries[0].reason.contains("failpoint"),
+                "reason must carry the panic message: {:?}",
+                entries[0].reason
+            );
+            let mut got = sink.cliques;
+            got.sort();
+            assert_ne!(
+                got, expect,
+                "n={n}: the victim owned descendants; some must be missing"
+            );
+            // Degraded-exact: everything emitted is a real maximal clique.
+            assert!(
+                got.iter().all(|c| expect.binary_search(c).is_ok()),
+                "n={n}: quarantine run emitted a clique the clean run does not have"
+            );
+            // Re-enumerate exactly the recorded work unit; no dedup
+            // below, so the recovery must also not double-emit anything.
+            let mut recovered = CollectSink::default();
+            seq.enumerate_from_level(
+                &g,
+                gsb_core::Level {
+                    k: entries[0].k as usize,
+                    sublists: entries
+                        .iter()
+                        .map(|e| e.to_sublist::<gsb_bitset::BitSet>(&g))
+                        .collect(),
+                },
+                &mut recovered,
+            );
+            assert!(!recovered.cliques.is_empty());
+            got.extend(recovered.cliques);
+            got.sort();
+            assert_eq!(
+                got, expect,
+                "n={n}: re-enumerating the quarantined prefix must recover exactly the loss"
+            );
+        }
     }
 
     /// A worker that stops making progress (here: wedged by an
@@ -592,57 +645,61 @@ mod failpoints {
     #[test]
     fn stuck_worker_misses_its_deadline_and_is_quarantined() {
         let _serial = serialize();
-        let dir = TempDirGuard::new("fp-deadline");
-        let g = workload();
-        let expect = plain_sorted(&g);
         let seq = CliqueEnumerator::default();
-        let victim = richest_sublist(&g, &seq);
-        let tag = prefix_tag(&victim);
-        let qpath = dir.file("quarantine.jsonl");
-        let mut sink = CollectSink::default();
-        let report = {
-            let _fp = FailGuard::tagged(
-                "parallel.sublist",
-                &tag,
-                FailAction::Delay {
-                    skip: 0,
-                    times: u32::MAX,
-                    ms: 2_000,
-                },
+        for (g, victim) in victim_cases() {
+            let n = g.n();
+            let dir = TempDirGuard::new("fp-deadline");
+            let expect = plain_sorted(&g);
+            let tag = prefix_tag(&victim);
+            let qpath = dir.file("quarantine.jsonl");
+            let mut sink = CollectSink::default();
+            let report = {
+                let _fp = FailGuard::tagged(
+                    "parallel.sublist",
+                    &tag,
+                    FailAction::Delay {
+                        skip: 0,
+                        times: u32::MAX,
+                        ms: 2_000,
+                    },
+                );
+                CliquePipeline::new()
+                    .min_size(3)
+                    .threads(4)
+                    .checkpoint(CheckpointConfig::every_level(dir.path()))
+                    .quarantine(qpath.clone())
+                    .worker_deadline(Duration::from_millis(150))
+                    .try_run(&g, &mut sink)
+                    .expect("a wedged sub-list must be quarantined, not hang the run")
+            };
+            let stats = report.parallel_stats.expect("parallel run");
+            assert_eq!(stats.quarantined, 1, "n={n}");
+            let entries = gsb_core::quarantine::load_entries(&qpath).unwrap();
+            assert_eq!(entries.len(), 1);
+            assert_eq!(
+                entries[0].prefix, victim.prefix,
+                "n={n}: wrong sub-list named"
             );
-            CliquePipeline::new()
-                .min_size(3)
-                .threads(4)
-                .checkpoint(CheckpointConfig::every_level(dir.path()))
-                .quarantine(qpath.clone())
-                .worker_deadline(Duration::from_millis(150))
-                .try_run(&g, &mut sink)
-                .expect("a wedged sub-list must be quarantined, not hang the run")
-        };
-        let stats = report.parallel_stats.expect("parallel run");
-        assert_eq!(stats.quarantined, 1);
-        let entries = gsb_core::quarantine::load_entries(&qpath).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].prefix, victim.prefix);
-        assert!(
-            entries[0].reason.contains("deadline"),
-            "reason must name the missed deadline: {:?}",
-            entries[0].reason
-        );
-        // Degraded-exact, and the loss is recoverable as usual.
-        let mut got = sink.cliques;
-        let mut recovered = CollectSink::default();
-        seq.enumerate_from_level(
-            &g,
-            gsb_core::Level {
-                k: entries[0].k as usize,
-                sublists: vec![entries[0].to_sublist::<gsb_bitset::BitSet>(&g)],
-            },
-            &mut recovered,
-        );
-        got.extend(recovered.cliques);
-        got.sort();
-        assert_eq!(got, expect);
+            assert!(
+                entries[0].reason.contains("deadline"),
+                "reason must name the missed deadline: {:?}",
+                entries[0].reason
+            );
+            // Degraded-exact, and the loss is recoverable as usual.
+            let mut got = sink.cliques;
+            let mut recovered = CollectSink::default();
+            seq.enumerate_from_level(
+                &g,
+                gsb_core::Level {
+                    k: entries[0].k as usize,
+                    sublists: vec![entries[0].to_sublist::<gsb_bitset::BitSet>(&g)],
+                },
+                &mut recovered,
+            );
+            got.extend(recovered.cliques);
+            got.sort();
+            assert_eq!(got, expect, "n={n}");
+        }
     }
 
     /// Graceful shutdown: a requested signal halts the run at the next

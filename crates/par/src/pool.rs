@@ -11,17 +11,21 @@
 //! A panic inside a task is caught on the worker thread and the task is
 //! retried inline once; a second panic convicts just that task
 //! ([`EpochOut::poisoned`]) while the rest of the epoch continues, so
-//! one poisoned sub-list cannot deadlock the epoch or kill a multi-hour
+//! one poisoned task cannot deadlock the epoch or kill a multi-hour
+//! run. A job whose tasks hold several items — the clique driver's runs
+//! of sub-lists — applies the same rule per item with
+//! [`run_with_retry`], so a poisoned sub-list convicts itself, not its
 //! run. Dead threads are respawned before the next epoch.
 //!
 //! ## Stuck-worker detection
 //!
 //! A panic is loud; a wedged thread is silent. Every task gets a
 //! [`Heartbeat`] that is beaten when the task starts (long tasks may
-//! beat more often). If a worker stays inside one task without a beat
-//! for the configured deadline, the epoch marks it failed
-//! ([`WorkerFailure::deadline`]), names the task it was running
-//! ([`WorkerFailure::task`]), freezes the epoch, and *abandons* the
+//! beat more often, and a task made of items — a run of sub-lists —
+//! names each item as it enters it). If a worker stays inside one task
+//! without a beat for the configured deadline, the epoch marks it
+//! failed ([`WorkerFailure::deadline`]), names the task or item it was
+//! in ([`WorkerFailure::task`]), freezes the epoch, and *abandons* the
 //! stuck thread: a fresh worker takes over its slot, and the old thread
 //! is detached with its late result, if any, discarded. Workers that
 //! are idle between tasks are never stuck.
@@ -37,7 +41,7 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// `Heartbeat::running` value of a worker between tasks.
+/// `Slot::running` value of a worker between tasks.
 const IDLE: usize = usize::MAX;
 
 /// Per-worker progress counters for one epoch. Tasks may call
@@ -47,46 +51,62 @@ const IDLE: usize = usize::MAX;
 /// runs a task.
 #[derive(Clone, Debug)]
 pub struct Heartbeat {
-    beats: Arc<Vec<AtomicU64>>,
-    /// Seed index of the task each worker is running (`IDLE` between
-    /// tasks). Relaxed like the beats: it publishes only its own value.
-    running: Arc<Vec<AtomicUsize>>,
+    slots: Arc<Vec<Slot>>,
+}
+
+/// One worker's heartbeat, alone on its cache line: its worker writes
+/// both fields at every task and item start, and slots that shared a
+/// line would make the workers' writes contend.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Slot {
+    beats: AtomicU64,
+    /// What the worker is inside (`IDLE` between tasks): the seed index
+    /// of its task, or the item the task last named with
+    /// [`Heartbeat::enter`]. Relaxed like the beats: it publishes only
+    /// its own value.
+    running: AtomicUsize,
 }
 
 impl Heartbeat {
     fn new(threads: usize) -> Self {
+        let slot = |_| Slot {
+            beats: AtomicU64::new(0),
+            running: AtomicUsize::new(IDLE),
+        };
         Heartbeat {
-            beats: Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect()),
-            running: Arc::new((0..threads).map(|_| AtomicUsize::new(IDLE)).collect()),
+            slots: Arc::new((0..threads).map(slot).collect()),
         }
     }
 
     /// Record progress for `worker` (out-of-range indices are ignored).
     pub fn beat(&self, worker: usize) {
-        if let Some(b) = self.beats.get(worker) {
-            b.fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = self.slots.get(worker) {
+            s.beats.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn count(&self, worker: usize) -> u64 {
-        self.beats
+        self.slots
             .get(worker)
-            .map_or(0, |b| b.load(Ordering::Relaxed))
+            .map_or(0, |s| s.beats.load(Ordering::Relaxed))
     }
 
-    /// `worker` starts the task with seed index `task`: one beat, and
-    /// the task is named if the worker goes silent inside it.
-    fn start(&self, worker: usize, task: usize) {
-        self.running[worker].store(task, Ordering::Relaxed);
+    /// `worker` enters `item`: one beat, and a deadline failure names
+    /// `item` until the next `enter` or the end of the task. The pool
+    /// enters each task's seed index as the task starts; a task made of
+    /// items (say, a run of sub-lists) enters each item in turn.
+    pub fn enter(&self, worker: usize, item: usize) {
+        self.slots[worker].running.store(item, Ordering::Relaxed);
         self.beat(worker);
     }
 
     fn finish(&self, worker: usize) {
-        self.running[worker].store(IDLE, Ordering::Relaxed);
+        self.slots[worker].running.store(IDLE, Ordering::Relaxed);
     }
 
     fn running(&self, worker: usize) -> Option<usize> {
-        Some(self.running[worker].load(Ordering::Relaxed)).filter(|&t| t != IDLE)
+        Some(self.slots[worker].running.load(Ordering::Relaxed)).filter(|&t| t != IDLE)
     }
 }
 
@@ -98,9 +118,10 @@ pub struct WorkerFailure {
     /// True when the failure was a missed heartbeat deadline (a stuck
     /// thread, abandoned) rather than a caught panic.
     pub deadline: bool,
-    /// For a deadline failure, the seed index of the task the worker
-    /// was stuck in: its position in the epoch's seed queues taken in
-    /// order, worker 0's queue first.
+    /// For a deadline failure, what the worker was stuck in: the item
+    /// its task last named with [`Heartbeat::enter`], else the seed
+    /// index of the task — its position in the epoch's seed queues
+    /// taken in order, worker 0's queue first.
     pub task: Option<usize>,
     /// The panic payload, stringified (`Box<dyn Any>` payloads that are
     /// not strings become `"<non-string panic payload>"`), or the
@@ -320,6 +341,10 @@ impl WorkerPool {
                     worker_epoch_loop(w, &epoch, f.as_ref(), &hb, &poisoned)
                 }))
                 .map_err(|payload| panic_message(payload.as_ref()));
+                // Release `f` before reporting, so that what it owns (a
+                // whole level, for the clique driver) is freed by the
+                // caller, not by a worker after the next epoch began.
+                drop(f);
                 let _ = done.send((w, out));
             });
             if let Err(send_err) = self.senders[w].send(job) {
@@ -368,8 +393,9 @@ impl WorkerPool {
 
 /// Run `task` under a panic catch, retrying a panic once inline.
 /// Returns the result and whether it took the retry, or the payload of
-/// the second (convicting) panic.
-fn run_with_retry<T, R>(task: &T, f: impl Fn(&T) -> R) -> Result<(R, bool), String> {
+/// the second (convicting) panic. Jobs whose tasks hold several items
+/// use it per item, so a panic convicts one item, not the task.
+pub fn run_with_retry<T, R>(task: &T, mut f: impl FnMut(&T) -> R) -> Result<(R, bool), String> {
     match catch_unwind(AssertUnwindSafe(|| f(task))) {
         Ok(r) => Ok((r, false)),
         // First panic: transient or deterministic? The task is still
@@ -400,7 +426,7 @@ where
     let mut stats = StealStats::default();
     let mut retried = 0u64;
     while let Some((task, seed)) = epoch.acquire(w, &mut stats) {
-        hb.start(w, seed);
+        hb.enter(w, seed);
         let t0 = Instant::now();
         match run_with_retry(&task, |t| f(w, t, hb)) {
             Ok((r, was_retried)) => {
@@ -815,6 +841,38 @@ mod tests {
             )
             .expect("replacement worker serves the next epoch");
         assert_eq!(sorted(&out), vec![2, 3]);
+        release.store(1, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn stuck_failure_names_the_item_entered_last() {
+        // A task made of items enters each on the heartbeat: the
+        // failure names the item the worker stalled in, not its task.
+        let mut pool = WorkerPool::new(2);
+        let release = Arc::new(AtomicUsize::new(0));
+        let err = pool
+            .run_epoch(
+                vec![vec![()], vec![]],
+                {
+                    let release = Arc::clone(&release);
+                    move |w, (), hb: &Heartbeat| {
+                        for item in [40, 41, 42] {
+                            hb.enter(w, item);
+                            let deadline = Instant::now() + Duration::from_secs(30);
+                            while item == 41
+                                && release.load(Ordering::SeqCst) == 0
+                                && Instant::now() < deadline
+                            {
+                                std::thread::sleep(Duration::from_millis(10));
+                            }
+                        }
+                    }
+                },
+                Some(Duration::from_millis(200)),
+            )
+            .unwrap_err();
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert_eq!(err.failures[0].task, Some(41));
         release.store(1, Ordering::SeqCst);
     }
 }

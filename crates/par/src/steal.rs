@@ -13,10 +13,13 @@
 //! This crate forbids `unsafe`, so the deque is not the lock-free
 //! Chase–Lev array: each deque is a `Mutex<VecDeque<T>>` with a relaxed
 //! atomic length hint so thieves can scan victims without touching
-//! their locks. Tasks here are k-clique sub-lists — hundreds of
-//! microseconds to seconds each — so an uncontended mutex lock
-//! (~20 ns) is noise; what matters is the *schedule*, and the schedule
-//! is identical to the lock-free version's.
+//! their locks. A k-clique sub-list expands in about a microsecond on
+//! the §3 co-expression graph, too little to pay for a lock, a panic
+//! frame and two clock reads, so the clique driver's tasks are *runs* of
+//! consecutive sub-lists — 32 per worker per level. Against a run an
+//! uncontended mutex lock (~20 ns) is noise; what matters is the
+//! *schedule*, and the schedule is identical to the lock-free
+//! version's.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -163,6 +163,9 @@ impl TextTable {
 }
 
 /// Render the per-level summary table and the Fig. 8 imbalance table.
+/// A level's `level` column is its busiest worker's epoch time; `wall`
+/// is the run's wall time since the previous record (since the start
+/// for the first), so the serial work between epochs shows too.
 pub fn render_report(report: &ParsedReport) -> String {
     let mut out = String::new();
     out.push_str("Per-level summary\n");
@@ -173,13 +176,17 @@ pub fn render_report(report: &ParsedReport) -> String {
         "maximal",
         "total",
         "level",
+        "wall",
         "busy mean",
         "stddev",
         "imb%",
         "xfer",
         "ckpt",
     ]);
+    let mut prev_wall_ns = 0;
     for rec in &report.levels {
+        let wall_ns = rec.wall_ns.saturating_sub(prev_wall_ns);
+        prev_wall_ns = rec.wall_ns;
         let ckpt = if rec.ckpt_bytes > 0 {
             format!("{}/{}", fmt_ns(rec.ckpt_ns), fmt_bytes(rec.ckpt_bytes))
         } else {
@@ -192,6 +199,7 @@ pub fn render_report(report: &ParsedReport) -> String {
             rec.maximal_level.to_string(),
             rec.maximal_total.to_string(),
             fmt_ns(rec.level_ns),
+            fmt_ns(wall_ns),
             fmt_ns(mean(&rec.busy_ns) as u64),
             fmt_ns(stddev(&rec.busy_ns) as u64),
             format!("{:.1}", imbalance_pct(&rec.busy_ns)),
@@ -402,6 +410,23 @@ mod tests {
         assert!(text.contains("maximum clique 5"));
         // Level 3 busy [100, 200]: mean 150, stddev 50, imbalance 33.3%
         assert!(text.contains("33.3"), "missing imbalance row in:\n{text}");
+    }
+
+    #[test]
+    fn wall_column_is_the_wall_time_between_records() {
+        let mut text = String::new();
+        for (k, wall_ns) in [(3, 2_000_000), (4, 7_500_000)] {
+            let mut rec = level(k, &[100, 200], 1, k - 2);
+            rec.wall_ns = wall_ns;
+            text.push_str(&rec.to_json());
+            text.push('\n');
+        }
+        let rendered = render_report(&parse_report(&text).unwrap());
+        let rows: Vec<&str> = rendered.lines().skip(3).take(2).collect();
+        // Both levels' `level` column reads 1.5ms; `wall` is 2.0ms from
+        // the start, then 5.5ms since the first record.
+        assert!(rows[0].contains("1.5ms  2.0ms"), "in:\n{rendered}");
+        assert!(rows[1].contains("1.5ms  5.5ms"), "in:\n{rendered}");
     }
 
     #[test]

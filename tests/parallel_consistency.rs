@@ -103,21 +103,30 @@ fn repeated_runs_are_deterministic_in_content() {
     assert_eq!(a, b);
 }
 
-/// The sequencing-sink contract: steal-scheduled output is
-/// byte-identical (same cliques, same emission order) to the
-/// sequential enumerator across 100 seeded random graphs and every
-/// thread count.
+/// The level-order contract: steal-scheduled output is byte-identical
+/// (same cliques, same emission order) to the sequential enumerator
+/// across 100 seeded random graphs and every thread count — plus
+/// graphs of 200–600 vertices, whose levels are wide enough that each
+/// steal run holds many sub-lists.
 #[test]
 fn steal_output_is_byte_identical_to_sequential_on_random_graphs() {
     let config = EnumConfig::default();
-    for seed in 0..100u64 {
-        // Vary size and density with the seed so the sweep crosses
-        // sparse, dense, and mid-range regimes.
+    // Vary size and density with the seed so the sweep crosses sparse,
+    // dense, and mid-range regimes.
+    let small = (0..100u64).map(|seed| {
         let n = 24 + (seed % 5) as usize * 8;
         let p = 0.08 + (seed % 7) as f64 * 0.04;
+        (seed, n, p, &[1usize, 4, 8][..])
+    });
+    let wide = (100..108u64).map(|seed| {
+        let n = 200 + (seed % 5) as usize * 100;
+        let p = 0.02 + (seed % 4) as f64 * 0.02;
+        (seed, n, p, &[2usize, 3][..])
+    });
+    for (seed, n, p, thread_counts) in small.chain(wide) {
         let g = Arc::new(gnp(n, p, seed));
         let expect = sequential_ordered(&g, config);
-        for threads in [1usize, 4, 8] {
+        for &threads in thread_counts {
             let got = parallel_ordered(&g, threads, config);
             assert_eq!(
                 got, expect,
