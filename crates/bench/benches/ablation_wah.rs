@@ -10,7 +10,7 @@
 use gsb_bench::timer::bench;
 use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
 use gsb_core::sink::CountSink;
-use gsb_core::{CliqueEnumerator, EnumConfig, InMemoryLevel};
+use gsb_core::{CliqueEnumerator, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
 use gsb_rng::SplitMix64;
@@ -57,8 +57,7 @@ fn bench_wah() {
 
 fn count_levelwise<S: NeighborSet>(g: &BitGraph) -> usize {
     let mut sink = CountSink::default();
-    CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(EnumConfig::default(), ())
-        .enumerate(g, &mut sink);
+    CliqueEnumerator::<S>::with_backend(EnumConfig::default()).enumerate(g, &mut sink);
     sink.count
 }
 

@@ -8,7 +8,7 @@
 
 use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
 use gsb_core::sink::CountSink;
-use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats, InMemoryLevel};
+use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
 use gsb_index::{CliqueIndex, IndexWriter};
@@ -40,8 +40,7 @@ fn query_workload() -> BitGraph {
 
 fn run_levelwise<S: NeighborSet>(g: &BitGraph) -> (usize, EnumStats) {
     let mut sink = CountSink::default();
-    let stats = CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(EnumConfig::default(), ())
-        .enumerate(g, &mut sink);
+    let stats = CliqueEnumerator::<S>::with_backend(EnumConfig::default()).enumerate(g, &mut sink);
     (sink.count, stats)
 }
 

@@ -87,7 +87,7 @@ fn planner_estimates(g: &BitGraph) -> Vec<Vec<u64>> {
     let mut estimates = Vec::new();
     while !level.sublists.is_empty() {
         estimates.push(level.sublists.iter().map(|sl| sl.cost()).collect());
-        let (next, _) = seq.step(g, &level, &mut sink);
+        let (next, _) = seq.step(g, level, &mut sink);
         level = next;
     }
     estimates

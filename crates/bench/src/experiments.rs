@@ -331,7 +331,7 @@ fn balancer_replay(g: &BitGraph, enum_config: EnumConfig, threads: usize) -> Par
         let mut children = Vec::with_capacity(threads);
         for sublists in std::mem::take(&mut queues) {
             timing.per_worker_tasks.push(sublists.len());
-            let (next, r) = seq.step(g, &Level { k, sublists }, &mut sink);
+            let (next, r) = seq.step(g, Level { k, sublists }, &mut sink);
             timing.per_worker_ns.push(r.ns);
             timing.per_worker_units.push(r.units);
             children.push(next.sublists);

@@ -1,18 +1,13 @@
-//! `gsb cliques` — levelwise maximal-clique enumeration, with the
-//! `--backend` bitmap-representation switch and the fault-tolerant
-//! pipeline path (checkpointing, memory budget, telemetry).
+//! `gsb cliques` — levelwise maximal-clique enumeration. Every run is a
+//! [`CliquePipeline`]: the flags configure its backend, threads,
+//! checkpoints, memory budget and telemetry, and pick the sink.
 
 use super::{load, render_cliques};
 use crate::args::Args;
 use crate::CliError;
 use gsb_core::checkpoint::{CheckpointConfig, RunMeta};
 use gsb_core::sink::{CollectSink, CountSink};
-use gsb_core::store::SpillConfig;
-use gsb_core::{
-    BackendChoice, CliqueEnumerator, CliquePipeline, EnumConfig, EnumStats, ParallelConfig,
-    ParallelEnumerator, PipelineReport, WriterSink,
-};
-use gsb_graph::BitGraph;
+use gsb_core::{BackendChoice, CliquePipeline, EnumStats, PipelineReport, WriterSink};
 use gsb_telemetry::{RunTelemetry, TelemetryConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -26,8 +21,6 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
             "min",
             "max",
             "threads",
-            "spill-budget",
-            "order",
             "out",
             "backend",
             "checkpoint-dir",
@@ -40,194 +33,48 @@ pub fn cliques(argv: &[String]) -> Result<String, CliError> {
         &["count-only", "progress"],
         1,
     )?;
-    let path = a.required_positional(0, "FILE")?;
-    let g = load(path)?;
-    let config = EnumConfig {
-        min_k: a.flag_or("min", 3)?,
-        max_k: a.flag_opt("max")?,
-        record_costs: false,
-    };
+    let graph_path = a.required_positional(0, "FILE")?;
+    let min_k: usize = a.flag_or("min", 3)?;
+    let max_k: Option<usize> = a.flag_opt("max")?;
     let threads: usize = a.flag_or("threads", 1)?;
-    let spill_budget: Option<usize> = a.flag_opt("spill-budget")?;
     let count_only = a.switch("count-only");
+    let out_path = a.flag("out");
     let backend = match a.flag("backend") {
         Some(name) => name.parse::<BackendChoice>().map_err(CliError::Usage)?,
         None => BackendChoice::Dense,
     };
-
-    // Pipeline path: a non-dense backend, checkpointing, and/or a
-    // memory budget route through CliquePipeline instead of the raw
-    // enumerators.
-    let checkpoint_dir = a.flag("checkpoint-dir").map(str::to_string);
+    let checkpoint_dir = a.flag("checkpoint-dir");
     let checkpoint_secs: Option<u64> = a.flag_opt("checkpoint-secs")?;
     let memory_budget: Option<usize> = a.flag_opt("memory-budget")?;
     let disk_budget: Option<u64> = a.flag_opt("disk-budget")?;
     let worker_deadline_secs: Option<u64> = a.flag_opt("worker-deadline-secs")?;
-    if disk_budget.is_some() && checkpoint_dir.is_none() {
-        return Err(CliError::Usage(
-            "--disk-budget requires --checkpoint-dir (it caps checkpoint bytes)".into(),
-        ));
-    }
     let telemetry_config = TelemetryConfig {
         metrics_out: a.flag("metrics-out").map(PathBuf::from),
         progress: a.switch("progress"),
     };
-    if backend != BackendChoice::Dense
-        || checkpoint_dir.is_some()
-        || memory_budget.is_some()
-        || worker_deadline_secs.is_some()
-        || !telemetry_config.is_off()
-    {
-        if a.flag("order").is_some() || spill_budget.is_some() {
+    if checkpoint_dir.is_none() {
+        if checkpoint_secs.is_some() {
             return Err(CliError::Usage(
-                "--backend/--checkpoint-dir/--memory-budget/--metrics-out/--progress conflict \
-                 with --order and --spill-budget"
-                    .into(),
+                "--checkpoint-secs requires --checkpoint-dir".into(),
             ));
         }
-        return cliques_pipeline(
-            &a,
-            path,
-            &g,
-            config,
-            backend,
-            threads,
-            count_only,
-            checkpoint_dir.as_deref(),
-            checkpoint_secs,
-            memory_budget,
-            disk_budget,
-            worker_deadline_secs,
-            telemetry_config,
-        );
-    }
-    if checkpoint_secs.is_some() {
-        return Err(CliError::Usage(
-            "--checkpoint-secs requires --checkpoint-dir".into(),
-        ));
-    }
-
-    // Optional vertex reordering (sequential path only).
-    if let Some(order_name) = a.flag("order") {
-        if threads != 1 || spill_budget.is_some() {
+        if disk_budget.is_some() {
             return Err(CliError::Usage(
-                "--order applies to the plain sequential run (no --threads/--spill-budget)".into(),
+                "--disk-budget requires --checkpoint-dir (it caps checkpoint bytes)".into(),
             ));
         }
-        let ordering = match order_name {
-            "natural" => gsb_core::order::Ordering::Natural,
-            "degeneracy" => gsb_core::order::Ordering::Degeneracy,
-            "degree" => gsb_core::order::Ordering::DegreeDescending,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --order {other:?} (natural | degeneracy | degree)"
-                )))
-            }
-        };
-        let mut collect = CollectSink::default();
-        gsb_core::order::enumerate_ordered(&g, ordering, config, &mut collect);
-        let count = CountSink {
-            count: collect.cliques.len(),
-        };
-        if count_only {
-            collect.cliques.clear();
-        }
-        return Ok(render_cliques(&collect, &count, count_only));
     }
+    if out_path.is_some() && count_only {
+        return Err(CliError::Usage("--out and --count-only conflict".into()));
+    }
+    let g = Arc::new(load(graph_path)?);
 
-    // Optional streaming output to a file.
-    if let Some(out_path) = a.flag("out") {
-        if count_only {
-            return Err(CliError::Usage("--out and --count-only conflict".into()));
-        }
-        let file = std::fs::File::create(out_path)?;
-        let mut sink = gsb_core::WriterSink::new(file);
-        if threads == 1 {
-            CliqueEnumerator::new(config).enumerate(&g, &mut sink);
-        } else {
-            let enumerator = ParallelEnumerator::new(ParallelConfig {
-                threads,
-                enum_config: config,
-                ..Default::default()
-            });
-            let garc = Arc::new(g);
-            enumerator.enumerate(&garc, &mut sink);
-        }
-        let written = sink.finish()?;
-        return Ok(format!("wrote {written} maximal cliques to {out_path}\n"));
-    }
-
-    let mut collect = CollectSink::default();
-    let mut count = CountSink::default();
-    if let Some(budget) = spill_budget {
-        if threads != 1 {
-            return Err(CliError::Usage(
-                "--spill-budget requires --threads 1 (the out-of-core store is sequential)".into(),
-            ));
-        }
-        let spill = SpillConfig::in_temp(budget);
-        let enumerator = CliqueEnumerator::new(config);
-        let stats = if count_only {
-            enumerator.enumerate_spilled(&g, &mut count, &spill)?
-        } else {
-            enumerator.enumerate_spilled(&g, &mut collect, &spill)?
-        };
-        let mut out = render_cliques(&collect, &count, count_only);
-        let _ = writeln!(
-            out,
-            "out-of-core: {} bytes read back across {} levels",
-            stats.total_bytes_read(),
-            stats.levels.len()
-        );
-        return Ok(out);
-    }
-    if threads == 1 {
-        let enumerator = CliqueEnumerator::new(config);
-        if count_only {
-            enumerator.enumerate(&g, &mut count);
-        } else {
-            enumerator.enumerate(&g, &mut collect);
-        }
-    } else {
-        let enumerator = ParallelEnumerator::new(ParallelConfig {
-            threads,
-            enum_config: config,
-            ..Default::default()
-        });
-        let garc = Arc::new(g);
-        if count_only {
-            enumerator.enumerate(&garc, &mut count);
-        } else {
-            enumerator.enumerate(&garc, &mut collect);
-        }
-    }
-    Ok(render_cliques(&collect, &count, count_only))
-}
-
-/// The pipeline `gsb cliques` variant: a selectable bitmap backend,
-/// checkpointing, and/or a memory budget through [`CliquePipeline`].
-#[allow(clippy::too_many_arguments)]
-fn cliques_pipeline(
-    a: &Args,
-    graph_path: &str,
-    g: &BitGraph,
-    config: EnumConfig,
-    backend: BackendChoice,
-    threads: usize,
-    count_only: bool,
-    checkpoint_dir: Option<&str>,
-    checkpoint_secs: Option<u64>,
-    memory_budget: Option<usize>,
-    disk_budget: Option<u64>,
-    worker_deadline_secs: Option<u64>,
-    telemetry_config: TelemetryConfig,
-) -> Result<String, CliError> {
     let mut pipe = CliquePipeline::new()
-        .min_size(config.min_k)
+        .min_size(min_k)
         .threads(threads)
         .backend(backend)
         .skip_exact_bound();
-    if let Some(mx) = config.max_k {
+    if let Some(mx) = max_k {
         pipe = pipe.max_size(mx);
     }
     if let Some(budget) = memory_budget {
@@ -239,21 +86,15 @@ fn cliques_pipeline(
     if !telemetry_config.is_off() {
         pipe = pipe.telemetry(Arc::new(RunTelemetry::new(telemetry_config)?));
     }
-
     if let Some(dir) = checkpoint_dir {
         // Resume needs a durable output file to reconcile against:
         // in-memory results would vanish with the crash being guarded
         // against.
-        let Some(out_path) = a.flag("out") else {
+        let Some(out_path) = out_path else {
             return Err(CliError::Usage(
                 "--checkpoint-dir requires --out FILE (resume appends to it)".into(),
             ));
         };
-        if count_only {
-            return Err(CliError::Usage(
-                "--checkpoint-dir conflicts with --count-only".into(),
-            ));
-        }
         let mut ckpt = match checkpoint_secs {
             Some(secs) => CheckpointConfig::every_secs(dir, secs),
             None => CheckpointConfig::every_level(dir),
@@ -264,8 +105,8 @@ fn cliques_pipeline(
         std::fs::create_dir_all(dir)?;
         RunMeta {
             graph: graph_path.to_string(),
-            min_k: config.min_k,
-            max_k: config.max_k,
+            min_k,
+            max_k,
             threads,
             out: Some(out_path.to_string()),
             backend,
@@ -279,43 +120,36 @@ fn cliques_pipeline(
             .checkpoint(ckpt)
             .shutdown(gsb_core::ShutdownToken::global())
             .quarantine(Path::new(dir).join("quarantine.jsonl"));
-        let file = std::fs::File::create(out_path)?;
-        let mut sink = WriterSink::new(file);
-        let report = pipe.try_run(g, &mut sink)?;
+    }
+
+    // The sink: a streamed file, a count, or the collected cliques.
+    let (mut out, report) = if let Some(out_path) = out_path {
+        let mut sink = WriterSink::new(std::fs::File::create(out_path)?);
+        let report = pipe.try_run(&g, &mut sink)?;
         let written = sink.finish()?;
-        let mut out = format!("wrote {written} maximal cliques to {out_path}\n");
+        let out = format!("wrote {written} maximal cliques to {out_path}\n");
+        (out, report)
+    } else {
+        let mut collect = CollectSink::default();
+        let mut count = CountSink::default();
+        let report = if count_only {
+            pipe.try_run(&g, &mut count)?
+        } else {
+            pipe.try_run(&g, &mut collect)?
+        };
+        (render_cliques(&collect, &count, count_only), report)
+    };
+    if let Some(dir) = checkpoint_dir {
         let _ = writeln!(
             out,
             "checkpointed {} level(s) in {dir} (cleaned up on completion)",
             report.checkpoints.len()
         );
-        append_degradation_note(&mut out, &report);
-        append_quarantine_note(&mut out, &report, dir);
-        return Ok(out);
     }
-
-    // No checkpointing: any sink works.
-    if let Some(out_path) = a.flag("out") {
-        if count_only {
-            return Err(CliError::Usage("--out and --count-only conflict".into()));
-        }
-        let file = std::fs::File::create(out_path)?;
-        let mut sink = WriterSink::new(file);
-        let report = pipe.try_run(g, &mut sink)?;
-        let written = sink.finish()?;
-        let mut out = format!("wrote {written} maximal cliques to {out_path}\n");
-        append_degradation_note(&mut out, &report);
-        return Ok(out);
-    }
-    let mut collect = CollectSink::default();
-    let mut count = CountSink::default();
-    let report = if count_only {
-        pipe.try_run(g, &mut count)?
-    } else {
-        pipe.try_run(g, &mut collect)?
-    };
-    let mut out = render_cliques(&collect, &count, count_only);
     append_degradation_note(&mut out, &report);
+    if let Some(dir) = checkpoint_dir {
+        append_quarantine_note(&mut out, &report, dir);
+    }
     Ok(out)
 }
 

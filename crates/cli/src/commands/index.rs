@@ -10,6 +10,7 @@ use gsb_core::{BackendChoice, CliquePipeline, TeeSink, WriterSink};
 use gsb_index::IndexWriter;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// `gsb index`
 pub fn index(argv: &[String]) -> Result<String, CliError> {
@@ -33,7 +34,7 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
             "gsb index requires --out DIR (where the index is written)".into(),
         ));
     };
-    let g = load(graph_path)?;
+    let g = Arc::new(load(graph_path)?);
     let min_k: usize = a.flag_or("min", 3)?;
     let max_k: Option<usize> = a.flag_opt("max")?;
     let threads: usize = a.flag_or("threads", 1)?;

@@ -79,6 +79,7 @@ pub(crate) fn render_cliques(collect: &CollectSink, count: &CountSink, count_onl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::ArgError;
     use crate::CliError;
     use gsb_core::checkpoint::{CheckpointConfig, CheckpointManager, RunMeta, RunProgress};
     use gsb_core::{BackendChoice, CliqueEnumerator, EnumConfig, EnumStats};
@@ -148,7 +149,7 @@ mod tests {
         let seq = cliques(&argv(&[&path, "--count-only"])).unwrap();
         let par = cliques(&argv(&[&path, "--count-only", "--threads", "3"])).unwrap();
         assert_eq!(seq, par);
-        let spill = cliques(&argv(&[&path, "--count-only", "--spill-budget", "0"])).unwrap();
+        let spill = cliques(&argv(&[&path, "--count-only", "--memory-budget", "0"])).unwrap();
         assert!(spill.starts_with(&seq.lines().next().unwrap().to_string()));
         let _ = std::fs::remove_file(&path);
     }
@@ -169,16 +170,6 @@ mod tests {
         ]))
         .unwrap();
         let plain = cliques(&argv(&[&path, "--min", "4"])).unwrap();
-        for order in ["natural", "degeneracy", "degree"] {
-            let ordered = cliques(&argv(&[&path, "--min", "4", "--order", order])).unwrap();
-            // same clique set (line sets match after sorting)
-            let mut a: Vec<&str> = plain.lines().filter(|l| !l.starts_with('#')).collect();
-            let mut b: Vec<&str> = ordered.lines().filter(|l| !l.starts_with('#')).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "--order {order}");
-        }
-        assert!(cliques(&argv(&[&path, "--order", "bogus"])).is_err());
         // streaming output
         let report = cliques(&argv(&[&path, "--min", "4", "--out", &out])).unwrap();
         assert!(report.contains("maximal cliques"));
@@ -226,14 +217,15 @@ mod tests {
                 assert_eq!(got, want, "--backend {backend} --threads {threads}");
             }
         }
-        // unknown names and conflicts are usage errors
+        // unknown names and the retired flags are usage errors
         let err = cliques(&argv(&[&path, "--backend", "lzma"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(err.to_string().contains("unknown backend"), "{err}");
-        let err = cliques(&argv(&[&path, "--backend", "wah", "--order", "degree"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        let err = cliques(&argv(&[&path, "--backend", "wah", "--spill-budget", "0"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        for retired in ["--order", "--spill-budget"] {
+            let err = cliques(&argv(&[&path, "--backend", "wah", retired, "0"])).unwrap_err();
+            assert!(matches!(err, CliError::Args(ArgError::Unknown(_))), "{err}");
+            assert_eq!(err.exit_code(), 2);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -331,17 +323,13 @@ mod tests {
         // --checkpoint-secs without --checkpoint-dir
         let err = cliques(&argv(&[&path, "--checkpoint-secs", "5"])).unwrap_err();
         assert!(err.to_string().contains("--checkpoint-dir"), "{err}");
-        // conflicts with the one-shot spill/order paths
-        let err = cliques(&argv(&[
-            &path,
-            "--memory-budget",
-            "1000",
-            "--order",
-            "degree",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        assert_eq!(err.exit_code(), 2);
+        // the retired --order and --spill-budget flags are unknown
+        for retired in ["--order", "--spill-budget"] {
+            let err =
+                cliques(&argv(&[&path, "--memory-budget", "1000", retired, "0"])).unwrap_err();
+            assert!(matches!(err, CliError::Args(ArgError::Unknown(_))), "{err}");
+            assert_eq!(err.exit_code(), 2);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -419,7 +407,7 @@ mod tests {
         let mut stats = EnumStats::default();
         let mut level = seq.init_level(&g, &mut pre, &mut stats);
         while level.k < 4 && !level.sublists.is_empty() {
-            let (next, _) = seq.step(&g, &level, &mut pre);
+            let (next, _) = seq.step(&g, level, &mut pre);
             level = next;
         }
         let k_ckpt = level.k;
@@ -502,7 +490,6 @@ mod tests {
     #[test]
     fn resume_uses_the_backend_recorded_in_run_meta() {
         use gsb_bitset::WahBitSet;
-        use gsb_core::InMemoryLevel;
 
         let path = tmp("g15.txt");
         let dir = tmp("g15-ckpt");
@@ -526,15 +513,12 @@ mod tests {
         // on disk is in the compressed representation, and run.meta
         // records backend=wah.
         let g = load(&path).unwrap();
-        let seq = CliqueEnumerator::<WahBitSet, InMemoryLevel<WahBitSet>>::with_backend(
-            EnumConfig::default(),
-            (),
-        );
+        let seq = CliqueEnumerator::<WahBitSet>::with_backend(EnumConfig::default());
         let mut pre = gsb_core::sink::CollectSink::default();
         let mut stats = EnumStats::default();
         let mut level = seq.init_level(&g, &mut pre, &mut stats);
         while level.k < 4 && !level.sublists.is_empty() {
-            let (next, _) = seq.step(&g, &level, &mut pre);
+            let (next, _) = seq.step(&g, level, &mut pre);
             level = next;
         }
         let k_ckpt = level.k;
@@ -677,7 +661,8 @@ mod tests {
         ]))
         .unwrap();
         let err = cliques(&argv(&[&path, "--progress", "--order", "degree"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+        assert!(matches!(err, CliError::Args(ArgError::Unknown(_))), "{err}");
+        assert_eq!(err.exit_code(), 2);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,9 +8,11 @@ use gsb_bitset::{BitSet, HybridSet, WahBitSet};
 use gsb_core::checkpoint::{
     latest_checkpoint, load_stop_cause, CheckpointConfig, RunMeta, RunProgress,
 };
+use gsb_core::store;
 use gsb_core::{BackendChoice, CliquePipeline, ShutdownToken, WriterSink};
 use gsb_telemetry::{RunTelemetry, TelemetryConfig};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,7 +34,7 @@ pub fn resume(argv: &[String]) -> Result<String, CliError> {
              or the run completed and cleaned up)"
         ))
     })?;
-    let g = load(&meta.graph)?;
+    let g = Arc::new(load(&meta.graph)?);
     // Probe with the representation the run was checkpointed in; a
     // dense probe of a WAH checkpoint would be a backend mismatch.
     let k_ckpt = match meta.backend {
@@ -122,7 +124,9 @@ pub fn resume(argv: &[String]) -> Result<String, CliError> {
 }
 
 /// Keep only well-formed `size\tv1 v2 ...` lines with `size <= max_k`;
-/// atomically replace the file. Returns how many lines were kept.
+/// replace the file atomically and durably, so a power loss cannot
+/// leave an empty output beside a valid checkpoint. Returns how many
+/// lines were kept.
 fn truncate_output(path: &str, max_k: usize) -> Result<usize, CliError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -146,8 +150,10 @@ fn truncate_output(path: &str, max_k: usize) -> Result<usize, CliError> {
         kept.push('\n');
         kept_lines += 1;
     }
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, kept.as_bytes())?;
-    std::fs::rename(&tmp, path)?;
+    let path = Path::new(path);
+    store::write_atomic(path, |w| w.write_all(kept.as_bytes()))?;
+    if let Some(dir) = path.parent() {
+        store::sync_dir(dir);
+    }
     Ok(kept_lines)
 }

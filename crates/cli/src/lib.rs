@@ -146,8 +146,7 @@ USAGE:
                [--modules 9,7,5] [--seed S] --out FILE
   gsb stats FILE
   gsb cliques FILE [--min K] [--max K] [--threads T] [--count-only]
-               [--backend dense|wah|hybrid] [--spill-budget BYTES]
-               [--order natural|degeneracy|degree]
+               [--backend dense|wah|hybrid]
                [--out FILE] [--checkpoint-dir DIR] [--checkpoint-secs S]
                [--memory-budget BYTES] [--disk-budget BYTES]
                [--worker-deadline-secs S]
@@ -204,7 +203,8 @@ sparse genome-scale graphs. Checkpoints are written in the selected
 representation and `gsb resume` picks the backend up from run.meta.
 
 Parallel runtime: `cliques --threads T` runs each level as a
-work-stealing epoch — every sub-list is a task, idle workers steal
+work-stealing epoch — the level is cut into cost-balanced runs of
+consecutive sub-lists, a run is a task, idle workers steal whole runs
 from busy ones, and the output is byte-identical to the sequential
 run. Older run.meta files that name a scheduler resume on this runtime.
 
@@ -213,7 +213,9 @@ current level at each barrier (every --checkpoint-secs seconds if
 given); after a crash, `gsb resume DIR` reloads the newest valid
 checkpoint and completes the run, appending to the original output
 file. `--memory-budget BYTES` degrades to the out-of-core enumerator
-instead of exceeding the budget.
+instead of exceeding the budget (at 0 every level runs out of core).
+Every option configures the same level loop, so each run emits the
+same bytes as the plain run, at any thread count.
 
 Supervision: with `--checkpoint-dir`, SIGINT/SIGTERM trigger a graceful
 shutdown — the in-flight level finishes, a final checkpoint is forced,

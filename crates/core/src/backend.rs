@@ -1,150 +1,11 @@
-//! Level backends: how one level of candidate sub-lists is held.
+//! Which bitmap representation a run enumerates with.
 //!
-//! The paper contrasts two regimes for the levelwise enumerator's
-//! working set: fully in-core on the Altix's shared memory (§3) versus
-//! the abandoned out-of-core predecessor whose "intensive disk I/O
-//! access has been the major bottleneck" (§1). [`LevelBackend`]
-//! abstracts exactly that choice so a *single* expansion kernel
-//! ([`crate::CliqueEnumerator`]) serves both:
-//!
-//! * [`InMemoryLevel`] — the plain resident vector; infallible, zero
-//!   I/O;
-//! * [`SpilledLevel`] — a budgeted [`LevelStore`] that keeps sub-lists
-//!   resident up to a formula-byte budget and streams the overflow
-//!   through CRC-framed spill files.
-//!
-//! Orthogonally, [`BackendChoice`] names the *bitmap representation*
-//! (dense, WAH-compressed, or adaptive hybrid) a run should use; the
-//! pipeline and CLI dispatch on it to pick the `S` type parameter.
-
-use crate::store::{DrainReport, LevelStore, SpillConfig, StoreError};
-use crate::sublist::SubList;
-use gsb_bitset::NeighborSet;
-
-/// How a level of sub-lists is held and iterated.
-///
-/// A backend is a write-once/drain-once container: the enumerator
-/// pushes every (k+1)-clique sub-list it generates, then drains the
-/// whole level to expand it into the next. `drain` consumes the
-/// backend, so storage (spill files included) is reclaimed as soon as
-/// the level has been expanded.
-pub trait LevelBackend<S: NeighborSet>: Sized {
-    /// Per-run configuration (e.g. the spill budget and directory).
-    type Config: Clone + std::fmt::Debug + Send + Sync;
-
-    /// Human-readable backend name for reports and errors.
-    const NAME: &'static str;
-
-    /// An empty level over a `graph_n`-vertex graph.
-    fn open(config: &Self::Config, graph_n: usize) -> Self;
-
-    /// Append one sub-list. Only a spilling backend can fail.
-    fn push(&mut self, sl: SubList<S>) -> Result<(), StoreError>;
-
-    /// Hint that `additional` more sub-lists are coming (the paper's
-    /// own bound `N[k+1] ≤ M[k] − 2N[k]` sizes the next level exactly).
-    fn reserve(&mut self, _additional: usize) {}
-
-    /// Release over-reserved capacity after the level is fully built.
-    fn shrink(&mut self) {}
-
-    /// Number of sub-lists held (resident + spilled).
-    fn len(&self) -> usize;
-
-    /// True when the level holds no work.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many of the held sub-lists live on disk rather than in
-    /// memory (0 for purely resident backends).
-    fn spilled_len(&self) -> usize {
-        0
-    }
-
-    /// Consume the level, applying `f` to every sub-list, and report
-    /// how much came back from disk.
-    fn drain(self, f: impl FnMut(SubList<S>)) -> Result<DrainReport, StoreError>;
-}
-
-/// The resident backend: today's plain `Vec<SubList>` level, unchanged
-/// in behavior and cost. Pushes never fail and drains never touch disk.
-#[derive(Clone, Debug, Default)]
-pub struct InMemoryLevel<S> {
-    sublists: Vec<SubList<S>>,
-}
-
-impl<S: NeighborSet> LevelBackend<S> for InMemoryLevel<S> {
-    type Config = ();
-    const NAME: &'static str = "in-memory";
-
-    fn open(_config: &(), _graph_n: usize) -> Self {
-        InMemoryLevel {
-            sublists: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, sl: SubList<S>) -> Result<(), StoreError> {
-        self.sublists.push(sl);
-        Ok(())
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.sublists.reserve(additional);
-    }
-
-    fn shrink(&mut self) {
-        self.sublists.shrink_to_fit();
-    }
-
-    fn len(&self) -> usize {
-        self.sublists.len()
-    }
-
-    fn drain(self, mut f: impl FnMut(SubList<S>)) -> Result<DrainReport, StoreError> {
-        for sl in self.sublists {
-            f(sl);
-        }
-        Ok(DrainReport::default())
-    }
-}
-
-/// The budgeted out-of-core backend: a [`LevelStore`] keeps sub-lists
-/// resident up to `budget_bytes` of the paper's formula bytes and
-/// spills the rest as CRC-framed records, streaming them back on
-/// drain. This is both the measurable reproduction of the paper's
-/// abandoned out-of-core predecessor and the degraded mode the
-/// fault-tolerant pipeline swaps to under memory pressure.
-pub struct SpilledLevel<S: NeighborSet> {
-    store: LevelStore<S>,
-}
-
-impl<S: NeighborSet> LevelBackend<S> for SpilledLevel<S> {
-    type Config = SpillConfig;
-    const NAME: &'static str = "spilled";
-
-    fn open(config: &SpillConfig, graph_n: usize) -> Self {
-        SpilledLevel {
-            store: LevelStore::new(config, graph_n),
-        }
-    }
-
-    fn push(&mut self, sl: SubList<S>) -> Result<(), StoreError> {
-        self.store.push(sl)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn spilled_len(&self) -> usize {
-        self.store.spilled_len()
-    }
-
-    fn drain(self, f: impl FnMut(SubList<S>)) -> Result<DrainReport, StoreError> {
-        self.store.drain(f)
-    }
-}
+//! [`BackendChoice`] names the common-neighbor bitmap representation
+//! (dense, WAH-compressed, or adaptive hybrid) of a run; the pipeline
+//! and CLI dispatch on it to pick the `S: NeighborSet` type parameter.
+//! How a level is held — resident, or in a budgeted
+//! [`LevelStore`](crate::store::LevelStore) out of core — is the
+//! enumerator's business, not the backend's.
 
 /// Which common-neighbor bitmap representation a run should use.
 ///
@@ -200,33 +61,6 @@ impl std::fmt::Display for BackendChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerator::{CliqueEnumerator, EnumConfig, EnumStats};
-    use crate::sink::CollectSink;
-    use gsb_bitset::{BitSet, WahBitSet};
-    use gsb_graph::generators::{planted, Module};
-    use gsb_graph::BitGraph;
-
-    fn in_core(g: &BitGraph, config: EnumConfig) -> Vec<Vec<crate::Vertex>> {
-        let mut sink = CollectSink::default();
-        CliqueEnumerator::new(config).enumerate(g, &mut sink);
-        let mut v = sink.cliques;
-        v.sort();
-        v
-    }
-
-    fn spilled(
-        g: &BitGraph,
-        config: EnumConfig,
-        budget: usize,
-    ) -> (Vec<Vec<crate::Vertex>>, EnumStats) {
-        let mut sink = CollectSink::default();
-        let stats = CliqueEnumerator::new(config)
-            .enumerate_spilled(g, &mut sink, &SpillConfig::in_temp(budget))
-            .expect("io ok");
-        let mut v = sink.cliques;
-        v.sort();
-        (v, stats)
-    }
 
     #[test]
     fn backend_choice_parses_and_prints() {
@@ -240,116 +74,5 @@ mod tests {
             assert_eq!(got.to_string(), s);
         }
         assert!("lzma".parse::<BackendChoice>().is_err());
-    }
-
-    #[test]
-    fn spilled_matches_in_core_across_budgets() {
-        let g = planted(40, 0.08, &[Module::clique(9), Module::clique(7)], 6);
-        let config = EnumConfig::default();
-        let expect = in_core(&g, config);
-        for budget in [0usize, 200, 5_000, usize::MAX] {
-            let (got, stats) = spilled(&g, config, budget);
-            assert_eq!(got, expect, "budget {budget}");
-            if budget == 0 {
-                assert!(stats.total_bytes_read() > 0, "nothing spilled at budget 0");
-            }
-            if budget == usize::MAX {
-                assert_eq!(stats.total_bytes_read(), 0);
-            }
-            assert_eq!(stats.total_maximal, expect.len());
-        }
-    }
-
-    #[test]
-    fn spilled_wah_backend_matches_dense() {
-        let g = planted(40, 0.08, &[Module::clique(9), Module::clique(7)], 6);
-        let config = EnumConfig::default();
-        let expect = in_core(&g, config);
-        let mut sink = CollectSink::default();
-        let stats = CliqueEnumerator::<WahBitSet, SpilledLevel<WahBitSet>>::with_backend(
-            config,
-            SpillConfig::in_temp(0),
-        )
-        .try_enumerate(&g, &mut sink)
-        .expect("io ok");
-        let mut got = sink.cliques;
-        got.sort();
-        assert_eq!(got, expect);
-        assert!(stats.total_bytes_read() > 0);
-    }
-
-    #[test]
-    fn spilled_respects_size_window() {
-        let g = planted(32, 0.1, &[Module::clique(8)], 3);
-        let config = EnumConfig {
-            min_k: 4,
-            max_k: Some(6),
-            record_costs: false,
-        };
-        let expect = in_core(&g, config);
-        let (got, _) = spilled(&g, config, 100);
-        assert_eq!(got, expect);
-        assert!(got.iter().all(|c| (4..=6).contains(&c.len())));
-    }
-
-    #[test]
-    fn spill_reports_levels() {
-        let g = planted(36, 0.08, &[Module::clique(8)], 11);
-        let (_, stats) = spilled(&g, EnumConfig::default(), 0);
-        assert!(!stats.levels.is_empty());
-        for w in stats.levels.windows(2) {
-            assert_eq!(w[1].k, w[0].k + 1);
-        }
-        // with budget 0 every stored sub-list was spilled
-        for l in &stats.levels[1..] {
-            assert_eq!(l.spilled, l.sublists);
-        }
-        assert!(stats.wall_ns > 0);
-    }
-
-    #[test]
-    fn from_level_handoff_matches_full_run() {
-        // Run in core up to the level-3 barrier, hand that level to the
-        // spilled backend, and check the combined output equals one run.
-        let g = planted(36, 0.1, &[Module::clique(8), Module::clique(6)], 21);
-        let config = EnumConfig::default();
-        let expect = in_core(&g, config);
-
-        let enumerator = CliqueEnumerator::new(config);
-        let mut sink = CollectSink::default();
-        let mut enum_stats = EnumStats::default();
-        let mut level = enumerator.init_level(&g, &mut sink, &mut enum_stats);
-        while level.k < 3 && !level.sublists.is_empty() {
-            let (next, _) = enumerator.step(&g, &level, &mut sink);
-            level = next;
-        }
-        enumerator
-            .enumerate_spilled_from_level(&g, level, &mut sink, &SpillConfig::in_temp(0))
-            .expect("io ok");
-        let mut got = sink.cliques;
-        got.sort();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn in_memory_backend_is_a_plain_vec() {
-        let g = BitGraph::complete(4);
-        let mut level: InMemoryLevel<BitSet> = InMemoryLevel::open(&(), g.n());
-        assert!(level.is_empty());
-        level
-            .push(SubList {
-                prefix: vec![0],
-                cn: g.neighbors(0).clone(),
-                tails: vec![1, 2, 3],
-            })
-            .unwrap();
-        level.reserve(8);
-        level.shrink();
-        assert_eq!(level.len(), 1);
-        assert_eq!(level.spilled_len(), 0);
-        let mut n = 0;
-        let report = level.drain(|_| n += 1).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(report, DrainReport::default());
     }
 }

@@ -21,6 +21,7 @@ use crate::sublist::Level;
 use crate::supervise::RetryPolicy;
 use gsb_bitset::NeighborSet;
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -341,7 +342,7 @@ impl fmt::Display for StopCause {
 }
 
 /// Record why the run stopped as a `stopped=` line in `run.meta`,
-/// preserving every other line (atomic tmp-then-rename, replacing any
+/// preserving every other line (durable atomic write, replacing any
 /// previous stop cause). Creates the file when none exists — stop
 /// causes are useful even for runs checkpointing without CLI metadata.
 pub fn record_stop_cause(dir: &Path, cause: StopCause) -> Result<(), StoreError> {
@@ -359,9 +360,8 @@ pub fn record_stop_cause(dir: &Path, cause: StopCause) -> Result<(), StoreError>
         StopCause::Signal(sig) => text.push_str(&format!("stopped=signal:{sig}\n")),
         StopCause::WorkerFailure => text.push_str("stopped=worker-failure\n"),
     }
-    let tmp = dir.join(format!("{RUN_META_FILE}.tmp"));
-    std::fs::write(&tmp, text.as_bytes())?;
-    std::fs::rename(&tmp, &path)?;
+    store::write_atomic(&path, |w| w.write_all(text.as_bytes()))?;
+    store::sync_dir(dir);
     Ok(())
 }
 
@@ -416,14 +416,7 @@ impl RunMeta {
             text.push_str(&format!("out={out}\n"));
         }
         text.push_str(&format!("backend={}\n", self.backend));
-        let path = dir.join(RUN_META_FILE);
-        let tmp = dir.join(format!("{RUN_META_FILE}.tmp"));
-        RetryPolicy::default().run_store(|| {
-            crate::failpoint::inject("checkpoint.meta")?;
-            std::fs::write(&tmp, text.as_bytes())?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(())
-        })
+        save_meta(dir, RUN_META_FILE, &text)
     }
 
     /// Load `run.meta` from `dir`. Unknown keys are ignored so older
@@ -454,6 +447,19 @@ impl RunMeta {
 
 const PROGRESS_FILE: &str = "progress.meta";
 
+/// Persist a `key=value` metadata file durably: one atomic write,
+/// retried on transient errors, then one directory sync.
+fn save_meta(dir: &Path, name: &str, text: &str) -> Result<(), StoreError> {
+    let path = dir.join(name);
+    RetryPolicy::default().run_store(|| {
+        crate::failpoint::inject("checkpoint.meta")?;
+        store::write_atomic(&path, |w| w.write_all(text.as_bytes()))?;
+        Ok(())
+    })?;
+    store::sync_dir(dir);
+    Ok(())
+}
+
 /// Cumulative run telemetry persisted as `progress.meta` next to the
 /// checkpoints at every checkpoint barrier, so `gsb resume` can report
 /// how far the interrupted run had gotten and the resumed run's
@@ -476,14 +482,7 @@ impl RunProgress {
             "cliques_emitted={}\nlevels_done={}\nwall_ms={}\n",
             self.cliques_emitted, self.levels_done, self.wall_ms
         );
-        let path = dir.join(PROGRESS_FILE);
-        let tmp = dir.join(format!("{PROGRESS_FILE}.tmp"));
-        RetryPolicy::default().run_store(|| {
-            crate::failpoint::inject("checkpoint.meta")?;
-            std::fs::write(&tmp, text.as_bytes())?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(())
-        })
+        save_meta(dir, PROGRESS_FILE, &text)
     }
 
     /// Load `progress.meta` from `dir`. Unknown keys are ignored so

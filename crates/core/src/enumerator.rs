@@ -1,5 +1,5 @@
-//! The Clique Enumerator (§2.3), generic over bitmap representation
-//! and level storage.
+//! The Clique Enumerator (§2.3), generic over the bitmap
+//! representation, and the level loop every in-core run drives.
 //!
 //! Levelwise maximal-clique enumeration in non-decreasing size order:
 //! take the candidate k-clique sub-lists, expand each into (k+1)-clique
@@ -7,12 +7,25 @@
 //! bitwise AND plus an any-bit test, keep only candidates, repeat until
 //! nothing is generated.
 //!
-//! One expansion kernel (`expand_sublist`) serves every
-//! configuration: the common-neighbor bitmaps are any
-//! [`NeighborSet`] (dense, WAH-compressed, or adaptive hybrid) and the
-//! level lives in any [`LevelBackend`] (resident vector or budgeted
-//! spill store). `CliqueEnumerator` with no type arguments is the
-//! dense, in-memory enumerator it always was.
+//! One expansion kernel (`expand_sublist`) serves every configuration,
+//! over any [`NeighborSet`] (dense, WAH-compressed, or adaptive
+//! hybrid). `CliqueEnumerator` with no type argument is the dense
+//! enumerator.
+//!
+//! ## One level loop
+//!
+//! The paper's enumerator is one level-synchronous loop whose cost is
+//! memory: at step k it holds the k-clique level while it builds level
+//! k+1. In core that loop is written once (`run_levels`): each pass
+//! shows the level to a barrier hook, expands it, emits its maximal
+//! cliques and records it. The sequential oracle
+//! ([`CliqueEnumerator::enumerate`]), the parallel enumerator and every
+//! [`CliquePipeline`](crate::CliquePipeline) mode run it; they differ
+//! only in their hooks and in how a level is expanded — by the
+//! sequential step, which frees each sub-list once it is expanded, or
+//! by a work-stealing epoch ([`crate::parallel`]). Out of core,
+//! [`CliqueEnumerator::enumerate_spilled_from_level`] runs the same
+//! kernel over a budgeted [`LevelStore`].
 //!
 //! ## Why every maximal clique is found exactly once
 //!
@@ -34,14 +47,15 @@
 //! there are no duplicates. These properties are cross-checked against
 //! Bron–Kerbosch — for all three representations — in the test suites.
 
-use crate::backend::{InMemoryLevel, LevelBackend, SpilledLevel};
 use crate::memory::LevelMemory;
 use crate::sink::CliqueSink;
-use crate::store::{SpillConfig, StoreError};
+use crate::store::{LevelStore, SpillConfig, StoreError};
 use crate::sublist::{Level, SubList};
 use crate::{kclique, Vertex};
 use gsb_bitset::{BitSet, NeighborSet};
 use gsb_graph::BitGraph;
+use gsb_par::RoundError;
+use std::fmt;
 use std::marker::PhantomData;
 use std::time::Instant;
 
@@ -82,8 +96,8 @@ pub struct LevelReport {
     pub maximal_found: usize,
     /// Wall time of the level (ns).
     pub ns: u64,
-    /// Memory accounting for this level's candidates. For a spilling
-    /// backend the heap figure is what the level *would* hold fully
+    /// Memory accounting for this level's candidates. For a spilled
+    /// level the heap figure is what the level *would* hold fully
     /// resident; the formula bytes are representation-independent.
     pub memory: LevelMemory,
     /// Deterministic work units spent expanding this level (the
@@ -97,7 +111,7 @@ pub struct LevelReport {
     /// adjacent tail pair, each deciding candidate vs. maximal.
     pub maximality_tests: u64,
     /// Sub-lists of this level that lived on disk rather than in memory
-    /// (0 for the in-memory backend).
+    /// (0 in core).
     pub spilled: usize,
     /// Bytes streamed back from spill files to expand this level.
     pub bytes_read: u64,
@@ -159,9 +173,8 @@ impl EnumStats {
     }
 }
 
-/// The Clique Enumerator, generic over the common-neighbor bitmap
-/// representation `S` and the level storage backend `B`. The default
-/// parameters are the dense in-memory enumerator:
+/// The Clique Enumerator over the common-neighbor bitmap
+/// representation `S` (dense by default):
 ///
 /// ```
 /// use gsb_core::{CliqueEnumerator, EnumConfig, CollectSink};
@@ -177,49 +190,37 @@ impl EnumStats {
 /// assert_eq!(sink.cliques, vec![vec![2, 3, 4], vec![0, 1, 2, 3]]);
 /// ```
 ///
-/// Other combinations are constructed with
+/// Other representations are constructed with
 /// [`with_backend`](Self::with_backend), e.g. a WAH-compressed
 /// out-of-core run:
 ///
 /// ```
 /// use gsb_core::{CliqueEnumerator, EnumConfig, CollectSink, SpillConfig};
-/// use gsb_core::backend::SpilledLevel;
 /// use gsb_bitset::WahBitSet;
 /// use gsb_graph::BitGraph;
 /// let g = BitGraph::complete(5);
 /// let mut sink = CollectSink::default();
-/// let stats = CliqueEnumerator::<WahBitSet, SpilledLevel<WahBitSet>>::with_backend(
-///     EnumConfig::default(),
-///     SpillConfig::in_temp(0),
-/// )
-/// .try_enumerate(&g, &mut sink)
-/// .unwrap();
+/// let stats = CliqueEnumerator::<WahBitSet>::with_backend(EnumConfig::default())
+///     .enumerate_spilled(&g, &mut sink, &SpillConfig::in_temp(0))
+///     .unwrap();
 /// assert_eq!(stats.total_maximal, 1);
 /// ```
-pub struct CliqueEnumerator<S: NeighborSet = BitSet, B: LevelBackend<S> = InMemoryLevel<S>> {
+pub struct CliqueEnumerator<S: NeighborSet = BitSet> {
     /// Run configuration.
     pub config: EnumConfig,
-    /// Backend configuration (`()` in memory, [`SpillConfig`] when
-    /// spilling).
-    pub backend: B::Config,
     _repr: PhantomData<fn() -> S>,
 }
 
-impl<S: NeighborSet, B: LevelBackend<S>> Clone for CliqueEnumerator<S, B> {
+impl<S: NeighborSet> Clone for CliqueEnumerator<S> {
     fn clone(&self) -> Self {
-        CliqueEnumerator {
-            config: self.config,
-            backend: self.backend.clone(),
-            _repr: PhantomData,
-        }
+        Self::with_backend(self.config)
     }
 }
 
-impl<S: NeighborSet, B: LevelBackend<S>> std::fmt::Debug for CliqueEnumerator<S, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<S: NeighborSet> fmt::Debug for CliqueEnumerator<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CliqueEnumerator")
             .field("config", &self.config)
-            .field("backend", &self.backend)
             .field("repr", &S::KIND_NAME)
             .finish()
     }
@@ -232,13 +233,67 @@ impl Default for CliqueEnumerator {
 }
 
 impl CliqueEnumerator {
-    /// Dense in-memory enumerator with the given configuration.
+    /// Dense enumerator with the given configuration.
     pub fn new(config: EnumConfig) -> Self {
+        Self::with_backend(config)
+    }
+}
+
+impl<S: NeighborSet> CliqueEnumerator<S> {
+    /// Enumerator over the bitmap representation `S`.
+    pub fn with_backend(config: EnumConfig) -> Self {
         CliqueEnumerator {
             config,
-            backend: (),
             _repr: PhantomData,
         }
+    }
+
+    /// Enumerate maximal cliques of `g` into `sink`, in non-decreasing
+    /// size order.
+    pub fn enumerate(&self, g: &BitGraph, sink: &mut impl CliqueSink) -> EnumStats {
+        let started = Instant::now();
+        let mut stats = EnumStats::default();
+        let level = self.init_level(g, sink, &mut stats);
+        self.run_in_core(g, level, sink, stats, started)
+    }
+
+    /// Resume (or start) from an explicit level — e.g. one restored
+    /// from a checkpoint, or produced by
+    /// [`seed_level`](crate::kclique::seed_level) — and run to
+    /// completion under this configuration's `max_k`.
+    pub fn enumerate_from_level(
+        &self,
+        g: &BitGraph,
+        level: Level<S>,
+        sink: &mut impl CliqueSink,
+    ) -> EnumStats {
+        self.run_in_core(g, level, sink, EnumStats::default(), Instant::now())
+    }
+
+    /// The level loop with no hooks and the sequential step.
+    fn run_in_core(
+        &self,
+        g: &BitGraph,
+        level: Level<S>,
+        sink: &mut impl CliqueSink,
+        mut stats: EnumStats,
+        started: Instant,
+    ) -> EnumStats {
+        let mut step = Step::new(g, self.config.record_costs);
+        let done = run_levels(
+            level,
+            self.config.max_k,
+            g.n(),
+            sink,
+            &mut step,
+            &mut stats,
+            |_, _, _| Ok(BarrierControl::Continue),
+            |_, _| Ok(()),
+        );
+        assert!(done.is_ok(), "a hookless sequential run cannot stop");
+        stats.costs = step.costs;
+        stats.wall_ns = started.elapsed().as_nanos() as u64;
+        stats
     }
 
     /// Enumerate like [`enumerate`](Self::enumerate), but hold each
@@ -252,71 +307,71 @@ impl CliqueEnumerator {
         sink: &mut impl CliqueSink,
         spill: &SpillConfig,
     ) -> Result<EnumStats, StoreError> {
-        CliqueEnumerator::<BitSet, SpilledLevel<BitSet>>::with_backend(self.config, spill.clone())
-            .try_enumerate(g, sink)
-    }
-
-    /// Continue an enumeration out of core from an already-built level
-    /// (a checkpoint, or the resident level of an in-core run that hit
-    /// its memory budget). Emits cliques of size `> level.k` only; the
-    /// caller is responsible for everything emitted before the handoff.
-    pub fn enumerate_spilled_from_level(
-        &self,
-        g: &BitGraph,
-        level: Level,
-        sink: &mut impl CliqueSink,
-        spill: &SpillConfig,
-    ) -> Result<EnumStats, StoreError> {
-        CliqueEnumerator::<BitSet, SpilledLevel<BitSet>>::with_backend(self.config, spill.clone())
-            .try_enumerate_from_level(g, level, sink)
-    }
-}
-
-impl<S: NeighborSet, B: LevelBackend<S>> CliqueEnumerator<S, B> {
-    /// Enumerator over an explicit representation/backend pair.
-    pub fn with_backend(config: EnumConfig, backend: B::Config) -> Self {
-        CliqueEnumerator {
-            config,
-            backend,
-            _repr: PhantomData,
-        }
-    }
-
-    /// Enumerate maximal cliques of `g` into `sink`, in non-decreasing
-    /// size order. Errors can only arise from a spilling backend's I/O.
-    pub fn try_enumerate(
-        &self,
-        g: &BitGraph,
-        sink: &mut impl CliqueSink,
-    ) -> Result<EnumStats, StoreError> {
-        let start = Instant::now();
-        let mut stats = EnumStats {
-            costs: self.config.record_costs.then(Vec::new),
-            ..Default::default()
-        };
-        let level = self.init_level(g, sink, &mut stats);
-        self.run_from_level(g, level, sink, &mut stats)?;
-        stats.wall_ns = start.elapsed().as_nanos() as u64;
+        let started = Instant::now();
+        let mut seeds = EnumStats::default();
+        let level = self.init_level(g, sink, &mut seeds);
+        let mut stats = self.enumerate_spilled_from_level(g, level, sink, spill)?;
+        stats.total_maximal += seeds.total_maximal;
+        stats.wall_ns = started.elapsed().as_nanos() as u64;
         Ok(stats)
     }
 
-    /// Resume (or start) from an explicit level — e.g. one restored
-    /// from a checkpoint, or produced by
-    /// [`seed_level`](crate::kclique::seed_level) — and run to
-    /// completion under this configuration's `max_k`.
-    pub fn try_enumerate_from_level(
+    /// The out-of-core loop: continue an enumeration from an
+    /// already-built level (a checkpoint, or the level an in-core run
+    /// handed over at its memory budget), each level held in a
+    /// [`LevelStore`] and drained through the same kernel as in core.
+    /// Emits cliques of size `> level.k` only; the caller is
+    /// responsible for everything emitted before the handoff.
+    pub fn enumerate_spilled_from_level(
         &self,
         g: &BitGraph,
         level: Level<S>,
         sink: &mut impl CliqueSink,
+        spill: &SpillConfig,
     ) -> Result<EnumStats, StoreError> {
-        let start = Instant::now();
+        let started = Instant::now();
+        let n = g.n();
+        let rows = neighbor_rows::<S>(g);
+        let mut buf = S::empty(n);
         let mut stats = EnumStats {
             costs: self.config.record_costs.then(Vec::new),
             ..Default::default()
         };
-        self.run_from_level(g, level, sink, &mut stats)?;
-        stats.wall_ns = start.elapsed().as_nanos() as u64;
+        let mut k = level.k;
+        let mut memory = LevelMemory::account(&level, n);
+        let mut cur = LevelStore::new(spill, n);
+        for sl in level.sublists {
+            cur.push(sl)?;
+        }
+        while !cur.is_empty() && self.config.max_k.is_none_or(|mx| k < mx) {
+            let level_start = Instant::now();
+            let spilled = cur.spilled_len();
+            let mut next = LevelStore::new(spill, n);
+            let mut next_memory = LevelMemory::default();
+            let mut tally = Tally::new(stats.costs.is_some(), memory.n_sublists);
+            let mut pushed = Ok(());
+            let drained = cur.drain(|sl| {
+                if pushed.is_err() {
+                    return;
+                }
+                tally.add(expand_sublist(g, &rows, &sl, &mut buf, sink, |child| {
+                    if pushed.is_ok() {
+                        next_memory.add(&child, n);
+                        pushed = next.push(child);
+                    }
+                }));
+            })?;
+            pushed?;
+            let mut report = tally.report(k, memory, level_start, &mut stats.costs);
+            report.spilled = spilled;
+            report.bytes_read = drained.bytes_read;
+            stats.total_maximal += report.maximal_found;
+            stats.levels.push(report);
+            memory = next_memory;
+            k += 1;
+            cur = next;
+        }
+        stats.wall_ns = started.elapsed().as_nanos() as u64;
         Ok(stats)
     }
 
@@ -385,186 +440,259 @@ impl<S: NeighborSet, B: LevelBackend<S>> CliqueEnumerator<S, B> {
         Level { k: 2, sublists }
     }
 
-    /// The level loop: move `start` into a fresh backend, then expand
-    /// level into level until nothing is generated (or `max_k` is
-    /// reached), draining each level through the single generic kernel.
-    fn run_from_level(
-        &self,
-        g: &BitGraph,
-        start: Level<S>,
-        sink: &mut impl CliqueSink,
-        stats: &mut EnumStats,
-    ) -> Result<(), StoreError> {
-        let n = g.n();
-        let rows = neighbor_rows::<S>(g);
-        let mut memory = LevelMemory::account(&start, n);
-        let mut k = start.k;
-        let mut cur = B::open(&self.backend, n);
-        cur.reserve(start.sublists.len());
-        for sl in start.sublists {
-            cur.push(sl)?;
-        }
-        let mut buf = S::empty(n);
-        loop {
-            if cur.is_empty() {
-                break;
-            }
-            if let Some(mx) = self.config.max_k {
-                if k >= mx {
-                    break;
-                }
-            }
-            let level_start = Instant::now();
-            let spilled = cur.spilled_len();
-            let mut next = B::open(&self.backend, n);
-            // The paper's own bound N[k+1] <= M[k] - 2N[k] sizes the
-            // output exactly: no mid-level reallocation can then be
-            // charged to whichever sub-list happened to trigger it.
-            next.reserve(memory.n_cliques.saturating_sub(2 * memory.n_sublists));
-            let mut next_mem = LevelMemory::default();
-            let mut maximal_found = 0usize;
-            let mut units = 0u64;
-            let mut and_ops = 0u64;
-            let mut maximality_tests = 0u64;
-            let record = stats.costs.is_some();
-            let mut level_costs = Vec::new();
-            if record {
-                level_costs.reserve(memory.n_sublists);
-            }
-            let mut push_error: Option<StoreError> = None;
-            let drain = cur.drain(|sl| {
-                if push_error.is_some() {
-                    return;
-                }
-                let out = expand_sublist(g, &rows, &sl, &mut buf, sink, |child| {
-                    if push_error.is_some() {
-                        return;
-                    }
-                    next_mem.n_sublists += 1;
-                    next_mem.n_cliques += child.len();
-                    next_mem.formula_bytes += child.formula_bytes(n);
-                    next_mem.heap_bytes += child.heap_bytes() + std::mem::size_of::<SubList<S>>();
-                    if let Err(e) = next.push(child) {
-                        push_error = Some(e);
-                    }
-                });
-                maximal_found += out.maximal;
-                units += out.units;
-                and_ops += out.and_ops;
-                maximality_tests += out.tests;
-                if record {
-                    level_costs.push(out.units);
-                }
-            })?;
-            if let Some(e) = push_error {
-                return Err(e);
-            }
-            next.shrink();
-            if let Some(costs) = stats.costs.as_mut() {
-                costs.push(level_costs);
-            }
-            stats.total_maximal += maximal_found;
-            stats.levels.push(LevelReport {
-                k,
-                sublists: memory.n_sublists,
-                candidates: memory.n_cliques,
-                maximal_found,
-                ns: level_start.elapsed().as_nanos() as u64,
-                memory,
-                units,
-                and_ops,
-                maximality_tests,
-                spilled,
-                bytes_read: drain.bytes_read,
-            });
-            memory = next_mem;
-            k += 1;
-            cur = next;
-        }
-        Ok(())
-    }
-}
-
-impl<S: NeighborSet> CliqueEnumerator<S, InMemoryLevel<S>> {
-    /// Enumerate maximal cliques of `g` into `sink`, in non-decreasing
-    /// size order. Infallible: the in-memory backend performs no I/O.
-    pub fn enumerate(&self, g: &BitGraph, sink: &mut impl CliqueSink) -> EnumStats {
-        self.try_enumerate(g, sink)
-            .expect("in-memory backend cannot fail")
-    }
-
-    /// Resume (or start) from an explicit level and run to completion.
-    /// Infallible in-memory variant of
-    /// [`try_enumerate_from_level`](Self::try_enumerate_from_level).
-    pub fn enumerate_from_level(
-        &self,
-        g: &BitGraph,
-        level: Level<S>,
-        sink: &mut impl CliqueSink,
-    ) -> EnumStats {
-        self.try_enumerate_from_level(g, level, sink)
-            .expect("in-memory backend cannot fail")
-    }
-
     /// Expand one level into the next (the paper's `GenerateKCliques`
     /// over the whole `L_k`), reporting maximal (k+1)-cliques to the
-    /// sink. This is the natural checkpoint granularity: persist the
-    /// returned level with [`crate::store::write_level`] and resume
+    /// sink. The level is consumed: each sub-list is freed once it is
+    /// expanded. This is the natural checkpoint granularity: persist
+    /// the returned level with [`crate::store::write_level`] and resume
     /// with [`Self::enumerate_from_level`].
     pub fn step(
         &self,
         g: &BitGraph,
-        level: &Level<S>,
+        level: Level<S>,
         sink: &mut impl CliqueSink,
     ) -> (Level<S>, LevelReport) {
-        self.step_with_rows(g, &neighbor_rows::<S>(g), level, sink)
+        let memory = LevelMemory::account(&level, g.n());
+        let (next, _, report) = Step::new(g, false).expand(level, memory, sink);
+        (next, report)
+    }
+}
+
+/// Verdict of the per-level barrier hook.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BarrierControl {
+    /// Expand this level as usual.
+    Continue,
+    /// Stop and hand the unexpanded level back (the pipeline continues
+    /// it out of core).
+    Degrade,
+    /// Stop the run entirely (graceful shutdown): the barrier has
+    /// already persisted what it needs.
+    Halt,
+}
+
+/// Why the level loop stopped before it ran out of levels.
+pub(crate) enum Stop<S: NeighborSet> {
+    /// The barrier demanded degradation. The level is unexpanded, and
+    /// every clique of size `<= level.k` was already emitted.
+    Degrade(Level<S>),
+    /// The barrier demanded a halt.
+    Halt,
+    /// A steal epoch failed twice, or a sub-list was convicted with no
+    /// quarantine sidecar to take it. Nothing of the level was emitted;
+    /// `level` is it, unexpanded, so a caller can checkpoint it.
+    Round {
+        /// The level whose workers failed.
+        k: usize,
+        /// The worker failures of the failing epoch.
+        error: RoundError,
+        /// The unexpanded level.
+        level: Level<S>,
+    },
+    /// A hook (checkpoint write, budget probe, telemetry) or the
+    /// quarantine sidecar failed.
+    Store(StoreError),
+}
+
+impl<S: NeighborSet> fmt::Display for Stop<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stop::Degrade(level) => write!(f, "degraded at level {}", level.k),
+            Stop::Halt => write!(f, "halted"),
+            Stop::Round { k, error, .. } => write!(f, "level {k} failed after retry: {error}"),
+            Stop::Store(e) => write!(f, "barrier failed: {e}"),
+        }
+    }
+}
+
+/// A level expanded by an [`ExpandLevel`]: the next level, in the order
+/// of this one, with its memory, and this level's report.
+pub(crate) type Expanded<S> = (Level<S>, LevelMemory, LevelReport);
+
+/// How the level loop expands one level into the next.
+pub(crate) trait ExpandLevel<S: NeighborSet> {
+    /// Expand `level` (accounted as `memory`), emitting its maximal
+    /// (k+1)-cliques into `sink` in level order.
+    fn expand_level<K: CliqueSink>(
+        &mut self,
+        level: Level<S>,
+        memory: LevelMemory,
+        sink: &mut K,
+    ) -> Result<Expanded<S>, Stop<S>>;
+}
+
+/// The in-core level loop. From `level`, each pass:
+///
+/// 1. stops when the level is empty or at `max_k`;
+/// 2. shows the level and its memory to `barrier`, by reference, which
+///    may persist it or stop the loop ([`BarrierControl`]);
+/// 3. hands the level, by value, to `expander`, which emits the
+///    level's maximal cliques and builds the next level, counting its
+///    memory;
+/// 4. records the level's report in `stats` and shows it, with the
+///    expander, to `observe`.
+///
+/// No-op hooks cost nothing: the loop itself allocates nothing beyond
+/// what the expander does.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_levels<S, K, E>(
+    mut level: Level<S>,
+    max_k: Option<usize>,
+    g_n: usize,
+    sink: &mut K,
+    expander: &mut E,
+    stats: &mut EnumStats,
+    mut barrier: impl FnMut(&Level<S>, &LevelMemory, &mut K) -> Result<BarrierControl, StoreError>,
+    mut observe: impl FnMut(&LevelReport, &E) -> Result<(), StoreError>,
+) -> Result<(), Stop<S>>
+where
+    S: NeighborSet,
+    K: CliqueSink,
+    E: ExpandLevel<S>,
+{
+    let mut memory = LevelMemory::account(&level, g_n);
+    while !level.sublists.is_empty() && max_k.is_none_or(|mx| level.k < mx) {
+        match barrier(&level, &memory, sink).map_err(Stop::Store)? {
+            BarrierControl::Continue => {}
+            BarrierControl::Degrade => return Err(Stop::Degrade(level)),
+            BarrierControl::Halt => return Err(Stop::Halt),
+        }
+        let (next, next_memory, report) = expander.expand_level(level, memory, sink)?;
+        stats.total_maximal += report.maximal_found;
+        observe(&report, expander).map_err(Stop::Store)?;
+        stats.levels.push(report);
+        (level, memory) = (next, next_memory);
+    }
+    Ok(())
+}
+
+/// The sequential level expander: the per-vertex rows in `S` built once
+/// per run, one scratch bitmap, and the per-sub-list costs when asked.
+pub(crate) struct Step<'g, S: NeighborSet> {
+    g: &'g BitGraph,
+    rows: Vec<S>,
+    buf: S,
+    /// Per-level, per-sub-list costs ([`EnumConfig::record_costs`]).
+    pub(crate) costs: Option<Vec<Vec<u64>>>,
+}
+
+impl<'g, S: NeighborSet> Step<'g, S> {
+    pub(crate) fn new(g: &'g BitGraph, record_costs: bool) -> Self {
+        Step {
+            g,
+            rows: neighbor_rows(g),
+            buf: S::empty(g.n()),
+            costs: record_costs.then(Vec::new),
+        }
     }
 
-    /// [`step`](Self::step) with the per-vertex neighbor rows already
-    /// converted to `S` — callers stepping many levels (the pipeline)
-    /// build the rows once instead of once per level.
-    pub(crate) fn step_with_rows(
-        &self,
-        g: &BitGraph,
-        rows: &[S],
-        level: &Level<S>,
+    /// Expand `level`, draining it: each sub-list is freed once it is
+    /// expanded, so the level and the next are never both whole. The
+    /// next level's memory is counted as it is built.
+    fn expand(
+        &mut self,
+        level: Level<S>,
+        memory: LevelMemory,
         sink: &mut impl CliqueSink,
-    ) -> (Level<S>, LevelReport) {
-        let level_start = Instant::now();
-        let memory = LevelMemory::account(level, g.n());
-        let mut next = Level {
-            k: level.k + 1,
-            sublists: Vec::with_capacity(memory.n_cliques.saturating_sub(2 * memory.n_sublists)),
-        };
-        let mut buf = S::empty(g.n());
-        let mut maximal_found = 0usize;
-        let mut units = 0u64;
-        let mut and_ops = 0u64;
-        let mut maximality_tests = 0u64;
-        for sl in &level.sublists {
-            let out = expand_sublist(g, rows, sl, &mut buf, sink, |child| {
-                next.sublists.push(child);
-            });
-            maximal_found += out.maximal;
-            units += out.units;
-            and_ops += out.and_ops;
-            maximality_tests += out.tests;
+    ) -> Expanded<S> {
+        let started = Instant::now();
+        let k = level.k;
+        // The paper's own bound N[k+1] <= M[k] - 2N[k] sizes the output
+        // exactly: no mid-level reallocation can then be charged to
+        // whichever sub-list happened to trigger it.
+        let mut next = Vec::with_capacity(memory.n_cliques.saturating_sub(2 * memory.n_sublists));
+        let mut next_memory = LevelMemory::default();
+        let mut tally = Tally::new(self.costs.is_some(), memory.n_sublists);
+        let n = self.g.n();
+        for sl in level.sublists {
+            tally.add(expand_sublist(
+                self.g,
+                &self.rows,
+                &sl,
+                &mut self.buf,
+                sink,
+                |child| {
+                    next_memory.add(&child, n);
+                    next.push(child);
+                },
+            ));
         }
-        next.sublists.shrink_to_fit();
-        let report = LevelReport {
-            k: level.k,
+        next.shrink_to_fit();
+        let report = tally.report(k, memory, started, &mut self.costs);
+        let next = Level {
+            k: k + 1,
+            sublists: next,
+        };
+        (next, next_memory, report)
+    }
+}
+
+impl<S: NeighborSet> ExpandLevel<S> for Step<'_, S> {
+    fn expand_level<K: CliqueSink>(
+        &mut self,
+        level: Level<S>,
+        memory: LevelMemory,
+        sink: &mut K,
+    ) -> Result<Expanded<S>, Stop<S>> {
+        Ok(self.expand(level, memory, sink))
+    }
+}
+
+/// One level's sums of [`ExpandOut`], and its per-sub-list costs when
+/// they are recorded.
+struct Tally {
+    maximal: usize,
+    units: u64,
+    and_ops: u64,
+    tests: u64,
+    costs: Option<Vec<u64>>,
+}
+
+impl Tally {
+    fn new(record_costs: bool, sublists: usize) -> Self {
+        Tally {
+            maximal: 0,
+            units: 0,
+            and_ops: 0,
+            tests: 0,
+            costs: record_costs.then(|| Vec::with_capacity(sublists)),
+        }
+    }
+
+    fn add(&mut self, out: ExpandOut) {
+        self.maximal += out.maximal;
+        self.units += out.units;
+        self.and_ops += out.and_ops;
+        self.tests += out.tests;
+        if let Some(costs) = self.costs.as_mut() {
+            costs.push(out.units);
+        }
+    }
+
+    /// The in-core report of level `k`, its costs appended to the run's.
+    fn report(
+        self,
+        k: usize,
+        memory: LevelMemory,
+        started: Instant,
+        run_costs: &mut Option<Vec<Vec<u64>>>,
+    ) -> LevelReport {
+        if let (Some(run), Some(level)) = (run_costs.as_mut(), self.costs) {
+            run.push(level);
+        }
+        LevelReport {
+            k,
             sublists: memory.n_sublists,
             candidates: memory.n_cliques,
-            maximal_found,
-            ns: level_start.elapsed().as_nanos() as u64,
+            maximal_found: self.maximal,
+            ns: started.elapsed().as_nanos() as u64,
             memory,
-            units,
-            and_ops,
-            maximality_tests,
+            units: self.units,
+            and_ops: self.and_ops,
+            maximality_tests: self.tests,
             spilled: 0,
             bytes_read: 0,
-        };
-        (next, report)
+        }
     }
 }
 
@@ -689,7 +817,7 @@ mod tests {
 
     fn enumerate_sorted_as<S: NeighborSet>(g: &BitGraph, config: EnumConfig) -> Vec<Vec<Vertex>> {
         let mut sink = CollectSink::default();
-        CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(config, ()).enumerate(g, &mut sink);
+        CliqueEnumerator::<S>::with_backend(config).enumerate(g, &mut sink);
         let mut cliques = sink.cliques;
         cliques.sort();
         cliques
@@ -859,6 +987,102 @@ mod tests {
         for (lvl, c) in stats.levels.iter().zip(&costs) {
             assert_eq!(lvl.sublists, c.len());
         }
+    }
+
+    fn spilled(g: &BitGraph, config: EnumConfig, budget: usize) -> (Vec<Vec<Vertex>>, EnumStats) {
+        let mut sink = CollectSink::default();
+        let stats = CliqueEnumerator::new(config)
+            .enumerate_spilled(g, &mut sink, &SpillConfig::in_temp(budget))
+            .expect("io ok");
+        let mut v = sink.cliques;
+        v.sort();
+        (v, stats)
+    }
+
+    #[test]
+    fn spilled_matches_in_core_across_budgets() {
+        let g = planted(40, 0.08, &[Module::clique(9), Module::clique(7)], 6);
+        let config = EnumConfig::default();
+        let expect = enumerate_sorted(&g, config);
+        for budget in [0usize, 200, 5_000, usize::MAX] {
+            let (got, stats) = spilled(&g, config, budget);
+            assert_eq!(got, expect, "budget {budget}");
+            if budget == 0 {
+                assert!(stats.total_bytes_read() > 0, "nothing spilled at budget 0");
+            }
+            if budget == usize::MAX {
+                assert_eq!(stats.total_bytes_read(), 0);
+            }
+            assert_eq!(stats.total_maximal, expect.len());
+        }
+    }
+
+    #[test]
+    fn spilled_wah_backend_matches_dense() {
+        let g = planted(40, 0.08, &[Module::clique(9), Module::clique(7)], 6);
+        let config = EnumConfig::default();
+        let expect = enumerate_sorted(&g, config);
+        let mut sink = CollectSink::default();
+        let stats = CliqueEnumerator::<WahBitSet>::with_backend(config)
+            .enumerate_spilled(&g, &mut sink, &SpillConfig::in_temp(0))
+            .expect("io ok");
+        let mut got = sink.cliques;
+        got.sort();
+        assert_eq!(got, expect);
+        assert!(stats.total_bytes_read() > 0);
+    }
+
+    #[test]
+    fn spilled_respects_size_window() {
+        let g = planted(32, 0.1, &[Module::clique(8)], 3);
+        let config = EnumConfig {
+            min_k: 4,
+            max_k: Some(6),
+            record_costs: false,
+        };
+        let expect = enumerate_sorted(&g, config);
+        let (got, _) = spilled(&g, config, 100);
+        assert_eq!(got, expect);
+        assert!(got.iter().all(|c| (4..=6).contains(&c.len())));
+    }
+
+    #[test]
+    fn spill_reports_levels() {
+        let g = planted(36, 0.08, &[Module::clique(8)], 11);
+        let (_, stats) = spilled(&g, EnumConfig::default(), 0);
+        assert!(!stats.levels.is_empty());
+        for w in stats.levels.windows(2) {
+            assert_eq!(w[1].k, w[0].k + 1);
+        }
+        // with budget 0 every stored sub-list was spilled
+        for l in &stats.levels[1..] {
+            assert_eq!(l.spilled, l.sublists);
+        }
+        assert!(stats.wall_ns > 0);
+    }
+
+    #[test]
+    fn from_level_handoff_matches_full_run() {
+        // Run in core up to the level-3 barrier, hand that level to the
+        // out-of-core loop, and check the combined output equals one run.
+        let g = planted(36, 0.1, &[Module::clique(8), Module::clique(6)], 21);
+        let config = EnumConfig::default();
+        let expect = enumerate_sorted(&g, config);
+
+        let enumerator = CliqueEnumerator::new(config);
+        let mut sink = CollectSink::default();
+        let mut enum_stats = EnumStats::default();
+        let mut level = enumerator.init_level(&g, &mut sink, &mut enum_stats);
+        while level.k < 3 && !level.sublists.is_empty() {
+            let (next, _) = enumerator.step(&g, level, &mut sink);
+            level = next;
+        }
+        enumerator
+            .enumerate_spilled_from_level(&g, level, &mut sink, &SpillConfig::in_temp(0))
+            .expect("io ok");
+        let mut got = sink.cliques;
+        got.sort();
+        assert_eq!(got, expect);
     }
 
     #[derive(Default)]

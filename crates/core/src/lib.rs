@@ -5,9 +5,10 @@
 //! * [`enumerator`] — the sequential **Clique Enumerator** (§2.3):
 //!   levelwise maximal-clique enumeration in non-decreasing size order,
 //!   sub-lists sharing a (k−1)-prefix + one common-neighbor bitmap, the
-//!   one-AND + any-bit maximality test;
-//! * [`parallel`] — the multithreaded Clique Enumerator with the paper's
-//!   centralized dynamic load balancer over a persistent worker pool;
+//!   one-AND + any-bit maximality test — and the one in-core level loop
+//!   every run drives, plus the out-of-core loop;
+//! * [`parallel`] — the multithreaded Clique Enumerator: each level a
+//!   work-stealing epoch over a persistent worker pool;
 //! * [`kose`] — the **Kose RAM** baseline (Table 1's comparator): stores
 //!   all k-cliques and decides maximality by subset containment checks;
 //! * [`bk`] — **Base BK** and **Improved BK** (§2.2), the classic
@@ -26,14 +27,17 @@
 //!   clique overlap graphs, and paraclique decomposition;
 //! * [`memory`] — per-level memory accounting using the paper's own
 //!   formula (the data behind Fig. 9);
-//! * [`backend`] / [`store`] — level storage behind the
-//!   [`backend::LevelBackend`] trait: the resident vector, or the
-//!   out-of-core configuration the paper's predecessor ran in (§1) —
-//!   budgeted level storage with disk spill — so the
-//!   in-core-vs-out-of-core comparison is measurable on one kernel;
+//! * [`store`] — out-of-core level storage, the configuration the
+//!   paper's predecessor ran in (§1): a budgeted [`store::LevelStore`]
+//!   with disk spill, so the in-core-vs-out-of-core comparison is
+//!   measurable on one kernel; plus the checkpoint codec and the one
+//!   durable atomic file write; [`backend`] names the bitmap
+//!   representation a run uses;
 //! * [`wahclique`] — maximal clique enumeration operating on
 //!   WAH-compressed bitmaps end to end (§4's compression direction);
-//! * [`pipeline`] — the end-to-end driver: bounds → seed → enumerate.
+//! * [`pipeline`] — the end-to-end driver: bounds → seed → enumerate,
+//!   with checkpoints, a memory budget and telemetry as hooks of the
+//!   one level loop.
 //!
 //! ## Ordering contract
 //!
@@ -66,7 +70,7 @@ pub mod sublist;
 pub mod supervise;
 pub mod wahclique;
 
-pub use backend::{BackendChoice, InMemoryLevel, LevelBackend, SpilledLevel};
+pub use backend::BackendChoice;
 pub use checkpoint::{
     latest_checkpoint, CheckpointConfig, CheckpointManager, CheckpointPolicy, CheckpointWrite,
     RunMeta, RunProgress,

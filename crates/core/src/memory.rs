@@ -52,6 +52,16 @@ impl LevelMemory {
         }
     }
 
+    /// Count one more sub-list of a level over an `n`-vertex graph: the
+    /// running form of [`account`](Self::account), for a level being
+    /// built.
+    pub(crate) fn add<S: NeighborSet>(&mut self, sl: &SubList<S>, n: usize) {
+        self.n_sublists += 1;
+        self.n_cliques += sl.len();
+        self.formula_bytes += sl.formula_bytes(n);
+        self.heap_bytes += sl.heap_bytes() + std::mem::size_of::<SubList<S>>();
+    }
+
     /// Combined bytes for holding this level and the next
     /// simultaneously — the transient peak of the level step (the paper
     /// reports "607 GB ... to hold new generated (k+1)-cliques and

@@ -22,23 +22,25 @@
 //! That is exactly the sequential enumerator's order, so the sink gets
 //! the cliques with no staging or sort, the next level is already in
 //! prefix order, and output is byte-identical to the sequential
-//! enumerator at every thread count. Every level the driver hands out
-//! — to the barrier hook, in [`ParallelOutcome::Degraded`] or in
-//! [`ParallelRunError::Round`] — is in the order of the start level.
+//! enumerator at every thread count. Every level the level loop hands
+//! out — to the barrier hook, on degradation or with a failed epoch —
+//! is in the order of the start level.
+//!
+//! A steal epoch is one of the two ways the level loop of
+//! [`crate::enumerator`] expands a level; [`ParallelEnumerator::enumerate`]
+//! and the [`CliquePipeline`](crate::CliquePipeline) at more than one
+//! thread run that loop with it.
 //!
 //! ## Fault tolerance
 //!
-//! [`enumerate_resilient`](ParallelEnumerator::enumerate_resilient) is
-//! the crash-aware driver, and its fault unit is the sub-list, not the
-//! run: inside a run a panicking sub-list is retried inline once, and
-//! one that panics twice is convicted alone while the rest of its run's
-//! output is kept. An epoch that fails supervision (stuck worker, dead
-//! thread) is discarded wholesale (no partial emissions), dead threads
-//! are respawned, and the level is retried once before the failure is
-//! surfaced as a typed [`ParallelRunError`]. A per-level barrier hook
-//! lets the pipeline write checkpoints and demand degradation to the
-//! out-of-core path mid-flight, or halt for a graceful signal-driven
-//! shutdown ([`BarrierControl::Halt`]).
+//! The fault unit is the sub-list, not the run: inside a run a
+//! panicking sub-list is retried inline once, and one that panics twice
+//! is convicted alone while the rest of its run's output is kept. An
+//! epoch that fails supervision (stuck worker, dead thread) is
+//! discarded wholesale (no partial emissions), dead threads are
+//! respawned, and the level is retried once before the failure stops
+//! the level loop with the unexpanded level, so the pipeline can write a
+//! final checkpoint of it.
 //!
 //! ## Supervision
 //!
@@ -53,20 +55,21 @@
 //! skipped, and the level continues: degraded exact, never silently
 //! dropped (see [`crate::quarantine`]).
 
-use crate::backend::InMemoryLevel;
-use crate::enumerator::{EnumConfig, LevelReport};
+use crate::enumerator::{
+    run_levels, BarrierControl, CliqueEnumerator, EnumConfig, EnumStats, ExpandLevel, Expanded,
+    LevelReport, Stop,
+};
 use crate::memory::LevelMemory;
 use crate::quarantine::QuarantineEntry;
 use crate::sink::{CliqueSink, FnSink};
 use crate::store::StoreError;
 use crate::sublist::{Level, SubList};
 use crate::Vertex;
-use gsb_bitset::{BitSet, NeighborSet};
+use gsb_bitset::NeighborSet;
 use gsb_graph::BitGraph;
 use gsb_par::pool::{run_with_retry, EpochOut};
 use gsb_par::stats::{LevelStats, RunStats};
 use gsb_par::{Heartbeat, RoundError, WorkerFailure, WorkerPool};
-use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -120,86 +123,6 @@ pub struct ParallelStats {
     /// (degraded-exact mode): their descendant cliques are missing from
     /// the output but recorded, never silently dropped.
     pub quarantined: usize,
-}
-
-/// Verdict of the per-level barrier hook.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BarrierControl {
-    /// Expand this level as usual.
-    Continue,
-    /// Stop the in-core parallel run and hand the level back (the
-    /// pipeline continues it out of core).
-    Degrade,
-    /// Stop the run entirely (graceful shutdown): the barrier has
-    /// already persisted what it needs; nothing further is expanded.
-    Halt,
-}
-
-/// How a resilient parallel run ended. Generic over the bitmap
-/// representation the run enumerated with (dense by default).
-pub enum ParallelOutcome<S: NeighborSet = BitSet> {
-    /// Ran to completion.
-    Complete(ParallelStats),
-    /// The barrier hook demanded degradation; `level` is unexpanded and
-    /// everything of size `< level.k + 1` was already emitted.
-    Degraded {
-        /// The unexpanded level to continue from.
-        level: Level<S>,
-        /// Statistics up to the handoff.
-        stats: ParallelStats,
-    },
-    /// The barrier hook demanded a halt (graceful shutdown). The
-    /// barrier persisted its final checkpoint before asking, so the
-    /// outcome only carries the statistics.
-    Interrupted {
-        /// Statistics up to the halt.
-        stats: ParallelStats,
-    },
-}
-
-/// A resilient parallel run failed.
-#[derive(Debug)]
-pub enum ParallelRunError<S: NeighborSet = BitSet> {
-    /// A level failed: its epoch failed twice (original + one retry),
-    /// or a sub-list was convicted with no quarantine sidecar to take
-    /// it. `level` is the unexpanded level, so the caller can persist a
-    /// final checkpoint before aborting.
-    Round {
-        /// The level being expanded when the workers failed.
-        k: usize,
-        /// The worker failures of the failing epoch.
-        error: RoundError,
-        /// The unexpanded level.
-        level: Level<S>,
-    },
-    /// The barrier hook (checkpoint write, budget check) failed.
-    Store(StoreError),
-}
-
-impl<S: NeighborSet> fmt::Display for ParallelRunError<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParallelRunError::Round { k, error, .. } => {
-                write!(f, "level {k} failed after retry: {error}")
-            }
-            ParallelRunError::Store(e) => write!(f, "barrier failed: {e}"),
-        }
-    }
-}
-
-impl<S: NeighborSet> std::error::Error for ParallelRunError<S> {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ParallelRunError::Round { error, .. } => Some(error),
-            ParallelRunError::Store(e) => Some(e),
-        }
-    }
-}
-
-impl<S: NeighborSet> From<StoreError> for ParallelRunError<S> {
-    fn from(e: StoreError) -> Self {
-        ParallelRunError::Store(e)
-    }
 }
 
 /// What one run (a steal task) produces, in expansion order.
@@ -329,30 +252,6 @@ fn seed_queues(runs: &[Range<usize>], threads: usize) -> Vec<Vec<Range<usize>>> 
     queues
 }
 
-/// Everything one level expansion produced.
-struct LevelExpansion<S: NeighborSet> {
-    /// The next level, in the order of this one.
-    next: Level<S>,
-    /// Maximal cliques of the level, flat, one vector per run in level
-    /// order: the sequential emission order.
-    cliques: Vec<Vec<Vertex>>,
-    units: u64,
-    and_ops: u64,
-    maximality_tests: u64,
-    /// Per-worker timing with the unified moved-work count filled in.
-    timing: LevelStats,
-    /// Whether the whole level was discarded and re-run (counts toward
-    /// [`ParallelStats::retried_levels`]).
-    retried_level: bool,
-    /// Whether anything was retried at all (level or single sub-list) —
-    /// the telemetry `retried` flag.
-    retried: bool,
-    /// Sub-lists that succeeded on an inline retry.
-    retried_tasks: u64,
-    /// Sub-lists isolated to the quarantine sidecar this level.
-    quarantined: usize,
-}
-
 /// The multithreaded Clique Enumerator.
 pub struct ParallelEnumerator {
     /// Run configuration.
@@ -394,177 +293,85 @@ impl ParallelEnumerator {
     }
 
     /// Enumerate maximal cliques of `g`, delivering them level by level
-    /// (non-decreasing size) into `sink`.
+    /// (non-decreasing size) into `sink`: the level loop with no hooks,
+    /// each level expanded as a steal epoch.
     ///
-    /// Panics if a level fails; use
-    /// [`enumerate_resilient`](Self::enumerate_resilient) to handle
-    /// failures as values.
+    /// Panics if a level fails (its epoch failed twice, or a sub-list
+    /// was convicted with no quarantine sidecar); the
+    /// [`CliquePipeline`](crate::CliquePipeline) surfaces that as a
+    /// value.
     pub fn enumerate(&self, g: &Arc<BitGraph>, sink: &mut impl CliqueSink) -> ParallelStats {
-        let outcome = self.enumerate_resilient(g, None::<Level>, sink, |_level, _mem, _sink| {
-            Ok(BarrierControl::Continue)
-        });
-        match outcome {
-            Ok(ParallelOutcome::Complete(stats)) => stats,
-            Ok(ParallelOutcome::Degraded { .. }) | Ok(ParallelOutcome::Interrupted { .. }) => {
-                unreachable!("no-op barrier never degrades or halts")
-            }
-            Err(e) => panic!("parallel enumeration failed: {e}"),
-        }
-    }
-
-    /// Fault-tolerant enumeration.
-    ///
-    /// * `start`: `None` runs from scratch (seeding `min_k`-cliques and
-    ///   emitting them as the sequential enumerator does); `Some(level)`
-    ///   continues from a level — e.g. a checkpoint — whose seeds were
-    ///   already emitted by the original run. Emission follows the
-    ///   order of `start`, so a level in prefix order (as every driver
-    ///   writes them) reproduces the sequential run.
-    /// * `barrier` runs once per level *before* expansion, with the
-    ///   level and its memory accounting; it may persist a checkpoint
-    ///   (errors propagate) and may demand [`BarrierControl::Degrade`],
-    ///   which stops the in-core run and returns the unexpanded level
-    ///   for out-of-core continuation.
-    ///
-    /// An epoch that fails supervision (stuck worker, dead thread) is
-    /// discarded — partial results never reach `sink` — dead workers
-    /// are respawned, and the level is retried once. A second failure,
-    /// or a convicted sub-list with no quarantine sidecar, aborts with
-    /// [`ParallelRunError::Round`] carrying the unexpanded level, so
-    /// the caller can write a final checkpoint.
-    pub fn enumerate_resilient<S, K, B>(
-        &self,
-        g: &Arc<BitGraph>,
-        start: Option<Level<S>>,
-        sink: &mut K,
-        barrier: B,
-    ) -> Result<ParallelOutcome<S>, ParallelRunError<S>>
-    where
-        S: NeighborSet,
-        K: CliqueSink,
-        B: FnMut(&Level<S>, &LevelMemory, &mut K) -> Result<BarrierControl, StoreError>,
-    {
-        self.enumerate_observed(g, start, sink, barrier, |_report, _stats, _retried| {})
-    }
-
-    /// [`enumerate_resilient`](Self::enumerate_resilient) with a
-    /// telemetry tap: `observe` runs right after each level completes
-    /// (results collected, cliques emitted) with the level's
-    /// algorithmic report, its per-worker timing, and whether anything
-    /// in the level was retried or quarantined. This is how the
-    /// pipeline exports one consistent record per level barrier without
-    /// the workers ever touching a shared channel mid-level.
-    pub fn enumerate_observed<S, K, B, O>(
-        &self,
-        g: &Arc<BitGraph>,
-        start: Option<Level<S>>,
-        sink: &mut K,
-        mut barrier: B,
-        mut observe: O,
-    ) -> Result<ParallelOutcome<S>, ParallelRunError<S>>
-    where
-        S: NeighborSet,
-        K: CliqueSink,
-        B: FnMut(&Level<S>, &LevelMemory, &mut K) -> Result<BarrierControl, StoreError>,
-        O: FnMut(&LevelReport, &LevelStats, bool),
-    {
         let wall = Instant::now();
-        let mut stats = ParallelStats::default();
-        let threads = self.pool().threads();
-        let rows = Arc::new(crate::enumerator::neighbor_rows::<S>(g));
-
-        let mut level = match start {
-            Some(level) => level,
-            None => {
-                // Initialization is sequential and cheap relative to
-                // expansion.
-                let seq = crate::enumerator::CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(
-                    self.config.enum_config,
-                    (),
-                );
-                let mut init_stats = crate::enumerator::EnumStats::default();
-                let init = seq.init_level(g, sink, &mut init_stats);
-                stats.total_maximal += init_stats.total_maximal;
-                init
-            }
-        };
-
-        loop {
-            if level.sublists.is_empty() {
-                break;
-            }
-            if let Some(mx) = self.config.enum_config.max_k {
-                if level.k >= mx {
-                    break;
-                }
-            }
-            // The barrier hook checkpoints the level and the memory
-            // watchdog inspects it, both by reference.
-            let memory = LevelMemory::account(&level, g.n());
-            match barrier(&level, &memory, sink)? {
-                BarrierControl::Continue => {}
-                BarrierControl::Degrade => {
-                    stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-                    return Ok(ParallelOutcome::Degraded { level, stats });
-                }
-                BarrierControl::Halt => {
-                    stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-                    return Ok(ParallelOutcome::Interrupted { stats });
-                }
-            }
-
-            // Expand the level as one steal-scope epoch; the sink sees
-            // nothing until the level is fully collected.
-            let k = level.k;
-            let expansion = match self.expand_level(g, &rows, level, threads) {
-                Ok(expansion) => expansion,
-                Err(e) => {
-                    stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-                    return Err(e);
-                }
-            };
-            if expansion.retried_level {
-                stats.retried_levels.push(k);
-            }
-            stats.retried_tasks += expansion.retried_tasks;
-            stats.quarantined += expansion.quarantined;
-
-            // The runs in level order are the sequential emission
-            // order: forward the cliques as they are.
-            let mut maximal_found = 0;
-            for run in &expansion.cliques {
-                for clique in run.chunks_exact(k + 1) {
-                    sink.maximal(clique);
-                }
-                maximal_found += run.len() / (k + 1);
-            }
-            stats.total_maximal += maximal_found;
-
-            stats.levels.push(LevelReport {
-                k,
-                sublists: memory.n_sublists,
-                candidates: memory.n_cliques,
-                maximal_found,
-                ns: *expansion.timing.per_worker_ns.iter().max().unwrap_or(&0),
-                memory,
-                units: expansion.units,
-                and_ops: expansion.and_ops,
-                maximality_tests: expansion.maximality_tests,
-                spilled: 0,
-                bytes_read: 0,
-            });
-            stats.run.levels.push(expansion.timing);
-            observe(
-                stats.levels.last().expect("just pushed"),
-                stats.run.levels.last().expect("just pushed"),
-                expansion.retried,
-            );
-            level = expansion.next;
+        let config = self.config.enum_config;
+        let mut stats = EnumStats::default();
+        // Initialization is sequential and cheap relative to expansion.
+        let level = CliqueEnumerator::new(config).init_level(g, sink, &mut stats);
+        let mut epochs = Epochs::new(self, g);
+        if let Err(stop) = run_levels(
+            level,
+            config.max_k,
+            g.n(),
+            sink,
+            &mut epochs,
+            &mut stats,
+            |_, _, _| Ok(BarrierControl::Continue),
+            |_, _| Ok(()),
+        ) {
+            panic!("parallel enumeration failed: {stop}");
         }
-        stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-        Ok(ParallelOutcome::Complete(stats))
+        epochs.into_stats(stats, wall)
+    }
+}
+
+/// The steal-epoch level expander of one run, and what a parallel run
+/// reports beyond its [`LevelReport`]s.
+pub(crate) struct Epochs<'a, S: NeighborSet> {
+    par: &'a ParallelEnumerator,
+    g: &'a Arc<BitGraph>,
+    rows: Arc<Vec<S>>,
+    threads: usize,
+    /// Per-level, per-worker timing.
+    pub(crate) run: RunStats,
+    retried_levels: Vec<usize>,
+    retried_tasks: u64,
+    quarantined: usize,
+    /// Whether anything in the last level was retried or quarantined —
+    /// the telemetry `retried` flag.
+    pub(crate) last_retried: bool,
+}
+
+impl<'a, S: NeighborSet> Epochs<'a, S> {
+    pub(crate) fn new(par: &'a ParallelEnumerator, g: &'a Arc<BitGraph>) -> Self {
+        Epochs {
+            threads: par.pool().threads(),
+            par,
+            g,
+            rows: Arc::new(crate::enumerator::neighbor_rows::<S>(g)),
+            run: RunStats::default(),
+            retried_levels: Vec::new(),
+            retried_tasks: 0,
+            quarantined: 0,
+            last_retried: false,
+        }
     }
 
+    /// The run's statistics: the loop's per-level reports and totals,
+    /// plus the epochs' own.
+    pub(crate) fn into_stats(self, stats: EnumStats, wall: Instant) -> ParallelStats {
+        let mut run = self.run;
+        run.wall_ns = wall.elapsed().as_nanos() as u64;
+        ParallelStats {
+            levels: stats.levels,
+            run,
+            total_maximal: stats.total_maximal,
+            retried_levels: self.retried_levels,
+            retried_tasks: self.retried_tasks,
+            quarantined: self.quarantined,
+        }
+    }
+}
+
+impl<S: NeighborSet> ExpandLevel<S> for Epochs<'_, S> {
     /// Expand one level as a steal-scope epoch: the level moves into an
     /// `Arc`, is cut into runs, and worker w starts on the w-th block
     /// of runs while idle workers steal.
@@ -576,32 +383,33 @@ impl ParallelEnumerator {
     /// convicts the sub-list its failure names, and the epoch reruns
     /// without it. Convicted sub-lists are quarantined and skipped when
     /// the sidecar is configured; otherwise the level fails with
-    /// [`ParallelRunError::Round`] — the sink has seen nothing of it.
-    fn expand_level<S: NeighborSet>(
-        &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
+    /// [`Stop::Round`] — the sink has seen nothing of it. Otherwise the
+    /// runs' cliques go to the sink in level order.
+    fn expand_level<K: CliqueSink>(
+        &mut self,
         level: Level<S>,
-        threads: usize,
-    ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
+        memory: LevelMemory,
+        sink: &mut K,
+    ) -> Result<Expanded<S>, Stop<S>> {
+        let par = self.par;
         let k = level.k;
         let level = Arc::new(level);
-        let runs = cut_runs(&level.sublists, threads * RUNS_PER_WORKER);
+        let runs = cut_runs(&level.sublists, self.threads * RUNS_PER_WORKER);
         let epoch = |excluded: &[usize]| {
-            self.pool().run_epoch(
-                seed_queues(&runs, threads),
+            par.pool().run_epoch(
+                seed_queues(&runs, self.threads),
                 run_job(
-                    Arc::clone(g),
-                    Arc::clone(rows),
+                    Arc::clone(self.g),
+                    Arc::clone(&self.rows),
                     Arc::clone(&level),
                     excluded.to_vec(),
                 ),
-                self.config.worker_deadline,
+                par.config.worker_deadline,
             )
         };
         // A failed epoch's workers (an abandoned one for good) may still
         // hold the level, so handing it out can take a copy.
-        let fail = |level: Arc<Level<S>>, error| ParallelRunError::Round {
+        let fail = |level: Arc<Level<S>>, error| Stop::Round {
             k,
             error,
             level: Arc::try_unwrap(level).unwrap_or_else(|shared| (*shared).clone()),
@@ -637,7 +445,7 @@ impl ParallelEnumerator {
                     && f.task
                         .is_some_and(|i| i < level.sublists.len() && !excluded.contains(&i))
             });
-            if !named || self.quarantine.is_none() {
+            if !named || par.quarantine.is_none() {
                 return Err(fail(level, error));
             }
             for f in &error.failures {
@@ -689,7 +497,7 @@ impl ParallelEnumerator {
             let lost = p.task.clone().filter(|i| !excluded.contains(i));
             panicked.extend(lost.map(|i| (p.worker, i, p.panic_message.clone())));
         }
-        if !panicked.is_empty() && self.quarantine.is_none() {
+        if !panicked.is_empty() && par.quarantine.is_none() {
             let failures = panicked
                 .iter()
                 .map(|(worker, _, message)| WorkerFailure {
@@ -702,10 +510,17 @@ impl ParallelEnumerator {
             return Err(fail(level, RoundError { failures }));
         }
         convicted.extend(panicked.iter().map(|(_, i, message)| convict(*i, message)));
-        if let (Some(path), false) = (&self.quarantine, convicted.is_empty()) {
+        if let (Some(path), false) = (&par.quarantine, convicted.is_empty()) {
             crate::quarantine::append_entries(path, &convicted)
-                .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
+                .map_err(|e| Stop::Store(StoreError::Io(e)))?;
         }
+
+        if retried_level {
+            self.retried_levels.push(k);
+        }
+        self.retried_tasks += retried_sublists;
+        self.quarantined += convicted.len();
+        self.last_retried = retried_level || retried_sublists > 0 || !convicted.is_empty();
 
         // Level order: concatenating the runs reproduces the sequential
         // enumerator's children and emissions.
@@ -714,24 +529,30 @@ impl ParallelEnumerator {
             k: k + 1,
             sublists: Vec::with_capacity(outs.iter().map(|run| run.children.len()).sum()),
         };
-        let mut cliques = Vec::with_capacity(outs.len());
+        let mut maximal_found = 0;
         for run in outs {
             next.sublists.extend(run.children);
-            cliques.push(run.cliques);
+            for clique in run.cliques.chunks_exact(k + 1) {
+                sink.maximal(clique);
+            }
+            maximal_found += run.cliques.len() / (k + 1);
         }
-        let quarantined = convicted.len();
-        Ok(LevelExpansion {
-            next,
-            cliques,
+        let report = LevelReport {
+            k,
+            sublists: memory.n_sublists,
+            candidates: memory.n_cliques,
+            maximal_found,
+            ns: *timing.per_worker_ns.iter().max().unwrap_or(&0),
+            memory,
             units,
             and_ops,
             maximality_tests,
-            timing,
-            retried_level,
-            retried: retried_level || retried_sublists > 0 || quarantined > 0,
-            retried_tasks: retried_sublists,
-            quarantined,
-        })
+            spilled: 0,
+            bytes_read: 0,
+        };
+        self.run.levels.push(timing);
+        let next_memory = LevelMemory::account(&next, self.g.n());
+        Ok((next, next_memory, report))
     }
 }
 
@@ -778,9 +599,8 @@ mod tests {
     #[test]
     fn runs_tile_the_level_by_cost_shares_and_seed_contiguous_blocks() {
         let g = planted(200, 0.05, &[Module::clique(12)], 7);
-        let seq = crate::enumerator::CliqueEnumerator::new(EnumConfig::default());
-        let mut init_stats = crate::enumerator::EnumStats::default();
-        let level = seq.init_level(&g, &mut CollectSink::default(), &mut init_stats);
+        let seq = CliqueEnumerator::new(EnumConfig::default());
+        let level = seq.init_level(&g, &mut CollectSink::default(), &mut EnumStats::default());
         let cost = |run: &Range<usize>| level.sublists[run.clone()].iter().map(SubList::cost);
         let share = cost(&(0..level.sublists.len())).sum::<u64>().div_ceil(8);
         let runs = cut_runs(&level.sublists, 8);
@@ -899,31 +719,55 @@ mod tests {
         assert_eq!(stats.total_maximal, 0);
     }
 
+    /// Run the level loop with steal epochs from `level`; the barrier
+    /// degrades once the level reaches `stop_at`.
+    fn run_epochs(
+        g: &Arc<BitGraph>,
+        threads: usize,
+        level: Level,
+        sink: &mut CollectSink,
+        stop_at: usize,
+    ) -> Result<(), Stop<gsb_bitset::BitSet>> {
+        let par = ParallelEnumerator::new(ParallelConfig {
+            threads,
+            ..Default::default()
+        });
+        let mut epochs = Epochs::new(&par, g);
+        run_levels(
+            level,
+            None,
+            g.n(),
+            sink,
+            &mut epochs,
+            &mut EnumStats::default(),
+            |level, _, _| {
+                Ok(if level.k >= stop_at {
+                    BarrierControl::Degrade
+                } else {
+                    BarrierControl::Continue
+                })
+            },
+            |_, _| Ok(()),
+        )
+    }
+
     #[test]
-    fn resilient_from_snapshot_matches_rest_of_run() {
+    fn epochs_from_snapshot_match_rest_of_run() {
         // Step sequentially to the level-3 barrier, then hand the level
-        // to the resilient parallel driver as a resume snapshot.
+        // to the steal epochs as a resume snapshot.
         let g = planted(34, 0.1, &[Module::clique(8), Module::clique(6)], 9);
         let expect = bk_at_least(&g, 3);
 
-        let seq = crate::enumerator::CliqueEnumerator::new(EnumConfig::default());
+        let seq = CliqueEnumerator::new(EnumConfig::default());
         let mut sink = CollectSink::default();
-        let mut init_stats = crate::enumerator::EnumStats::default();
+        let mut init_stats = EnumStats::default();
         let mut level = seq.init_level(&g, &mut sink, &mut init_stats);
         while level.k < 3 && !level.sublists.is_empty() {
-            let (next, _) = seq.step(&g, &level, &mut sink);
+            let (next, _) = seq.step(&g, level, &mut sink);
             level = next;
         }
-        let garc = Arc::new(g.clone());
-        let outcome = ParallelEnumerator::new(ParallelConfig {
-            threads: 3,
-            ..Default::default()
-        })
-        .enumerate_resilient(&garc, Some(level), &mut sink, |_l, _m, _s| {
-            Ok(BarrierControl::Continue)
-        })
-        .expect("resilient run");
-        assert!(matches!(outcome, ParallelOutcome::Complete(_)));
+        let done = run_epochs(&Arc::new(g), 3, level, &mut sink, usize::MAX);
+        assert!(done.is_ok(), "the run stopped early");
         let mut got = sink.cliques;
         got.sort();
         assert_eq!(got, expect);
@@ -931,29 +775,16 @@ mod tests {
 
     #[test]
     fn barrier_degrade_hands_back_unexpanded_level() {
-        let g = planted(30, 0.1, &[Module::clique(8)], 5);
-        let garc = Arc::new(g.clone());
+        let g = Arc::new(planted(30, 0.1, &[Module::clique(8)], 5));
+        let seq = CliqueEnumerator::new(EnumConfig::default());
         let mut sink = CollectSink::default();
-        let enumerator = ParallelEnumerator::new(ParallelConfig {
-            threads: 2,
-            ..Default::default()
-        });
-        let outcome = enumerator
-            .enumerate_resilient(&garc, None::<Level>, &mut sink, |level, _m, _s| {
-                Ok(if level.k >= 4 {
-                    BarrierControl::Degrade
-                } else {
-                    BarrierControl::Continue
-                })
-            })
-            .expect("resilient run");
-        let ParallelOutcome::Degraded { level, .. } = outcome else {
+        let level = seq.init_level(&g, &mut sink, &mut EnumStats::default());
+        let Err(Stop::Degrade(level)) = run_epochs(&g, 2, level, &mut sink, 4) else {
             panic!("expected degradation at k=4");
         };
         assert_eq!(level.k, 4);
         assert!(!level.sublists.is_empty());
         // continuing sequentially from the handoff completes the run
-        let seq = crate::enumerator::CliqueEnumerator::new(EnumConfig::default());
         seq.enumerate_from_level(&g, level, &mut sink);
         let mut got = sink.cliques;
         got.sort();

@@ -6,38 +6,39 @@
 //! enumeration algorithm (Section 2.3) is then employed using the
 //! non-maximal k-cliques as input."
 //!
-//! ## Fault tolerance
+//! ## One loop, configured
 //!
-//! The pipeline is also the fault-tolerant runtime. When configured
-//! with [`checkpoint`](CliquePipeline::checkpoint) and/or
-//! [`memory_budget`](CliquePipeline::memory_budget) it drives the
-//! enumeration through per-level barriers where it
+//! Every run — plain, checkpointed, budgeted, observed, at any thread
+//! count — is the level loop of [`crate::enumerator`] with the
+//! pipeline's barrier hook and per-level observer, and with each level
+//! expanded by the sequential step (one thread) or a steal epoch
+//! ([`crate::parallel`]). With no option set the hooks do nothing, so a
+//! mode costs what the plain run costs. At each barrier the pipeline
 //!
 //! 1. flushes durable sinks and persists the level atomically (crash
 //!    recovery: [`CliquePipeline::resume`] reloads the newest valid
 //!    checkpoint and re-expands it, emitting only sizes above it);
 //! 2. projects the next level's footprint and, when it would exceed the
-//!    budget, *degrades* mid-flight to the out-of-core enumerator
-//!    instead of dying on allocation;
-//! 3. contains worker faults: a panicking task is retried inline, a
-//!    level whose epoch fails supervision is discarded and retried once
-//!    on respawned workers, and a level that still fails writes a final
-//!    checkpoint and surfaces [`PipelineError::Workers`].
+//!    budget, *degrades* mid-flight to the out-of-core loop instead of
+//!    dying on allocation;
+//! 3. halts on a shutdown request, after a final checkpoint.
 //!
-//! Without those options `run` takes the original in-core fast path.
+//! Worker faults are contained by the steal epoch: a panicking task is
+//! retried inline, a level whose epoch fails supervision is discarded
+//! and retried once on respawned workers, and a level that still fails
+//! writes a final checkpoint and surfaces [`PipelineError::Workers`].
 
-use crate::backend::{BackendChoice, InMemoryLevel, SpilledLevel};
+use crate::backend::BackendChoice;
 use crate::checkpoint::{
     latest_checkpoint, record_stop_cause, CheckpointConfig, CheckpointManager, RunProgress,
     StopCause,
 };
-use crate::enumerator::{CliqueEnumerator, EnumConfig, EnumStats, LevelReport};
+use crate::enumerator::{
+    run_levels, BarrierControl, CliqueEnumerator, EnumConfig, EnumStats, LevelReport, Step, Stop,
+};
 use crate::maxclique::maximum_clique_size;
 use crate::memory::LevelMemory;
-use crate::parallel::{
-    BarrierControl, ParallelConfig, ParallelEnumerator, ParallelOutcome, ParallelRunError,
-    ParallelStats,
-};
+use crate::parallel::{Epochs, ParallelConfig, ParallelEnumerator, ParallelStats};
 use crate::sink::CliqueSink;
 use crate::store::{SpillConfig, StoreError};
 use crate::sublist::Level;
@@ -46,24 +47,25 @@ use crate::Vertex;
 use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
 use gsb_graph::reduce::clique_upper_bound;
 use gsb_graph::BitGraph;
+use gsb_par::stats::LevelStats;
 use gsb_par::RoundError;
 use gsb_telemetry::{LevelRecord, RunSummary, RunTelemetry, TelemetryConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A pipeline run failed (only possible with fault-tolerance options:
-/// the plain in-core path is infallible).
+/// a plain in-core run is infallible).
 #[derive(Debug)]
 pub enum PipelineError {
     /// Checkpoint or spill I/O / corruption, or a durable sink that
     /// could not be flushed at a barrier.
     Store(StoreError),
-    /// A parallel level failed (see [`ParallelRunError::Round`]). When
-    /// checkpointing is configured, a final checkpoint of the failed
-    /// level was written before this was returned, so the run is
-    /// resumable.
+    /// A parallel level failed: its epoch failed twice, or a sub-list
+    /// was convicted with no quarantine sidecar. When checkpointing is
+    /// configured, a final checkpoint of the failed level was written
+    /// before this was returned, so the run is resumable.
     Workers {
         /// The level whose workers failed.
         k: usize,
@@ -155,9 +157,11 @@ impl Default for CliquePipeline {
 /// Bounds and statistics of a pipeline run.
 #[derive(Clone, Debug)]
 pub struct PipelineReport {
-    /// Cheap combinatorial upper bound (degeneracy/coloring).
-    pub upper_bound: usize,
-    /// Exact maximum clique size, when computed.
+    /// Cheap combinatorial upper bound (degeneracy/coloring), when the
+    /// bound preamble ran (not with
+    /// [`skip_exact_bound`](CliquePipeline::skip_exact_bound)).
+    pub upper_bound: Option<usize>,
+    /// Exact maximum clique size, when the bound preamble ran.
     pub maximum_clique: Option<usize>,
     /// The lower bound actually used for seeding.
     pub min_k: usize,
@@ -176,16 +180,6 @@ pub struct PipelineReport {
     /// the same per-level reports as `enum_stats`, with
     /// [`LevelReport::bytes_read`] counting the spill traffic.
     pub degraded_stats: Option<EnumStats>,
-}
-
-/// What the resilient driver hands back to the report assembly.
-#[derive(Default)]
-struct ResilientOutcome {
-    enum_stats: Option<EnumStats>,
-    parallel_stats: Option<ParallelStats>,
-    degraded_stats: Option<EnumStats>,
-    checkpoints: Vec<usize>,
-    degraded_at: Option<usize>,
 }
 
 impl CliquePipeline {
@@ -213,9 +207,10 @@ impl CliquePipeline {
         self
     }
 
-    /// Skip the exact maximum-clique computation and rely on the cheap
-    /// upper bound only (useful when the graph is huge and only the
-    /// range matters).
+    /// Skip the bound preamble: neither the cheap upper bound nor the
+    /// exact maximum clique is computed (useful when the graph is huge
+    /// and only the cliques matter). The level loop stops on its own at
+    /// the maximum clique either way.
     pub fn skip_exact_bound(mut self) -> Self {
         self.exact_upper_bound = false;
         self
@@ -262,9 +257,7 @@ impl CliquePipeline {
 
     /// Attach a run-telemetry sink: one [`LevelRecord`] per level
     /// barrier (JSONL export and/or live progress per its
-    /// [`TelemetryConfig`]), plus a final [`RunSummary`]. Routes the run
-    /// through the barrier-driven driver even without checkpointing or
-    /// a memory budget.
+    /// [`TelemetryConfig`]), plus a final [`RunSummary`].
     pub fn telemetry(mut self, telemetry: Arc<RunTelemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -276,8 +269,7 @@ impl CliquePipeline {
     /// finishes the in-flight level, writes a final forced checkpoint
     /// (when checkpointing is configured), records the stop cause for
     /// `resume` to report, and returns
-    /// [`PipelineError::Interrupted`]. Routes the run through the
-    /// barrier-driven driver.
+    /// [`PipelineError::Interrupted`].
     pub fn shutdown(mut self, token: ShutdownToken) -> Self {
         self.shutdown = Some(token);
         self
@@ -303,25 +295,6 @@ impl CliquePipeline {
         self
     }
 
-    fn enum_config(&self, g: &BitGraph) -> (usize, Option<usize>, EnumConfig) {
-        // Stage 1: bounds. The cheap bound caps the level loop; the
-        // exact bound reproduces the paper's "maximum clique size
-        // was 17 / 110 / 28" preamble.
-        let upper_bound = clique_upper_bound(g);
-        let maximum = self.exact_upper_bound.then(|| maximum_clique_size(g));
-        let effective_max = match (self.max_k, maximum) {
-            (Some(mx), Some(exact)) => Some(mx.min(exact)),
-            (Some(mx), None) => Some(mx.min(upper_bound)),
-            (None, _) => None, // enumerator stops on its own
-        };
-        let config = EnumConfig {
-            min_k: self.min_k,
-            max_k: effective_max,
-            record_costs: false,
-        };
-        (upper_bound, maximum, config)
-    }
-
     fn spill_config(&self) -> SpillConfig {
         let dir = self
             .degrade_dir
@@ -340,97 +313,24 @@ impl CliquePipeline {
     /// Panics on failure; failures are only possible when checkpointing
     /// or a memory budget is configured — use
     /// [`try_run`](Self::try_run) to handle them as values.
-    pub fn run(&self, g: &BitGraph, sink: &mut impl CliqueSink) -> PipelineReport {
+    pub fn run(&self, g: &Arc<BitGraph>, sink: &mut impl CliqueSink) -> PipelineReport {
         self.try_run(g, sink)
             .unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
 
     /// Run the pipeline, surfacing checkpoint/budget/worker failures as
-    /// [`PipelineError`] values.
+    /// [`PipelineError`] values. The graph is shared, not copied, with
+    /// the worker threads of a parallel run.
     pub fn try_run(
         &self,
-        g: &BitGraph,
+        g: &Arc<BitGraph>,
         sink: &mut impl CliqueSink,
     ) -> Result<PipelineReport, PipelineError> {
         match self.backend {
-            BackendChoice::Dense => self.try_run_repr::<BitSet>(g, sink),
-            BackendChoice::Wah => self.try_run_repr::<WahBitSet>(g, sink),
-            BackendChoice::Hybrid => self.try_run_repr::<HybridSet>(g, sink),
+            BackendChoice::Dense => self.run_repr::<BitSet>(g, sink, None),
+            BackendChoice::Wah => self.run_repr::<WahBitSet>(g, sink, None),
+            BackendChoice::Hybrid => self.run_repr::<HybridSet>(g, sink, None),
         }
-    }
-
-    /// `try_run` under one concrete bitmap representation — the single
-    /// monomorphization point for the whole run path.
-    fn try_run_repr<S: NeighborSet>(
-        &self,
-        g: &BitGraph,
-        sink: &mut impl CliqueSink,
-    ) -> Result<PipelineReport, PipelineError> {
-        let io0 = crate::supervise::io_retries();
-        let (upper_bound, maximum, config) = self.enum_config(g);
-
-        // Stages 2+3: seed at min_k (inside the enumerator) and run the
-        // levelwise enumeration.
-        let outcome = if self.checkpoint.is_none()
-            && self.memory_budget.is_none()
-            && self.telemetry.is_none()
-            && self.shutdown.is_none()
-        {
-            // Original infallible in-core fast path.
-            if self.threads == 1 {
-                let seq = CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(config, ());
-                ResilientOutcome {
-                    enum_stats: Some(seq.enumerate(g, sink)),
-                    ..Default::default()
-                }
-            } else {
-                let mut par = ParallelEnumerator::new(ParallelConfig {
-                    threads: self.threads,
-                    enum_config: config,
-                    worker_deadline: self.worker_deadline,
-                });
-                if let Some(q) = self.quarantine.clone() {
-                    par = par.quarantine_to(q);
-                }
-                let garc = Arc::new(g.clone());
-                let stats = match par.enumerate_resilient(
-                    &garc,
-                    None::<Level<S>>,
-                    sink,
-                    |_level, _mem, _sink| Ok(BarrierControl::Continue),
-                ) {
-                    Ok(ParallelOutcome::Complete(stats)) => stats,
-                    Ok(ParallelOutcome::Degraded { .. })
-                    | Ok(ParallelOutcome::Interrupted { .. }) => {
-                        unreachable!("no-op barrier never degrades or halts")
-                    }
-                    Err(ParallelRunError::Round { k, error, .. }) => {
-                        return Err(PipelineError::Workers { k, error })
-                    }
-                    Err(ParallelRunError::Store(e)) => return Err(PipelineError::Store(e)),
-                };
-                ResilientOutcome {
-                    parallel_stats: Some(stats),
-                    ..Default::default()
-                }
-            }
-        } else {
-            self.run_resilient::<S, _>(g, sink, None, config)?
-        };
-        let report = PipelineReport {
-            upper_bound,
-            maximum_clique: maximum,
-            min_k: self.min_k,
-            enum_stats: outcome.enum_stats,
-            parallel_stats: outcome.parallel_stats,
-            resumed_from: None,
-            degraded_at: outcome.degraded_at,
-            checkpoints: outcome.checkpoints,
-            degraded_stats: outcome.degraded_stats,
-        };
-        self.note_supervision(&report, io0);
-        self.finish_telemetry(&report)?;
-        Ok(report)
     }
 
     /// Continue an interrupted run from the newest valid checkpoint in
@@ -446,7 +346,7 @@ impl CliquePipeline {
     /// a different graph.
     pub fn resume(
         &self,
-        g: &BitGraph,
+        g: &Arc<BitGraph>,
         sink: &mut impl CliqueSink,
     ) -> Result<PipelineReport, PipelineError> {
         match self.backend {
@@ -458,15 +358,14 @@ impl CliquePipeline {
 
     fn resume_repr<S: NeighborSet>(
         &self,
-        g: &BitGraph,
+        g: &Arc<BitGraph>,
         sink: &mut impl CliqueSink,
     ) -> Result<PipelineReport, PipelineError> {
-        let io0 = crate::supervise::io_retries();
         let ckpt = self
             .checkpoint
             .as_ref()
             .ok_or(PipelineError::NoCheckpoint)?;
-        let Some((k, mut level)) = latest_checkpoint::<S>(&ckpt.dir, g.n())? else {
+        let Some((_, mut level)) = latest_checkpoint::<S>(&ckpt.dir, g.n())? else {
             return Err(PipelineError::NoCheckpoint);
         };
         // Parallel runs of earlier versions checkpointed their levels in
@@ -488,22 +387,182 @@ impl CliquePipeline {
                 progress.wall_ms.saturating_mul(1_000_000),
             );
         }
-        let (upper_bound, maximum, config) = self.enum_config(g);
-        let outcome = self.run_resilient::<S, _>(g, sink, Some(level), config)?;
-        let report = PipelineReport {
-            upper_bound,
-            maximum_clique: maximum,
-            min_k: self.min_k,
-            enum_stats: outcome.enum_stats,
-            parallel_stats: outcome.parallel_stats,
-            resumed_from: Some(k),
-            degraded_at: outcome.degraded_at,
-            checkpoints: outcome.checkpoints,
-            degraded_stats: outcome.degraded_stats,
+        self.run_repr(g, sink, Some(level))
+    }
+
+    /// One run under one concrete bitmap representation — the single
+    /// monomorphization point for the whole run path. `start` is a
+    /// resumed checkpoint level; `None` seeds the run at `min_k`.
+    fn run_repr<S: NeighborSet>(
+        &self,
+        g: &Arc<BitGraph>,
+        sink: &mut impl CliqueSink,
+        start: Option<Level<S>>,
+    ) -> Result<PipelineReport, PipelineError> {
+        let io0 = crate::supervise::io_retries();
+        // Stage 1: bounds, which reproduce the paper's "maximum clique
+        // size was 17 / 110 / 28" preamble. They never cap the loop: it
+        // stops at the maximum clique on its own, because level ω holds
+        // no sub-lists.
+        let (upper_bound, maximum_clique) = if self.exact_upper_bound {
+            (Some(clique_upper_bound(g)), Some(maximum_clique_size(g)))
+        } else {
+            (None, None)
         };
+        let mut report = PipelineReport {
+            upper_bound,
+            maximum_clique,
+            min_k: self.min_k,
+            enum_stats: None,
+            parallel_stats: None,
+            resumed_from: start.as_ref().map(|level| level.k),
+            degraded_at: None,
+            checkpoints: Vec::new(),
+            degraded_stats: None,
+        };
+        // Stages 2+3: seed at min_k and run the level loop.
+        self.enumerate(g, sink, start, &mut report)?;
         self.note_supervision(&report, io0);
         self.finish_telemetry(&report)?;
         Ok(report)
+    }
+
+    /// The level loop with the pipeline's hooks, and what follows when
+    /// it stops early: degradation continues out of core; a halt or a
+    /// failed level leaves the checkpoint directory `resume`-ready.
+    fn enumerate<S: NeighborSet, K: CliqueSink>(
+        &self,
+        g: &Arc<BitGraph>,
+        sink: &mut K,
+        start: Option<Level<S>>,
+        report: &mut PipelineReport,
+    ) -> Result<(), PipelineError> {
+        let wall = Instant::now();
+        let g_n = g.n();
+        let config = EnumConfig {
+            min_k: self.min_k,
+            max_k: self.max_k,
+            record_costs: false,
+        };
+        let mut manager = self
+            .checkpoint
+            .clone()
+            .map(CheckpointManager::new)
+            .transpose()?;
+        // Checkpoint barriers persist cumulative RunProgress for resume,
+        // so a checkpointed run without caller-attached telemetry keeps a
+        // quiet (no-output) instance.
+        let quiet;
+        let telemetry = match (&self.telemetry, &manager) {
+            (Some(telemetry), _) => Some(&**telemetry),
+            (None, Some(_)) => {
+                quiet = RunTelemetry::new(TelemetryConfig::default()).map_err(StoreError::Io)?;
+                Some(&quiet)
+            }
+            (None, None) => None,
+        };
+        let mut sink = TelemetrySink {
+            inner: sink,
+            telemetry,
+        };
+        let mut stats = EnumStats::default();
+        let level = match start {
+            Some(level) => level,
+            None => {
+                CliqueEnumerator::<S>::with_backend(config).init_level(g, &mut sink, &mut stats)
+            }
+        };
+        let barrier = |level: &Level<S>, memory: &LevelMemory, sink: &mut TelemetrySink<K>| {
+            at_barrier(
+                &mut manager,
+                self.memory_budget,
+                self.shutdown.as_ref(),
+                level,
+                memory,
+                sink,
+                g_n,
+                telemetry,
+            )
+        };
+        let outcome = if self.threads == 1 {
+            let mut step = Step::new(g, false);
+            let outcome = run_levels(
+                level,
+                config.max_k,
+                g_n,
+                &mut sink,
+                &mut step,
+                &mut stats,
+                barrier,
+                |level, _| observe_level(telemetry, level, g_n, None),
+            );
+            stats.wall_ns = wall.elapsed().as_nanos() as u64;
+            report.enum_stats = Some(stats);
+            outcome
+        } else {
+            let mut par = ParallelEnumerator::new(ParallelConfig {
+                threads: self.threads,
+                enum_config: config,
+                worker_deadline: self.worker_deadline,
+            });
+            if let Some(q) = self.quarantine.clone() {
+                par = par.quarantine_to(q);
+            }
+            let mut epochs = Epochs::new(&par, g);
+            let outcome = run_levels(
+                level,
+                config.max_k,
+                g_n,
+                &mut sink,
+                &mut epochs,
+                &mut stats,
+                barrier,
+                |level, epochs: &Epochs<S>| {
+                    let epoch = epochs.run.levels.last().expect("one epoch per level");
+                    observe_level(telemetry, level, g_n, Some((epoch, epochs.last_retried)))
+                },
+            );
+            report.parallel_stats = Some(epochs.into_stats(stats, wall));
+            outcome
+        };
+        match outcome {
+            Ok(()) => {}
+            Err(Stop::Degrade(level)) => {
+                report.degraded_at = Some(level.k);
+                // Degradation moves the level into the budgeted spill
+                // store: same kernel, same representation.
+                let degraded = CliqueEnumerator::<S>::with_backend(config)
+                    .enumerate_spilled_from_level(g, level, &mut sink, &self.spill_config())?;
+                record_degraded_levels(telemetry, &degraded)?;
+                report.degraded_stats = Some(degraded);
+            }
+            Err(Stop::Halt) => {
+                // The barrier already forced a final checkpoint and
+                // recorded the stop cause; leaving the files in place
+                // keeps the directory `resume`-ready.
+                return Err(PipelineError::Interrupted {
+                    signal: self.requested_signal(),
+                });
+            }
+            Err(Stop::Round { k, error, level }) => {
+                // Abort, but leave a final checkpoint of the failed
+                // level so the operator can fix the cause and resume.
+                if let Some(mgr) = manager.as_mut() {
+                    let _ = sink.flush_barrier();
+                    let _ = mgr.force(&level);
+                    let _ = record_stop_cause(mgr.dir(), StopCause::WorkerFailure);
+                }
+                return Err(PipelineError::Workers { k, error });
+            }
+            Err(Stop::Store(e)) => return Err(e.into()),
+        }
+        // Success: record which levels were checkpointed, then remove
+        // the now-useless checkpoint files.
+        if let Some(mgr) = manager {
+            report.checkpoints = mgr.written().to_vec();
+            mgr.finish();
+        }
+        Ok(())
     }
 
     /// Feed supervision counters (quarantined sub-lists, transient-I/O
@@ -533,8 +592,7 @@ impl CliquePipeline {
     }
 
     /// Write the final summary record when the caller attached
-    /// telemetry. The internal quiet instance used by plain resilient
-    /// runs has no outputs, so skipping it here loses nothing.
+    /// telemetry.
     fn finish_telemetry(&self, report: &PipelineReport) -> Result<(), PipelineError> {
         if let Some(telemetry) = self.telemetry.as_ref() {
             telemetry
@@ -547,281 +605,24 @@ impl CliquePipeline {
         }
         Ok(())
     }
-
-    /// The barrier-driven driver behind `try_run` (with options) and
-    /// `resume`.
-    fn run_resilient<S: NeighborSet, K: CliqueSink>(
-        &self,
-        g: &BitGraph,
-        sink: &mut K,
-        start: Option<Level<S>>,
-        config: EnumConfig,
-    ) -> Result<ResilientOutcome, PipelineError> {
-        let mut manager = self
-            .checkpoint
-            .clone()
-            .map(CheckpointManager::new)
-            .transpose()?;
-        let budget = self.memory_budget;
-        let g_n = g.n();
-        // Even without caller-attached telemetry the resilient driver
-        // keeps a quiet (no-output) instance, so checkpoint barriers
-        // can always persist cumulative RunProgress for resume.
-        let telemetry = match self.telemetry.clone() {
-            Some(t) => t,
-            None => Arc::new(
-                RunTelemetry::new(TelemetryConfig::default())
-                    .map_err(|e| PipelineError::Store(StoreError::Io(e)))?,
-            ),
-        };
-
-        let outcome = if self.threads == 1 {
-            self.run_resilient_sequential(
-                g,
-                sink,
-                start,
-                config,
-                &mut manager,
-                budget,
-                g_n,
-                &telemetry,
-            )?
-        } else {
-            self.run_resilient_parallel(
-                g,
-                sink,
-                start,
-                config,
-                &mut manager,
-                budget,
-                g_n,
-                &telemetry,
-            )?
-        };
-        Ok(outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_resilient_sequential<S: NeighborSet, K: CliqueSink>(
-        &self,
-        g: &BitGraph,
-        sink: &mut K,
-        start: Option<Level<S>>,
-        config: EnumConfig,
-        manager: &mut Option<CheckpointManager>,
-        budget: Option<usize>,
-        g_n: usize,
-        telemetry: &RunTelemetry,
-    ) -> Result<ResilientOutcome, PipelineError> {
-        let seq = CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(config, ());
-        let mut outcome = ResilientOutcome::default();
-        let mut stats = EnumStats::default();
-        let mut sink = TelemetrySink {
-            inner: sink,
-            telemetry,
-        };
-        let mut level = match start {
-            Some(level) => level,
-            None => seq.init_level(g, &mut sink, &mut stats),
-        };
-        // One representation conversion of the adjacency rows for the
-        // whole run, shared by every level step.
-        let rows = crate::enumerator::neighbor_rows::<S>(g);
-        loop {
-            if level.sublists.is_empty() {
-                break;
-            }
-            if let Some(mx) = config.max_k {
-                if level.k >= mx {
-                    break;
-                }
-            }
-            let memory = LevelMemory::account(&level, g_n);
-            let control = at_barrier(
-                manager,
-                budget,
-                self.shutdown.as_ref(),
-                &level,
-                &memory,
-                &mut sink,
-                g_n,
-                telemetry,
-            )?;
-            match control {
-                BarrierControl::Continue => {}
-                BarrierControl::Halt => {
-                    // The barrier already forced a final checkpoint and
-                    // recorded the stop cause; leaving the files in
-                    // place keeps the directory `resume`-ready.
-                    return Err(PipelineError::Interrupted {
-                        signal: self.requested_signal(),
-                    });
-                }
-                BarrierControl::Degrade => {
-                    outcome.degraded_at = Some(level.k);
-                    // Degradation is a backend swap: same kernel, same
-                    // representation, the level just moves to the
-                    // budgeted spill store.
-                    let degraded = CliqueEnumerator::<S, SpilledLevel<S>>::with_backend(
-                        config,
-                        self.spill_config(),
-                    )
-                    .try_enumerate_from_level(g, level, &mut sink)
-                    .map_err(PipelineError::Store)?;
-                    stats.total_maximal += degraded.total_maximal;
-                    record_degraded_levels(telemetry, &degraded)?;
-                    outcome.degraded_stats = Some(degraded);
-                    break;
-                }
-            }
-            let projected = memory.projected_peak_bytes(level.k, g_n) as u64;
-            let (next, report) = seq.step_with_rows(g, &rows, &level, &mut sink);
-            stats.total_maximal += report.maximal_found;
-            telemetry
-                .on_level(level_record(&report, projected))
-                .map_err(|e| PipelineError::Store(StoreError::Io(e)))?;
-            stats.levels.push(report);
-            level = next;
-        }
-        finish_checkpoints(manager, &mut outcome);
-        outcome.enum_stats = Some(stats);
-        Ok(outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_resilient_parallel<S: NeighborSet, K: CliqueSink>(
-        &self,
-        g: &BitGraph,
-        sink: &mut K,
-        start: Option<Level<S>>,
-        config: EnumConfig,
-        manager: &mut Option<CheckpointManager>,
-        budget: Option<usize>,
-        g_n: usize,
-        telemetry: &RunTelemetry,
-    ) -> Result<ResilientOutcome, PipelineError> {
-        let mut outcome = ResilientOutcome::default();
-        let mut par = ParallelEnumerator::new(ParallelConfig {
-            threads: self.threads,
-            enum_config: config,
-            worker_deadline: self.worker_deadline,
-        });
-        if let Some(q) = self.quarantine.clone() {
-            par = par.quarantine_to(q);
-        }
-        let garc = Arc::new(g.clone());
-        let mut sink = TelemetrySink {
-            inner: sink,
-            telemetry,
-        };
-        // The observer can't propagate errors itself; park the first
-        // write failure and surface it after the run.
-        let mut telemetry_err: Option<std::io::Error> = None;
-        let result = par.enumerate_observed(
-            &garc,
-            start,
-            &mut sink,
-            |level, memory, sink| {
-                at_barrier(
-                    manager,
-                    budget,
-                    self.shutdown.as_ref(),
-                    level,
-                    memory,
-                    sink,
-                    g_n,
-                    telemetry,
-                )
-                .map_err(|e| {
-                    match e {
-                        PipelineError::Store(e) => e,
-                        // at_barrier only produces Store errors
-                        other => StoreError::Io(std::io::Error::other(other.to_string())),
-                    }
-                })
-            },
-            |report, level_stats, retried| {
-                let projected = report.memory.projected_peak_bytes(report.k, g_n) as u64;
-                let mut record = level_record(report, projected);
-                record.busy_ns = level_stats.per_worker_ns.clone();
-                record.units = level_stats.per_worker_units.clone();
-                record.tasks = level_stats
-                    .per_worker_tasks
-                    .iter()
-                    .map(|&t| t as u64)
-                    .collect();
-                record.transfers = level_stats.transfers as u64;
-                record.steals = level_stats.per_worker_steals.clone();
-                record.idle_ns = level_stats.per_worker_idle_ns.clone();
-                record.failed_steals = level_stats.failed_steals;
-                if retried {
-                    record.retries = 1;
-                    telemetry.note_retry();
-                }
-                if let Err(e) = telemetry.on_level(record) {
-                    telemetry_err.get_or_insert(e);
-                }
-            },
-        );
-        match result {
-            Ok(ParallelOutcome::Complete(stats)) => {
-                outcome.parallel_stats = Some(stats);
-            }
-            Ok(ParallelOutcome::Degraded { level, stats }) => {
-                outcome.degraded_at = Some(level.k);
-                outcome.parallel_stats = Some(stats);
-                let degraded = CliqueEnumerator::<S, SpilledLevel<S>>::with_backend(
-                    config,
-                    self.spill_config(),
-                )
-                .try_enumerate_from_level(g, level, &mut sink)
-                .map_err(PipelineError::Store)?;
-                record_degraded_levels(telemetry, &degraded)?;
-                outcome.degraded_stats = Some(degraded);
-            }
-            Ok(ParallelOutcome::Interrupted { stats }) => {
-                // The barrier already persisted a forced checkpoint and
-                // the stop cause; surface the halt without cleaning up
-                // so the directory stays `resume`-ready.
-                outcome.parallel_stats = Some(stats);
-                return Err(PipelineError::Interrupted {
-                    signal: self.requested_signal(),
-                });
-            }
-            Err(ParallelRunError::Round { k, error, level }) => {
-                // Abort, but leave a final checkpoint of the failed
-                // level so the operator can fix the cause and resume.
-                if let Some(mgr) = manager.as_mut() {
-                    let _ = sink.flush_barrier();
-                    let _ = mgr.force(&level);
-                    let _ = record_stop_cause(mgr.dir(), StopCause::WorkerFailure);
-                    outcome.checkpoints = mgr.written().to_vec();
-                }
-                return Err(PipelineError::Workers { k, error });
-            }
-            Err(ParallelRunError::Store(e)) => return Err(PipelineError::Store(e)),
-        }
-        if let Some(e) = telemetry_err {
-            return Err(PipelineError::Store(StoreError::Io(e)));
-        }
-        finish_checkpoints(manager, &mut outcome);
-        Ok(outcome)
-    }
 }
 
-/// Counts every emitted clique into the run telemetry before forwarding
-/// to the real sink. Wrapping the sink (instead of summing per-level
-/// reports) makes the cumulative total exact: seeds emitted during
-/// level initialization and the degraded out-of-core tail never produce
-/// a per-level record, but they do pass through here.
+/// Counts every emitted clique into the run telemetry, when there is
+/// one, before forwarding to the real sink. Wrapping the sink (instead
+/// of summing per-level reports) makes the cumulative total exact:
+/// seeds emitted during level initialization and the degraded
+/// out-of-core tail never produce a per-level record, but they do pass
+/// through here.
 struct TelemetrySink<'a, S: CliqueSink> {
     inner: &'a mut S,
-    telemetry: &'a RunTelemetry,
+    telemetry: Option<&'a RunTelemetry>,
 }
 
 impl<S: CliqueSink> CliqueSink for TelemetrySink<'_, S> {
     fn maximal(&mut self, clique: &[Vertex]) {
-        self.telemetry.add_cliques(1);
+        if let Some(telemetry) = self.telemetry {
+            telemetry.add_cliques(1);
+        }
         self.inner.maximal(clique);
     }
 
@@ -830,10 +631,18 @@ impl<S: CliqueSink> CliqueSink for TelemetrySink<'_, S> {
     }
 }
 
-/// A [`LevelRecord`] with the fields every execution mode shares;
-/// parallel runs layer per-worker data on top.
-fn level_record(report: &LevelReport, projected_bytes: u64) -> LevelRecord {
-    LevelRecord {
+/// The per-level observer: one telemetry record per expanded level,
+/// with a steal epoch's per-worker timing and retry flag layered on.
+fn observe_level(
+    telemetry: Option<&RunTelemetry>,
+    report: &LevelReport,
+    g_n: usize,
+    epoch: Option<(&LevelStats, bool)>,
+) -> Result<(), StoreError> {
+    let Some(telemetry) = telemetry else {
+        return Ok(());
+    };
+    let mut record = LevelRecord {
         k: report.k as u64,
         sublists: report.sublists as u64,
         candidates: report.candidates as u64,
@@ -841,39 +650,54 @@ fn level_record(report: &LevelReport, projected_bytes: u64) -> LevelRecord {
         level_ns: report.ns,
         and_ops: report.and_ops,
         maximality_tests: report.maximality_tests,
-        projected_bytes,
+        projected_bytes: report.memory.projected_peak_bytes(report.k, g_n) as u64,
         formula_bytes: report.memory.formula_bytes as u64,
         heap_bytes: report.memory.heap_bytes as u64,
         ..Default::default()
+    };
+    if let Some((timing, retried)) = epoch {
+        record.busy_ns = timing.per_worker_ns.clone();
+        record.units = timing.per_worker_units.clone();
+        record.tasks = timing.per_worker_tasks.iter().map(|&t| t as u64).collect();
+        record.transfers = timing.transfers as u64;
+        record.steals = timing.per_worker_steals.clone();
+        record.idle_ns = timing.per_worker_idle_ns.clone();
+        record.failed_steals = timing.failed_steals;
+        if retried {
+            record.retries = 1;
+            telemetry.note_retry();
+        }
     }
+    telemetry.on_level(record)?;
+    Ok(())
 }
 
 /// Emit one degraded-mode record per out-of-core level so the JSONL
 /// stream covers the whole run even after the watchdog fires.
 fn record_degraded_levels(
-    telemetry: &RunTelemetry,
+    telemetry: Option<&RunTelemetry>,
     degraded: &EnumStats,
-) -> Result<(), PipelineError> {
+) -> Result<(), StoreError> {
+    let Some(telemetry) = telemetry else {
+        return Ok(());
+    };
     for level in &degraded.levels {
         telemetry.note_spill(level.bytes_read);
-        let record = LevelRecord {
+        telemetry.on_level(LevelRecord {
             k: level.k as u64,
             sublists: level.sublists as u64,
             maximal_level: level.maximal_found as u64,
             level_ns: level.ns,
             degraded: true,
             ..Default::default()
-        };
-        telemetry
-            .on_level(record)
-            .map_err(|e| PipelineError::Store(StoreError::Io(e)))?;
+        })?;
     }
     Ok(())
 }
 
-/// The per-level barrier: fault injection, memory watchdog, durable
-/// sink flush, checkpoint write (plus its telemetry and progress
-/// bookkeeping).
+/// The per-level barrier: shutdown, fault injection, memory watchdog,
+/// durable sink flush, checkpoint write (plus its telemetry and
+/// progress bookkeeping).
 #[allow(clippy::too_many_arguments)]
 fn at_barrier<S: NeighborSet, K: CliqueSink>(
     manager: &mut Option<CheckpointManager>,
@@ -883,24 +707,18 @@ fn at_barrier<S: NeighborSet, K: CliqueSink>(
     memory: &LevelMemory,
     sink: &mut K,
     g_n: usize,
-    telemetry: &RunTelemetry,
-) -> Result<BarrierControl, PipelineError> {
+    telemetry: Option<&RunTelemetry>,
+) -> Result<BarrierControl, StoreError> {
     // Shutdown wins over everything else at the barrier: the level that
     // just finished is complete and consistent, so persist it (forced,
     // regardless of the checkpoint policy), record why we stopped, and
     // halt. Nothing below this level is lost.
     if let Some(sig) = shutdown.and_then(ShutdownToken::signal) {
-        if let Some(mgr) = manager.as_mut() {
-            sink.flush_barrier()
-                .map_err(|e| PipelineError::Store(StoreError::Io(e)))?;
+        if let (Some(mgr), Some(telemetry)) = (manager.as_mut(), telemetry) {
+            sink.flush_barrier()?;
             let write = mgr.force(level)?;
             telemetry.note_checkpoint(write.ns, write.bytes);
-            RunProgress {
-                cliques_emitted: telemetry.cliques_emitted(),
-                levels_done: telemetry.levels_completed(),
-                wall_ms: telemetry.wall_ns() / 1_000_000,
-            }
-            .save(mgr.dir())?;
+            save_progress(mgr, telemetry)?;
             // Best-effort: a failed stop-cause note must not block the
             // shutdown itself.
             let _ = record_stop_cause(mgr.dir(), StopCause::Signal(sig));
@@ -908,44 +726,39 @@ fn at_barrier<S: NeighborSet, K: CliqueSink>(
         return Ok(BarrierControl::Halt);
     }
     if let Some(budget) = budget {
-        crate::failpoint::inject("memory.budget").map_err(StoreError::Io)?;
+        crate::failpoint::inject("memory.budget")?;
         if memory.projected_peak_bytes(level.k, g_n) > budget {
             return Ok(BarrierControl::Degrade);
         }
     }
-    if let Some(mgr) = manager.as_mut() {
+    if let (Some(mgr), Some(telemetry)) = (manager.as_mut(), telemetry) {
         // Flush the sink first: once the checkpoint exists, a resumed
         // run will never re-emit anything at or below this level, so
         // those cliques must already be out of volatile buffers.
-        sink.flush_barrier()
-            .map_err(|e| PipelineError::Store(StoreError::Io(e)))?;
+        sink.flush_barrier()?;
         if let Some(write) = mgr.observe_level(level)? {
             telemetry.note_checkpoint(write.ns, write.bytes);
             // Everything of size ≤ level.k is flushed and the level is
             // durable, so these totals are exactly what a resumed run
             // should continue from.
-            RunProgress {
-                cliques_emitted: telemetry.cliques_emitted(),
-                levels_done: telemetry.levels_completed(),
-                wall_ms: telemetry.wall_ns() / 1_000_000,
-            }
-            .save(mgr.dir())?;
+            save_progress(mgr, telemetry)?;
         }
     }
     // The crash-simulation site sits after the checkpoint write: a kill
     // here models dying at the barrier with the freshest possible
     // checkpoint on disk — resume must still produce identical output.
-    crate::failpoint::inject("pipeline.barrier").map_err(StoreError::Io)?;
+    crate::failpoint::inject("pipeline.barrier")?;
     Ok(BarrierControl::Continue)
 }
 
-/// Successful completion: record which levels were checkpointed, then
-/// remove the now-useless checkpoint files.
-fn finish_checkpoints(manager: &mut Option<CheckpointManager>, outcome: &mut ResilientOutcome) {
-    if let Some(mgr) = manager.take() {
-        outcome.checkpoints = mgr.written().to_vec();
-        mgr.finish();
+/// Persist the run's cumulative telemetry next to its checkpoints.
+fn save_progress(mgr: &CheckpointManager, telemetry: &RunTelemetry) -> Result<(), StoreError> {
+    RunProgress {
+        cliques_emitted: telemetry.cliques_emitted(),
+        levels_done: telemetry.levels_completed(),
+        wall_ms: telemetry.wall_ns() / 1_000_000,
     }
+    .save(mgr.dir())
 }
 
 #[cfg(test)]
@@ -957,11 +770,11 @@ mod tests {
 
     #[test]
     fn sequential_pipeline_end_to_end() {
-        let g = planted(40, 0.08, &[Module::clique(9)], 21);
+        let g = Arc::new(planted(40, 0.08, &[Module::clique(9)], 21));
         let mut sink = CollectSink::default();
         let report = CliquePipeline::new().min_size(4).run(&g, &mut sink);
         assert_eq!(report.maximum_clique, Some(9));
-        assert!(report.upper_bound >= 9);
+        assert!(report.upper_bound.is_some_and(|bound| bound >= 9));
         let mut got = sink.cliques;
         got.sort();
         let expect: Vec<_> = base_bk_sorted(&g)
@@ -976,25 +789,54 @@ mod tests {
 
     #[test]
     fn parallel_pipeline_matches_sequential() {
-        let g = planted(36, 0.1, &[Module::clique(8), Module::clique(6)], 2);
-        let mut s1 = CollectSink::default();
-        CliquePipeline::new().min_size(3).run(&g, &mut s1);
-        let mut s4 = CollectSink::default();
-        let report = CliquePipeline::new()
-            .min_size(3)
-            .threads(4)
-            .run(&g, &mut s4);
-        let mut a = s1.cliques;
-        let mut b = s4.cliques;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert!(report.parallel_stats.is_some());
+        // Every mode is the one level loop, so every option set emits
+        // exactly the oracle's sequence — unsorted — at any thread count.
+        let g = Arc::new(planted(36, 0.1, &[Module::clique(8), Module::clique(6)], 2));
+        let mut oracle = CollectSink::default();
+        CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut oracle);
+        let dir = temp_dir("modes");
+        let jsonl = temp_dir("modes-telemetry").with_extension("jsonl");
+        let telemetry = || {
+            Arc::new(
+                RunTelemetry::new(TelemetryConfig {
+                    metrics_out: Some(jsonl.clone()),
+                    progress: false,
+                })
+                .unwrap(),
+            )
+        };
+        for threads in [1usize, 4] {
+            let plain = CliquePipeline::new().threads(threads);
+            let modes = [
+                ("no option", plain.clone()),
+                ("telemetry", plain.clone().telemetry(telemetry())),
+                (
+                    "memory_budget(MAX)",
+                    plain.clone().memory_budget(usize::MAX),
+                ),
+                ("memory_budget(0)", plain.clone().memory_budget(0)),
+                (
+                    "checkpoint(every_level)",
+                    plain
+                        .clone()
+                        .checkpoint(CheckpointConfig::every_level(&dir)),
+                ),
+            ];
+            for (mode, pipe) in modes {
+                let mut sink = CollectSink::default();
+                let report = pipe.try_run(&g, &mut sink).expect("run");
+                assert_eq!(sink.cliques, oracle.cliques, "{mode}, threads={threads}");
+                assert_eq!(report.parallel_stats.is_some(), threads > 1, "{mode}");
+                assert_eq!(report.degraded_at.is_some(), mode == "memory_budget(0)");
+            }
+        }
+        let _ = std::fs::remove_file(&jsonl);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn size_window() {
-        let g = planted(30, 0.1, &[Module::clique(8)], 13);
+        let g = Arc::new(planted(30, 0.1, &[Module::clique(8)], 13));
         let mut sink = CollectSink::default();
         CliquePipeline::new()
             .min_size(4)
@@ -1010,13 +852,14 @@ mod tests {
 
     #[test]
     fn skip_exact_bound_still_correct() {
-        let g = planted(30, 0.1, &[Module::clique(7)], 5);
+        let g = Arc::new(planted(30, 0.1, &[Module::clique(7)], 5));
         let mut sink = CollectSink::default();
         let report = CliquePipeline::new()
             .min_size(3)
             .skip_exact_bound()
             .run(&g, &mut sink);
         assert_eq!(report.maximum_clique, None);
+        assert_eq!(report.upper_bound, None);
         let mut got = sink.cliques;
         got.sort();
         let expect: Vec<_> = base_bk_sorted(&g)
@@ -1035,7 +878,12 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_plain_and_cleans_up() {
-        let g = planted(36, 0.1, &[Module::clique(9), Module::clique(6)], 17);
+        let g = Arc::new(planted(
+            36,
+            0.1,
+            &[Module::clique(9), Module::clique(6)],
+            17,
+        ));
         let mut plain = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut plain);
 
@@ -1070,7 +918,12 @@ mod tests {
         // Simulate a crash: run the first levels by hand, write a real
         // checkpoint, then resume through the pipeline and check the
         // union of pre-crash and post-resume cliques equals a full run.
-        let g = planted(34, 0.1, &[Module::clique(8), Module::clique(6)], 29);
+        let g = Arc::new(planted(
+            34,
+            0.1,
+            &[Module::clique(8), Module::clique(6)],
+            29,
+        ));
         let mut full = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut full);
 
@@ -1079,7 +932,7 @@ mod tests {
         let mut enum_stats = EnumStats::default();
         let mut level = seq.init_level(&g, &mut pre_crash, &mut enum_stats);
         while level.k < 4 && !level.sublists.is_empty() {
-            let (next, _) = seq.step(&g, &level, &mut pre_crash);
+            let (next, _) = seq.step(&g, level, &mut pre_crash);
             level = next;
         }
         let dir = temp_dir("resume");
@@ -1112,7 +965,7 @@ mod tests {
 
     #[test]
     fn memory_budget_degrades_and_stays_correct() {
-        let g = planted(36, 0.1, &[Module::clique(9)], 3);
+        let g = Arc::new(planted(36, 0.1, &[Module::clique(9)], 3));
         let mut plain = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut plain);
         // A tiny budget forces degradation at the first barrier.
@@ -1133,7 +986,7 @@ mod tests {
 
     #[test]
     fn telemetry_covers_the_run_including_the_degraded_tail() {
-        let g = planted(36, 0.1, &[Module::clique(9)], 3);
+        let g = Arc::new(planted(36, 0.1, &[Module::clique(9)], 3));
         let jsonl = temp_dir("telemetry").with_extension("jsonl");
         let telemetry = Arc::new(
             RunTelemetry::new(TelemetryConfig {
@@ -1167,7 +1020,7 @@ mod tests {
 
     #[test]
     fn generous_budget_never_degrades() {
-        let g = planted(30, 0.1, &[Module::clique(7)], 9);
+        let g = Arc::new(planted(30, 0.1, &[Module::clique(7)], 9));
         let mut sink = CollectSink::default();
         let report = CliquePipeline::new()
             .min_size(3)
@@ -1180,7 +1033,7 @@ mod tests {
 
     #[test]
     fn all_backends_match_dense_sequential_and_parallel() {
-        let g = planted(34, 0.1, &[Module::clique(8), Module::clique(6)], 7);
+        let g = Arc::new(planted(34, 0.1, &[Module::clique(8), Module::clique(6)], 7));
         let mut dense = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut dense);
         let mut expect = dense.cliques;
@@ -1202,7 +1055,7 @@ mod tests {
 
     #[test]
     fn wah_backend_degrades_and_stays_correct() {
-        let g = planted(36, 0.1, &[Module::clique(9)], 3);
+        let g = Arc::new(planted(36, 0.1, &[Module::clique(9)], 3));
         let mut plain = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut plain);
         let mut sink = CollectSink::default();
@@ -1224,20 +1077,22 @@ mod tests {
 
     #[test]
     fn checkpointed_wah_run_resumes_with_same_backend() {
-        let g = planted(34, 0.1, &[Module::clique(8), Module::clique(6)], 29);
+        let g = Arc::new(planted(
+            34,
+            0.1,
+            &[Module::clique(8), Module::clique(6)],
+            29,
+        ));
         let mut full = CollectSink::default();
         CliquePipeline::new().min_size(3).run(&g, &mut full);
 
         // Run the first levels by hand under WAH, checkpoint, resume.
-        let seq = CliqueEnumerator::<WahBitSet, InMemoryLevel<WahBitSet>>::with_backend(
-            EnumConfig::default(),
-            (),
-        );
+        let seq = CliqueEnumerator::<WahBitSet>::with_backend(EnumConfig::default());
         let mut pre_crash = CollectSink::default();
         let mut enum_stats = EnumStats::default();
         let mut level = seq.init_level(&g, &mut pre_crash, &mut enum_stats);
         while level.k < 4 && !level.sublists.is_empty() {
-            let (next, _) = seq.step(&g, &level, &mut pre_crash);
+            let (next, _) = seq.step(&g, level, &mut pre_crash);
             level = next;
         }
         let dir = temp_dir("wah-resume");
@@ -1267,11 +1122,8 @@ mod tests {
 
     #[test]
     fn resuming_wah_checkpoint_as_dense_is_a_backend_mismatch() {
-        let g = planted(30, 0.1, &[Module::clique(7)], 11);
-        let seq = CliqueEnumerator::<WahBitSet, InMemoryLevel<WahBitSet>>::with_backend(
-            EnumConfig::default(),
-            (),
-        );
+        let g = Arc::new(planted(30, 0.1, &[Module::clique(7)], 11));
+        let seq = CliqueEnumerator::<WahBitSet>::with_backend(EnumConfig::default());
         let mut sink = CollectSink::default();
         let mut enum_stats = EnumStats::default();
         let level = seq.init_level(&g, &mut sink, &mut enum_stats);

@@ -8,7 +8,7 @@ use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
 use gsb_core::bk::base_bk_sorted;
 use gsb_core::sink::CollectSink;
 use gsb_core::store::{read_level, write_level};
-use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats, InMemoryLevel, Vertex};
+use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats, Vertex};
 use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
 
@@ -19,8 +19,7 @@ fn run_backend<S: NeighborSet>(
 ) -> (Vec<Vec<Vertex>>, Vec<(usize, usize, usize, usize)>) {
     let mut sink = CollectSink::default();
     let stats: EnumStats =
-        CliqueEnumerator::<S, InMemoryLevel<S>>::with_backend(EnumConfig::default(), ())
-            .enumerate(g, &mut sink);
+        CliqueEnumerator::<S>::with_backend(EnumConfig::default()).enumerate(g, &mut sink);
     let mut cliques = sink.cliques;
     for c in &mut cliques {
         c.sort_unstable();
@@ -87,12 +86,12 @@ fn wah_checkpoint_roundtrip_is_byte_identical_and_resumable() {
     let (expect, _) = run_backend::<WahBitSet>(&g);
 
     // Step a WAH run to the level-4 barrier.
-    let seq = CliqueEnumerator::<WahBitSet, InMemoryLevel<WahBitSet>>::with_backend(config, ());
+    let seq = CliqueEnumerator::<WahBitSet>::with_backend(config);
     let mut pre = CollectSink::default();
     let mut stats = EnumStats::default();
     let mut level = seq.init_level(&g, &mut pre, &mut stats);
     while level.k < 4 && !level.sublists.is_empty() {
-        let (next, _) = seq.step(&g, &level, &mut pre);
+        let (next, _) = seq.step(&g, level, &mut pre);
         level = next;
     }
 
@@ -128,8 +127,7 @@ fn wah_checkpoint_roundtrip_is_byte_identical_and_resumable() {
     // Resume from the reloaded level and check the union equals the
     // straight-through run.
     let mut post = CollectSink::default();
-    seq.try_enumerate_from_level(&g, reloaded, &mut post)
-        .unwrap();
+    seq.enumerate_from_level(&g, reloaded, &mut post);
     let mut got = pre.cliques;
     got.extend(post.cliques);
     for c in &mut got {

@@ -39,14 +39,19 @@ const SCHEDULES: u64 = 224;
 /// means the runtime looped without making progress.
 const MAX_ATTEMPTS: u32 = 20;
 
-fn workload() -> BitGraph {
+fn workload() -> Arc<BitGraph> {
     // Slightly bigger than the resilience-suite workload: more levels
     // means more barriers, checkpoints, and epochs for a schedule to
     // bite on, while a ~50-vertex graph keeps 200+ sweeps fast.
-    planted(48, 0.12, &[Module::clique(8), Module::clique(6)], 11)
+    Arc::new(planted(
+        48,
+        0.12,
+        &[Module::clique(8), Module::clique(6)],
+        11,
+    ))
 }
 
-fn plain_sorted(g: &BitGraph) -> Vec<Vec<Vertex>> {
+fn plain_sorted(g: &Arc<BitGraph>) -> Vec<Vec<Vertex>> {
     let mut sink = CollectSink::default();
     CliquePipeline::new().min_size(3).run(g, &mut sink);
     let mut v = sink.cliques;
@@ -71,7 +76,7 @@ impl CliqueSink for SharedSink {
 
 /// Drive one seeded schedule to completion; returns how many attempts
 /// died before the run converged.
-fn run_schedule(seed: u64, g: &BitGraph, expect: &[Vec<Vertex>]) -> u32 {
+fn run_schedule(seed: u64, g: &Arc<BitGraph>, expect: &[Vec<Vertex>]) -> u32 {
     failpoint::reset_all();
     let schedule = chaos_schedule(seed);
     for &(site, action) in &schedule {

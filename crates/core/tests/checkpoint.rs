@@ -52,7 +52,7 @@ fn interrupt_resume_at_every_level() {
         checkpoints += 1;
 
         // advance the primary run one level
-        let (next, _) = enumerator.step(&g, &level, &mut sink);
+        let (next, _) = enumerator.step(&g, level, &mut sink);
         level = next;
     }
     assert!(

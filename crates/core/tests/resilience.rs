@@ -13,7 +13,7 @@ use gsb_core::store::{read_level, write_level};
 use gsb_core::{CliqueEnumerator, CliquePipeline, EnumStats, Vertex};
 use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use util::TempDirGuard;
 
 /// Failpoints are process-global; the harness runs tests on parallel
@@ -26,18 +26,23 @@ fn serialize() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn workload() -> BitGraph {
-    planted(30, 0.1, &[Module::clique(7), Module::clique(5)], 11)
+fn workload() -> Arc<BitGraph> {
+    Arc::new(planted(
+        30,
+        0.1,
+        &[Module::clique(7), Module::clique(5)],
+        11,
+    ))
 }
 
 /// The sequential run's emission order: the byte-identity reference.
-fn plain_ordered(g: &BitGraph) -> Vec<Vec<Vertex>> {
+fn plain_ordered(g: &Arc<BitGraph>) -> Vec<Vec<Vertex>> {
     let mut sink = CollectSink::default();
     CliquePipeline::new().min_size(3).run(g, &mut sink);
     sink.cliques
 }
 
-fn plain_sorted(g: &BitGraph) -> Vec<Vec<Vertex>> {
+fn plain_sorted(g: &Arc<BitGraph>) -> Vec<Vec<Vertex>> {
     let mut v = plain_ordered(g);
     v.sort();
     v
@@ -104,7 +109,7 @@ fn degraded_runs_match_in_core_runs_at_any_thread_count() {
     // about 1,700 maximal cliques come from the out-of-core tail. Either way
     // the level handed to the tail must be in the sequential order for
     // the emission to match.
-    let growing = gnp(60, 0.5, 5);
+    let growing = Arc::new(gnp(60, 0.5, 5));
     for (g, budget) in [(workload(), 64), (growing, 150_000)] {
         let expect = plain_ordered(&g);
         let expect_sorted = plain_sorted(&g);
@@ -174,7 +179,7 @@ fn disk_budget_prunes_old_checkpoints_but_keeps_the_newest() {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".lvl"))
             .count();
         assert_eq!(lvl_files, 1, "stale checkpoint files survived pruning");
-        let (next, _) = seq.step(&g, &level, &mut sink);
+        let (next, _) = seq.step(&g, level, &mut sink);
         level = next;
     }
     assert!(forced.len() >= 3, "workload too shallow: {forced:?}");
@@ -535,8 +540,13 @@ mod failpoints {
     /// sub-lists than runs, so each of its runs is one sub-list). The
     /// richest sub-list's run here holds sub-lists before and after it
     /// that own maximal cliques.
-    fn wide_workload() -> BitGraph {
-        planted(1000, 0.012, &[Module::clique(7), Module::clique(5)], 11)
+    fn wide_workload() -> Arc<BitGraph> {
+        Arc::new(planted(
+            1000,
+            0.012,
+            &[Module::clique(7), Module::clique(5)],
+            11,
+        ))
     }
 
     /// The poisoning tests' graphs and victims. On `workload` every
@@ -544,7 +554,7 @@ mod failpoints {
     /// victim is lighter than a run's share of its level, so its run
     /// holds healthy sub-lists whose output must survive the
     /// conviction.
-    fn victim_cases() -> [(BitGraph, gsb_core::SubList<gsb_bitset::BitSet>); 2] {
+    fn victim_cases() -> [(Arc<BitGraph>, gsb_core::SubList<gsb_bitset::BitSet>); 2] {
         let seq = CliqueEnumerator::default();
         let wide = wide_workload();
         let victim = richest_sublist(&wide, &seq);

@@ -29,8 +29,8 @@ use crate::format::{
 };
 use crate::reader::CliqueIndex;
 use crate::update::patched_graph;
-use crate::writer::{sync_dir, IndexWriter};
-use gsb_core::store::StoreError;
+use crate::writer::IndexWriter;
+use gsb_core::store::{sync_dir, StoreError};
 use gsb_core::CliqueSink;
 use std::path::Path;
 

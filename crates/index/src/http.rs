@@ -36,6 +36,7 @@
 //! response carries an exact `Content-Length` and the socket closes
 //! after it, so a drained shutdown can never truncate a response.
 
+use gsb_core::store::write_atomic;
 use gsb_core::supervise::is_transient;
 use gsb_core::{RetryPolicy, ShutdownToken};
 use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
@@ -424,15 +425,7 @@ pub(crate) fn write_metrics(path: Option<&Path>, json: &str) -> std::io::Result<
     let Some(path) = path else {
         return Ok(());
     };
-    RetryPolicy::default().run_io(|| {
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    })
+    RetryPolicy::default().run_io(|| write_atomic(path, |w| w.write_all(json.as_bytes())))
 }
 
 /// Per-status response counters, for the `*_responses_total`

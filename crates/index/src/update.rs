@@ -43,8 +43,8 @@ use crate::format::{
 };
 use crate::reader::CliqueIndex;
 use crate::snapshot::read_graph_checked;
-use crate::writer::{sync_dir, write_atomic, DEFAULT_BLOCK_TARGET};
-use gsb_core::store::StoreError;
+use crate::writer::{write_atomic, DEFAULT_BLOCK_TARGET};
+use gsb_core::store::{sync_dir, StoreError};
 use gsb_core::{neighborhood, Clique, Vertex};
 use gsb_graph::BitGraph;
 use std::collections::{BTreeMap, HashMap, HashSet};

@@ -20,7 +20,7 @@ use crate::format::{
     SizeRun, CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, META_FILE,
     POSTINGS_FILE, POSTINGS_MAGIC,
 };
-use gsb_core::store::{crc32, StoreError};
+use gsb_core::store::{self, crc32, sync_dir, StoreError};
 use gsb_core::{CliqueSink, RetryPolicy, Vertex};
 use gsb_graph::BitGraph;
 use std::fs::File;
@@ -365,16 +365,11 @@ impl CliqueSink for IndexWriter {
     }
 }
 
-/// Write `bytes` to `dir/name` atomically: sibling tmp, fsync, rename.
-/// Safe to retry wholesale — the rename either happened or it did not.
+/// Write `bytes` to `dir/name` with the one durable atomic write
+/// (sibling tmp, fsync, rename). Safe to retry wholesale — the rename
+/// either happened or it did not.
 pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(name))
+    store::write_atomic(&dir.join(name), |w| w.write_all(bytes))
 }
 
 /// Remove orphaned `*.tmp` files (crash mid-write: every durable file
@@ -387,13 +382,6 @@ pub(crate) fn sweep_tmp_files(dir: &Path) {
         if entry.file_name().to_string_lossy().ends_with(".tmp") {
             let _ = std::fs::remove_file(entry.path());
         }
-    }
-}
-
-/// Best-effort directory fsync so the renames themselves are durable.
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
     }
 }
 

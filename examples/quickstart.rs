@@ -7,11 +7,17 @@
 
 use gsb::core::{CliquePipeline, CollectSink};
 use gsb::graph::generators::{planted, Module};
+use std::sync::Arc;
 
 fn main() {
     // A sparse 60-vertex background with two planted modules, the kind
     // of structure a thresholded gene-correlation graph exhibits.
-    let g = planted(60, 0.03, &[Module::clique(8), Module::clique(6)], 42);
+    let g = Arc::new(planted(
+        60,
+        0.03,
+        &[Module::clique(8), Module::clique(6)],
+        42,
+    ));
     println!("graph: {} vertices, {} edges", g.n(), g.m());
 
     // Stage 1+2+3 of the SC'05 pipeline: bound the clique sizes, seed
@@ -22,7 +28,7 @@ fn main() {
         .run(&g, &mut sink);
 
     println!(
-        "upper bound {}, exact maximum clique {:?}",
+        "upper bound {:?}, exact maximum clique {:?}",
         report.upper_bound, report.maximum_clique
     );
     println!("maximal cliques of size >= 4, non-decreasing:");

@@ -12,11 +12,12 @@
 //! ```
 //! use gsb::core::{CliquePipeline, CollectSink};
 //! use gsb::graph::BitGraph;
+//! use std::sync::Arc;
 //!
 //! // A graph with one obvious module: K4 on {0,1,2,3} plus a pendant.
-//! let g = BitGraph::from_edges(5, [
+//! let g = Arc::new(BitGraph::from_edges(5, [
 //!     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
-//! ]);
+//! ]));
 //! let mut sink = CollectSink::default();
 //! let report = CliquePipeline::new().min_size(3).run(&g, &mut sink);
 //! assert_eq!(report.maximum_clique, Some(4));

@@ -6,7 +6,10 @@ use gsb::prelude::*;
 #[test]
 fn prelude_covers_the_main_pipeline() {
     // graph -> cliques
-    let g = BitGraph::from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]);
+    let g = std::sync::Arc::new(BitGraph::from_edges(
+        5,
+        [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)],
+    ));
     let mut sink = CollectSink::default();
     CliquePipeline::new().min_size(3).run(&g, &mut sink);
     assert_eq!(sink.cliques, vec![vec![0, 1, 2]]);

@@ -9,6 +9,7 @@ use gsb::expr::synth::SynthModule;
 use gsb::expr::threshold::graph_at_density;
 use gsb::expr::{spearman_matrix, SynthConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 #[test]
 fn planted_modules_come_back_as_cliques() {
@@ -33,6 +34,7 @@ fn planted_modules_come_back_as_cliques() {
     zscore_rows(&mut matrix);
     let corr = spearman_matrix(&matrix);
     let (graph, tau) = graph_at_density(&corr, 0.006);
+    let graph = Arc::new(graph);
     assert!(tau > 0.3, "threshold suspiciously low: {tau}");
 
     let mut sink = CollectSink::default();
@@ -71,6 +73,7 @@ fn paraclique_recovers_eroded_module_pipeline() {
     zscore_rows(&mut matrix);
     let corr = spearman_matrix(&matrix);
     let (graph, _) = graph_at_density(&corr, 0.008);
+    let graph = Arc::new(graph);
 
     let mut sink = CollectSink::default();
     CliquePipeline::new().min_size(5).run(&graph, &mut sink);
@@ -104,10 +107,11 @@ fn pipeline_report_bounds_are_consistent() {
     zscore_rows(&mut matrix);
     let corr = spearman_matrix(&matrix);
     let (graph, _) = graph_at_density(&corr, 0.01);
+    let graph = Arc::new(graph);
     let mut sink = CollectSink::default();
     let report = CliquePipeline::new().min_size(3).run(&graph, &mut sink);
     let omega = report.maximum_clique.unwrap();
-    assert!(omega <= report.upper_bound);
+    assert!(report.upper_bound.is_some_and(|bound| omega <= bound));
     let biggest = sink.cliques.iter().map(Vec::len).max().unwrap_or(0);
     assert_eq!(biggest, omega);
 }

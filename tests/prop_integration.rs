@@ -11,6 +11,7 @@ use gsb::fpt::maximum_clique_via_vc;
 use gsb::fpt::vc::{is_vertex_cover, minimum_vertex_cover};
 use gsb::graph::BitGraph;
 use gsb_rng::{sweep, SplitMix64};
+use std::sync::Arc;
 
 const N: usize = 16;
 const CASES: u64 = 40;
@@ -36,7 +37,9 @@ fn maxclique_routes_and_pipeline_agree() {
         let via_vc = maximum_clique_via_vc(&g).len();
         assert_eq!(direct, via_vc);
         let mut sink = CollectSink::default();
-        let report = CliquePipeline::new().min_size(1).run(&g, &mut sink);
+        let report = CliquePipeline::new()
+            .min_size(1)
+            .run(&Arc::new(g), &mut sink);
         assert_eq!(report.maximum_clique, Some(direct));
         let biggest = sink.cliques.iter().map(Vec::len).max().unwrap_or(0);
         assert_eq!(biggest, direct);
