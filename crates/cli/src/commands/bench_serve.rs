@@ -24,7 +24,8 @@
 //!   failover run kills one replica mid-load and commits what the tier
 //!   did about it — failover latency percentiles, retry/hedge counts,
 //!   and that answers stayed exact (zero degraded) because the shard's
-//!   second replica survived.
+//!   second replica survived. The command fails if either run saw a
+//!   client error or a degraded answer, or if the steady run shed.
 //!
 //! Results (QPS, latency percentiles, shed rate) are committed to a
 //! JSON file (default `results/BENCH_serve.json`) whose *schema* is
@@ -224,7 +225,36 @@ pub fn bench_serve(argv: &[String]) -> Result<String, CliError> {
         }
     }
     let _ = writeln!(out, "results written to {}", out_path.display());
+    if let Some((rs, rf)) = &router_runs {
+        router_claims(rs, rf).map_err(CliError::Runtime)?;
+    }
     Ok(out)
+}
+
+/// What the routed scenarios claim: every answer of both runs exact
+/// (no client error, no degraded answer, even with a replica killed),
+/// and nothing shed by the healthy tier.
+fn router_claims(steady: &RouterScenario, failover: &RouterScenario) -> Result<(), String> {
+    let mut broken = Vec::new();
+    for (name, s) in [("router_steady", steady), ("router_failover", failover)] {
+        if s.errors > 0 {
+            broken.push(format!("{name}: {} client errors", s.errors));
+        }
+        if s.degraded_ok > 0 || s.degraded_answers > 0 {
+            broken.push(format!(
+                "{name}: {} degraded answers seen by clients, {} counted by the router",
+                s.degraded_ok, s.degraded_answers
+            ));
+        }
+    }
+    if steady.shed > 0 {
+        broken.push(format!("router_steady: {} requests shed", steady.shed));
+    }
+    if broken.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("bench-serve --router: {}", broken.join("; ")))
+    }
 }
 
 /// Aggregated outcome of one routed-tier scenario.
@@ -744,4 +774,57 @@ fn pct(sorted_us: &[u64], q: f64) -> u64 {
     }
     let i = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
     sorted_us[i.min(sorted_us.len() - 1)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn clean() -> RouterScenario {
+        RouterScenario {
+            clients: 4,
+            requests: 100,
+            ok: 100,
+            degraded_ok: 0,
+            shed: 0,
+            errors: 0,
+            qps: 1000.0,
+            p50_us: 500,
+            p95_us: 900,
+            p99_us: 1500,
+            max_us: 3000,
+            killed_replica: false,
+            retries: 0,
+            hedges: 0,
+            hedge_wins: 0,
+            degraded_answers: 0,
+            router_requests: 100,
+        }
+    }
+
+    #[test]
+    fn router_claims_fail_on_errors_degradation_and_steady_sheds() {
+        assert!(router_claims(&clean(), &clean()).is_ok());
+        let failover_shed = RouterScenario { shed: 3, ..clean() };
+        assert!(router_claims(&clean(), &failover_shed).is_ok());
+        for broken in [
+            RouterScenario {
+                errors: 1,
+                ..clean()
+            },
+            RouterScenario {
+                degraded_ok: 1,
+                ..clean()
+            },
+            RouterScenario {
+                degraded_answers: 1,
+                ..clean()
+            },
+        ] {
+            assert!(router_claims(&clean(), &broken).is_err());
+            assert!(router_claims(&broken, &clean()).is_err());
+        }
+        let steady_shed = RouterScenario { shed: 1, ..clean() };
+        assert!(router_claims(&steady_shed, &clean()).is_err());
+    }
 }

@@ -22,16 +22,16 @@
 //!   closes the breaker, failure re-opens it.
 //! * **Deadline-carved retries with jittered backoff.** Every try gets
 //!   a timeout carved from what is left of the request deadline
-//!   (capped at `try_timeout`), and the remaining budget is propagated
-//!   to the backend via `X-Gsb-Deadline-Ms` so backends shed work the
+//!   (capped at `try_timeout`), and that try budget is propagated to
+//!   the backend via `X-Gsb-Deadline-Ms` so backends shed work the
 //!   router has already given up on. Failed tries fail over to the
 //!   next replica after a seeded, jittered exponential backoff
 //!   ([`gsb_core::RetryPolicy`]).
 //! * **Tail-latency hedging.** When a try is slower than the shard's
 //!   observed `hedge_percentile` latency (floored at `hedge_min`), a
 //!   second try races on another replica; the first answer wins and
-//!   the loser is abandoned (its result is drained off-path for
-//!   breaker accounting).
+//!   the loser is abandoned (it settles its own breaker outcome when
+//!   it ends, off the request path).
 //! * **Degraded-exact partial answers.** If every replica of a shard
 //!   is down, scatter queries answer `200` from the surviving shards
 //!   with `X-Gsb-Degraded` and a `"missing_shards"` JSON field —
@@ -49,6 +49,18 @@
 //! propagation to backends (so `gsb tail` stitches router→backend
 //! spans) and `/metrics` Prometheus output with per-backend
 //! breaker-state gauges and hedge/retry counters.
+//!
+//! Routing a request starts no thread in steady state. The worker that
+//! owns the request runs the first queried shard's request itself and
+//! hands every other shard to a set of reused, parked threads. A shard
+//! request runs its primary try on its own thread until the answer
+//! arrives or the hedge delay passes; only a try that outlives the
+//! hedge delay moves to a reused thread, with the bytes read so far,
+//! and races the hedge try there. A job goes to a parked thread when
+//! one is idle and to a new thread otherwise, so no job waits for a
+//! thread; at most `threads × shards` threads stay parked, and they
+//! exit when the router does. Beyond the HTTP core's workers and
+//! shutdown waker, the router starts only these and its prober.
 
 use crate::http::{
     respond_full, status_key, trace_headers, AddNamed, Http, HttpConfig, Service,
@@ -64,9 +76,10 @@ use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::SpanRecorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// Magic first line of a topology file.
@@ -437,37 +450,132 @@ impl Backend {
 
 /// Recent shard latencies (winner tries only), for the hedge delay.
 struct LatencyWindow {
-    samples: Mutex<Vec<u64>>,
+    ring: Mutex<Ring>,
 }
 
 const LATENCY_WINDOW: usize = 128;
 
+/// The newest `len` samples; once full, `next` overwrites the oldest.
+struct Ring {
+    samples: [u64; LATENCY_WINDOW],
+    len: usize,
+    next: usize,
+}
+
 impl LatencyWindow {
     fn new() -> Self {
         LatencyWindow {
-            samples: Mutex::new(Vec::new()),
+            ring: Mutex::new(Ring {
+                samples: [0; LATENCY_WINDOW],
+                len: 0,
+                next: 0,
+            }),
         }
     }
 
     fn record(&self, ns: u64) {
-        let mut s = self.samples.lock().unwrap();
-        if s.len() >= LATENCY_WINDOW {
-            s.remove(0);
-        }
-        s.push(ns);
+        let mut r = self.ring.lock().expect("latency window lock poisoned");
+        let next = r.next;
+        r.samples[next] = ns;
+        r.next = (next + 1) % LATENCY_WINDOW;
+        r.len = (r.len + 1).min(LATENCY_WINDOW);
     }
 
     /// Upper bound of the `q` quantile over the window (None until a
     /// few samples exist — hedging then falls back to `hedge_min`).
     fn percentile(&self, q: f64) -> Option<Duration> {
-        let s = self.samples.lock().unwrap();
-        if s.len() < 8 {
+        // Select on a copy, so the lock is held for a memcpy only.
+        let (mut samples, len) = {
+            let r = self.ring.lock().expect("latency window lock poisoned");
+            (r.samples, r.len)
+        };
+        if len < 8 {
             return None;
         }
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        Some(Duration::from_nanos(sorted[rank.min(sorted.len() - 1)]))
+        let rank = ((len as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+        let (_, nth, _) = samples[..len].select_nth_unstable(rank.min(len - 1));
+        Some(Duration::from_nanos(*nth))
+    }
+}
+
+/// A unit of work for a reused thread.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The channels of parked threads, each waiting for its next job;
+/// `None` once the set is dropped.
+type Parked = Mutex<Option<Vec<mpsc::Sender<Job>>>>;
+
+/// Parked threads the request path hands work to, so routing a request
+/// starts no thread in steady state. A job goes to a parked thread if
+/// one is idle and to a new thread otherwise: no job ever waits for a
+/// thread, so a stalled backend cannot starve a try. A thread that
+/// finishes a job parks again unless `cap` threads are already idle,
+/// and parked threads exit once the set is dropped.
+struct Threads {
+    parked: Arc<Parked>,
+    cap: usize,
+    /// Threads started over the set's life.
+    started: AtomicU64,
+}
+
+impl Threads {
+    fn new(cap: usize) -> Threads {
+        Threads {
+            parked: Arc::new(Mutex::new(Some(Vec::new()))),
+            cap,
+            started: AtomicU64::new(0),
+        }
+    }
+
+    /// Run `job` on a parked thread, or on a new one if none is idle.
+    fn run(&self, job: impl FnOnce() + Send + 'static) {
+        let mut job: Job = Box::new(job);
+        let idle = lock_parked(&self.parked).as_mut().and_then(Vec::pop);
+        if let Some(thread) = idle {
+            match thread.send(job) {
+                Ok(()) => return,
+                Err(mpsc::SendError(back)) => job = back,
+            }
+        }
+        self.started.fetch_add(1, Ordering::Relaxed);
+        let (parked, cap) = (Arc::clone(&self.parked), self.cap);
+        std::thread::Builder::new()
+            .name("gsb-router-job".into())
+            .spawn(move || reused_thread(&parked, cap, job))
+            .expect("the OS refused to start a router thread");
+    }
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        // Dropping the parked threads' senders ends their wait.
+        if let Ok(mut parked) = self.parked.lock() {
+            *parked = None;
+        }
+    }
+}
+
+fn lock_parked(parked: &Parked) -> MutexGuard<'_, Option<Vec<mpsc::Sender<Job>>>> {
+    parked
+        .lock()
+        .expect("parked-thread lock poisoned: jobs run outside it")
+}
+
+/// One reused thread: run `job`, then park for the next one.
+fn reused_thread(parked: &Parked, cap: usize, mut job: Job) {
+    loop {
+        // A panicking job drops its channel sender unsent, which its
+        // receiver reports; the thread itself lives on.
+        let _ = catch_unwind(AssertUnwindSafe(job));
+        let (tx, rx) = mpsc::channel();
+        match lock_parked(parked).as_mut() {
+            Some(idle) if idle.len() < cap => idle.push(tx),
+            _ => return,
+        }
+        match rx.recv() {
+            Ok(next) => job = next,
+            Err(_) => return,
+        }
     }
 }
 
@@ -487,9 +595,49 @@ struct RouterState {
     shard_unavailable: Vec<AtomicU64>,
     /// Jitter source for retry backoff.
     rng: Mutex<SplitMix64>,
+    /// The reused threads of the request path, at most
+    /// `threads × shards` of them parked.
+    threads: Threads,
+    /// This state itself, for the jobs that need it.
+    me: Weak<RouterState>,
 }
 
 impl RouterState {
+    fn new(topology: Topology, config: RouterConfig) -> Arc<RouterState> {
+        let backends: Vec<Vec<Arc<Backend>>> = topology
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                s.replicas
+                    .iter()
+                    .map(|addr| Arc::new(Backend::new(addr, k)))
+                    .collect()
+            })
+            .collect();
+        let shard_count = topology.shards.len();
+        Arc::new_cyclic(|me| RouterState {
+            http: Http::new(HttpConfig {
+                role: "router",
+                threads: config.threads,
+                deadline: config.deadline,
+                request_deadline: config.request_deadline,
+                queue_limit: config.queue_limit,
+                max_header_bytes: config.max_header_bytes,
+                trace_seed: config.trace_seed,
+            }),
+            topology,
+            backends,
+            rr: AtomicUsize::new(0),
+            latency: (0..shard_count).map(|_| LatencyWindow::new()).collect(),
+            shard_unavailable: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
+            rng: Mutex::new(SplitMix64::new(config.retry_seed)),
+            threads: Threads::new(config.threads.max(1) * shard_count),
+            me: me.clone(),
+            config,
+        })
+    }
+
     /// The hedge delay for `shard`: observed `hedge_percentile`
     /// latency, floored at `hedge_min`.
     fn hedge_delay(&self, shard: usize) -> Duration {
@@ -570,39 +718,7 @@ impl Router {
     /// the backend server: answer everything accepted, shed the
     /// backlog typed, join workers and the prober, export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<RouterReport> {
-        let backends: Vec<Vec<Arc<Backend>>> = self
-            .topology
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(k, s)| {
-                s.replicas
-                    .iter()
-                    .map(|addr| Arc::new(Backend::new(addr, k)))
-                    .collect()
-            })
-            .collect();
-        let shard_count = self.topology.shards.len();
-        let c = &self.config;
-        let state = Arc::new(RouterState {
-            http: Http::new(HttpConfig {
-                role: "router",
-                threads: c.threads,
-                deadline: c.deadline,
-                request_deadline: c.request_deadline,
-                queue_limit: c.queue_limit,
-                max_header_bytes: c.max_header_bytes,
-                trace_seed: c.trace_seed,
-            }),
-            topology: self.topology,
-            backends,
-            rr: AtomicUsize::new(0),
-            latency: (0..shard_count).map(|_| LatencyWindow::new()).collect(),
-            shard_unavailable: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            rng: Mutex::new(SplitMix64::new(c.retry_seed)),
-            config: c.clone(),
-        });
-
+        let state = RouterState::new(self.topology, self.config);
         let prober = {
             let state = Arc::clone(&state);
             let shutdown = shutdown.clone();
@@ -615,7 +731,7 @@ impl Router {
 
         let r = &state.http.recorder;
         let metrics_json = render_router_metrics_json(&state);
-        crate::http::write_metrics(c.metrics_out.as_deref(), &metrics_json)?;
+        crate::http::write_metrics(state.config.metrics_out.as_deref(), &metrics_json)?;
         Ok(RouterReport {
             connections,
             requests: total_requests(r),
@@ -646,7 +762,7 @@ fn probe_loop(state: &RouterState, shutdown: &ShutdownToken) {
         let timeout = state.config.probe_interval.min(Duration::from_millis(250));
         for shard in &state.backends {
             for backend in shard {
-                match backend_fetch(&backend.sock, &backend.addr, "/ready", "", 0, timeout) {
+                match backend_fetch(backend, "/ready", "", 0, timeout) {
                     Ok(resp) if resp.status == 200 => backend.on_success(),
                     _ => {
                         backend.probe_failures_total.fetch_add(1, Ordering::Relaxed);
@@ -667,24 +783,41 @@ struct BackendResponse {
 /// One HTTP GET against a backend, bounded by `timeout` end to end.
 /// `deadline_ms` > 0 is propagated as `X-Gsb-Deadline-Ms`.
 fn backend_fetch(
-    sock: &SocketAddr,
-    host: &str,
+    backend: &Backend,
     path: &str,
     trace: &str,
     deadline_ms: u64,
     timeout: Duration,
 ) -> Result<BackendResponse, &'static str> {
-    let started = Instant::now();
-    let remaining = |started: Instant| {
-        timeout
-            .checked_sub(started.elapsed())
+    let deadline = Instant::now() + timeout;
+    let mut stream = backend_send(backend, path, trace, deadline_ms, deadline)?;
+    let mut raw = Vec::new();
+    if !read_until(&mut stream, &mut raw, deadline)? {
+        return Err("backend try timed out");
+    }
+    parse_response(&raw)
+}
+
+/// Connect to a backend and send it a GET for `path`, both before
+/// `deadline`. `deadline_ms` > 0 is propagated as `X-Gsb-Deadline-Ms`.
+fn backend_send(
+    backend: &Backend,
+    path: &str,
+    trace: &str,
+    deadline_ms: u64,
+    deadline: Instant,
+) -> Result<TcpStream, &'static str> {
+    let remaining = || {
+        deadline
+            .checked_duration_since(Instant::now())
+            .filter(|left| !left.is_zero())
             .ok_or("backend try timed out")
     };
     let mut stream =
-        TcpStream::connect_timeout(sock, remaining(started)?).map_err(|_| "connect failed")?;
+        TcpStream::connect_timeout(&backend.sock, remaining()?).map_err(|_| "connect failed")?;
     let _ = stream.set_nodelay(true);
     stream
-        .set_write_timeout(Some(remaining(started)?.max(Duration::from_millis(1))))
+        .set_write_timeout(Some(remaining()?))
         .map_err(|_| "socket setup failed")?;
     let trace_header = if trace.is_empty() {
         String::new()
@@ -699,32 +832,52 @@ fn backend_fetch(
     stream
         .write_all(
             format!(
-                "GET {path} HTTP/1.1\r\nHost: {host}\r\n{trace_header}{deadline_header}Connection: close\r\n\r\n"
+                "GET {path} HTTP/1.1\r\nHost: {}\r\n{trace_header}{deadline_header}Connection: close\r\n\r\n",
+                backend.addr
             )
             .as_bytes(),
         )
         .map_err(|_| "write failed")?;
-    let mut raw = Vec::new();
+    Ok(stream)
+}
+
+/// Read a backend's answer into `raw` until the backend closes the
+/// connection (`Ok(true)`) or `until` passes first (`Ok(false)`).
+fn read_until(
+    stream: &mut TcpStream,
+    raw: &mut Vec<u8>,
+    until: Instant,
+) -> Result<bool, &'static str> {
     let mut chunk = [0u8; 4096];
     loop {
-        let left = remaining(started)?.max(Duration::from_millis(1));
+        let Some(left) = until
+            .checked_duration_since(Instant::now())
+            .filter(|left| !left.is_zero())
+        else {
+            return Ok(false);
+        };
         stream
             .set_read_timeout(Some(left))
             .map_err(|_| "socket setup failed")?;
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) => return Ok(true),
             Ok(k) => raw.extend_from_slice(&chunk[..k]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // remaining() errors out once the overall budget is gone
+                // The check above decides whether `until` has passed.
                 continue;
             }
             Err(_) => return Err("read failed"),
         }
     }
-    let text = String::from_utf8_lossy(&raw);
+}
+
+/// Parse a complete backend response: a status line, and a body of
+/// exactly its `Content-Length`.
+fn parse_response(raw: &[u8]) -> Result<BackendResponse, &'static str> {
+    let text = String::from_utf8_lossy(raw);
     let status: u16 = text
         .split_whitespace()
         .nth(1)
@@ -745,17 +898,100 @@ fn backend_fetch(
     })
 }
 
-/// One result of a (possibly hedged) try race.
-struct TryOutcome {
+/// One backend try: connected, its request sent, and the answer bytes
+/// read so far. It reads on the thread that started it until an instant
+/// that thread names; an unfinished try can then move, bytes and all,
+/// to a reused thread that reads on.
+struct Try {
     backend: Arc<Backend>,
     hedged: bool,
-    result: Result<BackendResponse, &'static str>,
+    started: Instant,
+    /// `started` plus the try's budget: the try fails once it passes.
+    deadline: Instant,
+    /// The connection, or why connecting or sending failed.
+    stream: Result<TcpStream, &'static str>,
+    raw: Vec<u8>,
+}
+
+/// How one try ended. The try has already settled its backend's
+/// breaker, wherever it ended.
+struct TryOutcome {
+    /// The answer, when it is one the replica can serve (below 429).
+    answer: Option<BackendResponse>,
+    hedged: bool,
     elapsed: Duration,
+}
+
+impl Try {
+    /// Connect to `backend` and send it the GET; the try's clock starts
+    /// here. The backend is told the try's budget, after which the
+    /// router no longer reads its answer.
+    fn start(
+        backend: Arc<Backend>,
+        hedged: bool,
+        path: &str,
+        trace: &str,
+        budget: Duration,
+    ) -> Try {
+        let started = Instant::now();
+        let deadline = started + budget;
+        let stream = backend_send(&backend, path, trace, budget.as_millis() as u64, deadline);
+        Try {
+            backend,
+            hedged,
+            started,
+            deadline,
+            stream,
+            raw: Vec::new(),
+        }
+    }
+
+    /// Read on until the answer is complete or the try fails (`Some`),
+    /// or until `until` passes first (`None`).
+    fn poll(&mut self, until: Instant) -> Option<Result<BackendResponse, &'static str>> {
+        let stop = until.min(self.deadline);
+        Some(match &mut self.stream {
+            Err(e) => Err(*e),
+            Ok(stream) => match read_until(stream, &mut self.raw, stop) {
+                Ok(true) => parse_response(&self.raw),
+                Ok(false) if stop < self.deadline => return None,
+                Ok(false) => Err("backend try timed out"),
+                Err(e) => Err(e),
+            },
+        })
+    }
+
+    /// Settle the backend's breaker with how the try ended: 429, 5xx
+    /// and transport failures all mean "this replica cannot serve right
+    /// now".
+    fn end(self, result: Result<BackendResponse, &'static str>, threshold: u32) -> TryOutcome {
+        let answer = result.ok().filter(|r| r.status < 429);
+        if answer.is_some() {
+            self.backend.on_success();
+        } else {
+            self.backend.on_failure(threshold);
+        }
+        TryOutcome {
+            answer,
+            hedged: self.hedged,
+            elapsed: self.started.elapsed(),
+        }
+    }
+
+    /// Run the try to its end on this thread.
+    fn finish(mut self, threshold: u32) -> TryOutcome {
+        let result = self
+            .poll(self.deadline)
+            .unwrap_or(Err("backend try timed out"));
+        self.end(result, threshold)
+    }
 }
 
 /// Ask `shard` for `path`, failing over across replicas with jittered
 /// backoff and hedging slow tries. `None` means no replica answered
-/// within the deadline — the shard is unavailable right now.
+/// within the deadline — the shard is unavailable right now. Every try
+/// starts on the calling thread; only one that outlives the hedge delay
+/// moves to a reused thread.
 fn shard_request(
     state: &RouterState,
     shard: usize,
@@ -772,6 +1008,7 @@ fn shard_request(
         max_delay_ms: 40,
         seed: state.config.retry_seed ^ (shard as u64).wrapping_mul(0x9E37_79B9),
     };
+    let threshold = state.config.breaker_failures;
     let max_tries = replicas.len() * 2;
     for attempt in 0..max_tries {
         let Some(remaining) = state
@@ -798,103 +1035,34 @@ fn shard_request(
             }
         }
         let primary = primary.unwrap_or_else(|| Arc::clone(order(0)));
+        // None when hedging is off.
         let hedge_candidate = (0..replicas.len())
             .map(order)
             .find(|b| !Arc::ptr_eq(b, &primary) && b.state_gauge() != BREAKER_OPEN)
-            .cloned();
+            .cloned()
+            .filter(|_| state.config.hedge_percentile > 0.0);
         let try_timeout = remaining.min(state.config.try_timeout);
-        let deadline_ms = remaining.as_millis() as u64;
-        let (tx, rx) = mpsc::channel::<TryOutcome>();
-        let mut inflight = 0usize;
-        let spawn_try = |backend: Arc<Backend>, hedged: bool, tx: mpsc::Sender<TryOutcome>| {
-            let path = path.to_string();
-            let trace = trace.to_string();
-            let timeout = try_timeout;
-            std::thread::spawn(move || {
-                let t0 = Instant::now();
-                let result = backend_fetch(
-                    &backend.sock,
-                    &backend.addr,
-                    &path,
-                    &trace,
-                    deadline_ms,
-                    timeout,
-                );
-                let _ = tx.send(TryOutcome {
-                    backend,
-                    hedged,
-                    result,
-                    elapsed: t0.elapsed(),
-                });
-            });
-        };
-        spawn_try(Arc::clone(&primary), false, tx.clone());
-        inflight += 1;
-
-        let hedge_delay = state.hedge_delay(shard).min(try_timeout / 2);
-        let hedging = state.config.hedge_percentile > 0.0 && hedge_candidate.is_some();
-        let race_deadline = Instant::now() + try_timeout + Duration::from_millis(50);
-        let mut winner: Option<BackendResponse> = None;
-        let mut hedge_launched = false;
-        while inflight > 0 {
-            let wait = if hedging && !hedge_launched {
-                hedge_delay
-            } else {
-                race_deadline.saturating_duration_since(Instant::now())
-            };
-            match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-                Ok(outcome) => {
-                    inflight -= 1;
-                    match outcome.result {
-                        Ok(resp) if resp.status < 429 => {
-                            outcome.backend.on_success();
-                            state.latency[shard].record(outcome.elapsed.as_nanos() as u64);
-                            if outcome.hedged {
-                                state.http.recorder.add_named("router.hedge_wins", 1);
-                            }
-                            winner = Some(resp);
-                            break;
-                        }
-                        _ => {
-                            // 429/5xx and transport failures all mean
-                            // "this replica cannot serve right now".
-                            outcome.backend.on_failure(state.config.breaker_failures);
-                        }
-                    }
+        let mut first = Try::start(primary, false, path, trace, try_timeout);
+        let outcome = match hedge_candidate {
+            None => Some(first.finish(threshold)),
+            Some(candidate) => {
+                let hedge_at = first.started + state.hedge_delay(shard).min(try_timeout / 2);
+                match first.poll(hedge_at) {
+                    Some(result) => Some(first.end(result, threshold)),
+                    None => race(state, first, candidate, path, trace, try_timeout),
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if hedging && !hedge_launched {
-                        hedge_launched = true;
-                        state.http.recorder.add_named("router.hedges", 1);
-                        if let Some(h) = &hedge_candidate {
-                            spawn_try(Arc::clone(h), true, tx.clone());
-                            inflight += 1;
-                        }
-                    } else {
-                        // Race deadline passed: abandon what is still
-                        // in flight (drained below for accounting).
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
-        }
-        drop(tx);
-        if inflight > 0 {
-            // Abandoned tries still resolve eventually; account their
-            // breaker outcome off-path so a slow loser cannot delay
-            // the answer we already have (the hedge contract).
-            let threshold = state.config.breaker_failures;
-            std::thread::spawn(move || {
-                while let Ok(outcome) = rx.recv() {
-                    match outcome.result {
-                        Ok(resp) if resp.status < 429 => outcome.backend.on_success(),
-                        _ => outcome.backend.on_failure(threshold),
-                    }
-                }
-            });
-        }
-        if let Some(resp) = winner {
+        };
+        if let Some(TryOutcome {
+            answer: Some(resp),
+            hedged,
+            elapsed,
+        }) = outcome
+        {
+            state.latency[shard].record(elapsed.as_nanos() as u64);
+            if hedged {
+                state.http.recorder.add_named("router.hedge_wins", 1);
+            }
             return Some(resp);
         }
         state.http.recorder.add_named("router.retries", 1);
@@ -916,8 +1084,47 @@ fn shard_request(
     None
 }
 
-/// Scatter `path(shard)` to every shard in `shards` concurrently;
-/// returns per-shard answers in input order (`None` = shard down).
+/// The primary try outlived the hedge delay: it reads on on a reused
+/// thread while a hedge try on `candidate` races it on another, and the
+/// first servable answer wins. The loser settles its breaker when it
+/// ends, off the request path (the hedge contract).
+fn race(
+    state: &RouterState,
+    primary: Try,
+    candidate: Arc<Backend>,
+    path: &str,
+    trace: &str,
+    budget: Duration,
+) -> Option<TryOutcome> {
+    let threshold = state.config.breaker_failures;
+    let race_deadline = primary.started + budget + Duration::from_millis(50);
+    let (tx, rx) = mpsc::channel();
+    let to_race = tx.clone();
+    state.threads.run(move || {
+        let _ = to_race.send(primary.finish(threshold));
+    });
+    state.http.recorder.add_named("router.hedges", 1);
+    let (path, trace) = (path.to_string(), trace.to_string());
+    state.threads.run(move || {
+        let hedge = Try::start(candidate, true, &path, &trace, budget);
+        let _ = tx.send(hedge.finish(threshold));
+    });
+    // The channel disconnects once both tries have ended unanswered.
+    while let Ok(outcome) = rx.recv_timeout(
+        race_deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1)),
+    ) {
+        if outcome.answer.is_some() {
+            return Some(outcome);
+        }
+    }
+    None
+}
+
+/// Scatter `path(shard)` to every shard in `shards` concurrently: the
+/// first on this thread, the rest on reused threads. Returns per-shard
+/// answers in input order (`None` = shard down).
 fn scatter(
     state: &RouterState,
     shards: &[usize],
@@ -925,16 +1132,35 @@ fn scatter(
     accepted: Instant,
     trace: &str,
 ) -> Vec<(usize, Option<BackendResponse>)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&shard| {
-                let path = path(shard);
-                scope.spawn(move || (shard, shard_request(state, shard, &path, accepted, trace)))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    let Some(&first) = shards.first() else {
+        return Vec::new();
+    };
+    let me = state
+        .me
+        .upgrade()
+        .expect("a router answering a request is alive");
+    let (tx, rx) = mpsc::channel();
+    for (i, &shard) in shards.iter().enumerate().skip(1) {
+        let (state, tx) = (Arc::clone(&me), tx.clone());
+        let (path, trace) = (path(shard), trace.to_string());
+        me.threads.run(move || {
+            let answer = shard_request(&state, shard, &path, accepted, &trace);
+            let _ = tx.send((i, (shard, answer)));
+        });
+    }
+    drop(tx);
+    let answer = shard_request(state, first, &path(first), accepted, trace);
+    let mut answers = vec![(0, (first, answer))];
+    answers.extend(rx);
+    // A panicking shard request drops its sender unsent; panicking here
+    // in turn lets the worker answer the client a typed 500.
+    assert_eq!(
+        answers.len(),
+        shards.len(),
+        "a scatter shard request panicked"
+    );
+    answers.sort_unstable_by_key(|(i, _)| *i);
+    answers.into_iter().map(|(_, answer)| answer).collect()
 }
 
 /// Parsed fields of one backend list answer (`containing`/`overlap`/
@@ -1545,6 +1771,180 @@ mod tests {
         assert!(p95 >= Duration::from_millis(90) && p95 <= Duration::from_millis(100));
         let p0 = w.percentile(0.0).unwrap();
         assert!(p0 <= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn latency_window_keeps_the_newest_samples() {
+        let w = LatencyWindow::new();
+        for i in 1..=300u64 {
+            w.record(i * 1_000_000);
+        }
+        // The ring holds 173..=300 ms: rank round(127 · q) of those.
+        assert_eq!(w.percentile(0.0), Some(Duration::from_millis(173)));
+        assert_eq!(w.percentile(0.5), Some(Duration::from_millis(237)));
+        assert_eq!(w.percentile(1.0), Some(Duration::from_millis(300)));
+    }
+
+    /// Spin until `done` holds, failing after five seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn idle(threads: &Threads) -> usize {
+        lock_parked(&threads.parked).as_ref().map_or(0, Vec::len)
+    }
+
+    #[test]
+    fn sequential_jobs_reuse_one_thread() {
+        let threads = Threads::new(4);
+        for _ in 0..1000 {
+            let (tx, rx) = mpsc::channel();
+            threads.run(move || tx.send(()).expect("the test waits for it"));
+            rx.recv().expect("the job ran");
+            wait_until("the thread parks again", || idle(&threads) == 1);
+        }
+        assert_eq!(threads.started.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn blocked_jobs_each_get_a_thread_and_at_most_the_cap_stays_parked() {
+        const CAP: usize = 2;
+        const BLOCKED: usize = 5;
+        let threads = Threads::new(CAP);
+        // The barrier opens only once every job runs at the same time.
+        let gate = Arc::new(std::sync::Barrier::new(BLOCKED + 1));
+        for _ in 0..BLOCKED {
+            let gate = Arc::clone(&gate);
+            threads.run(move || {
+                gate.wait();
+            });
+        }
+        gate.wait();
+        assert_eq!(threads.started.load(Ordering::Relaxed), BLOCKED as u64);
+        // Each live thread holds the parked list; so does the set.
+        wait_until("the surplus threads exit", || {
+            Arc::strong_count(&threads.parked) == 1 + CAP
+        });
+        assert_eq!(idle(&threads), CAP);
+
+        let parked = Arc::downgrade(&threads.parked);
+        drop(threads);
+        wait_until("the parked threads exit", || parked.strong_count() == 0);
+    }
+
+    #[test]
+    fn a_panicking_scatter_shard_reaches_the_caller() {
+        // Shard 1 does not exist, so its request panics on a reused
+        // thread; the caller must panic too (the worker then answers a
+        // typed 500), and the thread must survive for the next job.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("free port");
+        let topology = Topology {
+            shards: vec![ShardSpec {
+                id_lo: 0,
+                id_hi: 1,
+                size_lo: 1,
+                size_hi: 1,
+                replicas: vec![dead.to_string()],
+            }],
+        };
+        let state = RouterState::new(topology, RouterConfig::default());
+        let path = |_: usize| "/stats".to_string();
+        let scattered = catch_unwind(AssertUnwindSafe(|| {
+            scatter(&state, &[0, 1], &path, Instant::now(), "")
+        }));
+        assert!(scattered.is_err(), "the shard's panic was swallowed");
+        wait_until("the thread parks again", || idle(&state.threads) == 1);
+        let answers = scatter(&state, &[0, 0], &path, Instant::now(), "");
+        assert!(matches!(answers[..], [(0, None), (0, None)]));
+        assert_eq!(state.threads.started.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn routing_a_healthy_tier_starts_at_most_threads_times_shards_threads() {
+        use crate::{split_index, CliqueIndex, IndexWriter, ServeConfig, Server};
+        use gsb_core::{CliqueEnumerator, EnumConfig};
+        use gsb_graph::generators::{planted, Module};
+
+        let dir = std::env::temp_dir().join(format!("gsb_router_reuse_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = planted(60, 0.07, &[Module::clique(8), Module::clique(5)], 23);
+        let golden = dir.join("golden");
+        let mut writer = IndexWriter::create(&golden, g.n()).expect("create index");
+        CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut writer);
+        writer.finish().expect("finish index");
+        let mut servers = Vec::new();
+        let mut shards = Vec::new();
+        for s in split_index(&golden, &dir.join("shards"), 2).expect("split index") {
+            let index = Arc::new(CliqueIndex::open(&s.dir).expect("open shard"));
+            let mut replicas = Vec::new();
+            for _ in 0..2 {
+                let config = ServeConfig {
+                    threads: 2,
+                    ..ServeConfig::default()
+                };
+                let server =
+                    Server::bind(Arc::clone(&index), "127.0.0.1:0", config).expect("bind replica");
+                replicas.push(server.local_addr().expect("replica addr").to_string());
+                let token = ShutdownToken::new();
+                let stop = token.clone();
+                servers.push((token, std::thread::spawn(move || server.run(&stop))));
+            }
+            shards.push(ShardSpec {
+                id_lo: s.id_lo,
+                id_hi: s.id_hi,
+                size_lo: s.size_lo,
+                size_hi: s.size_hi,
+                replicas,
+            });
+        }
+        let config = RouterConfig {
+            threads: 4,
+            ..RouterConfig::default()
+        };
+        let cap = (config.threads * shards.len()) as u64;
+        let state = RouterState::new(Topology { shards }, config);
+
+        // Two clients, 120 requests each, over the scatter and the
+        // owner-routed paths.
+        let paths = [
+            "/stats",
+            "/containing/3",
+            "/overlap/3/5",
+            "/size/1/64",
+            "/max",
+            "/get/0",
+        ];
+        std::thread::scope(|scope| {
+            for client in 0..2 {
+                let state = &state;
+                scope.spawn(move || {
+                    for i in 0..120 {
+                        let path = paths[(client + i) % paths.len()];
+                        let (route, limit) = parse_route(&format!("GET {path} HTTP/1.1"));
+                        let (status, body, degraded, _) =
+                            dispatch(state, &route, limit, Instant::now(), "");
+                        assert_eq!((status, degraded), (200, 0), "{path}: {body}");
+                    }
+                });
+            }
+        });
+        let started = state.threads.started.load(Ordering::Relaxed);
+        assert!(
+            (1..=cap).contains(&started),
+            "240 routed requests started {started} threads (at most {cap} allowed)"
+        );
+
+        for (token, handle) in servers {
+            token.request(15);
+            handle.join().expect("replica thread").expect("replica run");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

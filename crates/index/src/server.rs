@@ -895,9 +895,9 @@ impl Service for ServeState {
 
         // Caller-supplied deadline (`X-Gsb-Deadline-Ms`, measured from
         // our accept): the router carves per-try budgets from its own
-        // request deadline and propagates the remainder, so a backend
-        // that cannot start in time sheds instead of computing an
-        // answer nobody is waiting for.
+        // request deadline and propagates each try's budget, so a
+        // backend that cannot start in time sheds instead of computing
+        // an answer nobody is waiting for.
         let caller_deadline =
             header_value(head, "x-gsb-deadline-ms").and_then(|v| v.parse::<u64>().ok());
         if caller_deadline.is_some_and(|ms| accepted_at.elapsed() >= Duration::from_millis(ms)) {

@@ -32,9 +32,11 @@
 //! * faulty replicas end up ejected: their breaker gauge leaves
 //!   CLOSED (active probes detect them even with no traffic).
 //!
-//! Two focused tests ride along: whole-shard-down degradation
-//! semantics, and circuit-breaker recovery after a killed replica
-//! restarts on the same port.
+//! Focused tests ride along: whole-shard-down degradation semantics,
+//! circuit-breaker recovery after a killed replica restarts on the
+//! same port, the two ways a hedge race ends (the hedge beats a slow
+//! primary; a handed-off primary beats a stalled hedge), and the
+//! deadline a backend is told (the try's budget).
 
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken, Vertex};
 use gsb_graph::generators::{planted, Module};
@@ -45,7 +47,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -834,4 +836,173 @@ fn shutdown_wake_is_invisible_to_router_counters() {
         token.request(15);
         handle.join().expect("backend join").expect("backend run");
     }
+}
+
+/// A scripted replica: answers `GET /ready` at once and every other GET
+/// with `body` after `delay`, or never (holding the connection open)
+/// when `delay` is `None`. Records the head of every such query.
+struct Scripted {
+    addr: SocketAddr,
+    heads: Arc<Mutex<Vec<String>>>,
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<()>,
+}
+
+fn respond(stream: &mut TcpStream, body: &str) {
+    let _ = write!(
+        stream,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+}
+
+fn scripted_backend(delay: Option<Duration>, body: &'static str) -> Scripted {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted replica");
+    let addr = listener.local_addr().expect("addr");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let stop = Arc::new(AtomicBool::new(false));
+    let heads = Arc::new(Mutex::new(Vec::new()));
+    let handle = {
+        let (stop, heads) = (Arc::clone(&stop), Arc::clone(&heads));
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                let Ok((mut stream, _)) = listener.accept() else {
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                };
+                stream.set_nonblocking(false).expect("blocking stream");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(2)))
+                    .expect("read timeout");
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                    head.push(byte[0]);
+                }
+                let head = String::from_utf8_lossy(&head).into_owned();
+                if head.starts_with("GET /ready ") {
+                    respond(&mut stream, "{\"ready\":true}");
+                    continue;
+                }
+                heads.lock().expect("heads lock").push(head);
+                match delay {
+                    None => held.push(stream),
+                    Some(delay) => {
+                        std::thread::spawn(move || {
+                            std::thread::sleep(delay);
+                            respond(&mut stream, body);
+                        });
+                    }
+                }
+            }
+        })
+    };
+    Scripted {
+        addr,
+        heads,
+        stop,
+        handle,
+    }
+}
+
+impl Scripted {
+    fn stop(self) {
+        self.stop.store(true, Ordering::Release);
+        self.handle.join().expect("scripted replica join");
+    }
+}
+
+/// One shard of one clique whose replicas are `replicas`.
+fn one_shard(replicas: &[SocketAddr]) -> Topology {
+    Topology {
+        shards: vec![ShardSpec {
+            id_lo: 0,
+            id_hi: 1,
+            size_lo: 1,
+            size_hi: 9,
+            replicas: replicas.iter().map(SocketAddr::to_string).collect(),
+        }],
+    }
+}
+
+#[test]
+fn hedge_wins_over_a_slow_primary() {
+    // The first routed try goes to the shard's first replica: it answers
+    // only after 300 ms, so past the 20 ms hedge delay the healthy twin
+    // is asked too, and its exact answer comes back first.
+    let fx = build_fixture("hedgewin");
+    let slow = scripted_backend(Some(Duration::from_millis(300)), "{\"size\":0}");
+    let (twin, h_twin) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
+    let (direct, h_direct) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
+    let (router, shutdown, handle) = start_router(one_shard(&[slow.addr, twin]));
+
+    let started = Instant::now();
+    let (status, _, body) = get(router, "/max");
+    let took = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        body,
+        get(direct, "/max").2,
+        "the hedged answer is not exact"
+    );
+    assert!(
+        took < Duration::from_millis(200),
+        "the hedge did not answer before the slow primary: {took:?}"
+    );
+
+    let report = join_router(&shutdown, handle);
+    assert_eq!((report.hedges, report.hedge_wins), (1, 1));
+    slow.stop();
+    for (token, handle) in [h_twin, h_direct] {
+        token.request(15);
+        handle.join().expect("backend join").expect("backend run");
+    }
+}
+
+#[test]
+fn handed_off_primary_wins_over_a_stalled_hedge() {
+    // The primary answers after the hedge delay; the hedge candidate
+    // never answers. The primary's try, handed off to a reused thread
+    // when the hedge fired, still delivers the answer.
+    const PRIMARY: &str = "{\"id\":0,\"size\":3,\"clique\":[1,2,3],\"from\":\"primary\"}";
+    let primary = scripted_backend(Some(Duration::from_millis(100)), PRIMARY);
+    let stalled = scripted_backend(None, "{}");
+    let (router, shutdown, handle) = start_router(one_shard(&[primary.addr, stalled.addr]));
+
+    let (status, _, body) = get(router, "/max");
+    assert_eq!((status, body.as_str()), (200, PRIMARY));
+    let report = join_router(&shutdown, handle);
+    assert_eq!((report.hedges, report.hedge_wins), (1, 0));
+    assert_eq!(
+        stalled.heads.lock().expect("heads lock").len(),
+        1,
+        "the hedge try never reached the stalled replica"
+    );
+    primary.stop();
+    stalled.stop();
+}
+
+#[test]
+fn backends_are_told_the_try_budget_not_the_request_budget() {
+    let replica = scripted_backend(Some(Duration::ZERO), "{\"size\":0}");
+    let (router, shutdown, handle) = start_router(one_shard(&[replica.addr]));
+    let (status, _, body) = get(router, "/max");
+    assert_eq!(status, 200, "{body}");
+    join_router(&shutdown, handle);
+
+    let heads = replica.heads.lock().expect("heads lock").clone();
+    let try_timeout_ms = router_config().try_timeout.as_millis() as u64;
+    assert!(REQUEST_DEADLINE.as_millis() as u64 > try_timeout_ms);
+    let sent: u64 = heads[0]
+        .lines()
+        .find_map(|l| l.strip_prefix("X-Gsb-Deadline-Ms: "))
+        .unwrap_or_else(|| panic!("no deadline header in {:?}", heads[0]))
+        .parse()
+        .expect("numeric deadline header");
+    assert!(
+        (1..=try_timeout_ms).contains(&sent),
+        "X-Gsb-Deadline-Ms {sent} exceeds the {try_timeout_ms} ms try budget"
+    );
+    replica.stop();
 }
