@@ -923,7 +923,7 @@ mod tests {
         // Each shard directory is an ordinary servable index.
         for k in 0..2 {
             let sub = gsb_index::CliqueIndex::open(Path::new(&format!("{out}/shard{k}"))).unwrap();
-            assert!(sub.len() > 0);
+            assert_ne!(sub.len(), 0);
         }
 
         // usage errors

@@ -122,7 +122,7 @@ impl CheckpointManager {
     /// so a surviving `.tmp` is garbage by definition.
     pub fn new(config: CheckpointConfig) -> Result<Self, StoreError> {
         std::fs::create_dir_all(&config.dir)?;
-        sweep_tmp_files(&config.dir);
+        store::sweep_tmp_files(&config.dir);
         Ok(CheckpointManager {
             config,
             last_write: Instant::now(),
@@ -250,19 +250,6 @@ impl CheckpointManager {
             {
                 let _ = std::fs::remove_file(entry.path());
             }
-        }
-    }
-}
-
-/// Remove orphaned `*.tmp` files (crash mid-write: every durable file
-/// here is written tmp-then-rename, so a leftover tmp is never valid).
-fn sweep_tmp_files(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
         }
     }
 }

@@ -695,6 +695,20 @@ pub fn sync_dir(dir: &Path) {
     }
 }
 
+/// Remove orphaned `*.tmp` files from `dir`: every durable file is
+/// written tmp-then-rename by [`write_atomic`], so a tmp left by a crash
+/// mid-write is never valid.
+pub fn sweep_tmp_files(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        if entry.file_name().to_string_lossy().ends_with(".tmp") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 fn sibling_tmp(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()

@@ -12,11 +12,12 @@ use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats, Vertex};
 use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
 
+/// Per-level `(k, N[k], M[k], maximal)` counts.
+type LevelCounts = Vec<(usize, usize, usize, usize)>;
+
 /// Canonical clique set (each clique sorted, set sorted) plus the
-/// per-level `(k, N[k], M[k], maximal)` counts for one backend.
-fn run_backend<S: NeighborSet>(
-    g: &BitGraph,
-) -> (Vec<Vec<Vertex>>, Vec<(usize, usize, usize, usize)>) {
+/// per-level counts for one backend.
+fn run_backend<S: NeighborSet>(g: &BitGraph) -> (Vec<Vec<Vertex>>, LevelCounts) {
     let mut sink = CollectSink::default();
     let stats: EnumStats =
         CliqueEnumerator::<S>::with_backend(EnumConfig::default()).enumerate(g, &mut sink);

@@ -50,8 +50,9 @@ pub struct CompactOutcome {
     pub compacted: bool,
 }
 
-/// Is there a completed-but-unswapped compaction in `dir`?
-fn pending_swap(dir: &Path) -> bool {
+/// Is there a completed-but-unswapped compaction in `dir` (a valid
+/// manifest inside `compact.tmp/`)?
+pub(crate) fn pending_swap(dir: &Path) -> bool {
     std::fs::read_to_string(dir.join(COMPACT_TMP_DIR).join(META_FILE))
         .is_ok_and(|text| IndexMeta::from_text(&text).is_ok())
 }

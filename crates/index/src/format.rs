@@ -14,9 +14,22 @@
 //!   holding the size runs, the block table, and the postings offsets.
 //! * `index.meta` — a key=value text manifest, written last by
 //!   tmp-then-rename: its presence is the commit point of the index.
+//!
+//! This module is the one place those layouts are encoded and checked.
+//! `BlockBuilder` writes store blocks for `gsb index` and `gsb update`;
+//! `read_frame_at` and `decode_block` read them back for the reader and
+//! `gsb scrub`; `walk_chain` decodes `index.gsd` and cross-checks it
+//! against the manifest for both; `live_histogram`, `decode_postings`,
+//! `read_delta_postings` and `replay_edits` are the other rules they
+//! share.
 
+use gsb_bitset::BitSet;
 use gsb_core::store::{crc32, StoreError};
 use gsb_core::{Clique, Vertex};
+use gsb_graph::BitGraph;
+use std::collections::BTreeMap;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 
 /// Clique store file name.
 pub const CLIQUES_FILE: &str = "cliques.gsi";
@@ -126,6 +139,50 @@ pub fn parse_frame<'a>(
         });
     }
     Ok((payload, body_start + len))
+}
+
+/// Fill `buf` from byte `offset` of `f`; a short read is typed
+/// truncation.
+pub(crate) fn read_at(
+    f: &mut (impl Read + Seek),
+    offset: u64,
+    buf: &mut [u8],
+    context: &'static str,
+) -> Result<(), StoreError> {
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => StoreError::Torn {
+            context,
+            needed: buf.len(),
+            have: 0,
+        },
+        _ => StoreError::Io(e),
+    })
+}
+
+/// Read the whole frame at `offset`: its 8-byte head, then the payload
+/// the head declares, unverified ([`parse_frame`] checks it). A length
+/// beyond `extent`, the file's committed bytes, is refused before it is
+/// allocated, as the short read it would be.
+pub(crate) fn read_frame_at(
+    f: &mut (impl Read + Seek),
+    offset: u64,
+    extent: u64,
+    context: &'static str,
+) -> Result<Vec<u8>, StoreError> {
+    let mut frame = vec![0u8; 8];
+    read_at(f, offset, &mut frame, context)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("4-byte slice")) as usize;
+    if len as u64 > extent {
+        return Err(StoreError::Torn {
+            context,
+            needed: len,
+            have: 0,
+        });
+    }
+    frame.resize(8 + len, 0);
+    read_at(f, offset + 8, &mut frame[8..], context)?;
+    Ok(frame)
 }
 
 /// Append a LEB128 varint.
@@ -277,6 +334,145 @@ pub struct BlockEntry {
     pub max_size: u32,
 }
 
+/// Bytes before an open block's records: frame length, CRC, count.
+const BLOCK_HEAD: usize = 12;
+
+/// Streams cliques into framed store blocks. Each push encodes one
+/// clique as the next id, extends the size runs and the open block's
+/// size range, and seals the block once its records reach the target.
+/// Sealing writes one frame, `[len][crc][count: u32 LE][records]`, to
+/// the caller's sink and keeps its [`BlockEntry`]. `IndexWriter`
+/// streams the blocks into `cliques.gsi`; `gsb update` collects them to
+/// append.
+pub(crate) struct BlockBuilder {
+    /// Sealed blocks, ascending in `first_id`.
+    pub(crate) blocks: Vec<BlockEntry>,
+    /// Size runs over every pushed clique.
+    pub(crate) size_runs: Vec<SizeRun>,
+    /// Id of the next pushed clique.
+    pub(crate) next_id: u64,
+    /// Store offset of the next sealed block.
+    pub(crate) offset: u64,
+    /// Seal a block once its encoded records reach this many bytes.
+    pub(crate) target: usize,
+    /// The open block's frame: [`BLOCK_HEAD`] bytes filled in at seal
+    /// time, then the records.
+    open: Vec<u8>,
+    count: u32,
+    min_size: u32,
+    max_size: u32,
+}
+
+impl BlockBuilder {
+    /// Blocks from store offset `offset`, ids from `first_id`.
+    pub(crate) fn new(offset: u64, first_id: u64, target: usize) -> Self {
+        BlockBuilder {
+            blocks: Vec::new(),
+            size_runs: Vec::new(),
+            next_id: first_id,
+            offset,
+            target,
+            open: vec![0; BLOCK_HEAD],
+            count: 0,
+            min_size: u32::MAX,
+            max_size: 0,
+        }
+    }
+
+    /// Encode `clique` (strictly ascending) as id `next_id`, sealing the
+    /// block into `out` once it reaches the target.
+    pub(crate) fn push(&mut self, clique: &[Vertex], out: &mut impl Write) -> std::io::Result<()> {
+        let size = clique.len() as u32;
+        encode_clique(&mut self.open, clique);
+        self.count += 1;
+        self.min_size = self.min_size.min(size);
+        self.max_size = self.max_size.max(size);
+        match self.size_runs.last_mut() {
+            Some(run) if run.size == size => run.count += 1,
+            _ => self.size_runs.push(SizeRun {
+                size,
+                first_id: self.next_id,
+                count: 1,
+            }),
+        }
+        self.next_id += 1;
+        if self.open.len() - BLOCK_HEAD >= self.target {
+            self.seal(out)?;
+        }
+        Ok(())
+    }
+
+    /// Write the open block, if it holds any clique, to `out` as one
+    /// frame and keep its entry.
+    pub(crate) fn seal(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        if self.count == 0 {
+            return Ok(());
+        }
+        let payload_len = (self.open.len() - 8) as u32;
+        self.open[8..12].copy_from_slice(&self.count.to_le_bytes());
+        let crc = crc32(&self.open[8..]);
+        self.open[..4].copy_from_slice(&payload_len.to_le_bytes());
+        self.open[4..8].copy_from_slice(&crc.to_le_bytes());
+        out.write_all(&self.open)?;
+        self.blocks.push(BlockEntry {
+            offset: self.offset,
+            first_id: self.next_id - u64::from(self.count),
+            count: self.count,
+            min_size: self.min_size,
+            max_size: self.max_size,
+        });
+        self.offset += self.open.len() as u64;
+        self.open.truncate(BLOCK_HEAD);
+        self.count = 0;
+        self.min_size = u32::MAX;
+        self.max_size = 0;
+        Ok(())
+    }
+}
+
+/// Verify and decode the store block `entry` names, as read by
+/// [`read_frame_at`]: the frame CRC, the record count against the
+/// entry, every record (vertex ids below `n`, size inside the entry's
+/// range) and no bytes after the last record.
+pub(crate) fn decode_block(
+    frame: &[u8],
+    entry: &BlockEntry,
+    n: u32,
+) -> Result<Vec<Clique>, StoreError> {
+    const CTX: &str = "clique block";
+    let (payload, _) = parse_frame(frame, 0, CTX)?;
+    if payload.len() < 4 {
+        return Err(StoreError::Torn {
+            context: CTX,
+            needed: 4,
+            have: payload.len(),
+        });
+    }
+    let count = u32::from_le_bytes(payload[..4].try_into().expect("4-byte slice"));
+    if count != entry.count {
+        return Err(StoreError::CountMismatch {
+            expected: entry.count as usize,
+            found: count as usize,
+        });
+    }
+    let mut pos = 4usize;
+    let mut cliques = Vec::with_capacity((count as usize).min(payload.len()));
+    for _ in 0..count {
+        let clique = decode_clique(payload, &mut pos, n, "clique record")?;
+        let size = clique.len() as u32;
+        if size < entry.min_size || size > entry.max_size {
+            return Err(StoreError::Codec {
+                context: "clique size outside its block's declared range",
+            });
+        }
+        cliques.push(clique);
+    }
+    if pos != payload.len() {
+        return Err(StoreError::Codec { context: CTX });
+    }
+    Ok(cliques)
+}
+
 /// The in-memory form of `index.gsd`: everything a reader needs to
 /// answer queries without scanning the store.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -301,20 +497,7 @@ impl IndexDirectory {
         let mut p = Vec::new();
         put_varint(&mut p, u64::from(self.n));
         put_varint(&mut p, self.clique_count);
-        put_varint(&mut p, self.size_runs.len() as u64);
-        for run in &self.size_runs {
-            put_varint(&mut p, u64::from(run.size));
-            put_varint(&mut p, run.first_id);
-            put_varint(&mut p, run.count);
-        }
-        put_varint(&mut p, self.blocks.len() as u64);
-        for b in &self.blocks {
-            put_varint(&mut p, b.offset);
-            put_varint(&mut p, b.first_id);
-            put_varint(&mut p, u64::from(b.count));
-            put_varint(&mut p, u64::from(b.min_size));
-            put_varint(&mut p, u64::from(b.max_size));
-        }
+        put_tables(&mut p, &self.size_runs, &self.blocks);
         put_varint(&mut p, self.postings_offsets.len() as u64);
         for &off in &self.postings_offsets {
             put_varint(&mut p, off);
@@ -323,7 +506,8 @@ impl IndexDirectory {
         p
     }
 
-    /// Decode the payload written by [`encode`](Self::encode).
+    /// Decode the payload written by [`encode`](Self::encode); the size
+    /// runs and the block table must each cover `0..clique_count`.
     pub fn decode(payload: &[u8]) -> Result<Self, StoreError> {
         const CTX: &str = "index directory";
         let pos = &mut 0usize;
@@ -332,32 +516,7 @@ impl IndexDirectory {
             return Err(StoreError::Codec { context: CTX });
         }
         let clique_count = get_varint(payload, pos, CTX)?;
-        let runs = get_varint(payload, pos, CTX)?;
-        if runs > clique_count {
-            return Err(StoreError::Codec { context: CTX });
-        }
-        let mut size_runs = Vec::with_capacity(runs as usize);
-        for _ in 0..runs {
-            size_runs.push(SizeRun {
-                size: get_varint(payload, pos, CTX)? as u32,
-                first_id: get_varint(payload, pos, CTX)?,
-                count: get_varint(payload, pos, CTX)?,
-            });
-        }
-        let blocks = get_varint(payload, pos, CTX)?;
-        if blocks > clique_count {
-            return Err(StoreError::Codec { context: CTX });
-        }
-        let mut block_table = Vec::with_capacity(blocks as usize);
-        for _ in 0..blocks {
-            block_table.push(BlockEntry {
-                offset: get_varint(payload, pos, CTX)?,
-                first_id: get_varint(payload, pos, CTX)?,
-                count: get_varint(payload, pos, CTX)? as u32,
-                min_size: get_varint(payload, pos, CTX)? as u32,
-                max_size: get_varint(payload, pos, CTX)? as u32,
-            });
-        }
+        let (size_runs, blocks) = get_tables(payload, pos, 0..clique_count, CTX)?;
         let offsets = get_varint(payload, pos, CTX)?;
         if offsets != n + 1 {
             return Err(StoreError::Codec { context: CTX });
@@ -374,7 +533,7 @@ impl IndexDirectory {
             n: n as u32,
             clique_count,
             size_runs,
-            blocks: block_table,
+            blocks,
             postings_offsets,
             postings_bytes,
         })
@@ -402,6 +561,110 @@ impl IndexDirectory {
     pub fn max_size(&self) -> u32 {
         self.size_runs.last().map_or(0, |r| r.size)
     }
+
+    /// Byte range of vertex `v`'s record in `postings.gsp` (`v` below
+    /// `n`).
+    pub(crate) fn postings_range(&self, v: usize) -> Result<Range<u64>, StoreError> {
+        let (start, end) = (self.postings_offsets[v], self.postings_offsets[v + 1]);
+        if end < start || end > self.postings_bytes {
+            return Err(StoreError::Codec {
+                context: "postings offsets",
+            });
+        }
+        Ok(start..end)
+    }
+}
+
+/// Decode a base postings record, the bytes of
+/// [`IndexDirectory::postings_range`]: one frame holding ascending ids
+/// below `clique_count`, with nothing after the list.
+pub(crate) fn decode_postings(bytes: &[u8], clique_count: u64) -> Result<Vec<u64>, StoreError> {
+    const CTX: &str = "postings record";
+    let (payload, _) = parse_frame(bytes, 0, CTX)?;
+    let mut pos = 0usize;
+    let ids = decode_id_list(payload, &mut pos, clique_count, CTX)?;
+    if pos != payload.len() {
+        return Err(StoreError::Codec { context: CTX });
+    }
+    Ok(ids)
+}
+
+/// Append the size runs and the block table, as both `index.gsd`
+/// records store them.
+fn put_tables(p: &mut Vec<u8>, runs: &[SizeRun], blocks: &[BlockEntry]) {
+    put_varint(p, runs.len() as u64);
+    for run in runs {
+        put_varint(p, u64::from(run.size));
+        put_varint(p, run.first_id);
+        put_varint(p, run.count);
+    }
+    put_varint(p, blocks.len() as u64);
+    for b in blocks {
+        put_varint(p, b.offset);
+        put_varint(p, b.first_id);
+        put_varint(p, u64::from(b.count));
+        put_varint(p, u64::from(b.min_size));
+        put_varint(p, u64::from(b.max_size));
+    }
+}
+
+/// Decode what [`put_tables`] wrote for the clique ids `ids`: size runs
+/// of strictly growing size and blocks at growing offsets, each table
+/// covering `ids` in order with no gap and no empty entry.
+fn get_tables(
+    payload: &[u8],
+    pos: &mut usize,
+    ids: Range<u64>,
+    context: &'static str,
+) -> Result<(Vec<SizeRun>, Vec<BlockEntry>), StoreError> {
+    let bad = || StoreError::Codec { context };
+    let runs = get_varint(payload, pos, context)?;
+    if runs > ids.end - ids.start {
+        return Err(bad());
+    }
+    let mut size_runs = Vec::with_capacity(runs as usize);
+    let (mut expect, mut prev_size) = (ids.start, 0u32);
+    for _ in 0..runs {
+        let run = SizeRun {
+            size: get_varint(payload, pos, context)? as u32,
+            first_id: get_varint(payload, pos, context)?,
+            count: get_varint(payload, pos, context)?,
+        };
+        if run.first_id != expect || run.count == 0 || run.size <= prev_size {
+            return Err(bad());
+        }
+        expect = run.first_id.checked_add(run.count).ok_or_else(bad)?;
+        prev_size = run.size;
+        size_runs.push(run);
+    }
+    if expect != ids.end {
+        return Err(bad());
+    }
+    let nblocks = get_varint(payload, pos, context)?;
+    if nblocks > ids.end - ids.start {
+        return Err(bad());
+    }
+    let mut blocks = Vec::with_capacity(nblocks as usize);
+    let (mut expect, mut prev_offset) = (ids.start, 0u64);
+    for _ in 0..nblocks {
+        let b = BlockEntry {
+            offset: get_varint(payload, pos, context)?,
+            first_id: get_varint(payload, pos, context)?,
+            count: get_varint(payload, pos, context)? as u32,
+            min_size: get_varint(payload, pos, context)? as u32,
+            max_size: get_varint(payload, pos, context)? as u32,
+        };
+        if b.first_id != expect || b.count == 0 || b.offset <= prev_offset {
+            return Err(bad());
+        }
+        expect = b.first_id.checked_add(u64::from(b.count)).ok_or_else(bad)?;
+        prev_offset = b.offset;
+        blocks.push(b);
+    }
+    if expect != ids.end {
+        return Err(bad());
+    }
+    Ok((size_runs, blocks))
 }
 
 /// One committed delta generation, stored as a CRC-framed record
@@ -492,20 +755,7 @@ impl DeltaGeneration {
         put_varint(&mut p, u64::from(self.n));
         put_varint(&mut p, self.first_id);
         put_varint(&mut p, self.count);
-        put_varint(&mut p, self.size_runs.len() as u64);
-        for run in &self.size_runs {
-            put_varint(&mut p, u64::from(run.size));
-            put_varint(&mut p, run.first_id);
-            put_varint(&mut p, run.count);
-        }
-        put_varint(&mut p, self.blocks.len() as u64);
-        for b in &self.blocks {
-            put_varint(&mut p, b.offset);
-            put_varint(&mut p, b.first_id);
-            put_varint(&mut p, u64::from(b.count));
-            put_varint(&mut p, u64::from(b.min_size));
-            put_varint(&mut p, u64::from(b.max_size));
-        }
+        put_tables(&mut p, &self.size_runs, &self.blocks);
         encode_id_list(&mut p, &self.tombstones);
         put_varint(&mut p, self.postings_offset);
         put_varint(&mut p, self.postings_len);
@@ -529,54 +779,10 @@ impl DeltaGeneration {
         let n = n as u32;
         let first_id = get_varint(payload, pos, CTX)?;
         let count = get_varint(payload, pos, CTX)?;
-        let runs = get_varint(payload, pos, CTX)?;
-        if runs > count {
-            return Err(StoreError::Codec { context: CTX });
-        }
-        let mut size_runs = Vec::with_capacity(runs as usize);
-        let mut expect = first_id;
-        let mut prev_size = 0u32;
-        for _ in 0..runs {
-            let run = SizeRun {
-                size: get_varint(payload, pos, CTX)? as u32,
-                first_id: get_varint(payload, pos, CTX)?,
-                count: get_varint(payload, pos, CTX)?,
-            };
-            if run.first_id != expect || run.count == 0 || run.size <= prev_size {
-                return Err(StoreError::Codec { context: CTX });
-            }
-            expect = run.first_id + run.count;
-            prev_size = run.size;
-            size_runs.push(run);
-        }
-        if expect != first_id + count {
-            return Err(StoreError::Codec { context: CTX });
-        }
-        let nblocks = get_varint(payload, pos, CTX)?;
-        if nblocks > count {
-            return Err(StoreError::Codec { context: CTX });
-        }
-        let mut blocks = Vec::with_capacity(nblocks as usize);
-        let mut expect = first_id;
-        let mut prev_off = 0u64;
-        for _ in 0..nblocks {
-            let b = BlockEntry {
-                offset: get_varint(payload, pos, CTX)?,
-                first_id: get_varint(payload, pos, CTX)?,
-                count: get_varint(payload, pos, CTX)? as u32,
-                min_size: get_varint(payload, pos, CTX)? as u32,
-                max_size: get_varint(payload, pos, CTX)? as u32,
-            };
-            if b.first_id != expect || b.count == 0 || b.offset <= prev_off {
-                return Err(StoreError::Codec { context: CTX });
-            }
-            expect = b.first_id + u64::from(b.count);
-            prev_off = b.offset;
-            blocks.push(b);
-        }
-        if expect != first_id + count {
-            return Err(StoreError::Codec { context: CTX });
-        }
+        let end = first_id
+            .checked_add(count)
+            .ok_or(StoreError::Codec { context: CTX })?;
+        let (size_runs, blocks) = get_tables(payload, pos, first_id..end, CTX)?;
         let tombstones = decode_id_list(payload, pos, first_id.max(1), CTX)?;
         if tombstones.iter().any(|&id| id >= first_id) {
             return Err(StoreError::Codec { context: CTX });
@@ -609,45 +815,354 @@ impl DeltaGeneration {
 /// Framed and appended to `postings.gsp` as a single record per
 /// generation — the base file's per-vertex layout cannot be extended
 /// in place without rewriting it.
-pub fn encode_delta_postings(buf: &mut Vec<u8>, entries: &[(u32, Vec<u64>)]) {
-    put_varint(buf, entries.len() as u64);
+pub fn encode_delta_postings(entries: &BTreeMap<u32, Vec<u64>>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint(&mut buf, entries.len() as u64);
     for (v, ids) in entries {
-        put_varint(buf, u64::from(*v));
-        encode_id_list(buf, ids);
+        put_varint(&mut buf, u64::from(*v));
+        encode_id_list(&mut buf, ids);
     }
+    buf
 }
 
-/// Decode a generation's postings overlay; vertices must ascend and
-/// stay below `n`, ids must fall inside the generation's id range.
-pub fn decode_delta_postings(
-    payload: &[u8],
-    n: u32,
-    ids: std::ops::Range<u64>,
-    context: &'static str,
+/// Read generation `gen`'s postings overlay from `postings.gsp`, whose
+/// committed extent is `extent` bytes: one frame filling exactly
+/// `postings_len` bytes at `postings_offset`, whose vertices ascend
+/// below the generation's `n` and whose ids fall inside its id range. A
+/// length beyond the extent is refused before it is allocated, as the
+/// short read it would be.
+pub(crate) fn read_delta_postings(
+    f: &mut (impl Read + Seek),
+    gen: &DeltaGeneration,
+    extent: u64,
 ) -> Result<Vec<(u32, Vec<u64>)>, StoreError> {
+    const CTX: &str = "delta postings";
+    if gen.postings_len > extent {
+        return Err(StoreError::Torn {
+            context: CTX,
+            needed: gen.postings_len as usize,
+            have: 0,
+        });
+    }
+    let mut bytes = vec![0u8; gen.postings_len as usize];
+    read_at(f, gen.postings_offset, &mut bytes, CTX)?;
+    let (payload, next) = parse_frame(&bytes, 0, CTX)?;
+    if next != bytes.len() {
+        return Err(StoreError::Codec {
+            context: "delta postings frame extent",
+        });
+    }
+    let (n, ids) = (gen.n, gen.id_range());
     let pos = &mut 0usize;
-    let count = get_varint(payload, pos, context)?;
+    let count = get_varint(payload, pos, CTX)?;
     if count > u64::from(n) {
-        return Err(StoreError::Codec { context });
+        return Err(StoreError::Codec { context: CTX });
     }
     let mut entries = Vec::with_capacity(count as usize);
     let mut prev: Option<u32> = None;
     for _ in 0..count {
-        let v = get_varint(payload, pos, context)?;
+        let v = get_varint(payload, pos, CTX)?;
         if v >= u64::from(n) || prev.is_some_and(|p| u64::from(p) >= v) {
-            return Err(StoreError::Codec { context });
+            return Err(StoreError::Codec { context: CTX });
         }
-        let list = decode_id_list(payload, pos, ids.end, context)?;
+        let list = decode_id_list(payload, pos, ids.end, CTX)?;
         if list.is_empty() || list.iter().any(|&id| id < ids.start) {
-            return Err(StoreError::Codec { context });
+            return Err(StoreError::Codec { context: CTX });
         }
         prev = Some(v as u32);
         entries.push((v as u32, list));
     }
     if *pos != payload.len() {
-        return Err(StoreError::Codec { context });
+        return Err(StoreError::Codec { context: CTX });
     }
     Ok(entries)
+}
+
+/// One defect in an index: where, and the typed error. `gsb scrub`
+/// reports every one; `CliqueIndex::open` fails on the first.
+#[derive(Debug)]
+pub struct Finding {
+    /// Human-readable site, e.g. `cliques.gsi block 3` or `index.meta`.
+    pub site: String,
+    /// What failed there.
+    pub error: StoreError,
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.site, self.error)
+    }
+}
+
+fn finding(defects: &mut Vec<Finding>, site: impl Into<String>, error: StoreError) {
+    defects.push(Finding {
+        site: site.into(),
+        error,
+    });
+}
+
+/// `index.gsd` decoded and checked against the manifest by
+/// [`walk_chain`].
+#[derive(Debug)]
+pub(crate) struct ChainWalk {
+    /// The base directory.
+    pub(crate) directory: IndexDirectory,
+    /// Every delta generation up to the first undecodable one, oldest
+    /// first.
+    pub(crate) chain: Vec<DeltaGeneration>,
+    /// Size runs of the base then of each generation, in id order
+    /// (sizes ascend within the base and within each generation).
+    pub(crate) runs: Vec<SizeRun>,
+    /// Tombstoned ids over the base and chain id space.
+    pub(crate) dead: BitSet,
+    /// `(size, live count)` ascending in size, empty sizes dropped.
+    pub(crate) live_hist: Vec<(u32, u64)>,
+}
+
+/// Decode `index.gsd` (`bytes`, the whole file) and check it against
+/// the manifest: the header, the base frame, then every chain frame up
+/// to the committed extent, the chain's continuity (first id, vertex
+/// count, postings offset, generation), the chain head against the
+/// manifest generation, each manifest count, the tombstones (no id dies
+/// twice) and the live maximum. Defects are pushed to `defects` and the
+/// walk goes on; an unreadable base directory ends it with `Err`.
+/// Bytes past the committed extent are a defect: a reader that ignores
+/// a torn append passes the committed bytes only.
+pub(crate) fn walk_chain(
+    bytes: &[u8],
+    meta: &IndexMeta,
+    defects: &mut Vec<Finding>,
+) -> Result<ChainWalk, StoreError> {
+    let committed = meta.dir_extent(bytes.len());
+    if bytes.len() != committed {
+        finding(
+            defects,
+            format!("{DIRECTORY_FILE} length"),
+            StoreError::Torn {
+                context: "directory length vs committed extent",
+                needed: committed,
+                have: bytes.len(),
+            },
+        );
+    }
+    let bytes = &bytes[..committed.min(bytes.len())];
+    let n = check_header(bytes, DIRECTORY_MAGIC, "index directory header")?;
+    let (payload, mut next) = parse_frame(bytes, HEADER_LEN, "index directory")?;
+    let directory = IndexDirectory::decode(payload)?;
+    if directory.n != n {
+        return Err(StoreError::GraphMismatch {
+            checkpoint_bits: directory.n as usize,
+            graph_bits: n as usize,
+        });
+    }
+
+    let mut chain: Vec<DeltaGeneration> = Vec::new();
+    let mut expected_first = directory.clique_count;
+    let mut expected_post = directory.postings_bytes;
+    let mut max_n = directory.n;
+    while next < bytes.len() {
+        let site = format!("{DIRECTORY_FILE} generation {}", chain.len());
+        let gen = match parse_frame(bytes, next, "delta generation").and_then(|(payload, at)| {
+            next = at;
+            DeltaGeneration::decode(payload)
+        }) {
+            Ok(gen) => gen,
+            Err(e) => {
+                // the walk cannot continue past an undecodable frame
+                finding(defects, site, e);
+                break;
+            }
+        };
+        if gen.first_id != expected_first
+            || gen.postings_offset != expected_post
+            || gen.n < max_n
+            || gen.generation <= chain.last().map_or(0, |g| g.generation)
+        {
+            finding(
+                defects,
+                format!("{site} continuity"),
+                StoreError::Codec {
+                    context: "delta chain discontinuity",
+                },
+            );
+        }
+        expected_first = gen.first_id + gen.count;
+        expected_post = gen.postings_offset.saturating_add(gen.postings_len);
+        max_n = max_n.max(gen.n);
+        chain.push(gen);
+    }
+    if let Some(last) = chain.last() {
+        if last.generation != meta.generation {
+            finding(
+                defects,
+                format!("{DIRECTORY_FILE} chain head"),
+                StoreError::CountMismatch {
+                    expected: meta.generation as usize,
+                    found: last.generation as usize,
+                },
+            );
+        }
+    }
+
+    // Manifest counts are totals over base + chain.
+    if max_n as usize != meta.n {
+        finding(
+            defects,
+            META_FILE,
+            StoreError::GraphMismatch {
+                checkpoint_bits: max_n as usize,
+                graph_bits: meta.n,
+            },
+        );
+    }
+    let total = directory.clique_count + chain.iter().map(|g| g.count).sum::<u64>();
+    let sum = |f: fn(&DeltaGeneration) -> u64| chain.iter().map(f).sum::<u64>();
+    for (what, meta_v, want) in [
+        ("cliques", meta.cliques, total),
+        (
+            "blocks",
+            meta.blocks,
+            directory.blocks.len() as u64 + sum(|g| g.blocks.len() as u64),
+        ),
+        (
+            "postings_bytes",
+            meta.postings_bytes,
+            directory.postings_bytes + sum(|g| g.postings_len),
+        ),
+        (
+            "delta_generations",
+            meta.delta_generations,
+            chain.len() as u64,
+        ),
+        (
+            "tombstones",
+            meta.tombstones,
+            sum(|g| g.tombstones.len() as u64),
+        ),
+    ] {
+        if meta_v != want {
+            finding(
+                defects,
+                format!("{META_FILE} {what}"),
+                StoreError::CountMismatch {
+                    expected: want as usize,
+                    found: meta_v as usize,
+                },
+            );
+        }
+    }
+
+    // Tombstones: ascending within a generation and below its first id
+    // (both codec-enforced); across the chain no id may die twice.
+    let mut dead = BitSet::new(total as usize);
+    for (gi, gen) in chain.iter().enumerate() {
+        for &id in &gen.tombstones {
+            let context = if id >= total {
+                "tombstone beyond the index"
+            } else if !dead.insert(id as usize) {
+                "tombstone kills an already-dead clique"
+            } else {
+                continue;
+            };
+            finding(
+                defects,
+                format!("{DIRECTORY_FILE} generation {gi} tombstone {id}"),
+                StoreError::Codec { context },
+            );
+        }
+    }
+    let mut runs = directory.size_runs.clone();
+    for gen in &chain {
+        runs.extend_from_slice(&gen.size_runs);
+    }
+    let live_hist = match live_histogram(&runs, dead.iter_ones().map(|id| id as u64)) {
+        Ok(hist) => hist,
+        Err(e) => {
+            finding(defects, format!("{DIRECTORY_FILE} tombstones"), e);
+            Vec::new()
+        }
+    };
+    let live_max = live_hist.last().map_or(0, |&(size, _)| size);
+    if live_max != meta.max_clique {
+        finding(
+            defects,
+            format!("{META_FILE} max_clique"),
+            StoreError::CountMismatch {
+                expected: live_max as usize,
+                found: meta.max_clique as usize,
+            },
+        );
+    }
+    Ok(ChainWalk {
+        directory,
+        chain,
+        runs,
+        dead,
+        live_hist,
+    })
+}
+
+/// Live cliques per size: each size run's count minus the tombstoned
+/// ids inside it, as `(size, count)` ascending in size with empty sizes
+/// dropped. `runs` must ascend in id space; a tombstone outside every
+/// run is corruption.
+pub(crate) fn live_histogram(
+    runs: &[SizeRun],
+    dead: impl IntoIterator<Item = u64>,
+) -> Result<Vec<(u32, u64)>, StoreError> {
+    let mut hist: BTreeMap<u32, u64> = BTreeMap::new();
+    for run in runs {
+        *hist.entry(run.size).or_insert(0) += run.count;
+    }
+    for id in dead {
+        let run = runs.partition_point(|r| r.first_id + r.count <= id);
+        match runs
+            .get(run)
+            .filter(|r| r.first_id <= id)
+            .and_then(|r| hist.get_mut(&r.size))
+        {
+            Some(c) if *c > 0 => *c -= 1,
+            _ => {
+                return Err(StoreError::Codec {
+                    context: "tombstone outside any size run",
+                })
+            }
+        }
+    }
+    Ok(hist.into_iter().filter(|&(_, c)| c > 0).collect())
+}
+
+/// Replay the chain's edit log over `g`, which must already hold every
+/// generation's vertices: each generation's removals, then its
+/// additions. An edit that removes an absent edge or adds a present one
+/// goes to `defect`.
+pub(crate) fn replay_edits(
+    g: &mut BitGraph,
+    chain: &[DeltaGeneration],
+    mut defect: impl FnMut(Finding),
+) {
+    for (gi, gen) in chain.iter().enumerate() {
+        for &(u, v) in &gen.removed_edges {
+            if !g.remove_edge(u as usize, v as usize) {
+                defect(Finding {
+                    site: format!("{GRAPH_FILE} generation {gi} edit -({u},{v})"),
+                    error: StoreError::Codec {
+                        context: "edit log removes an absent edge",
+                    },
+                });
+            }
+        }
+        for &(u, v) in &gen.added_edges {
+            if !g.add_edge(u as usize, v as usize) {
+                defect(Finding {
+                    site: format!("{GRAPH_FILE} generation {gi} edit +({u},{v})"),
+                    error: StoreError::Codec {
+                        context: "edit log adds a present edge",
+                    },
+                });
+            }
+        }
+    }
 }
 
 /// The `index.meta` manifest: human-readable key=value lines, written
@@ -695,6 +1210,16 @@ pub struct IndexMeta {
 }
 
 impl IndexMeta {
+    /// Committed bytes of an `index.gsd` of `file_len` bytes:
+    /// `dir_bytes`, or the whole file under a pre-chain manifest (which
+    /// records 0).
+    pub(crate) fn dir_extent(&self, file_len: usize) -> usize {
+        match self.dir_bytes {
+            0 => file_len,
+            committed => committed as usize,
+        }
+    }
+
     /// Render as key=value text. The final `crc=` line covers every
     /// preceding byte, so even fields with no cross-checkable twin
     /// elsewhere in the index (like `generation`) cannot rot silently.
@@ -754,75 +1279,51 @@ impl IndexMeta {
             }
             crc_seen = true;
         }
-        let mut meta = IndexMeta {
-            version: 0,
-            n: usize::MAX,
-            cliques: u64::MAX,
-            max_clique: u32::MAX,
-            blocks: 0,
-            store_bytes: 0,
-            postings_bytes: 0,
-            generation: 0,
-            min_size: 0,
-            delta_generations: 0,
-            tombstones: 0,
-            dir_bytes: 0,
-            graph_bytes: 0,
-            graph_crc: 0,
-        };
-        let mut generation_seen = false;
+        // Every known key's value must parse; unknown keys are skipped.
+        const KEYS: [&str; 14] = [
+            "version",
+            "n",
+            "cliques",
+            "max_clique",
+            "blocks",
+            "store_bytes",
+            "postings_bytes",
+            "generation",
+            "min_size",
+            "delta_generations",
+            "tombstones",
+            "dir_bytes",
+            "graph_bytes",
+            "graph_crc",
+        ];
+        let mut fields = BTreeMap::new();
         for line in text.lines() {
             let Some((key, value)) = line.split_once('=') else {
                 continue;
             };
-            let parse = || value.trim().parse::<u64>();
-            match key.trim() {
-                "version" => {
-                    meta.version = parse().map_err(|_| StoreError::Codec { context: CTX })? as u32
-                }
-                "n" => meta.n = parse().map_err(|_| StoreError::Codec { context: CTX })? as usize,
-                "cliques" => {
-                    meta.cliques = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "max_clique" => {
-                    meta.max_clique =
-                        parse().map_err(|_| StoreError::Codec { context: CTX })? as u32
-                }
-                "blocks" => {
-                    meta.blocks = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "store_bytes" => {
-                    meta.store_bytes = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "postings_bytes" => {
-                    meta.postings_bytes = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "generation" => {
-                    meta.generation = parse().map_err(|_| StoreError::Codec { context: CTX })?;
-                    generation_seen = true;
-                }
-                "min_size" => {
-                    meta.min_size = parse().map_err(|_| StoreError::Codec { context: CTX })? as u32
-                }
-                "delta_generations" => {
-                    meta.delta_generations =
-                        parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "tombstones" => {
-                    meta.tombstones = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "dir_bytes" => {
-                    meta.dir_bytes = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "graph_bytes" => {
-                    meta.graph_bytes = parse().map_err(|_| StoreError::Codec { context: CTX })?
-                }
-                "graph_crc" => {
-                    meta.graph_crc = parse().map_err(|_| StoreError::Codec { context: CTX })? as u32
-                }
-                _ => {}
+            if let Some(&key) = KEYS.iter().find(|&&k| k == key.trim()) {
+                let value = value.trim().parse::<u64>();
+                fields.insert(key, value.map_err(|_| StoreError::Codec { context: CTX })?);
             }
         }
+        let get = |key| fields.get(key).copied();
+        let or_zero = |key| get(key).unwrap_or(0);
+        let meta = IndexMeta {
+            version: or_zero("version") as u32,
+            n: get("n").map_or(usize::MAX, |v| v as usize),
+            cliques: get("cliques").unwrap_or(u64::MAX),
+            max_clique: get("max_clique").map_or(u32::MAX, |v| v as u32),
+            blocks: or_zero("blocks"),
+            store_bytes: or_zero("store_bytes"),
+            postings_bytes: or_zero("postings_bytes"),
+            generation: or_zero("generation"),
+            min_size: or_zero("min_size") as u32,
+            delta_generations: or_zero("delta_generations"),
+            tombstones: or_zero("tombstones"),
+            dir_bytes: or_zero("dir_bytes"),
+            graph_bytes: or_zero("graph_bytes"),
+            graph_crc: or_zero("graph_crc") as u32,
+        };
         if meta.version != 1
             || meta.n == usize::MAX
             || meta.cliques == u64::MAX
@@ -832,7 +1333,7 @@ impl IndexMeta {
         }
         // `generation` and `crc` were introduced together: a manifest
         // declaring one but missing the other lost bytes to corruption.
-        if generation_seen && !crc_seen {
+        if get("generation").is_some() && !crc_seen {
             return Err(StoreError::Codec { context: CTX });
         }
         Ok(meta)

@@ -14,8 +14,11 @@
 //!   conventions of `gsb_core::checkpoint`.
 //! * [`reader`] — [`CliqueIndex`], the read-only query engine:
 //!   `cliques-containing(v)`, `cliques-of-size(k..=m)`, `max-clique`,
-//!   and `overlap(v, w)` via postings intersection on the dense
-//!   [`gsb_bitset::BitSet`], behind an LRU cache of decoded blocks.
+//!   and `overlap(v, w)` by merging two ascending postings lists,
+//!   behind an LRU cache of decoded blocks.
+//! * [`format`](mod@format) — the byte layout, encoded and checked in
+//!   one place: the writer, [`update()`], the reader and [`scrub()`]
+//!   share its block encoder, block read, chain walk and decoders.
 //! * [`server`] — `gsb serve`: a std-only threaded TCP/HTTP server
 //!   answering JSON queries, with per-endpoint latency histograms from
 //!   `gsb_telemetry`, graceful SIGINT/SIGTERM drain via

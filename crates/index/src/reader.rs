@@ -8,9 +8,11 @@
 //! making one `CliqueIndex` safely shareable across server threads via
 //! `Arc`.
 //!
-//! Every decode path bound-checks against the directory and verifies
-//! the frame CRC: a corrupted block surfaces as a typed
-//! [`StoreError`], never a panic or a silently wrong answer.
+//! `open` fails on the first defect of `format::walk_chain`, the
+//! directory walk `gsb scrub` runs too, and blocks and postings decode
+//! through [`crate::format`]'s checked decoders: a corrupted byte surfaces as a
+//! typed [`StoreError`], never a panic or a silently wrong answer.
+//! Every clique read goes through [`CliqueIndex::with_cliques`].
 //!
 //! Corruption is additionally *quarantined*: a block that fails its
 //! CRC/codec checks is remembered in an in-memory set, so later queries
@@ -20,16 +22,15 @@
 //! Transient I/O errors do *not* quarantine (a retry may succeed).
 
 use crate::format::{
-    check_header, decode_delta_postings, parse_frame, BlockEntry, DeltaGeneration, IndexDirectory,
-    IndexMeta, SizeRun, CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, HEADER_LEN,
-    META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
+    check_header, decode_block, decode_postings, read_at, read_delta_postings, read_frame_at,
+    walk_chain, BlockEntry, DeltaGeneration, IndexDirectory, IndexMeta, SizeRun, CLIQUES_FILE,
+    CLIQUES_MAGIC, DIRECTORY_FILE, HEADER_LEN, META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
 };
 use gsb_bitset::BitSet;
 use gsb_core::store::StoreError;
 use gsb_core::{Clique, Vertex};
 use std::collections::{BTreeSet, HashMap};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,8 +190,6 @@ pub struct CliqueIndex {
     /// Unified size-run table in id order (sizes ascend within the base
     /// and within each generation, not globally).
     runs: Vec<SizeRun>,
-    /// Total clique ids (live + dead).
-    total: u64,
     /// Live cliques.
     live: u64,
     /// Tombstoned ids over the whole id space.
@@ -223,187 +222,48 @@ impl CliqueIndex {
         }
         let meta = IndexMeta::from_text(&std::fs::read_to_string(meta_path)?)?;
 
-        let gsd = std::fs::read(dir.join(DIRECTORY_FILE))?;
-        // The manifest pins the committed extent of the directory file;
-        // bytes past it are a torn append from a crashed update and are
-        // ignored (pre-chain manifests record 0 = "the whole file").
-        let committed = if meta.dir_bytes == 0 {
-            gsd.len()
-        } else {
-            meta.dir_bytes as usize
-        };
-        if gsd.len() < committed {
-            return Err(StoreError::Torn {
-                context: "index directory file",
-                needed: committed,
-                have: gsd.len(),
-            });
+        // Bytes past the committed extent are a torn append from a
+        // crashed update, and are ignored.
+        let mut gsd = std::fs::read(dir.join(DIRECTORY_FILE))?;
+        gsd.truncate(meta.dir_extent(gsd.len()));
+        let mut defects = Vec::new();
+        let walk = walk_chain(&gsd, &meta, &mut defects)?;
+        if let Some(defect) = defects.into_iter().next() {
+            return Err(defect.error);
         }
-        let gsd = &gsd[..committed];
-        let n = check_header(gsd, DIRECTORY_MAGIC, "index directory header")?;
-        let (payload, mut pos) = parse_frame(gsd, HEADER_LEN, "index directory")?;
-        let directory = IndexDirectory::decode(payload)?;
-        if directory.n != n {
-            return Err(StoreError::GraphMismatch {
-                checkpoint_bits: directory.n as usize,
-                graph_bits: n as usize,
-            });
-        }
-        if directory.postings_offsets.len() != directory.n as usize + 1 {
-            return Err(StoreError::CountMismatch {
-                expected: directory.n as usize + 1,
-                found: directory.postings_offsets.len(),
-            });
-        }
-        let mut chain = Vec::new();
-        while pos < gsd.len() {
-            let (payload, next) = parse_frame(gsd, pos, "delta generation")?;
-            chain.push(DeltaGeneration::decode(payload)?);
-            pos = next;
-        }
-        if chain.len() as u64 != meta.delta_generations {
-            return Err(StoreError::CountMismatch {
-                expected: meta.delta_generations as usize,
-                found: chain.len(),
-            });
-        }
+        let n = walk.directory.n;
 
-        // Chain consistency against the manifest: contiguous id space,
-        // monotone vertex growth, strictly increasing generations
-        // ending at the manifest's, and contiguous postings extents.
-        let mut total = directory.clique_count;
-        let mut max_n = directory.n;
-        let mut post_end = directory.postings_bytes;
-        let mut tombstone_total = 0u64;
-        let mut prev_generation = 0u64;
-        for g in &chain {
-            if g.first_id != total
-                || g.n < max_n
-                || g.postings_offset != post_end
-                || g.generation <= prev_generation
-            {
-                return Err(StoreError::Codec {
-                    context: "delta chain discontinuity",
-                });
-            }
-            total += g.count;
-            max_n = g.n;
-            post_end += g.postings_len;
-            tombstone_total += g.tombstones.len() as u64;
-            prev_generation = g.generation;
-        }
-        if let Some(last) = chain.last() {
-            if last.generation != meta.generation {
-                return Err(StoreError::Codec {
-                    context: "delta chain generation does not match manifest",
-                });
-            }
-        }
-        if total != meta.cliques || tombstone_total != meta.tombstones {
-            return Err(StoreError::CountMismatch {
-                expected: meta.cliques as usize,
-                found: total as usize,
-            });
-        }
-        if max_n as usize != meta.n {
-            return Err(StoreError::GraphMismatch {
-                checkpoint_bits: max_n as usize,
-                graph_bits: meta.n,
-            });
-        }
-        if post_end != meta.postings_bytes {
-            return Err(StoreError::CountMismatch {
-                expected: meta.postings_bytes as usize,
-                found: post_end as usize,
-            });
-        }
-
-        // Unified block / size-run tables.
-        let mut blocks = directory.blocks.clone();
-        let mut block_bound = vec![directory.n; blocks.len()];
-        let mut runs = directory.size_runs.clone();
-        for g in &chain {
+        // Unified block table, each block with its generation's bound.
+        let mut blocks = walk.directory.blocks.clone();
+        let mut block_bound = vec![n; blocks.len()];
+        for g in &walk.chain {
             blocks.extend_from_slice(&g.blocks);
             block_bound.extend(std::iter::repeat_n(g.n, g.blocks.len()));
-            runs.extend_from_slice(&g.size_runs);
-        }
-        if blocks.len() as u64 != meta.blocks {
-            return Err(StoreError::CountMismatch {
-                expected: meta.blocks as usize,
-                found: blocks.len(),
-            });
         }
 
-        // Tombstones → dead set. Double kills are corruption: every id
-        // dies at most once across the whole chain.
-        let mut dead = BitSet::new(total as usize);
-        for g in &chain {
-            for &id in &g.tombstones {
-                if !dead.insert(id as usize) {
-                    return Err(StoreError::Codec {
-                        context: "tombstone kills an already-dead clique",
-                    });
-                }
-            }
-        }
-        let live = total - tombstone_total;
-
-        // Live histogram: run totals minus each dead id's run.
-        let mut hist: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        for run in &runs {
-            *hist.entry(run.size).or_insert(0) += run.count;
-        }
-        for id in dead.iter_ones() {
-            let run_i = runs
-                .partition_point(|r| r.first_id <= id as u64)
-                .saturating_sub(1);
-            let size = runs[run_i].size;
-            match hist.get_mut(&size) {
-                Some(c) if *c > 0 => *c -= 1,
-                _ => {
-                    return Err(StoreError::Codec {
-                        context: "tombstone outside any size run",
-                    })
-                }
-            }
-        }
-        let live_hist: Vec<(u32, u64)> = hist.into_iter().filter(|&(_, c)| c > 0).collect();
-
-        let store = open_checked(&dir.join(CLIQUES_FILE), CLIQUES_MAGIC, directory.n)?;
-        let mut postings = open_checked(&dir.join(POSTINGS_FILE), POSTINGS_MAGIC, directory.n)?;
+        let store = open_checked(&dir.join(CLIQUES_FILE), CLIQUES_MAGIC, n)?;
+        let mut postings = open_checked(&dir.join(POSTINGS_FILE), POSTINGS_MAGIC, n)?;
 
         // Postings overlays: one eagerly-loaded frame per generation
         // (delta postings are small next to the base file).
         let mut overlay: HashMap<Vertex, Vec<u64>> = HashMap::new();
-        for g in &chain {
-            let mut bytes = vec![0u8; g.postings_len as usize];
-            postings.seek(SeekFrom::Start(g.postings_offset))?;
-            read_exact_typed(&mut postings, &mut bytes, "delta postings frame")?;
-            let (payload, next) = parse_frame(&bytes, 0, "delta postings frame")?;
-            if next != bytes.len() {
-                return Err(StoreError::Codec {
-                    context: "delta postings frame",
-                });
-            }
-            for (v, ids) in
-                decode_delta_postings(payload, g.n, g.id_range(), "delta postings frame")?
-            {
+        for g in &walk.chain {
+            for (v, ids) in read_delta_postings(&mut postings, g, meta.postings_bytes)? {
                 overlay.entry(v).or_default().extend(ids);
             }
         }
 
         Ok(CliqueIndex {
+            live: meta.cliques - walk.dead.count_ones() as u64,
             meta,
-            directory,
-            chain,
+            directory: walk.directory,
+            chain: walk.chain,
             blocks,
             block_bound,
-            runs,
-            total,
-            live,
-            dead,
+            runs: walk.runs,
+            dead: walk.dead,
             overlay,
-            live_hist,
+            live_hist: walk.live_hist,
             store: Mutex::new(store),
             postings: Mutex::new(postings),
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
@@ -445,7 +305,7 @@ impl CliqueIndex {
     /// Total clique *ids* in the index — live and tombstoned. Ids are
     /// stable across updates, so this only grows until a compaction.
     pub fn len(&self) -> u64 {
-        self.total
+        self.meta.cliques
     }
 
     /// Live (non-tombstoned) cliques.
@@ -461,7 +321,7 @@ impl CliqueIndex {
     /// Whether `id` names a live clique (false for tombstoned ids and
     /// ids beyond the index).
     pub fn is_live(&self, id: u64) -> bool {
-        id < self.total && !self.dead.contains(id as usize)
+        id < self.meta.cliques && !self.dead.contains(id as usize)
     }
 
     /// Largest live clique size present.
@@ -484,18 +344,28 @@ impl CliqueIndex {
         &self.meta
     }
 
+    /// Size runs of the base and every generation, in id order.
+    pub(crate) fn runs(&self) -> &[SizeRun] {
+        &self.runs
+    }
+
+    /// Tombstoned ids, ascending.
+    pub(crate) fn dead_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.dead.iter_ones().map(|id| id as u64)
+    }
+
     /// Index-level statistics (all from the directory — no store scan).
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             n: self.meta.n,
-            cliques: self.total,
+            cliques: self.meta.cliques,
             max_clique: self.max_size(),
             blocks: self.blocks.len() as u64,
             store_bytes: self.meta.store_bytes,
             postings_bytes: self.meta.postings_bytes,
             size_histogram: self.live_hist.clone(),
             live: self.live,
-            tombstones: self.total - self.live,
+            tombstones: self.meta.cliques - self.live,
             delta_generations: self.chain.len() as u64,
         }
     }
@@ -504,35 +374,12 @@ impl CliqueIndex {
     /// too (ids are never reused); callers that must not surface dead
     /// cliques filter with [`is_live`](Self::is_live) first.
     pub fn get(&self, id: u64) -> Result<Clique, StoreError> {
-        if id >= self.total {
-            return Err(StoreError::Codec {
-                context: "clique id beyond the index",
-            });
-        }
-        let block_i = self
-            .blocks
-            .partition_point(|b| b.first_id <= id)
-            .saturating_sub(1);
-        let block = self.load_block(block_i)?;
-        let entry = &self.blocks[block_i];
-        let within = (id - entry.first_id) as usize;
-        block.get(within).cloned().ok_or(StoreError::CountMismatch {
-            expected: entry.count as usize,
-            found: block.len(),
-        })
-    }
-
-    /// Size of the clique with id `id`, from the run table alone (no
-    /// store read).
-    pub fn size_of(&self, id: u64) -> Option<u32> {
-        if id >= self.total {
-            return None;
-        }
-        let run_i = self
-            .runs
-            .partition_point(|r| r.first_id <= id)
-            .saturating_sub(1);
-        Some(self.runs[run_i].size)
+        let mut out = Vec::new();
+        self.with_cliques([id], |_, c| {
+            out.clone_from(c?);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// The id ranges of every size run (base and delta) holding cliques
@@ -572,35 +419,17 @@ impl CliqueIndex {
 
     /// Base-file postings record for a vertex below the base n.
     fn base_postings(&self, v: usize) -> Result<Vec<u64>, StoreError> {
-        let start = self.directory.postings_offsets[v];
-        let end = self.directory.postings_offsets[v + 1];
-        if end < start || end > self.directory.postings_bytes {
-            return Err(StoreError::Codec {
-                context: "postings offsets",
-            });
-        }
-        let mut bytes = vec![0u8; (end - start) as usize];
+        let range = self.directory.postings_range(v)?;
+        let mut bytes = vec![0u8; (range.end - range.start) as usize];
         self.io.postings_reads.fetch_add(1, Ordering::Relaxed);
-        {
-            gsb_core::failpoint::inject("index.postings_read").map_err(StoreError::Io)?;
-            let mut f = self.postings.lock().unwrap();
-            f.seek(SeekFrom::Start(start))?;
-            read_exact_typed(&mut f, &mut bytes, "postings record")?;
-        }
-        let (payload, _) = parse_frame(&bytes, 0, "postings record")?;
-        let mut pos = 0usize;
-        let ids = crate::format::decode_id_list(
-            payload,
-            &mut pos,
-            self.directory.clique_count,
+        gsb_core::failpoint::inject("index.postings_read").map_err(StoreError::Io)?;
+        read_at(
+            &mut *self.postings.lock().expect("postings file lock poisoned"),
+            range.start,
+            &mut bytes,
             "postings record",
         )?;
-        if pos != payload.len() {
-            return Err(StoreError::Codec {
-                context: "postings record",
-            });
-        }
-        Ok(ids)
+        decode_postings(&bytes, self.directory.clique_count)
     }
 
     /// `cliques-of-size(lo..=hi)` as a contiguous id range. Only valid
@@ -633,36 +462,29 @@ impl CliqueIndex {
         let Some(&(target, _)) = self.live_hist.last() else {
             return Ok(None);
         };
+        let first_live = self
+            .runs
+            .iter()
+            .filter(|r| r.size == target)
+            .filter_map(|run| {
+                (run.first_id..run.first_id + run.count)
+                    .find(|&id| !self.dead.contains(id as usize))
+            });
         let mut best: Option<Clique> = None;
-        for run in &self.runs {
-            if run.size != target {
-                continue;
+        self.with_cliques(first_live, |_, c| {
+            let c = c?;
+            if best.as_ref().is_none_or(|b| c < b) {
+                best = Some(c.clone());
             }
-            let first_live = (run.first_id..run.first_id + run.count)
-                .find(|&id| !self.dead.contains(id as usize));
-            if let Some(id) = first_live {
-                let c = self.get(id)?;
-                if best.as_ref().is_none_or(|b| c < *b) {
-                    best = Some(c);
-                }
-            }
-        }
+            Ok(())
+        })?;
         Ok(best)
     }
 
     /// `overlap(v, w)`: ids of *live* cliques containing both vertices,
-    /// via postings intersection on the dense [`BitSet`].
+    /// by merging their ascending postings.
     pub fn overlap(&self, v: Vertex, w: Vertex) -> Result<Vec<u64>, StoreError> {
-        let a = self.containing(v)?;
-        let b = self.containing(w)?;
-        if a.is_empty() || b.is_empty() {
-            return Ok(Vec::new());
-        }
-        let universe = self.total as usize;
-        let mut set = BitSet::from_ones(universe, a.iter().map(|&id| id as usize));
-        let other = BitSet::from_ones(universe, b.iter().map(|&id| id as usize));
-        set.and_assign(&other);
-        Ok(set.iter_ones().map(|id| id as u64).collect())
+        Ok(intersect_sorted(&self.containing(v)?, &self.containing(w)?))
     }
 
     /// Materialize a batch of ids (helper for range and postings
@@ -671,44 +493,67 @@ impl CliqueIndex {
         &self,
         ids: impl IntoIterator<Item = u64>,
     ) -> Result<Vec<Clique>, StoreError> {
-        let ids: Vec<u64> = ids.into_iter().collect();
-        let mut out = Vec::with_capacity(ids.len());
-        self.with_cliques(&ids, |_, c| out.push(c.clone()))?;
+        let mut out = Vec::new();
+        self.with_cliques(ids, |_, c| {
+            out.push(c?.clone());
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Visit a batch of ids, borrowing each decoded clique in place —
-    /// one cache lookup per block *run* instead of per id, and no
-    /// per-clique allocation. Ascending ids (what postings queries
-    /// return) visit each block exactly once, so bulk scans over a
-    /// postings list cost one decode per block instead of one per id.
+    /// The one id → block walk behind every clique read. `f` sees each
+    /// id in turn with its clique borrowed from the decoded block, or
+    /// with the error that kept it from being read; an error `f` returns
+    /// ends the walk. Consecutive ids in one block cost one cache lookup,
+    /// so ascending ids (what postings and size queries return) load
+    /// each block once. Once a block fails a corruption check, the rest
+    /// of its run gets the quarantine error without another lookup.
     pub fn with_cliques(
         &self,
-        ids: &[u64],
-        mut f: impl FnMut(u64, &Clique),
+        ids: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(u64, Result<&Clique, StoreError>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        let mut cached: Option<(usize, Arc<Vec<Clique>>)> = None;
-        for &id in ids {
-            if id >= self.total {
-                return Err(StoreError::Codec {
-                    context: "clique id beyond the index",
-                });
+        // The current run's block, `None` once it failed as corrupt.
+        let mut run: Option<(usize, Option<Arc<Vec<Clique>>>)> = None;
+        for id in ids {
+            if id >= self.meta.cliques {
+                f(
+                    id,
+                    Err(StoreError::Codec {
+                        context: "clique id beyond the index",
+                    }),
+                )?;
+                continue;
             }
             let block_i = self
                 .blocks
                 .partition_point(|b| b.first_id <= id)
                 .saturating_sub(1);
-            if cached.as_ref().is_none_or(|(i, _)| *i != block_i) {
-                cached = Some((block_i, self.load_block(block_i)?));
+            if run.as_ref().is_none_or(|(i, _)| *i != block_i) {
+                match self.load_block(block_i) {
+                    Ok(block) => run = Some((block_i, Some(block))),
+                    Err(e) => {
+                        run = is_corruption(&e).then_some((block_i, None));
+                        f(id, Err(e))?;
+                        continue;
+                    }
+                }
             }
-            let (_, block) = cached.as_ref().expect("block just cached");
             let entry = &self.blocks[block_i];
-            let within = (id - entry.first_id) as usize;
-            let c = block.get(within).ok_or(StoreError::CountMismatch {
-                expected: entry.count as usize,
-                found: block.len(),
-            })?;
-            f(id, c);
+            let clique = match &run {
+                Some((_, Some(block))) => {
+                    block
+                        .get((id - entry.first_id) as usize)
+                        .ok_or(StoreError::CountMismatch {
+                            expected: entry.count as usize,
+                            found: block.len(),
+                        })
+                }
+                _ => Err(StoreError::Codec {
+                    context: "clique block quarantined",
+                }),
+            };
+            f(id, clique)?;
         }
         Ok(())
     }
@@ -722,13 +567,14 @@ impl CliqueIndex {
         ids: impl IntoIterator<Item = u64>,
     ) -> Result<DegradedCliques, StoreError> {
         let mut out = DegradedCliques::default();
-        for id in ids {
-            match self.get(id) {
-                Ok(c) => out.cliques.push(c),
+        self.with_cliques(ids, |_, c| {
+            match c {
+                Ok(c) => out.cliques.push(c.clone()),
                 Err(e) if is_corruption(&e) => out.skipped += 1,
                 Err(e) => return Err(e),
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -759,64 +605,14 @@ impl CliqueIndex {
         let entry = self.blocks.get(block_i).ok_or(StoreError::Codec {
             context: "block table",
         })?;
-        let bound = self.block_bound[block_i];
         gsb_core::failpoint::inject("index.block_read").map_err(StoreError::Io)?;
-        let mut head = [0u8; 8];
-        let payload = {
-            let mut f = self.store.lock().unwrap();
-            f.seek(SeekFrom::Start(entry.offset))?;
-            read_exact_typed(&mut f, &mut head, "clique block frame")?;
-            let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-            if len > self.meta.store_bytes as usize {
-                return Err(StoreError::Torn {
-                    context: "clique block frame",
-                    needed: len,
-                    have: self.meta.store_bytes as usize,
-                });
-            }
-            let mut payload = vec![0u8; len];
-            read_exact_typed(&mut f, &mut payload, "clique block")?;
-            payload
-        };
-        let stored = u32::from_le_bytes(head[4..8].try_into().unwrap());
-        let computed = gsb_core::store::crc32(&payload);
-        if stored != computed {
-            return Err(StoreError::Checksum {
-                context: "clique block",
-                stored,
-                computed,
-            });
-        }
-        if payload.len() < 4 {
-            return Err(StoreError::Torn {
-                context: "clique block",
-                needed: 4,
-                have: payload.len(),
-            });
-        }
-        let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
-        if count != entry.count {
-            return Err(StoreError::CountMismatch {
-                expected: entry.count as usize,
-                found: count as usize,
-            });
-        }
-        let mut pos = 4usize;
-        let mut cliques = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            cliques.push(crate::format::decode_clique(
-                &payload,
-                &mut pos,
-                bound,
-                "clique record",
-            )?);
-        }
-        if pos != payload.len() {
-            return Err(StoreError::Codec {
-                context: "clique block",
-            });
-        }
-        let cliques = Arc::new(cliques);
+        let frame = read_frame_at(
+            &mut *self.store.lock().expect("store file lock poisoned"),
+            entry.offset,
+            self.meta.store_bytes,
+            "clique block",
+        )?;
+        let cliques = Arc::new(decode_block(&frame, entry, self.block_bound[block_i])?);
         self.io.blocks_decoded.fetch_add(1, Ordering::Relaxed);
         self.io.decode_ns.fetch_add(
             decode_started.elapsed().as_nanos() as u64,
@@ -840,7 +636,7 @@ fn is_corruption(e: &StoreError) -> bool {
 fn open_checked(path: &Path, magic: u64, n: u32) -> Result<File, StoreError> {
     let mut f = File::open(path)?;
     let mut header = [0u8; HEADER_LEN];
-    read_exact_typed(&mut f, &mut header, "index file header")?;
+    read_at(&mut f, 0, &mut header, "index file header")?;
     let file_n = check_header(&header, magic, "index file header")?;
     if file_n != n {
         return Err(StoreError::GraphMismatch {
@@ -851,19 +647,22 @@ fn open_checked(path: &Path, magic: u64, n: u32) -> Result<File, StoreError> {
     Ok(f)
 }
 
-/// `read_exact` with short reads surfaced as typed truncation.
-fn read_exact_typed(f: &mut File, buf: &mut [u8], context: &'static str) -> Result<(), StoreError> {
-    f.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Torn {
-                context,
-                needed: buf.len(),
-                have: 0,
+/// Linear merge intersection of two ascending id lists.
+pub(crate) fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
             }
-        } else {
-            StoreError::Io(e)
         }
-    })
+    }
+    out
 }
 
 #[cfg(test)]

@@ -12,6 +12,13 @@
 //! defect is collected as a typed [`ScrubFinding`] rather than stopping
 //! at the first, so one pass maps the whole blast radius.
 //!
+//! The directory walk, the block and postings decoders and the edit-log
+//! replay are [`crate::format`]'s, the ones [`crate::CliqueIndex`] opens
+//! and reads with: the reader fails on the first defect they find,
+//! scrub reports them all. What scrub adds is the store walk's
+//! placement and coverage checks, each data file's length against its
+//! committed extent, and the postings recomputed from the cliques.
+//!
 //! Together with the per-frame CRCs this detects *every* single-byte
 //! corruption of a committed index — chained or not: flips inside
 //! frames fail their CRC, flips in headers fail the header CRC, flips
@@ -21,32 +28,19 @@
 //! cross-check.
 
 use crate::format::{
-    check_header, decode_clique, decode_delta_postings, decode_id_list, BlockEntry,
-    DeltaGeneration, IndexDirectory, IndexMeta, SizeRun, CLIQUES_FILE, CLIQUES_MAGIC,
-    COMPACT_TMP_DIR, DIRECTORY_FILE, DIRECTORY_MAGIC, HEADER_LEN, META_FILE, POSTINGS_FILE,
-    POSTINGS_MAGIC,
+    check_header, decode_block, decode_postings, read_at, read_delta_postings, read_frame_at,
+    replay_edits, walk_chain, BlockEntry, ChainWalk, DeltaGeneration, IndexDirectory, IndexMeta,
+    CLIQUES_FILE, CLIQUES_MAGIC, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, HEADER_LEN,
+    META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
 };
 use crate::snapshot::read_graph_checked;
-use gsb_core::store::{crc32, StoreError};
+use gsb_core::store::StoreError;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 /// One defect found by the scrub: where, and the typed error.
-#[derive(Debug)]
-pub struct ScrubFinding {
-    /// Human-readable site, e.g. `cliques.gsi block 3` or `index.meta`.
-    pub site: String,
-    /// What failed there.
-    pub error: StoreError,
-}
-
-impl std::fmt::Display for ScrubFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.site, self.error)
-    }
-}
+pub use crate::format::Finding as ScrubFinding;
 
 /// Everything one scrub pass checked and found.
 #[derive(Debug, Default)]
@@ -105,9 +99,7 @@ pub fn scrub(dir: &Path) -> ScrubReport {
     // 1b. A finished-but-unswapped compaction means the directory is
     // mid-transition; everything below may legitimately mismatch until
     // `gsb compact` finishes the swap.
-    if std::fs::read_to_string(dir.join(COMPACT_TMP_DIR).join(META_FILE))
-        .is_ok_and(|t| IndexMeta::from_text(&t).is_ok())
-    {
+    if crate::compact::pending_swap(dir) {
         report.flag(
             COMPACT_TMP_DIR,
             StoreError::Io(std::io::Error::other(
@@ -116,311 +108,180 @@ pub fn scrub(dir: &Path) -> ScrubReport {
         );
     }
 
-    // 2. The directory file: header, base frame, then the delta chain.
-    let (directory, chain) = match read_directory(dir, &meta, &mut report) {
+    // 2. The directory file and its chain, cross-checked against the
+    // manifest (torn tail included).
+    let walk = match std::fs::read(dir.join(DIRECTORY_FILE))
+        .map_err(StoreError::Io)
+        .and_then(|bytes| walk_chain(&bytes, &meta, &mut report.findings))
+    {
         Err(e) => {
             report.flag(DIRECTORY_FILE, e);
             return report;
         }
-        Ok(d) => d,
+        Ok(walk) => walk,
     };
+    report.delta_generations_checked = walk.chain.len() as u64;
+    report.tombstones_checked = walk.dead.count_ones() as u64;
 
-    // 3. Manifest ↔ directory ↔ chain cross-checks. Manifest counts
-    // are totals over base + chain.
-    let n_total = chain
-        .iter()
-        .map(|g| g.n as u64)
-        .fold(u64::from(directory.n), u64::max);
-    if n_total as usize != meta.n {
-        report.flag(
-            META_FILE,
-            StoreError::GraphMismatch {
-                checkpoint_bits: n_total as usize,
-                graph_bits: meta.n,
-            },
-        );
-    }
-    let chain_cliques: u64 = chain.iter().map(|g| g.count).sum();
-    let chain_blocks: u64 = chain.iter().map(|g| g.blocks.len() as u64).sum();
-    let chain_postings: u64 = chain.iter().map(|g| g.postings_len).sum();
-    let tombstone_total: u64 = chain.iter().map(|g| g.tombstones.len() as u64).sum();
-    for (what, meta_v, want) in [
-        (
-            "cliques",
-            meta.cliques,
-            directory.clique_count + chain_cliques,
-        ),
-        (
-            "blocks",
-            meta.blocks,
-            directory.blocks.len() as u64 + chain_blocks,
-        ),
-        (
-            "postings_bytes",
-            meta.postings_bytes,
-            directory.postings_bytes + chain_postings,
-        ),
-        (
-            "delta_generations",
-            meta.delta_generations,
-            chain.len() as u64,
-        ),
-        ("tombstones", meta.tombstones, tombstone_total),
-    ] {
-        if meta_v != want {
-            report.flag(
-                format!("{META_FILE} {what}"),
-                StoreError::CountMismatch {
-                    expected: want as usize,
-                    found: meta_v as usize,
-                },
-            );
-        }
-    }
-
-    // Tombstone accounting: ascending within a generation is enforced
-    // by the codec; across the chain no id may be killed twice, every
-    // target must predate its generation (also codec-enforced), and the
-    // *live* maximum size must be what the manifest advertises.
-    let mut dead = std::collections::HashSet::new();
-    for (gi, gen) in chain.iter().enumerate() {
-        for &id in &gen.tombstones {
-            if !dead.insert(id) {
-                report.flag(
-                    format!("{DIRECTORY_FILE} generation {gi} tombstone {id}"),
-                    StoreError::Codec {
-                        context: "tombstone kills an already-dead clique",
-                    },
-                );
-            } else {
-                report.tombstones_checked += 1;
-            }
-        }
-    }
-    let mut runs: Vec<SizeRun> = directory.size_runs.clone();
-    for gen in &chain {
-        runs.extend(gen.size_runs.iter().cloned());
-    }
-    let mut live_hist: BTreeMap<u32, u64> = BTreeMap::new();
-    for run in &runs {
-        *live_hist.entry(run.size).or_insert(0) += run.count;
-    }
-    for &id in &dead {
-        let i = runs.partition_point(|r| r.first_id + r.count <= id);
-        if let Some(run) = runs.get(i) {
-            if let Some(c) = live_hist.get_mut(&run.size) {
-                *c = c.saturating_sub(1);
-            }
-        }
-    }
-    let live_max = live_hist
-        .iter()
-        .rev()
-        .find(|&(_, &c)| c > 0)
-        .map_or(0, |(&s, _)| s);
-    if live_max != meta.max_clique {
-        report.flag(
-            format!("{META_FILE} max_clique"),
-            StoreError::CountMismatch {
-                expected: live_max as usize,
-                found: meta.max_clique as usize,
-            },
-        );
-    }
-
-    // 4. The clique store: header, then every block frame + record —
+    // 3. The clique store: header, then every block frame + record —
     // base blocks recompute the base postings truth; each generation's
     // blocks recompute that generation's overlay truth.
-    let mut truth_postings: Vec<Vec<u64>> = vec![Vec::new(); directory.n as usize];
-    scrub_store(
-        dir,
-        &meta,
-        &directory,
-        &chain,
-        &mut truth_postings,
-        &mut report,
-    );
+    let truth_postings = scrub_store(dir, &meta, &walk, &mut report);
 
-    // 5. Base postings: header, then every record against the
+    // 4. Base postings: header, then every record against the
     // recomputed truth (exact id-list equality, not just CRC validity).
-    scrub_postings(dir, &meta, &directory, &truth_postings, &mut report);
+    scrub_postings(dir, &meta, &walk.directory, &truth_postings, &mut report);
 
-    // 6. The graph snapshot and the chain's edit log replayed over it.
-    scrub_graph(dir, &meta, &chain, &mut report);
+    // 5. The graph snapshot and the chain's edit log replayed over it.
+    scrub_graph(dir, &meta, &walk.chain, &mut report);
 
     report
 }
 
-/// Read `index.gsd`: header, the base frame, then every chain frame up
-/// to the committed extent. Chain-structure defects (discontinuities,
-/// bad extents) are findings; an unreadable base is a hard error.
-fn read_directory(
+/// Open `name` and flag a length other than the committed `extent`
+/// and a bad header; `None` when the file cannot be read at all.
+fn open_data_file(
     dir: &Path,
-    meta: &IndexMeta,
+    name: &str,
+    extent: u64,
+    magic: u64,
+    [length_ctx, header_ctx]: [&'static str; 2],
     report: &mut ScrubReport,
-) -> Result<(IndexDirectory, Vec<DeltaGeneration>), StoreError> {
-    let bytes = std::fs::read(dir.join(DIRECTORY_FILE))?;
-    // Pre-chain manifests don't record dir_bytes; the whole file is
-    // the committed extent.
-    let committed = if meta.dir_bytes > 0 {
-        meta.dir_bytes
-    } else {
-        bytes.len() as u64
-    };
-    if bytes.len() as u64 != committed {
-        report.flag(
-            format!("{DIRECTORY_FILE} length"),
-            StoreError::Torn {
-                context: "directory length vs committed extent",
-                needed: committed as usize,
-                have: bytes.len(),
-            },
-        );
-    }
-    let n = check_header(&bytes, DIRECTORY_MAGIC, "index directory header")?;
-    let (payload, mut next) = crate::format::parse_frame(&bytes, HEADER_LEN, "index directory")?;
-    let directory = IndexDirectory::decode(payload)?;
-    if directory.n != n {
-        return Err(StoreError::GraphMismatch {
-            checkpoint_bits: directory.n as usize,
-            graph_bits: n as usize,
-        });
-    }
-    let mut chain = Vec::new();
-    let end = committed.min(bytes.len() as u64) as usize;
-    let mut expected_first = directory.clique_count;
-    let mut expected_post = directory.postings_bytes;
-    let mut last_generation = None::<u64>;
-    let mut max_n = directory.n;
-    while next < end {
-        let gi = chain.len();
-        let site = format!("{DIRECTORY_FILE} generation {gi}");
-        let gen = match crate::format::parse_frame(&bytes[..end], next, "delta generation")
-            .and_then(|(payload, at)| {
-                next = at;
-                DeltaGeneration::decode(payload)
-            }) {
-            Err(e) => {
-                report.flag(site, e);
-                // the walk cannot continue past an undecodable frame
-                break;
-            }
-            Ok(g) => g,
-        };
-        if gen.first_id != expected_first
-            || gen.postings_offset != expected_post
-            || gen.n < max_n
-            || last_generation.is_some_and(|last| gen.generation <= last)
-        {
-            report.flag(
-                format!("{site} continuity"),
-                StoreError::Codec {
-                    context: "delta chain discontinuity",
-                },
-            );
+) -> Option<File> {
+    let mut f = match File::open(dir.join(name)) {
+        Err(e) => {
+            report.flag(name, StoreError::Io(e));
+            return None;
         }
-        expected_first = gen.first_id + gen.count;
-        expected_post = gen.postings_offset + gen.postings_len;
-        max_n = max_n.max(gen.n);
-        last_generation = Some(gen.generation);
-        report.delta_generations_checked += 1;
-        chain.push(gen);
-    }
-    if let Some(last) = last_generation {
-        if last != meta.generation {
-            report.flag(
-                format!("{DIRECTORY_FILE} chain head"),
-                StoreError::CountMismatch {
-                    expected: meta.generation as usize,
-                    found: last as usize,
-                },
-            );
-        }
-    }
-    Ok((directory, chain))
-}
-
-fn scrub_store(
-    dir: &Path,
-    meta: &IndexMeta,
-    directory: &IndexDirectory,
-    chain: &[DeltaGeneration],
-    truth_postings: &mut [Vec<u64>],
-    report: &mut ScrubReport,
-) {
-    let path = dir.join(CLIQUES_FILE);
-    let mut f = match File::open(&path) {
-        Err(e) => return report.flag(CLIQUES_FILE, StoreError::Io(e)),
         Ok(f) => f,
     };
     match f.metadata() {
-        Err(e) => report.flag(CLIQUES_FILE, StoreError::Io(e)),
-        Ok(m) if m.len() != meta.store_bytes => report.flag(
-            format!("{CLIQUES_FILE} length"),
+        Err(e) => report.flag(name, StoreError::Io(e)),
+        Ok(m) if m.len() != extent => report.flag(
+            format!("{name} length"),
             StoreError::Torn {
-                context: "clique store length",
-                needed: meta.store_bytes as usize,
+                context: length_ctx,
+                needed: extent as usize,
                 have: m.len() as usize,
             },
         ),
         Ok(_) => {}
     }
     let mut header = [0u8; HEADER_LEN];
-    if let Err(e) = read_at(&mut f, 0, &mut header, "clique store header") {
-        return report.flag(CLIQUES_FILE, e);
+    if let Err(e) = read_at(&mut f, 0, &mut header, header_ctx) {
+        report.flag(name, e);
+        return None;
     }
-    if let Err(e) = check_header(&header, CLIQUES_MAGIC, "clique store header") {
-        report.flag(format!("{CLIQUES_FILE} header"), e);
+    if let Err(e) = check_header(&header, magic, header_ctx) {
+        report.flag(format!("{name} header"), e);
     }
+    Some(f)
+}
 
-    // Base blocks: contiguous from the header, recomputing the base
-    // postings truth.
-    let mut expected_offset = HEADER_LEN as u64;
-    let mut expected_first_id = 0u64;
-    for (i, entry) in directory.blocks.iter().enumerate() {
-        let site = format!("{CLIQUES_FILE} block {i}");
-        if entry.offset != expected_offset || entry.first_id != expected_first_id {
-            report.flag(
-                format!("{site} placement"),
-                StoreError::Codec {
-                    context: "block table not contiguous",
-                },
-            );
+/// Walk the store; returns the base postings its blocks imply.
+fn scrub_store(
+    dir: &Path,
+    meta: &IndexMeta,
+    walk: &ChainWalk,
+    report: &mut ScrubReport,
+) -> Vec<Vec<u64>> {
+    let base = &walk.directory;
+    let mut truth_postings: Vec<Vec<u64>> = vec![Vec::new(); base.n as usize];
+    let Some(f) = open_data_file(
+        dir,
+        CLIQUES_FILE,
+        meta.store_bytes,
+        CLIQUES_MAGIC,
+        ["clique store length", "clique store header"],
+        report,
+    ) else {
+        return truth_postings;
+    };
+
+    // Base blocks then each generation's: one contiguous walk from the
+    // header, each block decoded at its generation's vertex bound. Base
+    // blocks recompute the base postings truth; each generation's
+    // postings frame is checked against the truth its own blocks give.
+    let mut store = StoreWalk {
+        f,
+        store_bytes: meta.store_bytes,
+        offset: HEADER_LEN as u64,
+        first_id: 0,
+    };
+    let site = format!("{CLIQUES_FILE} ");
+    store.blocks(&site, &base.blocks, base.n, report, |id, clique| {
+        for &v in clique {
+            truth_postings[v as usize].push(id);
         }
-        expected_first_id = entry.first_id + u64::from(entry.count);
-        let mut record = |id: u64, clique: &[u32]| {
-            for &v in clique {
-                truth_postings[v as usize].push(id);
-            }
-        };
-        match scrub_block(&mut f, entry, directory.n, &mut record) {
-            Err(e) => report.flag(site, e),
-            Ok((cliques, next_offset)) => {
-                report.blocks_checked += 1;
-                report.cliques_checked += cliques;
-                expected_offset = next_offset;
-            }
-        }
-    }
-    if expected_first_id != directory.clique_count {
+    });
+    if store.first_id != base.clique_count {
         report.flag(
             format!("{CLIQUES_FILE} coverage"),
             StoreError::CountMismatch {
-                expected: directory.clique_count as usize,
-                found: expected_first_id as usize,
+                expected: base.clique_count as usize,
+                found: store.first_id as usize,
             },
         );
     }
-
-    // Delta blocks: the chain continues the same contiguous walk, each
-    // generation decoded at its own vertex bound; each generation's
-    // postings frame is then verified against the truth its own blocks
-    // produce.
-    for (gi, gen) in chain.iter().enumerate() {
+    for (gi, gen) in walk.chain.iter().enumerate() {
         let mut truth: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for (bi, entry) in gen.blocks.iter().enumerate() {
-            let site = format!("{CLIQUES_FILE} generation {gi} block {bi}");
-            if entry.offset != expected_offset || entry.first_id != expected_first_id {
+        let site = format!("{CLIQUES_FILE} generation {gi} ");
+        store.blocks(&site, &gen.blocks, gen.n, report, |id, clique| {
+            for &v in clique {
+                truth.entry(v).or_default().push(id);
+            }
+        });
+        // The generation's postings frame against its blocks' truth.
+        let site = format!("{POSTINGS_FILE} generation {gi}");
+        let got = File::open(dir.join(POSTINGS_FILE))
+            .map_err(StoreError::Io)
+            .and_then(|mut f| read_delta_postings(&mut f, gen, meta.postings_bytes));
+        match got.map(BTreeMap::from_iter) {
+            Err(e) => report.flag(site, e),
+            Ok(got) if got != truth => report.flag(
+                site,
+                StoreError::CountMismatch {
+                    expected: truth.len(),
+                    found: got.len(),
+                },
+            ),
+            Ok(_) => report.postings_checked += 1,
+        }
+    }
+    if meta.dir_bytes > 0 && store.offset != meta.store_bytes {
+        report.flag(
+            format!("{CLIQUES_FILE} coverage"),
+            StoreError::CountMismatch {
+                expected: meta.store_bytes as usize,
+                found: store.offset as usize,
+            },
+        );
+    }
+    truth_postings
+}
+
+/// The store walk's position: where the next block must start.
+struct StoreWalk {
+    f: File,
+    store_bytes: u64,
+    offset: u64,
+    first_id: u64,
+}
+
+impl StoreWalk {
+    /// Verify one block table end to end (placement, frame, records),
+    /// handing each decoded clique to `record` with its global id.
+    fn blocks(
+        &mut self,
+        site: &str,
+        blocks: &[BlockEntry],
+        n: u32,
+        report: &mut ScrubReport,
+        mut record: impl FnMut(u64, &[u32]),
+    ) {
+        for (i, entry) in blocks.iter().enumerate() {
+            let site = format!("{site}block {i}");
+            if entry.offset != self.offset || entry.first_id != self.first_id {
                 report.flag(
                     format!("{site} placement"),
                     StoreError::Codec {
@@ -428,87 +289,23 @@ fn scrub_store(
                     },
                 );
             }
-            expected_first_id = entry.first_id + u64::from(entry.count);
-            let mut record = |id: u64, clique: &[u32]| {
-                for &v in clique {
-                    truth.entry(v).or_default().push(id);
-                }
-            };
-            match scrub_block(&mut f, entry, gen.n, &mut record) {
+            self.first_id = entry.first_id + u64::from(entry.count);
+            let decoded =
+                read_frame_at(&mut self.f, entry.offset, self.store_bytes, "clique block")
+                    .and_then(|frame| Ok((decode_block(&frame, entry, n)?, frame.len() as u64)));
+            match decoded {
                 Err(e) => report.flag(site, e),
-                Ok((cliques, next_offset)) => {
+                Ok((cliques, frame_len)) => {
+                    for (id, clique) in (entry.first_id..).zip(&cliques) {
+                        record(id, clique);
+                    }
                     report.blocks_checked += 1;
-                    report.cliques_checked += cliques;
-                    expected_offset = next_offset;
+                    report.cliques_checked += cliques.len() as u64;
+                    self.offset = entry.offset + frame_len;
                 }
             }
         }
-        scrub_delta_postings(dir, gi, gen, &truth, report);
     }
-    if meta.dir_bytes > 0 && expected_offset != meta.store_bytes {
-        report.flag(
-            format!("{CLIQUES_FILE} coverage"),
-            StoreError::CountMismatch {
-                expected: meta.store_bytes as usize,
-                found: expected_offset as usize,
-            },
-        );
-    }
-}
-
-/// Verify one block end to end; returns `(records, offset past the
-/// block)` so the walk can keep cross-checking contiguity. `record` is
-/// called once per decoded clique with its global id.
-fn scrub_block(
-    f: &mut File,
-    entry: &BlockEntry,
-    n_bound: u32,
-    record: &mut dyn FnMut(u64, &[u32]),
-) -> Result<(u64, u64), StoreError> {
-    const CTX: &str = "clique block";
-    let mut head = [0u8; 8];
-    read_at(f, entry.offset, &mut head, CTX)?;
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    read_at(f, entry.offset + 8, &mut payload, CTX)?;
-    let computed = crc32(&payload);
-    if stored != computed {
-        return Err(StoreError::Checksum {
-            context: CTX,
-            stored,
-            computed,
-        });
-    }
-    if payload.len() < 4 {
-        return Err(StoreError::Torn {
-            context: CTX,
-            needed: 4,
-            have: payload.len(),
-        });
-    }
-    let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
-    if count != entry.count {
-        return Err(StoreError::CountMismatch {
-            expected: entry.count as usize,
-            found: count as usize,
-        });
-    }
-    let mut pos = 4usize;
-    for r in 0..count {
-        let clique = decode_clique(&payload, &mut pos, n_bound, "clique record")?;
-        let size = clique.len() as u32;
-        if size < entry.min_size || size > entry.max_size {
-            return Err(StoreError::Codec {
-                context: "clique size outside its block's declared range",
-            });
-        }
-        record(entry.first_id + u64::from(r), &clique);
-    }
-    if pos != payload.len() {
-        return Err(StoreError::Codec { context: CTX });
-    }
-    Ok((u64::from(count), entry.offset + 8 + len as u64))
 }
 
 fn scrub_postings(
@@ -518,61 +315,23 @@ fn scrub_postings(
     truth_postings: &[Vec<u64>],
     report: &mut ScrubReport,
 ) {
-    let path = dir.join(POSTINGS_FILE);
-    let mut f = match File::open(&path) {
-        Err(e) => return report.flag(POSTINGS_FILE, StoreError::Io(e)),
-        Ok(f) => f,
+    let Some(mut f) = open_data_file(
+        dir,
+        POSTINGS_FILE,
+        meta.postings_bytes,
+        POSTINGS_MAGIC,
+        ["postings length", "postings header"],
+        report,
+    ) else {
+        return;
     };
-    match f.metadata() {
-        Err(e) => report.flag(POSTINGS_FILE, StoreError::Io(e)),
-        Ok(m) if m.len() != meta.postings_bytes => report.flag(
-            format!("{POSTINGS_FILE} length"),
-            StoreError::Torn {
-                context: "postings length",
-                needed: meta.postings_bytes as usize,
-                have: m.len() as usize,
-            },
-        ),
-        Ok(_) => {}
-    }
-    let mut header = [0u8; HEADER_LEN];
-    if let Err(e) = read_at(&mut f, 0, &mut header, "postings header") {
-        return report.flag(POSTINGS_FILE, e);
-    }
-    if let Err(e) = check_header(&header, POSTINGS_MAGIC, "postings header") {
-        report.flag(format!("{POSTINGS_FILE} header"), e);
-    }
-
-    for (v, truth) in truth_postings.iter().enumerate().take(directory.n as usize) {
+    for (v, truth) in truth_postings.iter().enumerate() {
         let site = format!("{POSTINGS_FILE} vertex {v}");
-        let start = directory.postings_offsets[v];
-        let end = directory.postings_offsets[v + 1];
-        if end < start || end > directory.postings_bytes {
-            report.flag(
-                site,
-                StoreError::Codec {
-                    context: "postings offsets",
-                },
-            );
-            continue;
-        }
-        let mut bytes = vec![0u8; (end - start) as usize];
-        if let Err(e) = read_at(&mut f, start, &mut bytes, "postings record") {
-            report.flag(site, e);
-            continue;
-        }
-        let decoded =
-            crate::format::parse_frame(&bytes, 0, "postings record").and_then(|(payload, _)| {
-                let mut pos = 0usize;
-                let ids =
-                    decode_id_list(payload, &mut pos, directory.clique_count, "postings record")?;
-                if pos != payload.len() {
-                    return Err(StoreError::Codec {
-                        context: "postings record",
-                    });
-                }
-                Ok(ids)
-            });
+        let decoded = directory.postings_range(v).and_then(|range| {
+            let mut bytes = vec![0u8; (range.end - range.start) as usize];
+            read_at(&mut f, range.start, &mut bytes, "postings record")?;
+            decode_postings(&bytes, directory.clique_count)
+        });
         match decoded {
             Err(e) => report.flag(site, e),
             Ok(ids) if ids != *truth => report.flag(
@@ -587,52 +346,6 @@ fn scrub_postings(
     }
 }
 
-/// Verify one generation's postings overlay frame against the truth
-/// recomputed from its own delta blocks.
-fn scrub_delta_postings(
-    dir: &Path,
-    gi: usize,
-    gen: &DeltaGeneration,
-    truth: &BTreeMap<u32, Vec<u64>>,
-    report: &mut ScrubReport,
-) {
-    let site = format!("{POSTINGS_FILE} generation {gi}");
-    let mut f = match File::open(dir.join(POSTINGS_FILE)) {
-        Err(e) => return report.flag(site, StoreError::Io(e)),
-        Ok(f) => f,
-    };
-    let mut bytes = vec![0u8; gen.postings_len as usize];
-    if let Err(e) = read_at(&mut f, gen.postings_offset, &mut bytes, "delta postings") {
-        return report.flag(site, e);
-    }
-    let decoded =
-        crate::format::parse_frame(&bytes, 0, "delta postings").and_then(|(payload, next)| {
-            if next != bytes.len() {
-                return Err(StoreError::Codec {
-                    context: "delta postings frame extent",
-                });
-            }
-            decode_delta_postings(payload, gen.n, gen.id_range(), "delta postings")
-        });
-    match decoded {
-        Err(e) => report.flag(site, e),
-        Ok(entries) => {
-            let got: BTreeMap<u32, Vec<u64>> = entries.into_iter().collect();
-            if &got != truth {
-                report.flag(
-                    site,
-                    StoreError::CountMismatch {
-                        expected: truth.len(),
-                        found: got.len(),
-                    },
-                );
-            } else {
-                report.postings_checked += 1;
-            }
-        }
-    }
-}
-
 /// Verify the graph snapshot (length + whole-file CRC + decode) and
 /// replay the chain's edit log over it: every recorded removal must hit
 /// an existing edge, every addition a missing one, within bounds.
@@ -642,7 +355,7 @@ fn scrub_graph(dir: &Path, meta: &IndexMeta, chain: &[DeltaGeneration], report: 
         // flagged already by the updatable cross-checks if present
         if !chain.is_empty() {
             report.flag(
-                "graph.gsg",
+                GRAPH_FILE,
                 StoreError::Codec {
                     context: "delta chain on an index with no graph snapshot",
                 },
@@ -651,7 +364,7 @@ fn scrub_graph(dir: &Path, meta: &IndexMeta, chain: &[DeltaGeneration], report: 
         return;
     }
     let snap = match read_graph_checked(dir, meta.graph_bytes, meta.graph_crc) {
-        Err(e) => return report.flag("graph.gsg", e),
+        Err(e) => return report.flag(GRAPH_FILE, e),
         Ok(g) => g,
     };
     let n_target = chain
@@ -659,59 +372,16 @@ fn scrub_graph(dir: &Path, meta: &IndexMeta, chain: &[DeltaGeneration], report: 
         .map(|g| g.n as usize)
         .fold(snap.n(), usize::max);
     let mut g = snap.grown(n_target.max(1));
-    for (gi, gen) in chain.iter().enumerate() {
-        for &(u, v) in &gen.removed_edges {
-            if !g.remove_edge(u as usize, v as usize) {
-                report.flag(
-                    format!("graph.gsg generation {gi} edit -({u},{v})"),
-                    StoreError::Codec {
-                        context: "edit log removes an absent edge",
-                    },
-                );
-            }
-        }
-        for &(u, v) in &gen.added_edges {
-            if !g.add_edge(u as usize, v as usize) {
-                report.flag(
-                    format!("graph.gsg generation {gi} edit +({u},{v})"),
-                    StoreError::Codec {
-                        context: "edit log adds a present edge",
-                    },
-                );
-            }
-        }
-    }
+    replay_edits(&mut g, chain, |defect| report.findings.push(defect));
     if g.n() != meta.n {
         report.flag(
-            "graph.gsg",
+            GRAPH_FILE,
             StoreError::GraphMismatch {
                 checkpoint_bits: g.n(),
                 graph_bits: meta.n,
             },
         );
     }
-}
-
-/// Positioned exact read with short reads surfaced as typed truncation.
-fn read_at(
-    f: &mut File,
-    offset: u64,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), StoreError> {
-    use std::io::{Seek, SeekFrom};
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Torn {
-                context,
-                needed: buf.len(),
-                have: 0,
-            }
-        } else {
-            StoreError::Io(e)
-        }
-    })
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //! * the global maximum clique lives in the *last* shard (largest
 //!   sizes sort last).
 //!
-//! [`split_index`] streams the source index shard by shard through
-//! [`IndexWriter`], so every shard inherits the full on-disk hygiene
-//! (CRC-framed blocks, atomic `index.meta` commit point).
+//! [`split_index`] streams the source index shard by shard, block by
+//! block through [`CliqueIndex::with_cliques`], into [`IndexWriter`], so
+//! every shard inherits the full on-disk hygiene (CRC-framed blocks,
+//! atomic `index.meta` commit point).
 
 use crate::reader::CliqueIndex;
 use crate::writer::IndexWriter;
@@ -76,15 +77,16 @@ pub fn split_index(src: &Path, out: &Path, shards: usize) -> Result<Vec<ShardSum
         let mut writer = IndexWriter::create(&dir, n)?;
         let mut size_lo = 0u32;
         let mut size_hi = 0u32;
-        for id in id_lo..id_hi {
-            let clique = index.get(id)?;
+        index.with_cliques(id_lo..id_hi, |id, clique| {
+            let clique = clique?;
             let size = clique.len() as u32;
             if id == id_lo {
                 size_lo = size;
             }
             size_hi = size_hi.max(size);
-            writer.maximal(&clique);
-        }
+            writer.maximal(clique);
+            Ok(())
+        })?;
         writer.finish()?;
         out_shards.push(ShardSummary {
             shard: k,

@@ -28,7 +28,8 @@
 //! start isolated, so at `--min 1` each enters as a singleton. Cliques
 //! created then killed within one batch never touch disk.
 //!
-//! A commit appends — never rewrites: delta blocks to `cliques.gsi`,
+//! A commit appends — never rewrites: delta blocks to `cliques.gsi`
+//! (encoded by `format::BlockBuilder`, as `gsb index` encodes its own),
 //! one postings frame to `postings.gsp`, one [`DeltaGeneration`] record
 //! to `index.gsd`, then renames a fresh `index.meta` into place. The
 //! manifest is the single commit point: it records the committed byte
@@ -37,11 +38,12 @@
 //! the previous committed view byte-for-byte intact. A live `gsb serve`
 //! polling the manifest hot-reloads the new generation atomically.
 
+use crate::compact::pending_swap;
 use crate::format::{
-    encode_clique, encode_delta_postings, frame, BlockEntry, DeltaGeneration, IndexMeta, SizeRun,
-    CLIQUES_FILE, COMPACT_TMP_DIR, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
+    encode_delta_postings, frame, live_histogram, replay_edits, BlockBuilder, DeltaGeneration,
+    IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
 };
-use crate::reader::CliqueIndex;
+use crate::reader::{intersect_sorted, CliqueIndex};
 use crate::snapshot::read_graph_checked;
 use crate::writer::{write_atomic, DEFAULT_BLOCK_TARGET};
 use gsb_core::store::{sync_dir, StoreError};
@@ -122,8 +124,6 @@ impl<'a> Maintainer<'a> {
     }
 
     /// Live stored ids containing both endpoints, minus batch kills.
-    /// Both lists are ascending, so a linear merge beats the
-    /// bitset-universe intersection the reader uses for cold calls.
     fn stored_overlap(&mut self, u: usize, v: usize) -> Result<Vec<u64>, StoreError> {
         let a = self.raw_containing(u)?;
         let b = self.raw_containing(v)?;
@@ -267,24 +267,6 @@ fn with(m: &Clique, extra: &[usize]) -> Clique {
     c
 }
 
-/// Linear merge intersection of two ascending id lists.
-fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Truncate a data file back to its committed extent, repairing a torn
 /// append from a crashed update. A file *shorter* than the manifest
 /// says is real corruption and stays a typed error.
@@ -306,21 +288,6 @@ fn repair_extent(dir: &Path, name: &str, extent: u64) -> Result<(), StoreError> 
     Ok(())
 }
 
-/// Refuse to update while a compaction swap is pending (a valid
-/// manifest inside `compact.tmp/` means `gsb compact` crashed between
-/// building and swapping — finishing it must win).
-fn check_no_pending_compaction(dir: &Path) -> Result<(), StoreError> {
-    let inner = dir.join(COMPACT_TMP_DIR).join(META_FILE);
-    if let Ok(text) = std::fs::read_to_string(&inner) {
-        if IndexMeta::from_text(&text).is_ok() {
-            return Err(StoreError::Io(std::io::Error::other(
-                "a compaction swap is pending — run `gsb compact` to finish it first",
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Reconstruct the current graph: the committed snapshot plus every
 /// committed generation's effective edits, grown to `n_target`.
 pub(crate) fn patched_graph(
@@ -331,14 +298,8 @@ pub(crate) fn patched_graph(
     let meta = idx.meta();
     let snap = read_graph_checked(dir, meta.graph_bytes, meta.graph_crc)?;
     let mut g = snap.grown(n_target.max(meta.n).max(snap.n()));
-    for gen in idx.chain() {
-        for &(u, v) in &gen.removed_edges {
-            g.remove_edge(u as usize, v as usize);
-        }
-        for &(u, v) in &gen.added_edges {
-            g.add_edge(u as usize, v as usize);
-        }
-    }
+    // An edit that changes nothing is a defect to scrub, a no-op here.
+    replay_edits(&mut g, idx.chain(), |_| {});
     Ok(g)
 }
 
@@ -350,7 +311,12 @@ pub fn update(
     script: &EditScript,
     block_target: Option<usize>,
 ) -> Result<UpdateOutcome, StoreError> {
-    check_no_pending_compaction(dir)?;
+    // Finishing a pending compaction swap must win.
+    if pending_swap(dir) {
+        return Err(StoreError::Io(std::io::Error::other(
+            "a compaction swap is pending — run `gsb compact` to finish it first",
+        )));
+    }
     let meta0 = IndexMeta::from_text(&std::fs::read_to_string(dir.join(META_FILE))?)?;
     if meta0.min_size == 0 || meta0.graph_bytes == 0 || meta0.dir_bytes == 0 {
         return Err(StoreError::Io(std::io::Error::other(
@@ -427,91 +393,30 @@ pub fn update(
 
     // Encode delta blocks and the per-generation postings overlay.
     let first_id = meta0.cliques;
-    let target = block_target.unwrap_or(DEFAULT_BLOCK_TARGET).max(1);
+    let mut blocks = BlockBuilder::new(
+        meta0.store_bytes,
+        first_id,
+        block_target.unwrap_or(DEFAULT_BLOCK_TARGET),
+    );
     let mut store_append = Vec::new();
-    let mut blocks = Vec::new();
-    let mut size_runs: Vec<SizeRun> = Vec::new();
     let mut postings: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    {
-        let mut block_buf = Vec::new();
-        let mut block_count = 0u32;
-        let mut block_first = first_id;
-        let mut block_min = u32::MAX;
-        let mut block_max = 0u32;
-        let mut offset = meta0.store_bytes;
-        let mut seal =
-            |buf: &mut Vec<u8>, count: &mut u32, first: &mut u64, min: &mut u32, max: &mut u32| {
-                if *count == 0 {
-                    return;
-                }
-                let mut payload = Vec::with_capacity(4 + buf.len());
-                payload.extend_from_slice(&count.to_le_bytes());
-                payload.extend_from_slice(buf);
-                let framed = frame(&payload);
-                blocks.push(BlockEntry {
-                    offset,
-                    first_id: *first,
-                    count: *count,
-                    min_size: *min,
-                    max_size: *max,
-                });
-                offset += framed.len() as u64;
-                store_append.extend_from_slice(&framed);
-                *first += u64::from(*count);
-                buf.clear();
-                *count = 0;
-                *min = u32::MAX;
-                *max = 0;
-            };
-        for (i, c) in new_cliques.iter().enumerate() {
-            let id = first_id + i as u64;
-            let size = c.len() as u32;
-            encode_clique(&mut block_buf, c);
-            block_count += 1;
-            block_min = block_min.min(size);
-            block_max = block_max.max(size);
-            for &v in c {
-                postings.entry(v).or_default().push(id);
-            }
-            match size_runs.last_mut() {
-                Some(run) if run.size == size => run.count += 1,
-                _ => size_runs.push(SizeRun {
-                    size,
-                    first_id: id,
-                    count: 1,
-                }),
-            }
-            if block_buf.len() >= target {
-                seal(
-                    &mut block_buf,
-                    &mut block_count,
-                    &mut block_first,
-                    &mut block_min,
-                    &mut block_max,
-                );
-            }
+    for c in &new_cliques {
+        for &v in c {
+            postings.entry(v).or_default().push(blocks.next_id);
         }
-        seal(
-            &mut block_buf,
-            &mut block_count,
-            &mut block_first,
-            &mut block_min,
-            &mut block_max,
-        );
+        blocks.push(c, &mut store_append)?;
     }
-    let mut postings_payload = Vec::new();
-    let entries: Vec<(u32, Vec<u64>)> = postings.into_iter().collect();
-    encode_delta_postings(&mut postings_payload, &entries);
-    let postings_append = frame(&postings_payload);
+    blocks.seal(&mut store_append)?;
+    let postings_append = frame(&encode_delta_postings(&postings));
 
     let gen = DeltaGeneration {
         generation: meta0.generation + 1,
         n: n_after as u32,
         first_id,
         count: new_cliques.len() as u64,
-        size_runs,
-        blocks: blocks.clone(),
-        tombstones: tombstones.clone(),
+        size_runs: blocks.size_runs,
+        blocks: blocks.blocks,
+        tombstones,
         postings_offset: meta0.postings_bytes,
         postings_len: postings_append.len() as u64,
         removed_edges: removed_effective,
@@ -519,25 +424,11 @@ pub fn update(
     };
     let dir_append = frame(&gen.encode());
 
-    // New live maximum: the open-time live histogram, minus each
-    // killed clique's size, plus the new ones.
-    let mut hist: BTreeMap<u32, u64> = idx.stats().size_histogram.into_iter().collect();
-    for &id in &tombstones {
-        let size = idx.size_of(id).ok_or(StoreError::Codec {
-            context: "tombstone beyond the index",
-        })?;
-        if let Some(c) = hist.get_mut(&size) {
-            *c = c.saturating_sub(1);
-        }
-    }
-    for c in &new_cliques {
-        *hist.entry(c.len() as u32).or_insert(0) += 1;
-    }
-    let max_clique = hist
-        .iter()
-        .rev()
-        .find(|&(_, &c)| c > 0)
-        .map_or(0, |(&s, _)| s);
+    // New live maximum: every run, this generation's too, minus every
+    // tombstone, this generation's too.
+    let runs = [idx.runs(), &gen.size_runs].concat();
+    let dead = idx.dead_ids().chain(gen.tombstones.iter().copied());
+    let max_clique = live_histogram(&runs, dead)?.last().map_or(0, |&(s, _)| s);
 
     debug_assert_eq!(
         idx.io_stats().blocks_decoded,
@@ -557,13 +448,13 @@ pub fn update(
         n: n_after,
         cliques: first_id + new_cliques.len() as u64,
         max_clique,
-        blocks: meta0.blocks + blocks.len() as u64,
+        blocks: meta0.blocks + gen.blocks.len() as u64,
         store_bytes: meta0.store_bytes + store_append.len() as u64,
         postings_bytes: meta0.postings_bytes + postings_append.len() as u64,
         generation: meta0.generation + 1,
         min_size: meta0.min_size,
         delta_generations: meta0.delta_generations + 1,
-        tombstones: meta0.tombstones + tombstones.len() as u64,
+        tombstones: meta0.tombstones + gen.tombstones.len() as u64,
         dir_bytes: meta0.dir_bytes + dir_append.len() as u64,
         graph_bytes: meta0.graph_bytes,
         graph_crc: meta0.graph_crc,

@@ -1,26 +1,29 @@
 //! [`IndexWriter`] — a [`CliqueSink`] that builds the on-disk index
 //! *during* enumeration.
 //!
-//! Cliques stream into CRC-framed blocks appended to `cliques.gsi.tmp`;
-//! postings and the size directory accumulate in memory (both are tiny
-//! next to the store: one id per clique membership). [`finish`]
-//! completes the index with the atomic tmp-then-rename convention of
-//! `gsb_core::checkpoint` — the `index.meta` manifest is renamed into
-//! place last, so a crash at any earlier point leaves only `*.tmp`
-//! files, which the next writer sweeps. Durable-sink contract:
+//! Cliques stream through `format::BlockBuilder` (the block encoder
+//! `gsb update` shares) into CRC-framed blocks appended to
+//! `cliques.gsi.tmp`; postings and the size directory accumulate in
+//! memory (both are tiny next to the store: one id per clique
+//! membership). [`finish`] completes the index with the atomic
+//! tmp-then-rename convention of `gsb_core::checkpoint` — the
+//! `index.meta` manifest is renamed into place last, so a crash at any
+//! earlier point leaves only `*.tmp` files, which the next writer
+//! sweeps with [`sweep_tmp_files`]. Durable-sink contract:
 //! [`flush_barrier`] seals the open block and fsyncs, so everything
 //! received before a checkpoint survives a crash after it.
 //!
 //! [`CliqueSink`]: gsb_core::CliqueSink
+//! [`sweep_tmp_files`]: gsb_core::store::sweep_tmp_files
 //! [`finish`]: IndexWriter::finish
 //! [`flush_barrier`]: gsb_core::CliqueSink::flush_barrier
 
 use crate::format::{
-    encode_clique, encode_id_list, frame, header_bytes, BlockEntry, IndexDirectory, IndexMeta,
-    SizeRun, CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, META_FILE,
+    encode_id_list, frame, header_bytes, BlockBuilder, IndexDirectory, IndexMeta, CLIQUES_FILE,
+    CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, HEADER_LEN, META_FILE,
     POSTINGS_FILE, POSTINGS_MAGIC,
 };
-use gsb_core::store::{self, crc32, sync_dir, StoreError};
+use gsb_core::store::{self, crc32, sweep_tmp_files, sync_dir, StoreError};
 use gsb_core::{CliqueSink, RetryPolicy, Vertex};
 use gsb_graph::BitGraph;
 use std::fs::File;
@@ -53,17 +56,8 @@ pub struct IndexWriter {
     n: usize,
     generation: u64,
     store: BufWriter<File>,
-    store_offset: u64,
-    block_target: usize,
-    block_buf: Vec<u8>,
-    block_count: u32,
-    block_first_id: u64,
-    block_min: u32,
-    block_max: u32,
-    next_id: u64,
+    blocks: BlockBuilder,
     postings: Vec<Vec<u64>>,
-    size_runs: Vec<SizeRun>,
-    blocks: Vec<BlockEntry>,
     min_size_meta: u32,
     snapshot: Option<(u64, u32)>,
     retry: RetryPolicy,
@@ -96,17 +90,8 @@ impl IndexWriter {
             n,
             generation,
             store,
-            store_offset: crate::format::HEADER_LEN as u64,
-            block_target: DEFAULT_BLOCK_TARGET,
-            block_buf: Vec::new(),
-            block_count: 0,
-            block_first_id: 0,
-            block_min: u32::MAX,
-            block_max: 0,
-            next_id: 0,
+            blocks: BlockBuilder::new(HEADER_LEN as u64, 0, DEFAULT_BLOCK_TARGET),
             postings: vec![Vec::new(); n],
-            size_runs: Vec::new(),
-            blocks: Vec::new(),
             min_size_meta: 0,
             snapshot: None,
             retry: RetryPolicy::default(),
@@ -116,7 +101,7 @@ impl IndexWriter {
 
     /// Override the block-sealing threshold (bytes of encoded records).
     pub fn block_target(mut self, bytes: usize) -> Self {
-        self.block_target = bytes.max(1);
+        self.blocks.target = bytes;
         self
     }
 
@@ -159,38 +144,13 @@ impl IndexWriter {
 
     /// Cliques accepted so far.
     pub fn indexed(&self) -> u64 {
-        self.next_id
+        self.blocks.next_id
     }
 
     fn defer(&mut self, e: StoreError) {
         if self.error.is_none() {
             self.error = Some(e);
         }
-    }
-
-    fn seal_block(&mut self) -> std::io::Result<()> {
-        if self.block_count == 0 {
-            return Ok(());
-        }
-        let mut payload = Vec::with_capacity(4 + self.block_buf.len());
-        payload.extend_from_slice(&self.block_count.to_le_bytes());
-        payload.extend_from_slice(&self.block_buf);
-        let framed = frame(&payload);
-        self.store.write_all(&framed)?;
-        self.blocks.push(BlockEntry {
-            offset: self.store_offset,
-            first_id: self.block_first_id,
-            count: self.block_count,
-            min_size: self.block_min,
-            max_size: self.block_max,
-        });
-        self.store_offset += framed.len() as u64;
-        self.block_buf.clear();
-        self.block_count = 0;
-        self.block_first_id = self.next_id;
-        self.block_min = u32::MAX;
-        self.block_max = 0;
-        Ok(())
     }
 
     /// Complete the index: seal and persist the store, write postings
@@ -201,7 +161,7 @@ impl IndexWriter {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        self.seal_block()?;
+        self.blocks.seal(&mut self.store)?;
         self.store.flush()?;
         let file = self
             .store
@@ -219,35 +179,29 @@ impl IndexWriter {
 
         // Postings: header, then one CRC-framed record per vertex, with
         // the byte offset of every record captured for the directory.
-        let postings_tmp = self.dir.join(format!("{POSTINGS_FILE}.tmp"));
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        {
-            let mut w = BufWriter::new(File::create(&postings_tmp)?);
-            w.write_all(&header_bytes(POSTINGS_MAGIC, self.n as u32))?;
-            let mut offset = crate::format::HEADER_LEN as u64;
-            for ids in &self.postings {
-                offsets.push(offset);
+        let offsets = retry.run_io(|| {
+            store::write_atomic(&self.dir.join(POSTINGS_FILE), |w| {
+                w.write_all(&header_bytes(POSTINGS_MAGIC, self.n as u32))?;
+                let mut offsets = vec![HEADER_LEN as u64];
                 let mut payload = Vec::new();
-                encode_id_list(&mut payload, ids);
-                let framed = frame(&payload);
-                w.write_all(&framed)?;
-                offset += framed.len() as u64;
-            }
-            offsets.push(offset);
-            w.flush()?;
-            let file = w
-                .into_inner()
-                .map_err(|e| StoreError::Io(std::io::Error::other(e.to_string())))?;
-            file.sync_all()?;
-        }
-        retry.run_io(|| std::fs::rename(&postings_tmp, self.dir.join(POSTINGS_FILE)))?;
-        let postings_bytes = *offsets.last().unwrap_or(&0);
+                for ids in &self.postings {
+                    payload.clear();
+                    encode_id_list(&mut payload, ids);
+                    let framed = frame(&payload);
+                    w.write_all(&framed)?;
+                    offsets.push(offsets[offsets.len() - 1] + framed.len() as u64);
+                }
+                Ok(offsets)
+            })
+        })?;
+        let postings_bytes = offsets[offsets.len() - 1];
 
+        let blocks = self.blocks;
         let directory = IndexDirectory {
             n: self.n as u32,
-            clique_count: self.next_id,
-            size_runs: self.size_runs.clone(),
-            blocks: self.blocks.clone(),
+            clique_count: blocks.next_id,
+            size_runs: blocks.size_runs,
+            blocks: blocks.blocks,
             postings_offsets: offsets,
             postings_bytes,
         };
@@ -274,10 +228,10 @@ impl IndexWriter {
         }
 
         let summary = WriteSummary {
-            cliques: self.next_id,
-            blocks: self.blocks.len() as u64,
+            cliques: directory.clique_count,
+            blocks: directory.blocks.len() as u64,
             max_clique: directory.max_size(),
-            store_bytes: self.store_offset,
+            store_bytes: blocks.offset,
             postings_bytes,
         };
         let (graph_bytes, graph_crc) = self.snapshot.unwrap_or((0, 0));
@@ -316,7 +270,7 @@ impl CliqueSink for IndexWriter {
         // The enumerators' ordering contract is what makes sequential
         // ids sorted by size; a violation would corrupt every
         // size-range answer, so it is a deferred typed error.
-        if let Some(last) = self.size_runs.last() {
+        if let Some(last) = self.blocks.size_runs.last() {
             if size < last.size {
                 return self.defer(StoreError::Codec {
                     context: "index writer: cliques arrived out of size order",
@@ -331,27 +285,11 @@ impl CliqueSink for IndexWriter {
                 context: "index writer: clique not strictly ascending within the graph",
             });
         }
-        let id = self.next_id;
-        encode_clique(&mut self.block_buf, clique);
-        self.block_count += 1;
-        self.block_min = self.block_min.min(size);
-        self.block_max = self.block_max.max(size);
         for &v in clique {
-            self.postings[v as usize].push(id);
+            self.postings[v as usize].push(self.blocks.next_id);
         }
-        match self.size_runs.last_mut() {
-            Some(run) if run.size == size => run.count += 1,
-            _ => self.size_runs.push(SizeRun {
-                size,
-                first_id: id,
-                count: 1,
-            }),
-        }
-        self.next_id += 1;
-        if self.block_buf.len() >= self.block_target {
-            if let Err(e) = self.seal_block() {
-                self.defer(StoreError::Io(e));
-            }
+        if let Err(e) = self.blocks.push(clique, &mut self.store) {
+            self.defer(StoreError::Io(e));
         }
     }
 
@@ -359,7 +297,7 @@ impl CliqueSink for IndexWriter {
         if let Some(e) = &self.error {
             return Err(std::io::Error::other(e.to_string()));
         }
-        self.seal_block()?;
+        self.blocks.seal(&mut self.store)?;
         self.store.flush()?;
         self.store.get_ref().sync_data()
     }
@@ -370,19 +308,6 @@ impl CliqueSink for IndexWriter {
 /// either happened or it did not.
 pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     store::write_atomic(&dir.join(name), |w| w.write_all(bytes))
-}
-
-/// Remove orphaned `*.tmp` files (crash mid-write: every durable file
-/// here is written tmp-then-rename, so a leftover tmp is never valid).
-pub(crate) fn sweep_tmp_files(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,7 +31,7 @@ fn tmp(name: &str) -> PathBuf {
 /// Build a small index and start a server with a tight header cap and
 /// request budget, so the defensive paths are reachable in test time.
 fn start_server(
-    dir: &PathBuf,
+    dir: &Path,
 ) -> (
     SocketAddr,
     ShutdownToken,

@@ -8,7 +8,7 @@ use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
 use gsb_telemetry::access::AccessRecord;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,7 +18,7 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-fn build_index(dir: &PathBuf) -> Arc<CliqueIndex> {
+fn build_index(dir: &Path) -> Arc<CliqueIndex> {
     let g = planted(60, 0.08, &[Module::clique(8), Module::clique(5)], 21);
     let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut writer = IndexWriter::create(dir, g.n()).expect("create writer");

@@ -4,13 +4,14 @@
 //! disk is identical to recomputing the answer from an in-memory
 //! enumeration of the same graph; building the same index twice yields
 //! byte-identical files; and corrupting any single byte of any index
-//! file yields a typed [`StoreError`], never a panic or a wrong answer.
+//! file — of a base index or of one with a delta chain — yields a typed
+//! [`StoreError`], never a panic or a wrong answer.
 
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, StoreError};
 use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
 use gsb_index::format::{CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE};
-use gsb_index::{CliqueIndex, IndexWriter};
+use gsb_index::{update, CliqueIndex, EditScript, IndexWriter};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
@@ -31,6 +32,52 @@ fn build(g: &BitGraph, dir: &Path, block_target: usize) -> Vec<Vec<u32>> {
     enumerator.enumerate(g, &mut writer);
     writer.finish().expect("finish index");
     collect.cliques
+}
+
+/// Build `g`'s index as [`build`] does, but updatable, then apply one
+/// `gsb update` with 16-byte delta blocks: three removals among the
+/// highest-numbered vertices, three additions that close triangles and
+/// an edge to a new vertex. The chain then holds several delta blocks,
+/// a delta postings frame and a generation record for the reader's
+/// corruption sweeps to hit.
+fn build_chained(g: &BitGraph, dir: &Path, block_target: usize) {
+    let enumerator = CliqueEnumerator::new(EnumConfig::default());
+    let mut writer = IndexWriter::create(dir, g.n())
+        .expect("create index writer")
+        .block_target(block_target)
+        .min_size(3)
+        .snapshot(g)
+        .expect("snapshot");
+    enumerator.enumerate(g, &mut writer);
+    writer.finish().expect("finish index");
+    let n = g.n();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let script = EditScript {
+        remove: pairs
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&(u, v)| g.has_edge(u, v))
+            .take(3)
+            .collect(),
+        add: pairs
+            .iter()
+            .copied()
+            .filter(|&(u, v)| !g.has_edge(u, v) && g.neighbors(u).intersects(g.neighbors(v)))
+            .take(3)
+            .chain([(0, n)])
+            .collect(),
+    };
+    let out = update(dir, &script, Some(16)).expect("update");
+    assert!(out.committed && out.n == n + 1, "{out:?}");
+    assert!(out.new_tombstones > 0, "the update must kill cliques");
+    let index = CliqueIndex::open(dir).expect("open chained index");
+    assert!(
+        index.chain()[0].blocks.len() > 1,
+        "tiny blocks must split the delta"
+    );
 }
 
 /// Check every supported query against the in-memory truth.
@@ -148,7 +195,7 @@ fn sweep_queries(index: &CliqueIndex) -> Result<(), StoreError> {
     }
     for v in 0..index.n() as u32 {
         let ids = index.containing(v)?;
-        index.materialize(ids.into_iter())?;
+        index.materialize(ids)?;
     }
     index.max_clique()?;
     index.overlap(0, 1)?;
@@ -162,7 +209,18 @@ fn every_single_byte_corruption_is_a_typed_error() {
     // Tiny blocks so the store has several frames to corrupt.
     let truth = build(&g, &dir, 96);
     assert!(!truth.is_empty(), "graph must have cliques to index");
+    corrupt_every_byte(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 
+    let chained = tmp("corrupt_chained");
+    build_chained(&g, &chained, 96);
+    corrupt_every_byte(&chained);
+    std::fs::remove_dir_all(&chained).ok();
+}
+
+/// Flip every byte of the three binary files in turn: `open` or a query
+/// must fail typed each time, and the restored index must answer again.
+fn corrupt_every_byte(dir: &Path) {
     for file in [CLIQUES_FILE, POSTINGS_FILE, DIRECTORY_FILE] {
         let path = dir.join(file);
         let pristine = std::fs::read(&path).expect("read index file");
@@ -173,7 +231,7 @@ fn every_single_byte_corruption_is_a_typed_error() {
             std::fs::write(&path, &bytes).expect("write corrupted file");
             // Either open() rejects the file, or some query does; a
             // flipped byte must never pass unnoticed or panic.
-            let outcome = CliqueIndex::open(&dir).and_then(|index| sweep_queries(&index));
+            let outcome = CliqueIndex::open(dir).and_then(|index| sweep_queries(&index));
             if outcome.is_err() {
                 detected += 1;
             }
@@ -184,10 +242,9 @@ fn every_single_byte_corruption_is_a_typed_error() {
         assert_eq!(detected, pristine.len(), "{file}: all flips detected");
         std::fs::write(&path, &pristine).expect("restore file");
         // After restoring, the index is whole again.
-        let index = CliqueIndex::open(&dir).expect("restored index opens");
+        let index = CliqueIndex::open(dir).expect("restored index opens");
         sweep_queries(&index).expect("restored index answers");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -195,12 +252,24 @@ fn truncations_are_typed_errors() {
     let g = gnp(20, 0.3, 5);
     let dir = tmp("truncate");
     build(&g, &dir, 128);
+    truncate_every_length(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let chained = tmp("truncate_chained");
+    build_chained(&g, &chained, 128);
+    truncate_every_length(&chained);
+    std::fs::remove_dir_all(&chained).ok();
+}
+
+/// Cut each binary file to every shorter length in turn: `open` or a
+/// query must fail typed each time.
+fn truncate_every_length(dir: &Path) {
     for file in [CLIQUES_FILE, POSTINGS_FILE, DIRECTORY_FILE] {
         let path = dir.join(file);
         let pristine = std::fs::read(&path).expect("read");
         for keep in 0..pristine.len() {
             std::fs::write(&path, &pristine[..keep]).expect("truncate");
-            let outcome = CliqueIndex::open(&dir).and_then(|index| sweep_queries(&index));
+            let outcome = CliqueIndex::open(dir).and_then(|index| sweep_queries(&index));
             assert!(
                 outcome.is_err(),
                 "{file} truncated to {keep} bytes accepted"
@@ -208,7 +277,6 @@ fn truncations_are_typed_errors() {
         }
         std::fs::write(&path, &pristine).expect("restore");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
