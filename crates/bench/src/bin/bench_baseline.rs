@@ -12,6 +12,7 @@ use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
 use gsb_index::{CliqueIndex, IndexWriter};
+use gsb_telemetry::percentile;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -80,16 +81,6 @@ fn export_backends(g: &BitGraph) -> std::io::Result<()> {
     std::fs::write("results/BENCH_backends.json", json)?;
     println!("wrote results/BENCH_backends.json");
     Ok(())
-}
-
-/// Exact percentiles from sorted samples (the committed baseline wants
-/// real numbers, not the serving layer's coarse log₂ buckets).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 struct QueryRecord {

@@ -36,15 +36,17 @@ use crate::CliError;
 use gsb_core::{CliqueEnumerator, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{
-    split_index, CliqueIndex, IndexWriter, Router, RouterConfig, ServeConfig, ServeReport, Server,
-    ShardSpec, Topology,
+    split_index, CliqueIndex, IndexWriter, Router, RouterConfig, RouterReport, ServeConfig,
+    ServeReport, Server, ShardSpec, ShardSummary, Topology,
 };
+use gsb_telemetry::percentile;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// `gsb bench-serve`
@@ -71,96 +73,95 @@ pub fn bench_serve(argv: &[String]) -> Result<String, CliError> {
     enumerator.enumerate(&g, &mut writer);
     writer.finish().map_err(CliError::Store)?;
 
-    let steady = run_scenario(
-        &dir,
-        ServeConfig {
-            threads: 4,
-            queue_limit: 256,
-            rate_limit: None,
-            ..ServeConfig::default()
-        },
-        4,
-        0,
-        duration,
-        n as u32,
-    )?;
-    let overload = run_scenario(
-        &dir,
-        ServeConfig {
-            threads: 2,
-            queue_limit: 4,
-            rate_limit: Some(if smoke { 400.0 } else { 800.0 }),
-            rate_burst: 16,
-            request_deadline: Duration::from_millis(1500),
-            ..ServeConfig::default()
-        },
-        16,
-        0,
-        duration,
-        n as u32,
-    )?;
-    // The scrape scenario repeats the steady query load with the full
-    // observability stack on — access log, slow-query log, and a pool
-    // of clients hammering /metrics + /metrics-json concurrently — so
-    // the committed JSON records what watching the server costs.
-    let scrape = if with_scrape {
-        let access = dir.join("bench-access.jsonl");
-        let s = run_scenario(
-            &dir,
-            ServeConfig {
-                threads: 4,
-                queue_limit: 256,
-                rate_limit: None,
-                access_log: Some(access.clone()),
-                slow_query_ms: Some(250),
-                ..ServeConfig::default()
-            },
-            4,
-            2,
-            duration,
-            n as u32,
-        )?;
-        Some(s)
-    } else {
-        None
+    let n = n as u32;
+    let steady_config = ServeConfig {
+        threads: 4,
+        queue_limit: 256,
+        rate_limit: None,
+        ..ServeConfig::default()
     };
-    let router_runs = if with_router {
-        let shards_dir = dir.join("shards");
-        let summaries = split_index(&dir, &shards_dir, 2).map_err(CliError::Store)?;
-        let steady = run_router_scenario(&summaries, 4, duration, n as u32, false)?;
-        let failover = run_router_scenario(&summaries, 4, duration, n as u32, true)?;
-        Some((steady, failover))
-    } else {
-        None
+    let overload_config = ServeConfig {
+        threads: 2,
+        queue_limit: 4,
+        rate_limit: Some(if smoke { 400.0 } else { 800.0 }),
+        rate_burst: 16,
+        request_deadline: Duration::from_millis(1500),
+        ..ServeConfig::default()
     };
+    let mut scenarios = vec![
+        (
+            "steady",
+            run_scenario(Target::Server(&dir, &steady_config), 4, 0, duration, n)?,
+        ),
+        (
+            "overload",
+            run_scenario(Target::Server(&dir, &overload_config), 16, 0, duration, n)?,
+        ),
+    ];
+    if with_scrape {
+        // The steady query load again with the full observability stack
+        // on — access log, slow-query log, and a pool of clients
+        // hammering /metrics + /metrics-json concurrently — so the
+        // committed JSON records what watching the server costs.
+        let config = ServeConfig {
+            access_log: Some(dir.join("bench-access.jsonl")),
+            slow_query_ms: Some(250),
+            ..steady_config
+        };
+        let scrape = run_scenario(Target::Server(&dir, &config), 4, 2, duration, n)?;
+        scenarios.push(("scrape", scrape));
+    }
+    if with_router {
+        let summaries = split_index(&dir, &dir.join("shards"), 2).map_err(CliError::Store)?;
+        for (name, kill_one) in [("router_steady", false), ("router_failover", true)] {
+            let tier = Target::Tier(&summaries, kill_one);
+            scenarios.push((name, run_scenario(tier, 4, 0, duration, n)?));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let scrape_json = match &scrape {
-        Some(s) => {
-            // p99 under scrape+logging load relative to the bare steady
-            // run: the acceptance gate is "observability costs <5%".
-            let regression = s.p99_us as f64 / steady.p99_us.max(1) as f64;
-            format!(
-                ",\n    \"scrape\": {}",
-                s.to_json_with(&format!("\"p99_vs_steady\":{regression:.4}"))
-            )
+    let steady_p99 = scenarios[0].1.p99_us.max(1) as f64;
+    let mut entries = Vec::new();
+    let mut out = format!("bench-serve ({})\n", if smoke { "smoke" } else { "full" });
+    for (name, s) in &scenarios {
+        // p99 under scrape+logging load relative to the bare steady
+        // run: the acceptance gate is "observability costs <5%".
+        let vs_steady = s.p99_us as f64 / steady_p99;
+        let extra = match *name {
+            "scrape" => format!("\"p99_vs_steady\":{vs_steady:.4}"),
+            _ => String::new(),
+        };
+        entries.push(format!("    \"{name}\": {}", s.to_json_with(&extra)));
+        let _ = write!(
+            out,
+            "  {name}: {} requests, {:.0} qps, p50 {}us p95 {}us p99 {}us, ok {}",
+            s.requests, s.qps, s.p50_us, s.p95_us, s.p99_us, s.ok,
+        );
+        let _ = match &s.report {
+            Report::Server(_) => writeln!(
+                out,
+                ", rate-limited {}, shed {} ({:.1}% shed rate)",
+                s.rate_limited,
+                s.shed,
+                100.0 * s.shed_rate(),
+            ),
+            Report::Router(r) => writeln!(
+                out,
+                ", degraded {}, errors {}; retries {}, hedges {} ({} wins)",
+                s.degraded_ok, s.errors, r.retries, r.hedges, r.hedge_wins,
+            ),
+        };
+        if s.scrape_requests > 0 {
+            let _ = writeln!(
+                out,
+                "          /metrics scrapes: {} ({} ok), p50 {}us p99 {}us; query p99 {vs_steady:.2}x steady",
+                s.scrape_requests, s.scrape_ok, s.scrape_p50_us, s.scrape_p99_us,
+            );
         }
-        None => String::new(),
-    };
-    let router_json = match &router_runs {
-        Some((rs, rf)) => format!(
-            ",\n    \"router_steady\": {},\n    \"router_failover\": {}",
-            rs.to_json(),
-            rf.to_json()
-        ),
-        None => String::new(),
-    };
+    }
     let json = format!(
-        "{{\n  \"bench\": \"gsb_bench_serve\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \"scenarios\": {{\n    \"steady\": {},\n    \"overload\": {}{}{}\n  }}\n}}\n",
-        steady.to_json(),
-        overload.to_json(),
-        scrape_json,
-        router_json,
+        "{{\n  \"bench\": \"gsb_bench_serve\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
+        entries.join(",\n"),
     );
     if let Some(parent) = out_path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -168,65 +169,10 @@ pub fn bench_serve(argv: &[String]) -> Result<String, CliError> {
         }
     }
     std::fs::write(&out_path, &json)?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench-serve ({})",
-        if smoke { "smoke" } else { "full" }
-    );
-    let mut scenarios = vec![("steady", &steady), ("overload", &overload)];
-    if let Some(s) = &scrape {
-        scenarios.push(("scrape", s));
-    }
-    for (name, s) in scenarios {
-        let _ = writeln!(
-            out,
-            "  {name}: {} requests, {:.0} qps, p50 {}us p95 {}us p99 {}us, ok {}, rate-limited {}, shed {} ({:.1}% shed rate)",
-            s.requests,
-            s.qps,
-            s.p50_us,
-            s.p95_us,
-            s.p99_us,
-            s.ok,
-            s.rate_limited,
-            s.shed,
-            100.0 * s.shed_rate,
-        );
-        if s.scrape_requests > 0 {
-            let _ = writeln!(
-                out,
-                "          /metrics scrapes: {} ({} ok), p50 {}us p99 {}us; query p99 {:.2}x steady",
-                s.scrape_requests,
-                s.scrape_ok,
-                s.scrape_p50_us,
-                s.scrape_p99_us,
-                s.p99_us as f64 / steady.p99_us.max(1) as f64,
-            );
-        }
-    }
-    if let Some((rs, rf)) = &router_runs {
-        for (name, s) in [("router_steady", rs), ("router_failover", rf)] {
-            let _ = writeln!(
-                out,
-                "  {name}: {} requests, {:.0} qps, p50 {}us p95 {}us p99 {}us, ok {}, degraded {}, errors {}; retries {}, hedges {} ({} wins)",
-                s.requests,
-                s.qps,
-                s.p50_us,
-                s.p95_us,
-                s.p99_us,
-                s.ok,
-                s.degraded_ok,
-                s.errors,
-                s.retries,
-                s.hedges,
-                s.hedge_wins,
-            );
-        }
-    }
     let _ = writeln!(out, "results written to {}", out_path.display());
-    if let Some((rs, rf)) = &router_runs {
-        router_claims(rs, rf).map_err(CliError::Runtime)?;
+    if with_router {
+        let routed = &scenarios[scenarios.len() - 2..];
+        router_claims(&routed[0].1, &routed[1].1).map_err(CliError::Runtime)?;
     }
     Ok(out)
 }
@@ -234,16 +180,22 @@ pub fn bench_serve(argv: &[String]) -> Result<String, CliError> {
 /// What the routed scenarios claim: every answer of both runs exact
 /// (no client error, no degraded answer, even with a replica killed),
 /// and nothing shed by the healthy tier.
-fn router_claims(steady: &RouterScenario, failover: &RouterScenario) -> Result<(), String> {
+fn router_claims(steady: &Scenario, failover: &Scenario) -> Result<(), String> {
     let mut broken = Vec::new();
     for (name, s) in [("router_steady", steady), ("router_failover", failover)] {
-        if s.errors > 0 {
-            broken.push(format!("{name}: {} client errors", s.errors));
+        // The router never rate-limits, so a 429 is a client error too.
+        let errors = s.errors + s.rate_limited;
+        if errors > 0 {
+            broken.push(format!("{name}: {errors} client errors"));
         }
-        if s.degraded_ok > 0 || s.degraded_answers > 0 {
+        let counted = match &s.report {
+            Report::Server(r) => r.degraded,
+            Report::Router(r) => r.degraded_answers,
+        };
+        if s.degraded_ok > 0 || counted > 0 {
             broken.push(format!(
-                "{name}: {} degraded answers seen by clients, {} counted by the router",
-                s.degraded_ok, s.degraded_answers
+                "{name}: {} degraded answers seen by clients, {counted} counted by the router",
+                s.degraded_ok
             ));
         }
     }
@@ -257,236 +209,240 @@ fn router_claims(steady: &RouterScenario, failover: &RouterScenario) -> Result<(
     }
 }
 
-/// Aggregated outcome of one routed-tier scenario.
-struct RouterScenario {
-    clients: usize,
-    requests: u64,
-    ok: u64,
-    degraded_ok: u64,
-    shed: u64,
-    errors: u64,
-    qps: f64,
-    p50_us: u64,
-    p95_us: u64,
-    p99_us: u64,
-    max_us: u64,
-    killed_replica: bool,
-    retries: u64,
-    hedges: u64,
-    hedge_wins: u64,
-    degraded_answers: u64,
-    router_requests: u64,
+/// What a scenario drives.
+enum Target<'a> {
+    /// One server over the index in the directory.
+    Server(&'a Path, &'a ServeConfig),
+    /// `gsb router` over these shards, 2 replicas each, every backend
+    /// an in-process server; with `true`, one replica of shard 0 stops
+    /// halfway through the load and the tier must answer exactly
+    /// through its twin.
+    Tier(&'a [ShardSummary], bool),
 }
 
-impl RouterScenario {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"clients\":{},\"requests\":{},\"ok\":{},\"degraded_ok\":{},\"shed\":{},\"errors\":{},\"qps\":{:.2},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\"killed_replica\":{},\"retries\":{},\"hedges\":{},\"hedge_wins\":{},\"degraded_answers\":{},\"router_requests\":{}}}",
-            self.clients,
-            self.requests,
-            self.ok,
-            self.degraded_ok,
-            self.shed,
-            self.errors,
-            self.qps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.killed_replica,
-            self.retries,
-            self.hedges,
-            self.hedge_wins,
-            self.degraded_answers,
-            self.router_requests,
-        )
-    }
+/// The report of the service the clients talked to.
+enum Report {
+    Server(ServeReport),
+    Router(RouterReport),
 }
 
-/// Start a 2-shards × 2-replicas tier plus a router in-process, drive
-/// the usual query mix through the router, and (for the failover run)
-/// gracefully kill one replica of shard 0 halfway through — the tier
-/// must keep answering exactly through the surviving replica.
-fn run_router_scenario(
-    summaries: &[gsb_index::ShardSummary],
+/// A started service: its shutdown token and its thread.
+type Running = (ShutdownToken, JoinHandle<std::io::Result<Report>>);
+
+fn spawn(run: impl FnOnce(&ShutdownToken) -> std::io::Result<Report> + Send + 'static) -> Running {
+    let shutdown = ShutdownToken::new();
+    let stop = shutdown.clone();
+    (shutdown, std::thread::spawn(move || run(&stop)))
+}
+
+/// Start one server over the index in `dir`.
+fn start_server(dir: &Path, config: ServeConfig) -> Result<(SocketAddr, Running), CliError> {
+    let index = Arc::new(CliqueIndex::open(dir).map_err(CliError::Store)?);
+    let server = Server::bind(index, "127.0.0.1:0", config)?;
+    let addr = server.local_addr()?;
+    Ok((addr, spawn(move |s| server.run(s).map(Report::Server))))
+}
+
+/// Start `target`, drive it with `clients` closed-loop query clients
+/// (the steady mix) and `scrapers` clients polling the metrics
+/// endpoints for `duration`, then drain it.
+fn run_scenario(
+    target: Target,
     clients: usize,
+    scrapers: usize,
     duration: Duration,
     n: u32,
-    kill_one: bool,
-) -> Result<RouterScenario, CliError> {
-    const REPLICAS: usize = 2;
-    let mut backends = Vec::new(); // (shutdown, join handle)
-    let mut shards = Vec::new();
-    for s in summaries {
-        let index = Arc::new(CliqueIndex::open(&s.dir).map_err(CliError::Store)?);
-        let mut replicas = Vec::new();
-        for _ in 0..REPLICAS {
-            let server = Server::bind(
-                Arc::clone(&index),
+) -> Result<Scenario, CliError> {
+    // The service the clients talk to comes first; a tier's backends
+    // follow, shard by shard.
+    let mut services = Vec::new();
+    let (addr, kill_one) = match target {
+        Target::Server(dir, config) => {
+            let (addr, server) = start_server(dir, config.clone())?;
+            services.push(server);
+            (addr, false)
+        }
+        Target::Tier(summaries, kill_one) => {
+            let mut shards = Vec::new();
+            for s in summaries {
+                let mut replicas = Vec::new();
+                for _ in 0..2 {
+                    let config = ServeConfig {
+                        threads: 2,
+                        queue_limit: 256,
+                        ..ServeConfig::default()
+                    };
+                    let (addr, backend) = start_server(&s.dir, config)?;
+                    replicas.push(addr.to_string());
+                    services.push(backend);
+                }
+                shards.push(ShardSpec {
+                    id_lo: s.id_lo,
+                    id_hi: s.id_hi,
+                    size_lo: s.size_lo,
+                    size_hi: s.size_hi,
+                    replicas,
+                });
+            }
+            let router = Router::bind(
+                Topology { shards },
                 "127.0.0.1:0",
-                ServeConfig {
-                    threads: 2,
-                    queue_limit: 256,
-                    ..ServeConfig::default()
+                RouterConfig {
+                    threads: 4,
+                    request_deadline: Duration::from_secs(2),
+                    try_timeout: Duration::from_millis(400),
+                    probe_interval: Duration::from_millis(50),
+                    breaker_cooldown: Duration::from_millis(200),
+                    ..RouterConfig::default()
                 },
             )?;
-            replicas.push(server.local_addr()?.to_string());
-            let shutdown = ShutdownToken::new();
-            let handle = {
-                let shutdown = shutdown.clone();
-                std::thread::spawn(move || server.run(&shutdown))
-            };
-            backends.push((shutdown, handle));
+            let addr = router.local_addr()?;
+            services.insert(0, spawn(move |s| router.run(s).map(Report::Router)));
+            (addr, kill_one)
         }
-        shards.push(ShardSpec {
-            id_lo: s.id_lo,
-            id_hi: s.id_hi,
-            size_lo: s.size_lo,
-            size_hi: s.size_hi,
-            replicas,
-        });
-    }
-    let router = Router::bind(
-        Topology { shards },
-        "127.0.0.1:0",
-        RouterConfig {
-            threads: 4,
-            request_deadline: Duration::from_secs(2),
-            try_timeout: Duration::from_millis(400),
-            probe_interval: Duration::from_millis(50),
-            breaker_cooldown: Duration::from_millis(200),
-            ..RouterConfig::default()
-        },
-    )?;
-    let addr = router.local_addr()?;
-    let router_shutdown = ShutdownToken::new();
-    let router_thread = {
-        let shutdown = router_shutdown.clone();
-        std::thread::spawn(move || router.run(&shutdown))
     };
 
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || router_client_loop(addr, c as u32, n, &stop))
-        })
-        .collect();
+    let pool = |count: usize, scrape: bool| -> Vec<JoinHandle<Tally>> {
+        (0..count as u32)
+            .map(|c| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || client_loop(addr, c, n, scrape, &stop))
+            })
+            .collect()
+    };
+    let (queries, scrapes) = (pool(clients, false), pool(scrapers, true));
+    std::thread::sleep(duration / 2);
     if kill_one {
-        // Halfway through, one replica of shard 0 goes away; the load
-        // keeps running so the percentiles include the failover.
-        std::thread::sleep(duration / 2);
-        backends[0].0.request(15);
-        std::thread::sleep(duration / 2);
-    } else {
-        std::thread::sleep(duration);
+        // One replica of shard 0 goes away; the load keeps running so
+        // the percentiles include the failover.
+        services[1].0.request(15);
     }
+    std::thread::sleep(duration - duration / 2);
     stop.store(true, Ordering::Release);
-
-    let mut requests = 0u64;
-    let mut ok = 0u64;
-    let mut degraded_ok = 0u64;
-    let mut shed = 0u64;
-    let mut errors = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for w in workers {
-        let c = w
-            .join()
-            .map_err(|_| CliError::Runtime("bench-serve router client panicked".into()))?;
-        requests += c.requests;
-        ok += c.ok;
-        degraded_ok += c.rate_limited; // router clients tally degraded here
-        shed += c.shed;
-        errors += c.errors;
-        latencies.extend(c.ok_latencies_us);
-    }
+    let (queries, scrapes) = (join_clients(queries)?, join_clients(scrapes)?);
     let wall = started.elapsed();
-    router_shutdown.request(15);
-    let report = router_thread
-        .join()
-        .map_err(|_| CliError::Runtime("bench-serve router thread panicked".into()))??;
-    for (shutdown, handle) in backends {
-        shutdown.request(15);
-        let _ = handle
-            .join()
-            .map_err(|_| CliError::Runtime("bench-serve backend thread panicked".into()))?;
-    }
 
-    latencies.sort_unstable();
-    Ok(RouterScenario {
+    let mut reports = Vec::new();
+    for (shutdown, handle) in services {
+        shutdown.request(15);
+        let report = handle
+            .join()
+            .map_err(|_| CliError::Runtime("bench-serve service thread panicked".into()))??;
+        reports.push(report);
+    }
+    Ok(Scenario {
         clients,
-        requests,
-        ok,
-        degraded_ok,
-        shed,
-        errors,
-        qps: ok as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: pct(&latencies, 0.50),
-        p95_us: pct(&latencies, 0.95),
-        p99_us: pct(&latencies, 0.99),
-        max_us: latencies.last().copied().unwrap_or(0),
+        requests: queries.requests,
+        ok: queries.ok,
+        degraded_ok: queries.degraded,
+        rate_limited: queries.rate_limited,
+        shed: queries.shed,
+        errors: queries.errors,
+        qps: queries.ok as f64 / wall.as_secs_f64().max(1e-9),
+        p50_us: queries.pct(0.50),
+        p95_us: queries.pct(0.95),
+        p99_us: queries.pct(0.99),
+        max_us: queries.ok_latencies_us.last().copied().unwrap_or(0),
+        scrape_requests: scrapes.requests,
+        scrape_ok: scrapes.ok,
+        scrape_p50_us: scrapes.pct(0.50),
+        scrape_p99_us: scrapes.pct(0.99),
         killed_replica: kill_one,
-        retries: report.retries,
-        hedges: report.hedges,
-        hedge_wins: report.hedge_wins,
-        degraded_answers: report.degraded_answers,
-        router_requests: report.requests,
+        report: reports.swap_remove(0),
     })
 }
 
-/// The steady query mix through the router, with degraded detection:
-/// a 200 whose headers carry `X-Gsb-Degraded` is tallied separately
-/// (in the `rate_limited` slot, unused on the routed path) so the
-/// failover scenario can prove answers stayed exact.
-fn router_client_loop(
-    addr: SocketAddr,
-    client_id: u32,
-    n: u32,
-    stop: &AtomicBool,
-) -> ClientOutcome {
-    let mut out = ClientOutcome {
-        requests: 0,
-        ok: 0,
-        rate_limited: 0,
-        shed: 0,
-        errors: 0,
-        ok_latencies_us: Vec::new(),
-    };
+fn join_clients(handles: Vec<JoinHandle<Tally>>) -> Result<Tally, CliError> {
+    let mut total = Tally::default();
+    for h in handles {
+        let t = h
+            .join()
+            .map_err(|_| CliError::Runtime("bench-serve client thread panicked".into()))?;
+        total.requests += t.requests;
+        total.ok += t.ok;
+        total.degraded += t.degraded;
+        total.rate_limited += t.rate_limited;
+        total.shed += t.shed;
+        total.errors += t.errors;
+        total.ok_latencies_us.extend(t.ok_latencies_us);
+    }
+    total.ok_latencies_us.sort_unstable();
+    Ok(total)
+}
+
+/// Tallies of closed-loop clients.
+#[derive(Default)]
+struct Tally {
+    requests: u64,
+    /// 200s not marked degraded, each with its latency.
+    ok: u64,
+    /// 200s marked `X-Gsb-Degraded`.
+    degraded: u64,
+    rate_limited: u64,
+    /// 503s and 408s.
+    shed: u64,
+    /// Any other status, and transport failures.
+    errors: u64,
+    /// Latencies of the `ok` answers, ascending once joined.
+    ok_latencies_us: Vec<u64>,
+}
+
+impl Tally {
+    fn pct(&self, q: f64) -> u64 {
+        percentile(&self.ok_latencies_us, q)
+    }
+}
+
+/// Closed loop: one request at a time, next sent only after the
+/// previous response fully arrived — the classic closed-loop load
+/// model, so offered load adapts to what the server admits. A query
+/// client walks the steady mix (health, stats, max, containing, size,
+/// overlap); a scrape client alternates `/metrics` and `/metrics-json`,
+/// with a short pause as real scrapers poll on an interval. Scrapes are
+/// admission-exempt, so every one should answer 200 even while the
+/// query pool saturates the worker queue.
+fn client_loop(addr: SocketAddr, client: u32, n: u32, scrape: bool, stop: &AtomicBool) -> Tally {
+    let mut out = Tally::default();
     let mut round = 0u32;
     while !stop.load(Ordering::Acquire) {
-        let v = (client_id * 7 + round * 3) % n;
-        let w = (client_id * 11 + round * 5) % n;
-        let path = match round % 6 {
-            0 => "/health".to_string(),
-            1 => "/stats".to_string(),
-            2 => "/max".to_string(),
-            3 => format!("/containing/{v}"),
-            4 => "/size/3/6?limit=8".to_string(),
-            _ => format!("/overlap/{v}/{w}"),
+        let (v, w) = ((client * 7 + round * 3) % n, (client * 11 + round * 5) % n);
+        let path = match (scrape, round % 6) {
+            (true, _) if (client + round) & 1 == 0 => "/metrics".to_string(),
+            (true, _) => "/metrics-json".to_string(),
+            (false, 0) => "/health".to_string(),
+            (false, 1) => "/stats".to_string(),
+            (false, 2) => "/max".to_string(),
+            (false, 3) => format!("/containing/{v}"),
+            (false, 4) => "/size/3/6?limit=8".to_string(),
+            (false, _) => format!("/overlap/{v}/{w}"),
         };
         round = round.wrapping_add(1);
         out.requests += 1;
         let begun = Instant::now();
-        match get_response(addr, &path) {
-            Ok((200, head)) => {
-                if head.contains("X-Gsb-Degraded") {
-                    out.rate_limited += 1;
-                } else {
-                    out.ok += 1;
-                    out.ok_latencies_us.push(begun.elapsed().as_micros() as u64);
-                }
+        match get(addr, &path) {
+            Ok((200, false)) => {
+                out.ok += 1;
+                out.ok_latencies_us.push(begun.elapsed().as_micros() as u64);
             }
-            Ok((503, _)) | Ok((408, _)) => out.shed += 1,
-            Ok(_) => out.errors += 1,
-            Err(_) => out.errors += 1,
+            Ok((200, true)) => out.degraded += 1,
+            Ok((429, _)) => out.rate_limited += 1,
+            Ok((503 | 408, _)) => out.shed += 1,
+            // Connect refused/reset under overload is an error too.
+            Ok(_) | Err(_) => out.errors += 1,
+        }
+        if scrape {
+            std::thread::sleep(Duration::from_millis(2));
         }
     }
     out
 }
 
-/// One blocking GET; returns the status and the raw response head.
-fn get_response(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+/// One blocking GET, read to the end (Connection: close) so closed-loop
+/// pacing is honest: the status, and whether `X-Gsb-Degraded` marks the
+/// answer.
+fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, bool)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.set_nodelay(true)?;
@@ -500,16 +456,16 @@ fn get_response(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> 
         .ok_or_else(|| std::io::Error::other("malformed status line"))?;
     let head = response
         .split_once("\r\n\r\n")
-        .map(|(h, _)| h.to_string())
-        .unwrap_or(response);
-    Ok((status, head))
+        .map_or(&*response, |(h, _)| h);
+    Ok((status, head.contains("X-Gsb-Degraded")))
 }
 
-/// Aggregated outcome of one load scenario.
+/// Aggregated outcome of one scenario, on one server or a routed tier.
 struct Scenario {
     clients: usize,
     requests: u64,
     ok: u64,
+    degraded_ok: u64,
     rate_limited: u64,
     shed: u64,
     errors: u64,
@@ -518,28 +474,30 @@ struct Scenario {
     p95_us: u64,
     p99_us: u64,
     max_us: u64,
-    shed_rate: f64,
     scrape_requests: u64,
     scrape_ok: u64,
     scrape_p50_us: u64,
     scrape_p99_us: u64,
-    report: ServeReport,
+    killed_replica: bool,
+    report: Report,
 }
 
 impl Scenario {
-    fn to_json(&self) -> String {
-        self.to_json_with("")
+    /// Typed refusals (429s and sheds) per refused-or-answered request.
+    fn shed_rate(&self) -> f64 {
+        let refused = self.shed + self.rate_limited;
+        refused as f64 / (self.ok.max(1) + refused) as f64
     }
 
     /// Serialize, splicing `extra` (pre-rendered `"key":value` pairs)
-    /// before the closing brace.
+    /// before the closing brace. A server scenario reports its shed
+    /// rate and server counters, a routed one its router counters.
     fn to_json_with(&self, extra: &str) -> String {
         let mut json = format!(
-            "{{\"clients\":{},\"requests\":{},\"ok\":{},\"rate_limited\":{},\"shed\":{},\"errors\":{},\"qps\":{:.2},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\"shed_rate\":{:.4},\"server_requests\":{},\"server_shed\":{},\"server_rate_limited\":{}",
+            "{{\"clients\":{},\"requests\":{},\"ok\":{},\"shed\":{},\"errors\":{},\"qps\":{:.2},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{}",
             self.clients,
             self.requests,
             self.ok,
-            self.rate_limited,
             self.shed,
             self.errors,
             self.qps,
@@ -547,11 +505,29 @@ impl Scenario {
             self.p95_us,
             self.p99_us,
             self.max_us,
-            self.shed_rate,
-            self.report.requests,
-            self.report.shed,
-            self.report.rate_limited,
         );
+        let _ = match &self.report {
+            Report::Server(r) => write!(
+                json,
+                ",\"rate_limited\":{},\"shed_rate\":{:.4},\"server_requests\":{},\"server_shed\":{},\"server_rate_limited\":{}",
+                self.rate_limited,
+                self.shed_rate(),
+                r.requests,
+                r.shed,
+                r.rate_limited,
+            ),
+            Report::Router(r) => write!(
+                json,
+                ",\"degraded_ok\":{},\"killed_replica\":{},\"retries\":{},\"hedges\":{},\"hedge_wins\":{},\"degraded_answers\":{},\"router_requests\":{}",
+                self.degraded_ok,
+                self.killed_replica,
+                r.retries,
+                r.hedges,
+                r.hedge_wins,
+                r.degraded_answers,
+                r.requests,
+            ),
+        };
         if self.scrape_requests > 0 {
             let _ = write!(
                 json,
@@ -567,225 +543,17 @@ impl Scenario {
     }
 }
 
-fn run_scenario(
-    index_dir: &Path,
-    config: ServeConfig,
-    clients: usize,
-    scrape_clients: usize,
-    duration: Duration,
-    n: u32,
-) -> Result<Scenario, CliError> {
-    let index = Arc::new(CliqueIndex::open(index_dir).map_err(CliError::Store)?);
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(index, "127.0.0.1:0", config)?;
-    let addr = server.local_addr()?;
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown))
-    };
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || client_loop(addr, c as u32, n, &stop))
-        })
-        .collect();
-    let scrapers: Vec<_> = (0..scrape_clients)
-        .map(|c| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || scrape_loop(addr, c as u32, &stop))
-        })
-        .collect();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Release);
-
-    let mut requests = 0u64;
-    let mut ok = 0u64;
-    let mut rate_limited = 0u64;
-    let mut shed = 0u64;
-    let mut errors = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for w in workers {
-        let c = w
-            .join()
-            .map_err(|_| CliError::Runtime("bench-serve client thread panicked".into()))?;
-        requests += c.requests;
-        ok += c.ok;
-        rate_limited += c.rate_limited;
-        shed += c.shed;
-        errors += c.errors;
-        latencies.extend(c.ok_latencies_us);
-    }
-    let mut scrape_requests = 0u64;
-    let mut scrape_ok = 0u64;
-    let mut scrape_latencies: Vec<u64> = Vec::new();
-    for s in scrapers {
-        let c = s
-            .join()
-            .map_err(|_| CliError::Runtime("bench-serve scrape thread panicked".into()))?;
-        scrape_requests += c.requests;
-        scrape_ok += c.ok;
-        scrape_latencies.extend(c.ok_latencies_us);
-    }
-    let wall = started.elapsed();
-    shutdown.request(15);
-    let report = server_thread
-        .join()
-        .map_err(|_| CliError::Runtime("bench-serve server thread panicked".into()))??;
-
-    latencies.sort_unstable();
-    scrape_latencies.sort_unstable();
-    let answered = ok.max(1);
-    Ok(Scenario {
-        clients,
-        requests,
-        ok,
-        rate_limited,
-        shed,
-        errors,
-        qps: ok as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: pct(&latencies, 0.50),
-        p95_us: pct(&latencies, 0.95),
-        p99_us: pct(&latencies, 0.99),
-        max_us: latencies.last().copied().unwrap_or(0),
-        shed_rate: (shed + rate_limited) as f64 / (answered + shed + rate_limited) as f64,
-        scrape_requests,
-        scrape_ok,
-        scrape_p50_us: pct(&scrape_latencies, 0.50),
-        scrape_p99_us: pct(&scrape_latencies, 0.99),
-        report,
-    })
-}
-
-/// Per-client tallies from one closed loop.
-struct ClientOutcome {
-    requests: u64,
-    ok: u64,
-    rate_limited: u64,
-    shed: u64,
-    errors: u64,
-    ok_latencies_us: Vec<u64>,
-}
-
-/// Closed loop: one request at a time, next sent only after the
-/// previous response fully arrived — the classic closed-loop load
-/// model, so offered load adapts to what the server admits.
-fn client_loop(addr: SocketAddr, client_id: u32, n: u32, stop: &AtomicBool) -> ClientOutcome {
-    let mut out = ClientOutcome {
-        requests: 0,
-        ok: 0,
-        rate_limited: 0,
-        shed: 0,
-        errors: 0,
-        ok_latencies_us: Vec::new(),
-    };
-    let mut round = 0u32;
-    while !stop.load(Ordering::Acquire) {
-        let v = (client_id * 7 + round * 3) % n;
-        let w = (client_id * 11 + round * 5) % n;
-        let path = match round % 6 {
-            0 => "/health".to_string(),
-            1 => "/stats".to_string(),
-            2 => "/max".to_string(),
-            3 => format!("/containing/{v}"),
-            4 => "/size/3/6?limit=8".to_string(),
-            _ => format!("/overlap/{v}/{w}"),
-        };
-        round = round.wrapping_add(1);
-        out.requests += 1;
-        let begun = Instant::now();
-        match get_status(addr, &path) {
-            Ok(200) => {
-                out.ok += 1;
-                out.ok_latencies_us.push(begun.elapsed().as_micros() as u64);
-            }
-            Ok(429) => out.rate_limited += 1,
-            Ok(503) | Ok(408) => out.shed += 1,
-            Ok(_) => out.errors += 1,
-            // Connect refused/reset under overload counts as shed-like
-            // backpressure from the kernel backlog.
-            Err(_) => out.errors += 1,
-        }
-    }
-    out
-}
-
-/// Closed loop against the observability endpoints only: /metrics and
-/// /metrics-json alternating. These are admission-exempt, so every
-/// scrape should answer 200 even while the query pool saturates the
-/// worker queue — a scrape that fails mid-overload is exactly the
-/// monitoring outage the exemption exists to prevent.
-fn scrape_loop(addr: SocketAddr, client_id: u32, stop: &AtomicBool) -> ClientOutcome {
-    let mut out = ClientOutcome {
-        requests: 0,
-        ok: 0,
-        rate_limited: 0,
-        shed: 0,
-        errors: 0,
-        ok_latencies_us: Vec::new(),
-    };
-    let mut round = client_id;
-    while !stop.load(Ordering::Acquire) {
-        let path = if round & 1 == 0 {
-            "/metrics"
-        } else {
-            "/metrics-json"
-        };
-        round = round.wrapping_add(1);
-        out.requests += 1;
-        let begun = Instant::now();
-        match get_status(addr, path) {
-            Ok(200) => {
-                out.ok += 1;
-                out.ok_latencies_us.push(begun.elapsed().as_micros() as u64);
-            }
-            Ok(429) => out.rate_limited += 1,
-            Ok(503) | Ok(408) => out.shed += 1,
-            Ok(_) | Err(_) => out.errors += 1,
-        }
-        // Real scrapers poll on an interval; a short pause keeps the
-        // scrape pool from behaving like a second query pool.
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    out
-}
-
-/// One blocking GET; returns the response status. The whole response is
-/// read (Connection: close), so closed-loop pacing is honest.
-fn get_status(addr: SocketAddr, path: &str) -> std::io::Result<u16> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_nodelay(true)?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other("malformed status line"))
-}
-
-fn pct(sorted_us: &[u64], q: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let i = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
-    sorted_us[i.min(sorted_us.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn clean() -> RouterScenario {
-        RouterScenario {
+    fn clean() -> Scenario {
+        Scenario {
             clients: 4,
             requests: 100,
             ok: 100,
             degraded_ok: 0,
+            rate_limited: 0,
             shed: 0,
             errors: 0,
             qps: 1000.0,
@@ -793,38 +561,44 @@ mod tests {
             p95_us: 900,
             p99_us: 1500,
             max_us: 3000,
+            scrape_requests: 0,
+            scrape_ok: 0,
+            scrape_p50_us: 0,
+            scrape_p99_us: 0,
             killed_replica: false,
-            retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            degraded_answers: 0,
-            router_requests: 100,
+            report: Report::Router(RouterReport {
+                requests: 100,
+                ..RouterReport::default()
+            }),
         }
     }
 
     #[test]
     fn router_claims_fail_on_errors_degradation_and_steady_sheds() {
         assert!(router_claims(&clean(), &clean()).is_ok());
-        let failover_shed = RouterScenario { shed: 3, ..clean() };
+        let failover_shed = Scenario { shed: 3, ..clean() };
         assert!(router_claims(&clean(), &failover_shed).is_ok());
         for broken in [
-            RouterScenario {
+            Scenario {
                 errors: 1,
                 ..clean()
             },
-            RouterScenario {
+            Scenario {
                 degraded_ok: 1,
                 ..clean()
             },
-            RouterScenario {
-                degraded_answers: 1,
+            Scenario {
+                report: Report::Router(RouterReport {
+                    degraded_answers: 1,
+                    ..RouterReport::default()
+                }),
                 ..clean()
             },
         ] {
             assert!(router_claims(&clean(), &broken).is_err());
             assert!(router_claims(&broken, &clean()).is_err());
         }
-        let steady_shed = RouterScenario { shed: 1, ..clean() };
+        let steady_shed = Scenario { shed: 1, ..clean() };
         assert!(router_claims(&steady_shed, &clean()).is_err());
     }
 }

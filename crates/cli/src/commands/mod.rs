@@ -53,6 +53,28 @@ pub(crate) fn load(path: &str) -> Result<BitGraph, CliError> {
     Ok(gio::load(Path::new(path))?)
 }
 
+/// How `gsb serve` and `gsb router` end once `run` returns: the
+/// conventional loud exit on a signal (128 + signal, with the drain
+/// evidence in the message), else — an embedder's private token fired —
+/// a one-line summary, "`verb` N requests over M connections".
+pub(crate) fn drained(
+    shutdown: &gsb_core::ShutdownToken,
+    verb: &str,
+    requests: u64,
+    connections: u64,
+) -> Result<String, CliError> {
+    match shutdown.signal() {
+        Some(signal) => Err(CliError::Drained {
+            signal,
+            connections,
+            requests,
+        }),
+        None => Ok(format!(
+            "{verb} {requests} requests over {connections} connections\n"
+        )),
+    }
+}
+
 pub(crate) fn save(g: &BitGraph, path: &str) -> Result<(), CliError> {
     let file = std::fs::File::create(path)?;
     match Path::new(path).extension().and_then(|e| e.to_str()) {

@@ -90,15 +90,5 @@ pub fn router(argv: &[String]) -> Result<String, CliError> {
             report.retries, report.hedges, report.hedge_wins, report.degraded_answers, report.shed
         );
     }
-    match shutdown.signal() {
-        Some(signal) => Err(CliError::Drained {
-            signal,
-            connections: report.connections,
-            requests: report.requests,
-        }),
-        None => Ok(format!(
-            "routed {} requests over {} connections\n",
-            report.requests, report.connections
-        )),
-    }
+    super::drained(&shutdown, "routed", report.requests, report.connections)
 }

@@ -113,19 +113,5 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
             report.shed, report.rate_limited, report.degraded, report.reloads
         );
     }
-    match shutdown.signal() {
-        // The conventional loud exit: 128 + signal, with the drain
-        // evidence in the message.
-        Some(signal) => Err(CliError::Drained {
-            signal,
-            connections: report.connections,
-            requests: report.requests,
-        }),
-        // run() only returns once shutdown is requested; a missing
-        // signal would mean an embedder's private token fired.
-        None => Ok(format!(
-            "served {} requests over {} connections\n",
-            report.requests, report.connections
-        )),
-    }
+    super::drained(&shutdown, "served", report.requests, report.connections)
 }

@@ -6,6 +6,7 @@
 use crate::args::Args;
 use crate::CliError;
 use gsb_telemetry::access::AccessRecord;
+use gsb_telemetry::percentile;
 use gsb_telemetry::report::{fmt_bytes, fmt_ns, TextTable};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -18,15 +19,6 @@ pub fn tail(argv: &[String]) -> Result<String, CliError> {
     let top: usize = a.flag_or("top", 10)?;
     let text = std::fs::read_to_string(Path::new(path))?;
     render_tail(&text, top)
-}
-
-/// Exact nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 struct EndpointStats {
@@ -109,9 +101,9 @@ fn render_tail(text: &str, top: usize) -> Result<String, CliError> {
             format!("{:.1}", stats.requests as f64 / span_s),
             stats.errors.to_string(),
             format!("{:.1}", 100.0 * stats.errors as f64 / stats.requests as f64),
-            fmt_ns(percentile(d, 50.0)),
-            fmt_ns(percentile(d, 95.0)),
-            fmt_ns(percentile(d, 99.0)),
+            fmt_ns(percentile(d, 0.50)),
+            fmt_ns(percentile(d, 0.95)),
+            fmt_ns(percentile(d, 0.99)),
             fmt_ns(*d.last().unwrap_or(&0)),
             fmt_bytes(stats.bytes),
         ]);
@@ -163,6 +155,7 @@ fn render_tail(text: &str, top: usize) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use gsb_telemetry::access::AccessRecord;
+    use gsb_telemetry::percentile;
 
     fn record(
         ts_ms: u64,
@@ -240,11 +233,11 @@ mod tests {
     #[test]
     fn tail_empty_log_and_percentiles() {
         assert!(render_tail("", 5).unwrap().contains("empty"));
-        assert_eq!(percentile(&[], 99.0), 0);
-        assert_eq!(percentile(&[7], 50.0), 7);
+        assert_eq!(percentile(&[], 0.99), 0);
+        assert_eq!(percentile(&[7], 0.50), 7);
         let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50.0), 50);
-        assert_eq!(percentile(&v, 99.0), 99);
-        assert_eq!(percentile(&v, 100.0), 100);
+        assert_eq!(percentile(&v, 0.50), 50);
+        assert_eq!(percentile(&v, 0.99), 99);
+        assert_eq!(percentile(&v, 1.0), 100);
     }
 }

@@ -71,12 +71,13 @@ pub enum StoreError {
         /// Records actually decodable.
         found: usize,
     },
-    /// The checkpoint was taken over a different graph (common-neighbor
-    /// bitmap width disagrees with the graph's vertex count).
+    /// A file was written for a different graph: a checkpoint's
+    /// common-neighbor bitmap width, or an index file's vertex count,
+    /// disagrees with the graph it is read against.
     GraphMismatch {
-        /// Bitmap width recorded in the checkpoint.
+        /// Vertex count (bitmap width) the file records.
         checkpoint_bits: usize,
-        /// Vertex count of the graph being resumed.
+        /// Vertex count of the graph it is read against.
         graph_bits: usize,
     },
     /// The file was written with a different bitmap representation than
@@ -127,7 +128,7 @@ impl fmt::Display for StoreError {
                 graph_bits,
             } => write!(
                 f,
-                "checkpoint is for a {checkpoint_bits}-vertex graph, not {graph_bits}"
+                "file is for a {checkpoint_bits}-vertex graph, not {graph_bits}"
             ),
             StoreError::BackendMismatch { found, expected } => write!(
                 f,

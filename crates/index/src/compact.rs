@@ -25,10 +25,10 @@
 //! to run until it does, so the window cannot widen.
 
 use crate::format::{
-    IndexMeta, CLIQUES_FILE, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, META_FILE, POSTINGS_FILE,
+    patched_graph, IndexMeta, CLIQUES_FILE, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, META_FILE,
+    POSTINGS_FILE,
 };
 use crate::reader::CliqueIndex;
-use crate::update::patched_graph;
 use crate::writer::IndexWriter;
 use gsb_core::store::{sync_dir, StoreError};
 use gsb_core::CliqueSink;
@@ -115,7 +115,7 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
     }
 
     let idx = CliqueIndex::open(dir)?;
-    let g = patched_graph(dir, &idx, meta0.n)?;
+    let g = patched_graph(dir, idx.meta(), idx.chain(), meta0.n, |_| {})?;
     // Materialize the live set block by block (ascending ids decode
     // each block once) and restore the canonical global order; ids
     // ascend within each generation, so this is a merge of

@@ -20,7 +20,7 @@
 //! `read_frame_at` and `decode_block` read them back for the reader and
 //! `gsb scrub`; `walk_chain` decodes `index.gsd` and cross-checks it
 //! against the manifest for both; `live_histogram`, `decode_postings`,
-//! `read_delta_postings` and `replay_edits` are the other rules they
+//! `read_delta_postings` and `patched_graph` are the other rules they
 //! share.
 
 use gsb_bitset::BitSet;
@@ -1132,15 +1132,25 @@ pub(crate) fn live_histogram(
     Ok(hist.into_iter().filter(|&(_, c)| c > 0).collect())
 }
 
-/// Replay the chain's edit log over `g`, which must already hold every
-/// generation's vertices: each generation's removals, then its
-/// additions. An edit that removes an absent edge or adds a present one
-/// goes to `defect`.
-pub(crate) fn replay_edits(
-    g: &mut BitGraph,
+/// The current graph of an updatable index: the committed snapshot in
+/// `dir`, grown to the most vertices the snapshot, any generation or
+/// `n_target` names, with the chain's edit log replayed over it (each
+/// generation's removals, then its additions). An edit that removes an
+/// absent edge or adds a present one goes to `defect`: `gsb scrub`
+/// reports it, `gsb update` and `gsb compact` ignore it.
+pub(crate) fn patched_graph(
+    dir: &std::path::Path,
+    meta: &IndexMeta,
     chain: &[DeltaGeneration],
+    n_target: usize,
     mut defect: impl FnMut(Finding),
-) {
+) -> Result<BitGraph, StoreError> {
+    let snap = crate::snapshot::read_graph_checked(dir, meta.graph_bytes, meta.graph_crc)?;
+    let n = chain
+        .iter()
+        .map(|gen| gen.n as usize)
+        .fold(snap.n().max(n_target), usize::max);
+    let mut g = snap.grown(n);
     for (gi, gen) in chain.iter().enumerate() {
         for &(u, v) in &gen.removed_edges {
             if !g.remove_edge(u as usize, v as usize) {
@@ -1163,6 +1173,7 @@ pub(crate) fn replay_edits(
             }
         }
     }
+    Ok(g)
 }
 
 /// The `index.meta` manifest: human-readable key=value lines, written

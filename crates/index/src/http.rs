@@ -29,18 +29,22 @@
 //!   connection is answered, and connections still waiting in the
 //!   kernel backlog are shed with a typed `503` rather than a silent
 //!   reset.
-//! * **Metrics file.** [`write_metrics`] writes the `--metrics-out`
-//!   JSON atomically (sibling temp file, fsync, rename).
+//! * **Metrics.** Both services export the core's families through
+//!   [`write_core_families`], under their own name prefix, and
+//!   [`write_metrics`] writes the `--metrics-out` JSON atomically
+//!   (sibling temp file, fsync, rename).
 //!
 //! HTTP/1.1, one request per connection (`Connection: close`): every
 //! response carries an exact `Content-Length` and the socket closes
 //! after it, so a drained shutdown can never truncate a response.
 
+use crate::api::Endpoint;
 use gsb_core::store::write_atomic;
 use gsb_core::supervise::is_transient;
 use gsb_core::{RetryPolicy, ShutdownToken};
+use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
-use gsb_telemetry::AtomicRecorder;
+use gsb_telemetry::{AtomicRecorder, Recorder};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,14 +139,39 @@ impl Http {
     /// Shed a connection with a typed, complete response, after
     /// draining the pending request head ([`read_head_briefly`]).
     pub fn shed(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
-        self.recorder.add_named(key, 1);
-        self.recorder.add_named("http.shed_total", 1);
-        self.recorder.add_named(status_key(status), 1);
         read_head_briefly(stream, &mut [0u8; 1024]);
+        self.refuse(stream, status, message, key);
+    }
+
+    /// Shed a connection whose request head was already read.
+    pub fn refuse(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
+        self.recorder.add(key, 1);
+        self.recorder.add("http.shed_total", 1);
+        self.recorder.add(status_key(status), 1);
         let body = format!("{{\"error\":\"{message}\",\"shed\":true}}");
         let retry = self.retry_after_secs();
         if respond_full(stream, status, &body, 0, retry, CONTENT_TYPE_JSON, &[]).is_err() {
-            self.recorder.add_named("http.write_errors", 1);
+            self.recorder.add("http.write_errors", 1);
+        }
+    }
+
+    /// Count one answered request (its endpoint, status and latency
+    /// `ns`), then write the reply with the span's trace headers.
+    pub fn answered(
+        &self,
+        stream: &mut TcpStream,
+        endpoint: Endpoint,
+        reply: &Reply,
+        ns: u64,
+        span: &SpanRecorder,
+    ) {
+        let (status, body, degraded, content_type) = reply;
+        self.recorder.add(endpoint.requests_key(), 1);
+        self.recorder.add(status_key(*status), 1);
+        self.recorder.histogram(endpoint.latency_key()).observe(ns);
+        let extra = trace_headers(span);
+        if respond_full(stream, *status, body, *degraded, 1, content_type, &extra).is_err() {
+            self.recorder.add("http.write_errors", 1);
         }
     }
 }
@@ -198,11 +227,11 @@ pub(crate) fn run<S: Service>(
         match listener.accept() {
             Ok(conn) if shutdown.is_requested() => late = Some(conn),
             Ok((stream, _)) => {
-                http.recorder.add_named("http.connections", 1);
+                http.recorder.add("http.connections", 1);
                 if gsb_core::failpoint::inject("serve.accept").is_err() {
                     // Injected accept-path fault: account and drop,
                     // exactly like a socket that died post-accept.
-                    http.recorder.add_named("http.accept_errors", 1);
+                    http.recorder.add("http.accept_errors", 1);
                     continue;
                 }
                 let _ = stream.set_read_timeout(Some(http.config.deadline));
@@ -224,7 +253,7 @@ pub(crate) fn run<S: Service>(
             Err(_) => {
                 // EMFILE and friends persist: back off instead of
                 // spinning on a blocking accept that fails at once.
-                http.recorder.add_named("http.accept_errors", 1);
+                http.recorder.add("http.accept_errors", 1);
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
@@ -245,7 +274,7 @@ pub(crate) fn run<S: Service>(
         if Some(peer) == waker {
             continue;
         }
-        http.recorder.add_named("http.connections", 1);
+        http.recorder.add("http.connections", 1);
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(INLINE_WRITE_BUDGET));
         http.shed(
@@ -282,8 +311,8 @@ fn worker_loop<S: Service>(rx: &Mutex<mpsc::Receiver<(TcpStream, Instant)>>, ser
         if outcome.is_err() {
             // The worker survives a panicking request; the client gets
             // a typed 500 instead of a dead socket.
-            http.recorder.add_named("http.worker_panics", 1);
-            http.recorder.add_named(status_key(500), 1);
+            http.recorder.add("http.worker_panics", 1);
+            http.recorder.add(status_key(500), 1);
             let body = "{\"error\":\"internal error answering this request\"}";
             let _ = respond_full(&mut stream, 500, body, 0, 1, CONTENT_TYPE_JSON, &[]);
         }
@@ -330,11 +359,11 @@ fn serve_connection<S: Service>(service: &S, stream: &mut TcpStream, accepted_at
             return;
         };
         if used == buf.len() {
-            http.recorder.add_named("http.bad_request.requests", 1);
-            http.recorder.add_named(status_key(431), 1);
+            http.recorder.add("http.bad_request.requests", 1);
+            http.recorder.add(status_key(431), 1);
             let body = "{\"error\":\"request header too large\"}";
             if respond_full(stream, 431, body, 0, 1, CONTENT_TYPE_JSON, &[]).is_err() {
-                http.recorder.add_named("http.write_errors", 1);
+                http.recorder.add("http.write_errors", 1);
             }
             span.stage("parse");
             service.answered_early(&span, "bad_request", 431, "header_too_large");
@@ -360,7 +389,7 @@ fn serve_connection<S: Service>(service: &S, stream: &mut TcpStream, accepted_at
             }
             Err(_) => {
                 // Connection reset or similar: nothing to answer.
-                http.recorder.add_named("http.read_errors", 1);
+                http.recorder.add("http.read_errors", 1);
                 return;
             }
         }
@@ -428,46 +457,133 @@ pub(crate) fn write_metrics(path: Option<&Path>, json: &str) -> std::io::Result<
     RetryPolicy::default().run_io(|| write_atomic(path, |w| w.write_all(json.as_bytes())))
 }
 
-/// Per-status response counters, for the `*_responses_total`
-/// Prometheus families.
-pub(crate) fn status_key(status: u16) -> &'static str {
-    match status {
-        200 => "http.status.200",
-        400 => "http.status.400",
-        404 => "http.status.404",
-        405 => "http.status.405",
-        408 => "http.status.408",
-        429 => "http.status.429",
-        431 => "http.status.431",
-        500 => "http.status.500",
-        503 => "http.status.503",
-        _ => "http.status.other",
-    }
-}
-
-/// Statuses with a dedicated counter, in exposition order.
-pub(crate) const STATUS_LABELS: [(&str, u16); 9] = [
-    ("200", 200),
-    ("400", 400),
-    ("404", 404),
-    ("405", 405),
-    ("408", 408),
-    ("429", 429),
-    ("431", 431),
-    ("500", 500),
-    ("503", 503),
+/// Statuses with their own response counter, in exposition order: the
+/// code, the recorder key (its last part is the `status` label) and the
+/// reason phrase. Any other status counts as `http.status.other`.
+pub(crate) const STATUSES: [(u16, &str, &str); 9] = [
+    (200, "http.status.200", "OK"),
+    (400, "http.status.400", "Bad Request"),
+    (404, "http.status.404", "Not Found"),
+    (405, "http.status.405", "Method Not Allowed"),
+    (408, "http.status.408", "Request Timeout"),
+    (429, "http.status.429", "Too Many Requests"),
+    (431, "http.status.431", "Request Header Fields Too Large"),
+    (500, "http.status.500", "Internal Server Error"),
+    (503, "http.status.503", "Service Unavailable"),
 ];
 
-/// Trait bridge: `AtomicRecorder::add` takes `&'static str`; this
-/// helper keeps call sites tidy.
-pub(crate) trait AddNamed {
-    fn add_named(&self, key: &'static str, delta: u64);
+/// The response counter of `status`, for the `*_responses_total`
+/// Prometheus families.
+pub(crate) fn status_key(status: u16) -> &'static str {
+    STATUSES
+        .iter()
+        .find(|s| s.0 == status)
+        .map_or("http.status.other", |s| s.1)
 }
 
-impl AddNamed for AtomicRecorder {
-    fn add_named(&self, key: &'static str, delta: u64) {
-        self.counter(key).add(delta);
+/// A rendered response: status, body, `X-Gsb-Degraded` count and
+/// content type.
+pub(crate) type Reply = (u16, String, u64, &'static str);
+
+/// Requests answered with a routed response, all endpoints.
+pub(crate) fn total_requests(recorder: &AtomicRecorder) -> u64 {
+    Endpoint::ALL
+        .iter()
+        .map(|ep| recorder.counter(ep.requests_key()).get())
+        .sum()
+}
+
+/// The core's plain counters: family name suffix, recorder key, help.
+pub(crate) const CORE_COUNTERS: [(&str, &str, &str); 5] = [
+    (
+        "connections_total",
+        "http.connections",
+        "TCP connections accepted (shed ones too).",
+    ),
+    (
+        "worker_panics_total",
+        "http.worker_panics",
+        "Handlers that panicked (answered 500).",
+    ),
+    (
+        "read_errors_total",
+        "http.read_errors",
+        "Connections lost reading the request.",
+    ),
+    (
+        "write_errors_total",
+        "http.write_errors",
+        "Responses that failed to write.",
+    ),
+    (
+        "accept_errors_total",
+        "http.accept_errors",
+        "Accept-path failures.",
+    ),
+];
+
+/// One unlabelled counter family per `(name suffix, recorder key,
+/// help)` row, named under `prefix`.
+pub(crate) fn write_counters(
+    w: &mut PromWriter,
+    r: &AtomicRecorder,
+    prefix: &str,
+    counters: &[(&str, &'static str, &str)],
+) {
+    for &(suffix, key, help) in counters {
+        let family = w.family(&format!("{prefix}_{suffix}"), PromKind::Counter, help);
+        w.sample(&family, &[], r.counter(key).get());
     }
+}
+
+/// Write the core's metric families under `prefix` (`gsb_http` for the
+/// server, `gsb_router` for the router): requests and latency by
+/// endpoint, responses by status, the admission-queue depth, and
+/// [`CORE_COUNTERS`].
+pub(crate) fn write_core_families(w: &mut PromWriter, r: &AtomicRecorder, prefix: &str) {
+    let requests = w.family(
+        &format!("{prefix}_requests_total"),
+        PromKind::Counter,
+        "Requests answered, by endpoint.",
+    );
+    for ep in Endpoint::ALL {
+        let value = r.counter(ep.requests_key()).get();
+        w.sample(&requests, &[("endpoint", ep.name())], value);
+    }
+    let duration = w.family(
+        &format!("{prefix}_request_duration_ns"),
+        PromKind::Histogram,
+        "Request handling latency in nanoseconds (log2 buckets), by endpoint.",
+    );
+    for ep in Endpoint::ALL {
+        let h = r.histogram(ep.latency_key());
+        let labels = [("endpoint", ep.name())];
+        w.histogram(
+            &duration,
+            &labels,
+            &h.cumulative_buckets(),
+            h.sum(),
+            h.count(),
+        );
+    }
+    let status = w.family(
+        &format!("{prefix}_responses_total"),
+        PromKind::Counter,
+        "Responses written, by HTTP status.",
+    );
+    for (_, key, _) in STATUSES {
+        let label = key.trim_start_matches("http.status.");
+        w.sample(&status, &[("status", label)], r.counter(key).get());
+    }
+    let other = r.counter("http.status.other").get();
+    w.sample(&status, &[("status", "other")], other);
+    let depth = w.family(
+        &format!("{prefix}_queue_depth"),
+        PromKind::Gauge,
+        "Connections currently waiting in the admission queue.",
+    );
+    w.sample(&depth, &[], r.gauge("http.queue_depth").get());
+    write_counters(w, r, prefix, &CORE_COUNTERS);
 }
 
 /// Read the request head into `buf` for at most 50 ms in total,
@@ -537,17 +653,10 @@ pub(crate) fn respond_full(
     extra: &[(&'static str, String)],
 ) -> std::io::Result<()> {
     gsb_core::failpoint::inject("serve.respond")?;
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
+    let reason = STATUSES
+        .iter()
+        .find(|s| s.0 == status)
+        .map_or("Internal Server Error", |s| s.2);
     let retry_after = if status >= 400 {
         format!("Retry-After: {}\r\n", retry_after_secs.clamp(1, 8))
     } else {
@@ -618,7 +727,7 @@ mod tests {
     #[test]
     fn status_keys_are_distinct_per_status() {
         let mut seen = std::collections::BTreeSet::new();
-        for (_, code) in STATUS_LABELS {
+        for (code, _, _) in STATUSES {
             assert!(seen.insert(status_key(code)), "duplicate for {code}");
         }
         assert_eq!(status_key(418), "http.status.other");

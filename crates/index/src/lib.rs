@@ -23,9 +23,12 @@
 //!   answering JSON queries, with per-endpoint latency histograms from
 //!   `gsb_telemetry`, graceful SIGINT/SIGTERM drain via
 //!   [`gsb_core::ShutdownToken`], and a per-connection deadline.
-//!   [`router`] (`gsb router`) fronts replicated shards of it; both
+//!   [`router`] (`gsb router`) fronts replicated shards of it. Both
 //!   run on one crate-private HTTP core (accept, admission queue,
-//!   workers, header reader, drain).
+//!   workers, header reader, drain, the HTTP metric families) and
+//!   speak one crate-private query API (routes, endpoint list, answer
+//!   bodies and the rule that merges shard answers), so a healthy
+//!   routed answer is byte-identical to one server's.
 //!
 //! ## Why the size order matters
 //!
@@ -40,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod api;
 pub mod compact;
 pub mod format;
 mod http;

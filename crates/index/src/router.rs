@@ -13,7 +13,8 @@
 //!   `containing`/`overlap` scatter-gather across every shard;
 //!   `of_size` goes only to the shards whose size coverage intersects
 //!   the query; `get` goes to the owning shard (global id − `id_lo`);
-//!   `max` goes to the last shard (largest sizes sort last).
+//!   `max` goes to the first shard whose sizes reach the top size,
+//!   where the top size run starts.
 //! * **Circuit breakers.** Every backend carries a closed → open →
 //!   half-open breaker driven by *passive* failure accounting on the
 //!   request path and *active* `GET /ready` probes (a draining backend
@@ -40,6 +41,13 @@
 //!   pass through). Only when *no* shard has a live replica does the
 //!   router answer a typed 503.
 //!
+//! * **One server's answers.** The router speaks the same query API as
+//!   `gsb serve` (`api.rs`): it reads each shard's list and `/get`
+//!   bodies back into the API's types, merges lists by its one rule and
+//!   renders them with the same code. A healthy tier therefore answers
+//!   every query with the bytes one server over the unsplit index
+//!   would; `tests/router_equivalence.rs` pins that.
+//!
 //! The front runs on the same HTTP core as `gsb serve` (`http.rs`):
 //! blocking accept with a shutdown waker, bounded admission queue,
 //! request-deadline budget from accept, worker panic containment, and
@@ -62,18 +70,17 @@
 //! exit when the router does. Beyond the HTTP core's workers and
 //! shutdown waker, the router starts only these and its prober.
 
+use crate::api::{missing_field, parse_clique, parse_route, Answer, ListAnswer, ListQuery, Route};
 use crate::http::{
-    respond_full, status_key, trace_headers, AddNamed, Http, HttpConfig, Service,
-    CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, STATUS_LABELS,
-};
-use crate::server::{
-    latency_key, parse_route, record_answer, requests_key, total_requests, Route, ENDPOINTS,
+    total_requests, write_core_families, write_counters, Http, HttpConfig, Reply, Service,
+    CONTENT_TYPE_JSON, CONTENT_TYPE_PROM,
 };
 use gsb_core::{RetryPolicy, ShutdownToken, StoreError};
 use gsb_rng::SplitMix64;
-use gsb_telemetry::json::{parse as json_parse, JsonValue};
+use gsb_telemetry::json::parse as json_parse;
 use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::SpanRecorder;
+use gsb_telemetry::Recorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -150,8 +157,18 @@ impl Topology {
                             context: "topology file: shard ordinal",
                         })?);
                     }
-                    "ids" => ids = Some(parse_range_u64(value)?),
-                    "sizes" => sizes = Some(parse_range_u32(value)?),
+                    "ids" => {
+                        ids = Some(parse_range(
+                            value,
+                            "topology file: malformed id range (want lo..hi)",
+                        )?)
+                    }
+                    "sizes" => {
+                        sizes = Some(parse_range(
+                            value,
+                            "topology file: malformed size range (want lo..hi)",
+                        )?)
+                    }
                     "replicas" => {
                         for addr in value.split(',').filter(|a| !a.is_empty()) {
                             addr.parse::<SocketAddr>().map_err(|_| StoreError::Codec {
@@ -253,21 +270,12 @@ impl Topology {
     }
 }
 
-fn parse_range_u64(value: &str) -> Result<(u64, u64), StoreError> {
-    let err = || StoreError::Codec {
-        context: "topology file: malformed id range (want lo..hi)",
-    };
-    let (lo, hi) = value.split_once("..").ok_or_else(err)?;
-    Ok((
-        lo.parse().map_err(|_| err())?,
-        hi.parse().map_err(|_| err())?,
-    ))
-}
-
-fn parse_range_u32(value: &str) -> Result<(u32, u32), StoreError> {
-    let err = || StoreError::Codec {
-        context: "topology file: malformed size range (want lo..hi)",
-    };
+/// A `lo..hi` range; `what` names it in the error.
+fn parse_range<T: std::str::FromStr>(
+    value: &str,
+    what: &'static str,
+) -> Result<(T, T), StoreError> {
+    let err = || StoreError::Codec { context: what };
     let (lo, hi) = value.split_once("..").ok_or_else(err)?;
     Ok((
         lo.parse().map_err(|_| err())?,
@@ -661,25 +669,16 @@ impl Service for RouterState {
         accepted_at: Instant,
         mut span: SpanRecorder,
     ) {
-        let recorder = &self.http.recorder;
         let (route, limit) = parse_route(head.lines().next().unwrap_or(""));
         let started = Instant::now();
-        let (status, body, degraded, content_type) =
-            dispatch(self, &route, limit, accepted_at, span.trace_id());
+        let reply = dispatch(self, &route, limit, accepted_at, span.trace_id());
         span.stage("gather");
-        record_answer(
-            recorder,
-            route.endpoint(),
-            status,
-            started.elapsed().as_nanos() as u64,
-        );
-        if degraded > 0 {
-            recorder.add_named("router.degraded_answers", 1);
+        if reply.2 > 0 {
+            self.http.recorder.add("router.degraded_answers", 1);
         }
-        let extra = trace_headers(&span);
-        if respond_full(stream, status, &body, degraded, 1, content_type, &extra).is_err() {
-            recorder.add_named("http.write_errors", 1);
-        }
+        let ns = started.elapsed().as_nanos() as u64;
+        self.http
+            .answered(stream, route.endpoint(), &reply, ns, &span);
     }
 
     fn overloaded(&self, stream: &mut TcpStream) {
@@ -762,12 +761,11 @@ fn probe_loop(state: &RouterState, shutdown: &ShutdownToken) {
         let timeout = state.config.probe_interval.min(Duration::from_millis(250));
         for shard in &state.backends {
             for backend in shard {
-                match backend_fetch(backend, "/ready", "", 0, timeout) {
-                    Ok(resp) if resp.status == 200 => backend.on_success(),
-                    _ => {
-                        backend.probe_failures_total.fetch_add(1, Ordering::Relaxed);
-                        backend.on_failure(state.config.breaker_failures);
-                    }
+                if ready(backend, timeout) {
+                    backend.on_success();
+                } else {
+                    backend.probe_failures_total.fetch_add(1, Ordering::Relaxed);
+                    backend.on_failure(state.config.breaker_failures);
                 }
             }
         }
@@ -780,22 +778,16 @@ struct BackendResponse {
     body: String,
 }
 
-/// One HTTP GET against a backend, bounded by `timeout` end to end.
-/// `deadline_ms` > 0 is propagated as `X-Gsb-Deadline-Ms`.
-fn backend_fetch(
-    backend: &Backend,
-    path: &str,
-    trace: &str,
-    deadline_ms: u64,
-    timeout: Duration,
-) -> Result<BackendResponse, &'static str> {
+/// One `GET /ready` against a backend, bounded by `timeout` end to
+/// end: does it answer 200?
+fn ready(backend: &Backend, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
-    let mut stream = backend_send(backend, path, trace, deadline_ms, deadline)?;
+    let Ok(mut stream) = backend_send(backend, "/ready", "", 0, deadline) else {
+        return false;
+    };
     let mut raw = Vec::new();
-    if !read_until(&mut stream, &mut raw, deadline)? {
-        return Err("backend try timed out");
-    }
-    parse_response(&raw)
+    read_until(&mut stream, &mut raw, deadline) == Ok(true)
+        && parse_response(&raw).is_ok_and(|r| r.status == 200)
 }
 
 /// Connect to a backend and send it a GET for `path`, both before
@@ -1061,11 +1053,11 @@ fn shard_request(
         {
             state.latency[shard].record(elapsed.as_nanos() as u64);
             if hedged {
-                state.http.recorder.add_named("router.hedge_wins", 1);
+                state.http.recorder.add("router.hedge_wins", 1);
             }
             return Some(resp);
         }
-        state.http.recorder.add_named("router.retries", 1);
+        state.http.recorder.add("router.retries", 1);
         // Jittered exponential backoff before the next replica, capped
         // so the sleep cannot eat the remaining deadline.
         let backoff = {
@@ -1103,7 +1095,7 @@ fn race(
     state.threads.run(move || {
         let _ = to_race.send(primary.finish(threshold));
     });
-    state.http.recorder.add_named("router.hedges", 1);
+    state.http.recorder.add("router.hedges", 1);
     let (path, trace) = (path.to_string(), trace.to_string());
     state.threads.run(move || {
         let hedge = Try::start(candidate, true, &path, &trace, budget);
@@ -1122,13 +1114,13 @@ fn race(
     None
 }
 
-/// Scatter `path(shard)` to every shard in `shards` concurrently: the
+/// Scatter `path` to every shard in `shards` concurrently: the
 /// first on this thread, the rest on reused threads. Returns per-shard
 /// answers in input order (`None` = shard down).
 fn scatter(
     state: &RouterState,
     shards: &[usize],
-    path: &dyn Fn(usize) -> String,
+    path: &str,
     accepted: Instant,
     trace: &str,
 ) -> Vec<(usize, Option<BackendResponse>)> {
@@ -1142,14 +1134,14 @@ fn scatter(
     let (tx, rx) = mpsc::channel();
     for (i, &shard) in shards.iter().enumerate().skip(1) {
         let (state, tx) = (Arc::clone(&me), tx.clone());
-        let (path, trace) = (path(shard), trace.to_string());
+        let (path, trace) = (path.to_string(), trace.to_string());
         me.threads.run(move || {
             let answer = shard_request(&state, shard, &path, accepted, &trace);
             let _ = tx.send((i, (shard, answer)));
         });
     }
     drop(tx);
-    let answer = shard_request(state, first, &path(first), accepted, trace);
+    let answer = shard_request(state, first, path, accepted, trace);
     let mut answers = vec![(0, (first, answer))];
     answers.extend(rx);
     // A panicking shard request drops its sender unsent; panicking here
@@ -1163,82 +1155,21 @@ fn scatter(
     answers.into_iter().map(|(_, answer)| answer).collect()
 }
 
-/// Parsed fields of one backend list answer (`containing`/`overlap`/
-/// `size`), with ids translated back into the global space.
-#[derive(Default)]
-struct Gathered {
-    count: u64,
-    ids: Vec<u64>,
-    cliques: Vec<String>,
-    degraded: u64,
-    first_id: Option<u64>,
-}
-
-/// Merge one backend body into the gather, offsetting ids by the
-/// shard's `id_lo`. Unparseable bodies count as a degraded shard
-/// (the router never panics on backend bytes).
-fn gather_list_body(g: &mut Gathered, body: &str, id_lo: u64) -> Result<(), ()> {
-    let parsed = json_parse(body).map_err(|_| ())?;
-    g.count += parsed.u64_or_zero("count");
-    for id in parsed.u64_array("ids") {
-        g.ids.push(id + id_lo);
-    }
-    if let Some(cliques) = parsed.get("cliques").and_then(JsonValue::as_array) {
-        for c in cliques {
-            g.cliques.push(render_clique(c));
-        }
-    }
-    g.degraded += parsed.u64_or_zero("degraded");
-    if let Some(first) = parsed.get("first_id").and_then(JsonValue::as_u64) {
-        let global = first + id_lo;
-        g.first_id = Some(g.first_id.map_or(global, |f: u64| f.min(global)));
-    }
-    Ok(())
-}
-
-/// Re-render one clique (a JSON array of vertex ids) compactly.
-fn render_clique(c: &JsonValue) -> String {
-    let items: Vec<String> = c
-        .as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|v| v.as_u64())
-        .map(|v| v.to_string())
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The `"missing_shards":[..]` suffix (empty string when none, so
-/// healthy answers are byte-identical to a single-server tier).
-fn missing_field(missing: &[usize]) -> String {
-    if missing.is_empty() {
-        String::new()
-    } else {
-        let items: Vec<String> = missing.iter().map(usize::to_string).collect();
-        format!(",\"missing_shards\":[{}]", items.join(","))
-    }
-}
-
-fn degraded_suffix(degraded: u64) -> String {
-    if degraded == 0 {
-        String::new()
-    } else {
-        format!(",\"degraded\":{degraded}")
-    }
-}
-
 /// Route one parsed request. Returns status, body, the degraded count
 /// for the `X-Gsb-Degraded` header (missing shards + ids skipped by
-/// backend quarantine), and the content type.
+/// backend quarantine), and the content type. Query answers are read
+/// back into the API's types and rendered by the same code as one
+/// server's, so a healthy tier answers byte-identically.
 fn dispatch(
     state: &RouterState,
     route: &Route,
     limit: usize,
     accepted: Instant,
     trace: &str,
-) -> (u16, String, u64, &'static str) {
+) -> Reply {
     let json = CONTENT_TYPE_JSON;
-    let all_shards: Vec<usize> = (0..state.topology.shards.len()).collect();
+    let shards = &state.topology.shards;
+    let all_shards: Vec<usize> = (0..shards.len()).collect();
     match route {
         Route::Health => (
             200,
@@ -1249,13 +1180,13 @@ fn dispatch(
         Route::Ready => {
             let draining = state.http.draining();
             let live = live_shards(state);
-            let ready = !draining && live == state.topology.shards.len();
+            let ready = !draining && live == shards.len();
             let status = if ready { 200 } else { 503 };
             (
                 status,
                 format!(
                     "{{\"ready\":{ready},\"draining\":{draining},\"shards\":{},\"live_shards\":{live}}}",
-                    state.topology.shards.len()
+                    shards.len()
                 ),
                 0,
                 json,
@@ -1264,24 +1195,23 @@ fn dispatch(
         Route::Metrics => (200, render_router_promtext(state), 0, CONTENT_TYPE_PROM),
         Route::MetricsJson => (200, render_router_metrics_json(state), 0, json),
         Route::Stats => {
-            let answers = scatter(state, &all_shards, &|_| "/stats".into(), accepted, trace);
+            let answers = scatter(state, &all_shards, "/stats", accepted, trace);
             let mut missing = Vec::new();
             let (mut n, mut cliques, mut max_clique) = (0u64, 0u64, 0u64);
-            for (shard, resp) in &answers {
-                match resp {
-                    Some(r) if r.status == 200 => {
-                        if let Ok(parsed) = json_parse(&r.body) {
-                            n = n.max(parsed.u64_or_zero("n"));
-                            cliques += parsed.u64_or_zero("cliques");
-                            max_clique = max_clique.max(parsed.u64_or_zero("max_clique"));
-                        } else {
-                            missing.push(*shard);
-                        }
+            for (shard, resp) in answers {
+                match resp
+                    .filter(|r| r.status == 200)
+                    .map(|r| json_parse(&r.body))
+                {
+                    Some(Ok(parsed)) => {
+                        n = n.max(parsed.u64_or_zero("n"));
+                        cliques += parsed.u64_or_zero("cliques");
+                        max_clique = max_clique.max(parsed.u64_or_zero("max_clique"));
                     }
-                    _ => missing.push(*shard),
+                    _ => missing.push(shard),
                 }
             }
-            if missing.len() == answers.len() {
+            if missing.len() == all_shards.len() {
                 return all_down(&missing);
             }
             let degraded = missing.len() as u64;
@@ -1289,7 +1219,7 @@ fn dispatch(
                 200,
                 format!(
                     "{{\"role\":\"router\",\"shards\":{},\"n\":{n},\"cliques\":{cliques},\"max_clique\":{max_clique}{}}}",
-                    state.topology.shards.len(),
+                    shards.len(),
                     missing_field(&missing)
                 ),
                 degraded,
@@ -1298,46 +1228,32 @@ fn dispatch(
         }
         Route::Get(gid) => {
             let Some(shard) = state.topology.owner_of(*gid) else {
-                return (
-                    404,
-                    format!("{{\"error\":\"no clique with id {gid}\"}}"),
-                    0,
-                    json,
-                );
+                return Answer::no_clique(*gid).reply();
             };
-            let local = gid - state.topology.shards[shard].id_lo;
+            let local = gid - shards[shard].id_lo;
             match shard_request(state, shard, &format!("/get/{local}"), accepted, trace) {
-                Some(r) if r.status == 200 => {
-                    // Rewrite the backend's local id to the global one.
-                    let clique = json_parse(&r.body)
-                        .ok()
-                        .and_then(|p| p.get("clique").map(render_clique));
-                    match clique {
-                        Some(c) => {
-                            let size = c.matches(',').count() + usize::from(c != "[]");
-                            (
-                                200,
-                                format!("{{\"id\":{gid},\"size\":{size},\"clique\":{c}}}"),
-                                0,
-                                json,
-                            )
-                        }
-                        None => (
-                            502,
-                            "{\"error\":\"unparseable backend answer\"}".into(),
-                            0,
-                            json,
-                        ),
-                    }
-                }
+                // Answer with the global id, not the shard's local one.
+                Some(r) if r.status == 200 => match parse_clique(&r.body) {
+                    Some(clique) => Answer::Clique { id: *gid, clique }.reply(),
+                    None => (
+                        502,
+                        "{\"error\":\"unparseable backend answer\"}".into(),
+                        0,
+                        json,
+                    ),
+                },
                 Some(r) => (r.status, r.body, 0, json),
                 None => shard_down(shard),
             }
         }
         Route::Max => {
-            // Enumeration order is size order: the global maximum
-            // clique lives in the last shard.
-            let shard = state.topology.shards.len() - 1;
+            // Ids ascend in size order, so the top size run starts in
+            // the first shard that reaches the top size. Its first
+            // clique is the lexicographically first maximum clique,
+            // the one a single server answers. A `/max` body holds no
+            // id, so the shard's body passes through.
+            let top = shards.last().map_or(0, |s| s.size_hi);
+            let shard = state.topology.shards_for_sizes(top, top)[0];
             match shard_request(state, shard, "/max", accepted, trace) {
                 Some(r) => (r.status, r.body, 0, json),
                 None => shard_down(shard),
@@ -1346,110 +1262,63 @@ fn dispatch(
         Route::Containing(v) => scatter_list(
             state,
             &all_shards,
-            &|_| format!("/containing/{v}?limit={limit}"),
-            &|g, missing| {
-                format!(
-                    "{{\"vertex\":{v},\"count\":{},\"ids\":{},\"cliques\":[{}]{}{}}}",
-                    g.count,
-                    render_ids(&g.ids, limit),
-                    g.cliques[..g.cliques.len().min(limit)].join(","),
-                    degraded_suffix(g.degraded),
-                    missing_field(missing),
-                )
-            },
+            ListQuery::Containing(*v),
+            limit,
             accepted,
             trace,
         ),
         Route::Overlap(v, w) => scatter_list(
             state,
             &all_shards,
-            &|_| format!("/overlap/{v}/{w}?limit={limit}"),
-            &|g, missing| {
-                format!(
-                    "{{\"v\":{v},\"w\":{w},\"count\":{},\"ids\":{},\"cliques\":[{}]{}{}}}",
-                    g.count,
-                    render_ids(&g.ids, limit),
-                    g.cliques[..g.cliques.len().min(limit)].join(","),
-                    degraded_suffix(g.degraded),
-                    missing_field(missing),
-                )
-            },
+            ListQuery::Overlap(*v, *w),
+            limit,
             accepted,
             trace,
         ),
         Route::Size(lo, hi) => {
-            let shards = state.topology.shards_for_sizes(*lo, *hi);
-            if shards.is_empty() {
-                return (
-                    200,
-                    format!("{{\"min\":{lo},\"max\":{hi},\"count\":0,\"cliques\":[]}}"),
-                    0,
-                    json,
-                );
-            }
+            let covering = state.topology.shards_for_sizes(*lo, *hi);
             scatter_list(
                 state,
-                &shards,
-                &|_| format!("/size/{lo}/{hi}?limit={limit}"),
-                &|g, missing| {
-                    format!(
-                        "{{\"min\":{lo},\"max\":{hi},\"count\":{},\"first_id\":{},\"cliques\":[{}]{}{}}}",
-                        g.count,
-                        g.first_id.unwrap_or(0),
-                        g.cliques[..g.cliques.len().min(limit)].join(","),
-                        degraded_suffix(g.degraded),
-                        missing_field(missing),
-                    )
-                },
+                &covering,
+                ListQuery::Size(*lo, *hi),
+                limit,
                 accepted,
                 trace,
             )
         }
-        Route::NotFound => (404, "{\"error\":\"no such endpoint\"}".into(), 0, json),
-        Route::MethodNotAllowed => (405, "{\"error\":\"only GET is supported\"}".into(), 0, json),
-        Route::Bad(message) => (400, format!("{{\"error\":\"{message}\"}}"), 0, json),
+        Route::NotFound | Route::MethodNotAllowed | Route::Bad(_) => route.error().reply(),
     }
 }
 
-/// Scatter a list query and merge: surviving shards answer, missing
-/// shards are reported in `missing_shards` + `X-Gsb-Degraded`. Only
-/// all-shards-down yields a (typed) 503.
+/// Scatter a list query to `shards` and merge the answers by the API's
+/// rule ([`ListAnswer::absorb`]). Missing shards are reported in
+/// `missing_shards` + `X-Gsb-Degraded`; only all-shards-down yields a
+/// (typed) 503. No shard at all (a size range none covers) answers
+/// what one server answers: nothing.
 fn scatter_list(
     state: &RouterState,
     shards: &[usize],
-    path: &dyn Fn(usize) -> String,
-    render: &dyn Fn(&Gathered, &[usize]) -> String,
+    query: ListQuery,
+    limit: usize,
     accepted: Instant,
     trace: &str,
-) -> (u16, String, u64, &'static str) {
-    let answers = scatter(state, shards, path, accepted, trace);
-    let mut g = Gathered::default();
+) -> Reply {
+    let answers = scatter(state, shards, &query.path(limit), accepted, trace);
+    let mut merged = ListAnswer::default();
     let mut missing = Vec::new();
-    for (shard, resp) in &answers {
-        match resp {
-            Some(r) if r.status == 200 => {
-                if gather_list_body(&mut g, &r.body, state.topology.shards[*shard].id_lo).is_err() {
-                    missing.push(*shard);
-                }
-            }
-            _ => missing.push(*shard),
+    for (shard, resp) in answers {
+        match resp
+            .filter(|r| r.status == 200)
+            .and_then(|r| ListAnswer::parse(&r.body))
+        {
+            Some(part) => merged.absorb(part, state.topology.shards[shard].id_lo),
+            None => missing.push(shard),
         }
     }
-    if missing.len() == answers.len() {
+    if !shards.is_empty() && missing.len() == shards.len() {
         return all_down(&missing);
     }
-    g.ids.sort_unstable();
-    let degraded = g.degraded + missing.len() as u64;
-    let body = render(&g, &missing);
-    (200, body, degraded, CONTENT_TYPE_JSON)
-}
-
-fn render_ids(ids: &[u64], limit: usize) -> String {
-    let items: Vec<String> = ids[..ids.len().min(limit)]
-        .iter()
-        .map(u64::to_string)
-        .collect();
-    format!("[{}]", items.join(","))
+    merged.finish(query, limit, missing).reply()
 }
 
 /// Shards with at least one replica whose breaker is not open.
@@ -1463,7 +1332,7 @@ fn live_shards(state: &RouterState) -> usize {
 
 /// A single-shard route found its shard down: typed 503, never a
 /// blind 500. `missing_shards` names the culprit.
-fn shard_down(shard: usize) -> (u16, String, u64, &'static str) {
+fn shard_down(shard: usize) -> Reply {
     (
         503,
         format!("{{\"error\":\"no live replica for shard {shard}\",\"missing_shards\":[{shard}]}}"),
@@ -1473,7 +1342,7 @@ fn shard_down(shard: usize) -> (u16, String, u64, &'static str) {
 }
 
 /// Every queried shard is down: typed 503 with the full missing list.
-fn all_down(missing: &[usize]) -> (u16, String, u64, &'static str) {
+fn all_down(missing: &[usize]) -> Reply {
     (
         503,
         format!(
@@ -1485,48 +1354,43 @@ fn all_down(missing: &[usize]) -> (u16, String, u64, &'static str) {
     )
 }
 
+/// The router's own plain counters: family name suffix, recorder key,
+/// help.
+const ROUTER_COUNTERS: [(&str, &str, &str); 5] = [
+    (
+        "retries_total",
+        "router.retries",
+        "Failed backend tries retried on another replica.",
+    ),
+    (
+        "hedges_total",
+        "router.hedges",
+        "Hedged second tries launched.",
+    ),
+    (
+        "hedge_wins_total",
+        "router.hedge_wins",
+        "Hedged tries that answered first.",
+    ),
+    (
+        "degraded_answers_total",
+        "router.degraded_answers",
+        "Answers missing a shard or degraded.",
+    ),
+    (
+        "shed_requests_total",
+        "http.shed_total",
+        "Client connections shed by admission control.",
+    ),
+];
+
 /// Prometheus text for the router: per-endpoint traffic plus the
 /// robustness internals — per-backend breaker state, failure and probe
 /// counters, hedge/retry/degradation totals.
 fn render_router_promtext(state: &RouterState) -> String {
     let r = &state.http.recorder;
     let mut w = PromWriter::new();
-
-    let req = w.family(
-        "gsb_router_requests_total",
-        PromKind::Counter,
-        "Routed client requests, by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        w.sample(&req, &[("endpoint", ep)], r.counter(requests_key(ep)).get());
-    }
-    let dur = w.family(
-        "gsb_router_request_duration_ns",
-        PromKind::Histogram,
-        "Client request latency in nanoseconds (log2 buckets), by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        let h = r.histogram(latency_key(ep));
-        w.histogram(
-            &dur,
-            &[("endpoint", ep)],
-            &h.cumulative_buckets(),
-            h.sum(),
-            h.count(),
-        );
-    }
-    let status = w.family(
-        "gsb_router_responses_total",
-        PromKind::Counter,
-        "Responses written, by HTTP status.",
-    );
-    for (label, code) in STATUS_LABELS {
-        w.sample(
-            &status,
-            &[("status", label)],
-            r.counter(status_key(code)).get(),
-        );
-    }
+    write_core_families(&mut w, r, "gsb_router");
 
     let bstate = w.family(
         "gsb_router_backend_state",
@@ -1576,67 +1440,7 @@ fn render_router_promtext(state: &RouterState) -> String {
         );
     }
 
-    for (name, key, help) in [
-        (
-            "gsb_router_retries_total",
-            "router.retries",
-            "Backend tries that failed and were retried on another replica.",
-        ),
-        (
-            "gsb_router_hedges_total",
-            "router.hedges",
-            "Hedged second tries launched past the hedge latency percentile.",
-        ),
-        (
-            "gsb_router_hedge_wins_total",
-            "router.hedge_wins",
-            "Hedged tries that answered first.",
-        ),
-        (
-            "gsb_router_degraded_answers_total",
-            "router.degraded_answers",
-            "Answers missing at least one shard or passing through backend degradation.",
-        ),
-        (
-            "gsb_router_connections_total",
-            "http.connections",
-            "Client TCP connections accepted (including shed ones).",
-        ),
-        (
-            "gsb_router_worker_panics_total",
-            "http.worker_panics",
-            "Request handlers that panicked (contained, answered 500).",
-        ),
-        (
-            "gsb_router_shed_requests_total",
-            "http.shed_total",
-            "Client connections shed by admission control.",
-        ),
-        (
-            "gsb_router_read_errors_total",
-            "http.read_errors",
-            "Client connections lost while reading the request.",
-        ),
-        (
-            "gsb_router_write_errors_total",
-            "http.write_errors",
-            "Responses that failed to write.",
-        ),
-        (
-            "gsb_router_accept_errors_total",
-            "http.accept_errors",
-            "Accept-path failures.",
-        ),
-    ] {
-        let fam = w.family(name, PromKind::Counter, help);
-        w.sample(&fam, &[], r.counter(key).get());
-    }
-    let depth = w.family(
-        "gsb_router_queue_depth",
-        PromKind::Gauge,
-        "Client connections currently waiting in the admission queue.",
-    );
-    w.sample(&depth, &[], r.gauge("http.queue_depth").get());
+    write_counters(&mut w, r, "gsb_router", &ROUTER_COUNTERS);
     let uptime = w.family(
         "gsb_router_uptime_seconds",
         PromKind::Gauge,
@@ -1854,13 +1658,12 @@ mod tests {
             }],
         };
         let state = RouterState::new(topology, RouterConfig::default());
-        let path = |_: usize| "/stats".to_string();
         let scattered = catch_unwind(AssertUnwindSafe(|| {
-            scatter(&state, &[0, 1], &path, Instant::now(), "")
+            scatter(&state, &[0, 1], "/stats", Instant::now(), "")
         }));
         assert!(scattered.is_err(), "the shard's panic was swallowed");
         wait_until("the thread parks again", || idle(&state.threads) == 1);
-        let answers = scatter(&state, &[0, 0], &path, Instant::now(), "");
+        let answers = scatter(&state, &[0, 0], "/stats", Instant::now(), "");
         assert!(matches!(answers[..], [(0, None), (0, None)]));
         assert_eq!(state.threads.started.load(Ordering::Relaxed), 1);
     }
@@ -1945,28 +1748,6 @@ mod tests {
             handle.join().expect("replica thread").expect("replica run");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gather_translates_ids_and_accumulates() {
-        let mut g = Gathered::default();
-        gather_list_body(
-            &mut g,
-            "{\"vertex\":3,\"count\":2,\"ids\":[0,4],\"cliques\":[[1,2,3],[3,4]]}",
-            100,
-        )
-        .expect("parse");
-        gather_list_body(
-            &mut g,
-            "{\"vertex\":3,\"count\":1,\"ids\":[7],\"cliques\":[[3,9]],\"degraded\":2}",
-            200,
-        )
-        .expect("parse");
-        assert_eq!(g.count, 3);
-        assert_eq!(g.ids, vec![100, 104, 207]);
-        assert_eq!(g.cliques, vec!["[1,2,3]", "[3,4]", "[3,9]"]);
-        assert_eq!(g.degraded, 2);
-        assert!(gather_list_body(&mut g, "not json", 0).is_err());
     }
 
     #[test]

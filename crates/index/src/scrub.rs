@@ -28,12 +28,11 @@
 //! cross-check.
 
 use crate::format::{
-    check_header, decode_block, decode_postings, read_at, read_delta_postings, read_frame_at,
-    replay_edits, walk_chain, BlockEntry, ChainWalk, DeltaGeneration, IndexDirectory, IndexMeta,
+    check_header, decode_block, decode_postings, patched_graph, read_at, read_delta_postings,
+    read_frame_at, walk_chain, BlockEntry, ChainWalk, DeltaGeneration, IndexDirectory, IndexMeta,
     CLIQUES_FILE, CLIQUES_MAGIC, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, HEADER_LEN,
     META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
 };
-use crate::snapshot::read_graph_checked;
 use gsb_core::store::StoreError;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -363,16 +362,12 @@ fn scrub_graph(dir: &Path, meta: &IndexMeta, chain: &[DeltaGeneration], report: 
         }
         return;
     }
-    let snap = match read_graph_checked(dir, meta.graph_bytes, meta.graph_crc) {
+    // Grown only as far as the snapshot and the chain say: a manifest
+    // `n` they do not reach is a defect, not a size to grow to.
+    let g = match patched_graph(dir, meta, chain, 0, |defect| report.findings.push(defect)) {
         Err(e) => return report.flag(GRAPH_FILE, e),
         Ok(g) => g,
     };
-    let n_target = chain
-        .iter()
-        .map(|g| g.n as usize)
-        .fold(snap.n(), usize::max);
-    let mut g = snap.grown(n_target.max(1));
-    replay_edits(&mut g, chain, |defect| report.findings.push(defect));
     if g.n() != meta.n {
         report.flag(
             GRAPH_FILE,
@@ -463,6 +458,22 @@ mod tests {
         assert_eq!(report.postings_checked, 30);
         assert_eq!(report.delta_generations_checked, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn edgeless_graph_indexes_scrub_clean() {
+        // 0 vertices (an empty edge list), then isolated vertices only.
+        for n in [0, 5] {
+            let dir = tmp(&format!("edgeless{n}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let g = BitGraph::new(n);
+            let w = IndexWriter::create(&dir, n).unwrap().snapshot(&g).unwrap();
+            w.finish().unwrap();
+            let report = scrub(&dir);
+            assert!(report.is_clean(), "n = {n}: {:?}", report.findings);
+            assert_eq!(report.cliques_checked, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

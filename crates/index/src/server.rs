@@ -53,38 +53,25 @@
 //!
 //! The transport — blocking accept with a shutdown waker, the bounded
 //! queue, the worker pool, the budgeted header reader (`408`/`431`),
-//! the drain sweep and the metrics file — is the crate's HTTP core
-//! (`http.rs`), which `gsb router` runs on too. This module is the
-//! query surface: routes, rate limits, the index, and the access log.
-//!
-//! Endpoints (all GET, JSON responses):
-//!
-//! | path                 | answer                                   |
-//! |----------------------|------------------------------------------|
-//! | `/health`            | liveness                                 |
-//! | `/ready`             | readiness (503 while draining)           |
-//! | `/stats`             | index statistics                         |
-//! | `/get/<id>`          | one clique by id                         |
-//! | `/containing/<v>`    | cliques containing vertex v              |
-//! | `/size/<lo>/<hi>`    | cliques with size in `lo..=hi`           |
-//! | `/max`               | one maximum clique                       |
-//! | `/overlap/<v>/<w>`   | cliques containing both v and w          |
-//! | `/metrics`           | Prometheus text exposition (live)        |
-//! | `/metrics-json`      | the `--metrics-out` JSON snapshot (live) |
-//!
-//! Clique-list endpoints accept `?limit=K` (default 1000) and report
-//! the full `count` alongside the possibly-truncated `cliques` array.
+//! the drain sweep, the HTTP metric families and the metrics file — is
+//! the crate's HTTP core (`http.rs`), which `gsb router` runs on too.
+//! The routes, the endpoint list and the answer bodies are the query
+//! API (`api.rs`), which the router renders its merged answers with.
+//! This module answers that API from one index: `execute` computes
+//! each answer, and adds rate limits, hot-reload and the access log.
 
+use crate::api::{admission_exempt, parse_route, Answer, Endpoint, ListAnswer, ListQuery, Route};
 use crate::http::{
-    find_head_end, header_value, read_head_briefly, respond_full, status_key, trace_headers,
-    AddNamed, Http, HttpConfig, Service, CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, STATUS_LABELS,
+    find_head_end, header_value, read_head_briefly, respond_full, status_key, total_requests,
+    trace_headers, write_core_families, write_counters, Http, HttpConfig, Reply, Service,
+    CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, CORE_COUNTERS, STATUSES,
 };
 use crate::reader::CliqueIndex;
-use gsb_core::{Clique, ShutdownToken};
+use gsb_core::ShutdownToken;
 use gsb_telemetry::access::{AccessRecord, RotatingWriter};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::SpanRecorder;
-use gsb_telemetry::{AtomicRecorder, Histogram};
+use gsb_telemetry::{AtomicRecorder, Histogram, Recorder};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -179,82 +166,6 @@ pub struct ServeReport {
     pub metrics_json: String,
 }
 
-/// Endpoint names; each gets a request counter, a latency histogram,
-/// and a rate-limit saturation counter.
-pub(crate) const ENDPOINTS: [&str; 12] = [
-    "health",
-    "ready",
-    "stats",
-    "get",
-    "containing",
-    "size",
-    "max",
-    "overlap",
-    "metrics",
-    "metrics_json",
-    "not_found",
-    "bad_request",
-];
-
-pub(crate) fn latency_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.ns",
-        "ready" => "http.ready.ns",
-        "stats" => "http.stats.ns",
-        "get" => "http.get.ns",
-        "containing" => "http.containing.ns",
-        "size" => "http.size.ns",
-        "max" => "http.max.ns",
-        "overlap" => "http.overlap.ns",
-        "metrics" => "http.metrics.ns",
-        "metrics_json" => "http.metrics_json.ns",
-        "not_found" => "http.not_found.ns",
-        _ => "http.bad_request.ns",
-    }
-}
-
-pub(crate) fn requests_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.requests",
-        "ready" => "http.ready.requests",
-        "stats" => "http.stats.requests",
-        "get" => "http.get.requests",
-        "containing" => "http.containing.requests",
-        "size" => "http.size.requests",
-        "max" => "http.max.requests",
-        "overlap" => "http.overlap.requests",
-        "metrics" => "http.metrics.requests",
-        "metrics_json" => "http.metrics_json.requests",
-        "not_found" => "http.not_found.requests",
-        _ => "http.bad_request.requests",
-    }
-}
-
-fn rate_limited_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.rate_limited",
-        "ready" => "http.ready.rate_limited",
-        "stats" => "http.stats.rate_limited",
-        "get" => "http.get.rate_limited",
-        "containing" => "http.containing.rate_limited",
-        "size" => "http.size.rate_limited",
-        "max" => "http.max.rate_limited",
-        "overlap" => "http.overlap.rate_limited",
-        "metrics" => "http.metrics.rate_limited",
-        "metrics_json" => "http.metrics_json.rate_limited",
-        "not_found" => "http.not_found.rate_limited",
-        _ => "http.bad_request.rate_limited",
-    }
-}
-
-/// Endpoints exempt from the token buckets and from queue-full
-/// shedding: liveness, readiness, and scrapes must keep answering
-/// during overload — a router probing `/ready` must learn "still
-/// serving, just busy" rather than a shed 503.
-pub(crate) fn admission_exempt(endpoint: &str) -> bool {
-    matches!(endpoint, "health" | "ready" | "metrics" | "metrics_json")
-}
-
 /// One token bucket per endpoint (classic leaky refill: `rate`
 /// tokens/second up to `burst`).
 struct TokenBuckets {
@@ -275,7 +186,7 @@ impl TokenBuckets {
         TokenBuckets {
             rate: rate.max(0.0),
             burst,
-            buckets: ENDPOINTS
+            buckets: Endpoint::ALL
                 .iter()
                 .map(|_| {
                     Mutex::new(Bucket {
@@ -288,12 +199,8 @@ impl TokenBuckets {
     }
 
     /// Take one token for `endpoint`; false means rate-limited.
-    fn try_take(&self, endpoint: &str) -> bool {
-        let i = ENDPOINTS
-            .iter()
-            .position(|e| *e == endpoint)
-            .unwrap_or(ENDPOINTS.len() - 1);
-        let mut b = self.buckets[i].lock().unwrap();
+    fn try_take(&self, endpoint: Endpoint) -> bool {
+        let mut b = self.buckets[endpoint as usize].lock().unwrap();
         let now = Instant::now();
         b.tokens =
             (b.tokens + now.duration_since(b.last).as_secs_f64() * self.rate).min(self.burst);
@@ -331,14 +238,7 @@ impl ServeState {
     /// The live `--metrics-out`-shaped JSON snapshot (same renderer the
     /// shutdown write uses), served by `GET /metrics-json`.
     fn live_metrics_json(&self) -> String {
-        let r = &self.http.recorder;
-        let connections = r.counter("http.connections").get();
-        render_metrics(
-            r,
-            connections,
-            total_requests(r),
-            self.http.started.elapsed(),
-        )
+        render_metrics(&self.http.recorder, self.http.started.elapsed())
     }
 
     /// Append one access-log line (and tee it into the slow-query log
@@ -358,11 +258,10 @@ impl ServeState {
             .slow_query_ms
             .is_some_and(|ms| total_ns >= ms.saturating_mul(1_000_000));
         if slow {
-            self.http.recorder.add_named("http.slow_queries", 1);
+            self.http.recorder.add("http.slow_queries", 1);
         }
-        let write_access = self.access.is_some();
-        let write_slow = slow && self.slow.is_some();
-        if !write_access && !write_slow {
+        let slow_log = self.slow.as_ref().filter(|_| slow);
+        if self.access.is_none() && slow_log.is_none() {
             return;
         }
         let ts_ms = SystemTime::now()
@@ -384,18 +283,9 @@ impl ServeState {
                 .collect(),
         };
         let line = record.to_json_line();
-        if write_access {
-            if let Some(w) = &self.access {
-                if w.lock().unwrap().append_line(&line).is_err() {
-                    self.http.recorder.add_named("http.access_log_errors", 1);
-                }
-            }
-        }
-        if write_slow {
-            if let Some(w) = &self.slow {
-                if w.lock().unwrap().append_line(&line).is_err() {
-                    self.http.recorder.add_named("http.access_log_errors", 1);
-                }
+        for log in self.access.iter().chain(slow_log) {
+            if log.lock().unwrap().append_line(&line).is_err() {
+                self.http.recorder.add("http.access_log_errors", 1);
             }
         }
     }
@@ -472,7 +362,7 @@ impl Server {
 
         let r = &state.http.recorder;
         let requests = total_requests(r);
-        let metrics_json = render_metrics(r, connections, requests, state.http.started.elapsed());
+        let metrics_json = state.live_metrics_json();
         crate::http::write_metrics(c.metrics_out.as_deref(), &metrics_json)?;
         Ok(ServeReport {
             connections,
@@ -484,21 +374,6 @@ impl Server {
             metrics_json,
         })
     }
-}
-
-/// Requests answered with a routed response, all endpoints.
-pub(crate) fn total_requests(recorder: &AtomicRecorder) -> u64 {
-    ENDPOINTS
-        .iter()
-        .map(|ep| recorder.counter(requests_key(ep)).get())
-        .sum()
-}
-
-/// Count one answered request: its endpoint, status, and latency.
-pub(crate) fn record_answer(recorder: &AtomicRecorder, endpoint: &str, status: u16, ns: u64) {
-    recorder.add_named(requests_key(endpoint), 1);
-    recorder.add_named(status_key(status), 1);
-    recorder.histogram(latency_key(endpoint)).observe(ns);
 }
 
 /// Poll `index.meta`; on change, open + validate the new index off the
@@ -533,13 +408,13 @@ fn watch_index(
                 let generation = new_index.generation();
                 *state.index.lock().unwrap() = Arc::new(new_index);
                 last = text;
-                state.http.recorder.add_named("http.reloads", 1);
+                state.http.recorder.add("http.reloads", 1);
                 eprintln!("gsb serve: hot-reloaded index (generation {generation})");
             }
             Err(e) => {
                 // Keep serving the old index; `last` stays unchanged so
                 // the next poll retries the reload.
-                state.http.recorder.add_named("http.reload_errors", 1);
+                state.http.recorder.add("http.reload_errors", 1);
                 eprintln!("gsb serve: index reload failed, keeping current index: {e}");
             }
         }
@@ -549,12 +424,9 @@ fn watch_index(
 /// The per-endpoint latency/QPS export plus the overload counters: one
 /// JSON object per endpoint with count, mean, max, coarse log₂
 /// percentiles, and rate-limit saturation.
-fn render_metrics(
-    recorder: &AtomicRecorder,
-    connections: u64,
-    requests: u64,
-    elapsed: Duration,
-) -> String {
+fn render_metrics(recorder: &AtomicRecorder, elapsed: Duration) -> String {
+    let connections = recorder.counter("http.connections").get();
+    let requests = total_requests(recorder);
     let wall_ms = elapsed.as_millis() as u64;
     let qps = if elapsed.as_secs_f64() > 0.0 {
         requests as f64 / elapsed.as_secs_f64()
@@ -562,18 +434,19 @@ fn render_metrics(
         0.0
     };
     let mut endpoints = String::new();
-    for ep in ENDPOINTS {
-        let count = recorder.counter(requests_key(ep)).get();
-        let limited = recorder.counter(rate_limited_key(ep)).get();
+    for ep in Endpoint::ALL {
+        let count = recorder.counter(ep.requests_key()).get();
+        let limited = recorder.counter(ep.rate_limited_key()).get();
         if count == 0 && limited == 0 {
             continue;
         }
-        let h: Histogram = recorder.histogram(latency_key(ep));
+        let h: Histogram = recorder.histogram(ep.latency_key());
         if !endpoints.is_empty() {
             endpoints.push(',');
         }
         endpoints.push_str(&format!(
-            "\n    \"{ep}\": {{\"requests\":{count},\"rate_limited\":{limited},\"mean_ns\":{:.0},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
+            "\n    \"{}\": {{\"requests\":{count},\"rate_limited\":{limited},\"mean_ns\":{:.0},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
+            ep.name(),
             h.mean(),
             h.quantile_upper_bound(0.50),
             h.quantile_upper_bound(0.90),
@@ -597,6 +470,49 @@ fn render_metrics(
     )
 }
 
+/// Shed causes: `cause` label, recorder key.
+const SHED_CAUSES: [(&str, &str); 4] = [
+    ("queue_full", "http.shed.queue_full"),
+    ("deadline", "http.shed.deadline"),
+    ("slow_client", "http.shed.slow_client"),
+    ("draining", "http.shed.draining"),
+];
+
+/// The server's own plain counters: family name suffix, recorder key,
+/// help.
+const PLAIN_COUNTERS: [(&str, &str, &str); 6] = [
+    (
+        "degraded_total",
+        "http.degraded_total",
+        "Answers served degraded-exact.",
+    ),
+    (
+        "slow_queries_total",
+        "http.slow_queries",
+        "Requests over the slow-query threshold.",
+    ),
+    (
+        "reloads_total",
+        "http.reloads",
+        "Successful index hot-reloads.",
+    ),
+    (
+        "reload_errors_total",
+        "http.reload_errors",
+        "Hot-reloads that failed validation.",
+    ),
+    (
+        "rate_limited_requests_total",
+        "http.rate_limited_total",
+        "429 answers, all endpoints.",
+    ),
+    (
+        "access_log_errors_total",
+        "http.access_log_errors",
+        "Access-log lines dropped.",
+    ),
+];
+
 /// Render every recorder series as Prometheus text exposition (format
 /// 0.0.4). Reads only atomic snapshots — never blocks request threads.
 ///
@@ -608,43 +524,16 @@ fn render_metrics(
 fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
     let r = &state.http.recorder;
     let mut w = PromWriter::new();
-
-    let req = w.family(
-        "gsb_http_requests_total",
-        PromKind::Counter,
-        "Routed requests, by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        w.sample(&req, &[("endpoint", ep)], r.counter(requests_key(ep)).get());
-    }
-
-    let dur = w.family(
-        "gsb_http_request_duration_ns",
-        PromKind::Histogram,
-        "Request handling latency in nanoseconds (log2 buckets), by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        let h = r.histogram(latency_key(ep));
-        w.histogram(
-            &dur,
-            &[("endpoint", ep)],
-            &h.cumulative_buckets(),
-            h.sum(),
-            h.count(),
-        );
-    }
+    write_core_families(&mut w, r, "gsb_http");
 
     let limited = w.family(
         "gsb_http_rate_limited_total",
         PromKind::Counter,
         "Requests answered 429 by the per-endpoint token bucket.",
     );
-    for ep in ENDPOINTS {
-        w.sample(
-            &limited,
-            &[("endpoint", ep)],
-            r.counter(rate_limited_key(ep)).get(),
-        );
+    for ep in Endpoint::ALL {
+        let value = r.counter(ep.rate_limited_key()).get();
+        w.sample(&limited, &[("endpoint", ep.name())], value);
     }
 
     let shed = w.family(
@@ -652,102 +541,10 @@ fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
         PromKind::Counter,
         "Connections shed by admission control, by cause.",
     );
-    for (cause, key) in [
-        ("queue_full", "http.shed.queue_full"),
-        ("deadline", "http.shed.deadline"),
-        ("slow_client", "http.shed.slow_client"),
-        ("draining", "http.shed.draining"),
-    ] {
+    for (cause, key) in SHED_CAUSES {
         w.sample(&shed, &[("cause", cause)], r.counter(key).get());
     }
-
-    let status = w.family(
-        "gsb_http_responses_total",
-        PromKind::Counter,
-        "Responses written, by HTTP status.",
-    );
-    for (label, code) in STATUS_LABELS {
-        w.sample(
-            &status,
-            &[("status", label)],
-            r.counter(status_key(code)).get(),
-        );
-    }
-    w.sample(
-        &status,
-        &[("status", "other")],
-        r.counter("http.status.other").get(),
-    );
-
-    let depth = w.family(
-        "gsb_http_queue_depth",
-        PromKind::Gauge,
-        "Connections currently waiting in the admission queue.",
-    );
-    w.sample(&depth, &[], r.gauge("http.queue_depth").get());
-
-    // Plain counters: name, recorder key, help.
-    let plain: [(&str, &'static str, &str); 11] = [
-        (
-            "gsb_http_connections_total",
-            "http.connections",
-            "TCP connections accepted (including shed ones).",
-        ),
-        (
-            "gsb_http_degraded_total",
-            "http.degraded_total",
-            "Responses served degraded-exact (quarantined ids skipped).",
-        ),
-        (
-            "gsb_http_slow_queries_total",
-            "http.slow_queries",
-            "Requests slower than the slow-query threshold.",
-        ),
-        (
-            "gsb_http_reloads_total",
-            "http.reloads",
-            "Successful index hot-reloads.",
-        ),
-        (
-            "gsb_http_reload_errors_total",
-            "http.reload_errors",
-            "Hot-reload attempts that failed validation.",
-        ),
-        (
-            "gsb_http_worker_panics_total",
-            "http.worker_panics",
-            "Request handlers that panicked (contained, answered 500).",
-        ),
-        (
-            "gsb_http_read_errors_total",
-            "http.read_errors",
-            "Connections lost while reading the request.",
-        ),
-        (
-            "gsb_http_write_errors_total",
-            "http.write_errors",
-            "Responses that failed to write.",
-        ),
-        (
-            "gsb_http_accept_errors_total",
-            "http.accept_errors",
-            "Accept-path failures.",
-        ),
-        (
-            "gsb_http_rate_limited_requests_total",
-            "http.rate_limited_total",
-            "Requests answered 429, all endpoints.",
-        ),
-        (
-            "gsb_http_access_log_errors_total",
-            "http.access_log_errors",
-            "Access-log lines dropped on write failure.",
-        ),
-    ];
-    for (name, key, help) in plain {
-        let fam = w.family(name, PromKind::Counter, help);
-        w.sample(&fam, &[], r.counter(key).get());
-    }
+    write_counters(&mut w, r, "gsb_http", &PLAIN_COUNTERS);
 
     // Reader I/O: block-cache effectiveness and decode cost. Counters
     // reset on hot-reload (fresh reader), flagged by the generation.
@@ -833,33 +630,16 @@ fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
     // Sweep: any counter not claimed above still gets exposed, under a
     // sanitized gsb_-prefixed name, so new instrumentation is never
     // invisible to scrapes.
-    let mut claimed: std::collections::BTreeSet<&str> = [
-        "http.shed_total",
-        "http.shed.queue_full",
-        "http.shed.deadline",
-        "http.shed.slow_client",
-        "http.shed.draining",
-        "http.status.other",
-        "http.connections",
-        "http.degraded_total",
-        "http.slow_queries",
-        "http.reloads",
-        "http.reload_errors",
-        "http.worker_panics",
-        "http.read_errors",
-        "http.write_errors",
-        "http.accept_errors",
-        "http.rate_limited_total",
-        "http.access_log_errors",
-    ]
-    .into();
-    for ep in ENDPOINTS {
-        claimed.insert(requests_key(ep));
-        claimed.insert(rate_limited_key(ep));
+    let mut claimed: std::collections::BTreeSet<&str> =
+        ["http.shed_total", "http.status.other"].into();
+    claimed.extend(SHED_CAUSES.iter().map(|(_, key)| *key));
+    claimed.extend(CORE_COUNTERS.iter().map(|(_, key, _)| *key));
+    claimed.extend(PLAIN_COUNTERS.iter().map(|(_, key, _)| *key));
+    for ep in Endpoint::ALL {
+        claimed.insert(ep.requests_key());
+        claimed.insert(ep.rate_limited_key());
     }
-    for (_, code) in STATUS_LABELS {
-        claimed.insert(status_key(code));
-    }
+    claimed.extend(STATUSES.iter().map(|(_, key, _)| *key));
     for (key, value) in r.snapshot_counters() {
         if claimed.contains(key) {
             continue;
@@ -907,7 +687,7 @@ impl Service for ServeState {
                 "caller deadline already expired",
                 "http.shed.deadline",
             );
-            self.log_access(&span, endpoint, 503, "caller_deadline", 0);
+            self.log_access(&span, endpoint.name(), 503, "caller_deadline", 0);
             return;
         }
 
@@ -919,38 +699,31 @@ impl Service for ServeState {
             && self.buckets.as_ref().is_some_and(|b| !b.try_take(endpoint));
         span.stage("admission");
         if limited {
-            recorder.add_named(rate_limited_key(endpoint), 1);
-            recorder.add_named("http.rate_limited_total", 1);
-            recorder.add_named(status_key(429), 1);
+            recorder.add(endpoint.rate_limited_key(), 1);
+            recorder.add("http.rate_limited_total", 1);
+            recorder.add(status_key(429), 1);
             let body = "{\"error\":\"rate limit exceeded for this endpoint\"}";
             let extra = trace_headers(&span);
             if respond_full(stream, 429, body, 0, 1, CONTENT_TYPE_JSON, &extra).is_err() {
-                recorder.add_named("http.write_errors", 1);
+                recorder.add("http.write_errors", 1);
             }
             span.stage("respond");
-            self.log_access(&span, endpoint, 429, "rate_limited", 0);
+            self.log_access(&span, endpoint.name(), 429, "rate_limited", 0);
             return;
         }
 
         let index = self.index();
         let started = Instant::now();
-        let (status, body, skipped, content_type) = execute(self, &index, &route, limit, &mut span);
-        record_answer(
-            recorder,
-            endpoint,
-            status,
-            started.elapsed().as_nanos() as u64,
-        );
+        let reply = execute(self, &index, &route, limit, &mut span);
+        let (status, ref body, skipped, _) = reply;
         if skipped > 0 {
-            recorder.add_named("http.degraded_total", 1);
+            recorder.add("http.degraded_total", 1);
         }
-        let extra = trace_headers(&span);
-        if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-            recorder.add_named("http.write_errors", 1);
-        }
+        let ns = started.elapsed().as_nanos() as u64;
+        self.http.answered(stream, endpoint, &reply, ns, &span);
         span.stage("respond");
         let cause = if skipped > 0 { "degraded_exact" } else { "" };
-        self.log_access(&span, endpoint, status, cause, body.len() as u64);
+        self.log_access(&span, endpoint.name(), status, cause, body.len() as u64);
     }
 
     /// The queue is full: answer an admission-exempt request (`/health`,
@@ -963,138 +736,27 @@ impl Service for ServeState {
         let head = String::from_utf8_lossy(&buf[..used]);
         let (route, limit) = parse_route(head.lines().next().unwrap_or(""));
         let endpoint = route.endpoint();
-        let recorder = &self.http.recorder;
         if admission_exempt(endpoint) && find_head_end(&buf[..used]).is_some() {
             let mut span = SpanRecorder::new(self.http.trace_id(&head));
             span.stage("parse");
             let index = self.index();
-            let (status, body, skipped, content_type) =
-                execute(self, &index, &route, limit, &mut span);
-            record_answer(recorder, endpoint, status, span.total_ns());
-            let extra = trace_headers(&span);
-            if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-                recorder.add_named("http.write_errors", 1);
-            }
+            let reply = execute(self, &index, &route, limit, &mut span);
+            self.http
+                .answered(stream, endpoint, &reply, span.total_ns(), &span);
             span.stage("respond");
-            self.log_access(
-                &span,
-                endpoint,
-                status,
-                "overload_exempt",
-                body.len() as u64,
-            );
+            let (status, ref body, ..) = reply;
+            let bytes = body.len() as u64;
+            self.log_access(&span, endpoint.name(), status, "overload_exempt", bytes);
         } else {
-            recorder.add_named("http.shed.queue_full", 1);
-            recorder.add_named("http.shed_total", 1);
-            recorder.add_named(status_key(503), 1);
-            let body = "{\"error\":\"server overloaded, admission queue full\",\"shed\":true}";
-            let retry = self.http.retry_after_secs();
-            if respond_full(stream, 503, body, 0, retry, CONTENT_TYPE_JSON, &[]).is_err() {
-                recorder.add_named("http.write_errors", 1);
-            }
+            let message = "server overloaded, admission queue full";
+            self.http
+                .refuse(stream, 503, message, "http.shed.queue_full");
         }
     }
 
     fn answered_early(&self, span: &SpanRecorder, endpoint: &str, status: u16, cause: &str) {
         self.log_access(span, endpoint, status, cause, 0);
     }
-}
-
-/// A parsed request target, ready for rate limiting and execution.
-pub(crate) enum Route {
-    /// `/` or `/health`.
-    Health,
-    /// `/ready` — readiness (index loaded *and* not draining),
-    /// distinct from liveness: a draining server is alive but not
-    /// ready, so router probes eject it before the drain sweep sheds.
-    Ready,
-    /// `/stats`.
-    Stats,
-    /// `/get/<id>` — one clique by id (the router's unit of routing).
-    Get(u64),
-    /// `/max`.
-    Max,
-    /// `/containing/<v>`.
-    Containing(u32),
-    /// `/size/<lo>/<hi>`.
-    Size(u32, u32),
-    /// `/overlap/<v>/<w>`.
-    Overlap(u32, u32),
-    /// `/metrics` — Prometheus text exposition.
-    Metrics,
-    /// `/metrics-json` — the shutdown metrics snapshot, live.
-    MetricsJson,
-    /// Unknown path.
-    NotFound,
-    /// Non-GET method.
-    MethodNotAllowed,
-    /// Malformed request line or parameters.
-    Bad(&'static str),
-}
-
-impl Route {
-    pub(crate) fn endpoint(&self) -> &'static str {
-        match self {
-            Route::Health => "health",
-            Route::Ready => "ready",
-            Route::Stats => "stats",
-            Route::Get(_) => "get",
-            Route::Max => "max",
-            Route::Containing(_) => "containing",
-            Route::Size(..) => "size",
-            Route::Overlap(..) => "overlap",
-            Route::Metrics => "metrics",
-            Route::MetricsJson => "metrics_json",
-            Route::NotFound => "not_found",
-            Route::MethodNotAllowed | Route::Bad(_) => "bad_request",
-        }
-    }
-}
-
-/// Parse the request line into a route + result limit. Total function:
-/// any garbage maps to a typed `Route` variant, never a panic.
-pub(crate) fn parse_route(request_line: &str) -> (Route, usize) {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    if method != "GET" {
-        return (Route::MethodNotAllowed, 0);
-    }
-    if target.is_empty() || target.len() > 2048 {
-        return (Route::Bad("malformed request target"), 0);
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let limit = parse_limit(query);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let route = match segments.as_slice() {
-        [] | ["health"] => Route::Health,
-        ["ready"] => Route::Ready,
-        ["stats"] => Route::Stats,
-        ["max"] => Route::Max,
-        ["get", id] => match id.parse::<u64>() {
-            Ok(id) => Route::Get(id),
-            Err(_) => Route::Bad("clique id must be a number"),
-        },
-        ["metrics"] => Route::Metrics,
-        ["metrics-json"] => Route::MetricsJson,
-        ["containing", v] => match v.parse::<u32>() {
-            Ok(v) => Route::Containing(v),
-            Err(_) => Route::Bad("vertex must be a number"),
-        },
-        ["size", lo, hi] => match (lo.parse::<u32>(), hi.parse::<u32>()) {
-            (Ok(lo), Ok(hi)) if lo <= hi => Route::Size(lo, hi),
-            _ => Route::Bad("size range must be /size/<lo>/<hi> with lo <= hi"),
-        },
-        ["overlap", v, w] => match (v.parse::<u32>(), w.parse::<u32>()) {
-            (Ok(v), Ok(w)) => Route::Overlap(v, w),
-            _ => Route::Bad("vertices must be numbers"),
-        },
-        _ => Route::NotFound,
-    };
-    (route, limit)
 }
 
 /// Execute a parsed route. Returns status, body, the count of ids
@@ -1109,176 +771,84 @@ fn execute(
     route: &Route,
     limit: usize,
     span: &mut SpanRecorder,
-) -> (u16, String, u64, &'static str) {
+) -> Reply {
     let json = CONTENT_TYPE_JSON;
-    match route {
-        Route::Health => (200, "{\"status\":\"ok\"}".into(), 0, json),
-        Route::Ready => {
-            if state.http.draining() {
-                (503, "{\"ready\":false,\"draining\":true}".into(), 0, json)
-            } else {
-                (
-                    200,
-                    format!(
-                        "{{\"ready\":true,\"draining\":false,\"generation\":{},\"cliques\":{}}}",
-                        index.generation(),
-                        index.len()
-                    ),
-                    0,
-                    json,
-                )
-            }
+    let answer = match route {
+        Route::Health => return (200, "{\"status\":\"ok\"}".into(), 0, json),
+        Route::Ready if state.http.draining() => {
+            return (503, "{\"ready\":false,\"draining\":true}".into(), 0, json)
         }
-        Route::Stats => (200, stats_json(index), 0, json),
+        Route::Ready => {
+            let body = format!(
+                "{{\"ready\":true,\"draining\":false,\"generation\":{},\"cliques\":{}}}",
+                index.generation(),
+                index.len()
+            );
+            return (200, body, 0, json);
+        }
+        Route::Stats => return (200, stats_json(index), 0, json),
+        Route::Metrics => return (200, render_promtext(state, index), 0, CONTENT_TYPE_PROM),
+        Route::MetricsJson => return (200, state.live_metrics_json(), 0, json),
+        // tombstoned ids decode fine but are no longer part of the
+        // served set — a dead id answers like a missing one
+        Route::Get(id) if !index.is_live(*id) => Answer::no_clique(*id),
         Route::Get(id) => {
-            // tombstoned ids decode fine but are no longer part of the
-            // served set — a dead id answers like a missing one
-            if !index.is_live(*id) {
-                return (
-                    404,
-                    format!("{{\"error\":\"no clique with id {id}\"}}"),
-                    0,
-                    json,
-                );
-            }
             let result = index.get(*id);
             span.stage("blocks");
             match result {
-                Ok(c) => (
-                    200,
-                    format!(
-                        "{{\"id\":{id},\"size\":{},\"clique\":{}}}",
-                        c.len(),
-                        json_ids(&c)
-                    ),
-                    0,
-                    json,
-                ),
-                Err(_) if *id >= index.len() => (
-                    404,
-                    format!("{{\"error\":\"no clique with id {id}\"}}"),
-                    0,
-                    json,
-                ),
-                Err(e) => (500, error_json(&e), 0, json),
+                Ok(clique) => Answer::Clique { id: *id, clique },
+                Err(_) if *id >= index.len() => Answer::no_clique(*id),
+                Err(e) => Answer::Error(500, e.to_string()),
             }
         }
-        Route::Metrics => (200, render_promtext(state, index), 0, CONTENT_TYPE_PROM),
-        Route::MetricsJson => (200, state.live_metrics_json(), 0, json),
         Route::Max => {
             let result = index.max_clique();
             span.stage("blocks");
             match result {
-                Ok(Some(c)) => (
-                    200,
-                    format!("{{\"size\":{},\"clique\":{}}}", c.len(), json_ids(&c)),
-                    0,
-                    json,
-                ),
-                Ok(None) => (200, "{\"size\":0,\"clique\":[]}".into(), 0, json),
-                Err(e) => (500, error_json(&e), 0, json),
+                Ok(c) => Answer::Max(c.unwrap_or_default()),
+                Err(e) => Answer::Error(500, e.to_string()),
             }
         }
-        Route::Containing(v) => {
-            let ids = index.containing(*v);
-            span.stage("postings");
-            let result = ids.and_then(|ids| {
-                index
-                    .materialize_degraded(ids.iter().take(limit).copied())
-                    .map(|d| (ids, d))
-            });
-            span.stage("blocks");
-            match result {
-                Ok((ids, d)) => (
-                    200,
-                    format!(
-                        "{{\"vertex\":{v},\"count\":{},\"ids\":{},\"cliques\":{}{}}}",
-                        ids.len(),
-                        json_u64s(&ids[..ids.len().min(limit)]),
-                        json_cliques(&d.cliques),
-                        degraded_field(d.skipped),
-                    ),
-                    d.skipped,
-                    json,
-                ),
-                Err(e) => (500, error_json(&e), 0, json),
-            }
-        }
-        Route::Size(lo, hi) => {
-            // tombstone-aware: the run table filtered by the dead set,
-            // so chained and compacted indexes answer identically
-            let ids = index.ids_of_size(*lo, *hi);
-            span.stage("postings");
-            let count = ids.len() as u64;
-            let first_id = ids.first().copied().unwrap_or(0);
-            let take = (count as usize).min(limit);
-            let result = index.materialize_degraded(ids.into_iter().take(take));
-            span.stage("blocks");
-            match result {
-                Ok(d) => (
-                    200,
-                    format!(
-                        "{{\"min\":{lo},\"max\":{hi},\"count\":{count},\"first_id\":{},\"cliques\":{}{}}}",
-                        first_id,
-                        json_cliques(&d.cliques),
-                        degraded_field(d.skipped),
-                    ),
-                    d.skipped,
-                    json,
-                ),
-                Err(e) => (500, error_json(&e), 0, json),
-            }
-        }
-        Route::Overlap(v, w) => {
-            let ids = index.overlap(*v, *w);
-            span.stage("postings");
-            let result = ids.and_then(|ids| {
-                index
-                    .materialize_degraded(ids.iter().take(limit).copied())
-                    .map(|d| (ids, d))
-            });
-            span.stage("blocks");
-            match result {
-                Ok((ids, d)) => (
-                    200,
-                    format!(
-                        "{{\"v\":{v},\"w\":{w},\"count\":{},\"ids\":{},\"cliques\":{}{}}}",
-                        ids.len(),
-                        json_u64s(&ids[..ids.len().min(limit)]),
-                        json_cliques(&d.cliques),
-                        degraded_field(d.skipped),
-                    ),
-                    d.skipped,
-                    json,
-                ),
-                Err(e) => (500, error_json(&e), 0, json),
-            }
-        }
-        Route::NotFound => (404, "{\"error\":\"no such endpoint\"}".into(), 0, json),
-        Route::MethodNotAllowed => (405, "{\"error\":\"only GET is supported\"}".into(), 0, json),
-        Route::Bad(message) => (400, format!("{{\"error\":\"{message}\"}}"), 0, json),
-    }
+        Route::Containing(v) => list(index, ListQuery::Containing(*v), limit, span),
+        Route::Overlap(v, w) => list(index, ListQuery::Overlap(*v, *w), limit, span),
+        Route::Size(lo, hi) => list(index, ListQuery::Size(*lo, *hi), limit, span),
+        Route::NotFound | Route::MethodNotAllowed | Route::Bad(_) => route.error(),
+    };
+    answer.reply()
 }
 
-/// The optional `"degraded":N` JSON suffix (empty for complete answers,
-/// so healthy responses are byte-identical to the pre-quarantine ones).
-fn degraded_field(skipped: u64) -> String {
-    if skipped == 0 {
-        String::new()
-    } else {
-        format!(",\"degraded\":{skipped}")
-    }
-}
-
-fn parse_limit(query: &str) -> usize {
-    for pair in query.split('&') {
-        if let Some(v) = pair.strip_prefix("limit=") {
-            if let Ok(k) = v.parse::<usize>() {
-                return k;
-            }
+/// Answer a list query: every matching live id, and the cliques of the
+/// first `limit` of them.
+fn list(index: &CliqueIndex, query: ListQuery, limit: usize, span: &mut SpanRecorder) -> Answer {
+    let ids = match query {
+        ListQuery::Containing(v) => index.containing(v),
+        ListQuery::Overlap(v, w) => index.overlap(v, w),
+        // tombstone-aware: the run table filtered by the dead set,
+        // so chained and compacted indexes answer identically
+        ListQuery::Size(lo, hi) => Ok(index.ids_of_size(lo, hi)),
+    };
+    span.stage("postings");
+    let result = ids.and_then(|ids| {
+        let d = index.materialize_degraded(ids.iter().take(limit).copied())?;
+        Ok((ids, d))
+    });
+    span.stage("blocks");
+    match result {
+        Ok((mut ids, d)) => {
+            let (count, first_id) = (ids.len() as u64, ids.first().copied());
+            ids.truncate(limit);
+            let list = ListAnswer {
+                count,
+                ids,
+                first_id,
+                cliques: d.cliques,
+                degraded: d.skipped,
+                missing_shards: Vec::new(),
+            };
+            Answer::List(query, list)
         }
+        Err(e) => Answer::Error(500, e.to_string()),
     }
-    1000
 }
 
 fn stats_json(index: &CliqueIndex) -> String {
@@ -1305,125 +875,33 @@ fn stats_json(index: &CliqueIndex) -> String {
     )
 }
 
-fn error_json(e: &gsb_core::StoreError) -> String {
-    format!("{{\"error\":{:?}}}", e.to_string())
-}
-
-fn json_ids(c: &[u32]) -> String {
-    let items: Vec<String> = c.iter().map(u32::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_u64s(ids: &[u64]) -> String {
-    let items: Vec<String> = ids.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_cliques(cliques: &[Clique]) -> String {
-    let items: Vec<String> = cliques.iter().map(|c| json_ids(c)).collect();
-    format!("[{}]", items.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn limit_parsing() {
-        assert_eq!(parse_limit(""), 1000);
-        assert_eq!(parse_limit("limit=5"), 5);
-        assert_eq!(parse_limit("a=1&limit=7"), 7);
-        assert_eq!(parse_limit("limit=x"), 1000);
-    }
-
-    #[test]
-    fn route_parsing_is_total() {
-        assert!(matches!(
-            parse_route("GET /health HTTP/1.1").0,
-            Route::Health
-        ));
-        assert!(matches!(parse_route("GET / HTTP/1.1").0, Route::Health));
-        assert!(matches!(
-            parse_route("GET /containing/7 HTTP/1.1").0,
-            Route::Containing(7)
-        ));
-        assert!(matches!(
-            parse_route("GET /size/3/5 HTTP/1.1").0,
-            Route::Size(3, 5)
-        ));
-        assert!(matches!(
-            parse_route("GET /size/5/3 HTTP/1.1").0,
-            Route::Bad(_)
-        ));
-        assert!(matches!(
-            parse_route("POST /health HTTP/1.1").0,
-            Route::MethodNotAllowed
-        ));
-        assert!(matches!(parse_route("").0, Route::MethodNotAllowed));
-        assert!(matches!(
-            parse_route("GET /nope HTTP/1.1").0,
-            Route::NotFound
-        ));
-        let long = format!("GET /{} HTTP/1.1", "a".repeat(4000));
-        assert!(matches!(parse_route(&long).0, Route::Bad(_)));
-        assert_eq!(parse_route("GET /max?limit=3 HTTP/1.1").1, 3);
-    }
-
-    #[test]
-    fn metrics_routes_parse_and_are_admission_exempt() {
-        assert!(matches!(
-            parse_route("GET /metrics HTTP/1.1").0,
-            Route::Metrics
-        ));
-        assert!(matches!(
-            parse_route("GET /metrics-json HTTP/1.1").0,
-            Route::MetricsJson
-        ));
-        assert!(admission_exempt("health"));
-        assert!(admission_exempt("ready"));
-        assert!(admission_exempt("metrics"));
-        assert!(admission_exempt("metrics_json"));
-        assert!(!admission_exempt("containing"));
-        assert!(!admission_exempt("stats"));
-        assert!(!admission_exempt("get"));
-    }
-
-    #[test]
-    fn ready_and_get_routes_parse() {
-        assert!(matches!(parse_route("GET /ready HTTP/1.1").0, Route::Ready));
-        assert!(matches!(
-            parse_route("GET /get/42 HTTP/1.1").0,
-            Route::Get(42)
-        ));
-        assert!(matches!(
-            parse_route("GET /get/x HTTP/1.1").0,
-            Route::Bad(_)
-        ));
-        assert_eq!(Route::Ready.endpoint(), "ready");
-        assert_eq!(Route::Get(0).endpoint(), "get");
-    }
-
-    #[test]
     fn token_bucket_drains_and_refills() {
         let b = TokenBuckets::new(1000.0, 2);
-        assert!(b.try_take("max"));
-        assert!(b.try_take("max"));
+        assert!(b.try_take(Endpoint::Max));
+        assert!(b.try_take(Endpoint::Max));
         // burst of 2 exhausted; other endpoints unaffected
-        assert!(!b.try_take("max"));
-        assert!(b.try_take("stats"));
+        assert!(!b.try_take(Endpoint::Max));
+        assert!(b.try_take(Endpoint::Stats));
         // 1000 tokens/s refill: a couple of ms is plenty for one token
         std::thread::sleep(Duration::from_millis(5));
-        assert!(b.try_take("max"));
+        assert!(b.try_take(Endpoint::Max));
     }
 
     #[test]
     fn metrics_json_shape() {
         let r = AtomicRecorder::new();
-        r.counter(requests_key("containing")).add(3);
-        r.histogram(latency_key("containing")).observe(1500);
+        r.counter(Endpoint::Containing.requests_key()).add(3);
+        r.histogram(Endpoint::Containing.latency_key())
+            .observe(1500);
         r.counter("http.shed_total").add(2);
         r.counter("http.shed.queue_full").add(2);
-        let json = render_metrics(&r, 5, 3, Duration::from_millis(1200));
+        r.counter("http.connections").add(5);
+        let json = render_metrics(&r, Duration::from_millis(1200));
         let parsed = gsb_telemetry::json::parse(&json).expect("valid metrics json");
         assert_eq!(parsed.u64_or_zero("connections"), 5);
         assert_eq!(parsed.u64_or_zero("requests"), 3);

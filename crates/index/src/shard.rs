@@ -11,8 +11,11 @@
 //! * `of_size` stays a contiguous range per shard, and each shard's
 //!   covered size interval `[size_lo, size_hi]` lets a router forward
 //!   a size query only to the shards that intersect it;
-//! * the global maximum clique lives in the *last* shard (largest
-//!   sizes sort last).
+//! * the top size run starts in the first shard whose size coverage
+//!   reaches the largest size, so that shard's first maximum clique is
+//!   the global one (the lexicographically first). The run can go on
+//!   into later shards, so the last shard's first maximum clique need
+//!   not be it.
 //!
 //! [`split_index`] streams the source index shard by shard, block by
 //! block through [`CliqueIndex::with_cliques`], into [`IndexWriter`], so
@@ -156,14 +159,43 @@ mod tests {
             // The summary's size coverage matches the shard contents.
             assert_eq!(sub.stats().max_clique, s.size_hi);
         }
-        // The global maximum clique is reachable through the last shard.
-        let last = CliqueIndex::open(&shards.last().unwrap().dir).expect("open last");
-        assert_eq!(
-            last.max_clique().expect("max").expect("nonempty"),
-            source.max_clique().expect("max").expect("nonempty")
-        );
+        assert_eq!(first_covering_max(&shards), source.max_clique().unwrap());
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&out).ok();
+
+        // K3,3,3,3: 81 maximal cliques, all of size 4, split 40/41 — the
+        // top size run spans the boundary and starts in shard 0.
+        let mut g = gsb_graph::BitGraph::new(12);
+        for u in 0..12 {
+            for v in u + 1..12 {
+                if u / 3 != v / 3 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        let dir = tmp("split_k3333");
+        let mut writer = IndexWriter::create(&dir, g.n()).expect("create");
+        enumerator.enumerate(&g, &mut writer);
+        writer.finish().expect("finish");
+        let out = tmp("split_k3333_out");
+        let shards = split_index(&dir, &out, 2).expect("split");
+        assert_eq!(
+            (shards[0].id_hi, shards[1].id_hi, shards[1].size_lo),
+            (40, 81, 4)
+        );
+        let source = CliqueIndex::open(&dir).expect("open source");
+        assert_eq!(first_covering_max(&shards), source.max_clique().unwrap());
+        assert_eq!(first_covering_max(&shards), Some(vec![0, 3, 6, 9]));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    /// The maximum clique of the first shard whose size coverage
+    /// reaches the top size: the global maximum clique.
+    fn first_covering_max(shards: &[ShardSummary]) -> Option<Vec<u32>> {
+        let top = shards.last().unwrap().size_hi;
+        let first = shards.iter().find(|s| s.size_hi == top).unwrap();
+        CliqueIndex::open(&first.dir).unwrap().max_clique().unwrap()
     }
 
     #[test]

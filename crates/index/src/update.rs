@@ -40,11 +40,10 @@
 
 use crate::compact::pending_swap;
 use crate::format::{
-    encode_delta_postings, frame, live_histogram, replay_edits, BlockBuilder, DeltaGeneration,
+    encode_delta_postings, frame, live_histogram, patched_graph, BlockBuilder, DeltaGeneration,
     IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
 };
 use crate::reader::{intersect_sorted, CliqueIndex};
-use crate::snapshot::read_graph_checked;
 use crate::writer::{write_atomic, DEFAULT_BLOCK_TARGET};
 use gsb_core::store::{sync_dir, StoreError};
 use gsb_core::{neighborhood, Clique, Vertex};
@@ -288,21 +287,6 @@ fn repair_extent(dir: &Path, name: &str, extent: u64) -> Result<(), StoreError> 
     Ok(())
 }
 
-/// Reconstruct the current graph: the committed snapshot plus every
-/// committed generation's effective edits, grown to `n_target`.
-pub(crate) fn patched_graph(
-    dir: &Path,
-    idx: &CliqueIndex,
-    n_target: usize,
-) -> Result<BitGraph, StoreError> {
-    let meta = idx.meta();
-    let snap = read_graph_checked(dir, meta.graph_bytes, meta.graph_crc)?;
-    let mut g = snap.grown(n_target.max(meta.n).max(snap.n()));
-    // An edit that changes nothing is a defect to scrub, a no-op here.
-    replay_edits(&mut g, idx.chain(), |_| {});
-    Ok(g)
-}
-
 /// Apply an edit batch to the committed index in `dir`, appending one
 /// delta generation and bumping the manifest generation atomically.
 /// See the module docs for the protocol and crash model.
@@ -336,7 +320,7 @@ pub fn update(
         .chain([meta0.n])
         .max()
         .unwrap_or(meta0.n);
-    let g = patched_graph(dir, &idx, n_target)?;
+    let g = patched_graph(dir, idx.meta(), idx.chain(), n_target, |_| {})?;
 
     let mut m = Maintainer {
         idx: &idx,

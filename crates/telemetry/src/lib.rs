@@ -51,7 +51,9 @@ pub mod trace;
 pub use access::{AccessRecord, RotatingWriter};
 pub use promtext::{PromKind, PromWriter};
 pub use record::{LevelRecord, RecordError, RunSummary};
-pub use recorder::{AtomicRecorder, Counter, Gauge, Histogram, NoopRecorder, Recorder, TimedScope};
+pub use recorder::{
+    percentile, AtomicRecorder, Counter, Gauge, Histogram, NoopRecorder, Recorder, TimedScope,
+};
 pub use report::{parse_report, render_report, ParsedReport};
 pub use runlog::{RunTelemetry, TelemetryConfig};
 pub use trace::{SpanRecorder, TraceIdGen};

@@ -375,6 +375,18 @@ impl Recorder for AtomicRecorder {
     }
 }
 
+/// The nearest-rank `q` quantile (`0.0..=1.0`) of ascending `sorted`
+/// samples: the smallest sample at or above a `q` share of them; 0 for
+/// no samples. Exact, where [`Histogram::quantile_upper_bound`] is a
+/// log₂ bucket bound.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,5 +546,19 @@ mod tests {
         let h = r.histogram("barrier_ns");
         assert_eq!(h.count(), 1);
         assert!(h.sum() >= 1_000_000, "2ms sleep recorded {} ns", h.sum());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.99), 0);
+        assert_eq!(percentile(&[7], 0.5), 7);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&v, 0.5), 50);
+        assert_eq!(percentile(&v, 0.95), 95);
+        assert_eq!(percentile(&v, 0.99), 99);
+        assert_eq!(percentile(&v, 1.0), 100);
+        // Nearest rank, not an interpolated or rounded index.
+        assert_eq!(percentile(&[1, 2, 3, 4], 0.5), 2);
     }
 }
