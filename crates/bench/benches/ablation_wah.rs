@@ -3,12 +3,12 @@
 //! (n = 12,422) across sparsities, plus the space ratio printed once.
 //!
 //! Extended with the levelwise-backend ablation: the same generic
-//! enumeration kernel run over dense, WAH, and hybrid neighbor sets on
+//! enumeration kernel run over dense and WAH neighbor sets on
 //! the planted-module workload whose single measured pass
 //! `bench_baseline` commits to `BENCH_backends.json`.
 
 use gsb_bench::timer::bench;
-use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
+use gsb_bitset::{BitSet, NeighborSet, WahBitSet};
 use gsb_core::sink::CountSink;
 use gsb_core::{CliqueEnumerator, EnumConfig};
 use gsb_graph::generators::{planted, Module};
@@ -71,9 +71,6 @@ fn bench_backends() {
     bench("levelwise_backends/dense", || count_levelwise::<BitSet>(&g));
     bench("levelwise_backends/wah", || {
         count_levelwise::<WahBitSet>(&g)
-    });
-    bench("levelwise_backends/hybrid", || {
-        count_levelwise::<HybridSet>(&g)
     });
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Run from the repo root: `cargo run -p gsb-bench --bin bench_baseline`.
 
-use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
+use gsb_bitset::{BitSet, NeighborSet, WahBitSet};
 use gsb_core::sink::CountSink;
 use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats};
 use gsb_graph::generators::{planted, Module};
@@ -53,7 +53,6 @@ fn export_backends(g: &BitGraph) -> std::io::Result<()> {
     for (name, (count, stats)) in [
         ("dense", run_levelwise::<BitSet>(g)),
         ("wah", run_levelwise::<WahBitSet>(g)),
-        ("hybrid", run_levelwise::<HybridSet>(g)),
     ] {
         let peak_heap = stats
             .levels

@@ -79,14 +79,6 @@ impl BitSet {
         &self.words
     }
 
-    /// Mutable raw word storage — crate-internal so callers cannot
-    /// violate the trailing-bits-clear invariant (the WAH
-    /// mixed-representation kernels write whole groups directly).
-    #[inline]
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Heap bytes used by the word storage (for memory accounting).
     #[inline]
     pub fn heap_bytes(&self) -> usize {

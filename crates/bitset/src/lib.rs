@@ -34,7 +34,7 @@ mod wah;
 
 pub use bitset::{BitSet, Ones};
 pub use counter::SliceCounter;
-pub use neighbor::{HybridSet, NeighborSet, KIND_DENSE, KIND_HYBRID, KIND_WAH};
+pub use neighbor::{NeighborSet, KIND_DENSE, KIND_WAH};
 pub use wah::WahBitSet;
 
 /// Number of bits per storage word.

@@ -13,19 +13,16 @@
 //!   set regardless of density;
 //! * [`WahBitSet`] — WAH-compressed; operations run on the compressed
 //!   words, so sparse sets cost memory *and time* proportional to their
-//!   run structure instead of the universe;
-//! * [`HybridSet`] — adaptive: each stored sub-list keeps whichever
-//!   representation is smaller for its own density, while the hot AND
-//!   scratch stays dense.
+//!   run structure instead of the universe.
 
 use crate::{BitSet, WahBitSet};
 
 /// Backend identifier for [`BitSet`] (see [`NeighborSet::KIND`]).
 pub const KIND_DENSE: u8 = 0;
-/// Backend identifier for [`WahBitSet`].
+/// Backend identifier for [`WahBitSet`]. Kind 2 belonged to a retired
+/// per-set adaptive representation and is never reused, so a checkpoint
+/// tagged with it can only fail to load.
 pub const KIND_WAH: u8 = 1;
-/// Backend identifier for [`HybridSet`].
-pub const KIND_HYBRID: u8 = 2;
 
 /// A fixed-universe bit string supporting exactly the operations the
 /// levelwise enumeration kernel needs.
@@ -77,14 +74,6 @@ pub trait NeighborSet: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'stat
 
     /// Heap bytes held by this set (memory-watchdog accounting).
     fn heap_bytes(&self) -> usize;
-
-    /// Clone for long-term storage in a kept sub-list. Adaptive
-    /// representations re-choose their encoding here (the scratch
-    /// buffer being cloned is transient and optimized for speed, the
-    /// stored copy for footprint); plain representations just clone.
-    fn store_clone(&self) -> Self {
-        self.clone()
-    }
 
     /// `Some(bytes)` when every set over a `nbits` universe serializes
     /// to the same fixed width (dense words) — the record codecs then
@@ -241,184 +230,6 @@ impl NeighborSet for WahBitSet {
     }
 }
 
-/// An adaptive neighbor set: stores whichever of the dense or WAH
-/// representation is smaller, chosen per set by its own density.
-///
-/// The choice is made at [`from_bitset`](NeighborSet::from_bitset) /
-/// [`store_clone`](NeighborSet::store_clone) time; intermediate results
-/// ([`and_into`](NeighborSet::and_into) outputs) always materialize
-/// dense so the kernel's scratch buffer never reallocates per
-/// operation.
-#[derive(Clone, Debug)]
-pub enum HybridSet {
-    /// Dense words won (high-density set).
-    Dense(BitSet),
-    /// WAH compression won (sparse or run-structured set).
-    Wah(WahBitSet),
-}
-
-impl HybridSet {
-    /// Exact storage bytes of each representation for a dense input.
-    fn pick(bits: &BitSet) -> Self {
-        let wah = WahBitSet::from_bitset(bits);
-        if wah.code_words() * 8 < crate::words_for(bits.len()) * 8 {
-            HybridSet::Wah(wah)
-        } else {
-            HybridSet::Dense(bits.clone())
-        }
-    }
-
-    /// Which representation this set currently holds ("dense"/"wah").
-    pub fn repr_name(&self) -> &'static str {
-        match self {
-            HybridSet::Dense(_) => "dense",
-            HybridSet::Wah(_) => "wah",
-        }
-    }
-}
-
-impl PartialEq for HybridSet {
-    /// Logical equality: representation does not matter.
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (HybridSet::Dense(a), HybridSet::Dense(b)) => a == b,
-            (HybridSet::Wah(a), HybridSet::Wah(b)) => a.to_bitset() == b.to_bitset(),
-            (HybridSet::Dense(d), HybridSet::Wah(w)) | (HybridSet::Wah(w), HybridSet::Dense(d)) => {
-                &w.to_bitset() == d
-            }
-        }
-    }
-}
-
-impl NeighborSet for HybridSet {
-    const KIND: u8 = KIND_HYBRID;
-    const KIND_NAME: &'static str = "hybrid";
-
-    fn from_bitset(bits: &BitSet) -> Self {
-        Self::pick(bits)
-    }
-
-    fn to_bitset(&self) -> BitSet {
-        match self {
-            HybridSet::Dense(d) => d.clone(),
-            HybridSet::Wah(w) => w.to_bitset(),
-        }
-    }
-
-    fn empty(nbits: usize) -> Self {
-        HybridSet::Wah(WahBitSet::zero(nbits))
-    }
-
-    fn nbits(&self) -> usize {
-        match self {
-            HybridSet::Dense(d) => d.len(),
-            HybridSet::Wah(w) => w.len(),
-        }
-    }
-
-    fn and_into(a: &Self, b: &Self, out: &mut Self) {
-        let nbits = a.nbits();
-        // Reuse out's dense buffer when it has one; otherwise install one.
-        if !matches!(out, HybridSet::Dense(d) if d.len() == nbits) {
-            *out = HybridSet::Dense(BitSet::new(nbits));
-        }
-        let HybridSet::Dense(dense) = out else {
-            unreachable!("out forced dense above")
-        };
-        match a {
-            HybridSet::Dense(d) => dense.words_mut().copy_from_slice(d.words()),
-            HybridSet::Wah(w) => w.expand_into(dense),
-        }
-        match b {
-            HybridSet::Dense(d) => dense.and_assign(d),
-            HybridSet::Wah(w) => w.and_assign_dense(dense),
-        }
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        match (self, other) {
-            (HybridSet::Dense(a), HybridSet::Dense(b)) => a.intersects(b),
-            (HybridSet::Wah(a), HybridSet::Wah(b)) => a.intersects(b),
-            (HybridSet::Dense(d), HybridSet::Wah(w)) | (HybridSet::Wah(w), HybridSet::Dense(d)) => {
-                w.intersects_dense(d)
-            }
-        }
-    }
-
-    fn any(&self) -> bool {
-        match self {
-            HybridSet::Dense(d) => d.any(),
-            HybridSet::Wah(w) => w.any(),
-        }
-    }
-
-    fn first_one(&self) -> Option<usize> {
-        match self {
-            HybridSet::Dense(d) => d.first_one(),
-            HybridSet::Wah(w) => w.first_one(),
-        }
-    }
-
-    fn count_ones(&self) -> usize {
-        match self {
-            HybridSet::Dense(d) => d.count_ones(),
-            HybridSet::Wah(w) => w.count_ones(),
-        }
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        match self {
-            HybridSet::Dense(d) => d.contains(i),
-            HybridSet::Wah(w) => w.contains(i),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            HybridSet::Dense(d) => d.heap_bytes(),
-            HybridSet::Wah(w) => w.heap_bytes(),
-        }
-    }
-
-    fn store_clone(&self) -> Self {
-        match self {
-            // Transient dense scratch: re-evaluate the density choice
-            // before the copy is stored for a whole level.
-            HybridSet::Dense(d) => Self::pick(d),
-            // Already compressed: compression was already the winner.
-            HybridSet::Wah(w) => HybridSet::Wah(w.clone()),
-        }
-    }
-
-    fn serialized_len(_nbits: usize) -> Option<usize> {
-        None
-    }
-
-    fn serialize_into(&self, out: &mut Vec<u8>) {
-        match self {
-            HybridSet::Dense(d) => {
-                out.push(KIND_DENSE);
-                NeighborSet::serialize_into(d, out);
-            }
-            HybridSet::Wah(w) => {
-                out.push(KIND_WAH);
-                NeighborSet::serialize_into(w, out);
-            }
-        }
-    }
-
-    fn deserialize(nbits: usize, bytes: &[u8]) -> Option<Self> {
-        let (&tag, payload) = bytes.split_first()?;
-        match tag {
-            KIND_DENSE => {
-                <BitSet as NeighborSet>::deserialize(nbits, payload).map(HybridSet::Dense)
-            }
-            KIND_WAH => WahBitSet::deserialize(nbits, payload).map(HybridSet::Wah),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +255,6 @@ mod tests {
             for i in [0usize, n / 2, n - 1] {
                 assert_eq!(sa.contains(i), a.contains(i));
             }
-            assert_eq!(sa.store_clone().to_bitset(), a);
             // serialization roundtrip
             let mut bytes = Vec::new();
             sa.serialize_into(&mut bytes);
@@ -476,48 +286,5 @@ mod tests {
     fn wah_conforms() {
         exercise::<WahBitSet>(130);
         exercise::<WahBitSet>(64);
-    }
-
-    #[test]
-    fn hybrid_conforms() {
-        exercise::<HybridSet>(130);
-        exercise::<HybridSet>(64);
-    }
-
-    #[test]
-    fn hybrid_picks_the_smaller_representation() {
-        // sparse: a couple of bits in a large universe → WAH wins
-        let sparse = BitSet::from_ones(100_000, [5usize, 9_000]);
-        let h = HybridSet::from_bitset(&sparse);
-        assert_eq!(h.repr_name(), "wah");
-        assert!(h.heap_bytes() < sparse.heap_bytes() / 100);
-        // dense random-ish: alternating bits kill run compression
-        let dense = BitSet::from_ones(1000, (0..1000).step_by(2));
-        let h = HybridSet::from_bitset(&dense);
-        assert_eq!(h.repr_name(), "dense");
-        // store_clone of a dense scratch re-chooses
-        let mut out = HybridSet::empty(100_000);
-        let a = HybridSet::from_bitset(&sparse);
-        let full = HybridSet::from_bitset(&BitSet::full(100_000));
-        HybridSet::and_into(&a, &full, &mut out);
-        assert_eq!(out.repr_name(), "dense"); // scratch stays dense
-        assert_eq!(out.store_clone().repr_name(), "wah"); // storage compresses
-    }
-
-    #[test]
-    fn hybrid_mixed_serialization_roundtrips() {
-        for bits in [
-            BitSet::from_ones(5000, [1usize, 4000]),
-            BitSet::from_ones(5000, (0..5000).step_by(2)),
-        ] {
-            let h = HybridSet::from_bitset(&bits);
-            let mut bytes = Vec::new();
-            h.serialize_into(&mut bytes);
-            let back = HybridSet::deserialize(5000, &bytes).expect("roundtrip");
-            assert_eq!(back.to_bitset(), bits);
-            assert_eq!(back.repr_name(), h.repr_name());
-        }
-        assert!(HybridSet::deserialize(100, &[]).is_none());
-        assert!(HybridSet::deserialize(100, &[9, 0, 0]).is_none());
     }
 }

@@ -377,88 +377,6 @@ impl WahBitSet {
         unreachable!("group {target} not covered by encoding");
     }
 
-    /// Decompress into an existing plain bitset (reusing its words).
-    pub fn expand_into(&self, out: &mut BitSet) {
-        if out.len() != self.nbits {
-            *out = BitSet::new(self.nbits);
-        } else {
-            out.clear();
-        }
-        let last_mask = partial_last_mask(self.nbits);
-        let ngroups = self.nbits.div_ceil(GROUP_BITS);
-        let mut pos = 0usize;
-        for (count, g) in self.runs() {
-            match g {
-                Group::Fill(false) => pos += count as usize,
-                Group::Fill(true) => {
-                    for gi in pos..pos + count as usize {
-                        let v = if gi + 1 == ngroups {
-                            LITERAL_MASK & last_mask
-                        } else {
-                            LITERAL_MASK
-                        };
-                        or_group(out.words_mut(), gi, v);
-                    }
-                    pos += count as usize;
-                }
-                Group::Literal(w) => {
-                    let v = if pos + 1 == ngroups { w & last_mask } else { w };
-                    or_group(out.words_mut(), pos, v);
-                    pos += 1;
-                }
-            }
-        }
-    }
-
-    /// `out &= self`, operating on the compressed runs against a plain
-    /// bitset of the same universe.
-    pub fn and_assign_dense(&self, out: &mut BitSet) {
-        assert_eq!(self.nbits, out.len(), "universe mismatch");
-        let mut pos = 0usize;
-        for (count, g) in self.runs() {
-            match g {
-                Group::Fill(true) => pos += count as usize,
-                Group::Fill(false) => {
-                    for gi in pos..pos + count as usize {
-                        and_group(out.words_mut(), gi, 0);
-                    }
-                    pos += count as usize;
-                }
-                Group::Literal(w) => {
-                    and_group(out.words_mut(), pos, w);
-                    pos += 1;
-                }
-            }
-        }
-    }
-
-    /// Does `self & other` have any set bit, for a plain `other`?
-    /// Walks the compressed runs without materializing either side.
-    pub fn intersects_dense(&self, other: &BitSet) -> bool {
-        assert_eq!(self.nbits, other.len(), "universe mismatch");
-        let mut pos = 0usize;
-        for (count, g) in self.runs() {
-            match g {
-                Group::Fill(false) => pos += count as usize,
-                Group::Fill(true) => {
-                    for gi in pos..pos + count as usize {
-                        if extract_group(other, gi) != 0 {
-                            return true;
-                        }
-                    }
-                    pos += count as usize;
-                }
-                Group::Literal(w) => {
-                    if extract_group(other, pos) & w != 0 {
-                        return true;
-                    }
-                    pos += 1;
-                }
-            }
-        }
-        false
-    }
-
     /// Append the code words as little-endian bytes (the record codecs'
     /// on-disk form; framing and checksums live at the record layer).
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
@@ -541,43 +459,6 @@ fn merge_into(
         }
         ra = advance(ra, step, &mut xa);
         rb = advance(rb, step, &mut xb);
-    }
-}
-
-/// Mask for the (possibly partial) final 63-bit group of a universe.
-fn partial_last_mask(nbits: usize) -> u64 {
-    if nbits.is_multiple_of(GROUP_BITS) {
-        LITERAL_MASK
-    } else {
-        (1u64 << (nbits % GROUP_BITS)) - 1
-    }
-}
-
-/// OR 63-bit group `g` into a plain word array (two-word shift; the
-/// caller guarantees `value` has no bits beyond the universe).
-fn or_group(words: &mut [u64], g: usize, value: u64) {
-    let start = g * GROUP_BITS;
-    let (wi, off) = (start / 64, start % 64);
-    if wi < words.len() {
-        words[wi] |= value << off;
-    }
-    if off != 0 && wi + 1 < words.len() {
-        words[wi + 1] |= value >> (64 - off);
-    }
-}
-
-/// AND 63-bit group `g` of a plain word array with `value`, leaving
-/// neighboring groups' bits untouched.
-fn and_group(words: &mut [u64], g: usize, value: u64) {
-    let start = g * GROUP_BITS;
-    let (wi, off) = (start / 64, start % 64);
-    if wi < words.len() {
-        let mask_lo = LITERAL_MASK << off;
-        words[wi] &= !mask_lo | (value << off);
-    }
-    if off != 0 && wi + 1 < words.len() {
-        let mask_hi = LITERAL_MASK >> (64 - off);
-        words[wi + 1] &= !mask_hi | (value >> (64 - off));
     }
 }
 
@@ -992,47 +873,6 @@ mod tests {
             assert_eq!(wah.contains(i), plain.contains(i), "bit {i}");
         }
         assert!(!wah.contains(400));
-    }
-
-    #[test]
-    fn expand_into_matches_to_bitset() {
-        for (n, ones) in [
-            (0usize, vec![]),
-            (63, vec![0usize, 62]),
-            (64, vec![63]),
-            (126, vec![0, 62, 63, 125]),
-            (1000, vec![0, 500, 999]),
-            (630, (0..630).collect::<Vec<_>>()),
-        ] {
-            let plain = BitSet::from_ones(n, ones.iter().copied());
-            let wah = WahBitSet::from_bitset(&plain);
-            let mut out = BitSet::new(n);
-            wah.expand_into(&mut out);
-            assert_eq!(out, plain, "n={n}");
-            // reuse with stale contents
-            wah.expand_into(&mut out);
-            assert_eq!(out, plain, "n={n} reuse");
-        }
-    }
-
-    #[test]
-    fn mixed_dense_ops_match_plain() {
-        let a = BitSet::from_ones(700, [0, 63, 64, 300, 699]);
-        let b = BitSet::from_ones(700, [63, 300, 500]);
-        let wa = WahBitSet::from_bitset(&a);
-        // dense &= wah
-        let mut out = b.clone();
-        wa.and_assign_dense(&mut out);
-        assert_eq!(out, a.and(&b));
-        assert!(wa.intersects_dense(&b));
-        assert!(!WahBitSet::from_bitset(&BitSet::from_ones(700, [1usize])).intersects_dense(&b));
-        // full-fill runs against dense
-        let wf = WahBitSet::from_bitset(&BitSet::full(700));
-        let mut out = b.clone();
-        wf.and_assign_dense(&mut out);
-        assert_eq!(out, b);
-        assert!(wf.intersects_dense(&b));
-        assert!(!wf.intersects_dense(&BitSet::new(700)));
     }
 
     #[test]

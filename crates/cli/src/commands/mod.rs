@@ -222,7 +222,7 @@ mod tests {
         let dense = cliques(&argv(&[&path, "--min", "3"])).unwrap();
         let mut want: Vec<&str> = dense.lines().filter(|l| !l.starts_with('#')).collect();
         want.sort();
-        for backend in ["dense", "wah", "hybrid"] {
+        for backend in ["dense", "wah"] {
             for threads in ["1", "3"] {
                 let alt = cliques(&argv(&[
                     &path,
@@ -249,6 +249,62 @@ mod tests {
             assert_eq!(err.exit_code(), 2);
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn retired_hybrid_backend_is_a_usage_error_naming_the_two_left() {
+        let path = tmp("g17.txt");
+        let dir = tmp("g17-index");
+        generate(&argv(&[
+            "--kind",
+            "planted",
+            "--n",
+            "20",
+            "--modules",
+            "5",
+            "--seed",
+            "3",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        for err in [
+            cliques(&argv(&[&path, "--backend", "hybrid"])).unwrap_err(),
+            index(&argv(&[&path, "--out", &dir, "--backend", "hybrid"])).unwrap_err(),
+        ] {
+            assert_eq!(err.exit_code(), 2, "{err}");
+            let CliError::Usage(message) = &err else {
+                panic!("not a usage error: {err}");
+            };
+            for name in ["'hybrid'", "dense", "wah"] {
+                assert!(message.contains(name), "{message}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_names_an_unknown_backend_in_run_meta() {
+        let dir = tmp("g18-ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = Path::new(&dir).join("run.meta");
+        std::fs::write(
+            &meta,
+            "graph=g18.txt\nmin_k=3\nthreads=1\nout=g18.out\nbackend=hybrid\n",
+        )
+        .unwrap();
+        let err = resume(&argv(&[&dir])).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        let text = err.to_string();
+        assert!(text.contains("backend 'hybrid'"), "{text}");
+        assert!(!text.contains("nothing to resume"), "{text}");
+        // Without a run.meta there is still nothing to resume.
+        std::fs::remove_file(&meta).unwrap();
+        let err = resume(&argv(&[&dir])).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(err.to_string().contains("nothing to resume"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

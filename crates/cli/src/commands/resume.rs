@@ -4,12 +4,12 @@ use super::cliques::append_degradation_note;
 use super::load;
 use crate::args::Args;
 use crate::CliError;
-use gsb_bitset::{BitSet, HybridSet, WahBitSet};
+use gsb_bitset::{BitSet, WahBitSet};
 use gsb_core::checkpoint::{
     latest_checkpoint, load_stop_cause, CheckpointConfig, RunMeta, RunProgress,
 };
 use gsb_core::store;
-use gsb_core::{BackendChoice, CliquePipeline, ShutdownToken, WriterSink};
+use gsb_core::{BackendChoice, CliquePipeline, ShutdownToken, StoreError, WriterSink};
 use gsb_telemetry::{RunTelemetry, TelemetryConfig};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -28,11 +28,14 @@ pub fn resume(argv: &[String]) -> Result<String, CliError> {
     // Read the stop cause before the pipeline touches the directory
     // (resuming rewrites run.meta state on the next interruption).
     let stop_cause = load_stop_cause(Path::new(dir));
-    let meta = RunMeta::load(Path::new(dir)).map_err(|_| {
-        CliError::Runtime(format!(
-            "no run.meta in {dir} — nothing to resume (directory never checkpointed, \
-             or the run completed and cleaned up)"
-        ))
+    let meta = RunMeta::load(Path::new(dir)).map_err(|e| match e {
+        StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            CliError::Runtime(format!(
+                "no run.meta in {dir} — nothing to resume (directory never checkpointed, \
+                 or the run completed and cleaned up)"
+            ))
+        }
+        e => CliError::Store(e),
     })?;
     let g = Arc::new(load(&meta.graph)?);
     // Probe with the representation the run was checkpointed in; a
@@ -41,9 +44,6 @@ pub fn resume(argv: &[String]) -> Result<String, CliError> {
         BackendChoice::Dense => latest_checkpoint::<BitSet>(Path::new(dir), g.n())?.map(|(k, _)| k),
         BackendChoice::Wah => {
             latest_checkpoint::<WahBitSet>(Path::new(dir), g.n())?.map(|(k, _)| k)
-        }
-        BackendChoice::Hybrid => {
-            latest_checkpoint::<HybridSet>(Path::new(dir), g.n())?.map(|(k, _)| k)
         }
     };
     let Some(k_ckpt) = k_ckpt else {

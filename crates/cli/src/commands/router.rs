@@ -5,7 +5,7 @@
 use crate::args::Args;
 use crate::CliError;
 use gsb_core::ShutdownToken;
-use gsb_index::{Router, RouterConfig, Topology};
+use gsb_index::{endpoint_paths, Router, RouterConfig, Topology};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -75,9 +75,7 @@ pub fn router(argv: &[String]) -> Result<String, CliError> {
     eprintln!(
         "gsb router: listening on http://{bound} ({shards} shards, {replicas} replicas, {cliques} cliques)"
     );
-    eprintln!(
-        "gsb router: endpoints: /health /ready /stats /get/ID /containing/V /size/LO/HI /max /overlap/V/W /metrics /metrics-json"
-    );
+    eprintln!("gsb router: endpoints: {}", endpoint_paths());
 
     let shutdown = ShutdownToken::global();
     let report = front.run(&shutdown)?;

@@ -4,7 +4,7 @@
 use crate::args::Args;
 use crate::CliError;
 use gsb_core::ShutdownToken;
-use gsb_index::{CliqueIndex, ServeConfig, Server};
+use gsb_index::{endpoint_paths, CliqueIndex, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,9 +95,7 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
         index.n(),
         index.generation()
     );
-    eprintln!(
-        "gsb serve: endpoints: /health /ready /stats /get/ID /containing/V /size/LO/HI /max /overlap/V/W /metrics /metrics-json"
-    );
+    eprintln!("gsb serve: endpoints: {}", endpoint_paths());
     if let Some(path) = &access_log {
         eprintln!("gsb serve: access log at {}", path.display());
     }

@@ -146,7 +146,7 @@ USAGE:
                [--modules 9,7,5] [--seed S] --out FILE
   gsb stats FILE
   gsb cliques FILE [--min K] [--max K] [--threads T] [--count-only]
-               [--backend dense|wah|hybrid]
+               [--backend dense|wah]
                [--out FILE] [--checkpoint-dir DIR] [--checkpoint-secs S]
                [--memory-budget BYTES] [--disk-budget BYTES]
                [--worker-deadline-secs S]
@@ -159,7 +159,7 @@ USAGE:
   gsb fvs FILE
   gsb motif SEQFILE --l WIDTH [--d MUTATIONS] [--q QUORUM] [--top N]
   gsb index GRAPH --out DIR [--min K] [--max K] [--threads T]
-               [--backend dense|wah|hybrid] [--block-target BYTES]
+               [--backend dense|wah] [--block-target BYTES]
                [--text-out FILE]
   gsb query INDEX_DIR (--containing V | --size-min K --size-max M |
                --max | --overlap V,W) [--ids-only] [--limit N]
@@ -194,13 +194,13 @@ USAGE:
 Graph files: whitespace edge lists (0-indexed), or DIMACS with a
 .clq/.dimacs extension. Sequence files: one sequence per line.
 
-Backends: `cliques --backend dense|wah|hybrid` selects the bitmap
+Backends: `cliques --backend dense|wah` selects the bitmap
 representation of the per-sub-list common-neighbor sets — dense u64
-words (default), WAH-compressed run-length words, or a per-sub-list
-adaptive hybrid. Every backend enumerates the identical clique set;
-compressed backends trade AND throughput for a smaller working set on
-sparse genome-scale graphs. Checkpoints are written in the selected
-representation and `gsb resume` picks the backend up from run.meta.
+words (default) or WAH-compressed run-length words. Both enumerate the
+identical clique set; WAH trades AND throughput for a smaller working
+set on sparse genome-scale graphs. Checkpoints are written in the
+selected representation and `gsb resume` picks the backend up from
+run.meta.
 
 Parallel runtime: `cliques --threads T` runs each level as a
 work-stealing epoch — the level is cut into cost-balanced runs of

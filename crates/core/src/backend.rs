@@ -1,7 +1,7 @@
 //! Which bitmap representation a run enumerates with.
 //!
 //! [`BackendChoice`] names the common-neighbor bitmap representation
-//! (dense, WAH-compressed, or adaptive hybrid) of a run; the pipeline
+//! (dense or WAH-compressed) of a run; the pipeline
 //! and CLI dispatch on it to pick the `S: NeighborSet` type parameter.
 //! How a level is held — resident, or in a budgeted
 //! [`LevelStore`](crate::store::LevelStore) out of core — is the
@@ -20,19 +20,15 @@ pub enum BackendChoice {
     /// WAH-compressed bitmaps ([`gsb_bitset::WahBitSet`]), operated on
     /// in compressed form.
     Wah,
-    /// Per-sub-list adaptive choice ([`gsb_bitset::HybridSet`]): each
-    /// stored bitmap keeps whichever representation is smaller.
-    Hybrid,
 }
 
 impl BackendChoice {
-    /// Canonical lowercase name (`dense` / `wah` / `hybrid`), matching
+    /// Canonical lowercase name (`dense` / `wah`), matching
     /// the CLI `--backend` values and the `run.meta` `backend=` key.
     pub fn name(self) -> &'static str {
         match self {
             BackendChoice::Dense => "dense",
             BackendChoice::Wah => "wah",
-            BackendChoice::Hybrid => "hybrid",
         }
     }
 }
@@ -44,10 +40,7 @@ impl std::str::FromStr for BackendChoice {
         match s {
             "dense" => Ok(BackendChoice::Dense),
             "wah" => Ok(BackendChoice::Wah),
-            "hybrid" => Ok(BackendChoice::Hybrid),
-            other => Err(format!(
-                "unknown backend '{other}' (expected dense, wah, or hybrid)"
-            )),
+            other => Err(format!("unknown backend '{other}' (expected dense or wah)")),
         }
     }
 }
@@ -64,11 +57,7 @@ mod tests {
 
     #[test]
     fn backend_choice_parses_and_prints() {
-        for (s, want) in [
-            ("dense", BackendChoice::Dense),
-            ("wah", BackendChoice::Wah),
-            ("hybrid", BackendChoice::Hybrid),
-        ] {
+        for (s, want) in [("dense", BackendChoice::Dense), ("wah", BackendChoice::Wah)] {
             let got: BackendChoice = s.parse().unwrap();
             assert_eq!(got, want);
             assert_eq!(got.to_string(), s);

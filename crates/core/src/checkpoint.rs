@@ -385,7 +385,8 @@ pub struct RunMeta {
     pub out: Option<String>,
     /// Bitmap representation the run enumerated with. A `run.meta`
     /// written by an older build has no `backend=` line and loads as
-    /// [`BackendChoice::Dense`] — exactly what those builds ran.
+    /// [`BackendChoice::Dense`] — exactly what those builds ran. Any
+    /// other value loads as [`StoreError::UnknownBackend`].
     pub backend: BackendChoice,
 }
 
@@ -424,7 +425,11 @@ impl RunMeta {
                 "max_k" => meta.max_k = value.parse().ok(),
                 "threads" => meta.threads = value.parse().unwrap_or(0),
                 "out" => meta.out = Some(value.to_string()),
-                "backend" => meta.backend = value.parse().unwrap_or_default(),
+                "backend" => {
+                    meta.backend = value.parse().map_err(|_| StoreError::UnknownBackend {
+                        name: value.to_string(),
+                    })?
+                }
                 _ => {}
             }
         }
@@ -671,6 +676,13 @@ mod tests {
                 backend: BackendChoice::Dense,
                 ..meta
             }
+        );
+        // a backend this build does not have is a typed error naming it
+        std::fs::write(&path, text.replace("backend=wah", "backend=hybrid")).unwrap();
+        let err = RunMeta::load(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::UnknownBackend { name } if name == "hybrid"),
+            "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

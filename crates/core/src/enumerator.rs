@@ -8,9 +8,8 @@
 //! nothing is generated.
 //!
 //! One expansion kernel (`expand_sublist`) serves every configuration,
-//! over any [`NeighborSet`] (dense, WAH-compressed, or adaptive
-//! hybrid). `CliqueEnumerator` with no type argument is the dense
-//! enumerator.
+//! over any [`NeighborSet`] (dense or WAH-compressed).
+//! `CliqueEnumerator` with no type argument is the dense enumerator.
 //!
 //! ## One level loop
 //!
@@ -45,7 +44,7 @@
 //! Conversely a clique generated as maximal has an empty common-neighbor
 //! bitmap, which *is* maximality; and the canonical path is unique, so
 //! there are no duplicates. These properties are cross-checked against
-//! Bron–Kerbosch — for all three representations — in the test suites.
+//! Bron–Kerbosch — for both representations — in the test suites.
 
 use crate::memory::LevelMemory;
 use crate::sink::CliqueSink;
@@ -786,7 +785,7 @@ pub(crate) fn expand_sublist<S: NeighborSet>(
             and_ops += 1;
             out(SubList {
                 prefix,
-                cn: buf.store_clone(),
+                cn: buf.clone(),
                 tails: new_tails,
             });
         }
@@ -804,7 +803,7 @@ mod tests {
     use super::*;
     use crate::bk::base_bk_sorted;
     use crate::sink::CollectSink;
-    use gsb_bitset::{HybridSet, WahBitSet};
+    use gsb_bitset::WahBitSet;
     use gsb_graph::generators::{gnp, planted, Module};
 
     fn enumerate_sorted(g: &BitGraph, config: EnumConfig) -> Vec<Vec<Vertex>> {
@@ -888,11 +887,6 @@ mod tests {
                 enumerate_sorted_as::<WahBitSet>(&g, config),
                 expect,
                 "wah seed {seed}"
-            );
-            assert_eq!(
-                enumerate_sorted_as::<HybridSet>(&g, config),
-                expect,
-                "hybrid seed {seed}"
             );
         }
     }

@@ -7,13 +7,18 @@
 //! `{u, v} ∪ M` for each maximal clique `M` of the subgraph induced by
 //! `N(u) ∩ N(v)`, and subsumes exactly the cliques `M ∪ {u}` and
 //! `M ∪ {v}` that were maximal without the edge. This module builds
-//! that induced subproblem and runs the same generic
-//! [`CliqueEnumerator`] kernel on it, mapping vertex ids back to the
-//! host graph — the delta path reuses the exact code paths (and
-//! ordering contract) of a full enumeration, just on a graph that is
-//! usually a few dozen vertices instead of genome-scale.
+//! that induced subproblem, solves it with pivoted Bron–Kerbosch
+//! ([`improved_bk`]) and maps vertex ids back to the host graph.
+//!
+//! Pivoting matters here. An edit inside a large clique makes the
+//! subproblem itself a clique of ω − 2 vertices: the levelwise
+//! [`CliqueEnumerator`](crate::CliqueEnumerator) walks all 2^(ω−2) of
+//! its sub-cliques, while pivoted BK descends one branch per vertex.
+//! The result is sorted into the enumerator's canonical (size, then
+//! lexicographic) order, so callers see the same list either way; the
+//! tests check that against the enumerator on seeded graphs.
 
-use crate::enumerator::{CliqueEnumerator, EnumConfig};
+use crate::bk::improved_bk;
 use crate::sink::CollectSink;
 use crate::{Clique, Vertex};
 use gsb_bitset::BitSet;
@@ -21,28 +26,23 @@ use gsb_graph::BitGraph;
 
 /// All maximal cliques (of every size, including isolated-vertex
 /// singletons) of the subgraph of `g` induced by `keep`, expressed in
-/// `g`'s vertex ids and each sorted ascending. Emission order is the
-/// kernel's canonical (size, then lexicographic) order.
+/// `g`'s vertex ids and each sorted ascending, in canonical (size, then
+/// lexicographic) order.
 pub fn maximal_cliques_induced(g: &BitGraph, keep: &BitSet) -> Vec<Clique> {
     let (sub, map) = g.induced(keep);
-    if sub.n() == 0 {
-        return Vec::new();
-    }
-    let config = EnumConfig {
-        min_k: 1,
-        max_k: None,
-        record_costs: false,
-    };
     let mut sink = CollectSink::default();
-    CliqueEnumerator::new(config).enumerate(&sub, &mut sink);
-    // `induced` assigns new labels in ascending old-id order, so the
-    // mapped lists stay sorted without a re-sort.
-    for c in &mut sink.cliques {
+    improved_bk(&sub, &mut sink);
+    let mut cliques = sink.cliques;
+    // `induced` assigns new labels in ascending old-id order, so a
+    // clique sorted in new labels stays sorted once mapped back.
+    for c in &mut cliques {
+        c.sort_unstable();
         for v in c.iter_mut() {
             *v = map[*v as usize] as Vertex;
         }
     }
-    sink.cliques
+    cliques.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    cliques
 }
 
 /// The maximal cliques `M` of the subgraph of `g` induced by
@@ -63,6 +63,8 @@ pub fn common_neighborhood_cliques(g: &BitGraph, u: usize, v: usize) -> Vec<Cliq
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerator::{CliqueEnumerator, EnumConfig};
+    use gsb_graph::generators::{planted, Module};
 
     fn naive_maximal(g: &BitGraph) -> Vec<Clique> {
         // brute force over all subsets (test graphs are tiny)
@@ -125,5 +127,53 @@ mod tests {
         // no common neighbor at all: the single empty clique
         let h = BitGraph::from_edges(3, [(0, 2)]);
         assert_eq!(common_neighborhood_cliques(&h, 2, 0), vec![Clique::new()]);
+    }
+
+    /// The levelwise Clique Enumerator's answer for the same induced
+    /// subgraph: its emission order is the canonical one.
+    fn enumerator_induced(g: &BitGraph, keep: &BitSet) -> Vec<Clique> {
+        let (sub, map) = g.induced(keep);
+        let mut sink = CollectSink::default();
+        if sub.n() > 0 {
+            let config = EnumConfig {
+                min_k: 1,
+                max_k: None,
+                record_costs: false,
+            };
+            CliqueEnumerator::new(config).enumerate(&sub, &mut sink);
+        }
+        for c in &mut sink.cliques {
+            for v in c.iter_mut() {
+                *v = map[*v as usize] as Vertex;
+            }
+        }
+        sink.cliques
+    }
+
+    #[test]
+    fn seeded_sweep_matches_the_enumerator_in_order() {
+        gsb_rng::sweep(150, |rng| {
+            let n = 4 + rng.below(33);
+            let modules: Vec<Module> = (0..rng.below(3))
+                .map(|_| Module::clique(3 + rng.below(n.min(12) - 2)))
+                .collect();
+            let g = planted(n, 0.1 + 0.6 * rng.unit(), &modules, rng.next_u64());
+            // The whole graph, a random subset, and common neighbourhoods
+            // of random pairs (what `gsb update` asks for).
+            let mut keeps = vec![BitSet::full(n)];
+            keeps.push(BitSet::from_ones(n, (0..n).filter(|_| rng.chance(0.6))));
+            for _ in 0..4 {
+                let (u, v) = (rng.below(n), rng.below(n));
+                keeps.push(g.common_neighbors(&[u, v]));
+            }
+            for keep in &keeps {
+                assert_eq!(
+                    maximal_cliques_induced(&g, keep),
+                    enumerator_induced(&g, keep),
+                    "n={n} keep={:?}",
+                    keep.iter_ones().collect::<Vec<_>>()
+                );
+            }
+        });
     }
 }

@@ -44,7 +44,7 @@ use crate::store::{SpillConfig, StoreError};
 use crate::sublist::Level;
 use crate::supervise::ShutdownToken;
 use crate::Vertex;
-use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
+use gsb_bitset::{BitSet, NeighborSet, WahBitSet};
 use gsb_graph::reduce::clique_upper_bound;
 use gsb_graph::BitGraph;
 use gsb_par::stats::LevelStats;
@@ -245,9 +245,8 @@ impl CliquePipeline {
 
     /// Choose the common-neighbor bitmap representation the enumeration
     /// runs with: dense words (the default and fastest in-core),
-    /// WAH-compressed (smallest footprint on sparse genome-scale
-    /// graphs), or the adaptive hybrid (per-bitmap choice of the two).
-    /// Every choice produces the identical clique set; checkpoints are
+    /// or WAH-compressed (smallest footprint on sparse genome-scale
+    /// graphs). Both choices produces the identical clique set; checkpoints are
     /// written in the selected representation and must be resumed with
     /// the same one (`gsb resume` re-derives it from `run.meta`).
     pub fn backend(mut self, backend: BackendChoice) -> Self {
@@ -329,7 +328,6 @@ impl CliquePipeline {
         match self.backend {
             BackendChoice::Dense => self.run_repr::<BitSet>(g, sink, None),
             BackendChoice::Wah => self.run_repr::<WahBitSet>(g, sink, None),
-            BackendChoice::Hybrid => self.run_repr::<HybridSet>(g, sink, None),
         }
     }
 
@@ -352,7 +350,6 @@ impl CliquePipeline {
         match self.backend {
             BackendChoice::Dense => self.resume_repr::<BitSet>(g, sink),
             BackendChoice::Wah => self.resume_repr::<WahBitSet>(g, sink),
-            BackendChoice::Hybrid => self.resume_repr::<HybridSet>(g, sink),
         }
     }
 
@@ -1038,18 +1035,16 @@ mod tests {
         CliquePipeline::new().min_size(3).run(&g, &mut dense);
         let mut expect = dense.cliques;
         expect.sort();
-        for backend in [BackendChoice::Wah, BackendChoice::Hybrid] {
-            for threads in [1usize, 3] {
-                let mut sink = CollectSink::default();
-                CliquePipeline::new()
-                    .min_size(3)
-                    .threads(threads)
-                    .backend(backend)
-                    .run(&g, &mut sink);
-                let mut got = sink.cliques;
-                got.sort();
-                assert_eq!(got, expect, "{backend} threads={threads}");
-            }
+        for threads in [1usize, 3] {
+            let mut sink = CollectSink::default();
+            CliquePipeline::new()
+                .min_size(3)
+                .threads(threads)
+                .backend(BackendChoice::Wah)
+                .run(&g, &mut sink);
+            let mut got = sink.cliques;
+            got.sort();
+            assert_eq!(got, expect, "wah threads={threads}");
         }
     }
 

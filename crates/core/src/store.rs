@@ -94,6 +94,12 @@ pub enum StoreError {
         /// Which structure was being read.
         context: &'static str,
     },
+    /// A `run.meta` names a bitmap representation this build does not
+    /// have (such as the retired `hybrid`).
+    UnknownBackend {
+        /// The `backend=` value on record.
+        name: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -137,6 +143,11 @@ impl fmt::Display for StoreError {
             StoreError::Codec { context } => {
                 write!(f, "corrupt {context}: bytes do not decode")
             }
+            StoreError::UnknownBackend { name } => write!(
+                f,
+                "run.meta records backend '{name}', which this build does not have \
+                 (expected dense or wah)"
+            ),
         }
     }
 }
@@ -249,7 +260,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// prefix: [u32], tails: [u32], cn payload`. For a fixed-width
 /// representation (dense: [`NeighborSet::serialized_len`] is `Some`)
 /// the payload is written raw — byte-identical to the historical dense
-/// format. Variable-width representations (WAH, hybrid) prepend a
+/// format. The variable-width representation (WAH) prepends a
 /// `payload_len: u32`.
 pub fn encode_sublist<S: NeighborSet>(sl: &SubList<S>, buf: &mut Vec<u8>) {
     let n_bits = sl.cn.nbits();
@@ -887,7 +898,7 @@ pub fn dir_writable(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsb_bitset::{HybridSet, WahBitSet};
+    use gsb_bitset::WahBitSet;
     use gsb_graph::BitGraph;
 
     fn sample_sublists(n_graph: usize, count: usize) -> Vec<SubList> {
@@ -1012,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn wah_and_hybrid_records_roundtrip() {
+    fn wah_records_roundtrip() {
         for sl in sample_sublists(70, 5) {
             let wah: SubList<WahBitSet> = sl.convert();
             let mut buf = Vec::new();
@@ -1022,13 +1033,6 @@ mod tests {
             let back: SubList<WahBitSet> = decode_record(&mut bytes).unwrap().expect("one record");
             assert_eq!(back.prefix, wah.prefix);
             assert_eq!(back.tails, wah.tails);
-            assert_eq!(back.cn.to_bitset(), sl.cn);
-
-            let hybrid: SubList<HybridSet> = sl.convert();
-            let mut buf = Vec::new();
-            encode_record(&hybrid, &mut buf, &mut scratch);
-            let mut bytes = &buf[..];
-            let back: SubList<HybridSet> = decode_record(&mut bytes).unwrap().expect("one record");
             assert_eq!(back.cn.to_bitset(), sl.cn);
         }
     }
@@ -1212,6 +1216,47 @@ mod tests {
         let err = read_level_meta::<BitSet>(&path).unwrap_err();
         assert!(
             matches!(err, StoreError::BackendMismatch { .. }),
+            "unexpected error {err}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn v3_checkpoint_of_a_retired_kind_is_a_backend_mismatch() {
+        let level: crate::sublist::Level<WahBitSet> = crate::sublist::Level {
+            k: 4,
+            sublists: sample_sublists(40, 3),
+        }
+        .convert();
+        let path = std::env::temp_dir().join(format!("gsb-v3-kind2-{}.lvl", std::process::id()));
+        write_level(&path, &level).unwrap();
+        // Retag the header as kind 2 (the retired adaptive backend) with
+        // a valid header CRC, as a build that still wrote it would have.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[24..28].copy_from_slice(&2u32.to_le_bytes());
+        let crc = crc32(&raw[..V3_HEADER_BYTES]);
+        raw[V3_HEADER_BYTES..V3_HEADER_BYTES + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        let err = read_level_meta::<BitSet>(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::BackendMismatch {
+                    found: 2,
+                    expected: 0
+                }
+            ),
+            "unexpected error {err}"
+        );
+        let err = read_level_meta::<WahBitSet>(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::BackendMismatch {
+                    found: 2,
+                    expected: 1
+                }
+            ),
             "unexpected error {err}"
         );
         std::fs::remove_file(&path).unwrap();

@@ -9,7 +9,7 @@
 //!
 //! The common-neighbor bitmap is generic over
 //! [`NeighborSet`]: the same sub-list works
-//! dense, WAH-compressed, or adaptively hybrid. The default parameter
+//! dense or WAH-compressed. The default parameter
 //! keeps every pre-trait use (`SubList`, `Level`) meaning the dense
 //! representation.
 
@@ -226,9 +226,7 @@ mod tests {
         let (g, sl) = k4_sublist();
         let wah: SubList<gsb_bitset::WahBitSet> = sl.convert();
         wah.validate(&g);
-        let hybrid: SubList<gsb_bitset::HybridSet> = wah.convert();
-        hybrid.validate(&g);
-        let back: SubList = hybrid.convert();
+        let back: SubList = wah.convert();
         back.validate(&g);
         assert_eq!(back.cn, sl.cn);
         assert_eq!(back.tails, sl.tails);

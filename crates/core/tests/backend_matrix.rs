@@ -1,10 +1,10 @@
-//! Backend equivalence matrix: the dense, WAH-compressed, and hybrid
+//! Backend equivalence matrix: the dense and WAH-compressed
 //! representations must be observationally identical — same canonical
 //! maximal-clique sets as Bron–Kerbosch and identical per-level counts
 //! — across a large randomized graph family, and a WAH level must
 //! survive a checkpoint round-trip byte-identically.
 
-use gsb_bitset::{BitSet, HybridSet, NeighborSet, WahBitSet};
+use gsb_bitset::{BitSet, NeighborSet, WahBitSet};
 use gsb_core::bk::base_bk_sorted;
 use gsb_core::sink::CollectSink;
 use gsb_core::store::{read_level, write_level};
@@ -61,20 +61,10 @@ fn all_backends_match_bron_kerbosch_on_200_random_graphs() {
 
         let (dense, dense_levels) = run_backend::<BitSet>(&g);
         let (wah, wah_levels) = run_backend::<WahBitSet>(&g);
-        let (hybrid, hybrid_levels) = run_backend::<HybridSet>(&g);
 
         assert_eq!(dense, expect, "dense vs BK, seed {seed} (n={n}, p={p})");
         assert_eq!(render(&wah), render(&dense), "wah vs dense, seed {seed}");
-        assert_eq!(
-            render(&hybrid),
-            render(&dense),
-            "hybrid vs dense, seed {seed}"
-        );
         assert_eq!(wah_levels, dense_levels, "wah level counts, seed {seed}");
-        assert_eq!(
-            hybrid_levels, dense_levels,
-            "hybrid level counts, seed {seed}"
-        );
     }
 }
 

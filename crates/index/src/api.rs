@@ -5,8 +5,9 @@
 //!   a result limit. It is total: any garbage maps to a typed error
 //!   route, never a panic.
 //! * **Endpoints.** Every route is counted under one [`Endpoint`], and
-//!   one table holds each endpoint's label and the request, latency and
-//!   rate-limit series keys that both services record into.
+//!   one table holds each endpoint's label, its path, and the request,
+//!   latency and rate-limit series keys that both services record
+//!   into. [`endpoint_paths`] is the list both print at start-up.
 //! * **Answers.** [`Answer`] is a typed `/get`, `/max`, list or error
 //!   answer with one renderer. The server renders the answers it
 //!   computes from its index. The router reads shard bodies that carry
@@ -169,10 +170,11 @@ pub(crate) fn parse_limit(query: &str) -> usize {
 }
 
 /// Declares [`Endpoint`], [`Endpoint::ALL`] and the endpoint table
-/// from one list: each endpoint's label, and the request counter,
-/// latency histogram and rate-limit counter keys derived from it.
+/// from one list: each endpoint's label, the path a client requests
+/// (none for the error endpoints), and the request counter, latency
+/// histogram and rate-limit counter keys derived from the label.
 macro_rules! endpoints {
-    ($($endpoint:ident = $name:literal,)*) => {
+    ($($endpoint:ident = $name:literal, $path:expr;)*) => {
         /// What a request is counted under: a row of the endpoint table.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub(crate) enum Endpoint {
@@ -192,22 +194,36 @@ macro_rules! endpoints {
             concat!("http.", $name, ".ns"),
             concat!("http.", $name, ".rate_limited"),
         ],)*];
+
+        /// Per endpoint, in [`Endpoint`] order: its path, with
+        /// upper-case placeholders for the parameters.
+        const ENDPOINT_PATHS: [Option<&str>; 12] = [$($path,)*];
     };
 }
 
 endpoints! {
-    Health = "health",
-    Ready = "ready",
-    Stats = "stats",
-    Get = "get",
-    Containing = "containing",
-    Size = "size",
-    Max = "max",
-    Overlap = "overlap",
-    Metrics = "metrics",
-    MetricsJson = "metrics_json",
-    NotFound = "not_found",
-    BadRequest = "bad_request",
+    Health = "health", Some("/health");
+    Ready = "ready", Some("/ready");
+    Stats = "stats", Some("/stats");
+    Get = "get", Some("/get/ID");
+    Containing = "containing", Some("/containing/V");
+    Size = "size", Some("/size/LO/HI");
+    Max = "max", Some("/max");
+    Overlap = "overlap", Some("/overlap/V/W");
+    Metrics = "metrics", Some("/metrics");
+    MetricsJson = "metrics_json", Some("/metrics-json");
+    NotFound = "not_found", None;
+    BadRequest = "bad_request", None;
+}
+
+/// The paths `gsb serve` and `gsb router` answer, space-separated in
+/// table order, as both print them at start-up.
+pub fn endpoint_paths() -> String {
+    ENDPOINT_PATHS
+        .into_iter()
+        .flatten()
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 impl Endpoint {
@@ -530,6 +546,32 @@ mod tests {
         assert_eq!(Endpoint::MetricsJson.name(), "metrics_json");
         assert_eq!(Route::Bad("x").endpoint(), Endpoint::BadRequest);
         assert_eq!(Route::MethodNotAllowed.endpoint(), Endpoint::BadRequest);
+    }
+
+    #[test]
+    fn every_printed_path_routes_to_its_own_endpoint() {
+        let printed = endpoint_paths();
+        assert_eq!(printed.split(' ').count(), 10, "{printed}");
+        for path in printed.split(' ') {
+            let filled: Vec<String> = path
+                .split('/')
+                .map(|segment| match segment {
+                    "ID" => "7".into(),
+                    "V" => "3".into(),
+                    "W" => "4".into(),
+                    "LO" => "2".into(),
+                    "HI" => "5".into(),
+                    other => {
+                        assert!(!other.chars().any(|c| c.is_ascii_uppercase()), "{path}");
+                        other.into()
+                    }
+                })
+                .collect();
+            let endpoint = parse_route(&format!("GET {} HTTP/1.1", filled.join("/")))
+                .0
+                .endpoint();
+            assert_eq!(ENDPOINT_PATHS[endpoint as usize], Some(path), "{path}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use gsb_core::supervise::is_transient;
 use gsb_core::{RetryPolicy, ShutdownToken};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
-use gsb_telemetry::{AtomicRecorder, Recorder};
+use gsb_telemetry::AtomicRecorder;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -56,6 +56,7 @@ pub mod snapshot;
 pub mod update;
 pub mod writer;
 
+pub use api::endpoint_paths;
 pub use compact::{compact, CompactOutcome};
 pub use format::{DeltaGeneration, IndexDirectory, IndexMeta};
 pub use reader::{CliqueIndex, DegradedCliques, IndexStats, IoStats};

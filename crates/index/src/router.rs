@@ -80,7 +80,6 @@ use gsb_rng::SplitMix64;
 use gsb_telemetry::json::parse as json_parse;
 use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::SpanRecorder;
-use gsb_telemetry::Recorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -71,7 +71,7 @@ use gsb_core::ShutdownToken;
 use gsb_telemetry::access::{AccessRecord, RotatingWriter};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
 use gsb_telemetry::trace::SpanRecorder;
-use gsb_telemetry::{AtomicRecorder, Histogram, Recorder};
+use gsb_telemetry::{AtomicRecorder, Histogram};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};

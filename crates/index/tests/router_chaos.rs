@@ -46,7 +46,7 @@ use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -151,11 +151,34 @@ fn fault_listener(stall: bool) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) 
     (addr, stop, handle)
 }
 
-/// A port that refuses connections: bind to learn a free port, then
-/// close the listener before the router ever dials it.
+/// A port that refuses connections for the whole test binary. It lies
+/// below the host's ephemeral range, so no port-0 bind (every backend,
+/// router and fault listener here binds port 0) can be handed it, and
+/// it is probed first, so nothing listens there. Every call gets a port
+/// of its own.
 fn dead_port() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    listener.local_addr().expect("addr")
+    static TAKEN: AtomicU16 = AtomicU16::new(0);
+    let below = ephemeral_range_start();
+    loop {
+        let taken = TAKEN.fetch_add(1, Ordering::Relaxed);
+        let port = below
+            .checked_sub(1 + taken)
+            .expect("no port left below the ephemeral range");
+        let addr = SocketAddr::from(([127, 0, 0, 1], port));
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return addr,
+            _ => continue, // something answers there: take the next port
+        }
+    }
+}
+
+/// The first port the kernel hands to port-0 binds: Linux's
+/// `ip_local_port_range`, else the start of the IANA dynamic range.
+fn ephemeral_range_start() -> u16 {
+    std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|range| range.split_whitespace().next()?.parse().ok())
+        .unwrap_or(49152)
 }
 
 type BackendHandle = (ShutdownToken, JoinHandle<std::io::Result<ServeReport>>);

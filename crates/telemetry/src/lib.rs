@@ -7,11 +7,9 @@
 //! three ways (machine-readable JSON lines, a live stderr progress
 //! line, and the `gsb report` renderer).
 //!
-//! * [`recorder`] — the [`Recorder`] trait:
-//!   counters, gauges, and histograms backed by atomics (lock-free on
-//!   the hot path once a handle is held) plus span-style timed scopes.
-//!   [`NoopRecorder`] compiles away under
-//!   monomorphization when telemetry is disabled.
+//! * [`recorder`] — [`AtomicRecorder`]: named counters, gauges, and
+//!   histograms backed by atomics (lock-free on the hot path once a
+//!   handle is held).
 //! * [`json`] — a minimal hand-rolled JSON writer/parser (the offline
 //!   build environment stubs external crates, and the record schema is
 //!   flat enough not to need one).
@@ -51,9 +49,7 @@ pub mod trace;
 pub use access::{AccessRecord, RotatingWriter};
 pub use promtext::{PromKind, PromWriter};
 pub use record::{LevelRecord, RecordError, RunSummary};
-pub use recorder::{
-    percentile, AtomicRecorder, Counter, Gauge, Histogram, NoopRecorder, Recorder, TimedScope,
-};
+pub use recorder::{percentile, AtomicRecorder, Counter, Gauge, Histogram};
 pub use report::{parse_report, render_report, ParsedReport};
 pub use runlog::{RunTelemetry, TelemetryConfig};
 pub use trace::{SpanRecorder, TraceIdGen};

@@ -1,93 +1,14 @@
-//! The event layer: counters, gauges, histograms, timed scopes.
+//! The event layer: counters, gauges and histograms.
 //!
-//! Two implementations of one trait:
-//!
-//! * [`AtomicRecorder`] — named instruments backed by `AtomicU64`.
-//!   Looking an instrument up by name takes a short read lock; *using*
-//!   a held handle ([`Counter`], [`Gauge`], [`Histogram`]) is a single
-//!   relaxed atomic op, so hot loops resolve their handles once and
-//!   stay lock-free.
-//! * [`NoopRecorder`] — every method is an empty inlinable body. Code
-//!   instrumented generically over `R: Recorder` compiles the
-//!   telemetry away entirely when handed the no-op.
+//! [`AtomicRecorder`] holds named instruments backed by `AtomicU64`.
+//! Looking an instrument up by name takes a short read lock; *using* a
+//! held handle ([`Counter`], [`Gauge`], [`Histogram`]) is a single
+//! relaxed atomic op, so hot loops resolve their handles once and stay
+//! lock-free.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
-
-/// Sink for telemetry events. Implementations must be cheap and
-/// thread-safe: enumeration workers report from the level barrier
-/// without coordination.
-pub trait Recorder: Send + Sync {
-    /// Add `delta` to the named monotonic counter.
-    fn add(&self, key: &'static str, delta: u64);
-
-    /// Set the named gauge to `value` (last write wins).
-    fn set(&self, key: &'static str, value: u64);
-
-    /// Record one sample into the named histogram.
-    fn observe(&self, key: &'static str, value: u64);
-
-    /// Whether events are being retained. Callers may skip building
-    /// expensive event payloads when this is `false`.
-    fn enabled(&self) -> bool;
-
-    /// Span-style timing: the returned guard records elapsed
-    /// nanoseconds into the `key` histogram when dropped.
-    fn span(&self, key: &'static str) -> TimedScope<'_>
-    where
-        Self: Sized,
-    {
-        TimedScope {
-            recorder: if self.enabled() { Some(self) } else { None },
-            key,
-            start: Instant::now(),
-        }
-    }
-}
-
-/// Guard that reports its lifetime into a histogram on drop.
-/// Created by [`Recorder::span`].
-pub struct TimedScope<'a> {
-    recorder: Option<&'a dyn Recorder>,
-    key: &'static str,
-    start: Instant,
-}
-
-impl TimedScope<'_> {
-    /// Nanoseconds since the scope opened (without closing it).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-}
-
-impl Drop for TimedScope<'_> {
-    fn drop(&mut self) {
-        if let Some(r) = self.recorder {
-            r.observe(self.key, self.start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Discards everything. `enabled()` is `false`, so generic callers can
-/// skip payload construction; the methods themselves are empty and
-/// vanish under inlining.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn add(&self, _key: &'static str, _delta: u64) {}
-    #[inline(always)]
-    fn set(&self, _key: &'static str, _value: u64) {}
-    #[inline(always)]
-    fn observe(&self, _key: &'static str, _value: u64) {}
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-}
 
 /// A handle to one monotonic counter. Cloning shares the cell.
 #[derive(Clone, Debug, Default)]
@@ -257,12 +178,16 @@ struct Instruments {
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
-/// A registry of named atomic instruments.
+/// A registry of named atomic instruments. Thread-safe: enumeration
+/// workers and server threads report into one registry without
+/// coordination.
 ///
-/// Name-based [`Recorder`] calls take a read lock to find the cell;
-/// for hot paths, resolve a [`Counter`]/[`Gauge`]/[`Histogram`] handle
-/// once via [`counter`](AtomicRecorder::counter) & friends and update
-/// it lock-free.
+/// The name-based calls ([`add`](AtomicRecorder::add),
+/// [`set`](AtomicRecorder::set), [`observe`](AtomicRecorder::observe))
+/// take a read lock to find the cell; for hot paths, resolve a
+/// [`Counter`]/[`Gauge`]/[`Histogram`] handle once via
+/// [`counter`](AtomicRecorder::counter) & friends and update it
+/// lock-free.
 #[derive(Default)]
 pub struct AtomicRecorder {
     instruments: RwLock<Instruments>,
@@ -281,6 +206,21 @@ impl AtomicRecorder {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Add `delta` to the named monotonic counter.
+    pub fn add(&self, key: &'static str, delta: u64) {
+        self.counter(key).add(delta);
+    }
+
+    /// Set the named gauge to `value` (last write wins).
+    pub fn set(&self, key: &'static str, value: u64) {
+        self.gauge(key).set(value);
+    }
+
+    /// Record one sample into the named histogram.
+    pub fn observe(&self, key: &'static str, value: u64) {
+        self.histogram(key).observe(value);
     }
 
     /// Handle to the named counter, creating it on first use.
@@ -354,24 +294,6 @@ impl AtomicRecorder {
             .iter()
             .map(|(&k, h)| (k, h.clone()))
             .collect()
-    }
-}
-
-impl Recorder for AtomicRecorder {
-    fn add(&self, key: &'static str, delta: u64) {
-        self.counter(key).add(delta);
-    }
-
-    fn set(&self, key: &'static str, value: u64) {
-        self.gauge(key).set(value);
-    }
-
-    fn observe(&self, key: &'static str, value: u64) {
-        self.histogram(key).observe(value);
-    }
-
-    fn enabled(&self) -> bool {
-        true
     }
 }
 
@@ -522,30 +444,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(r.counter("shared").get(), 4000);
-    }
-
-    #[test]
-    fn noop_disables_and_discards() {
-        let r = NoopRecorder;
-        assert!(!r.enabled());
-        r.add("x", 1);
-        r.set("x", 1);
-        r.observe("x", 1);
-        // span on a noop records nothing and must not panic
-        drop(r.span("x"));
-    }
-
-    #[test]
-    fn spans_record_elapsed_into_histogram() {
-        let r = AtomicRecorder::new();
-        {
-            let s = r.span("barrier_ns");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            assert!(s.elapsed_ns() > 0);
-        }
-        let h = r.histogram("barrier_ns");
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= 1_000_000, "2ms sleep recorded {} ns", h.sum());
     }
 
     #[test]

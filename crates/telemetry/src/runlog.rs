@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::record::{LevelRecord, RunSummary};
-use crate::recorder::{AtomicRecorder, Recorder};
+use crate::recorder::AtomicRecorder;
 
 /// Where a run's telemetry goes.
 #[derive(Clone, Debug, Default)]
