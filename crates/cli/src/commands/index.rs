@@ -34,7 +34,6 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
             "gsb index requires --out DIR (where the index is written)".into(),
         ));
     };
-    let g = Arc::new(load(graph_path)?);
     let min_k: usize = a.flag_or("min", 3)?;
     let max_k: Option<usize> = a.flag_opt("max")?;
     let threads: usize = a.flag_or("threads", 1)?;
@@ -43,6 +42,9 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
         None => BackendChoice::Dense,
     };
     let block_target: Option<usize> = a.flag_opt("block-target")?;
+    // Every flag is checked before the graph loads, so a bad command
+    // line fails as usage (exit 2) whatever the graph file holds.
+    let g = Arc::new(load(graph_path)?);
 
     let mut pipe = CliquePipeline::new()
         .min_size(min_k)

@@ -285,6 +285,17 @@ mod tests {
     }
 
     #[test]
+    fn index_flags_fail_as_usage_before_the_graph_loads() {
+        let missing = tmp("g17b-missing.txt");
+        let dir = tmp("g17b-index");
+        let _ = std::fs::remove_file(&missing);
+        for bad in [["--backend", "hybrid"], ["--block-target", "lots"]] {
+            let err = index(&argv(&[&missing, "--out", &dir, bad[0], bad[1]])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
     fn resume_names_an_unknown_backend_in_run_meta() {
         let dir = tmp("g18-ckpt");
         std::fs::create_dir_all(&dir).unwrap();

@@ -14,6 +14,7 @@ use crate::CliError;
 use gsb_index::ScrubReport;
 use gsb_telemetry::json::ObjectWriter;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 
 /// `gsb scrub`
@@ -49,7 +50,7 @@ pub fn scrub(argv: &[String]) -> Result<String, CliError> {
         let _ = writeln!(out, "... and {} more", report.findings.len() - SHOW);
     }
     // The findings are the report; the error makes the exit code 1.
-    eprint!("{out}");
+    let _ = std::io::stderr().write_all(out.as_bytes());
     Err(CliError::Runtime(format!(
         "index {} failed scrub with {} finding(s)",
         dir,
@@ -86,7 +87,8 @@ fn scrub_json(dir: &str, report: &ScrubReport) -> Result<String, CliError> {
     }
     // Findings must reach stdout even though corruption exits 1 — the
     // machine-readable report is the product, the code is the verdict.
-    print!("{out}");
+    // A reader gone early (a closed pipe) loses nothing it asked for.
+    let _ = std::io::stdout().write_all(out.as_bytes());
     Err(CliError::Runtime(format!(
         "index {} failed scrub with {} finding(s)",
         dir,

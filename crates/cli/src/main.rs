@@ -8,6 +8,8 @@
 //! subcommands keep the default kill-me-now behavior — they hold no
 //! durable state worth a graceful wind-down.
 
+use std::io::Write;
+
 /// SIGINT/SIGTERM → the global shutdown flag, via a direct `signal(2)`
 /// FFI declaration (the workspace deliberately has no libc-style
 /// dependency). Storing into an atomic is async-signal-safe.
@@ -55,11 +57,29 @@ fn main() {
     #[cfg(not(unix))]
     let _ = wants_supervision(&argv);
     match gsb_cli::run(&argv) {
-        Ok(report) => print!("{report}"),
+        Ok(report) => {
+            if let Err(e) = emit(std::io::stdout().lock(), &report) {
+                let _ = emit(
+                    std::io::stderr().lock(),
+                    &format!("error: writing output: {e}\n"),
+                );
+                std::process::exit(1);
+            }
+        }
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = emit(std::io::stderr().lock(), &format!("error: {e}\n"));
             std::process::exit(e.exit_code());
         }
+    }
+}
+
+/// Write `text` and flush it. A reader that closed its end of the pipe
+/// (`gsb query … | head -1`) has had all the output it wants, so a
+/// broken pipe ends the output quietly instead of failing the command.
+fn emit(mut out: impl Write, text: &str) -> std::io::Result<()> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        done => done,
     }
 }
 

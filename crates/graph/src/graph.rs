@@ -59,11 +59,13 @@ impl BitGraph {
     /// edges are preserved, the new vertices start isolated. Dynamic
     /// edge additions may name vertices the indexed graph has never
     /// seen; the adjacency bitmaps are fixed-width, so growth copies
-    /// each row's words into a wider one.
-    pub fn grown(&self, n: usize) -> Self {
+    /// each row's words into a wider one. At the same `n` the graph is
+    /// returned as it is, with nothing copied; a caller that keeps its
+    /// graph clones it first.
+    pub fn grown(self, n: usize) -> Self {
         assert!(n >= self.n(), "grown() cannot shrink a graph");
         if n == self.n() {
-            return self.clone();
+            return self;
         }
         let adj = (0..n)
             .map(|v| {
@@ -345,7 +347,7 @@ mod tests {
         for (from, to) in [(5, 5), (5, 7), (63, 66), (64, 65), (127, 130)] {
             let g =
                 BitGraph::from_edges(from, (1..from).map(|v| (v - 1, v)).chain([(0, from - 1)]));
-            let h = g.grown(to);
+            let h = g.clone().grown(to);
             h.validate();
             assert_eq!((h.n(), h.m()), (to, g.m()));
             assert!((0..from).all(|u| (0..from).all(|v| h.has_edge(u, v) == g.has_edge(u, v))));

@@ -1,16 +1,26 @@
 //! `gsb compact` — fold a delta chain back into a clean base index.
 //!
-//! Compaction materializes every live clique (base minus tombstones,
-//! plus all delta generations) block by block — the live ids ascend,
-//! so each store block is read and decoded once — sorts them into the
-//! canonical `(size, lex)` order the enumerators emit, and rebuilds the
-//! four-file index in a scratch directory (`compact.tmp/`) with
-//! [`IndexWriter`] — the exact code path `gsb index` uses. Because the
+//! Compaction is a merge, not a materialize-and-sort. The base's ids
+//! ascend in the canonical `(size, lex)` order the enumerators emit,
+//! so one [`CliqueIndex::with_cliques`] pass streams its live cliques
+//! (base minus tombstones) straight out of the decoded blocks. The
+//! chain's live cliques are the only ones copied: they are collected
+//! and sorted into the same order, and each is spliced in before the
+//! first base clique it precedes. The merged stream goes into a fresh
+//! four-file index in a scratch directory (`compact.tmp/`) through
+//! [`IndexWriter`], the exact code path `gsb index` uses. Because the
 //! emission order is canonical, the compacted `cliques.gsi` /
 //! `postings.gsp` / `index.gsd` / `graph.gsg` are **byte-identical** to
 //! a fresh `gsb index` rebuild of the patched graph at the same
 //! `--min`; only the manifest generation differs (it outranks the live
 //! one so the serving layer hot-reloads).
+//!
+//! The merge checks that every clique it writes is strictly after the
+//! one before it. A base out of canonical order (or a clique stored
+//! twice) fails the compaction with a typed error that asks for a
+//! rebuild with `gsb index`, and leaves the live index untouched: a
+//! merge cannot repair the order, and must not write a base that is
+//! not canonical.
 //!
 //! ## Crash model
 //!
@@ -29,9 +39,10 @@ use crate::format::{
     POSTINGS_FILE,
 };
 use crate::reader::CliqueIndex;
-use crate::writer::IndexWriter;
+use crate::writer::{IndexWriter, WriteSummary};
 use gsb_core::store::{sync_dir, StoreError};
-use gsb_core::CliqueSink;
+use gsb_core::{CliqueSink, Vertex};
+use std::cmp::Ordering;
 use std::path::Path;
 
 /// What [`compact`] did.
@@ -116,13 +127,6 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
 
     let idx = CliqueIndex::open(dir)?;
     let g = patched_graph(dir, idx.meta(), idx.chain(), meta0.n, |_| {})?;
-    // Materialize the live set block by block (ascending ids decode
-    // each block once) and restore the canonical global order; ids
-    // ascend within each generation, so this is a merge of
-    // already-(size, lex)-sorted runs, but a plain sort keeps it simple.
-    let mut live = idx.materialize((0..idx.len()).filter(|&id| idx.is_live(id)))?;
-    live.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-
     let mut w = IndexWriter::create(&tmp, g.n())?
         .min_size(meta0.min_size)
         .generation(meta0.generation + 1)
@@ -130,11 +134,14 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
     if let Some(bytes) = block_target {
         w = w.block_target(bytes);
     }
-    for c in &live {
-        w.maximal(c);
-    }
-    let summary = w.finish()?;
+    drop(g);
+    let built = merge_live(&idx, w);
     drop(idx); // release file handles before files are renamed over
+               // A build that failed left no inner manifest; the scratch files go
+               // with it, so the live index is exactly as it was.
+    let summary = built.inspect_err(|_| {
+        let _ = std::fs::remove_dir_all(&tmp);
+    })?;
     gsb_core::failpoint::inject("compact.pre_swap")?;
     let meta = finish_swap(dir)?;
     debug_assert_eq!(meta.cliques, summary.cliques);
@@ -145,4 +152,44 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
         resumed: false,
         compacted: true,
     })
+}
+
+/// The canonical clique order: by size, then lexicographically.
+fn canonical(a: &[Vertex], b: &[Vertex]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// Stream the live set of `idx` into `w` in canonical order: one pass
+/// over the base's live ids, with the chain's live cliques, sorted,
+/// pushed ahead of the first base clique each one precedes. Each clique
+/// must sort strictly after the one written before it.
+fn merge_live(idx: &CliqueIndex, mut w: IndexWriter) -> Result<WriteSummary, StoreError> {
+    let chain_start = idx.chain().first().map_or(idx.len(), |gen| gen.first_id);
+    let mut chain = idx.materialize((chain_start..idx.len()).filter(|&id| idx.is_live(id)))?;
+    chain.sort_unstable_by(|a, b| canonical(a, b));
+    let mut chain = chain.into_iter().peekable();
+
+    let mut last: Vec<Vertex> = Vec::new();
+    let mut push = |c: &[Vertex]| {
+        if !last.is_empty() && canonical(&last, c).is_ge() {
+            return Err(StoreError::Codec {
+                context: "compact: live cliques out of canonical (size, lex) order \
+                          — rebuild the index with `gsb index`",
+            });
+        }
+        last.clear();
+        last.extend_from_slice(c);
+        w.maximal(c);
+        Ok(())
+    };
+    let base = (0..chain_start).filter(|&id| idx.is_live(id));
+    idx.with_cliques(base, |_, base| {
+        let base = base?;
+        while let Some(c) = chain.next_if(|c| canonical(c, base).is_lt()) {
+            push(&c)?;
+        }
+        push(base)
+    })?;
+    chain.try_for_each(|c| push(&c))?;
+    w.finish()
 }

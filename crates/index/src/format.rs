@@ -17,15 +17,15 @@
 //!
 //! This module is the one place those layouts are encoded and checked.
 //! `BlockBuilder` writes store blocks for `gsb index` and `gsb update`;
-//! `read_frame_at` and `decode_block` read them back for the reader and
-//! `gsb scrub`; `walk_chain` decodes `index.gsd` and cross-checks it
-//! against the manifest for both; `live_histogram`, `decode_postings`,
-//! `read_delta_postings` and `patched_graph` are the other rules they
-//! share.
+//! `read_frame_at` and `decode_block` read them back, each block as one
+//! flat `Block`, for the reader and `gsb scrub`; `walk_chain` decodes
+//! `index.gsd` and cross-checks it against the manifest for both;
+//! `live_histogram`, `decode_postings`, `read_delta_postings` and
+//! `patched_graph` are the other rules they share.
 
 use gsb_bitset::BitSet;
 use gsb_core::store::{crc32, StoreError};
-use gsb_core::{Clique, Vertex};
+use gsb_core::Vertex;
 use gsb_graph::BitGraph;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -241,19 +241,21 @@ pub fn encode_clique(buf: &mut Vec<u8>, clique: &[Vertex]) {
     }
 }
 
-/// Decode one clique record; `n` bounds both the clique length and the
-/// vertex ids so corrupted lengths fail typed instead of allocating.
+/// Decode one clique record, appending its vertices to `out`; `n`
+/// bounds both the clique length and the vertex ids so corrupted
+/// lengths fail typed instead of allocating. On error `out` may hold
+/// part of the record.
 pub fn decode_clique(
     buf: &[u8],
     pos: &mut usize,
     n: u32,
+    out: &mut Vec<Vertex>,
     context: &'static str,
-) -> Result<Clique, StoreError> {
+) -> Result<(), StoreError> {
     let len = get_varint(buf, pos, context)?;
     if len == 0 || len > u64::from(n) {
         return Err(StoreError::Codec { context });
     }
-    let mut clique = Vec::with_capacity(len as usize);
     let mut prev = 0u64;
     for i in 0..len {
         let delta = get_varint(buf, pos, context)?;
@@ -261,10 +263,10 @@ pub fn decode_clique(
         if v >= u64::from(n) || (i > 0 && delta == 0) {
             return Err(StoreError::Codec { context });
         }
-        clique.push(v as Vertex);
+        out.push(v as Vertex);
         prev = v;
     }
-    Ok(clique)
+    Ok(())
 }
 
 /// Encode an ascending id list (postings) as count + first + gaps.
@@ -430,15 +432,45 @@ impl BlockBuilder {
     }
 }
 
+/// One decoded store block: the records' vertices back to back in one
+/// buffer, and where each record ends in it. Record `i` is
+/// `vertices[ends[i - 1]..ends[i]]` (from 0 for the first), so a block
+/// costs two allocations however many cliques it holds.
+#[derive(Debug)]
+pub(crate) struct Block {
+    vertices: Vec<Vertex>,
+    ends: Vec<u32>,
+}
+
+impl Block {
+    /// Records in the block.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Record `i`, or `None` past the end.
+    pub(crate) fn get(&self, i: usize) -> Option<&[Vertex]> {
+        let end = *self.ends.get(i)? as usize;
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j] as usize);
+        Some(&self.vertices[start..end])
+    }
+
+    /// Every record in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Vertex]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let record = &self.vertices[start..end as usize];
+            start = end as usize;
+            record
+        })
+    }
+}
+
 /// Verify and decode the store block `entry` names, as read by
 /// [`read_frame_at`]: the frame CRC, the record count against the
 /// entry, every record (vertex ids below `n`, size inside the entry's
 /// range) and no bytes after the last record.
-pub(crate) fn decode_block(
-    frame: &[u8],
-    entry: &BlockEntry,
-    n: u32,
-) -> Result<Vec<Clique>, StoreError> {
+pub(crate) fn decode_block(frame: &[u8], entry: &BlockEntry, n: u32) -> Result<Block, StoreError> {
     const CTX: &str = "clique block";
     let (payload, _) = parse_frame(frame, 0, CTX)?;
     if payload.len() < 4 {
@@ -455,22 +487,30 @@ pub(crate) fn decode_block(
             found: count as usize,
         });
     }
+    // Every record spends at least one byte on its length and one on
+    // each vertex, so the payload bounds both buffers; and a payload
+    // fits a u32 frame length, so every end fits a u32.
+    let records = (count as usize).min(payload.len());
+    let mut block = Block {
+        vertices: Vec::with_capacity(payload.len().saturating_sub(4 + records)),
+        ends: Vec::with_capacity(records),
+    };
     let mut pos = 4usize;
-    let mut cliques = Vec::with_capacity((count as usize).min(payload.len()));
     for _ in 0..count {
-        let clique = decode_clique(payload, &mut pos, n, "clique record")?;
-        let size = clique.len() as u32;
+        let start = block.vertices.len();
+        decode_clique(payload, &mut pos, n, &mut block.vertices, "clique record")?;
+        let size = (block.vertices.len() - start) as u32;
         if size < entry.min_size || size > entry.max_size {
             return Err(StoreError::Codec {
                 context: "clique size outside its block's declared range",
             });
         }
-        cliques.push(clique);
+        block.ends.push(block.vertices.len() as u32);
     }
     if pos != payload.len() {
         return Err(StoreError::Codec { context: CTX });
     }
-    Ok(cliques)
+    Ok(block)
 }
 
 /// The in-memory form of `index.gsd`: everything a reader needs to
@@ -1387,9 +1427,11 @@ mod tests {
         for c in &cliques {
             encode_clique(&mut buf, c);
         }
-        let mut pos = 0;
+        let (mut pos, mut out) = (0, Vec::new());
         for c in &cliques {
-            assert_eq!(&decode_clique(&buf, &mut pos, 500, "t").unwrap(), c);
+            let start = out.len();
+            decode_clique(&buf, &mut pos, 500, &mut out, "t").unwrap();
+            assert_eq!(&out[start..], c.as_slice());
         }
         assert_eq!(pos, buf.len());
     }
@@ -1400,15 +1442,44 @@ mod tests {
         encode_clique(&mut buf, &[5, 6, 7]);
         // vertex beyond n
         let mut pos = 0;
-        assert!(decode_clique(&buf, &mut pos, 6, "t").is_err());
+        assert!(decode_clique(&buf, &mut pos, 6, &mut Vec::new(), "t").is_err());
         // absurd length must not allocate
         let mut huge = Vec::new();
         put_varint(&mut huge, u64::MAX);
         let mut pos = 0;
         assert!(matches!(
-            decode_clique(&huge, &mut pos, 100, "t"),
+            decode_clique(&huge, &mut pos, 100, &mut Vec::new(), "t"),
             Err(StoreError::Codec { .. })
         ));
+    }
+
+    #[test]
+    fn block_decodes_flat_and_checks_its_entry() {
+        let cliques: [&[Vertex]; 4] = [&[7], &[0, 3], &[1, 2], &[4, 5, 9]];
+        let mut builder = BlockBuilder::new(0, 0, usize::MAX);
+        let mut frame = Vec::new();
+        for c in cliques {
+            builder.push(c, &mut frame).unwrap();
+        }
+        builder.seal(&mut frame).unwrap();
+        let entry = builder.blocks[0];
+        let block = decode_block(&frame, &entry, 10).unwrap();
+        assert_eq!(block.len(), 4);
+        assert!(block.iter().eq(cliques));
+        assert_eq!(block.get(2), Some(&[1, 2][..]));
+        assert_eq!(block.get(4), None);
+        // each check of the entry still holds
+        assert!(decode_block(&frame, &entry, 9).is_err());
+        let short = BlockEntry { count: 3, ..entry };
+        assert!(matches!(
+            decode_block(&frame, &short, 10),
+            Err(StoreError::CountMismatch { .. })
+        ));
+        let narrow = BlockEntry {
+            max_size: 2,
+            ..entry
+        };
+        assert!(decode_block(&frame, &narrow, 10).is_err());
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! size run, block, and vertex) and keeps the store and postings files
 //! open; queries then touch only the frames they need. Decoded blocks
 //! sit in a small LRU cache, so point lookups in a hot id range skip
-//! both the read and the CRC pass. All shared state is behind mutexes,
-//! making one `CliqueIndex` safely shareable across server threads via
-//! `Arc`.
+//! both the read and the CRC pass. A cached block is one flat
+//! `format::Block` (one vertex buffer plus record ends), not a `Vec` per
+//! clique, and every read borrows its cliques from it as `&[Vertex]`;
+//! only the calls that return owned cliques copy. All shared state is
+//! behind mutexes, making one `CliqueIndex` safely shareable across
+//! server threads via `Arc`.
 //!
 //! `open` fails on the first defect of `format::walk_chain`, the
 //! directory walk `gsb scrub` runs too, and blocks and postings decode
@@ -23,8 +26,9 @@
 
 use crate::format::{
     check_header, decode_block, decode_postings, read_at, read_delta_postings, read_frame_at,
-    walk_chain, BlockEntry, DeltaGeneration, IndexDirectory, IndexMeta, SizeRun, CLIQUES_FILE,
-    CLIQUES_MAGIC, DIRECTORY_FILE, HEADER_LEN, META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
+    walk_chain, Block, BlockEntry, DeltaGeneration, IndexDirectory, IndexMeta, SizeRun,
+    CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, HEADER_LEN, META_FILE, POSTINGS_FILE,
+    POSTINGS_MAGIC,
 };
 use gsb_bitset::BitSet;
 use gsb_core::store::StoreError;
@@ -70,7 +74,7 @@ pub struct IndexStats {
 struct BlockCache {
     capacity: usize,
     stamp: u64,
-    entries: HashMap<usize, (u64, Arc<Vec<Clique>>)>,
+    entries: HashMap<usize, (u64, Arc<Block>)>,
 }
 
 impl BlockCache {
@@ -82,7 +86,7 @@ impl BlockCache {
         }
     }
 
-    fn get(&mut self, block: usize) -> Option<Arc<Vec<Clique>>> {
+    fn get(&mut self, block: usize) -> Option<Arc<Block>> {
         self.stamp += 1;
         let stamp = self.stamp;
         self.entries.get_mut(&block).map(|e| {
@@ -92,7 +96,7 @@ impl BlockCache {
     }
 
     /// Insert, returning whether an older entry was evicted.
-    fn put(&mut self, block: usize, cliques: Arc<Vec<Clique>>) -> bool {
+    fn put(&mut self, block: usize, decoded: Arc<Block>) -> bool {
         self.stamp += 1;
         let mut evicted = false;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&block) {
@@ -101,7 +105,7 @@ impl BlockCache {
                 evicted = true;
             }
         }
-        self.entries.insert(block, (self.stamp, cliques));
+        self.entries.insert(block, (self.stamp, decoded));
         evicted
     }
 }
@@ -376,7 +380,7 @@ impl CliqueIndex {
     pub fn get(&self, id: u64) -> Result<Clique, StoreError> {
         let mut out = Vec::new();
         self.with_cliques([id], |_, c| {
-            out.clone_from(c?);
+            out.extend_from_slice(c?);
             Ok(())
         })?;
         Ok(out)
@@ -473,8 +477,8 @@ impl CliqueIndex {
         let mut best: Option<Clique> = None;
         self.with_cliques(first_live, |_, c| {
             let c = c?;
-            if best.as_ref().is_none_or(|b| c < b) {
-                best = Some(c.clone());
+            if best.as_ref().is_none_or(|b| c < b.as_slice()) {
+                best = Some(c.to_vec());
             }
             Ok(())
         })?;
@@ -495,7 +499,7 @@ impl CliqueIndex {
     ) -> Result<Vec<Clique>, StoreError> {
         let mut out = Vec::new();
         self.with_cliques(ids, |_, c| {
-            out.push(c?.clone());
+            out.push(c?.to_vec());
             Ok(())
         })?;
         Ok(out)
@@ -511,10 +515,10 @@ impl CliqueIndex {
     pub fn with_cliques(
         &self,
         ids: impl IntoIterator<Item = u64>,
-        mut f: impl FnMut(u64, Result<&Clique, StoreError>) -> Result<(), StoreError>,
+        mut f: impl FnMut(u64, Result<&[Vertex], StoreError>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         // The current run's block, `None` once it failed as corrupt.
-        let mut run: Option<(usize, Option<Arc<Vec<Clique>>>)> = None;
+        let mut run: Option<(usize, Option<Arc<Block>>)> = None;
         for id in ids {
             if id >= self.meta.cliques {
                 f(
@@ -569,7 +573,7 @@ impl CliqueIndex {
         let mut out = DegradedCliques::default();
         self.with_cliques(ids, |_, c| {
             match c {
-                Ok(c) => out.cliques.push(c.clone()),
+                Ok(c) => out.cliques.push(c.to_vec()),
                 Err(e) if is_corruption(&e) => out.skipped += 1,
                 Err(e) => return Err(e),
             }
@@ -578,7 +582,7 @@ impl CliqueIndex {
         Ok(out)
     }
 
-    fn load_block(&self, block_i: usize) -> Result<Arc<Vec<Clique>>, StoreError> {
+    fn load_block(&self, block_i: usize) -> Result<Arc<Block>, StoreError> {
         if let Some(hit) = self.cache.lock().unwrap().get(block_i) {
             self.io.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
@@ -600,7 +604,7 @@ impl CliqueIndex {
         result
     }
 
-    fn load_block_uncached(&self, block_i: usize) -> Result<Arc<Vec<Clique>>, StoreError> {
+    fn load_block_uncached(&self, block_i: usize) -> Result<Arc<Block>, StoreError> {
         let decode_started = Instant::now();
         let entry = self.blocks.get(block_i).ok_or(StoreError::Codec {
             context: "block table",
@@ -612,16 +616,16 @@ impl CliqueIndex {
             self.meta.store_bytes,
             "clique block",
         )?;
-        let cliques = Arc::new(decode_block(&frame, entry, self.block_bound[block_i])?);
+        let block = Arc::new(decode_block(&frame, entry, self.block_bound[block_i])?);
         self.io.blocks_decoded.fetch_add(1, Ordering::Relaxed);
         self.io.decode_ns.fetch_add(
             decode_started.elapsed().as_nanos() as u64,
             Ordering::Relaxed,
         );
-        if self.cache.lock().unwrap().put(block_i, cliques.clone()) {
+        if self.cache.lock().unwrap().put(block_i, block.clone()) {
             self.io.cache_evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(cliques)
+        Ok(block)
     }
 }
 

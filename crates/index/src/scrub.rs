@@ -294,12 +294,12 @@ impl StoreWalk {
                     .and_then(|frame| Ok((decode_block(&frame, entry, n)?, frame.len() as u64)));
             match decoded {
                 Err(e) => report.flag(site, e),
-                Ok((cliques, frame_len)) => {
-                    for (id, clique) in (entry.first_id..).zip(&cliques) {
+                Ok((block, frame_len)) => {
+                    for (id, clique) in (entry.first_id..).zip(block.iter()) {
                         record(id, clique);
                     }
                     report.blocks_checked += 1;
-                    report.cliques_checked += cliques.len() as u64;
+                    report.cliques_checked += block.len() as u64;
                     self.offset = entry.offset + frame_len;
                 }
             }

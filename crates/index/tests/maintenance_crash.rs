@@ -69,7 +69,7 @@ fn opened(dir: &Path) -> (u64, Vec<Clique>) {
 
 fn patched(g: &BitGraph, script: &EditScript) -> BitGraph {
     let n = script.add.iter().map(|&(_, v)| v + 1).chain([g.n()]).max();
-    let mut out = g.grown(n.expect("at least g.n()"));
+    let mut out = g.clone().grown(n.expect("at least g.n()"));
     for &(u, v) in &script.remove {
         out.remove_edge(u, v);
     }

@@ -147,7 +147,7 @@ fn apply_model(g: &BitGraph, script: &EditScript) -> BitGraph {
         .chain([g.n()])
         .max()
         .unwrap();
-    let mut out = g.grown(n);
+    let mut out = g.clone().grown(n);
     for &(u, v) in &script.remove {
         if u < out.n() && v < out.n() {
             out.remove_edge(u, v);
@@ -179,6 +179,8 @@ fn meta_modulo_generation(dir: &Path) -> String {
 fn hundred_seeded_edit_scripts_match_full_reenumeration() {
     let dir = tmp("prop");
     let fresh = tmp("prop_fresh");
+    // Chain cliques a later generation tombstoned, over every seed.
+    let mut chain_kills = 0;
     for seed in 0..100u64 {
         let mut rng = SplitMix64::new(seed + 1);
         // Most adjacency rows fit one word; a third of the seeds take
@@ -203,8 +205,12 @@ fn hundred_seeded_edit_scripts_match_full_reenumeration() {
         let _ = std::fs::remove_dir_all(&dir);
         build(&dir, &g, min_k);
 
-        // two update batches, checking exact equivalence after each
-        for batch in 0..2 {
+        // two update batches (four on every tenth seed, so compaction
+        // merges cliques from several generations, some killed again by
+        // a later one), checking exact equivalence after each
+        let batches = if seed % 10 == 7 { 4 } else { 2 };
+        let mut committed = 0;
+        for batch in 0..batches {
             let grow = near_word || (batch == 1 && seed % 4 == 0);
             let script = random_script(&g, &mut rng, grow);
             let out = update(&dir, &script, None).expect("update");
@@ -212,11 +218,20 @@ fn hundred_seeded_edit_scripts_match_full_reenumeration() {
             assert_eq!(out.n, g.n(), "seed {seed}: vertex growth diverged");
             let oracle = enumerate(&g, min_k);
             let idx = CliqueIndex::open(&dir).expect("open chained");
-            if out.committed {
-                assert_eq!(idx.delta_generations(), batch as u64 + 1);
-            }
+            committed += u64::from(out.committed);
+            assert_eq!(idx.delta_generations(), committed);
             assert_matches_oracle(&idx, &oracle, &mut rng, g.n());
         }
+        let chain = CliqueIndex::open(&dir)
+            .expect("open chained")
+            .chain()
+            .to_vec();
+        let chain_start = chain.first().map_or(u64::MAX, |gen| gen.first_id);
+        chain_kills += chain
+            .iter()
+            .flat_map(|gen| &gen.tombstones)
+            .filter(|&&id| id >= chain_start)
+            .count();
 
         // compact: same answers, and byte-identical to a fresh rebuild
         let out = compact(&dir, None).expect("compact");
@@ -242,8 +257,50 @@ fn hundred_seeded_edit_scripts_match_full_reenumeration() {
             "seed {seed}: manifests diverged beyond generation"
         );
     }
+    assert!(chain_kills > 0, "no generation killed a chain clique");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
+fn compacting_a_base_out_of_canonical_order_fails_typed_and_keeps_the_index() {
+    let dir = tmp("out_of_order");
+    let g = BitGraph::from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
+    // Two size-3 cliques out of lex order: the writer checks size order
+    // only, so this base is committed and updatable.
+    let mut w = IndexWriter::create(&dir, g.n())
+        .expect("create")
+        .min_size(3)
+        .snapshot(&g)
+        .expect("snapshot");
+    gsb_core::CliqueSink::maximal(&mut w, &[3, 4, 5]);
+    gsb_core::CliqueSink::maximal(&mut w, &[0, 1, 2]);
+    w.finish().expect("finish");
+    let script = EditScript {
+        remove: vec![],
+        add: vec![(6, 7), (6, 8), (7, 8)],
+    };
+    let out = update(&dir, &script, None).expect("update");
+    assert!(out.committed && out.new_cliques == 1, "{out:?}");
+
+    let err = compact(&dir, None).expect_err("compacted a base out of order");
+    assert!(
+        matches!(err, gsb_core::StoreError::Codec { .. }),
+        "not a typed codec error: {err}"
+    );
+    assert!(err.to_string().contains("gsb index"), "{err}");
+    assert!(
+        !dir.join("compact.tmp").exists(),
+        "scratch index left behind"
+    );
+    let idx = CliqueIndex::open(&dir).expect("open after the failed compaction");
+    assert_eq!(idx.generation(), out.generation);
+    assert_eq!(idx.delta_generations(), 1);
+    assert_eq!(
+        idx.materialize(0..idx.len()).expect("materialize"),
+        vec![vec![3, 4, 5], vec![0, 1, 2], vec![6, 7, 8]]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
