@@ -4,7 +4,7 @@
 
 use crate::pairwise::global_align;
 use crate::score::Scoring;
-use gsb_par::triangular_rows;
+use gsb_par::packed_upper;
 
 /// Symmetric distance matrix, full storage (small k: one row per
 /// sequence).
@@ -32,22 +32,21 @@ impl DistanceMatrix {
 }
 
 /// Alignment-identity distance: `1 − identity(global alignment)`.
-/// Parallel over the rows of the upper triangle.
+/// Parallel over row ranges of the packed upper triangle.
 pub fn distance_matrix(seqs: &[Vec<u8>], scoring: &Scoring) -> DistanceMatrix {
     let n = seqs.len();
-    let rows = triangular_rows(n, |i| {
-        (i + 1..n)
-            .map(|j| 1.0 - global_align(&seqs[i], &seqs[j], scoring).identity())
-            .collect::<Vec<f64>>()
+    let packed = packed_upper(n, |i, row| {
+        for (j, out) in (i + 1..).zip(row) {
+            *out = 1.0 - global_align(&seqs[i], &seqs[j], scoring).identity();
+        }
     });
     let mut m = DistanceMatrix {
         n,
         data: vec![0.0; n * n],
     };
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, d) in (i + 1..n).zip(row) {
-            m.set(i, j, d);
-        }
+    let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+    for ((i, j), d) in pairs.zip(packed) {
+        m.set(i, j, d);
     }
     m
 }

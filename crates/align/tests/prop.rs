@@ -1,6 +1,7 @@
 //! Property tests for the alignment kernels. Each property is a seeded
 //! sweep over 256 cases.
 
+use gsb_align::distance::distance_matrix;
 use gsb_align::pairwise::{global_align, local_align, GAP};
 use gsb_align::progressive::progressive_msa;
 use gsb_align::score::Scoring;
@@ -96,6 +97,24 @@ fn msa_preserves_sequences() {
         }
         for (i, original) in seqs.iter().enumerate() {
             assert_eq!(&msa.ungapped(i), original);
+        }
+    });
+}
+
+#[test]
+fn distance_matrix_matches_each_pair() {
+    sweep(32, |rng| {
+        let seqs: Vec<Vec<u8>> = (0..rng.below(12)).map(|_| dna(rng)).collect();
+        let s = Scoring::default();
+        let m = distance_matrix(&seqs, &s);
+        assert_eq!(m.n(), seqs.len());
+        for (i, a) in seqs.iter().enumerate() {
+            assert_eq!(m.get(i, i), 0.0);
+            for (j, b) in seqs.iter().enumerate().skip(i + 1) {
+                let d = 1.0 - global_align(a, b, &s).identity();
+                assert_eq!(m.get(i, j).to_bits(), d.to_bits(), "({i},{j})");
+                assert_eq!(m.get(j, i).to_bits(), d.to_bits(), "({j},{i})");
+            }
         }
     });
 }

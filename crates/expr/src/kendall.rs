@@ -7,7 +7,6 @@
 
 use crate::correlation::{pearson, CorrelationMatrix};
 use crate::matrix::ExpressionMatrix;
-use gsb_par::triangular_rows;
 
 /// Kendall τ-b of two equal-length profiles (tie-corrected). Returns
 /// 0.0 when either profile is constant.
@@ -48,16 +47,13 @@ pub fn kendall(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// All-pairs Kendall τ-b (parallel over the leading gene).
+/// All-pairs Kendall τ-b, written in place (parallel over row ranges).
 pub fn kendall_matrix(m: &ExpressionMatrix) -> CorrelationMatrix {
-    let n = m.genes();
-    let profiles: Vec<&[f64]> = (0..n).map(|g| m.row(g)).collect();
-    let rows = triangular_rows(n, |i| {
-        (i + 1..n)
-            .map(|j| kendall(profiles[i], profiles[j]))
-            .collect()
-    });
-    CorrelationMatrix::from_upper_rows(n, rows)
+    CorrelationMatrix::packed(m.genes(), |i, row| {
+        for (j, out) in (i + 1..).zip(row) {
+            *out = kendall(m.row(i), m.row(j));
+        }
+    })
 }
 
 /// Pearson correlation over pairwise-complete observations: positions
@@ -120,20 +116,18 @@ mod tests {
 
     #[test]
     fn matrix_matches_pairwise() {
-        let m = ExpressionMatrix::from_rows(
-            3,
-            5,
-            vec![
-                1., 4., 2., 8., 5., //
-                2., 2., 9., 1., 8., //
-                9., 7., 5., 3., 1.,
-            ],
-        );
-        let c = kendall_matrix(&m);
-        for (i, j, r) in c.iter_pairs() {
-            assert!((r - kendall(m.row(i), m.row(j))).abs() < 1e-12);
-        }
-        assert_eq!(c.get(1, 0), c.get(0, 1));
+        gsb_rng::sweep(16, |rng| {
+            let (genes, c) = (rng.below(24), rng.below(12));
+            // small integers, so both profiles tie
+            let data = (0..genes * c).map(|_| rng.below(4) as f64).collect();
+            let m = ExpressionMatrix::from_rows(genes, c, data);
+            let t = kendall_matrix(&m);
+            assert_eq!(t.pairs(), genes * genes.saturating_sub(1) / 2);
+            for (i, j, r) in t.iter_pairs() {
+                assert_eq!(r.to_bits(), kendall(m.row(i), m.row(j)).to_bits());
+                assert_eq!(t.get(j, i), r);
+            }
+        });
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! 2. [`normalize`] — per-gene z-scoring and cross-array quantile
 //!    normalization;
 //! 3. [`correlation`] — all-pairs Pearson and Spearman (rank)
-//!    correlation, parallel on scoped threads (embarrassingly parallel);
+//!    correlation, written in place into one packed upper triangle on
+//!    scoped threads (embarrassingly parallel); each gene is ranked or
+//!    centred once, so a pair costs one dot product, exact in integers
+//!    for Spearman, and every ρ keeps the bits of the per-pair functions;
 //! 4. [`threshold`] — correlation → graph filtering, including picking
 //!    the threshold that hits a target edge density (how the paper's
-//!    0.008 %–0.3 % graphs were made);
+//!    0.008 %–0.3 % graphs were made) by a |ρ| histogram and a select
+//!    inside one bucket, without copying or sorting the matrix;
 //! 5. [`kendall`](mod@kendall) / [`filter`] / [`significance`] — the pipeline extras
 //!    real array data needs: Kendall τ-b, pairwise-complete Pearson,
 //!    variance filtering, missing-value imputation, and Fisher-z

@@ -70,13 +70,6 @@ impl ExpressionMatrix {
     pub fn column(&self, c: usize) -> Vec<f64> {
         (0..self.genes).map(|g| self.get(g, c)).collect()
     }
-
-    /// Iterate over gene profiles.
-    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data
-            .chunks_exact(self.conditions.max(1))
-            .take(self.genes)
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +93,6 @@ mod tests {
         let m = ExpressionMatrix::from_rows(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(m.row(0), &[1., 2., 3.]);
         assert_eq!(m.row(1), &[4., 5., 6.]);
-        assert_eq!(m.rows().count(), 2);
     }
 
     #[test]

@@ -4,43 +4,90 @@
 //! clears a threshold. The paper chose thresholds yielding edge
 //! densities of 0.008 %, 0.2 %, and 0.3 %; [`threshold_for_density`]
 //! inverts that choice — given a target density, find the cutoff.
+//!
+//! Both passes read the packed matrix in place. The cut is the k-th
+//! largest |ρ|, found without sorting or copying the matrix: one pass
+//! counts every |ρ| into 2¹⁶ buckets, `⌊|ρ|·2¹⁶⌋` (capped at the last).
+//! Multiplying by a power of two is exact, so the bucket never
+//! decreases as |ρ| grows, and walking the counts down from the top
+//! finds the one bucket that holds the k-th largest. A second pass
+//! collects that bucket's values and selects inside it on their bit
+//! patterns, which order as the values do because |ρ| ≥ 0. The result
+//! is the value a full sort would put at position k; the extra memory
+//! is the counts and that one bucket's values.
 
 use crate::correlation::CorrelationMatrix;
 use gsb_graph::BitGraph;
 
-/// Graph with an edge wherever `|r| >= tau`.
+/// Buckets of the |ρ| histogram that locates the density cut.
+const BUCKETS: usize = 1 << 16;
+
+/// Graph with an edge wherever `|r| >= tau`: one scan of the packed
+/// matrix, row by row.
 pub fn graph_from_correlation(corr: &CorrelationMatrix, tau: f64) -> BitGraph {
-    let mut g = BitGraph::new(corr.n());
-    for (i, j, r) in corr.iter_pairs() {
-        if r.abs() >= tau {
-            g.add_edge(i, j);
+    let n = corr.n();
+    let mut g = BitGraph::new(n);
+    let mut rest = corr.values();
+    for i in 0..n {
+        let (row, tail) = rest.split_at(n - 1 - i);
+        rest = tail;
+        for (j, r) in (i + 1..).zip(row) {
+            if r.abs() >= tau {
+                g.add_edge(i, j);
+            }
         }
     }
     g
 }
 
-/// The smallest threshold that keeps the edge density at or below
-/// `target` (i.e. the |r| of the ⌈target × pairs⌉-th strongest pair).
-/// Returns 1.0 + ε semantics (`f64::INFINITY` is never returned; an
-/// impossible target yields a threshold just above the strongest pair).
+/// The threshold that keeps `keep = ⌊target × pairs⌋` pairs: the |r| of
+/// the keep-th strongest pair. Every pair tied with it at that |r|
+/// passes too, so the graph can hold more than `keep` edges. A `keep`
+/// of 0 yields a threshold just above the strongest pair (never
+/// `f64::INFINITY`), a `keep` of every pair yields 0.0, and a matrix
+/// with no pairs yields 1.0. Panics on a NaN correlation when the cut
+/// must rank the values.
 pub fn threshold_for_density(corr: &CorrelationMatrix, target: f64) -> f64 {
     assert!((0.0..=1.0).contains(&target), "density must be in [0,1]");
-    let mut vals = corr.abs_values();
+    let vals = corr.values();
     if vals.is_empty() {
         return 1.0;
     }
     let keep = (target * vals.len() as f64).floor() as usize;
     if keep == 0 {
         // nothing may pass: go just above the maximum
-        let max = vals.iter().cloned().fold(0.0f64, f64::max);
+        let max = vals.iter().map(|r| r.abs()).fold(0.0f64, f64::max);
         return (max + f64::EPSILON).min(1.0 + f64::EPSILON);
     }
     if keep >= vals.len() {
         return 0.0;
     }
-    // threshold = keep-th largest magnitude
-    vals.sort_by(|a, b| b.partial_cmp(a).expect("NaN correlation"));
-    vals[keep - 1]
+    kth_largest_magnitude(vals, keep)
+}
+
+/// The `k`-th largest |v| (1-based, `0 < k < vals.len()`), by the
+/// histogram and in-bucket select of the module docs.
+fn kth_largest_magnitude(vals: &[f64], k: usize) -> f64 {
+    let bucket = |a: f64| ((a * BUCKETS as f64) as usize).min(BUCKETS - 1);
+    let mut counts = vec![0usize; BUCKETS];
+    for v in vals {
+        let a = v.abs();
+        assert!(!a.is_nan(), "NaN correlation");
+        counts[bucket(a)] += 1;
+    }
+    let (mut b, mut above) = (BUCKETS - 1, 0);
+    while above + counts[b] < k {
+        above += counts[b];
+        b -= 1;
+    }
+    let mut inside: Vec<u64> = vals
+        .iter()
+        .map(|v| v.abs())
+        .filter(|&a| bucket(a) == b)
+        .map(f64::to_bits)
+        .collect();
+    let (_, kth, _) = inside.select_nth_unstable_by(k - above - 1, |x, y| y.cmp(x));
+    f64::from_bits(*kth)
 }
 
 /// Convenience: threshold for a density target, then build the graph.
@@ -95,6 +142,74 @@ mod tests {
         assert_eq!(tau0, 0.0);
         let (g_none, _) = graph_at_density(&c, 0.0);
         assert_eq!(g_none.m(), 0);
+    }
+
+    /// The cut as the former implementation took it: clone every |r|,
+    /// sort descending, take position `keep`.
+    fn by_sort(corr: &CorrelationMatrix, target: f64) -> f64 {
+        let mut vals: Vec<f64> = corr.values().iter().map(|r| r.abs()).collect();
+        if vals.is_empty() {
+            return 1.0;
+        }
+        let keep = (target * vals.len() as f64).floor() as usize;
+        if keep == 0 {
+            let max = vals.iter().cloned().fold(0.0f64, f64::max);
+            return (max + f64::EPSILON).min(1.0 + f64::EPSILON);
+        }
+        if keep >= vals.len() {
+            return 0.0;
+        }
+        vals.sort_by(|a, b| b.partial_cmp(a).expect("NaN correlation"));
+        vals[keep - 1]
+    }
+
+    #[test]
+    fn histogram_select_equals_a_full_sort() {
+        gsb_rng::sweep(24, |rng| {
+            let genes = rng.below(40);
+            // Three conditions leave Spearman a handful of values, so
+            // ties at the cut are the rule; forty leave them rare.
+            let c = [3, 5, 40][rng.below(3)];
+            let data = (0..genes * c)
+                .map(|_| match c {
+                    3 => rng.below(3) as f64,
+                    _ => rng.unit(),
+                })
+                .collect();
+            let m = ExpressionMatrix::from_rows(genes, c, data);
+            let corr = if rng.chance(0.5) {
+                crate::correlation::spearman_matrix(&m)
+            } else {
+                pearson_matrix(&m)
+            };
+            let pairs = corr.pairs() as f64;
+            let edge = |k: f64| (k / pairs.max(1.0)).min(1.0);
+            for target in [0.0, edge(1.0), edge(2.0), 0.01, 0.3, 0.5, 1.0, rng.unit()] {
+                let tau = threshold_for_density(&corr, target);
+                assert_eq!(
+                    tau.to_bits(),
+                    by_sort(&corr, target).to_bits(),
+                    "{genes} genes × {c}, target {target}"
+                );
+                let keep = (target * pairs).floor() as usize;
+                let edges = graph_from_correlation(&corr, tau).m();
+                let at_least = corr.values().iter().filter(|r| r.abs() >= tau).count();
+                assert_eq!(edges, at_least);
+                assert!(
+                    edges >= keep.min(corr.pairs()),
+                    "{edges} edges < keep {keep}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN correlation")]
+    fn a_nan_correlation_cannot_be_ranked() {
+        let mut data = vec![1., 2., 3., 4., 2., 4., 6., 8., 4., 3., 2., 1.];
+        data[5] = f64::NAN;
+        let corr = pearson_matrix(&ExpressionMatrix::from_rows(3, 4, data));
+        threshold_for_density(&corr, 0.5);
     }
 
     #[test]

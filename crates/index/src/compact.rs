@@ -35,14 +35,13 @@
 //! to run until it does, so the window cannot widen.
 
 use crate::format::{
-    patched_graph, IndexMeta, CLIQUES_FILE, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, META_FILE,
-    POSTINGS_FILE,
+    canonical, patched_graph, IndexMeta, CLIQUES_FILE, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE,
+    META_FILE, POSTINGS_FILE,
 };
 use crate::reader::CliqueIndex;
 use crate::writer::{IndexWriter, WriteSummary};
 use gsb_core::store::{sync_dir, StoreError};
 use gsb_core::{CliqueSink, Vertex};
-use std::cmp::Ordering;
 use std::path::Path;
 
 /// What [`compact`] did.
@@ -154,11 +153,6 @@ pub fn compact(dir: &Path, block_target: Option<usize>) -> Result<CompactOutcome
     })
 }
 
-/// The canonical clique order: by size, then lexicographically.
-fn canonical(a: &[Vertex], b: &[Vertex]) -> Ordering {
-    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
-}
-
 /// Stream the live set of `idx` into `w` in canonical order: one pass
 /// over the base's live ids, with the chain's live cliques, sorted,
 /// pushed ahead of the first base clique each one precedes. Each clique
@@ -192,4 +186,114 @@ fn merge_live(idx: &CliqueIndex, mut w: IndexWriter) -> Result<WriteSummary, Sto
     })?;
     chain.try_for_each(|c| push(&c))?;
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::{
+        encode_id_list, frame, header_bytes, BlockBuilder, CLIQUES_MAGIC, HEADER_LEN,
+        POSTINGS_MAGIC,
+    };
+    use crate::update::{update, EditScript};
+    use crate::writer::DEFAULT_BLOCK_TARGET;
+    use gsb_graph::BitGraph;
+    use std::path::PathBuf;
+
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gsb-compact-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A committed, updatable base that stores [3, 4, 5] before
+    /// [0, 1, 2]. The writer refuses that order, so the base is written
+    /// canonical and its store block and postings are then encoded again
+    /// the other way round with the crate's block builder. Both
+    /// encodings keep every length, so the directory and the manifest
+    /// still describe the files.
+    fn base_out_of_order(dir: &Path) {
+        let g = BitGraph::from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
+        let mut w = IndexWriter::create(dir, g.n())
+            .expect("create")
+            .min_size(3)
+            .snapshot(&g)
+            .expect("snapshot");
+        w.maximal(&[0, 1, 2]);
+        w.maximal(&[3, 4, 5]);
+        w.finish().expect("finish");
+
+        let stored: [&[Vertex]; 2] = [&[3, 4, 5], &[0, 1, 2]];
+        let n = g.n() as u32;
+        let mut store = header_bytes(CLIQUES_MAGIC, n).to_vec();
+        let mut blocks = BlockBuilder::new(HEADER_LEN as u64, 0, DEFAULT_BLOCK_TARGET);
+        for c in stored {
+            blocks.push(c, &mut store).expect("push");
+        }
+        blocks.seal(&mut store).expect("seal");
+        let mut postings = header_bytes(POSTINGS_MAGIC, n).to_vec();
+        for v in 0..n {
+            let ids: Vec<u64> = (0..)
+                .zip(stored)
+                .filter(|(_, c)| c.contains(&v))
+                .map(|(id, _)| id)
+                .collect();
+            let mut payload = Vec::new();
+            encode_id_list(&mut payload, &ids);
+            postings.extend(frame(&payload));
+        }
+        for (name, bytes) in [(CLIQUES_FILE, store), (POSTINGS_FILE, postings)] {
+            let path = dir.join(name);
+            let committed = std::fs::metadata(&path).expect("committed file").len();
+            assert_eq!(committed, bytes.len() as u64, "{name} changed length");
+            std::fs::write(path, bytes).expect("rewrite");
+        }
+    }
+
+    #[test]
+    fn compacting_a_base_out_of_canonical_order_fails_typed_and_keeps_the_index() {
+        let dir = tmp("out_of_order");
+        base_out_of_order(&dir);
+        let script = EditScript {
+            remove: vec![],
+            add: vec![(6, 7), (6, 8), (7, 8)],
+        };
+        let out = update(&dir, &script, None).expect("update");
+        assert!(out.committed && out.new_cliques == 1, "{out:?}");
+
+        let err = compact(&dir, None).expect_err("compacted a base out of order");
+        assert!(
+            matches!(err, StoreError::Codec { .. }),
+            "not a typed codec error: {err}"
+        );
+        assert!(err.to_string().contains("gsb index"), "{err}");
+        assert!(
+            !dir.join("compact.tmp").exists(),
+            "scratch index left behind"
+        );
+        let idx = CliqueIndex::open(&dir).expect("open after the failed compaction");
+        assert_eq!(idx.generation(), out.generation);
+        assert_eq!(idx.delta_generations(), 1);
+        assert_eq!(
+            idx.materialize(0..idx.len()).expect("materialize"),
+            vec![vec![3, 4, 5], vec![0, 1, 2], vec![6, 7, 8]]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scrub_reports_a_base_out_of_canonical_order() {
+        let dir = tmp("scrub_out_of_order");
+        base_out_of_order(&dir);
+        let report = crate::scrub::scrub(&dir);
+        let sites: Vec<&str> = report.findings.iter().map(|f| f.site.as_str()).collect();
+        assert_eq!(sites, [format!("{CLIQUES_FILE} block 0 clique 1")]);
+        assert!(
+            report.findings[0].error.to_string().contains("canonical"),
+            "{}",
+            report.findings[0].error
+        );
+        assert_eq!(report.cliques_checked, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

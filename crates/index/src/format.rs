@@ -308,6 +308,14 @@ pub fn decode_id_list(
     Ok(ids)
 }
 
+/// The canonical clique order the enumerators emit, a base's ids ascend
+/// in and `gsb update` writes each generation in: by size, then
+/// lexicographically. The writer refuses, scrub reports and compaction
+/// rejects cliques that break it.
+pub(crate) fn canonical(a: &[Vertex], b: &[Vertex]) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
 /// One contiguous run of equal-size cliques in id space. The
 /// enumerators emit in non-decreasing size order, so sizes partition
 /// the id space into a handful of runs.

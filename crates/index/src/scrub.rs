@@ -16,8 +16,10 @@
 //! replay are [`crate::format`]'s, the ones [`crate::CliqueIndex`] opens
 //! and reads with: the reader fails on the first defect they find,
 //! scrub reports them all. What scrub adds is the store walk's
-//! placement and coverage checks, each data file's length against its
-//! committed extent, and the postings recomputed from the cliques.
+//! placement and coverage checks, the canonical (size, lex) order of
+//! the base's records and of each generation's, each data file's length
+//! against its committed extent, and the postings recomputed from the
+//! cliques.
 //!
 //! Together with the per-frame CRCs this detects *every* single-byte
 //! corruption of a committed index — chained or not: flips inside
@@ -28,10 +30,10 @@
 //! cross-check.
 
 use crate::format::{
-    check_header, decode_block, decode_postings, patched_graph, read_at, read_delta_postings,
-    read_frame_at, walk_chain, BlockEntry, ChainWalk, DeltaGeneration, IndexDirectory, IndexMeta,
-    CLIQUES_FILE, CLIQUES_MAGIC, COMPACT_TMP_DIR, DIRECTORY_FILE, GRAPH_FILE, HEADER_LEN,
-    META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
+    canonical, check_header, decode_block, decode_postings, patched_graph, read_at,
+    read_delta_postings, read_frame_at, walk_chain, BlockEntry, ChainWalk, DeltaGeneration,
+    IndexDirectory, IndexMeta, CLIQUES_FILE, CLIQUES_MAGIC, COMPACT_TMP_DIR, DIRECTORY_FILE,
+    GRAPH_FILE, HEADER_LEN, META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
 };
 use gsb_core::store::StoreError;
 use std::collections::BTreeMap;
@@ -268,8 +270,10 @@ struct StoreWalk {
 }
 
 impl StoreWalk {
-    /// Verify one block table end to end (placement, frame, records),
-    /// handing each decoded clique to `record` with its global id.
+    /// Verify one block table end to end (placement, frame, records,
+    /// and the records' canonical (size, lex) order), handing each
+    /// decoded clique to `record` with its global id. A block that fails
+    /// to decode restarts the order check at the next one.
     fn blocks(
         &mut self,
         site: &str,
@@ -278,6 +282,7 @@ impl StoreWalk {
         report: &mut ScrubReport,
         mut record: impl FnMut(u64, &[u32]),
     ) {
+        let mut last: Vec<u32> = Vec::new();
         for (i, entry) in blocks.iter().enumerate() {
             let site = format!("{site}block {i}");
             if entry.offset != self.offset || entry.first_id != self.first_id {
@@ -293,9 +298,22 @@ impl StoreWalk {
                 read_frame_at(&mut self.f, entry.offset, self.store_bytes, "clique block")
                     .and_then(|frame| Ok((decode_block(&frame, entry, n)?, frame.len() as u64)));
             match decoded {
-                Err(e) => report.flag(site, e),
+                Err(e) => {
+                    report.flag(site, e);
+                    last.clear();
+                }
                 Ok((block, frame_len)) => {
                     for (id, clique) in (entry.first_id..).zip(block.iter()) {
+                        if !last.is_empty() && canonical(&last, clique).is_ge() {
+                            report.flag(
+                                format!("{site} clique {id}"),
+                                StoreError::Codec {
+                                    context: "clique out of canonical (size, lex) order",
+                                },
+                            );
+                        }
+                        last.clear();
+                        last.extend_from_slice(clique);
                         record(id, clique);
                     }
                     report.blocks_checked += 1;

@@ -40,8 +40,8 @@
 
 use crate::compact::pending_swap;
 use crate::format::{
-    encode_delta_postings, frame, live_histogram, patched_graph, BlockBuilder, DeltaGeneration,
-    IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
+    canonical, encode_delta_postings, frame, live_histogram, patched_graph, BlockBuilder,
+    DeltaGeneration, IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
 };
 use crate::reader::{intersect_sorted, CliqueIndex};
 use crate::writer::{write_atomic, DEFAULT_BLOCK_TARGET};
@@ -368,7 +368,7 @@ pub fn update(
     // the enumerators produce, which is what makes compaction
     // byte-identical to a fresh rebuild.
     let mut new_cliques: Vec<Clique> = m.added.into_iter().collect();
-    new_cliques.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    new_cliques.sort_by(|a, b| canonical(a, b));
     let mut tombstones: Vec<u64> = m.killed.into_iter().collect();
     tombstones.sort_unstable();
     removed_effective.sort_unstable();

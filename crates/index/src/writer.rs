@@ -19,9 +19,9 @@
 //! [`flush_barrier`]: gsb_core::CliqueSink::flush_barrier
 
 use crate::format::{
-    encode_id_list, frame, header_bytes, BlockBuilder, IndexDirectory, IndexMeta, CLIQUES_FILE,
-    CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, HEADER_LEN, META_FILE,
-    POSTINGS_FILE, POSTINGS_MAGIC,
+    canonical, encode_id_list, frame, header_bytes, BlockBuilder, IndexDirectory, IndexMeta,
+    CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, HEADER_LEN,
+    META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
 };
 use gsb_core::store::{self, crc32, sweep_tmp_files, sync_dir, StoreError};
 use gsb_core::{CliqueSink, RetryPolicy, Vertex};
@@ -61,6 +61,8 @@ pub struct IndexWriter {
     min_size_meta: u32,
     snapshot: Option<(u64, u32)>,
     retry: RetryPolicy,
+    /// The clique accepted last; the next must sort strictly after it.
+    last: Vec<Vertex>,
     /// First error encountered while streaming (subsequent cliques are
     /// dropped; surfaced by [`finish`](Self::finish), mirroring
     /// [`gsb_core::WriterSink`]'s deferred-error protocol).
@@ -95,6 +97,7 @@ impl IndexWriter {
             min_size_meta: 0,
             snapshot: None,
             retry: RetryPolicy::default(),
+            last: Vec::new(),
             error: None,
         })
     }
@@ -266,16 +269,14 @@ impl CliqueSink for IndexWriter {
         if self.error.is_some() {
             return;
         }
-        let size = clique.len() as u32;
-        // The enumerators' ordering contract is what makes sequential
-        // ids sorted by size; a violation would corrupt every
-        // size-range answer, so it is a deferred typed error.
-        if let Some(last) = self.blocks.size_runs.last() {
-            if size < last.size {
-                return self.defer(StoreError::Codec {
-                    context: "index writer: cliques arrived out of size order",
-                });
-            }
+        // The enumerators' canonical (size, lex) order is what makes
+        // sequential ids sorted by size, and compaction a merge; a
+        // violation would corrupt every size-range answer, so it is a
+        // deferred typed error.
+        if !self.last.is_empty() && canonical(&self.last, clique).is_ge() {
+            return self.defer(StoreError::Codec {
+                context: "index writer: cliques arrived out of canonical (size, lex) order",
+            });
         }
         if clique.is_empty()
             || clique.iter().any(|&v| v as usize >= self.n)
@@ -285,6 +286,8 @@ impl CliqueSink for IndexWriter {
                 context: "index writer: clique not strictly ascending within the graph",
             });
         }
+        self.last.clear();
+        self.last.extend_from_slice(clique);
         for &v in clique {
             self.postings[v as usize].push(self.blocks.next_id);
         }
@@ -348,6 +351,17 @@ mod tests {
         w.maximal(&[1, 2, 3]);
         w.maximal(&[4, 5]); // size shrank: ordering contract broken
         assert!(w.finish().is_err());
+
+        // same size, lex order broken; then the same clique twice
+        for second in [[0, 1, 2], [1, 2, 3]] {
+            let mut w = IndexWriter::create(&dir, 10).unwrap();
+            w.maximal(&[1, 2, 3]);
+            w.maximal(&second);
+            let err = w
+                .finish()
+                .expect_err("accepted a clique out of canonical order");
+            assert!(matches!(err, StoreError::Codec { .. }), "{err}");
+        }
 
         let mut w = IndexWriter::create(&dir, 4).unwrap();
         w.maximal(&[2, 9]); // vertex 9 outside a 4-vertex graph

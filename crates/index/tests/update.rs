@@ -263,47 +263,6 @@ fn hundred_seeded_edit_scripts_match_full_reenumeration() {
 }
 
 #[test]
-fn compacting_a_base_out_of_canonical_order_fails_typed_and_keeps_the_index() {
-    let dir = tmp("out_of_order");
-    let g = BitGraph::from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
-    // Two size-3 cliques out of lex order: the writer checks size order
-    // only, so this base is committed and updatable.
-    let mut w = IndexWriter::create(&dir, g.n())
-        .expect("create")
-        .min_size(3)
-        .snapshot(&g)
-        .expect("snapshot");
-    gsb_core::CliqueSink::maximal(&mut w, &[3, 4, 5]);
-    gsb_core::CliqueSink::maximal(&mut w, &[0, 1, 2]);
-    w.finish().expect("finish");
-    let script = EditScript {
-        remove: vec![],
-        add: vec![(6, 7), (6, 8), (7, 8)],
-    };
-    let out = update(&dir, &script, None).expect("update");
-    assert!(out.committed && out.new_cliques == 1, "{out:?}");
-
-    let err = compact(&dir, None).expect_err("compacted a base out of order");
-    assert!(
-        matches!(err, gsb_core::StoreError::Codec { .. }),
-        "not a typed codec error: {err}"
-    );
-    assert!(err.to_string().contains("gsb index"), "{err}");
-    assert!(
-        !dir.join("compact.tmp").exists(),
-        "scratch index left behind"
-    );
-    let idx = CliqueIndex::open(&dir).expect("open after the failed compaction");
-    assert_eq!(idx.generation(), out.generation);
-    assert_eq!(idx.delta_generations(), 1);
-    assert_eq!(
-        idx.materialize(0..idx.len()).expect("materialize"),
-        vec![vec![3, 4, 5], vec![0, 1, 2], vec![6, 7, 8]]
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn torn_appends_are_repaired_on_the_next_update() {
     let dir = tmp("torn");
     let mut g = gnp(40, 0.15, 7);

@@ -30,8 +30,9 @@
 //! * [`stats`] — per-worker/per-level timing records with one unified
 //!   moved-work model (Fig. 8's mean ± stddev and the steal-balance
 //!   table come straight from these);
-//! * [`rows`] — [`triangular_rows`], the scoped-thread helper the
-//!   all-pairs correlation and alignment stages share;
+//! * [`rows`] — [`packed_upper`], the scoped-thread helper that fills
+//!   the packed upper triangle of the all-pairs correlation, Kendall
+//!   and alignment stages in place;
 //! * [`vsim`] — a deterministic **virtual-processor scheduler simulator**
 //!   that replays measured per-task costs onto P ∈ [1, 256] virtual CPUs
 //!   with a per-level synchronization cost. This substitutes for the
@@ -52,7 +53,7 @@ pub mod vsim;
 
 pub use balance::{partition_greedy, rebalance, BalancePolicy};
 pub use pool::{EpochOut, Heartbeat, PoisonedTask, RoundError, WorkerFailure, WorkerPool};
-pub use rows::triangular_rows;
+pub use rows::packed_upper;
 pub use stats::{LevelStats, RunStats};
 pub use steal::{EpochTasks, StealDeque, StealStats};
 pub use vsim::{SimConfig, SimResult, VirtualScheduler};

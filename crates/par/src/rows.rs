@@ -1,45 +1,73 @@
 //! Scoped data parallelism for the all-pairs stages (correlation,
-//! Kendall τ, alignment distances): row `i` of a packed upper triangle
-//! holds the pairs `(i, i+1..n)`, so rows shrink as `i` grows.
+//! Kendall τ, alignment distances). Their result is a packed upper
+//! triangle: row `i` holds the pairs `(i, i+1..n)` back to back, so rows
+//! shrink as `i` grows.
 
 use std::panic::resume_unwind;
 use std::thread;
 
-/// `row(i)` for every `i in 0..n`, in order, computed on
-/// `available_parallelism()` scoped threads. Rows are dealt
-/// round-robin — thread `t` takes rows `t, t + T, t + 2T, …` — so each
-/// thread gets a near-equal share of a triangle's long and short rows.
-/// One thread per core, never one per row; a panic in `row` is
-/// re-raised on the caller.
-pub fn triangular_rows<T, F>(n: usize, row: F) -> Vec<T>
+/// The packed upper triangle over `n` items, filled in place:
+/// `row(i, out)` writes pair `(i, i + 1 + d)` to `out[d]`, for every
+/// `i in 0..n`. The rows are cut into contiguous ranges of near-equal
+/// pair count, one per available core, never one thread per row; each
+/// thread writes its own range of the one result, so nothing is
+/// assembled or copied afterwards. A panic in `row` is re-raised on the
+/// caller.
+pub fn packed_upper<T, F>(n: usize, row: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    T: Clone + Default + Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
+    let pairs = n * n.saturating_sub(1) / 2;
+    let mut packed = vec![T::default(); pairs];
     let threads = thread::available_parallelism()
         .map_or(1, |p| p.get())
-        .min(n);
+        .min(pairs);
     if threads <= 1 {
-        return (0..n).map(row).collect();
+        fill_rows(0..n, n, &mut packed, &row);
+        return packed;
     }
-    let dealt: Vec<Vec<T>> = thread::scope(|s| {
+    thread::scope(|s| {
         let row = &row;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| s.spawn(move || (t..n).step_by(threads).map(row).collect::<Vec<T>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
-            .collect()
+        let mut rest = packed.as_mut_slice();
+        let (mut start, mut done) = (0, 0);
+        let mut handles = Vec::with_capacity(threads);
+        for t in 1..=threads {
+            // Rows start..end take the pairs up to the t-th share.
+            let (mut end, mut len) = (start, 0);
+            while end < n && done + len < pairs * t / threads {
+                len += n - 1 - end;
+                end += 1;
+            }
+            if t == threads {
+                end = n;
+            }
+            let (mine, tail) = rest.split_at_mut(len);
+            rest = tail;
+            let rows = start..end;
+            handles.push(s.spawn(move || fill_rows(rows, n, mine, row)));
+            (start, done) = (end, done + len);
+        }
+        for h in handles {
+            h.join().unwrap_or_else(|panic| resume_unwind(panic));
+        }
     });
-    let mut dealt: Vec<_> = dealt.into_iter().map(Vec::into_iter).collect();
-    (0..n)
-        .map(|i| {
-            dealt[i % threads]
-                .next()
-                .expect("row i was dealt to thread i % T")
-        })
-        .collect()
+    packed
+}
+
+/// Hand each row of `rows` its slice of `out`, which holds exactly
+/// those rows' pairs.
+fn fill_rows<T>(
+    rows: std::ops::Range<usize>,
+    n: usize,
+    mut out: &mut [T],
+    row: &impl Fn(usize, &mut [T]),
+) {
+    for i in rows {
+        let (this, rest) = std::mem::take(&mut out).split_at_mut(n - 1 - i);
+        row(i, this);
+        out = rest;
+    }
 }
 
 #[cfg(test)]
@@ -49,9 +77,13 @@ mod tests {
     #[test]
     fn rows_come_back_in_order() {
         for n in 0..40 {
-            let got = triangular_rows(n, |i| (i + 1..n).map(|j| i * 100 + j).collect::<Vec<_>>());
-            let want: Vec<Vec<usize>> = (0..n)
-                .map(|i| (i + 1..n).map(|j| i * 100 + j).collect())
+            let got = packed_upper(n, |i, out| {
+                for (j, slot) in (i + 1..).zip(out) {
+                    *slot = i * 100 + j;
+                }
+            });
+            let want: Vec<usize> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| i * 100 + j))
                 .collect();
             assert_eq!(got, want, "n = {n}");
         }
@@ -60,6 +92,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row 7")]
     fn a_row_panic_reaches_the_caller() {
-        triangular_rows(16, |i| assert!(i != 7, "row 7"));
+        packed_upper::<u8, _>(16, |i, _| assert!(i != 7, "row 7"));
     }
 }
