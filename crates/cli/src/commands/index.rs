@@ -1,30 +1,23 @@
 //! `gsb index` — enumerate maximal cliques straight into a persistent
 //! on-disk index (clique store + postings + size directory), queryable
 //! afterwards with `gsb query` / `gsb serve` without re-running the
-//! enumeration.
+//! enumeration. The cliques come from pivoted Bron–Kerbosch per root
+//! vertex ([`gsb_core::rooted`]), in the Clique Enumerator's canonical
+//! order, so the files are the ones the paper's enumerator would write.
 
 use super::load;
 use crate::args::Args;
 use crate::CliError;
-use gsb_core::{BackendChoice, CliquePipeline, TeeSink, WriterSink};
+use gsb_core::{rooted, TeeSink, WriterSink};
 use gsb_index::IndexWriter;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// `gsb index`
 pub fn index(argv: &[String]) -> Result<String, CliError> {
     let a = Args::parse(
         argv,
-        &[
-            "out",
-            "min",
-            "max",
-            "threads",
-            "backend",
-            "block-target",
-            "text-out",
-        ],
+        &["out", "min", "max", "threads", "block-target", "text-out"],
         &[],
         1,
     )?;
@@ -37,23 +30,10 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
     let min_k: usize = a.flag_or("min", 3)?;
     let max_k: Option<usize> = a.flag_opt("max")?;
     let threads: usize = a.flag_or("threads", 1)?;
-    let backend = match a.flag("backend") {
-        Some(name) => name.parse::<BackendChoice>().map_err(CliError::Usage)?,
-        None => BackendChoice::Dense,
-    };
     let block_target: Option<usize> = a.flag_opt("block-target")?;
     // Every flag is checked before the graph loads, so a bad command
     // line fails as usage (exit 2) whatever the graph file holds.
-    let g = Arc::new(load(graph_path)?);
-
-    let mut pipe = CliquePipeline::new()
-        .min_size(min_k)
-        .threads(threads)
-        .backend(backend)
-        .skip_exact_bound();
-    if let Some(mx) = max_k {
-        pipe = pipe.max_size(mx);
-    }
+    let g = load(graph_path)?;
 
     let mut writer = IndexWriter::create(Path::new(out_dir), g.n()).map_err(CliError::Store)?;
     if let Some(bytes) = block_target {
@@ -79,12 +59,12 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
         let mut text = WriterSink::new(file);
         {
             let mut tee = TeeSink(&mut writer, &mut text);
-            pipe.try_run(&g, &mut tee)?;
+            rooted::maximal_cliques(&g, min_k, max_k, threads, &mut tee);
         }
         text.finish()?;
         writer.finish().map_err(CliError::Store)?
     } else {
-        pipe.try_run(&g, &mut writer)?;
+        rooted::maximal_cliques(&g, min_k, max_k, threads, &mut writer);
         writer.finish().map_err(CliError::Store)?
     };
 

@@ -159,8 +159,7 @@ USAGE:
   gsb fvs FILE
   gsb motif SEQFILE --l WIDTH [--d MUTATIONS] [--q QUORUM] [--top N]
   gsb index GRAPH --out DIR [--min K] [--max K] [--threads T]
-               [--backend dense|wah] [--block-target BYTES]
-               [--text-out FILE]
+               [--block-target BYTES] [--text-out FILE]
   gsb query INDEX_DIR (--containing V | --size-min K --size-max M |
                --max | --overlap V,W) [--ids-only] [--limit N]
   gsb serve INDEX_DIR [--addr HOST:PORT] [--threads T]
@@ -235,14 +234,15 @@ level barrier plus a final summary; `--progress` prints a live status
 line to stderr. `gsb report run.jsonl` renders the per-level summary
 and the Fig. 8-style worker-imbalance table from such a file.
 
-Index & serving: `gsb index` streams the enumeration into a persistent
-on-disk index (CRC-framed clique store, per-vertex postings lists, a
-size-range directory, committed atomically via index.meta); `gsb
-query` answers containment/size-range/max/overlap queries from that
-directory without re-running anything; `gsb stats --index DIR` prints
-the index profile and size histogram; `gsb serve` exposes the same
-queries over HTTP (GET /health /stats /containing/V /size/LO/HI /max
-/overlap/V/W) with per-endpoint latency histograms (`--metrics-out`),
+Index & serving: `gsb index` writes every maximal clique, in the Clique
+Enumerator's order, into a persistent on-disk index (CRC-framed clique
+store, per-vertex postings lists, a size-range directory, committed
+atomically via index.meta); `gsb query` answers
+containment/size-range/max/overlap queries from that directory without
+re-running anything; `gsb stats --index DIR` prints the index profile
+and size histogram; `gsb serve` exposes the same queries over HTTP
+(GET /health /stats /containing/V /size/LO/HI /max /overlap/V/W) with
+per-endpoint latency histograms (`--metrics-out`),
 a per-connection deadline, and a graceful SIGINT/SIGTERM drain that
 answers every accepted connection before exiting 130/143.
 

@@ -13,6 +13,9 @@
 //!   all k-cliques and decides maximality by subset containment checks;
 //! * [`bk`] — **Base BK** and **Improved BK** (§2.2), the classic
 //!   Bron–Kerbosch enumerators used as correctness references;
+//! * [`rooted`] — pivoted Bron–Kerbosch per root vertex on
+//!   neighbourhood-local bit rows, emitting the Clique Enumerator's
+//!   canonical order without a global sort: `gsb index`'s build path;
 //! * [`kclique`] — the **k-clique enumerator** (§2.2): all (maximal and
 //!   non-maximal) cliques of exactly size k in canonical order, with
 //!   degree-(k−1) preprocessing and the size boundary condition — the
@@ -64,6 +67,7 @@ pub mod paraclique;
 pub mod parallel;
 pub mod pipeline;
 pub mod quarantine;
+pub mod rooted;
 pub mod sink;
 pub mod store;
 pub mod sublist;

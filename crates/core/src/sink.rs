@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn tee_composes_with_the_mut_forwarding_impl() {
         // The `&mut S` blanket impl lets a tee borrow sinks owned by the
-        // caller — the enumerator wiring used by `gsb index --text-out`.
+        // caller — the wiring `gsb index --text-out` uses.
         let mut collect = CollectSink::default();
         let mut count = CountSink::default();
         {

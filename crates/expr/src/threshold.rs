@@ -7,19 +7,24 @@
 //!
 //! Both passes read the packed matrix in place. The cut is the k-th
 //! largest |ρ|, found without sorting or copying the matrix: one pass
-//! counts every |ρ| into 2¹⁶ buckets, `⌊|ρ|·2¹⁶⌋` (capped at the last).
-//! Multiplying by a power of two is exact, so the bucket never
-//! decreases as |ρ| grows, and walking the counts down from the top
-//! finds the one bucket that holds the k-th largest. A second pass
-//! collects that bucket's values and selects inside it on their bit
-//! patterns, which order as the values do because |ρ| ≥ 0. The result
-//! is the value a full sort would put at position k; the extra memory
-//! is the counts and that one bucket's values.
+//! counts every |ρ| into 2¹⁶ buckets, `⌊|ρ|·2¹⁶⌋` (capped at the last),
+//! keeping each bucket's smallest and largest bit pattern. Multiplying
+//! by a power of two is exact, so the bucket never decreases as |ρ|
+//! grows, and walking the counts down from the top finds the one bucket
+//! that holds the k-th largest. Bit patterns order as the values do
+//! because |ρ| ≥ 0, so when that bucket's smallest and largest pattern
+//! agree, that is the cut; on tied data it usually is. Otherwise one
+//! more pass counts the bucket's patterns into 2¹⁶ sub-buckets by their
+//! offset from its smallest, each pass narrowing the span 2¹⁶-fold until
+//! one pattern is left. The result is the value a full sort would put at
+//! position k; the extra memory is the three 2¹⁶-entry arrays, whatever
+//! the matrix holds.
 
 use crate::correlation::CorrelationMatrix;
 use gsb_graph::BitGraph;
 
-/// Buckets of the |ρ| histogram that locates the density cut.
+/// Buckets of the |ρ| histogram that locates the density cut, and of
+/// each narrowing pass.
 const BUCKETS: usize = 1 << 16;
 
 /// Graph with an edge wherever `|r| >= tau`: one scan of the packed
@@ -65,29 +70,78 @@ pub fn threshold_for_density(corr: &CorrelationMatrix, target: f64) -> f64 {
     kth_largest_magnitude(vals, keep)
 }
 
-/// The `k`-th largest |v| (1-based, `0 < k < vals.len()`), by the
-/// histogram and in-bucket select of the module docs.
+/// The `k`-th largest |v| (1-based, `0 < k <= vals.len()`), by the
+/// histogram and narrowing passes of the module docs.
 fn kth_largest_magnitude(vals: &[f64], k: usize) -> f64 {
-    let bucket = |a: f64| ((a * BUCKETS as f64) as usize).min(BUCKETS - 1);
-    let mut counts = vec![0usize; BUCKETS];
+    let mut hist = Histogram::new();
     for v in vals {
         let a = v.abs();
         assert!(!a.is_nan(), "NaN correlation");
-        counts[bucket(a)] += 1;
+        hist.add(
+            ((a * BUCKETS as f64) as usize).min(BUCKETS - 1),
+            a.to_bits(),
+        );
     }
-    let (mut b, mut above) = (BUCKETS - 1, 0);
-    while above + counts[b] < k {
-        above += counts[b];
-        b -= 1;
+    let mut k = k;
+    loop {
+        let (b, above) = hist.locate(k);
+        let (lo, hi) = (hist.low[b], hist.high[b]);
+        if lo == hi {
+            return f64::from_bits(lo);
+        }
+        k -= above;
+        // Offsets below 2^width, cut to their top 16 bits.
+        let width = u64::BITS - (hi - lo).leading_zeros();
+        let shift = width.saturating_sub(BUCKETS.trailing_zeros());
+        hist.clear();
+        for v in vals {
+            let bits = v.abs().to_bits();
+            if (lo..=hi).contains(&bits) {
+                hist.add(((bits - lo) >> shift) as usize, bits);
+            }
+        }
     }
-    let mut inside: Vec<u64> = vals
-        .iter()
-        .map(|v| v.abs())
-        .filter(|&a| bucket(a) == b)
-        .map(f64::to_bits)
-        .collect();
-    let (_, kth, _) = inside.select_nth_unstable_by(k - above - 1, |x, y| y.cmp(x));
-    f64::from_bits(*kth)
+}
+
+/// A count per bucket, with the smallest and largest bit pattern each
+/// bucket received.
+struct Histogram {
+    count: Vec<usize>,
+    low: Vec<u64>,
+    high: Vec<u64>,
+}
+
+impl Histogram {
+    fn new() -> Self {
+        Histogram {
+            count: vec![0; BUCKETS],
+            low: vec![u64::MAX; BUCKETS],
+            high: vec![0; BUCKETS],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.count.fill(0);
+        self.low.fill(u64::MAX);
+        self.high.fill(0);
+    }
+
+    fn add(&mut self, bucket: usize, bits: u64) {
+        self.count[bucket] += 1;
+        self.low[bucket] = self.low[bucket].min(bits);
+        self.high[bucket] = self.high[bucket].max(bits);
+    }
+
+    /// The bucket holding the `k`-th largest pattern counted, and how
+    /// many patterns the buckets above it hold.
+    fn locate(&self, k: usize) -> (usize, usize) {
+        let (mut b, mut above) = (BUCKETS - 1, 0);
+        while above + self.count[b] < k {
+            above += self.count[b];
+            b -= 1;
+        }
+        (b, above)
+    }
 }
 
 /// Convenience: threshold for a density target, then build the graph.
@@ -198,6 +252,52 @@ mod tests {
                 assert!(
                     edges >= keep.min(corr.pairs()),
                     "{edges} edges < keep {keep}"
+                );
+            }
+        });
+        // 2,000 genes × 3 integer-valued conditions: at density 0.05 the
+        // cut is |ρ| = 1, shared by 288,249 of the 1,999,000 pairs.
+        let mut rng = gsb_rng::SplitMix64::new(5);
+        let data = (0..2_000 * 3).map(|_| rng.below(3) as f64).collect();
+        let corr =
+            crate::correlation::spearman_matrix(&ExpressionMatrix::from_rows(2_000, 3, data));
+        for target in [0.05, 0.3] {
+            assert_eq!(
+                threshold_for_density(&corr, target).to_bits(),
+                by_sort(&corr, target).to_bits(),
+                "2,000 × 3, target {target}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_passes_select_inside_a_crowded_bucket() {
+        // Thousands of distinct values inside one 2⁻¹⁶-wide bucket, with
+        // ties, and spans from one pattern to the bucket's full width:
+        // the narrowing passes must find what a sort finds.
+        gsb_rng::sweep(20, |rng| {
+            let base = rng.unit();
+            let spread = [1e-15, 1e-12, 1e-8, 1.0 / BUCKETS as f64][rng.below(4)];
+            let distinct = 1 + rng.below(3_000);
+            let vals: Vec<f64> = (0..1 + rng.below(6_000))
+                .map(|_| {
+                    let v = base + spread * rng.below(distinct) as f64 / distinct as f64;
+                    if rng.chance(0.5) {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let mut sorted: Vec<f64> = vals.iter().map(|v| v.abs()).collect();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            for k in [1, vals.len() / 3, vals.len() / 2, vals.len()] {
+                let k = k.max(1);
+                assert_eq!(
+                    kth_largest_magnitude(&vals, k).to_bits(),
+                    sorted[k - 1].to_bits(),
+                    "k = {k} of {}",
+                    vals.len()
                 );
             }
         });

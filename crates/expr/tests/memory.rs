@@ -3,8 +3,8 @@
 //! speed or load. This binary holds one test: another test running
 //! beside it would allocate into the same counters.
 
-use gsb_expr::threshold::graph_at_density;
-use gsb_expr::{spearman_matrix, SynthConfig, SynthModule};
+use gsb_expr::threshold::{graph_at_density, threshold_for_density};
+use gsb_expr::{spearman_matrix, ExpressionMatrix, SynthConfig, SynthModule};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -92,5 +92,22 @@ fn correlate_and_threshold_peak_near_the_packed_matrix() {
         peak < limit,
         "peak {peak} B over the limit {limit} B \
          (packed matrix {packed} B, graph {graph_bytes} B)"
+    );
+
+    // Heavily tied data: with 2,000 genes × 3 integer-valued conditions
+    // the cut at density 0.05 is |ρ| = 1, shared by 288,249 of the
+    // 1,999,000 pairs, all in the cut's bucket. The density cut keeps
+    // its three 2¹⁶-entry arrays (1.5 MiB) and copies none of them.
+    let mut rng = gsb_rng::SplitMix64::new(5);
+    let data = (0..2_000 * 3).map(|_| rng.below(3) as f64).collect();
+    let corr = spearman_matrix(&ExpressionMatrix::from_rows(2_000, 3, data));
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let tau = threshold_for_density(&corr, 0.05);
+    let scratch = PEAK.load(Relaxed) - before;
+    let limit = 2 << 20;
+    assert!(
+        scratch < limit,
+        "the density cut took {scratch} B of scratch, over {limit} B (tau {tau})"
     );
 }

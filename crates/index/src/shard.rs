@@ -17,15 +17,21 @@
 //!   into later shards, so the last shard's first maximum clique need
 //!   not be it.
 //!
-//! [`split_index`] streams the source index shard by shard, block by
-//! block through [`CliqueIndex::with_cliques`], into [`IndexWriter`], so
+//! [`split_index`] streams the source index block by block through
+//! [`CliqueIndex::with_cliques`] into one [`IndexWriter`] per shard, so
 //! every shard inherits the full on-disk hygiene (CRC-framed blocks,
-//! atomic `index.meta` commit point).
+//! atomic `index.meta` commit point). Shards are written side by side,
+//! at most one per available core, each through its own reader of the
+//! source, so they share no file handle or block cache; a shard's bytes
+//! depend only on its id range, never on what runs beside it.
 
 use crate::reader::CliqueIndex;
 use crate::writer::IndexWriter;
 use gsb_core::{CliqueSink, StoreError};
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 /// One shard produced by [`split_index`]: where it lives and which
 /// slice of the global id/size space it owns.
@@ -47,10 +53,12 @@ pub struct ShardSummary {
 
 /// Split the committed index at `src` into `shards` contiguous-id
 /// sub-indexes under `out/shard<k>`, returning each shard's id and
-/// size coverage. Ids are divided as evenly as possible; the relative
-/// order of cliques is preserved, so every shard is a valid standalone
-/// index. `shards` must be at least 1 and no larger than the clique
-/// count (an empty shard could never answer for its id range).
+/// size coverage in shard order. Ids are divided as evenly as possible;
+/// the relative order of cliques is preserved, so every shard is a
+/// valid standalone index. `shards` must be at least 1 and no larger
+/// than the clique count (an empty shard could never answer for its id
+/// range). When shards fail, the first failure in shard order is
+/// returned; a panic while writing a shard is re-raised here.
 pub fn split_index(src: &Path, out: &Path, shards: usize) -> Result<Vec<ShardSummary>, StoreError> {
     if shards == 0 {
         return Err(StoreError::Codec {
@@ -72,35 +80,76 @@ pub fn split_index(src: &Path, out: &Path, shards: usize) -> Result<Vec<ShardSum
         });
     }
     let n = index.n();
-    let mut out_shards = Vec::with_capacity(shards);
-    for k in 0..shards {
-        let id_lo = (k as u64) * total / shards as u64;
-        let id_hi = (k as u64 + 1) * total / shards as u64;
-        let dir = out.join(format!("shard{k}"));
-        let mut writer = IndexWriter::create(&dir, n)?;
-        let mut size_lo = 0u32;
-        let mut size_hi = 0u32;
-        index.with_cliques(id_lo..id_hi, |id, clique| {
-            let clique = clique?;
-            let size = clique.len() as u32;
-            if id == id_lo {
-                size_lo = size;
-            }
-            size_hi = size_hi.max(size);
-            writer.maximal(clique);
-            Ok(())
-        })?;
-        writer.finish()?;
-        out_shards.push(ShardSummary {
-            shard: k,
-            dir,
-            id_lo,
-            id_hi,
-            size_lo,
-            size_hi,
-        });
-    }
-    Ok(out_shards)
+    drop(index);
+    let range = |k: usize| {
+        let id = |k: usize| (k as u64) * total / shards as u64;
+        id(k)..id(k + 1)
+    };
+    let workers = thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(shards);
+    // Each worker takes the next unwritten shard. The counter hands out
+    // shard numbers only, so it publishes nothing else.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, Result<ShardSummary, StoreError>)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= shards {
+                            return mine;
+                        }
+                        mine.push((
+                            k,
+                            write_shard(src, &out.join(format!("shard{k}")), n, k, range(k)),
+                        ));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(k, _)| *k);
+    done.into_iter().map(|(_, summary)| summary).collect()
+}
+
+/// Write shard `k`, the cliques with ids in `ids`, into `dir` through a
+/// reader of its own.
+fn write_shard(
+    src: &Path,
+    dir: &Path,
+    n: usize,
+    k: usize,
+    ids: std::ops::Range<u64>,
+) -> Result<ShardSummary, StoreError> {
+    let index = CliqueIndex::open(src)?;
+    let mut writer = IndexWriter::create(dir, n)?;
+    let mut size_lo = 0u32;
+    let mut size_hi = 0u32;
+    index.with_cliques(ids.clone(), |id, clique| {
+        let clique = clique?;
+        let size = clique.len() as u32;
+        if id == ids.start {
+            size_lo = size;
+        }
+        size_hi = size_hi.max(size);
+        writer.maximal(clique);
+        Ok(())
+    })?;
+    writer.finish()?;
+    Ok(ShardSummary {
+        shard: k,
+        dir: dir.to_path_buf(),
+        id_lo: ids.start,
+        id_hi: ids.end,
+        size_lo,
+        size_hi,
+    })
 }
 
 #[cfg(test)]
@@ -160,6 +209,34 @@ mod tests {
             assert_eq!(sub.stats().max_clique, s.size_hi);
         }
         assert_eq!(first_covering_max(&shards), source.max_clique().unwrap());
+        // Shards written side by side hold the bytes of shards written
+        // one after another.
+        let serial = tmp("split_serial");
+        for s in &shards {
+            let mut writer = IndexWriter::create(&serial, g.n()).expect("create");
+            source
+                .with_cliques(s.id_lo..s.id_hi, |_, clique| {
+                    writer.maximal(clique?);
+                    Ok(())
+                })
+                .expect("read source");
+            writer.finish().expect("finish");
+            let mut files: Vec<_> = std::fs::read_dir(&s.dir)
+                .expect("list shard")
+                .map(|e| e.expect("entry").file_name())
+                .collect();
+            files.sort();
+            assert!(files.len() >= 4, "{files:?}");
+            for f in &files {
+                assert_eq!(
+                    std::fs::read(s.dir.join(f)).expect("shard file"),
+                    std::fs::read(serial.join(f)).expect("serial file"),
+                    "shard {} file {f:?}",
+                    s.shard
+                );
+            }
+            std::fs::remove_dir_all(&serial).ok();
+        }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&out).ok();
 
