@@ -11,7 +11,7 @@ use gsb_core::sink::CountSink;
 use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
-use gsb_index::{CliqueIndex, IndexWriter};
+use gsb_index::{build, BuildOptions, CliqueIndex};
 use gsb_telemetry::percentile;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -103,9 +103,7 @@ fn record(query: &'static str, mut run: impl FnMut()) -> QueryRecord {
 fn export_queries(g: &BitGraph) -> std::io::Result<()> {
     let dir = std::env::temp_dir().join(format!("gsb_bench_baseline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create index writer");
-    CliqueEnumerator::new(EnumConfig::default()).enumerate(g, &mut writer);
-    let summary = writer.finish().expect("finish index");
+    let summary = build(g, &dir, BuildOptions::default(), None).expect("build index");
     let index = CliqueIndex::open(&dir).expect("open index");
 
     let n = g.n() as u32;

@@ -33,10 +33,10 @@
 
 use crate::args::Args;
 use crate::CliError;
-use gsb_core::{CliqueEnumerator, EnumConfig, ShutdownToken};
+use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{
-    split_index, CliqueIndex, IndexWriter, Router, RouterConfig, RouterReport, ServeConfig,
+    build, split_index, BuildOptions, CliqueIndex, Router, RouterConfig, RouterReport, ServeConfig,
     ServeReport, Server, ShardSpec, ShardSummary, Topology,
 };
 use gsb_telemetry::percentile;
@@ -68,10 +68,7 @@ pub fn bench_serve(argv: &[String]) -> Result<String, CliError> {
     let g = planted(n, 0.06, &[Module::clique(9), Module::clique(6)], seed);
     let dir = std::env::temp_dir().join(format!("gsb-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(&dir, g.n()).map_err(CliError::Store)?;
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().map_err(CliError::Store)?;
+    build(&g, &dir, BuildOptions::default(), None).map_err(CliError::Store)?;
 
     let n = n as u32;
     let steady_config = ServeConfig {

@@ -10,6 +10,11 @@
 //! cliff (≥3× at full size), and commits the numbers to a JSON file
 //! (default `results/BENCH_update.json`) whose *schema* is diffed in
 //! CI; values are hardware-dependent, the shape is not.
+//!
+//! The competitor (and the base index) is the level-wise Clique
+//! Enumerator plus a global (size, lex) sort into an `IndexWriter`, not
+//! `gsb index`'s twice-as-fast [`gsb_index::build`]; against that, the
+//! 64-edit batch misses the 3× floor (EXPERIMENTS.md, "One build path").
 
 use crate::args::Args;
 use crate::CliError;
@@ -162,8 +167,9 @@ impl Row {
     }
 }
 
-/// Enumerate `g` from scratch into a fresh updatable index at `dir`,
-/// returning the wall time in microseconds.
+/// The competitor: enumerate `g` from scratch with the level-wise
+/// Clique Enumerator, sort, and write a fresh updatable index at `dir`;
+/// returns the wall time in microseconds.
 fn time_rebuild(dir: &Path, g: &BitGraph) -> Result<u64, CliError> {
     let _ = std::fs::remove_dir_all(dir);
     let t0 = Instant::now();

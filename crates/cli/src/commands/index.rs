@@ -1,15 +1,16 @@
 //! `gsb index` — enumerate maximal cliques straight into a persistent
 //! on-disk index (clique store + postings + size directory), queryable
 //! afterwards with `gsb query` / `gsb serve` without re-running the
-//! enumeration. The cliques come from pivoted Bron–Kerbosch per root
-//! vertex ([`gsb_core::rooted`]), in the Clique Enumerator's canonical
-//! order, so the files are the ones the paper's enumerator would write.
+//! enumeration. The flags are [`gsb_index::build`]'s options: the
+//! cliques come from pivoted Bron–Kerbosch per root vertex, in the
+//! Clique Enumerator's canonical order, so the files are the ones the
+//! paper's enumerator would write.
 
 use super::load;
 use crate::args::Args;
 use crate::CliError;
-use gsb_core::{rooted, TeeSink, WriterSink};
-use gsb_index::IndexWriter;
+use gsb_core::WriterSink;
+use gsb_index::{build, BuildOptions};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -27,45 +28,26 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
             "gsb index requires --out DIR (where the index is written)".into(),
         ));
     };
-    let min_k: usize = a.flag_or("min", 3)?;
-    let max_k: Option<usize> = a.flag_opt("max")?;
-    let threads: usize = a.flag_or("threads", 1)?;
-    let block_target: Option<usize> = a.flag_opt("block-target")?;
+    let defaults = BuildOptions::default();
+    let options = BuildOptions {
+        min: a.flag_or("min", defaults.min)?,
+        max: a.flag_opt("max")?,
+        threads: a.flag_or("threads", defaults.threads)?,
+        block_target: a.flag_or("block-target", defaults.block_target)?,
+    };
     // Every flag is checked before the graph loads, so a bad command
     // line fails as usage (exit 2) whatever the graph file holds.
     let g = load(graph_path)?;
+    let dir = Path::new(out_dir);
 
-    let mut writer = IndexWriter::create(Path::new(out_dir), g.n()).map_err(CliError::Store)?;
-    if let Some(bytes) = block_target {
-        writer = writer.block_target(bytes);
-    }
-    // An unbounded run maintains "every maximal clique ≥ --min", which
-    // is exactly the set `gsb update` knows how to maintain — record
-    // the min and snapshot the graph so the index stays updatable.
-    // --max truncates the set to a shape updates can't reason about, so
-    // such indexes are committed frozen (queryable, not updatable).
-    if max_k.is_none() {
-        writer = writer
-            .min_size(min_k as u32)
-            .snapshot(&g)
-            .map_err(CliError::Store)?;
-    }
-
-    // --text-out additionally streams the classic `size\tv …` lines;
-    // the index sink goes first in the tee so a flush barrier makes the
-    // durable artifact durable before the convenience copy.
+    // --text-out also streams the classic `size\tv …` lines.
     let summary = if let Some(text_path) = a.flag("text-out") {
-        let file = std::fs::File::create(text_path)?;
-        let mut text = WriterSink::new(file);
-        {
-            let mut tee = TeeSink(&mut writer, &mut text);
-            rooted::maximal_cliques(&g, min_k, max_k, threads, &mut tee);
-        }
+        let mut text = WriterSink::new(std::fs::File::create(text_path)?);
+        let summary = build(&g, dir, options, Some(&mut text)).map_err(CliError::Store)?;
         text.finish()?;
-        writer.finish().map_err(CliError::Store)?
+        summary
     } else {
-        rooted::maximal_cliques(&g, min_k, max_k, threads, &mut writer);
-        writer.finish().map_err(CliError::Store)?
+        build(&g, dir, options, None).map_err(CliError::Store)?
     };
 
     let mut out = String::new();

@@ -278,8 +278,10 @@ compact killed mid-swap is finished, not rebuilt, by the next run.
 `gsb stats --index` reports the chain length and live/tombstone
 counts; `gsb scrub` walks every delta frame, tombstone, and the graph
 snapshot with the same any-single-byte-flip guarantee as the base.
-`gsb bench-update` times update batches against full rebuilds and
-commits the speedups to results/BENCH_update.json.
+`gsb bench-update` times update batches against a full rebuild by the
+level-wise Clique Enumerator plus a global sort (not `gsb index`'s
+faster per-root build) and commits the speedups to
+results/BENCH_update.json.
 
 Replication: `gsb shard` splits one committed index into contiguous
 clique-id shard directories (each an ordinary index a stock `gsb

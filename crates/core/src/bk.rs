@@ -7,7 +7,8 @@
 //! most connections into CANDIDATES and only branches on candidates not
 //! adjacent to it. Neither emits cliques in size order — that is the
 //! Clique Enumerator's reason to exist — but they are the trusted
-//! references the rest of the crate is validated against.
+//! references the rest of the crate is validated against, called only
+//! by tests and benches ([`rooted`](crate::rooted) serves the CLI).
 
 use crate::sink::CliqueSink;
 use crate::Vertex;

@@ -15,7 +15,8 @@
 //!   Bron–Kerbosch enumerators used as correctness references;
 //! * [`rooted`] — pivoted Bron–Kerbosch per root vertex on
 //!   neighbourhood-local bit rows, emitting the Clique Enumerator's
-//!   canonical order without a global sort: `gsb index`'s build path;
+//!   canonical order without a global sort: the search behind every
+//!   index build and `gsb update`'s per-edit sub-problem;
 //! * [`kclique`] — the **k-clique enumerator** (§2.2): all (maximal and
 //!   non-maximal) cliques of exactly size k in canonical order, with
 //!   degree-(k−1) preprocessing and the size boundary condition — the

@@ -7,18 +7,21 @@
 //! `{u, v} ∪ M` for each maximal clique `M` of the subgraph induced by
 //! `N(u) ∩ N(v)`, and subsumes exactly the cliques `M ∪ {u}` and
 //! `M ∪ {v}` that were maximal without the edge. This module builds
-//! that induced subproblem, solves it with pivoted Bron–Kerbosch
-//! ([`improved_bk`]) and maps vertex ids back to the host graph.
+//! that induced subproblem, solves it with the per-root pivoted
+//! Bron–Kerbosch search that also builds every index
+//! ([`rooted::maximal_cliques`]) and maps vertex ids back to the host
+//! graph.
 //!
 //! Pivoting matters here. An edit inside a large clique makes the
 //! subproblem itself a clique of ω − 2 vertices: the levelwise
 //! [`CliqueEnumerator`](crate::CliqueEnumerator) walks all 2^(ω−2) of
 //! its sub-cliques, while pivoted BK descends one branch per vertex.
-//! The result is sorted into the enumerator's canonical (size, then
-//! lexicographic) order, so callers see the same list either way; the
-//! tests check that against the enumerator on seeded graphs.
+//! The per-root search emits the enumerator's canonical (size, then
+//! lexicographic) order, and the map back to host ids keeps vertex
+//! order, so callers see the enumerator's list; the tests check that
+//! against the enumerator on seeded graphs.
 
-use crate::bk::improved_bk;
+use crate::rooted;
 use crate::sink::CollectSink;
 use crate::{Clique, Vertex};
 use gsb_bitset::BitSet;
@@ -31,17 +34,13 @@ use gsb_graph::BitGraph;
 pub fn maximal_cliques_induced(g: &BitGraph, keep: &BitSet) -> Vec<Clique> {
     let (sub, map) = g.induced(keep);
     let mut sink = CollectSink::default();
-    improved_bk(&sub, &mut sink);
+    rooted::maximal_cliques(&sub, 1, None, 1, &mut sink);
+    // `induced` assigns new labels in ascending old-id order, so the
+    // canonical stream stays canonical once mapped back.
     let mut cliques = sink.cliques;
-    // `induced` assigns new labels in ascending old-id order, so a
-    // clique sorted in new labels stays sorted once mapped back.
-    for c in &mut cliques {
-        c.sort_unstable();
-        for v in c.iter_mut() {
-            *v = map[*v as usize] as Vertex;
-        }
+    for v in cliques.iter_mut().flatten() {
+        *v = map[*v as usize] as Vertex;
     }
-    cliques.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     cliques
 }
 

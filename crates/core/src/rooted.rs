@@ -21,6 +21,8 @@
 //! bit-parallel BK on neighbourhood-local bitsets). Any common
 //! neighbour of a clique through `r` lies in `N(r)`, so the local rows
 //! decide maximality exactly, and their cost follows the degree, not n.
+//! `gsb_index::build` runs this search over a whole graph, `gsb update`
+//! over each edited edge's common neighbourhood ([`crate::neighborhood`]).
 
 use crate::sink::CliqueSink;
 use crate::Vertex;

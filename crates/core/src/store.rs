@@ -13,7 +13,8 @@
 //!
 //! ## Crash safety
 //!
-//! Every on-disk record is framed `[len: u32][crc32: u32][payload]`, so
+//! Every on-disk record, here and in `gsb-index`, is framed
+//! `[len: u32][crc32: u32][payload]` by [`frame`] and [`parse_frame`], so
 //! a torn write, truncated file, or flipped bit surfaces as a typed
 //! [`StoreError`] instead of a panic or silently wrong data. Level
 //! checkpoints are written atomically in a versioned format that also
@@ -254,6 +255,43 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
+/// Frame a payload: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 8);
+    put_u32(&mut out, payload.len() as u32);
+    put_u32(&mut out, crc32(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Parse one frame at `pos`; returns the verified payload and the
+/// position just past it.
+pub fn parse_frame<'a>(
+    bytes: &'a [u8],
+    pos: usize,
+    context: &'static str,
+) -> Result<(&'a [u8], usize), StoreError> {
+    let torn = |needed, have| StoreError::Torn {
+        context,
+        needed,
+        have,
+    };
+    let rest = bytes.get(pos..).unwrap_or_default();
+    let mut head = rest.get(..8).ok_or(torn(8, rest.len()))?;
+    let len = take_u32(&mut head) as usize;
+    let stored = take_u32(&mut head);
+    let payload = rest[8..].get(..len).ok_or(torn(len, rest.len() - 8))?;
+    let computed = crc32(payload);
+    if stored != computed {
+        return Err(StoreError::Checksum {
+            context,
+            stored,
+            computed,
+        });
+    }
+    Ok((payload, pos + 8 + len))
+}
+
 /// Encode one sub-list into a length-prefixed binary record.
 ///
 /// Layout: `prefix_len: u32, tails_len: u32, n_bits: u32,
@@ -344,9 +382,7 @@ pub fn decode_sublist<S: NeighborSet>(buf: &mut &[u8]) -> Result<Option<SubList<
 pub fn encode_record<S: NeighborSet>(sl: &SubList<S>, out: &mut Vec<u8>, scratch: &mut Vec<u8>) {
     scratch.clear();
     encode_sublist(sl, scratch);
-    put_u32(out, scratch.len() as u32);
-    put_u32(out, crc32(scratch));
-    out.extend_from_slice(scratch);
+    out.extend_from_slice(&frame(scratch));
 }
 
 /// Read back one CRC-framed record written by [`encode_record`],
@@ -356,44 +392,22 @@ pub fn decode_record<S: NeighborSet>(bytes: &mut &[u8]) -> Result<Option<SubList
     if bytes.is_empty() {
         return Ok(None);
     }
-    if bytes.len() < 8 {
-        return Err(StoreError::Torn {
-            context: "record frame",
-            needed: 8,
-            have: bytes.len(),
-        });
-    }
-    let len = take_u32(bytes) as usize;
-    let stored = take_u32(bytes);
-    if bytes.len() < len {
-        return Err(StoreError::Torn {
-            context: "record payload",
-            needed: len,
-            have: bytes.len(),
-        });
-    }
-    let computed = crc32(&bytes[..len]);
-    if computed != stored {
-        return Err(StoreError::Checksum {
-            context: "record payload",
-            stored,
-            computed,
-        });
-    }
-    // The payload checksum passed, so decoding consumes exactly `len`
-    // bytes; a disagreement means the frame length itself lied.
-    let before = bytes.len();
-    let sl = decode_sublist(bytes)?.ok_or(StoreError::Torn {
+    let (mut payload, next) = parse_frame(bytes, 0, "record payload")?;
+    // The payload checksum passed, so decoding consumes exactly the
+    // payload; a disagreement means the frame length itself lied.
+    let len = payload.len();
+    let sl = decode_sublist(&mut payload)?.ok_or(StoreError::Torn {
         context: "empty record payload",
         needed: 12,
         have: 0,
     })?;
-    if before - bytes.len() != len {
+    if !payload.is_empty() {
         return Err(StoreError::CountMismatch {
             expected: len,
-            found: before - bytes.len(),
+            found: len - payload.len(),
         });
     }
+    *bytes = &bytes[next..];
     Ok(Some(sl))
 }
 

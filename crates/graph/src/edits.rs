@@ -8,41 +8,18 @@
 //! update engine applies edits sequentially and reports skips (an edge
 //! already present / already absent) per occurrence.
 
-use crate::io::{ParseError, MAX_VERTICES};
+use crate::io::{malformed, parse_pair, ParseError, MAX_VERTICES};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
-
-fn malformed(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError::Malformed {
-        line,
-        message: message.into(),
-    }
-}
 
 /// Read an edit list: one `u v` edge per line, 0-indexed, `#` starts a
 /// comment. Pairs come back canonicalized as `(min, max)`.
 pub fn read_edit_list<R: Read>(reader: R) -> Result<Vec<(usize, usize)>, ParseError> {
     let mut edits = Vec::new();
     for (li, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let body = line.split('#').next().unwrap_or("").trim();
-        if body.is_empty() {
+        let Some((u, v)) = parse_pair(li + 1, &line?)? else {
             continue;
-        }
-        let mut it = body.split_whitespace();
-        let u: usize = it
-            .next()
-            .ok_or_else(|| malformed(li + 1, "missing source vertex"))?
-            .parse()
-            .map_err(|e| malformed(li + 1, format!("bad vertex id: {e}")))?;
-        let v: usize = it
-            .next()
-            .ok_or_else(|| malformed(li + 1, "missing target vertex"))?
-            .parse()
-            .map_err(|e| malformed(li + 1, format!("bad vertex id: {e}")))?;
-        if it.next().is_some() {
-            return Err(malformed(li + 1, "trailing tokens after edge"));
-        }
+        };
         if u == v {
             return Err(malformed(li + 1, format!("self-loop {u}-{v}")));
         }

@@ -42,11 +42,34 @@ impl From<io::Error> for ParseError {
     }
 }
 
-fn malformed(line: usize, message: impl Into<String>) -> ParseError {
+pub(crate) fn malformed(line: usize, message: impl Into<String>) -> ParseError {
     ParseError::Malformed {
         line,
         message: message.into(),
     }
+}
+
+/// The `u v` pair on line `line` (1-based) of an edge or edit list,
+/// `#` comment stripped; `None` for a blank or comment-only line.
+pub(crate) fn parse_pair(line: usize, text: &str) -> Result<Option<(usize, usize)>, ParseError> {
+    let body = text.split('#').next().unwrap_or("").trim();
+    if body.is_empty() {
+        return Ok(None);
+    }
+    let mut tokens = body.split_whitespace();
+    let mut vertex = |missing: &str| -> Result<usize, ParseError> {
+        tokens
+            .next()
+            .ok_or_else(|| malformed(line, missing))?
+            .parse()
+            .map_err(|e| malformed(line, format!("bad vertex id: {e}")))
+    };
+    let u = vertex("missing source vertex")?;
+    let v = vertex("missing target vertex")?;
+    if tokens.next().is_some() {
+        return Err(malformed(line, "trailing tokens after edge"));
+    }
+    Ok(Some((u, v)))
 }
 
 /// Upper bound on the vertex count any parser will allocate for. A
@@ -88,24 +111,9 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<BitGraph, 
                 }
             }
         }
-        let body = line.split('#').next().unwrap_or("").trim();
-        if body.is_empty() {
+        let Some((u, v)) = parse_pair(li + 1, &line)? else {
             continue;
-        }
-        let mut it = body.split_whitespace();
-        let u: usize = it
-            .next()
-            .ok_or_else(|| malformed(li + 1, "missing source vertex"))?
-            .parse()
-            .map_err(|e| malformed(li + 1, format!("bad vertex id: {e}")))?;
-        let v: usize = it
-            .next()
-            .ok_or_else(|| malformed(li + 1, "missing target vertex"))?
-            .parse()
-            .map_err(|e| malformed(li + 1, format!("bad vertex id: {e}")))?;
-        if it.next().is_some() {
-            return Err(malformed(li + 1, "trailing tokens after edge"));
-        }
+        };
         check_vertex_bound(li + 1, u.max(v).saturating_add(1))?;
         max_id = max_id.max(u).max(v);
         edges.push((u, v));

@@ -192,11 +192,11 @@ fn merge_live(idx: &CliqueIndex, mut w: IndexWriter) -> Result<WriteSummary, Sto
 mod tests {
     use super::*;
     use crate::format::{
-        encode_id_list, frame, header_bytes, BlockBuilder, CLIQUES_MAGIC, HEADER_LEN,
-        POSTINGS_MAGIC,
+        encode_id_list, header_bytes, BlockBuilder, CLIQUES_MAGIC, HEADER_LEN, POSTINGS_MAGIC,
     };
     use crate::update::{update, EditScript};
     use crate::writer::DEFAULT_BLOCK_TARGET;
+    use gsb_core::store::frame;
     use gsb_graph::BitGraph;
     use std::path::PathBuf;
 

@@ -1,8 +1,9 @@
 //! On-disk byte layout of the clique index (DESIGN.md §11).
 //!
 //! An index directory holds four files, every binary structure framed
-//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload]` exactly like
-//! the checkpoint format, so torn writes and bit rot surface as typed
+//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload]` by the
+//! checkpoint format's own codec (`gsb_core::store::{frame,
+//! parse_frame}`), so torn writes and bit rot surface as typed
 //! [`StoreError`]s — never as panics or silently wrong answers:
 //!
 //! * `cliques.gsi` — the clique store: a 16-byte header followed by
@@ -24,7 +25,7 @@
 //! `patched_graph` are the other rules they share.
 
 use gsb_bitset::BitSet;
-use gsb_core::store::{crc32, StoreError};
+use gsb_core::store::{crc32, parse_frame, StoreError};
 use gsb_core::Vertex;
 use gsb_graph::BitGraph;
 use std::collections::BTreeMap;
@@ -93,52 +94,6 @@ pub fn check_header(bytes: &[u8], magic: u64, context: &'static str) -> Result<u
         return Err(StoreError::BadMagic { found });
     }
     Ok(u32::from_le_bytes(bytes[8..12].try_into().unwrap()))
-}
-
-/// Frame a payload: `[len: u32 LE][crc32: u32 LE][payload]`.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Parse one frame at `pos`; returns the verified payload and the
-/// position just past it.
-pub fn parse_frame<'a>(
-    bytes: &'a [u8],
-    pos: usize,
-    context: &'static str,
-) -> Result<(&'a [u8], usize), StoreError> {
-    let rest = bytes.len().saturating_sub(pos);
-    if rest < 8 {
-        return Err(StoreError::Torn {
-            context,
-            needed: 8,
-            have: rest,
-        });
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-    let body_start = pos + 8;
-    if bytes.len() - body_start < len {
-        return Err(StoreError::Torn {
-            context,
-            needed: len,
-            have: bytes.len() - body_start,
-        });
-    }
-    let payload = &bytes[body_start..body_start + len];
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(StoreError::Checksum {
-            context,
-            stored,
-            computed,
-        });
-    }
-    Ok((payload, body_start + len))
 }
 
 /// Fill `buf` from byte `offset` of `f`; a short read is typed
@@ -1402,6 +1357,7 @@ impl IndexMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsb_core::store::frame;
 
     #[test]
     fn varint_roundtrip_and_bounds() {

@@ -6,11 +6,11 @@
 //! answer a single "which cliques contain gene v?" question. This crate
 //! closes that gap with three layers:
 //!
-//! * [`writer`] — [`IndexWriter`], a [`CliqueSink`] that streams
-//!   maximal cliques into an on-disk index *during* enumeration:
-//!   a sorted clique store of CRC32-framed blocks (length-prefixed,
-//!   delta-encoded vertex ids), per-vertex postings lists, and a
-//!   size-range directory, all written atomically with the swept-tmp
+//! * [`writer`] — [`build()`], the one graph → index path, runs
+//!   `gsb_core::rooted` into an [`IndexWriter`], the [`CliqueSink`]
+//!   writing a sorted clique store of CRC32-framed blocks (length-
+//!   prefixed, delta-encoded vertex ids), per-vertex postings lists,
+//!   and a size-range directory, all written atomically with the swept-tmp
 //!   conventions of `gsb_core::checkpoint`.
 //! * [`reader`] — [`CliqueIndex`], the read-only query engine:
 //!   `cliques-containing(v)`, `cliques-of-size(k..=m)`, `max-clique`,
@@ -32,7 +32,7 @@
 //!
 //! ## Why the size order matters
 //!
-//! Both enumerators emit cliques in non-decreasing size order, so the
+//! [`build()`] emits cliques in canonical (size, lex) order, so the
 //! sequential clique ids assigned at write time are *already sorted by
 //! size*: the size directory is a handful of `(size, first_id, count)`
 //! rows and every size-range query is a contiguous id range. The
@@ -66,4 +66,4 @@ pub use server::{ServeConfig, ServeReport, Server};
 pub use shard::{split_index, ShardSummary};
 pub use snapshot::read_graph_checked;
 pub use update::{update, EditScript, UpdateOutcome};
-pub use writer::{IndexWriter, WriteSummary};
+pub use writer::{build, BuildOptions, IndexWriter, WriteSummary};

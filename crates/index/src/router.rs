@@ -1669,17 +1669,14 @@ mod tests {
 
     #[test]
     fn routing_a_healthy_tier_starts_at_most_threads_times_shards_threads() {
-        use crate::{split_index, CliqueIndex, IndexWriter, ServeConfig, Server};
-        use gsb_core::{CliqueEnumerator, EnumConfig};
+        use crate::{build, split_index, BuildOptions, CliqueIndex, ServeConfig, Server};
         use gsb_graph::generators::{planted, Module};
 
         let dir = std::env::temp_dir().join(format!("gsb_router_reuse_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let g = planted(60, 0.07, &[Module::clique(8), Module::clique(5)], 23);
         let golden = dir.join("golden");
-        let mut writer = IndexWriter::create(&golden, g.n()).expect("create index");
-        CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut writer);
-        writer.finish().expect("finish index");
+        build(&g, &golden, BuildOptions::default(), None).expect("build index");
         let mut servers = Vec::new();
         let mut shards = Vec::new();
         for s in split_index(&golden, &dir.join("shards"), 2).expect("split index") {

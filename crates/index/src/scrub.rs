@@ -401,7 +401,7 @@ fn scrub_graph(dir: &Path, meta: &IndexMeta, chain: &[DeltaGeneration], report: 
 mod tests {
     use super::*;
     use crate::update::{update, EditScript};
-    use crate::writer::IndexWriter;
+    use crate::writer::{BuildOptions, IndexWriter};
     use gsb_core::CliqueSink;
     use gsb_graph::BitGraph;
     use std::path::PathBuf;
@@ -428,23 +428,12 @@ mod tests {
         for (u, v) in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)] {
             g.add_edge(u, v);
         }
-        let mut w = IndexWriter::create(dir, g.n())
-            .unwrap()
-            .block_target(24)
-            .min_size(2)
-            .snapshot(&g)
-            .unwrap();
-        let mut sink = gsb_core::CollectSink::default();
-        gsb_core::CliqueEnumerator::new(gsb_core::EnumConfig {
-            min_k: 2,
-            max_k: None,
-            record_costs: false,
-        })
-        .enumerate(&g, &mut sink);
-        for c in &sink.cliques {
-            w.maximal(c);
-        }
-        w.finish().unwrap();
+        let options = BuildOptions {
+            min: 2,
+            block_target: 24,
+            ..BuildOptions::default()
+        };
+        crate::build(&g, dir, options, None).unwrap();
         update(
             dir,
             &EditScript {
@@ -485,8 +474,7 @@ mod tests {
             let dir = tmp(&format!("edgeless{n}"));
             let _ = std::fs::remove_dir_all(&dir);
             let g = BitGraph::new(n);
-            let w = IndexWriter::create(&dir, n).unwrap().snapshot(&g).unwrap();
-            w.finish().unwrap();
+            crate::build(&g, &dir, BuildOptions::default(), None).unwrap();
             let report = scrub(&dir);
             assert!(report.is_clean(), "n = {n}: {:?}", report.findings);
             assert_eq!(report.cliques_checked, 0);

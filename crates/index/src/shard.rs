@@ -155,6 +155,7 @@ fn write_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::{build, BuildOptions};
     use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
     use gsb_graph::generators::{planted, Module};
 
@@ -169,12 +170,9 @@ mod tests {
     fn split_preserves_every_clique_and_covers_the_id_space() {
         let g = planted(50, 0.08, &[Module::clique(7), Module::clique(5)], 11);
         let dir = tmp("split_src");
-        let enumerator = CliqueEnumerator::new(EnumConfig::default());
         let mut truth = CollectSink::default();
-        enumerator.enumerate(&g, &mut truth);
-        let mut writer = IndexWriter::create(&dir, g.n()).expect("create");
-        enumerator.enumerate(&g, &mut writer);
-        writer.finish().expect("finish");
+        CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut truth);
+        build(&g, &dir, BuildOptions::default(), None).expect("build");
 
         let out = tmp("split_out");
         let shards = split_index(&dir, &out, 3).expect("split");
@@ -251,9 +249,7 @@ mod tests {
             }
         }
         let dir = tmp("split_k3333");
-        let mut writer = IndexWriter::create(&dir, g.n()).expect("create");
-        enumerator.enumerate(&g, &mut writer);
-        writer.finish().expect("finish");
+        build(&g, &dir, BuildOptions::default(), None).expect("build");
         let out = tmp("split_k3333_out");
         let shards = split_index(&dir, &out, 2).expect("split");
         assert_eq!(
@@ -279,10 +275,7 @@ mod tests {
     fn split_rejects_zero_and_oversubscribed_shard_counts() {
         let g = planted(20, 0.1, &[Module::clique(4)], 5);
         let dir = tmp("split_reject");
-        let enumerator = CliqueEnumerator::new(EnumConfig::default());
-        let mut writer = IndexWriter::create(&dir, g.n()).expect("create");
-        enumerator.enumerate(&g, &mut writer);
-        let summary = writer.finish().expect("finish");
+        let summary = build(&g, &dir, BuildOptions::default(), None).expect("build");
         let out = tmp("split_reject_out");
         assert!(split_index(&dir, &out, 0).is_err());
         assert!(split_index(&dir, &out, summary.cliques as usize + 1).is_err());

@@ -21,12 +21,11 @@ use std::fs;
 use std::path::Path;
 
 use gsb_bitset::{words_for, BitSet, WORD_BITS};
-use gsb_core::store::{crc32, StoreError};
+use gsb_core::store::{crc32, frame, parse_frame, StoreError};
 use gsb_graph::BitGraph;
 
 use crate::format::{
-    check_header, decode_id_list, encode_id_list, frame, header_bytes, parse_frame, GRAPH_FILE,
-    GRAPH_MAGIC, HEADER_LEN,
+    check_header, decode_id_list, encode_id_list, header_bytes, GRAPH_FILE, GRAPH_MAGIC, HEADER_LEN,
 };
 
 /// Serialize a graph into `graph.gsg` bytes.

@@ -40,12 +40,12 @@
 
 use crate::compact::pending_swap;
 use crate::format::{
-    canonical, encode_delta_postings, frame, live_histogram, patched_graph, BlockBuilder,
-    DeltaGeneration, IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
+    canonical, encode_delta_postings, live_histogram, patched_graph, BlockBuilder, DeltaGeneration,
+    IndexMeta, CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE,
 };
 use crate::reader::{intersect_sorted, CliqueIndex};
 use crate::writer::{write_atomic, DEFAULT_BLOCK_TARGET};
-use gsb_core::store::{sync_dir, StoreError};
+use gsb_core::store::{frame, sync_dir, StoreError};
 use gsb_core::{neighborhood, Clique, Vertex};
 use gsb_graph::BitGraph;
 use std::collections::{BTreeMap, HashMap, HashSet};

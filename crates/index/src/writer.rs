@@ -1,5 +1,6 @@
-//! [`IndexWriter`] — a [`CliqueSink`] that builds the on-disk index
-//! *during* enumeration.
+//! [`build`], the one way a graph becomes an index, runs
+//! `gsb_core::rooted`'s search into an [`IndexWriter`], a [`CliqueSink`]
+//! that `gsb compact` and `gsb shard` also feed from an existing index.
 //!
 //! Cliques stream through `format::BlockBuilder` (the block encoder
 //! `gsb update` shares) into CRC-framed blocks appended to
@@ -19,12 +20,12 @@
 //! [`flush_barrier`]: gsb_core::CliqueSink::flush_barrier
 
 use crate::format::{
-    canonical, encode_id_list, frame, header_bytes, BlockBuilder, IndexDirectory, IndexMeta,
-    CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, HEADER_LEN,
-    META_FILE, POSTINGS_FILE, POSTINGS_MAGIC,
+    canonical, encode_id_list, header_bytes, BlockBuilder, IndexDirectory, IndexMeta, CLIQUES_FILE,
+    CLIQUES_MAGIC, DIRECTORY_FILE, DIRECTORY_MAGIC, GRAPH_FILE, HEADER_LEN, META_FILE,
+    POSTINGS_FILE, POSTINGS_MAGIC,
 };
-use gsb_core::store::{self, crc32, sweep_tmp_files, sync_dir, StoreError};
-use gsb_core::{CliqueSink, RetryPolicy, Vertex};
+use gsb_core::store::{self, crc32, frame, sweep_tmp_files, sync_dir, StoreError};
+use gsb_core::{rooted, CliqueSink, RetryPolicy, TeeSink, Vertex};
 use gsb_graph::BitGraph;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -34,6 +35,61 @@ use std::path::{Path, PathBuf};
 /// this size. Small enough that a point query decodes little, large
 /// enough that frame overhead (8 bytes) disappears.
 pub const DEFAULT_BLOCK_TARGET: usize = 64 * 1024;
+
+/// How [`build`] indexes a graph: `gsb index`'s `--min`, `--max`,
+/// `--threads` and `--block-target`, with the same defaults.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BuildOptions {
+    /// Smallest clique size indexed; 0 counts as 1.
+    pub min: usize,
+    /// Largest clique size indexed. Set, the index is committed frozen.
+    pub max: Option<usize>,
+    /// Threads searching runs of roots; the files are the same for any.
+    pub threads: usize,
+    /// Block-sealing threshold, bytes of encoded records.
+    pub block_target: usize,
+}
+
+impl Default for BuildOptions {
+    fn default() -> Self {
+        BuildOptions {
+            min: 3,
+            max: None,
+            threads: 1,
+            block_target: DEFAULT_BLOCK_TARGET,
+        }
+    }
+}
+
+/// Index every maximal clique of `g` with `min ≤ size ≤ max` into
+/// `dir`, in the canonical (size, lex) order of
+/// [`rooted::maximal_cliques`], and commit it. `tee`, when given, sees
+/// every clique right after the writer (`gsb index --text-out`).
+///
+/// Without `max` the index holds every maximal clique of at least
+/// `min`, the set `gsb update` maintains, so `min` and a `graph.gsg`
+/// snapshot are recorded and the index is updatable. `max` truncates
+/// the set to a shape updates cannot reason about, so such an index is
+/// committed frozen: queryable, not updatable.
+pub fn build(
+    g: &BitGraph,
+    dir: &Path,
+    options: BuildOptions,
+    tee: Option<&mut dyn CliqueSink>,
+) -> Result<WriteSummary, StoreError> {
+    let BuildOptions {
+        min, max, threads, ..
+    } = options;
+    let mut writer = IndexWriter::create(dir, g.n())?.block_target(options.block_target);
+    if max.is_none() {
+        writer = writer.min_size(min as u32).snapshot(g)?;
+    }
+    match tee {
+        Some(tee) => rooted::maximal_cliques(g, min, max, threads, &mut TeeSink(&mut writer, tee)),
+        None => rooted::maximal_cliques(g, min, max, threads, &mut writer),
+    }
+    writer.finish()
+}
 
 /// What [`IndexWriter::finish`] built.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -143,11 +199,6 @@ impl IndexWriter {
         f.sync_all()?;
         self.snapshot = Some((bytes.len() as u64, crc32(&bytes)));
         Ok(self)
-    }
-
-    /// Cliques accepted so far.
-    pub fn indexed(&self) -> u64 {
-        self.blocks.next_id
     }
 
     fn defer(&mut self, e: StoreError) {

@@ -12,21 +12,18 @@
 //! The corpus is derived from `SplitMix64` seeds, so a failure
 //! reproduces from its seed alone.
 
-use gsb_core::{CliqueEnumerator, EnumConfig, ShutdownToken};
+mod support;
+
+use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_http_fuzz_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use support::{build_index, tmp};
 
 /// Build a small index and start a server with a tight header cap and
 /// request budget, so the defensive paths are reachable in test time.
@@ -38,10 +35,7 @@ fn start_server(
     std::thread::JoinHandle<gsb_index::ServeReport>,
 ) {
     let g = planted(40, 0.08, &[Module::clique(7), Module::clique(5)], 17);
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    build_index(&g, dir, BuildOptions::default());
 
     let index = Arc::new(CliqueIndex::open(dir).expect("open index"));
     let shutdown = ShutdownToken::new();
@@ -229,7 +223,6 @@ fn seeded_malformed_requests_get_typed_responses() {
         0,
         "fuzz corpus panicked a worker"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -249,7 +242,6 @@ fn header_flood_is_cut_off_with_431() {
 
     shutdown.request(15);
     handle.join().expect("server thread");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -311,5 +303,4 @@ fn slow_loris_is_cut_off_with_408() {
 
     shutdown.request(15);
     handle.join().expect("server thread");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -19,21 +19,19 @@
 
 #![cfg(feature = "failpoints")]
 
+mod support;
+
 use gsb_core::failpoint::{self, FailAction};
 use gsb_core::{Clique, CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::gnp;
 use gsb_graph::BitGraph;
-use gsb_index::{compact, update, CliqueIndex, EditScript, IndexWriter};
-use std::path::{Path, PathBuf};
+use gsb_index::{compact, update, BuildOptions, CliqueIndex, EditScript};
+use std::path::Path;
+use support::{build_index, tmp};
 
+/// The oracle's `--min`: `gsb index`'s default, which the fixtures use.
 const MIN_K: usize = 3;
 const DATA_FILES: [&str; 4] = ["cliques.gsi", "postings.gsp", "index.gsd", "graph.gsg"];
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_mcrash_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn enumerate(g: &BitGraph) -> Vec<Clique> {
     let mut sink = CollectSink::default();
@@ -44,18 +42,6 @@ fn enumerate(g: &BitGraph) -> Vec<Clique> {
     })
     .enumerate(g, &mut sink);
     sink.cliques
-}
-
-fn build(dir: &Path, g: &BitGraph) {
-    let mut w = IndexWriter::create(dir, g.n())
-        .expect("create")
-        .min_size(MIN_K as u32)
-        .snapshot(g)
-        .expect("snapshot");
-    for c in enumerate(g) {
-        gsb_core::CliqueSink::maximal(&mut w, &c);
-    }
-    w.finish().expect("finish");
 }
 
 /// The generation and (size, lex)-sorted live cliques of the index.
@@ -107,7 +93,7 @@ fn script(g: &BitGraph, k: usize, skip: usize, grow: bool) -> EditScript {
 /// file (the manifest up to its generation and crc).
 fn assert_fresh_rebuild(dir: &Path, g: &BitGraph, case: &str) {
     let fresh = tmp(&format!("{case}_fresh"));
-    build(&fresh, g);
+    build_index(g, &fresh, BuildOptions::default());
     for name in DATA_FILES {
         let got = std::fs::read(dir.join(name)).expect("read compacted");
         let want = std::fs::read(fresh.join(name)).expect("read fresh");
@@ -122,7 +108,6 @@ fn assert_fresh_rebuild(dir: &Path, g: &BitGraph, case: &str) {
             .join("\n")
     };
     assert_eq!(meta(dir), meta(&fresh), "{case}: manifests differ");
-    let _ = std::fs::remove_dir_all(&fresh);
 }
 
 /// One test, so no other test in this binary races the process-wide
@@ -144,7 +129,7 @@ fn every_maintenance_failpoint_recovers_to_a_fresh_rebuild() {
     for (site, tag) in cases {
         let case = format!("{site}-{}", tag.unwrap_or("any"));
         let dir = tmp(&case);
-        build(&dir, &base);
+        build_index(&base, &dir, BuildOptions::default());
         update(&dir, &first, None).expect("first update");
         let before = opened(&dir);
         assert_eq!(before, (1, enumerate(&g1)), "{case}: first update");
@@ -192,6 +177,5 @@ fn every_maintenance_failpoint_recovers_to_a_fresh_rebuild() {
             g1.clone()
         };
         assert_fresh_rebuild(&dir, &final_graph, &case);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

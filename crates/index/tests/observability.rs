@@ -2,63 +2,20 @@
 //! admission-exempt `/metrics` + `/metrics-json` endpoints, trace-id
 //! round-trips, and the structured access + slow-query logs.
 
-use gsb_core::{CliqueEnumerator, EnumConfig, ShutdownToken};
+mod support;
+
+use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use gsb_telemetry::access::AccessRecord;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use support::{build_index, get, request, tmp};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_index_obs_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn build_index(dir: &Path) -> Arc<CliqueIndex> {
+fn open_fixture(dir: &Path) -> Arc<CliqueIndex> {
     let g = planted(60, 0.08, &[Module::clique(8), Module::clique(5)], 21);
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    build_index(&g, dir, BuildOptions::default());
     Arc::new(CliqueIndex::open(dir).expect("open index"))
-}
-
-/// One blocking GET with optional extra headers; returns
-/// (status, head, body) with the body length checked.
-fn get(addr: SocketAddr, path: &str, extra: &[(&str, &str)]) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut req = format!("GET {path} HTTP/1.1\r\nHost: test\r\n");
-    for (name, value) in extra {
-        req.push_str(&format!("{name}: {value}\r\n"));
-    }
-    req.push_str("\r\n");
-    stream.write_all(req.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length header")
-        .parse()
-        .expect("numeric length");
-    assert_eq!(body.len(), content_length, "truncated response for {path}");
-    (status, head.to_string(), body.to_string())
 }
 
 fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
@@ -88,7 +45,7 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
     // the strongest form of the exemption contract — an operator can
     // watch a completely saturated server.
     let dir = tmp("zeroq");
-    let index = build_index(&dir);
+    let index = open_fixture(&dir);
     let shutdown = ShutdownToken::new();
     let server = Server::bind(
         index,
@@ -110,22 +67,22 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
 
     // Queries cannot get in at all...
     for path in ["/stats", "/max", "/containing/3"] {
-        let (status, head, body) = get(addr, path, &[]);
+        let (status, head, body) = get(addr, path).expect("response");
         assert_eq!(status, 503, "{path}: {body}");
         assert!(header(&head, "Retry-After").is_some(), "{path}: {head}");
     }
     // ...but probes and scrapes answer 200 every time, with trace ids.
     for round in 0..3 {
-        let (status, head, _) = get(addr, "/health", &[]);
+        let (status, head, _) = get(addr, "/health").expect("response");
         assert_eq!(status, 200, "health round {round}");
         let trace = header(&head, "X-Gsb-Trace").expect("traced inline");
         assert!(is_hex16(trace), "generated trace id: {trace:?}");
 
-        let (status, _, body) = get(addr, "/metrics", &[]);
+        let (status, _, body) = get(addr, "/metrics").expect("response");
         assert_eq!(status, 200, "metrics round {round}");
         assert!(body.starts_with("# HELP"), "not an exposition: {body:?}");
 
-        let (status, _, body) = get(addr, "/metrics-json", &[]);
+        let (status, _, body) = get(addr, "/metrics-json").expect("response");
         assert_eq!(status, 200, "metrics-json round {round}");
         assert!(
             gsb_telemetry::json::parse(&body).is_ok(),
@@ -133,7 +90,7 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
         );
     }
     // The scrape sees its own shed counters: the three 503s above.
-    let (_, _, body) = get(addr, "/metrics", &[]);
+    let (_, _, body) = get(addr, "/metrics").expect("response");
     let shed = sample_value(&body, "gsb_http_shed_total{cause=\"queue_full\"}")
         .expect("queue_full shed counter exported");
     assert!(shed >= 3.0, "shed counter: {shed}");
@@ -141,13 +98,12 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
     shutdown.request(15);
     let report = server_thread.join().expect("join");
     assert!(report.shed >= 3, "sheds counted: {}", report.shed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn metrics_exposition_is_well_formed_and_counters_advance() {
     let dir = tmp("promtext");
-    let index = build_index(&dir);
+    let index = open_fixture(&dir);
     let shutdown = ShutdownToken::new();
     let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -165,10 +121,10 @@ fn metrics_exposition_is_well_formed_and_counters_advance() {
         "/size/3/5",
         "/overlap/1/2",
     ] {
-        let (status, _, _) = get(addr, path, &[]);
+        let (status, _, _) = get(addr, path).expect("response");
         assert_eq!(status, 200, "{path}");
     }
-    let (status, head, first) = get(addr, "/metrics", &[]);
+    let (status, head, first) = get(addr, "/metrics").expect("response");
     assert_eq!(status, 200);
     assert!(
         header(&head, "Content-Type").is_some_and(|ct| ct.starts_with("text/plain; version=0.0.4")),
@@ -235,8 +191,8 @@ fn metrics_exposition_is_well_formed_and_counters_advance() {
 
     // A second scrape after more traffic: counters only go up, and the
     // scrape endpoint counts itself.
-    let (_, _, _) = get(addr, "/stats", &[]);
-    let (_, _, second) = get(addr, "/metrics", &[]);
+    let (_, _, _) = get(addr, "/stats").expect("response");
+    let (_, _, second) = get(addr, "/metrics").expect("response");
     for (metric, min_delta) in [
         ("gsb_http_requests_total{endpoint=\"stats\"}", 1.0),
         ("gsb_http_requests_total{endpoint=\"metrics\"}", 1.0),
@@ -259,13 +215,12 @@ fn metrics_exposition_is_well_formed_and_counters_advance() {
 
     shutdown.request(15);
     server_thread.join().expect("join");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn trace_ids_round_trip_and_land_in_the_access_log() {
     let dir = tmp("tracing");
-    let index = build_index(&dir);
+    let index = open_fixture(&dir);
     let access_path = dir.join("access.jsonl");
     let slow_path = dir.join("access.jsonl.slow");
     let shutdown = ShutdownToken::new();
@@ -290,7 +245,8 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
     };
 
     // Client-supplied ids are honored verbatim...
-    let (status, head, _) = get(addr, "/stats", &[("X-Gsb-Trace", "req-42.a_b")]);
+    let (status, head, _) =
+        request(addr, "GET /stats", &[("X-Gsb-Trace", "req-42.a_b")]).expect("response");
     assert_eq!(status, 200);
     assert_eq!(header(&head, "X-Gsb-Trace"), Some("req-42.a_b"));
     let ns: u64 = header(&head, "X-Gsb-Trace-Ns")
@@ -299,14 +255,15 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
         .expect("numeric ns");
     assert!(ns > 0);
     // ...absent ones are generated (distinct 16-hex values)...
-    let (_, head_a, _) = get(addr, "/max", &[]);
-    let (_, head_b, _) = get(addr, "/max", &[]);
+    let (_, head_a, _) = get(addr, "/max").expect("response");
+    let (_, head_b, _) = get(addr, "/max").expect("response");
     let a = header(&head_a, "X-Gsb-Trace").unwrap();
     let b = header(&head_b, "X-Gsb-Trace").unwrap();
     assert!(is_hex16(a) && is_hex16(b), "{a:?} {b:?}");
     assert_ne!(a, b, "trace ids must be distinct");
     // ...and ids that could smuggle header bytes are replaced.
-    let (_, head_bad, _) = get(addr, "/health", &[("X-Gsb-Trace", "bad id !!")]);
+    let (_, head_bad, _) =
+        request(addr, "GET /health", &[("X-Gsb-Trace", "bad id !!")]).expect("response");
     let replaced = header(&head_bad, "X-Gsb-Trace").unwrap();
     assert!(is_hex16(replaced), "invalid id not replaced: {replaced:?}");
 
@@ -355,5 +312,4 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
     for line in slow_text.lines() {
         assert!(AccessRecord::parse(line).is_some(), "slow line: {line:?}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

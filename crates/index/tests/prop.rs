@@ -7,49 +7,41 @@
 //! file — of a base index or of one with a delta chain — yields a typed
 //! [`StoreError`], never a panic or a wrong answer.
 
+mod support;
+
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, StoreError};
 use gsb_graph::generators::{gnp, planted, Module};
 use gsb_graph::BitGraph;
-use gsb_index::format::{CLIQUES_FILE, DIRECTORY_FILE, META_FILE, POSTINGS_FILE};
-use gsb_index::{update, CliqueIndex, EditScript, IndexWriter};
+use gsb_index::format::{CLIQUES_FILE, DIRECTORY_FILE, GRAPH_FILE, META_FILE, POSTINGS_FILE};
+use gsb_index::{read_graph_checked, update, BuildOptions, CliqueIndex, EditScript};
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use support::{build_index, tmp};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_index_prop_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Enumerate `g` twice: once into memory, once into an index at `dir`.
+/// Index `g` at `dir` with `block_target`-byte blocks and return the
+/// Clique Enumerator's cliques of `g`, the oracle for its answers.
 fn build(g: &BitGraph, dir: &Path, block_target: usize) -> Vec<Vec<u32>> {
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
+    build_index(g, dir, with_blocks(block_target));
     let mut collect = CollectSink::default();
-    enumerator.enumerate(g, &mut collect);
-    let mut writer = IndexWriter::create(dir, g.n())
-        .expect("create index writer")
-        .block_target(block_target);
-    enumerator.enumerate(g, &mut writer);
-    writer.finish().expect("finish index");
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(g, &mut collect);
     collect.cliques
 }
 
-/// Build `g`'s index as [`build`] does, but updatable, then apply one
-/// `gsb update` with 16-byte delta blocks: three removals among the
+fn with_blocks(block_target: usize) -> BuildOptions {
+    BuildOptions {
+        block_target,
+        ..BuildOptions::default()
+    }
+}
+
+/// Build `g`'s index as [`build`] does, then apply one `gsb update`
+/// with 16-byte delta blocks: three removals among the
 /// highest-numbered vertices, three additions that close triangles and
 /// an edge to a new vertex. The chain then holds several delta blocks,
 /// a delta postings frame and a generation record for the reader's
 /// corruption sweeps to hit.
 fn build_chained(g: &BitGraph, dir: &Path, block_target: usize) {
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(dir, g.n())
-        .expect("create index writer")
-        .block_target(block_target)
-        .min_size(3)
-        .snapshot(g)
-        .expect("snapshot");
-    enumerator.enumerate(g, &mut writer);
-    writer.finish().expect("finish index");
+    build_index(g, dir, with_blocks(block_target));
     let n = g.n();
     let pairs: Vec<(usize, usize)> = (0..n)
         .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
@@ -169,7 +161,6 @@ fn disk_queries_match_recompute_on_100_random_graphs() {
         let truth = build(&g, &dir, if seed % 3 == 0 { 64 } else { 4096 });
         let index = CliqueIndex::open(&dir).expect("open index");
         check_queries(&index, &g, &truth);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -184,8 +175,70 @@ fn rebuild_is_byte_identical() {
         let right = std::fs::read(b.join(file)).expect("read b");
         assert_eq!(left, right, "{file} differs between identical builds");
     }
-    std::fs::remove_dir_all(&a).ok();
-    std::fs::remove_dir_all(&b).ok();
+}
+
+/// `build` streams the Clique Enumerator's cliques to its tee, records
+/// `min_size` and a `graph.gsg` snapshot exactly when `max` is unset,
+/// and writes the same files at 1, 2 and 4 threads.
+#[test]
+fn build_is_updatable_exactly_without_max_and_the_same_at_every_thread_count() {
+    let g = planted(70, 0.12, &[Module::clique(8), Module::clique(6)], 9);
+    for max in [None, Some(4)] {
+        let mut oracle = CollectSink::default();
+        let config = EnumConfig {
+            min_k: 2,
+            max_k: max,
+            record_costs: false,
+        };
+        CliqueEnumerator::new(config).enumerate(&g, &mut oracle);
+        let mut first = None;
+        for threads in [1, 2, 4] {
+            let dir = tmp(&format!("build_{threads}"));
+            let options = BuildOptions {
+                min: 2,
+                max,
+                threads,
+                block_target: 128,
+            };
+            let mut teed = CollectSink::default();
+            let summary = gsb_index::build(&g, &dir, options, Some(&mut teed)).expect("build");
+            assert_eq!(
+                teed.cliques, oracle.cliques,
+                "max {max:?}, threads {threads}"
+            );
+            assert_eq!(summary.cliques, oracle.cliques.len() as u64);
+            assert!(summary.blocks > 1, "a 128-byte target must split blocks");
+
+            let meta = CliqueIndex::open(&dir).expect("open").meta().clone();
+            let updatable = max.is_none();
+            assert_eq!(meta.min_size, if updatable { 2 } else { 0 });
+            assert_eq!(dir.join(GRAPH_FILE).exists(), updatable);
+            if updatable {
+                let snapshot = read_graph_checked(&dir, meta.graph_bytes, meta.graph_crc);
+                assert!(
+                    snapshot.expect("snapshot") == g,
+                    "the snapshot is not the graph"
+                );
+            } else {
+                assert_eq!((meta.graph_bytes, meta.graph_crc), (0, 0));
+            }
+
+            let files: Vec<Option<Vec<u8>>> = [
+                CLIQUES_FILE,
+                POSTINGS_FILE,
+                DIRECTORY_FILE,
+                META_FILE,
+                GRAPH_FILE,
+            ]
+            .iter()
+            .map(|f| std::fs::read(dir.join(f)).ok())
+            .collect();
+            match &first {
+                None => first = Some(files),
+                Some(want) => assert!(&files == want, "max {max:?}: threads {threads} differ"),
+            }
+        }
+    }
 }
 
 /// Run every query; collect the first typed error, panic on none.
@@ -210,12 +263,10 @@ fn every_single_byte_corruption_is_a_typed_error() {
     let truth = build(&g, &dir, 96);
     assert!(!truth.is_empty(), "graph must have cliques to index");
     corrupt_every_byte(&dir);
-    std::fs::remove_dir_all(&dir).ok();
 
     let chained = tmp("corrupt_chained");
     build_chained(&g, &chained, 96);
     corrupt_every_byte(&chained);
-    std::fs::remove_dir_all(&chained).ok();
 }
 
 /// Flip every byte of the three binary files in turn: `open` or a query
@@ -253,12 +304,10 @@ fn truncations_are_typed_errors() {
     let dir = tmp("truncate");
     build(&g, &dir, 128);
     truncate_every_length(&dir);
-    std::fs::remove_dir_all(&dir).ok();
 
     let chained = tmp("truncate_chained");
     build_chained(&g, &chained, 128);
     truncate_every_length(&chained);
-    std::fs::remove_dir_all(&chained).ok();
 }
 
 /// Cut each binary file to every shorter length in turn: `open` or a
@@ -302,5 +351,4 @@ fn postings_agree_with_store_under_dedup() {
         vertices_with_postings.len(),
         truth.iter().flatten().collect::<HashSet<_>>().len()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

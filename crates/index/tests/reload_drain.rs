@@ -11,47 +11,23 @@
 //! shutdown. A torn read (generation from one index, counts from
 //! another) is the bug this test exists to catch.
 
+mod support;
+
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("gsb_reload_drain_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Raw GET; `None` once the listener is gone (expected after drain).
-fn get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: drain\r\n\r\n").ok()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).ok()?;
-    let status: u16 = response.split_whitespace().nth(1)?.parse().ok()?;
-    let (_, body) = response.split_once("\r\n\r\n")?;
-    Some((status, body.to_string()))
-}
+use support::{build_index, get, tmp};
 
 /// Index one graph into `dir` (in place: bumps the committed
 /// generation) and return its clique count and max clique size.
 fn rebuild(dir: &std::path::Path, big: usize, seed: u64) -> (u64, u64) {
     let g = planted(40, 0.08, &[Module::clique(big), Module::clique(4)], seed);
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut collect = CollectSink::default();
-    enumerator.enumerate(&g, &mut collect);
-    let mut writer = IndexWriter::create(dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut collect);
+    build_index(&g, dir, BuildOptions::default());
     let max = collect.cliques.iter().map(Vec::len).max().unwrap_or(0) as u64;
     (collect.cliques.len() as u64, max)
 }
@@ -63,9 +39,7 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
     // 7-clique graph — distinguishable on every axis, so a torn
     // answer cannot masquerade as a valid one.
     let (even_cliques, even_max) = rebuild(&dir, 6, 31);
-    let g2_probe = tmp("probe");
-    let (odd_cliques, odd_max) = rebuild(&g2_probe, 7, 32);
-    std::fs::remove_dir_all(&g2_probe).ok();
+    let (odd_cliques, odd_max) = rebuild(&tmp("probe"), 7, 32);
     assert_ne!(even_cliques, odd_cliques, "fixture graphs must differ");
     assert_ne!(even_max, odd_max, "fixture graphs must differ");
 
@@ -77,7 +51,7 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
         ServeConfig {
             threads: 2,
             reload_poll: Some(Duration::from_millis(25)),
-            index_dir: Some(dir.clone()),
+            index_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         },
     )
@@ -105,7 +79,7 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
                     // /stats and /ready both carry generation-tagged
                     // counts; alternate so the drain races both paths.
                     let path = if c % 2 == 0 { "/stats" } else { "/ready" };
-                    let Some((status, body)) = get(addr, path) else {
+                    let Some((status, _, body)) = get(addr, path) else {
                         // Listener gone: the drain finished. Only then
                         // may requests stop being answered.
                         assert!(
@@ -179,5 +153,4 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
     );
     assert!(report.reloads >= 1, "reloads never counted");
     assert!(report.requests >= answers as u64, "requests lost");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -38,9 +38,11 @@
 //! primary; a handed-off primary beats a stalled hedge), and the
 //! deadline a backend is told (the try's budget).
 
+mod support;
+
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken, Vertex};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{split_index, CliqueIndex, IndexWriter, ServeConfig, ServeReport, Server};
+use gsb_index::{split_index, BuildOptions, CliqueIndex, ServeConfig, ServeReport, Server};
 use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
@@ -50,55 +52,13 @@ use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use support::{build_index, copy_index, get, tmp, TempDir};
 
 const SEEDS: u64 = 48;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 /// Client-observed latency bound: the budget plus generous scheduling
 /// slack (loaded CI machines); the point is "bounded", not "fast".
 const LATENCY_SLACK: Duration = Duration::from_secs(4);
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_rt_chaos_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Raw GET against the router. The router itself must never drop a
-/// connection wordlessly, so a parse failure here is a test failure.
-fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to router");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: chaos\r\n\r\n").expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("no status line for {path}: {response:?}"))
-        .parse()
-        .expect("numeric status");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header terminator for {path}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .unwrap_or_else(|| panic!("no Content-Length in {response:?}"))
-        .parse()
-        .expect("numeric Content-Length");
-    assert_eq!(body.len(), content_length, "truncated response for {path}");
-    (status, head.to_string(), body.to_string())
-}
-
-fn copy_index(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create dir");
-    for entry in std::fs::read_dir(src).expect("read index dir") {
-        let entry = entry.expect("dir entry");
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy index file");
-    }
-}
 
 /// Flip a byte near the tail of the clique store: the last block
 /// quarantines on first read, counts stay exact (postings intact).
@@ -275,7 +235,7 @@ fn wait_for_breaker(
 ) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
-        let (status, _, body) = get(router, "/metrics");
+        let (status, _, body) = get(router, "/metrics").expect("router response");
         assert_eq!(status, 200, "metrics scrape failed");
         if breaker_gauge(&body, backend).is_some_and(&ok) {
             return true;
@@ -290,6 +250,8 @@ fn wait_for_breaker(
 /// Ground truth + golden shard directories shared by every seed.
 struct Fixture {
     truth: Vec<Vec<Vertex>>,
+    /// Holds `shard_dirs`.
+    _shards: TempDir,
     shard_dirs: Vec<PathBuf>,
     /// `(id_lo, id_hi, size_lo, size_hi)` per shard.
     shards: Vec<(u64, u64, u32, u32)>,
@@ -298,16 +260,14 @@ struct Fixture {
 fn build_fixture(tag: &str) -> Fixture {
     let g = planted(60, 0.07, &[Module::clique(8), Module::clique(5)], 23);
     let golden = tmp(&format!("{tag}_golden"));
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut collect = CollectSink::default();
-    enumerator.enumerate(&g, &mut collect);
-    let mut writer = IndexWriter::create(&golden, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut collect);
+    build_index(&g, &golden, BuildOptions::default());
     let shards_dir = tmp(&format!("{tag}_shards"));
     let summaries = split_index(&golden, &shards_dir, 2).expect("split");
     Fixture {
         truth: collect.cliques,
+        _shards: shards_dir,
         shard_dirs: summaries.iter().map(|s| s.dir.clone()).collect(),
         shards: summaries
             .iter()
@@ -413,7 +373,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
         // Assemble the tier.
         let mut servers: Vec<BackendHandle> = Vec::new();
         let mut faults: Vec<(Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
-        let mut corrupt_dirs: Vec<PathBuf> = Vec::new();
+        let mut corrupt_dirs: Vec<TempDir> = Vec::new();
         let mut replicas: Vec<Vec<String>> = vec![Vec::new(), Vec::new()];
         for (shard, shard_kinds) in kinds.iter().enumerate() {
             for (r, kind) in shard_kinds.iter().enumerate() {
@@ -463,7 +423,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
                 _ => "/size/1/64".to_string(),
             };
             let started = Instant::now();
-            let (status, head, body) = get(router, &path);
+            let (status, head, body) = get(router, &path).expect("router response");
             assert!(
                 started.elapsed() < REQUEST_DEADLINE + LATENCY_SLACK,
                 "seed {seed} round {round} ({path}): {:?} exceeds deadline budget",
@@ -628,9 +588,6 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
             token.request(15);
             handle.join().expect("backend join").expect("backend run");
         }
-        for dir in corrupt_dirs {
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     // Across 48 seeds the fault mix must have exercised the recovery
@@ -656,7 +613,7 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
 
     // Scatter: 200, explicitly degraded, exact over shard 0.
     let v = fx.truth[0][0];
-    let (status, head, body) = get(router, &format!("/containing/{v}"));
+    let (status, head, body) = get(router, &format!("/containing/{v}")).expect("router response");
     assert_eq!(status, 200, "{body}");
     assert!(
         head.contains("X-Gsb-Degraded:"),
@@ -669,12 +626,12 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
     // Point reads on the dead shard: typed 503 naming it; the live
     // shard keeps answering exactly.
     let gid1 = fx.shards[1].0;
-    let (status, _, body) = get(router, &format!("/get/{gid1}"));
+    let (status, _, body) = get(router, &format!("/get/{gid1}")).expect("router response");
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("\"missing_shards\":[1]"), "{body}");
-    let (status, _, body) = get(router, "/max");
+    let (status, _, body) = get(router, "/max").expect("router response");
     assert_eq!(status, 503, "max lives on the dead shard: {body}");
-    let (status, _, body) = get(router, "/get/0");
+    let (status, _, body) = get(router, "/get/0").expect("router response");
     assert_eq!(status, 200, "{body}");
     assert!(
         body.contains(&format!("\"id\":0,\"size\":{}", fx.truth[0].len())),
@@ -683,9 +640,9 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
 
     // /health stays green (the router is fine), /ready goes red (the
     // tier is not fully servable) — the load-balancer-facing split.
-    let (status, _, _) = get(router, "/health");
+    let (status, _, _) = get(router, "/health").expect("router response");
     assert_eq!(status, 200);
-    let (status, _, body) = get(router, "/ready");
+    let (status, _, body) = get(router, "/ready").expect("router response");
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("\"live_shards\":1"), "{body}");
 
@@ -712,7 +669,8 @@ fn breaker_reopens_then_recloses_after_replica_restart() {
     let v = fx.truth[fx.truth.len() - 1][0]; // vertex of the max clique
     let expected = fx.count_over(&[true, true], |c| c.contains(&v));
     let exact = |label: &str| {
-        let (status, head, body) = get(router, &format!("/containing/{v}"));
+        let (status, head, body) =
+            get(router, &format!("/containing/{v}")).expect("router response");
         assert_eq!(status, 200, "{label}: {body}");
         assert!(
             body.contains(&format!("\"count\":{expected}")),
@@ -824,7 +782,7 @@ fn shutdown_wake_is_invisible_to_router_counters() {
             1 => format!("/containing/{v}"),
             _ => "/stats".to_string(),
         };
-        let (status, _, body) = get(router, &path);
+        let (status, _, body) = get(router, &path).expect("router response");
         assert_eq!(status, 200, "{path}: {body}");
     }
     let mut held = TcpStream::connect(router).expect("connect");
@@ -961,12 +919,12 @@ fn hedge_wins_over_a_slow_primary() {
     let (router, shutdown, handle) = start_router(one_shard(&[slow.addr, twin]));
 
     let started = Instant::now();
-    let (status, _, body) = get(router, "/max");
+    let (status, _, body) = get(router, "/max").expect("router response");
     let took = started.elapsed();
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         body,
-        get(direct, "/max").2,
+        get(direct, "/max").expect("direct response").2,
         "the hedged answer is not exact"
     );
     assert!(
@@ -993,7 +951,7 @@ fn handed_off_primary_wins_over_a_stalled_hedge() {
     let stalled = scripted_backend(None, "{}");
     let (router, shutdown, handle) = start_router(one_shard(&[primary.addr, stalled.addr]));
 
-    let (status, _, body) = get(router, "/max");
+    let (status, _, body) = get(router, "/max").expect("router response");
     assert_eq!((status, body.as_str()), (200, PRIMARY));
     let report = join_router(&shutdown, handle);
     assert_eq!((report.hedges, report.hedge_wins), (1, 0));
@@ -1010,7 +968,7 @@ fn handed_off_primary_wins_over_a_stalled_hedge() {
 fn backends_are_told_the_try_budget_not_the_request_budget() {
     let replica = scripted_backend(Some(Duration::ZERO), "{\"size\":0}");
     let (router, shutdown, handle) = start_router(one_shard(&[replica.addr]));
-    let (status, _, body) = get(router, "/max");
+    let (status, _, body) = get(router, "/max").expect("router response");
     assert_eq!(status, 200, "{body}");
     join_router(&shutdown, handle);
 

@@ -19,46 +19,20 @@
 //! for a seeded sample of pairs, every `/size/lo/hi` with
 //! `0 ≤ lo ≤ hi ≤ ω+1`, and the 400, 404 and 405 cases.
 
+mod support;
+
 use gsb_core::{CliqueEnumerator, ShutdownToken};
 use gsb_core::{CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
-use gsb_index::{split_index, CliqueIndex, IndexWriter, ServeConfig, ServeReport, Server};
+use gsb_index::{split_index, BuildOptions, CliqueIndex, ServeConfig, ServeReport, Server};
 use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
 use gsb_rng::SplitMix64;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_rt_equiv_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// One request; returns (status, body). `line` is the request line's
-/// method and target, e.g. `GET /max`.
-fn request(addr: SocketAddr, line: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "{line} HTTP/1.1\r\nHost: oracle\r\n\r\n").expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line for {line}: {response:?}"));
-    let (_, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header terminator for {line}"));
-    (status, body.to_string())
-}
+use support::{build_index, request, tmp};
 
 type ServerHandle = (ShutdownToken, JoinHandle<std::io::Result<ServeReport>>);
 
@@ -82,12 +56,9 @@ fn serve(dir: &Path) -> (SocketAddr, ServerHandle) {
 /// that both answer every request of the oracle's list identically.
 fn check_equivalence(tag: &str, g: &BitGraph) {
     let golden = tmp(&format!("{tag}_golden"));
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut truth = CollectSink::default();
-    enumerator.enumerate(g, &mut truth);
-    let mut writer = IndexWriter::create(&golden, g.n()).expect("create index");
-    enumerator.enumerate(g, &mut writer);
-    writer.finish().expect("finish index");
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(g, &mut truth);
+    build_index(g, &golden, BuildOptions::default());
     let shards_dir = tmp(&format!("{tag}_shards"));
     let summaries = split_index(&golden, &shards_dir, 2).expect("split index");
 
@@ -169,8 +140,12 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
 
     let mut differ = Vec::new();
     for line in &lines {
-        let want = request(single, line);
-        let got = request(routed, line);
+        let response = |addr| {
+            let (status, _, body) =
+                request(addr, line, &[]).unwrap_or_else(|| panic!("no response to {line}"));
+            (status, body)
+        };
+        let (want, got) = (response(single), response(routed));
         if want != got {
             differ.push(format!(
                 "{line}\n  server: {} {}\n  router: {} {}",
@@ -188,8 +163,6 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
         token.request(15);
         handle.join().expect("server thread").expect("server run");
     }
-    std::fs::remove_dir_all(&golden).ok();
-    std::fs::remove_dir_all(&shards_dir).ok();
     assert!(
         differ.is_empty(),
         "{tag}: {} of {} requests answered differently:\n{}",

@@ -3,49 +3,16 @@
 //! correct, and a shutdown request must drain gracefully — all
 //! accepted connections answered, per-endpoint histograms exported.
 
+mod support;
+
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_index_serve_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// One blocking HTTP GET; returns (status, body).
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator");
-    // Connection: close + Content-Length: the body must be complete.
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length header")
-        .parse()
-        .expect("numeric length");
-    assert_eq!(body.len(), content_length, "truncated response for {path}");
-    (status, body.to_string())
-}
+use support::{build_index, get, tmp, TempDir};
 
 #[test]
 fn storm_then_graceful_drain() {
@@ -53,13 +20,10 @@ fn storm_then_graceful_drain() {
     // deep size histogram and hot postings lists.
     let g = planted(80, 0.08, &[Module::clique(9), Module::clique(6)], 13);
     let dir = tmp("storm");
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut collect = CollectSink::default();
-    enumerator.enumerate(&g, &mut collect);
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut collect);
     let truth = collect.cliques;
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    build_index(&g, &dir, BuildOptions::default());
 
     let metrics_path = dir.join("serve_metrics.json");
     let index = Arc::new(CliqueIndex::open(&dir).expect("open index"));
@@ -92,7 +56,8 @@ fn storm_then_graceful_drain() {
                     let v = ((c * 7 + round * 3) % 80) as u32;
                     let w = ((c * 11 + round * 5) % 80) as u32;
 
-                    let (status, body) = get(addr, &format!("/containing/{v}"));
+                    let (status, _, body) =
+                        get(addr, &format!("/containing/{v}")).expect("response");
                     assert_eq!(status, 200);
                     let expected = truth.iter().filter(|cl| cl.contains(&v)).count();
                     assert!(
@@ -100,7 +65,8 @@ fn storm_then_graceful_drain() {
                         "containing({v}): {body}"
                     );
 
-                    let (status, body) = get(addr, &format!("/overlap/{v}/{w}"));
+                    let (status, _, body) =
+                        get(addr, &format!("/overlap/{v}/{w}")).expect("response");
                     assert_eq!(status, 200);
                     let expected = truth
                         .iter()
@@ -111,11 +77,11 @@ fn storm_then_graceful_drain() {
                         "overlap({v},{w}): {body}"
                     );
 
-                    let (status, body) = get(addr, "/max?limit=1");
+                    let (status, _, body) = get(addr, "/max?limit=1").expect("response");
                     assert_eq!(status, 200);
                     assert!(body.contains("\"size\":9"), "max: {body}");
 
-                    let (status, body) = get(addr, "/size/3/4?limit=2");
+                    let (status, _, body) = get(addr, "/size/3/4?limit=2").expect("response");
                     assert_eq!(status, 200);
                     let expected = truth
                         .iter()
@@ -126,13 +92,13 @@ fn storm_then_graceful_drain() {
                         "size: {body}"
                     );
 
-                    let (status, _) = get(addr, "/health");
+                    let (status, _, _) = get(addr, "/health").expect("response");
                     assert_eq!(status, 200);
                 }
                 // Error paths must answer, not hang or kill a worker.
-                let (status, _) = get(addr, "/no/such/endpoint");
+                let (status, _, _) = get(addr, "/no/such/endpoint").expect("response");
                 assert_eq!(status, 404);
-                let (status, _) = get(addr, "/containing/notanumber");
+                let (status, _, _) = get(addr, "/containing/notanumber").expect("response");
                 assert_eq!(status, 400);
             })
         })
@@ -172,7 +138,6 @@ fn storm_then_graceful_drain() {
             "{ep} quantiles ordered"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -182,10 +147,7 @@ fn drain_waits_for_queued_connections() {
     // they were accepted before the token fired.
     let g = planted(30, 0.1, &[Module::clique(5)], 99);
     let dir = tmp("drain");
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish");
+    build_index(&g, &dir, BuildOptions::default());
 
     let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
     let shutdown = ShutdownToken::new();
@@ -230,7 +192,6 @@ fn drain_waits_for_queued_connections() {
     }
     let report = server_thread.join().expect("join");
     assert!(report.connections >= 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -241,10 +202,7 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     // the manifest and verify a failed reload keeps the old index.
     let g = planted(40, 0.08, &[Module::clique(6)], 31);
     let dir = tmp("reload");
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish");
+    build_index(&g, &dir, BuildOptions::default());
 
     let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
     let shutdown = ShutdownToken::new();
@@ -254,7 +212,7 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
         ServeConfig {
             threads: 2,
             reload_poll: Some(Duration::from_millis(50)),
-            index_dir: Some(dir.clone()),
+            index_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         },
     )
@@ -265,20 +223,18 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
         std::thread::spawn(move || server.run(&shutdown).expect("run"))
     };
 
-    let (status, body) = get(addr, "/stats");
+    let (status, _, body) = get(addr, "/stats").expect("response");
     assert_eq!(status, 200);
     assert!(body.contains("\"generation\":0"), "{body}");
 
     // In-place rebuild from a different graph: bigger max clique, and
-    // the writer bumps the committed generation to 1.
+    // the build bumps the committed generation to 1.
     let g2 = planted(40, 0.08, &[Module::clique(7), Module::clique(5)], 32);
-    let mut writer = IndexWriter::create(&dir, g2.n()).expect("recreate writer");
-    enumerator.enumerate(&g2, &mut writer);
-    writer.finish().expect("finish rebuild");
+    build_index(&g2, &dir, BuildOptions::default());
 
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let (status, body) = get(addr, "/stats");
+        let (status, _, body) = get(addr, "/stats").expect("response");
         assert_eq!(status, 200, "server must keep answering during reload");
         if body.contains("\"generation\":1") {
             break;
@@ -289,7 +245,7 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let (status, body) = get(addr, "/max");
+    let (status, _, body) = get(addr, "/max").expect("response");
     assert_eq!(status, 200);
     assert!(
         body.contains("\"size\":7"),
@@ -301,7 +257,7 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     // generation-1 index is still the one answering.
     std::fs::write(dir.join("index.meta"), "garbage, not a manifest\n").expect("clobber meta");
     std::thread::sleep(Duration::from_millis(300));
-    let (status, body) = get(addr, "/stats");
+    let (status, _, body) = get(addr, "/stats").expect("response");
     assert_eq!(status, 200);
     assert!(
         body.contains("\"generation\":1"),
@@ -311,7 +267,6 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     shutdown.request(15);
     let report = server_thread.join().expect("join");
     assert!(report.reloads >= 1, "reload not counted");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -323,10 +278,7 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     // exit 143 at the CLI layer (CliError::Drained, signal 15).
     let g = planted(30, 0.1, &[Module::clique(5)], 7);
     let dir = tmp("overload_drain");
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish");
+    build_index(&g, &dir, BuildOptions::default());
 
     let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
     let shutdown = ShutdownToken::new();
@@ -392,16 +344,13 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     let report = server_thread.join().expect("join");
     assert!(report.connections >= 3, "{:?}", report.connections);
     assert!(report.shed >= 1, "queue-full shed not counted");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A small served index for the shutdown-wake tests.
-fn small_index(name: &str) -> (PathBuf, Arc<CliqueIndex>) {
+fn small_index(name: &str) -> (TempDir, Arc<CliqueIndex>) {
     let g = planted(30, 0.1, &[Module::clique(5)], 5);
     let dir = tmp(name);
-    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
-    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut writer);
-    writer.finish().expect("finish");
+    build_index(&g, &dir, BuildOptions::default());
     let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
     (dir, index)
 }
@@ -417,7 +366,7 @@ fn sample(promtext: &str, name: &str) -> Option<u64> {
 fn idle_server_returns_within_a_second_of_shutdown() {
     // The acceptor blocks in accept(); only the shutdown waker's
     // connection can return it, on a loopback or a wildcard listener.
-    let (dir, index) = small_index("idle");
+    let (_dir, index) = small_index("idle");
     for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
         let server = Server::bind(Arc::clone(&index), addr, ServeConfig::default()).expect("bind");
         let shutdown = ShutdownToken::new();
@@ -434,7 +383,6 @@ fn idle_server_returns_within_a_second_of_shutdown() {
         assert_eq!(report.connections, 0, "{addr}: the waker was counted");
         assert_eq!(report.shed, 0, "{addr}: the waker was shed");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -469,7 +417,7 @@ fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
         } else {
             "/containing/0"
         };
-        assert_eq!(get(addr, path).0, 200, "{path}");
+        assert_eq!(get(addr, path).expect("response").0, 200, "{path}");
     }
     let mut held = TcpStream::connect(addr).expect("connect");
     held.set_read_timeout(Some(Duration::from_secs(10)))
@@ -496,5 +444,4 @@ fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
     }
     let access = std::fs::read_to_string(&access_path).expect("access log");
     assert_eq!(access.lines().count() as u64, N, "{access}");
-    std::fs::remove_dir_all(&dir).ok();
 }

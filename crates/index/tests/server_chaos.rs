@@ -27,15 +27,15 @@
 
 #![cfg(feature = "failpoints")]
 
+mod support;
+
 use gsb_core::failpoint;
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::{build_index, copy_index, get, tmp};
 
 const SEEDS: u64 = 72;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
@@ -43,64 +43,15 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 /// slack (loaded CI machines); the point is "bounded", not "fast".
 const LATENCY_SLACK: Duration = Duration::from_secs(4);
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_srv_chaos_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Raw GET; `None` when the connection died without a parseable
-/// response (allowed under injected accept/respond faults — the
-/// invariant is it dies fast and silent, never half-answered).
-fn get(addr: SocketAddr, path: &str) -> Option<(u16, String, String)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: chaos\r\n\r\n").ok()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).ok()?;
-    if response.is_empty() {
-        return None;
-    }
-    let status: u16 = response.split_whitespace().nth(1)?.parse().ok()?;
-    let (head, body) = response.split_once("\r\n\r\n")?;
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .unwrap_or_else(|| panic!("no Content-Length in {response:?}"))
-        .parse()
-        .expect("numeric Content-Length");
-    assert_eq!(
-        body.len(),
-        content_length,
-        "truncated response for {path}: {response:?}"
-    );
-    Some((status, head.to_string(), body.to_string()))
-}
-
-/// Copy the four index files into a per-seed directory so corruption
-/// never leaks across seeds.
-fn copy_index(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create seed dir");
-    for entry in std::fs::read_dir(src).expect("read index dir") {
-        let entry = entry.expect("dir entry");
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy index file");
-    }
-}
-
 #[test]
 fn chaos_schedules_never_panic_and_answers_stay_exact() {
     // One ground-truth index, rebuilt per seed by file copy.
     let g = planted(60, 0.07, &[Module::clique(8), Module::clique(5)], 23);
     let golden = tmp("golden");
-    let enumerator = CliqueEnumerator::new(EnumConfig::default());
     let mut collect = CollectSink::default();
-    enumerator.enumerate(&g, &mut collect);
+    CliqueEnumerator::new(EnumConfig::default()).enumerate(&g, &mut collect);
     let truth = collect.cliques;
-    let mut writer = IndexWriter::create(&golden, g.n()).expect("create writer");
-    enumerator.enumerate(&g, &mut writer);
-    writer.finish().expect("finish index");
+    build_index(&g, &golden, BuildOptions::default());
 
     for seed in 0..SEEDS {
         let schedule = failpoint::server_chaos_schedule(seed);
@@ -255,7 +206,5 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
                 "seed {seed}: degraded probe not counted in the report"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&golden).ok();
 }

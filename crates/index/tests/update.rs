@@ -8,18 +8,16 @@
 //! of that graph. 100 seeded edit scripts drive both properties, plus
 //! crash-model tests for torn appends and interrupted compactions.
 
+mod support;
+
 use gsb_core::{Clique, CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
 use gsb_graph::generators::gnp;
 use gsb_graph::BitGraph;
-use gsb_index::{compact, update, CliqueIndex, EditScript, IndexWriter, ServeConfig, Server};
+use gsb_index::{compact, update, BuildOptions, CliqueIndex, EditScript, IndexWriter};
+use gsb_index::{ServeConfig, Server};
 use gsb_rng::SplitMix64;
-use std::path::{Path, PathBuf};
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gsb_update_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use std::path::Path;
+use support::{build_index, copy_index, get, tmp};
 
 /// Oracle: every maximal clique of `g` with size ≥ `min_k`, in the
 /// canonical (size, lex) order.
@@ -34,17 +32,14 @@ fn enumerate(g: &BitGraph, min_k: usize) -> Vec<Clique> {
     sink.cliques
 }
 
-/// Build an updatable index of `g` in `dir`.
+/// Build an updatable index of `g` in `dir`, as `gsb index` does with
+/// `--min` set to `min_k`.
 fn build(dir: &Path, g: &BitGraph, min_k: usize) {
-    let mut w = IndexWriter::create(dir, g.n())
-        .expect("create")
-        .min_size(min_k as u32)
-        .snapshot(g)
-        .expect("snapshot");
-    for c in enumerate(g, min_k) {
-        gsb_core::CliqueSink::maximal(&mut w, &c);
-    }
-    w.finish().expect("finish");
+    let options = BuildOptions {
+        min: min_k,
+        ..BuildOptions::default()
+    };
+    build_index(g, dir, options);
 }
 
 /// The live clique set of an index, re-sorted into (size, lex) order.
@@ -324,7 +319,7 @@ fn interrupted_compaction_swap_is_resumed_not_rebuilt() {
     // the finished compact.tmp, then transplant it and move ONE data
     // file into place — exactly the state a crash mid-swap leaves.
     let copy = tmp("resume_copy");
-    copy_dir(&dir, &copy);
+    copy_index(&dir, &copy);
     let staged = copy.join("compact.tmp");
     build_staged_compaction(&copy, &staged);
     std::fs::rename(&staged, dir.join("compact.tmp")).expect("transplant");
@@ -383,16 +378,6 @@ fn build_staged_compaction(src: &Path, staged: &Path) {
         gsb_core::CliqueSink::maximal(&mut w, c);
     }
     w.finish().expect("finish staged");
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("mkdir");
-    for entry in std::fs::read_dir(src).expect("read_dir") {
-        let entry = entry.expect("entry");
-        if entry.file_type().expect("type").is_file() {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy");
-        }
-    }
 }
 
 #[test]
@@ -476,21 +461,6 @@ fn noop_batches_commit_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Raw GET against the test server; `None` once the listener is gone.
-fn get(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: update\r\n\r\n").ok()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).ok()?;
-    let status: u16 = response.split_whitespace().nth(1)?.parse().ok()?;
-    let (_, body) = response.split_once("\r\n\r\n")?;
-    Some((status, body.to_string()))
-}
-
 /// The tentpole's serving half: `gsb update` and `gsb compact` bump
 /// the manifest generation under a serving `--reload-poll` process,
 /// and every answer the hammering clients ever see is internally
@@ -517,7 +487,7 @@ fn live_serve_stays_consistent_across_update_and_compact() {
         ServeConfig {
             threads: 2,
             reload_poll: Some(Duration::from_millis(20)),
-            index_dir: Some(dir.clone()),
+            index_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         },
     )
@@ -542,7 +512,7 @@ fn live_serve_stays_consistent_across_update_and_compact() {
                         1 => "/containing/0",
                         _ => "/size/2/64",
                     };
-                    let Some((status, body)) = get(addr, path) else {
+                    let Some((status, _, body)) = get(addr, path) else {
                         assert!(
                             stop.load(Ordering::Acquire),
                             "client {c}: connection died before shutdown"
