@@ -157,6 +157,34 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Number of set bits at positions in `range`: whole words by
+    /// popcount, the partial first and last words masked. Panics if the
+    /// range ends past the universe.
+    pub fn count_ones_in(&self, range: std::ops::Range<usize>) -> usize {
+        let (start, end) = (range.start, range.end);
+        assert!(
+            end <= self.nbits,
+            "range end {end} out of range {}",
+            self.nbits
+        );
+        if start >= end {
+            return 0;
+        }
+        let (first, last) = (start / WORD_BITS, (end - 1) / WORD_BITS);
+        let head = u64::MAX << (start % WORD_BITS);
+        let tail = u64::MAX >> (WORD_BITS - 1 - (end - 1) % WORD_BITS);
+        if first == last {
+            return (self.words[first] & head & tail).count_ones() as usize;
+        }
+        let inner: usize = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        inner
+            + (self.words[first] & head).count_ones() as usize
+            + (self.words[last] & tail).count_ones() as usize
+    }
+
     /// True when no bit is set — the paper's maximality test
     /// (`BitOneExists(..) = FALSE`).
     #[inline]
@@ -508,6 +536,44 @@ mod tests {
         assert_eq!(s.next_one(300), None);
         assert_eq!(BitSet::new(10).first_one(), None);
         assert_eq!(BitSet::new(10).last_one(), None);
+    }
+
+    #[test]
+    fn count_ones_in_masks_partial_words() {
+        let ones = [0, 1, 62, 63, 64, 65, 127, 128, 190, 191];
+        let s = BitSet::from_ones(192, ones);
+        let naive = |r: std::ops::Range<usize>| ones.iter().filter(|i| r.contains(i)).count();
+        // empty ranges, at a word boundary and mid-word
+        assert_eq!(s.count_ones_in(0..0), 0);
+        assert_eq!(s.count_ones_in(64..64), 0);
+        assert_eq!(s.count_ones_in(70..70), 0);
+        // single bits, set and clear, on both sides of a boundary
+        assert_eq!(s.count_ones_in(63..64), 1);
+        assert_eq!(s.count_ones_in(64..65), 1);
+        assert_eq!(s.count_ones_in(66..67), 0);
+        assert_eq!(s.count_ones_in(191..192), 1);
+        // starting or ending mid-word, within one word and across several
+        assert_eq!(s.count_ones_in(1..63), 2);
+        assert_eq!(s.count_ones_in(62..66), 4);
+        assert_eq!(s.count_ones_in(2..190), naive(2..190));
+        assert_eq!(s.count_ones_in(63..129), naive(63..129));
+        // whole words and the whole set
+        assert_eq!(s.count_ones_in(64..128), 3);
+        assert_eq!(s.count_ones_in(0..192), s.count_ones());
+        for start in 0..=192 {
+            for end in start..=192 {
+                assert_eq!(s.count_ones_in(start..end), naive(start..end));
+            }
+        }
+        let short = BitSet::from_ones(70, [3, 69]);
+        assert_eq!(short.count_ones_in(0..70), 2);
+        assert_eq!(BitSet::new(0).count_ones_in(0..0), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn count_ones_in_past_the_universe_panics() {
+        BitSet::new(10).count_ones_in(0..11);
     }
 
     #[test]

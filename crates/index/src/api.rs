@@ -43,11 +43,20 @@
 //! concatenated in shard order and cut at the limit; `first_id` is the
 //! minimum over the shards that matched, 0 when none did; and
 //! `missing_shards` is rendered only when a shard did not answer.
+//!
+//! A list answer holds its cliques flat ([`FlatCliques`], one vertex
+//! buffer and one end per clique), whether the server read them from
+//! its blocks or the router parsed them from shard bodies, so no answer
+//! allocates per clique. Every body is written into one buffer reserved
+//! once for its largest possible size, and every integer array in it —
+//! ids, cliques, `missing_shards` — goes through one writer,
+//! `push_ints`, that appends the digits in place.
 
+use crate::format::FlatCliques;
 use crate::http::{Reply, CONTENT_TYPE_JSON};
-use gsb_core::Clique;
+use gsb_core::{Clique, Vertex};
 use gsb_telemetry::json::{self, JsonValue};
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 
 /// A parsed request target, ready for rate limiting and execution.
 pub(crate) enum Route {
@@ -283,18 +292,8 @@ impl Answer {
     pub(crate) fn reply(&self) -> Reply {
         let json = CONTENT_TYPE_JSON;
         match self {
-            Answer::Clique { id, clique } => {
-                let body = format!(
-                    "{{\"id\":{id},\"size\":{},\"clique\":{}}}",
-                    clique.len(),
-                    json_array(clique)
-                );
-                (200, body, 0, json)
-            }
-            Answer::Max(c) => {
-                let body = format!("{{\"size\":{},\"clique\":{}}}", c.len(), json_array(c));
-                (200, body, 0, json)
-            }
+            Answer::Clique { id, clique } => (200, clique_body(Some(*id), clique), 0, json),
+            Answer::Max(c) => (200, clique_body(None, c), 0, json),
             Answer::List(query, list) => {
                 let degraded = list.degraded + list.missing_shards.len() as u64;
                 (200, list.render(*query), degraded, json)
@@ -306,18 +305,35 @@ impl Answer {
     }
 }
 
+/// A `/get` body (with the id) or a `/max` body (without).
+fn clique_body(id: Option<u64>, clique: &[Vertex]) -> String {
+    let mut body = String::with_capacity(72 + 11 * clique.len());
+    body.push('{');
+    if let Some(id) = id {
+        let _ = write!(body, "\"id\":{id},");
+    }
+    let _ = write!(body, "\"size\":{},\"clique\":", clique.len());
+    push_ints(&mut body, clique.iter().map(|&v| u64::from(v)));
+    body.push('}');
+    body
+}
+
 /// The `"clique"` of a `/get` body; `None` when the body does not parse
 /// or a vertex is not a `u32`.
 pub(crate) fn parse_clique(body: &str) -> Option<Clique> {
-    clique_of(json::parse(body).ok()?.get("clique")?)
+    let mut clique = Vec::new();
+    vertices_of(json::parse(body).ok()?.get("clique")?, &mut clique)?;
+    Some(clique)
 }
 
-fn clique_of(value: &JsonValue) -> Option<Clique> {
-    value
-        .as_array()?
-        .iter()
-        .map(|v| v.as_u64().and_then(|v| u32::try_from(v).ok()))
-        .collect()
+/// Read a JSON array of vertices into `out`, replacing what it held;
+/// `None` when `value` is not an array or a vertex is not a `u32`.
+fn vertices_of(value: &JsonValue, out: &mut Vec<Vertex>) -> Option<()> {
+    out.clear();
+    for v in value.as_array()? {
+        out.push(u32::try_from(v.as_u64()?).ok()?);
+    }
+    Some(())
 }
 
 /// Which list query a [`ListAnswer`] answers.
@@ -355,7 +371,7 @@ pub(crate) struct ListAnswer {
     /// `None` when nothing matched.
     pub first_id: Option<u64>,
     /// The returned cliques, in id order.
-    pub cliques: Vec<Clique>,
+    pub cliques: FlatCliques,
     /// Ids skipped because their store block is quarantined.
     pub degraded: u64,
     /// Shards that did not answer (a router's partial answer).
@@ -368,7 +384,12 @@ impl ListAnswer {
     pub(crate) fn parse(body: &str) -> Option<ListAnswer> {
         let parsed = json::parse(body).ok()?;
         let count = parsed.u64_or_zero("count");
-        let cliques = parsed.get("cliques")?.as_array()?;
+        let mut cliques = FlatCliques::default();
+        let mut clique = Vec::new();
+        for value in parsed.get("cliques")?.as_array()? {
+            vertices_of(value, &mut clique)?;
+            cliques.push(&clique);
+        }
         Some(ListAnswer {
             count,
             ids: parsed.u64_array("ids"),
@@ -377,7 +398,7 @@ impl ListAnswer {
                 .get("first_id")
                 .and_then(JsonValue::as_u64)
                 .filter(|_| count > 0),
-            cliques: cliques.iter().map(clique_of).collect::<Option<_>>()?,
+            cliques,
             degraded: parsed.u64_or_zero("degraded"),
             missing_shards: Vec::new(),
         })
@@ -390,7 +411,7 @@ impl ListAnswer {
     pub(crate) fn absorb(&mut self, part: ListAnswer, id_lo: u64) {
         self.count += part.count;
         self.ids.extend(part.ids.iter().map(|id| id + id_lo));
-        self.cliques.extend(part.cliques);
+        self.cliques.append(&part.cliques);
         self.degraded += part.degraded;
         if let Some(first) = part.first_id.map(|id| id + id_lo) {
             self.first_id = Some(self.first_id.map_or(first, |f| f.min(first)));
@@ -408,20 +429,39 @@ impl ListAnswer {
     }
 
     fn render(&self, query: ListQuery) -> String {
-        let mut body = match query {
-            ListQuery::Containing(v) => format!("{{\"vertex\":{v},\"count\":{}", self.count),
-            ListQuery::Overlap(v, w) => format!("{{\"v\":{v},\"w\":{w},\"count\":{}", self.count),
-            ListQuery::Size(lo, hi) => format!(
+        // At least the largest body this answer can render, so the
+        // buffer is allocated once: the fixed fields take at most 192
+        // bytes, an id or shard at most 20 digits and a separator, a
+        // vertex 10 and one, and a clique its brackets and a comma.
+        let mut body = String::with_capacity(
+            192 + 21 * (self.ids.len() + self.missing_shards.len())
+                + 11 * self.cliques.vertex_count()
+                + 3 * self.cliques.len(),
+        );
+        let _ = match query {
+            ListQuery::Containing(v) => write!(body, "{{\"vertex\":{v},\"count\":{}", self.count),
+            ListQuery::Overlap(v, w) => {
+                write!(body, "{{\"v\":{v},\"w\":{w},\"count\":{}", self.count)
+            }
+            ListQuery::Size(lo, hi) => write!(
+                body,
                 "{{\"min\":{lo},\"max\":{hi},\"count\":{},\"first_id\":{}",
                 self.count,
                 self.first_id.unwrap_or(0)
             ),
         };
         if !matches!(query, ListQuery::Size(..)) {
-            let _ = write!(body, ",\"ids\":{}", json_array(&self.ids));
+            body.push_str(",\"ids\":");
+            push_ints(&mut body, self.ids.iter().copied());
         }
-        let cliques = json_array(self.cliques.iter().map(json_array));
-        let _ = write!(body, ",\"cliques\":{cliques}");
+        body.push_str(",\"cliques\":[");
+        for (i, clique) in self.cliques.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            push_ints(&mut body, clique.iter().map(|&v| u64::from(v)));
+        }
+        body.push(']');
         // Both suffixes are absent from a complete answer, so a healthy
         // answer is byte-identical to one without degradation support.
         if self.degraded > 0 {
@@ -435,24 +475,40 @@ impl ListAnswer {
 
 /// The `,"missing_shards":[..]` suffix; empty when no shard is missing.
 pub(crate) fn missing_field(missing: &[usize]) -> String {
-    if missing.is_empty() {
-        String::new()
-    } else {
-        format!(",\"missing_shards\":{}", json_array(missing))
+    let mut field = String::new();
+    if !missing.is_empty() {
+        field.push_str(",\"missing_shards\":");
+        push_ints(&mut field, missing.iter().map(|&shard| shard as u64));
     }
+    field
 }
 
-/// `[a,b,c]`, compact.
-fn json_array<T: Display>(items: impl IntoIterator<Item = T>) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
+/// Append `[a,b,c]`, compact: the one writer of every integer array in
+/// a body.
+fn push_ints(body: &mut String, items: impl IntoIterator<Item = u64>) {
+    body.push('[');
+    for (i, n) in items.into_iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            body.push(',');
         }
-        let _ = write!(out, "{item}");
+        push_int(body, n);
     }
-    out.push(']');
-    out
+    body.push(']');
+}
+
+/// Append the decimal digits of `n`, exactly as `Display` prints them.
+fn push_int(body: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    body.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -593,7 +649,8 @@ mod tests {
         );
         assert_eq!(g.count, 3);
         assert_eq!(g.ids, vec![100, 104, 207]);
-        assert_eq!(g.cliques, vec![vec![1, 2, 3], vec![3, 4], vec![3, 9]]);
+        let cliques: [&[Vertex]; 3] = [&[1, 2, 3], &[3, 4], &[3, 9]];
+        assert!(g.cliques.iter().eq(cliques));
         assert_eq!(g.degraded, 2);
         assert!(ListAnswer::parse("not json").is_none());
     }
@@ -638,6 +695,46 @@ mod tests {
         assert_eq!(
             body,
             "{\"v\":1,\"w\":2,\"count\":2,\"ids\":[10],\"cliques\":[[1,2]],\"degraded\":1,\"missing_shards\":[0]}"
+        );
+    }
+
+    #[test]
+    fn the_integer_writer_prints_what_display_prints() {
+        for n in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut body = String::from("x");
+            push_int(&mut body, n);
+            assert_eq!(body, format!("x{n}"));
+        }
+        let mut body = String::new();
+        push_ints(&mut body, []);
+        push_ints(&mut body, [7]);
+        push_ints(&mut body, [0, 10, u64::MAX]);
+        assert_eq!(body, "[][7][0,10,18446744073709551615]");
+    }
+
+    #[test]
+    fn a_merged_list_cut_at_limit_renders_both_suffixes() {
+        // Three cliques over two shards, cut to two: the cut lands on
+        // the second shard's first clique, so both the vertex buffer
+        // and the ends are cut mid-list.
+        let q = ListQuery::Containing(4);
+        let shard0 = "{\"vertex\":4,\"count\":2,\"ids\":[1,3],\"cliques\":[[0,4,1000000],[4,4294967295]],\"degraded\":1}";
+        let shard1 =
+            "{\"vertex\":4,\"count\":2,\"ids\":[0,2],\"cliques\":[[2,4,6,8],[4,5]],\"degraded\":2}";
+        let mut merged = ListAnswer::default();
+        merged.absorb(ListAnswer::parse(shard0).unwrap(), 10);
+        merged.absorb(ListAnswer::parse(shard1).unwrap(), 20);
+        let answer = merged.finish(q, 3, vec![2, 17]);
+        let Answer::List(_, ref list) = answer else {
+            panic!("a list answer");
+        };
+        assert_eq!(list.cliques.len(), 3);
+        assert_eq!(list.cliques.vertex_count(), 9);
+        let (status, body, degraded, _) = answer.reply();
+        assert_eq!((status, degraded), (200, 5));
+        assert_eq!(
+            body,
+            "{\"vertex\":4,\"count\":4,\"ids\":[11,13,20],\"cliques\":[[0,4,1000000],[4,4294967295],[2,4,6,8]],\"degraded\":3,\"missing_shards\":[2,17]}"
         );
     }
 

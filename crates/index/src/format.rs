@@ -19,7 +19,7 @@
 //! This module is the one place those layouts are encoded and checked.
 //! `BlockBuilder` writes store blocks for `gsb index` and `gsb update`;
 //! `read_frame_at` and `decode_block` read them back, each block as one
-//! flat `Block`, for the reader and `gsb scrub`; `walk_chain` decodes
+//! `FlatCliques`, for the reader and `gsb scrub`; `walk_chain` decodes
 //! `index.gsd` and cross-checks it against the manifest for both;
 //! `live_histogram`, `decode_postings`, `read_delta_postings` and
 //! `patched_graph` are the other rules they share.
@@ -395,30 +395,36 @@ impl BlockBuilder {
     }
 }
 
-/// One decoded store block: the records' vertices back to back in one
-/// buffer, and where each record ends in it. Record `i` is
-/// `vertices[ends[i - 1]..ends[i]]` (from 0 for the first), so a block
-/// costs two allocations however many cliques it holds.
-#[derive(Debug)]
-pub(crate) struct Block {
+/// A list of cliques laid out flat: their vertices back to back in one
+/// buffer, and where each clique ends in it. Clique `i` is
+/// `vertices[ends[i - 1]..ends[i]]` (from 0 for the first), so the list
+/// costs two allocations however many cliques it holds. A decoded store
+/// block is one, and so is the clique list of a query answer.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct FlatCliques {
     vertices: Vec<Vertex>,
     ends: Vec<u32>,
 }
 
-impl Block {
-    /// Records in the block.
+impl FlatCliques {
+    /// Cliques in the list.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
     }
 
-    /// Record `i`, or `None` past the end.
+    /// Vertices over all the cliques.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.vertices.len()
+    }
+
+    /// Clique `i`, or `None` past the end.
     pub(crate) fn get(&self, i: usize) -> Option<&[Vertex]> {
         let end = *self.ends.get(i)? as usize;
         let start = i.checked_sub(1).map_or(0, |j| self.ends[j] as usize);
         Some(&self.vertices[start..end])
     }
 
-    /// Every record in id order.
+    /// Every clique in list order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[Vertex]> + '_ {
         let mut start = 0;
         self.ends.iter().map(move |&end| {
@@ -427,13 +433,48 @@ impl Block {
             record
         })
     }
+
+    /// Append one clique.
+    pub(crate) fn push(&mut self, clique: &[Vertex]) {
+        self.vertices.extend_from_slice(clique);
+        self.end_clique();
+    }
+
+    /// Append every clique of `other`, in its order.
+    pub(crate) fn append(&mut self, other: &FlatCliques) {
+        self.vertices.reserve(other.vertices.len());
+        self.ends.reserve(other.ends.len());
+        for clique in other.iter() {
+            self.push(clique);
+        }
+    }
+
+    /// Keep the first `len` cliques.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.ends.len() {
+            self.ends.truncate(len);
+            self.vertices
+                .truncate(self.ends.last().map_or(0, |&end| end as usize));
+        }
+    }
+
+    /// Close the clique whose vertices were pushed since the last end.
+    fn end_clique(&mut self) {
+        let end = u32::try_from(self.vertices.len())
+            .expect("a clique list holds at most u32::MAX vertices");
+        self.ends.push(end);
+    }
 }
 
 /// Verify and decode the store block `entry` names, as read by
 /// [`read_frame_at`]: the frame CRC, the record count against the
 /// entry, every record (vertex ids below `n`, size inside the entry's
 /// range) and no bytes after the last record.
-pub(crate) fn decode_block(frame: &[u8], entry: &BlockEntry, n: u32) -> Result<Block, StoreError> {
+pub(crate) fn decode_block(
+    frame: &[u8],
+    entry: &BlockEntry,
+    n: u32,
+) -> Result<FlatCliques, StoreError> {
     const CTX: &str = "clique block";
     let (payload, _) = parse_frame(frame, 0, CTX)?;
     if payload.len() < 4 {
@@ -454,7 +495,7 @@ pub(crate) fn decode_block(frame: &[u8], entry: &BlockEntry, n: u32) -> Result<B
     // each vertex, so the payload bounds both buffers; and a payload
     // fits a u32 frame length, so every end fits a u32.
     let records = (count as usize).min(payload.len());
-    let mut block = Block {
+    let mut block = FlatCliques {
         vertices: Vec::with_capacity(payload.len().saturating_sub(4 + records)),
         ends: Vec::with_capacity(records),
     };
@@ -468,7 +509,7 @@ pub(crate) fn decode_block(frame: &[u8], entry: &BlockEntry, n: u32) -> Result<B
                 context: "clique size outside its block's declared range",
             });
         }
-        block.ends.push(block.vertices.len() as u32);
+        block.end_clique();
     }
     if pos != payload.len() {
         return Err(StoreError::Codec { context: CTX });
@@ -1432,6 +1473,23 @@ mod tests {
         assert!(block.iter().eq(cliques));
         assert_eq!(block.get(2), Some(&[1, 2][..]));
         assert_eq!(block.get(4), None);
+        // the same layout built by push, append and truncate
+        let mut list = FlatCliques::default();
+        list.push(cliques[0]);
+        list.push(cliques[1]);
+        let mut rest = FlatCliques::default();
+        rest.push(cliques[2]);
+        rest.push(cliques[3]);
+        list.append(&rest);
+        assert_eq!(list, block);
+        assert_eq!(list.vertex_count(), 8);
+        list.truncate(5);
+        assert_eq!(list, block);
+        list.truncate(2);
+        assert!(list.iter().eq(cliques[..2].iter().copied()));
+        assert_eq!(list.vertex_count(), 3);
+        list.truncate(0);
+        assert_eq!(list, FlatCliques::default());
         // each check of the entry still holds
         assert!(decode_block(&frame, &entry, 9).is_err());
         let short = BlockEntry { count: 3, ..entry };

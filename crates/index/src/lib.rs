@@ -13,9 +13,11 @@
 //!   and a size-range directory, all written atomically with the swept-tmp
 //!   conventions of `gsb_core::checkpoint`.
 //! * [`reader`] — [`CliqueIndex`], the read-only query engine:
-//!   `cliques-containing(v)`, `cliques-of-size(k..=m)`, `max-clique`,
-//!   and `overlap(v, w)` by merging two ascending postings lists,
-//!   behind an LRU cache of decoded blocks.
+//!   `cliques-containing(v)`, `cliques-of-size(k..=m)` counted from the
+//!   size runs less their tombstones ([`Matches`]), `max-clique`, and
+//!   `overlap(v, w)` by merging two ascending postings lists, behind an
+//!   LRU cache of decoded blocks that list answers copy their cliques
+//!   from into one flat buffer.
 //! * [`format`](mod@format) — the byte layout, encoded and checked in
 //!   one place: the writer, [`update()`], the reader and [`scrub()`]
 //!   share its block encoder, block read, chain walk and decoders.
@@ -59,7 +61,7 @@ pub mod writer;
 pub use api::endpoint_paths;
 pub use compact::{compact, CompactOutcome};
 pub use format::{DeltaGeneration, IndexDirectory, IndexMeta};
-pub use reader::{CliqueIndex, DegradedCliques, IndexStats, IoStats};
+pub use reader::{CliqueIndex, IndexStats, IoStats, Matches};
 pub use router::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
 pub use scrub::{scrub, ScrubFinding, ScrubReport};
 pub use server::{ServeConfig, ServeReport, Server};

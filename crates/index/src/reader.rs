@@ -4,12 +4,12 @@
 //! size run, block, and vertex) and keeps the store and postings files
 //! open; queries then touch only the frames they need. Decoded blocks
 //! sit in a small LRU cache, so point lookups in a hot id range skip
-//! both the read and the CRC pass. A cached block is one flat
-//! `format::Block` (one vertex buffer plus record ends), not a `Vec` per
-//! clique, and every read borrows its cliques from it as `&[Vertex]`;
-//! only the calls that return owned cliques copy. All shared state is
-//! behind mutexes, making one `CliqueIndex` safely shareable across
-//! server threads via `Arc`.
+//! both the read and the CRC pass. A cached block is one
+//! `format::FlatCliques` (one vertex buffer plus record ends), not a
+//! `Vec` per clique, and every read borrows its cliques from it as
+//! `&[Vertex]`; only the calls that return owned cliques copy. All
+//! shared state is behind mutexes, making one `CliqueIndex` safely
+//! shareable across server threads via `Arc`.
 //!
 //! `open` fails on the first defect of `format::walk_chain`, the
 //! directory walk `gsb scrub` runs too, and blocks and postings decode
@@ -20,13 +20,13 @@
 //! Corruption is additionally *quarantined*: a block that fails its
 //! CRC/codec checks is remembered in an in-memory set, so later queries
 //! fail fast without re-reading it, and the serving layer can answer
-//! **degraded-exact** via [`CliqueIndex::materialize_degraded`] — every
-//! clique returned is exact, quarantined ids are skipped and counted.
+//! **degraded-exact**: its list reads skip and count the quarantined
+//! ids, and every clique they return is exact.
 //! Transient I/O errors do *not* quarantine (a retry may succeed).
 
 use crate::format::{
     check_header, decode_block, decode_postings, read_at, read_delta_postings, read_frame_at,
-    walk_chain, Block, BlockEntry, DeltaGeneration, IndexDirectory, IndexMeta, SizeRun,
+    walk_chain, BlockEntry, DeltaGeneration, FlatCliques, IndexDirectory, IndexMeta, SizeRun,
     CLIQUES_FILE, CLIQUES_MAGIC, DIRECTORY_FILE, HEADER_LEN, META_FILE, POSTINGS_FILE,
     POSTINGS_MAGIC,
 };
@@ -74,7 +74,7 @@ pub struct IndexStats {
 struct BlockCache {
     capacity: usize,
     stamp: u64,
-    entries: HashMap<usize, (u64, Arc<Block>)>,
+    entries: HashMap<usize, (u64, Arc<FlatCliques>)>,
 }
 
 impl BlockCache {
@@ -86,7 +86,7 @@ impl BlockCache {
         }
     }
 
-    fn get(&mut self, block: usize) -> Option<Arc<Block>> {
+    fn get(&mut self, block: usize) -> Option<Arc<FlatCliques>> {
         self.stamp += 1;
         let stamp = self.stamp;
         self.entries.get_mut(&block).map(|e| {
@@ -96,7 +96,7 @@ impl BlockCache {
     }
 
     /// Insert, returning whether an older entry was evicted.
-    fn put(&mut self, block: usize, decoded: Arc<Block>) -> bool {
+    fn put(&mut self, block: usize, decoded: Arc<FlatCliques>) -> bool {
         self.stamp += 1;
         let mut evicted = false;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&block) {
@@ -155,21 +155,29 @@ impl IoCounters {
     }
 }
 
-/// What [`CliqueIndex::materialize_degraded`] produced: every clique
-/// that could be read exactly, plus how many ids were skipped because
-/// their block is quarantined.
-#[derive(Clone, Debug, Default)]
-pub struct DegradedCliques {
-    /// Exact cliques, in request order.
-    pub cliques: Vec<Clique>,
-    /// Ids skipped because their block is corrupt/quarantined.
-    pub skipped: u64,
+/// What a list query found: every matching live clique counted, and
+/// the first `limit` of them listed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Matches {
+    /// Matching live cliques in all.
+    pub count: u64,
+    /// The first of them whatever the limit; `None` when none match.
+    pub first_id: Option<u64>,
+    /// The first `limit` of them, ascending.
+    pub ids: Vec<u64>,
 }
 
-impl DegradedCliques {
-    /// True when nothing was skipped — the answer is complete.
-    pub fn is_complete(&self) -> bool {
-        self.skipped == 0
+impl Matches {
+    /// The first `limit` of `ids`, every match in ascending order (what
+    /// [`CliqueIndex::containing`] and [`CliqueIndex::overlap`] return).
+    pub fn first(mut ids: Vec<u64>, limit: usize) -> Matches {
+        let (count, first_id) = (ids.len() as u64, ids.first().copied());
+        ids.truncate(limit);
+        Matches {
+            count,
+            first_id,
+            ids,
+        }
     }
 }
 
@@ -180,7 +188,7 @@ impl DegradedCliques {
 /// unified view: one block table spanning base and delta blocks, a
 /// tombstone set over the whole id space, and per-vertex postings
 /// overlays. Every public query is then tombstone-aware — dead ids
-/// never leak out of `containing`/`ids_of_size`/`overlap`/`max_clique`.
+/// never leak out of `containing`/`size_matches`/`overlap`/`max_clique`.
 pub struct CliqueIndex {
     meta: IndexMeta,
     directory: IndexDirectory,
@@ -439,22 +447,33 @@ impl CliqueIndex {
     /// `cliques-of-size(lo..=hi)` as a contiguous id range. Only valid
     /// on a chain-free index (base ids are sorted by size; delta ids
     /// are not globally, and tombstones punch holes) — chain-aware
-    /// callers use [`ids_of_size`](Self::ids_of_size).
+    /// callers use [`size_matches`](Self::size_matches).
     pub fn of_size(&self, lo: u32, hi: u32) -> std::ops::Range<u64> {
         self.directory.size_range_ids(lo, hi)
     }
 
-    /// Ids of every *live* clique with size in `lo..=hi`, ascending.
-    pub fn ids_of_size(&self, lo: u32, hi: u32) -> Vec<u64> {
-        let mut out = Vec::new();
-        for run in &self.runs {
-            if run.size < lo || run.size > hi {
+    /// *Live* cliques with size in `lo..=hi`: counted from the size
+    /// runs, each run's count less the tombstones inside it, and the
+    /// first `limit` ids listed. The cost is the run table, the
+    /// tombstone words the matching runs span, and `limit` (plus the
+    /// dead ids skipped on the way), however many cliques match.
+    pub fn size_matches(&self, lo: u32, hi: u32, limit: usize) -> Matches {
+        let mut out = Matches::default();
+        for run in self.runs.iter().filter(|r| (lo..=hi).contains(&r.size)) {
+            let ids = run.first_id as usize..(run.first_id + run.count) as usize;
+            let dead = self.dead.count_ones_in(ids.clone()) as u64;
+            if dead == run.count {
                 continue;
             }
-            out.extend(
-                (run.first_id..run.first_id + run.count)
-                    .filter(|&id| !self.dead.contains(id as usize)),
-            );
+            out.count += run.count - dead;
+            let mut live = ids
+                .filter(|&id| !self.dead.contains(id))
+                .map(|id| id as u64)
+                .peekable();
+            // Runs are in id order, so the first run with a live id
+            // holds the smallest one.
+            out.first_id = out.first_id.or(live.peek().copied());
+            out.ids.extend(live.take(limit - out.ids.len()));
         }
         out
     }
@@ -518,7 +537,7 @@ impl CliqueIndex {
         mut f: impl FnMut(u64, Result<&[Vertex], StoreError>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         // The current run's block, `None` once it failed as corrupt.
-        let mut run: Option<(usize, Option<Arc<Block>>)> = None;
+        let mut run: Option<(usize, Option<Arc<FlatCliques>>)> = None;
         for id in ids {
             if id >= self.meta.cliques {
                 f(
@@ -562,27 +581,29 @@ impl CliqueIndex {
         Ok(())
     }
 
-    /// Materialize a batch of ids, *skipping* (and counting) any id
-    /// whose block is quarantined or fails its corruption checks right
-    /// now. Transient I/O errors still propagate — only corruption is
-    /// degradable, because every clique actually returned stays exact.
-    pub fn materialize_degraded(
+    /// Copy the cliques of `ids` onto the end of `out`, *skipping* any
+    /// id whose block is quarantined or fails its corruption checks
+    /// right now, and return how many were skipped. Transient I/O
+    /// errors still propagate — only corruption is degradable, because
+    /// every clique actually returned stays exact.
+    pub(crate) fn read_degraded(
         &self,
         ids: impl IntoIterator<Item = u64>,
-    ) -> Result<DegradedCliques, StoreError> {
-        let mut out = DegradedCliques::default();
+        out: &mut FlatCliques,
+    ) -> Result<u64, StoreError> {
+        let mut skipped = 0;
         self.with_cliques(ids, |_, c| {
             match c {
-                Ok(c) => out.cliques.push(c.to_vec()),
-                Err(e) if is_corruption(&e) => out.skipped += 1,
+                Ok(c) => out.push(c),
+                Err(e) if is_corruption(&e) => skipped += 1,
                 Err(e) => return Err(e),
             }
             Ok(())
         })?;
-        Ok(out)
+        Ok(skipped)
     }
 
-    fn load_block(&self, block_i: usize) -> Result<Arc<Block>, StoreError> {
+    fn load_block(&self, block_i: usize) -> Result<Arc<FlatCliques>, StoreError> {
         if let Some(hit) = self.cache.lock().unwrap().get(block_i) {
             self.io.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
@@ -604,7 +625,7 @@ impl CliqueIndex {
         result
     }
 
-    fn load_block_uncached(&self, block_i: usize) -> Result<Arc<Block>, StoreError> {
+    fn load_block_uncached(&self, block_i: usize) -> Result<Arc<FlatCliques>, StoreError> {
         let decode_started = Instant::now();
         let entry = self.blocks.get(block_i).ok_or(StoreError::Codec {
             context: "block table",
@@ -802,15 +823,13 @@ mod tests {
         // A second hit fails fast (still typed, still quarantined once).
         assert!(idx.get(first_bad).is_err());
         assert_eq!(idx.quarantined_blocks(), vec![last_block]);
-        // Degraded materialization skips exactly the quarantined ids.
-        let all: Vec<u64> = (0..40).collect();
-        let degraded = idx.materialize_degraded(all).unwrap();
-        assert_eq!(degraded.skipped, 40 - first_bad);
-        assert!(!degraded.is_complete());
-        assert_eq!(degraded.cliques.len() as u64, first_bad);
-        for (i, c) in degraded.cliques.iter().enumerate() {
-            assert_eq!(c, &cliques[i]);
-        }
+        // A degraded read skips exactly the quarantined ids.
+        let mut read = FlatCliques::default();
+        assert_eq!(idx.read_degraded(0..40, &mut read).unwrap(), 40 - first_bad);
+        assert_eq!(read.len() as u64, first_bad);
+        assert!(read
+            .iter()
+            .eq(cliques.iter().map(Vec::as_slice).take(read.len())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

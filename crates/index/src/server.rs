@@ -61,12 +61,13 @@
 //! each answer, and adds rate limits, hot-reload and the access log.
 
 use crate::api::{admission_exempt, parse_route, Answer, Endpoint, ListAnswer, ListQuery, Route};
+use crate::format::FlatCliques;
 use crate::http::{
     find_head_end, header_value, read_head_briefly, respond_full, status_key, total_requests,
     trace_headers, write_core_families, write_counters, Http, HttpConfig, Reply, Service,
     CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, CORE_COUNTERS, STATUSES,
 };
-use crate::reader::CliqueIndex;
+use crate::reader::{CliqueIndex, Matches};
 use gsb_core::ShutdownToken;
 use gsb_telemetry::access::{AccessRecord, RotatingWriter};
 use gsb_telemetry::promtext::{PromKind, PromWriter};
@@ -817,36 +818,33 @@ fn execute(
     answer.reply()
 }
 
-/// Answer a list query: every matching live id, and the cliques of the
-/// first `limit` of them.
+/// Answer a list query: how many live cliques match, and the ids and
+/// cliques of the first `limit` of them, copied from their blocks into
+/// one flat buffer.
 fn list(index: &CliqueIndex, query: ListQuery, limit: usize, span: &mut SpanRecorder) -> Answer {
-    let ids = match query {
-        ListQuery::Containing(v) => index.containing(v),
-        ListQuery::Overlap(v, w) => index.overlap(v, w),
-        // tombstone-aware: the run table filtered by the dead set,
-        // so chained and compacted indexes answer identically
-        ListQuery::Size(lo, hi) => Ok(index.ids_of_size(lo, hi)),
+    let matches = match query {
+        ListQuery::Containing(v) => index.containing(v).map(|ids| Matches::first(ids, limit)),
+        ListQuery::Overlap(v, w) => index.overlap(v, w).map(|ids| Matches::first(ids, limit)),
+        // counted from the size runs less their tombstones, so chained
+        // and compacted indexes answer identically
+        ListQuery::Size(lo, hi) => Ok(index.size_matches(lo, hi, limit)),
     };
     span.stage("postings");
-    let result = ids.and_then(|ids| {
-        let d = index.materialize_degraded(ids.iter().take(limit).copied())?;
-        Ok((ids, d))
+    let result = matches.and_then(|m| {
+        let mut cliques = FlatCliques::default();
+        let degraded = index.read_degraded(m.ids.iter().copied(), &mut cliques)?;
+        Ok(ListAnswer {
+            count: m.count,
+            ids: m.ids,
+            first_id: m.first_id,
+            cliques,
+            degraded,
+            missing_shards: Vec::new(),
+        })
     });
     span.stage("blocks");
     match result {
-        Ok((mut ids, d)) => {
-            let (count, first_id) = (ids.len() as u64, ids.first().copied());
-            ids.truncate(limit);
-            let list = ListAnswer {
-                count,
-                ids,
-                first_id,
-                cliques: d.cliques,
-                degraded: d.skipped,
-                missing_shards: Vec::new(),
-            };
-            Answer::List(query, list)
-        }
+        Ok(list) => Answer::List(query, list),
         Err(e) => Answer::Error(500, e.to_string()),
     }
 }

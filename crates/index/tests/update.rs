@@ -83,18 +83,38 @@ fn assert_matches_oracle(idx: &CliqueIndex, oracle: &[Clique], rng: &mut SplitMi
             .collect();
         assert_eq!(got, want, "containing({v}) diverged");
     }
-    // ids_of_size for every populated size
-    for size in oracle
-        .iter()
-        .map(Vec::len)
-        .collect::<std::collections::BTreeSet<_>>()
-    {
-        let want = oracle.iter().filter(|c| c.len() == size).count();
-        assert_eq!(
-            idx.ids_of_size(size as u32, size as u32).len(),
-            want,
-            "ids_of_size({size}) diverged"
-        );
+    assert_size_matches_scan(idx);
+}
+
+/// `size_matches` against a scan written here: every id in order, kept
+/// when live, with the size of the clique stored under it. Over every
+/// `lo <= hi <= ω + 1` (ω the largest clique stored, live or dead) and
+/// every limit in {0, 1, 7, unbounded}, the count, `first_id` and
+/// listed ids must agree.
+fn assert_size_matches_scan(idx: &CliqueIndex) {
+    let sizes: Vec<u32> = (0..idx.len())
+        .map(|id| idx.get(id).expect("get").len() as u32)
+        .collect();
+    let live: Vec<(u64, u32)> = (0..idx.len())
+        .filter(|&id| idx.is_live(id))
+        .map(|id| (id, sizes[id as usize]))
+        .collect();
+    let top = sizes.iter().max().map_or(0, |&omega| omega + 1);
+    for lo in 0..=top {
+        for hi in lo..=top {
+            let want: Vec<u64> = live
+                .iter()
+                .filter(|(_, size)| (lo..=hi).contains(size))
+                .map(|&(id, _)| id)
+                .collect();
+            for limit in [0, 1, 7, usize::MAX] {
+                let got = idx.size_matches(lo, hi, limit);
+                let what = format!("size_matches({lo}, {hi}, {limit})");
+                assert_eq!(got.count, want.len() as u64, "{what}: count");
+                assert_eq!(got.first_id, want.first().copied(), "{what}: first_id");
+                assert_eq!(got.ids, want[..want.len().min(limit)], "{what}: ids");
+            }
+        }
     }
 }
 
