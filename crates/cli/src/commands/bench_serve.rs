@@ -1,12 +1,18 @@
-//! `gsb bench-serve` — closed-loop load generator for the query server.
+//! `gsb bench-serve` — closed-loop scenario checks for the query
+//! server and the router.
 //!
 //! Self-contained: generates a planted-module graph, builds a
-//! throwaway index, starts an in-process [`Server`], and drives it
-//! with closed-loop client threads through a real socket. Two
-//! scenarios run back to back:
+//! throwaway index, starts an in-process [`Server`] ([`Server::start`]),
+//! and drives it with closed-loop client threads through a real socket.
+//! The scenarios check what the services do under load; they are not
+//! the serving timings. The fixture holds about 250 cliques, so a list
+//! answer is a few cliques long and query execution never shows in
+//! their latencies: perfbench's `direct` and `routed` workloads
+//! (`perfbench/`) carry the serving timings. The scenarios run back to
+//! back:
 //!
 //! * **steady** — a modest client pool against a generously
-//!   provisioned server: the happy-path QPS/latency baseline.
+//!   provisioned server: the happy path the others compare against.
 //! * **overload** — a larger pool against a deliberately tiny
 //!   admission queue and per-endpoint rate limit: what matters here is
 //!   that the server *sheds typed* (429/503 with `Retry-After`)
@@ -20,24 +26,23 @@
 //! * **router_steady / router_failover** (with `--router`) — the same
 //!   query mix against a `gsb router` fronting 2 shards × 2 replicas
 //!   (split with [`split_index`], every backend an in-process
-//!   [`Server`]). The steady run baselines the routed path; the
+//!   [`Server`]). The steady run is the routed happy path; the
 //!   failover run kills one replica mid-load and commits what the tier
 //!   did about it — failover latency percentiles, retry/hedge counts,
 //!   and that answers stayed exact (zero degraded) because the shard's
 //!   second replica survived. The command fails if either run saw a
 //!   client error or a degraded answer, or if the steady run shed.
 //!
-//! Results (QPS, latency percentiles, shed rate) are committed to a
-//! JSON file (default `results/BENCH_serve.json`) whose *schema* is
-//! diffed in CI — values are hardware-dependent, the shape is not.
+//! The counts, rates and latency percentiles are committed to a JSON
+//! file (default `results/BENCH_serve.json`) whose *schema* is diffed
+//! in CI — values are hardware-dependent, the shape is not.
 
 use crate::args::Args;
 use crate::CliError;
-use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{
-    build, split_index, BuildOptions, CliqueIndex, Router, RouterConfig, RouterReport, ServeConfig,
-    ServeReport, Server, ShardSpec, ShardSummary, Topology,
+    build, split_index, BuildOptions, CliqueIndex, Router, RouterConfig, RouterReport, Running,
+    ServeConfig, ServeReport, Server, ShardSpec, ShardSummary, Topology,
 };
 use gsb_telemetry::percentile;
 use std::fmt::Write as _;
@@ -223,21 +228,10 @@ enum Report {
     Router(RouterReport),
 }
 
-/// A started service: its shutdown token and its thread.
-type Running = (ShutdownToken, JoinHandle<std::io::Result<Report>>);
-
-fn spawn(run: impl FnOnce(&ShutdownToken) -> std::io::Result<Report> + Send + 'static) -> Running {
-    let shutdown = ShutdownToken::new();
-    let stop = shutdown.clone();
-    (shutdown, std::thread::spawn(move || run(&stop)))
-}
-
 /// Start one server over the index in `dir`.
-fn start_server(dir: &Path, config: ServeConfig) -> Result<(SocketAddr, Running), CliError> {
+fn start_server(dir: &Path, config: ServeConfig) -> Result<Running<ServeReport>, CliError> {
     let index = Arc::new(CliqueIndex::open(dir).map_err(CliError::Store)?);
-    let server = Server::bind(index, "127.0.0.1:0", config)?;
-    let addr = server.local_addr()?;
-    Ok((addr, spawn(move |s| server.run(s).map(Report::Server))))
+    Ok(Server::bind(index, "127.0.0.1:0", config)?.start()?)
 }
 
 /// Start `target`, drive it with `clients` closed-loop query clients
@@ -250,14 +244,14 @@ fn run_scenario(
     duration: Duration,
     n: u32,
 ) -> Result<Scenario, CliError> {
-    // The service the clients talk to comes first; a tier's backends
-    // follow, shard by shard.
-    let mut services = Vec::new();
-    let (addr, kill_one) = match target {
+    // The one server, or a tier's backends shard by shard with the
+    // router in front of them.
+    let mut servers = Vec::new();
+    let mut router = None;
+    let kill_one = match target {
         Target::Server(dir, config) => {
-            let (addr, server) = start_server(dir, config.clone())?;
-            services.push(server);
-            (addr, false)
+            servers.push(start_server(dir, config.clone())?);
+            false
         }
         Target::Tier(summaries, kill_one) => {
             let mut shards = Vec::new();
@@ -269,35 +263,25 @@ fn run_scenario(
                         queue_limit: 256,
                         ..ServeConfig::default()
                     };
-                    let (addr, backend) = start_server(&s.dir, config)?;
-                    replicas.push(addr.to_string());
-                    services.push(backend);
+                    let backend = start_server(&s.dir, config)?;
+                    replicas.push(backend.addr().to_string());
+                    servers.push(backend);
                 }
-                shards.push(ShardSpec {
-                    id_lo: s.id_lo,
-                    id_hi: s.id_hi,
-                    size_lo: s.size_lo,
-                    size_hi: s.size_hi,
-                    replicas,
-                });
+                shards.push(ShardSpec::new(s, replicas));
             }
-            let router = Router::bind(
-                Topology { shards },
-                "127.0.0.1:0",
-                RouterConfig {
-                    threads: 4,
-                    request_deadline: Duration::from_secs(2),
-                    try_timeout: Duration::from_millis(400),
-                    probe_interval: Duration::from_millis(50),
-                    breaker_cooldown: Duration::from_millis(200),
-                    ..RouterConfig::default()
-                },
-            )?;
-            let addr = router.local_addr()?;
-            services.insert(0, spawn(move |s| router.run(s).map(Report::Router)));
-            (addr, kill_one)
+            let config = RouterConfig {
+                threads: 4,
+                request_deadline: Duration::from_secs(2),
+                try_timeout: Duration::from_millis(400),
+                probe_interval: Duration::from_millis(50),
+                breaker_cooldown: Duration::from_millis(200),
+                ..RouterConfig::default()
+            };
+            router = Some(Router::bind(Topology { shards }, "127.0.0.1:0", config)?.start()?);
+            kill_one
         }
     };
+    let addr = router.as_ref().map_or(servers[0].addr(), Running::addr);
 
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
@@ -314,20 +298,21 @@ fn run_scenario(
     if kill_one {
         // One replica of shard 0 goes away; the load keeps running so
         // the percentiles include the failover.
-        services[1].0.request(15);
+        servers[0].drain();
     }
     std::thread::sleep(duration - duration / 2);
     stop.store(true, Ordering::Release);
     let (queries, scrapes) = (join_clients(queries)?, join_clients(scrapes)?);
     let wall = started.elapsed();
 
-    let mut reports = Vec::new();
-    for (shutdown, handle) in services {
-        shutdown.request(15);
-        let report = handle
-            .join()
-            .map_err(|_| CliError::Runtime("bench-serve service thread panicked".into()))??;
-        reports.push(report);
+    // The service the clients talked to reports; the router drains
+    // before its backends.
+    let report = match router {
+        Some(router) => Report::Router(router.wait()?),
+        None => Report::Server(servers.swap_remove(0).wait()?),
+    };
+    for server in servers {
+        server.wait()?;
     }
     Ok(Scenario {
         clients,
@@ -347,7 +332,7 @@ fn run_scenario(
         scrape_p50_us: scrapes.pct(0.50),
         scrape_p99_us: scrapes.pct(0.99),
         killed_replica: kill_one,
-        report: reports.swap_remove(0),
+        report,
     })
 }
 

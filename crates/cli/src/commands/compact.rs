@@ -14,11 +14,10 @@ use std::path::Path;
 
 /// `gsb compact`
 pub fn compact(argv: &[String]) -> Result<String, CliError> {
-    let a = Args::parse(argv, &["block-target"], &[], 1)?;
+    let a = Args::parse(argv, &[], &[], 1)?;
     let dir = a.required_positional(0, "INDEX_DIR")?;
-    let block_target: Option<usize> = a.flag_opt("block-target")?;
 
-    let o = gsb_index::compact(Path::new(dir), block_target).map_err(CliError::Store)?;
+    let o = gsb_index::compact(Path::new(dir), None).map_err(CliError::Store)?;
 
     let mut out = String::new();
     if !o.compacted {

@@ -1,7 +1,8 @@
 //! `gsb index` — enumerate maximal cliques straight into a persistent
 //! on-disk index (clique store + postings + size directory), queryable
 //! afterwards with `gsb query` / `gsb serve` without re-running the
-//! enumeration. The flags are [`gsb_index::build`]'s options: the
+//! enumeration. The flags are [`gsb_index::build`]'s options (blocks at
+//! the default target, which `gsb update` and `gsb compact` keep): the
 //! cliques come from pivoted Bron–Kerbosch per root vertex, in the
 //! Clique Enumerator's canonical order, so the files are the ones the
 //! paper's enumerator would write.
@@ -16,12 +17,7 @@ use std::path::Path;
 
 /// `gsb index`
 pub fn index(argv: &[String]) -> Result<String, CliError> {
-    let a = Args::parse(
-        argv,
-        &["out", "min", "max", "threads", "block-target", "text-out"],
-        &[],
-        1,
-    )?;
+    let a = Args::parse(argv, &["out", "min", "max", "threads", "text-out"], &[], 1)?;
     let graph_path = a.required_positional(0, "GRAPH")?;
     let Some(out_dir) = a.flag("out") else {
         return Err(CliError::Usage(
@@ -33,7 +29,7 @@ pub fn index(argv: &[String]) -> Result<String, CliError> {
         min: a.flag_or("min", defaults.min)?,
         max: a.flag_opt("max")?,
         threads: a.flag_or("threads", defaults.threads)?,
-        block_target: a.flag_or("block-target", defaults.block_target)?,
+        ..defaults
     };
     // Every flag is checked before the graph loads, so a bad command
     // line fails as usage (exit 2) whatever the graph file holds.

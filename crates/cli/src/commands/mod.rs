@@ -75,6 +75,11 @@ pub(crate) fn drained(
     }
 }
 
+/// A default duration in the whole milliseconds its `--…-ms` flag takes.
+pub(crate) fn ms(d: std::time::Duration) -> u64 {
+    d.as_millis() as u64
+}
+
 pub(crate) fn save(g: &BitGraph, path: &str) -> Result<(), CliError> {
     let file = std::fs::File::create(path)?;
     match Path::new(path).extension().and_then(|e| e.to_str()) {

@@ -2,6 +2,7 @@
 //! backends with health-checked failover, circuit breakers, hedged
 //! retries, and degraded-exact scatter-gather.
 
+use super::ms;
 use crate::args::Args;
 use crate::CliError;
 use gsb_core::ShutdownToken;
@@ -44,20 +45,35 @@ pub fn router(argv: &[String]) -> Result<String, CliError> {
     }
     let config = RouterConfig {
         threads: a.flag_or("threads", defaults.threads)?.max(1),
-        deadline: Duration::from_secs(a.flag_or("deadline-secs", 10u64)?.max(1)),
-        request_deadline: Duration::from_millis(a.flag_or("request-deadline-ms", 5000u64)?.max(1)),
+        deadline: Duration::from_secs(
+            a.flag_or("deadline-secs", defaults.deadline.as_secs())?
+                .max(1),
+        ),
+        request_deadline: Duration::from_millis(
+            a.flag_or("request-deadline-ms", ms(defaults.request_deadline))?
+                .max(1),
+        ),
         queue_limit: a.flag_or("queue-limit", defaults.queue_limit)?.max(1),
         max_header_bytes: a
             .flag_or("max-header-bytes", defaults.max_header_bytes)?
             .max(64),
-        probe_interval: Duration::from_millis(a.flag_or("probe-interval-ms", 250u64)?.max(10)),
+        probe_interval: Duration::from_millis(
+            a.flag_or("probe-interval-ms", ms(defaults.probe_interval))?
+                .max(10),
+        ),
         breaker_failures: a
             .flag_or("breaker-failures", defaults.breaker_failures)?
             .max(1),
-        breaker_cooldown: Duration::from_millis(a.flag_or("breaker-cooldown-ms", 1000u64)?.max(1)),
-        try_timeout: Duration::from_millis(a.flag_or("try-timeout-ms", 1000u64)?.max(1)),
+        breaker_cooldown: Duration::from_millis(
+            a.flag_or("breaker-cooldown-ms", ms(defaults.breaker_cooldown))?
+                .max(1),
+        ),
+        try_timeout: Duration::from_millis(
+            a.flag_or("try-timeout-ms", ms(defaults.try_timeout))?
+                .max(1),
+        ),
         hedge_percentile,
-        hedge_min: Duration::from_millis(a.flag_or("hedge-min-ms", 20u64)?.max(1)),
+        hedge_min: Duration::from_millis(a.flag_or("hedge-min-ms", ms(defaults.hedge_min))?.max(1)),
         retry_seed: a.flag_or("retry-seed", defaults.retry_seed)?,
         trace_seed: a.flag_or("trace-seed", defaults.trace_seed)?,
         metrics_out: a.flag("metrics-out").map(PathBuf::from),

@@ -1,6 +1,7 @@
 //! `gsb serve` — serve a `gsb index` directory over HTTP until a
 //! SIGINT/SIGTERM asks for a graceful drain.
 
+use super::ms;
 use crate::args::Args;
 use crate::CliError;
 use gsb_core::ShutdownToken;
@@ -35,20 +36,26 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
     )?;
     let dir = a.required_positional(0, "INDEX_DIR")?;
     let addr = a.flag("addr").unwrap_or("127.0.0.1:7700");
-    let threads: usize = a.flag_or("threads", 4)?;
-    let deadline_secs: u64 = a.flag_or("deadline-secs", 10)?;
-    let request_deadline_ms: u64 = a.flag_or("request-deadline-ms", 5000)?;
-    let queue_limit: usize = a.flag_or("queue-limit", 128)?;
-    let rate_limit: f64 = a.flag_or("rate-limit", 0.0)?;
-    let rate_burst: u32 = a.flag_or("rate-burst", 8)?;
-    let max_header_bytes: usize = a.flag_or("max-header-bytes", 8192)?;
-    let reload_poll_ms: u64 = a.flag_or("reload-poll-ms", 0)?;
+    // Each flag defaults to `ServeConfig::default()`; 0 turns off an
+    // optional one.
+    let defaults = ServeConfig::default();
+    let threads: usize = a.flag_or("threads", defaults.threads)?;
+    let deadline_secs: u64 = a.flag_or("deadline-secs", defaults.deadline.as_secs())?;
+    let request_deadline_ms: u64 =
+        a.flag_or("request-deadline-ms", ms(defaults.request_deadline))?;
+    let queue_limit: usize = a.flag_or("queue-limit", defaults.queue_limit)?;
+    let rate_limit: f64 = a.flag_or("rate-limit", defaults.rate_limit.unwrap_or(0.0))?;
+    let rate_burst: u32 = a.flag_or("rate-burst", defaults.rate_burst)?;
+    let max_header_bytes: usize = a.flag_or("max-header-bytes", defaults.max_header_bytes)?;
+    let reload_poll = defaults.reload.as_ref().map_or(0, |(_, poll)| ms(*poll));
+    let reload_poll_ms: u64 = a.flag_or("reload-poll-ms", reload_poll)?;
     let metrics_out = a.flag("metrics-out").map(PathBuf::from);
     let access_log = a.flag("access-log").map(PathBuf::from);
-    let access_log_max_bytes: u64 = a.flag_or("access-log-max-bytes", 64 * 1024 * 1024)?;
-    let slow_query_ms: u64 = a.flag_or("slow-query-ms", 0)?;
+    let access_log_max_bytes: u64 =
+        a.flag_or("access-log-max-bytes", defaults.access_log_max_bytes)?;
+    let slow_query_ms: u64 = a.flag_or("slow-query-ms", defaults.slow_query_ms.unwrap_or(0))?;
     let slow_query_log = a.flag("slow-query-log").map(PathBuf::from);
-    let trace_seed: u64 = a.flag_or("trace-seed", 17)?;
+    let trace_seed: u64 = a.flag_or("trace-seed", defaults.trace_seed)?;
     // Slow queries need somewhere to go: an explicit --slow-query-log
     // wins, else derive `<access-log>.slow`.
     let slow_query_log = match (slow_query_ms > 0, slow_query_log, &access_log) {
@@ -76,8 +83,8 @@ pub fn serve(argv: &[String]) -> Result<String, CliError> {
         rate_limit: (rate_limit > 0.0).then_some(rate_limit),
         rate_burst: rate_burst.max(1),
         max_header_bytes: max_header_bytes.max(64),
-        reload_poll: (reload_poll_ms > 0).then(|| Duration::from_millis(reload_poll_ms)),
-        index_dir: (reload_poll_ms > 0).then(|| index_dir.clone()),
+        reload: (reload_poll_ms > 0)
+            .then(|| (index_dir.clone(), Duration::from_millis(reload_poll_ms))),
         metrics_out: metrics_out.clone(),
         access_log: access_log.clone(),
         access_log_max_bytes,

@@ -56,13 +56,7 @@ pub fn shard(argv: &[String]) -> Result<String, CliError> {
             shards: summaries
                 .iter()
                 .zip(&groups)
-                .map(|(s, group)| ShardSpec {
-                    id_lo: s.id_lo,
-                    id_hi: s.id_hi,
-                    size_lo: s.size_lo,
-                    size_hi: s.size_hi,
-                    replicas: group.split(',').map(str::to_string).collect(),
-                })
+                .map(|(s, group)| ShardSpec::new(s, group.split(',').map(str::to_string).collect()))
                 .collect(),
         };
         // Round-trip through the parser so a bad --replicas address is

@@ -17,9 +17,8 @@ use std::path::Path;
 
 /// `gsb update`
 pub fn update(argv: &[String]) -> Result<String, CliError> {
-    let a = Args::parse(argv, &["add-edges", "remove-edges", "block-target"], &[], 1)?;
+    let a = Args::parse(argv, &["add-edges", "remove-edges"], &[], 1)?;
     let dir = a.required_positional(0, "INDEX_DIR")?;
-    let block_target: Option<usize> = a.flag_opt("block-target")?;
 
     let mut script = EditScript::default();
     if let Some(path) = a.flag("remove-edges") {
@@ -34,7 +33,7 @@ pub fn update(argv: &[String]) -> Result<String, CliError> {
         ));
     }
 
-    let o = gsb_index::update(Path::new(dir), &script, block_target).map_err(CliError::Store)?;
+    let o = gsb_index::update(Path::new(dir), &script, None).map_err(CliError::Store)?;
 
     let mut out = String::new();
     let _ = writeln!(

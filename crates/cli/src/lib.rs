@@ -159,7 +159,7 @@ USAGE:
   gsb fvs FILE
   gsb motif SEQFILE --l WIDTH [--d MUTATIONS] [--q QUORUM] [--top N]
   gsb index GRAPH --out DIR [--min K] [--max K] [--threads T]
-               [--block-target BYTES] [--text-out FILE]
+               [--text-out FILE]
   gsb query INDEX_DIR (--containing V | --size-min K --size-max M |
                --max | --overlap V,W) [--ids-only] [--limit N]
   gsb serve INDEX_DIR [--addr HOST:PORT] [--threads T]
@@ -181,8 +181,7 @@ USAGE:
   gsb tail ACCESS_LOG [--top N]
   gsb scrub INDEX_DIR [--json]
   gsb update INDEX_DIR [--add-edges FILE] [--remove-edges FILE]
-               [--block-target BYTES]
-  gsb compact INDEX_DIR [--block-target BYTES]
+  gsb compact INDEX_DIR
   gsb bench-serve [--out FILE] [--seed S] [--smoke] [--scrape]
                [--router]
   gsb bench-update [--out FILE] [--seed S] [--smoke]
@@ -259,11 +258,13 @@ read time are quarantined in memory and list answers degrade exactly
 INDEX_DIR` walks every CRC frame offline, recomputes the postings from
 the decoded cliques, and exits 1 listing findings on any corruption
 (`--json` emits one JSON object per finding plus a summary line).
-`gsb bench-serve` runs a self-contained closed-loop load benchmark
+`gsb bench-serve` runs self-contained closed-loop scenario checks
 (steady + overload scenarios, plus a concurrent /metrics-scrape
 scenario with `--scrape` and router failover scenarios with
-`--router`) and writes QPS/latency/shed-rate percentiles to
-results/BENCH_serve.json.
+`--router`) and writes their counts, shed rates and latency
+percentiles to results/BENCH_serve.json. Its fixture is too small to
+time query execution; the serving timings are perfbench's direct and
+routed workloads.
 
 Dynamic updates: `gsb update` applies an edge-edit batch (plain `u v`
 edit files, removals before additions) to an index in place — only the

@@ -127,7 +127,6 @@ pub struct CliquePipeline {
     exact_upper_bound: bool,
     checkpoint: Option<CheckpointConfig>,
     memory_budget: Option<usize>,
-    degrade_dir: Option<PathBuf>,
     telemetry: Option<Arc<RunTelemetry>>,
     backend: BackendChoice,
     shutdown: Option<ShutdownToken>,
@@ -144,7 +143,6 @@ impl Default for CliquePipeline {
             exact_upper_bound: true,
             checkpoint: None,
             memory_budget: None,
-            degrade_dir: None,
             telemetry: None,
             backend: BackendChoice::Dense,
             shutdown: None,
@@ -235,14 +233,6 @@ impl CliquePipeline {
         self
     }
 
-    /// Directory for spill files when degradation kicks in (default:
-    /// the checkpoint directory if configured, else the system temp
-    /// directory).
-    pub fn degrade_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.degrade_dir = Some(dir.into());
-        self
-    }
-
     /// Choose the common-neighbor bitmap representation the enumeration
     /// runs with: dense words (the default and fastest in-core),
     /// or WAH-compressed (smallest footprint on sparse genome-scale
@@ -294,12 +284,13 @@ impl CliquePipeline {
         self
     }
 
+    /// Spill files go to the checkpoint directory if there is one,
+    /// else to the system temp directory.
     fn spill_config(&self) -> SpillConfig {
         let dir = self
-            .degrade_dir
-            .clone()
-            .or_else(|| self.checkpoint.as_ref().map(|c| c.dir.clone()))
-            .unwrap_or_else(std::env::temp_dir);
+            .checkpoint
+            .as_ref()
+            .map_or_else(std::env::temp_dir, |c| c.dir.clone());
         SpillConfig {
             budget_bytes: self.memory_budget.unwrap_or(usize::MAX),
             dir,

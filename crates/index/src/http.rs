@@ -33,6 +33,10 @@
 //!   [`write_core_families`], under their own name prefix, and
 //!   [`write_metrics`] writes the `--metrics-out` JSON atomically
 //!   (sibling temp file, fsync, rename).
+//! * **In-process start.** [`Running`] runs either service on its own
+//!   thread under a private token (`Server::start`, `Router::start`):
+//!   it returns once the acceptor runs, and its drop drains the
+//!   service, so no caller writes its own token, thread and join.
 //!
 //! HTTP/1.1, one request per connection (`Connection: close`): every
 //! response carries an exact `Content-Length` and the socket closes
@@ -196,14 +200,112 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn answered_early(&self, _span: &SpanRecorder, _endpoint: &str, _status: u16, _cause: &str) {}
 }
 
+/// A service running on its own thread, from [`Server::start`] or
+/// [`Router::start`]: its address, a drain request and a wait for its
+/// report. Dropping it drains the service and waits for it to stop, so
+/// its listener closes even when the owner panics.
+///
+/// [`Server::start`]: crate::Server::start
+/// [`Router::start`]: crate::Router::start
+pub struct Running<R> {
+    addr: SocketAddr,
+    shutdown: ShutdownToken,
+    /// Gets one message once the acceptor runs, and disconnects when
+    /// the service thread ends.
+    signals: mpsc::Receiver<()>,
+    thread: Option<JoinHandle<std::io::Result<R>>>,
+}
+
+impl<R: Send + 'static> Running<R> {
+    /// Run `serve` on a thread of its own under a fresh token, and
+    /// return once it calls the hook it is given (its acceptor runs).
+    /// A service that stops before that returns its error here.
+    pub(crate) fn start(
+        addr: SocketAddr,
+        role: &str,
+        serve: impl FnOnce(&ShutdownToken, &dyn Fn()) -> std::io::Result<R> + Send + 'static,
+    ) -> std::io::Result<Running<R>> {
+        let shutdown = ShutdownToken::new();
+        let (signal, signals) = mpsc::channel();
+        let token = shutdown.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("gsb-{role}"))
+            .spawn(move || {
+                serve(&token, &|| {
+                    let _ = signal.send(());
+                })
+            })?;
+        let running = Running {
+            addr,
+            shutdown,
+            signals,
+            thread: Some(thread),
+        };
+        if running.signals.recv().is_ok() {
+            return Ok(running);
+        }
+        running.wait().and(Err(std::io::Error::other(
+            "the service stopped before it accepted",
+        )))
+    }
+
+    /// The address the service listens on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Ask the service to drain, as SIGTERM asks `gsb serve`: stop
+    /// accepting, answer every accepted connection, shed the backlog.
+    pub fn drain(&self) {
+        self.shutdown.request(15);
+    }
+
+    /// Drain the service and wait until it stops: its report, or its
+    /// error. A panic of the service thread is raised here.
+    pub fn wait(self) -> std::io::Result<R> {
+        self.wait_timeout(Duration::MAX)
+            .expect("an unbounded wait ends when the service does")
+    }
+
+    /// [`Running::wait`] for at most `timeout`: `None` if the service
+    /// is still running then, and its thread is left to finish alone.
+    pub fn wait_timeout(mut self, timeout: Duration) -> Option<std::io::Result<R>> {
+        self.drain();
+        if let Err(mpsc::RecvTimeoutError::Timeout) = self.signals.recv_timeout(timeout) {
+            self.thread = None;
+            return None;
+        }
+        let thread = self
+            .thread
+            .take()
+            .expect("only a timed-out wait lets go of the thread");
+        Some(
+            thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
+    }
+}
+
+impl<R> Drop for Running<R> {
+    fn drop(&mut self) {
+        self.shutdown.request(15);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Serve `listener` until `shutdown` is requested, then drain: stop
 /// accepting, answer every admitted connection, shed the kernel backlog
-/// with `503`, and join the workers. Returns the connections accepted
-/// (the waker's is not one).
+/// with `503`, and join the workers. `ready` runs once the workers and
+/// the waker are up, just before the first accept. Returns the
+/// connections accepted (the waker's is not one).
 pub(crate) fn run<S: Service>(
     listener: &TcpListener,
     service: &Arc<S>,
     shutdown: &ShutdownToken,
+    ready: &dyn Fn(),
 ) -> std::io::Result<u64> {
     let http = service.http();
     let role = http.config.role;
@@ -219,6 +321,7 @@ pub(crate) fn run<S: Service>(
         );
     }
     let waker = Waker::spawn(listener.local_addr()?, shutdown.clone(), role)?;
+    ready();
 
     // A connection accepted after shutdown was requested: the waker's,
     // or a client the drain sweep sheds.

@@ -61,6 +61,7 @@ pub mod writer;
 pub use api::endpoint_paths;
 pub use compact::{compact, CompactOutcome};
 pub use format::{DeltaGeneration, IndexDirectory, IndexMeta};
+pub use http::Running;
 pub use reader::{CliqueIndex, IndexStats, IoStats, Matches};
 pub use router::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
 pub use scrub::{scrub, ScrubFinding, ScrubReport};

@@ -72,9 +72,10 @@
 
 use crate::api::{missing_field, parse_clique, parse_route, Answer, ListAnswer, ListQuery, Route};
 use crate::http::{
-    total_requests, write_core_families, write_counters, Http, HttpConfig, Reply, Service,
+    total_requests, write_core_families, write_counters, Http, HttpConfig, Reply, Running, Service,
     CONTENT_TYPE_JSON, CONTENT_TYPE_PROM,
 };
+use crate::shard::ShardSummary;
 use gsb_core::{RetryPolicy, ShutdownToken, StoreError};
 use gsb_rng::SplitMix64;
 use gsb_telemetry::json::parse as json_parse;
@@ -105,6 +106,20 @@ pub struct ShardSpec {
     pub size_hi: u32,
     /// Replica addresses (`ip:port`), each an ordinary `gsb serve`.
     pub replicas: Vec<String>,
+}
+
+impl ShardSpec {
+    /// The spec of a shard [`split_index`](crate::split_index) wrote,
+    /// served by `replicas`.
+    pub fn new(shard: &ShardSummary, replicas: Vec<String>) -> ShardSpec {
+        ShardSpec {
+            id_lo: shard.id_lo,
+            id_hi: shard.id_hi,
+            size_lo: shard.size_lo,
+            size_hi: shard.size_hi,
+            replicas,
+        }
+    }
 }
 
 /// The static routing table: shards in ascending, contiguous id order.
@@ -341,7 +356,8 @@ impl Default for RouterConfig {
     }
 }
 
-/// What the drained router did, returned by [`Router::run`].
+/// What the drained router did, returned by [`Router::run`] and
+/// [`Running::wait`].
 #[derive(Clone, Debug, Default)]
 pub struct RouterReport {
     /// Client connections accepted.
@@ -716,6 +732,20 @@ impl Router {
     /// the backend server: answer everything accepted, shed the
     /// backlog typed, join workers and the prober, export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<RouterReport> {
+        self.route(shutdown, &|| {})
+    }
+
+    /// Route on a thread of its own until the returned handle drains
+    /// it or is dropped; returns once the acceptor runs.
+    pub fn start(self) -> std::io::Result<Running<RouterReport>> {
+        let addr = self.local_addr()?;
+        Running::start(addr, "router", move |shutdown, ready| {
+            self.route(shutdown, ready)
+        })
+    }
+
+    /// [`Router::run`], calling `ready` once the acceptor runs.
+    fn route(self, shutdown: &ShutdownToken, ready: &dyn Fn()) -> std::io::Result<RouterReport> {
         let state = RouterState::new(self.topology, self.config);
         let prober = {
             let state = Arc::clone(&state);
@@ -724,7 +754,7 @@ impl Router {
                 .name("gsb-router-probe".into())
                 .spawn(move || probe_loop(&state, &shutdown))?
         };
-        let connections = crate::http::run(&self.listener, &state, shutdown)?;
+        let connections = crate::http::run(&self.listener, &state, shutdown, ready)?;
         let _ = prober.join();
 
         let r = &state.http.recorder;
@@ -1687,20 +1717,13 @@ mod tests {
                     threads: 2,
                     ..ServeConfig::default()
                 };
-                let server =
-                    Server::bind(Arc::clone(&index), "127.0.0.1:0", config).expect("bind replica");
-                replicas.push(server.local_addr().expect("replica addr").to_string());
-                let token = ShutdownToken::new();
-                let stop = token.clone();
-                servers.push((token, std::thread::spawn(move || server.run(&stop))));
+                let server = Server::bind(Arc::clone(&index), "127.0.0.1:0", config)
+                    .and_then(Server::start)
+                    .expect("start replica");
+                replicas.push(server.addr().to_string());
+                servers.push(server);
             }
-            shards.push(ShardSpec {
-                id_lo: s.id_lo,
-                id_hi: s.id_hi,
-                size_lo: s.size_lo,
-                size_hi: s.size_hi,
-                replicas,
-            });
+            shards.push(ShardSpec::new(&s, replicas));
         }
         let config = RouterConfig {
             threads: 4,
@@ -1739,9 +1762,8 @@ mod tests {
             "240 routed requests started {started} threads (at most {cap} allowed)"
         );
 
-        for (token, handle) in servers {
-            token.request(15);
-            handle.join().expect("replica thread").expect("replica run");
+        for server in servers {
+            server.wait().expect("replica run");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -31,11 +31,12 @@
 //!   only, marking the response with an `X-Gsb-Degraded: <skipped>`
 //!   header and a `"degraded"` body field. Every clique actually
 //!   returned is exact — degradation is visible, never silent.
-//! * **Atomic hot-reload.** With `reload_poll` + `index_dir` set, a
-//!   watcher thread polls `index.meta`; on change it opens and fully
-//!   validates the new index off the serving path, then swaps the
-//!   shared `Arc<CliqueIndex>`. In-flight requests keep their snapshot
-//!   — no request is ever dropped or mixed across generations.
+//! * **Atomic hot-reload.** With `reload` set (a directory and a poll
+//!   interval), a watcher thread polls `index.meta`; on change it
+//!   opens and fully validates the new index off the serving path,
+//!   then swaps the shared `Arc<CliqueIndex>`. In-flight requests keep
+//!   their snapshot — no request is ever dropped or mixed across
+//!   generations.
 //! * **Live observability.** `GET /metrics` exposes every recorder
 //!   series as Prometheus text (`gsb_telemetry::promtext`) and
 //!   `GET /metrics-json` serves the same snapshot `--metrics-out`
@@ -64,7 +65,7 @@ use crate::api::{admission_exempt, parse_route, Answer, Endpoint, ListAnswer, Li
 use crate::format::FlatCliques;
 use crate::http::{
     find_head_end, header_value, read_head_briefly, respond_full, status_key, total_requests,
-    trace_headers, write_core_families, write_counters, Http, HttpConfig, Reply, Service,
+    trace_headers, write_core_families, write_counters, Http, HttpConfig, Reply, Running, Service,
     CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, CORE_COUNTERS, STATUSES,
 };
 use crate::reader::{CliqueIndex, Matches};
@@ -101,11 +102,9 @@ pub struct ServeConfig {
     pub rate_burst: u32,
     /// Cap on total request-head bytes (`431` beyond it).
     pub max_header_bytes: usize,
-    /// Poll interval of the `index.meta` hot-reload watcher; `None`
-    /// disables reloading. Requires `index_dir`.
-    pub reload_poll: Option<Duration>,
-    /// The index directory to watch for hot-reload.
-    pub index_dir: Option<PathBuf>,
+    /// Hot-reload: the index directory whose `index.meta` is watched,
+    /// and the poll interval. `None` disables reloading.
+    pub reload: Option<(PathBuf, Duration)>,
     /// Where to write the metrics JSON at shutdown.
     pub metrics_out: Option<PathBuf>,
     /// JSONL access log: one [`AccessRecord`] per request. `None`
@@ -135,8 +134,7 @@ impl Default for ServeConfig {
             rate_limit: None,
             rate_burst: 8,
             max_header_bytes: 8192,
-            reload_poll: None,
-            index_dir: None,
+            reload: None,
             metrics_out: None,
             access_log: None,
             access_log_max_bytes: 64 * 1024 * 1024,
@@ -147,7 +145,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the drained server did, returned by [`Server::run`].
+/// What the drained server did, returned by [`Server::run`] and
+/// [`Running::wait`].
 #[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Connections accepted.
@@ -318,6 +317,20 @@ impl Server {
     /// answer every accepted connection, shed the kernel backlog with
     /// `503`, join the workers, and export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<ServeReport> {
+        self.serve(shutdown, &|| {})
+    }
+
+    /// Serve on a thread of its own until the returned handle drains
+    /// it or is dropped; returns once the acceptor runs.
+    pub fn start(self) -> std::io::Result<Running<ServeReport>> {
+        let addr = self.local_addr()?;
+        Running::start(addr, "server", move |shutdown, ready| {
+            self.serve(shutdown, ready)
+        })
+    }
+
+    /// [`Server::run`], calling `ready` once the acceptor runs.
+    fn serve(self, shutdown: &ShutdownToken, ready: &dyn Fn()) -> std::io::Result<ServeReport> {
         let open_log = |path: &Option<PathBuf>| -> std::io::Result<_> {
             path.as_ref()
                 .map(|p| RotatingWriter::open(p, self.config.access_log_max_bytes).map(Mutex::new))
@@ -342,21 +355,26 @@ impl Server {
             slow: open_log(&c.slow_query_log)?,
             config: c.clone(),
         });
-        let watcher = match (&c.reload_poll, &c.index_dir) {
-            (Some(poll), Some(dir)) => {
+        let watcher = match &c.reload {
+            Some((dir, poll)) => {
                 let state = Arc::clone(&state);
                 let shutdown = shutdown.clone();
-                let (poll, dir) = (*poll, dir.clone());
+                let (dir, poll) = (dir.clone(), *poll);
+                // The manifest the watcher compares against is read here,
+                // before the acceptor runs: a commit after `start` returns
+                // is always a change, however late the thread first runs.
+                let meta = std::fs::read_to_string(dir.join(crate::format::META_FILE));
+                let last = meta.unwrap_or_default();
                 Some(
                     std::thread::Builder::new()
                         .name("gsb-serve-reload".into())
-                        .spawn(move || watch_index(&dir, poll, &state, &shutdown))?,
+                        .spawn(move || watch_index(&dir, poll, last, &state, &shutdown))?,
                 )
             }
-            _ => None,
+            None => None,
         };
 
-        let connections = crate::http::run(&self.listener, &state, shutdown)?;
+        let connections = crate::http::run(&self.listener, &state, shutdown, ready)?;
         if let Some(w) = watcher {
             let _ = w.join();
         }
@@ -377,17 +395,17 @@ impl Server {
     }
 }
 
-/// Poll `index.meta`; on change, open + validate the new index off the
-/// serving path and swap it in atomically. A failed open keeps the old
-/// index serving and retries on the next change of the manifest.
+/// Poll `index.meta`; when it differs from `last`, open + validate the
+/// new index off the serving path and swap it in atomically. A failed
+/// open keeps the old index serving and is retried at the next poll.
 fn watch_index(
     dir: &std::path::Path,
     poll: Duration,
+    mut last: String,
     state: &ServeState,
     shutdown: &ShutdownToken,
 ) {
     let meta_path = dir.join(crate::format::META_FILE);
-    let mut last = std::fs::read_to_string(&meta_path).unwrap_or_default();
     let mut since_poll = Duration::ZERO;
     const TICK: Duration = Duration::from_millis(20);
     while !shutdown.is_requested() {

@@ -36,8 +36,8 @@ use std::path::{Path, PathBuf};
 /// enough that frame overhead (8 bytes) disappears.
 pub const DEFAULT_BLOCK_TARGET: usize = 64 * 1024;
 
-/// How [`build`] indexes a graph: `gsb index`'s `--min`, `--max`,
-/// `--threads` and `--block-target`, with the same defaults.
+/// How [`build`] indexes a graph: `gsb index`'s `--min`, `--max` and
+/// `--threads`, with the same defaults, and the block target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Smallest clique size indexed; 0 counts as 1.
@@ -46,7 +46,10 @@ pub struct BuildOptions {
     pub max: Option<usize>,
     /// Threads searching runs of roots; the files are the same for any.
     pub threads: usize,
-    /// Block-sealing threshold, bytes of encoded records.
+    /// Block-sealing threshold, bytes of encoded records. `gsb index`
+    /// always builds at [`DEFAULT_BLOCK_TARGET`], the target `gsb
+    /// update` and `gsb compact` write at; tests set a small one to
+    /// get indexes of many blocks.
     pub block_target: usize,
 }
 

@@ -14,34 +14,22 @@
 
 mod support;
 
-use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
+use gsb_index::{BuildOptions, Running, ServeConfig, ServeReport};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
-use support::{build_index, tmp};
+use support::{build_index, serve, tmp};
 
 /// Build a small index and start a server with a tight header cap and
 /// request budget, so the defensive paths are reachable in test time.
-fn start_server(
-    dir: &Path,
-) -> (
-    SocketAddr,
-    ShutdownToken,
-    std::thread::JoinHandle<gsb_index::ServeReport>,
-) {
+fn start_server(dir: &Path) -> Running<ServeReport> {
     let g = planted(40, 0.08, &[Module::clique(7), Module::clique(5)], 17);
     build_index(&g, dir, BuildOptions::default());
-
-    let index = Arc::new(CliqueIndex::open(dir).expect("open index"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        index,
-        "127.0.0.1:0",
+    serve(
+        dir,
         ServeConfig {
             threads: 4,
             deadline: Duration::from_secs(2),
@@ -53,13 +41,6 @@ fn start_server(
             ..ServeConfig::default()
         },
     )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let handle = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("server run"))
-    };
-    (addr, shutdown, handle)
 }
 
 /// Send raw bytes, read the raw response to EOF (bounded by the socket
@@ -188,7 +169,8 @@ fn fuzz_payload(seed: u64) -> Vec<u8> {
 #[test]
 fn seeded_malformed_requests_get_typed_responses() {
     let dir = tmp("corpus");
-    let (addr, shutdown, handle) = start_server(&dir);
+    let server = start_server(&dir);
+    let addr = server.addr();
 
     for seed in 0..96u64 {
         let payload = fuzz_payload(seed);
@@ -215,8 +197,7 @@ fn seeded_malformed_requests_get_typed_responses() {
     let raw = raw_request(addr, b"GET /health HTTP/1.1\r\n\r\n");
     assert_eq!(check_response(&raw, "post-fuzz health"), 200);
 
-    shutdown.request(15);
-    let report = handle.join().expect("server thread");
+    let report = server.wait().expect("server run");
     let parsed = gsb_telemetry::json::parse(&report.metrics_json).expect("metrics parse");
     assert_eq!(
         parsed.u64_or_zero("worker_panics"),
@@ -228,7 +209,8 @@ fn seeded_malformed_requests_get_typed_responses() {
 #[test]
 fn header_flood_is_cut_off_with_431() {
     let dir = tmp("flood");
-    let (addr, shutdown, handle) = start_server(&dir);
+    let server = start_server(&dir);
+    let addr = server.addr();
 
     // Exactly the configured cap, no terminator: the server must stop
     // reading at the cap and answer 431 (a clean close — no unread
@@ -240,14 +222,14 @@ fn header_flood_is_cut_off_with_431() {
     let raw = raw_request(addr, b"GET /health HTTP/1.1\r\n\r\n");
     assert_eq!(check_response(&raw, "post-flood health"), 200);
 
-    shutdown.request(15);
-    handle.join().expect("server thread");
+    server.wait().expect("server run");
 }
 
 #[test]
 fn slow_loris_is_cut_off_with_408() {
     let dir = tmp("loris");
-    let (addr, shutdown, handle) = start_server(&dir);
+    let server = start_server(&dir);
+    let addr = server.addr();
 
     // Dribble a header forever: each byte is "progress", but the
     // request budget (700ms here) bounds the total. The server must
@@ -262,6 +244,7 @@ fn slow_loris_is_cut_off_with_408() {
         if stream.write_all(chunk.as_bytes()).is_err() {
             break; // server already gave up on us
         }
+        // Pacing: the slow-loris dribble, one chunk per 100 ms.
         std::thread::sleep(Duration::from_millis(100));
         if started.elapsed() > Duration::from_secs(5) {
             panic!("slow-loris was never cut off");
@@ -301,6 +284,5 @@ fn slow_loris_is_cut_off_with_408() {
     let raw = raw_request(addr, b"GET /health HTTP/1.1\r\n\r\n");
     assert_eq!(check_response(&raw, "post-loris health"), 200);
 
-    shutdown.request(15);
-    handle.join().expect("server thread");
+    server.wait().expect("server run");
 }

@@ -4,18 +4,17 @@
 
 mod support;
 
-use gsb_core::ShutdownToken;
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
+use gsb_index::{BuildOptions, Running, ServeConfig, ServeReport};
 use gsb_telemetry::access::AccessRecord;
 use std::path::Path;
-use std::sync::Arc;
-use support::{build_index, get, request, tmp};
+use support::{build_index, get, request, serve, tmp};
 
-fn open_fixture(dir: &Path) -> Arc<CliqueIndex> {
+/// Index the fixture graph into `dir` and serve it with `config`.
+fn serve_fixture(dir: &Path, config: ServeConfig) -> Running<ServeReport> {
     let g = planted(60, 0.08, &[Module::clique(8), Module::clique(5)], 21);
     build_index(&g, dir, BuildOptions::default());
-    Arc::new(CliqueIndex::open(dir).expect("open index"))
+    serve(dir, config)
 }
 
 fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
@@ -45,11 +44,8 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
     // the strongest form of the exemption contract — an operator can
     // watch a completely saturated server.
     let dir = tmp("zeroq");
-    let index = open_fixture(&dir);
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        index,
-        "127.0.0.1:0",
+    let server = serve_fixture(
+        &dir,
         ServeConfig {
             threads: 1,
             queue_limit: 0,
@@ -57,13 +53,8 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
             rate_burst: 1,
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     // Queries cannot get in at all...
     for path in ["/stats", "/max", "/containing/3"] {
@@ -95,22 +86,15 @@ fn metrics_and_health_stay_answerable_with_a_zero_queue() {
         .expect("queue_full shed counter exported");
     assert!(shed >= 3.0, "shed counter: {shed}");
 
-    shutdown.request(15);
-    let report = server_thread.join().expect("join");
+    let report = server.wait().expect("run");
     assert!(report.shed >= 3, "sheds counted: {}", report.shed);
 }
 
 #[test]
 fn metrics_exposition_is_well_formed_and_counters_advance() {
     let dir = tmp("promtext");
-    let index = open_fixture(&dir);
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    let server = serve_fixture(&dir, ServeConfig::default());
+    let addr = server.addr();
 
     // Drive every endpoint so each family has samples.
     for path in [
@@ -213,20 +197,16 @@ fn metrics_exposition_is_well_formed_and_counters_advance() {
         "generation gauge"
     );
 
-    shutdown.request(15);
-    server_thread.join().expect("join");
+    server.wait().expect("run");
 }
 
 #[test]
 fn trace_ids_round_trip_and_land_in_the_access_log() {
     let dir = tmp("tracing");
-    let index = open_fixture(&dir);
     let access_path = dir.join("access.jsonl");
     let slow_path = dir.join("access.jsonl.slow");
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        index,
-        "127.0.0.1:0",
+    let server = serve_fixture(
+        &dir,
         ServeConfig {
             threads: 2,
             access_log: Some(access_path.clone()),
@@ -236,13 +216,8 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
             slow_query_log: Some(slow_path.clone()),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     // Client-supplied ids are honored verbatim...
     let (status, head, _) =
@@ -267,8 +242,7 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
     let replaced = header(&head_bad, "X-Gsb-Trace").unwrap();
     assert!(is_hex16(replaced), "invalid id not replaced: {replaced:?}");
 
-    shutdown.request(15);
-    server_thread.join().expect("join");
+    server.wait().expect("run");
 
     // Every line parses; the client id round-tripped to disk with the
     // span stages attached.

@@ -13,13 +13,13 @@
 
 mod support;
 
-use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
+use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
+use gsb_index::{BuildOptions, ServeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use support::{build_index, get, tmp};
+use support::{build_index, get, serve, tmp};
 
 /// Index one graph into `dir` (in place: bumps the committed
 /// generation) and return its clique count and max clique size.
@@ -43,24 +43,15 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
     assert_ne!(even_cliques, odd_cliques, "fixture graphs must differ");
     assert_ne!(even_max, odd_max, "fixture graphs must differ");
 
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 2,
-            reload_poll: Some(Duration::from_millis(25)),
-            index_dir: Some(dir.to_path_buf()),
+            reload: Some((dir.to_path_buf(), Duration::from_millis(25))),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     // Client hammer: collect every (generation, cliques, max_clique)
     // triple the server ever hands out, until the listener goes away.
@@ -108,15 +99,18 @@ fn sigterm_mid_swap_keeps_every_answer_on_one_generation() {
     // mid-swap.
     let mut swaps = 0u64;
     for gen in 1..=4u64 {
+        // Pacing: edits under load. Each generation stays up for a few
+        // poll windows, so the hammer gets to answer from it.
         std::thread::sleep(Duration::from_millis(120));
         let (big, seed) = if gen % 2 == 1 { (7, 32) } else { (6, 31) };
         rebuild(&dir, big, seed);
         swaps += 1;
     }
-    std::thread::sleep(Duration::from_millis(15)); // land inside a poll window
+    // Pacing: land the drain inside a poll window, while the watcher
+    // may be swapping the last generation in.
+    std::thread::sleep(Duration::from_millis(15));
     stop.store(true, Ordering::Release);
-    shutdown.request(15);
-    let report = server_thread.join().expect("join server");
+    let report = server.wait().expect("run");
 
     let mut answers = 0usize;
     let mut gens_seen = std::collections::BTreeSet::new();

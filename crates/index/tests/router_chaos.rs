@@ -30,7 +30,7 @@
 //! * a whole tier down yields a typed 503 naming the missing shards,
 //!   not a blind 500;
 //! * faulty replicas end up ejected: their breaker gauge leaves
-//!   CLOSED (active probes detect them even with no traffic).
+//!   CLOSED before any traffic (active probes alone detect them).
 //!
 //! Focused tests ride along: whole-shard-down degradation semantics,
 //! circuit-breaker recovery after a killed replica restarts on the
@@ -40,19 +40,21 @@
 
 mod support;
 
-use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken, Vertex};
+use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, Vertex};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{split_index, BuildOptions, CliqueIndex, ServeConfig, ServeReport, Server};
-use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
+use gsb_index::{
+    split_index, BuildOptions, CliqueIndex, Running, ServeConfig, ServeReport, Server,
+};
+use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, ShardSummary, Topology};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use support::{build_index, copy_index, get, tmp, TempDir};
+use support::{build_index, copy_index, get, tmp, wait_until, TempDir};
 
 const SEEDS: u64 = 48;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
@@ -103,6 +105,7 @@ fn fault_listener(stall: bool) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) 
                             held.push(stream); // hold open, never answer
                         } // else: drop immediately — reset/EOF
                     }
+                    // Pacing: the fault listener's accept poll.
                     Err(_) => std::thread::sleep(Duration::from_millis(2)),
                 }
             }
@@ -141,29 +144,18 @@ fn ephemeral_range_start() -> u16 {
         .unwrap_or(49152)
 }
 
-type BackendHandle = (ShutdownToken, JoinHandle<std::io::Result<ServeReport>>);
-
-fn start_backend(dir: &Path, addr: &str) -> (SocketAddr, BackendHandle) {
+fn start_backend(dir: &Path, addr: &str) -> Running<ServeReport> {
     let index = Arc::new(CliqueIndex::open(dir).expect("open shard index"));
-    let server = Server::bind(
-        index,
-        addr,
-        ServeConfig {
-            threads: 2,
-            deadline: Duration::from_secs(2),
-            request_deadline: Duration::from_millis(1500),
-            queue_limit: 64,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind backend");
-    let bound = server.local_addr().expect("addr");
-    let shutdown = ShutdownToken::new();
-    let handle = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown))
+    let config = ServeConfig {
+        threads: 2,
+        deadline: Duration::from_secs(2),
+        request_deadline: Duration::from_millis(1500),
+        queue_limit: 64,
+        ..ServeConfig::default()
     };
-    (bound, (shutdown, handle))
+    Server::bind(index, addr, config)
+        .and_then(Server::start)
+        .expect("start backend")
 }
 
 fn router_config() -> RouterConfig {
@@ -180,32 +172,16 @@ fn router_config() -> RouterConfig {
     }
 }
 
-type RouterHandle = (
-    SocketAddr,
-    ShutdownToken,
-    JoinHandle<std::io::Result<RouterReport>>,
-);
-
-fn start_router(topology: Topology) -> RouterHandle {
-    let router = Router::bind(topology, "127.0.0.1:0", router_config()).expect("bind router");
-    let addr = router.local_addr().expect("router addr");
-    let shutdown = ShutdownToken::new();
-    let handle = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || router.run(&shutdown))
-    };
-    (addr, shutdown, handle)
+fn start_router(topology: Topology) -> Running<RouterReport> {
+    Router::bind(topology, "127.0.0.1:0", router_config())
+        .and_then(Router::start)
+        .expect("start router")
 }
 
-fn join_router(
-    shutdown: &ShutdownToken,
-    handle: JoinHandle<std::io::Result<RouterReport>>,
-) -> RouterReport {
-    shutdown.request(15);
-    let report = handle
-        .join()
-        .expect("router thread must not panic")
-        .expect("router run must not error");
+/// Drain the router and return its report, checking that no worker
+/// panicked.
+fn join_router(router: Running<RouterReport>) -> RouterReport {
+    let report = router.wait().expect("router run must not error");
     let parsed = gsb_telemetry::json::parse(&report.metrics_json).expect("metrics parse");
     assert_eq!(
         parsed.u64_or_zero("worker_panics"),
@@ -226,35 +202,22 @@ fn breaker_gauge(promtext: &str, backend: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Poll `/metrics` until the backend's breaker gauge satisfies `ok`.
-fn wait_for_breaker(
-    router: SocketAddr,
-    backend: &str,
-    ok: impl Fn(u64) -> bool,
-    timeout: Duration,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
+/// Scrape `/metrics` until the backend's breaker gauge satisfies
+/// `ok`; fail naming `what` after 5 s.
+fn wait_for_breaker(router: SocketAddr, backend: &str, ok: impl Fn(u64) -> bool, what: &str) {
+    wait_until(what, Duration::from_secs(5), || {
         let (status, _, body) = get(router, "/metrics").expect("router response");
         assert_eq!(status, 200, "metrics scrape failed");
-        if breaker_gauge(&body, backend).is_some_and(&ok) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
+        breaker_gauge(&body, backend).is_some_and(&ok)
+    });
 }
 
 /// Ground truth + golden shard directories shared by every seed.
 struct Fixture {
     truth: Vec<Vec<Vertex>>,
-    /// Holds `shard_dirs`.
+    /// Holds the shard directories.
     _shards: TempDir,
-    shard_dirs: Vec<PathBuf>,
-    /// `(id_lo, id_hi, size_lo, size_hi)` per shard.
-    shards: Vec<(u64, u64, u32, u32)>,
+    shards: Vec<ShardSummary>,
 }
 
 fn build_fixture(tag: &str) -> Fixture {
@@ -268,11 +231,7 @@ fn build_fixture(tag: &str) -> Fixture {
     Fixture {
         truth: collect.cliques,
         _shards: shards_dir,
-        shard_dirs: summaries.iter().map(|s| s.dir.clone()).collect(),
-        shards: summaries
-            .iter()
-            .map(|s| (s.id_lo, s.id_hi, s.size_lo, s.size_hi))
-            .collect(),
+        shards: summaries,
     }
 }
 
@@ -283,21 +242,19 @@ impl Fixture {
                 .shards
                 .iter()
                 .zip(replicas)
-                .map(|(&(id_lo, id_hi, size_lo, size_hi), r)| ShardSpec {
-                    id_lo,
-                    id_hi,
-                    size_lo,
-                    size_hi,
-                    replicas: r.clone(),
-                })
+                .map(|(s, r)| ShardSpec::new(s, r.clone()))
                 .collect(),
         }
+    }
+
+    fn dir(&self, shard: usize) -> &Path {
+        &self.shards[shard].dir
     }
 
     fn shard_of(&self, id: u64) -> usize {
         self.shards
             .iter()
-            .position(|&(lo, hi, ..)| id >= lo && id < hi)
+            .position(|s| id >= s.id_lo && id < s.id_hi)
             .expect("id owned by some shard")
     }
 
@@ -338,8 +295,8 @@ fn answered_mask(body: &str, live: &[bool; 2], context: &str) -> [bool; 2] {
 fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
     let fx = build_fixture("seeds");
     let max_size = fx.truth.iter().map(Vec::len).max().unwrap();
-    let gid0 = fx.shards[0].0; // first clique of shard 0
-    let gid1 = fx.shards[1].0; // first clique of shard 1
+    let gid0 = fx.shards[0].id_lo; // first clique of shard 0
+    let gid1 = fx.shards[1].id_lo; // first clique of shard 1
     let (mut total_retries, mut total_hedges, mut total_degraded) = (0u64, 0u64, 0u64);
 
     for seed in 0..SEEDS {
@@ -371,7 +328,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
         let corrupt_on = |shard: usize| corrupt_replica.is_some_and(|(s, _)| s == shard);
 
         // Assemble the tier.
-        let mut servers: Vec<BackendHandle> = Vec::new();
+        let mut servers: Vec<Running<ServeReport>> = Vec::new();
         let mut faults: Vec<(Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
         let mut corrupt_dirs: Vec<TempDir> = Vec::new();
         let mut replicas: Vec<Vec<String>> = vec![Vec::new(), Vec::new()];
@@ -379,16 +336,18 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
             for (r, kind) in shard_kinds.iter().enumerate() {
                 let addr = match kind {
                     Kind::Live => {
-                        let (addr, handle) = start_backend(&fx.shard_dirs[shard], "127.0.0.1:0");
-                        servers.push(handle);
+                        let server = start_backend(fx.dir(shard), "127.0.0.1:0");
+                        let addr = server.addr();
+                        servers.push(server);
                         addr
                     }
                     Kind::LiveCorrupt => {
                         let dir = tmp(&format!("seed{seed}_corrupt{shard}_{r}"));
-                        copy_index(&fx.shard_dirs[shard], &dir);
+                        copy_index(fx.dir(shard), &dir);
                         corrupt_tail(&dir);
-                        let (addr, handle) = start_backend(&dir, "127.0.0.1:0");
-                        servers.push(handle);
+                        let server = start_backend(&dir, "127.0.0.1:0");
+                        let addr = server.addr();
+                        servers.push(server);
                         corrupt_dirs.push(dir);
                         addr
                     }
@@ -402,11 +361,24 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
                 replicas[shard].push(addr.to_string());
             }
         }
-        let (router, shutdown, handle) = start_router(fx.topology(&replicas));
+        let tier = start_router(fx.topology(&replicas));
+        let router = tier.addr();
 
-        // A couple of probe laps: breakers for dead replicas open
-        // before the workload, so most requests fail over instantly.
-        std::thread::sleep(Duration::from_millis(300));
+        // Ejection: every dead replica's breaker leaves CLOSED before
+        // any traffic (active probes alone find them), so most requests
+        // of the workload fail over instantly.
+        for (shard, shard_kinds) in kinds.iter().enumerate() {
+            for (r, kind) in shard_kinds.iter().enumerate() {
+                if !kind.is_live() {
+                    wait_for_breaker(
+                        router,
+                        &replicas[shard][r],
+                        |g| g != 0,
+                        &format!("seed {seed}: the dead {kind:?} replica {shard}/{r} is ejected"),
+                    );
+                }
+            }
+        }
 
         // Mixed workload; every answer typed, bounded, and exact over
         // the shards it claims to have answered.
@@ -508,7 +480,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
                         .iter()
                         .enumerate()
                         .filter(|(s, _)| answered[*s])
-                        .map(|(_, &(lo, hi, ..))| hi - lo)
+                        .map(|(_, s)| s.id_hi - s.id_lo)
                         .sum();
                     assert!(
                         body.contains(&format!("\"cliques\":{expected}")),
@@ -556,25 +528,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
             }
         }
 
-        // Ejection: every dead replica's breaker must leave CLOSED —
-        // active probes find them even if the workload never did.
-        for (shard, shard_kinds) in kinds.iter().enumerate() {
-            for (r, kind) in shard_kinds.iter().enumerate() {
-                if !kind.is_live() {
-                    assert!(
-                        wait_for_breaker(
-                            router,
-                            &replicas[shard][r],
-                            |g| g != 0,
-                            Duration::from_secs(5)
-                        ),
-                        "seed {seed}: breaker for dead {kind:?} replica {shard}/{r} stayed closed"
-                    );
-                }
-            }
-        }
-
-        let report = join_router(&shutdown, handle);
+        let report = join_router(tier);
         assert!(report.requests >= 14, "seed {seed}: requests went missing");
         total_retries += report.retries;
         total_hedges += report.hedges;
@@ -584,9 +538,8 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
             stop.store(true, Ordering::Release);
             handle.join().expect("fault listener join");
         }
-        for (token, handle) in servers {
-            token.request(15);
-            handle.join().expect("backend join").expect("backend run");
+        for server in servers {
+            server.wait().expect("backend run");
         }
     }
 
@@ -602,14 +555,16 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
 #[test]
 fn whole_shard_down_degrades_exactly_with_typed_answers() {
     let fx = build_fixture("sharddown");
-    let (addr0a, h0a) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
-    let (addr0b, h0b) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
+    let backends = [0, 0].map(|shard| start_backend(fx.dir(shard), "127.0.0.1:0"));
     let replicas = vec![
-        vec![addr0a.to_string(), addr0b.to_string()],
+        backends.iter().map(|b| b.addr().to_string()).collect(),
         vec![dead_port().to_string(), dead_port().to_string()],
     ];
-    let (router, shutdown, handle) = start_router(fx.topology(&replicas));
-    std::thread::sleep(Duration::from_millis(300));
+    let tier = start_router(fx.topology(&replicas));
+    let router = tier.addr();
+    for dead in &replicas[1] {
+        wait_for_breaker(router, dead, |g| g == 2, "the dead shard's breakers open");
+    }
 
     // Scatter: 200, explicitly degraded, exact over shard 0.
     let v = fx.truth[0][0];
@@ -625,7 +580,7 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
 
     // Point reads on the dead shard: typed 503 naming it; the live
     // shard keeps answering exactly.
-    let gid1 = fx.shards[1].0;
+    let gid1 = fx.shards[1].id_lo;
     let (status, _, body) = get(router, &format!("/get/{gid1}")).expect("router response");
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("\"missing_shards\":[1]"), "{body}");
@@ -646,25 +601,26 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("\"live_shards\":1"), "{body}");
 
-    let report = join_router(&shutdown, handle);
+    let report = join_router(tier);
     assert!(report.degraded_answers > 0, "degradation not counted");
-    for (token, handle) in [h0a, h0b] {
-        token.request(15);
-        handle.join().expect("backend join").expect("backend run");
+    for backend in backends {
+        backend.wait().expect("backend run");
     }
 }
 
 #[test]
 fn breaker_reopens_then_recloses_after_replica_restart() {
     let fx = build_fixture("recovery");
-    let (addr_a, (token_a, join_a)) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
-    let (addr_b, h_b) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
-    let (addr_1, h_1) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
+    let server_a = start_backend(fx.dir(0), "127.0.0.1:0");
+    let server_b = start_backend(fx.dir(0), "127.0.0.1:0");
+    let server_1 = start_backend(fx.dir(1), "127.0.0.1:0");
+    let addr_a = server_a.addr();
     let replicas = vec![
-        vec![addr_a.to_string(), addr_b.to_string()],
-        vec![addr_1.to_string()],
+        vec![addr_a.to_string(), server_b.addr().to_string()],
+        vec![server_1.addr().to_string()],
     ];
-    let (router, shutdown, handle) = start_router(fx.topology(&replicas));
+    let tier = start_router(fx.topology(&replicas));
+    let router = tier.addr();
 
     let v = fx.truth[fx.truth.len() - 1][0]; // vertex of the max clique
     let expected = fx.count_over(&[true, true], |c| c.contains(&v));
@@ -681,54 +637,38 @@ fn breaker_reopens_then_recloses_after_replica_restart() {
             "{label}: degraded while shard 0 had a live replica"
         );
     };
-    assert!(
-        wait_for_breaker(
-            router,
-            &addr_a.to_string(),
-            |g| g == 0,
-            Duration::from_secs(5)
-        ),
-        "replica A never reported healthy"
-    );
+    let a = addr_a.to_string();
+    wait_for_breaker(router, &a, |g| g == 0, "replica A reports healthy");
     exact("before kill");
 
     // Kill replica A: probes must open its breaker, answers must stay
     // exact and non-degraded through replica B.
-    token_a.request(15);
-    join_a.join().expect("join A").expect("run A");
-    assert!(
-        wait_for_breaker(
-            router,
-            &addr_a.to_string(),
-            |g| g == 2,
-            Duration::from_secs(5)
-        ),
-        "breaker never opened for the killed replica"
-    );
+    server_a.wait().expect("run A");
+    wait_for_breaker(router, &a, |g| g == 2, "the killed replica's breaker opens");
     for _ in 0..5 {
         exact("after kill");
     }
 
     // Restart on the same port (std listeners set SO_REUSEADDR): the
     // next successful probe must re-close the breaker.
-    let (readdr, h_a2) = start_backend(&fx.shard_dirs[0], &addr_a.to_string());
-    assert_eq!(readdr, addr_a, "restart must reuse the original address");
-    assert!(
-        wait_for_breaker(
-            router,
-            &addr_a.to_string(),
-            |g| g == 0,
-            Duration::from_secs(5)
-        ),
-        "breaker never re-closed after the replica restarted"
+    let server_a2 = start_backend(fx.dir(0), &a);
+    assert_eq!(
+        server_a2.addr(),
+        addr_a,
+        "restart must reuse the original address"
+    );
+    wait_for_breaker(
+        router,
+        &a,
+        |g| g == 0,
+        "the restarted replica's breaker re-closes",
     );
     exact("after restart");
 
-    let report = join_router(&shutdown, handle);
+    let report = join_router(tier);
     assert_eq!(report.degraded_answers, 0, "failover leaked degradation");
-    for (token, handle) in [h_a2, h_b, h_1] {
-        token.request(15);
-        handle.join().expect("backend join").expect("backend run");
+    for server in [server_a2, server_b, server_1] {
+        server.wait().expect("backend run");
     }
 }
 
@@ -746,19 +686,17 @@ fn idle_router_returns_within_a_second_of_shutdown() {
                 replicas: vec![dead_port().to_string()],
             }],
         };
-        let router = Router::bind(topology, addr, router_config()).expect("bind router");
-        let shutdown = ShutdownToken::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || tx.send(router.run(&shutdown).expect("router run")));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        shutdown.request(15);
-        let report = rx
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap_or_else(|_| panic!("{addr}: run still blocked 1 s after the shutdown request"));
-        assert_eq!(report.connections, 0, "{addr}: the waker was counted");
+        let router = Router::bind(topology, addr, router_config())
+            .and_then(Router::start)
+            .expect("start router");
+        // One answered request: the acceptor is back in accept().
+        let loopback = SocketAddr::from(([127, 0, 0, 1], router.addr().port()));
+        assert_eq!(get(loopback, "/health").expect("response").0, 200);
+        let report = router
+            .wait_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("{addr}: run still blocked 1 s after the shutdown request"))
+            .expect("router run");
+        assert_eq!(report.connections, 1, "{addr}: the waker was counted");
         assert_eq!(report.shed, 0, "{addr}: the waker was shed");
     }
 }
@@ -771,11 +709,19 @@ fn shutdown_wake_is_invisible_to_router_counters() {
     // through the acceptor.
     const N: u64 = 10;
     let fx = build_fixture("wake");
-    let (addr0, h0) = start_backend(&fx.shard_dirs[0], "127.0.0.1:0");
-    let (addr1, h1) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
-    let replicas = vec![vec![addr0.to_string()], vec![addr1.to_string()]];
-    let (router, shutdown, handle) = start_router(fx.topology(&replicas));
+    let backends = [0, 1].map(|shard| start_backend(fx.dir(shard), "127.0.0.1:0"));
+    let replicas: Vec<Vec<String>> = backends
+        .iter()
+        .map(|b| vec![b.addr().to_string()])
+        .collect();
+    let tier = start_router(fx.topology(&replicas));
+    let router = tier.addr();
     let v = fx.truth[0][0];
+    // The scrape's connection comes first: the requests answered
+    // behind it (by the other worker) show the acceptor took it.
+    let mut held = TcpStream::connect(router).expect("connect");
+    held.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     for i in 0..N - 1 {
         let path = match i % 3 {
             0 => "/health".to_string(),
@@ -785,18 +731,17 @@ fn shutdown_wake_is_invisible_to_router_counters() {
         let (status, _, body) = get(router, &path).expect("router response");
         assert_eq!(status, 200, "{path}: {body}");
     }
-    let mut held = TcpStream::connect(router).expect("connect");
-    held.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    shutdown.request(15);
+    tier.drain();
+    // Pacing: the waker connects on its 20 ms tick; this lands the
+    // scrape after its connection went through the acceptor. Nothing
+    // shows that moment without a connection of its own.
     std::thread::sleep(Duration::from_millis(300));
     write!(held, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
     let mut response = String::new();
     held.read_to_string(&mut response).expect("read");
     assert!(response.contains("200 OK"), "held scrape: {response:?}");
 
-    let report = join_router(&shutdown, handle);
+    let report = join_router(tier);
     assert_eq!(report.connections, N);
     assert_eq!(report.requests, N);
     assert_eq!(report.shed, 0);
@@ -813,9 +758,8 @@ fn shutdown_wake_is_invisible_to_router_counters() {
     ] {
         assert_eq!(sample(metric), Some(want), "{metric}");
     }
-    for (token, handle) in [h0, h1] {
-        token.request(15);
-        handle.join().expect("backend join").expect("backend run");
+    for backend in backends {
+        backend.wait().expect("backend run");
     }
 }
 
@@ -849,6 +793,7 @@ fn scripted_backend(delay: Option<Duration>, body: &'static str) -> Scripted {
             let mut held = Vec::new();
             while !stop.load(Ordering::Acquire) {
                 let Ok((mut stream, _)) = listener.accept() else {
+                    // Pacing: the scripted replica's accept poll.
                     std::thread::sleep(Duration::from_millis(2));
                     continue;
                 };
@@ -871,6 +816,7 @@ fn scripted_backend(delay: Option<Duration>, body: &'static str) -> Scripted {
                     None => held.push(stream),
                     Some(delay) => {
                         std::thread::spawn(move || {
+                            // Pacing: the scripted answer's delay.
                             std::thread::sleep(delay);
                             respond(&mut stream, body);
                         });
@@ -914,17 +860,17 @@ fn hedge_wins_over_a_slow_primary() {
     // is asked too, and its exact answer comes back first.
     let fx = build_fixture("hedgewin");
     let slow = scripted_backend(Some(Duration::from_millis(300)), "{\"size\":0}");
-    let (twin, h_twin) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
-    let (direct, h_direct) = start_backend(&fx.shard_dirs[1], "127.0.0.1:0");
-    let (router, shutdown, handle) = start_router(one_shard(&[slow.addr, twin]));
+    let twin = start_backend(fx.dir(1), "127.0.0.1:0");
+    let direct = start_backend(fx.dir(1), "127.0.0.1:0");
+    let tier = start_router(one_shard(&[slow.addr, twin.addr()]));
 
     let started = Instant::now();
-    let (status, _, body) = get(router, "/max").expect("router response");
+    let (status, _, body) = get(tier.addr(), "/max").expect("router response");
     let took = started.elapsed();
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         body,
-        get(direct, "/max").expect("direct response").2,
+        get(direct.addr(), "/max").expect("direct response").2,
         "the hedged answer is not exact"
     );
     assert!(
@@ -932,12 +878,11 @@ fn hedge_wins_over_a_slow_primary() {
         "the hedge did not answer before the slow primary: {took:?}"
     );
 
-    let report = join_router(&shutdown, handle);
+    let report = join_router(tier);
     assert_eq!((report.hedges, report.hedge_wins), (1, 1));
     slow.stop();
-    for (token, handle) in [h_twin, h_direct] {
-        token.request(15);
-        handle.join().expect("backend join").expect("backend run");
+    for backend in [twin, direct] {
+        backend.wait().expect("backend run");
     }
 }
 
@@ -949,11 +894,11 @@ fn handed_off_primary_wins_over_a_stalled_hedge() {
     const PRIMARY: &str = "{\"id\":0,\"size\":3,\"clique\":[1,2,3],\"from\":\"primary\"}";
     let primary = scripted_backend(Some(Duration::from_millis(100)), PRIMARY);
     let stalled = scripted_backend(None, "{}");
-    let (router, shutdown, handle) = start_router(one_shard(&[primary.addr, stalled.addr]));
+    let tier = start_router(one_shard(&[primary.addr, stalled.addr]));
 
-    let (status, _, body) = get(router, "/max").expect("router response");
+    let (status, _, body) = get(tier.addr(), "/max").expect("router response");
     assert_eq!((status, body.as_str()), (200, PRIMARY));
-    let report = join_router(&shutdown, handle);
+    let report = join_router(tier);
     assert_eq!((report.hedges, report.hedge_wins), (1, 0));
     assert_eq!(
         stalled.heads.lock().expect("heads lock").len(),
@@ -967,10 +912,10 @@ fn handed_off_primary_wins_over_a_stalled_hedge() {
 #[test]
 fn backends_are_told_the_try_budget_not_the_request_budget() {
     let replica = scripted_backend(Some(Duration::ZERO), "{\"size\":0}");
-    let (router, shutdown, handle) = start_router(one_shard(&[replica.addr]));
-    let (status, _, body) = get(router, "/max").expect("router response");
+    let tier = start_router(one_shard(&[replica.addr]));
+    let (status, _, body) = get(tier.addr(), "/max").expect("router response");
     assert_eq!(status, 200, "{body}");
-    join_router(&shutdown, handle);
+    join_router(tier);
 
     let heads = replica.heads.lock().expect("heads lock").clone();
     let try_timeout_ms = router_config().try_timeout.as_millis() as u64;

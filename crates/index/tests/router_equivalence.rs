@@ -21,35 +21,21 @@
 
 mod support;
 
-use gsb_core::{CliqueEnumerator, ShutdownToken};
-use gsb_core::{CollectSink, EnumConfig};
+use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
-use gsb_index::{split_index, BuildOptions, CliqueIndex, ServeConfig, ServeReport, Server};
-use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, Topology};
+use gsb_index::{split_index, BuildOptions, Running, ServeConfig, ServeReport};
+use gsb_index::{Router, RouterConfig, ShardSpec, Topology};
 use gsb_rng::SplitMix64;
-use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use support::{build_index, request, tmp};
 
-type ServerHandle = (ShutdownToken, JoinHandle<std::io::Result<ServeReport>>);
-
-fn serve(dir: &Path) -> (SocketAddr, ServerHandle) {
-    let index = Arc::new(CliqueIndex::open(dir).expect("open index"));
+fn serve(dir: &Path) -> Running<ServeReport> {
     let config = ServeConfig {
         threads: 2,
         ..ServeConfig::default()
     };
-    let server = Server::bind(index, "127.0.0.1:0", config).expect("bind server");
-    let addr = server.local_addr().expect("server addr");
-    let shutdown = ShutdownToken::new();
-    let stop = shutdown.clone();
-    (
-        addr,
-        (shutdown, std::thread::spawn(move || server.run(&stop))),
-    )
+    support::serve(dir, config)
 }
 
 /// Index `g`, serve it whole and as a routed 2-shard tier, and check
@@ -62,20 +48,13 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
     let shards_dir = tmp(&format!("{tag}_shards"));
     let summaries = split_index(&golden, &shards_dir, 2).expect("split index");
 
-    let (single, single_handle) = serve(&golden);
-    let mut backends = Vec::new();
-    let mut shards = Vec::new();
-    for s in &summaries {
-        let (addr, handle) = serve(&s.dir);
-        backends.push(handle);
-        shards.push(ShardSpec {
-            id_lo: s.id_lo,
-            id_hi: s.id_hi,
-            size_lo: s.size_lo,
-            size_hi: s.size_hi,
-            replicas: vec![addr.to_string()],
-        });
-    }
+    let single = serve(&golden);
+    let backends: Vec<_> = summaries.iter().map(|s| serve(&s.dir)).collect();
+    let shards = summaries
+        .iter()
+        .zip(&backends)
+        .map(|(s, b)| ShardSpec::new(s, vec![b.addr().to_string()]))
+        .collect();
     let router = Router::bind(
         Topology { shards },
         "127.0.0.1:0",
@@ -84,13 +63,8 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
             ..RouterConfig::default()
         },
     )
-    .expect("bind router");
-    let routed = router.local_addr().expect("router addr");
-    let router_shutdown = ShutdownToken::new();
-    let router_handle: JoinHandle<std::io::Result<RouterReport>> = {
-        let stop = router_shutdown.clone();
-        std::thread::spawn(move || router.run(&stop))
-    };
+    .and_then(Router::start)
+    .expect("start router");
 
     let n = g.n();
     let omega = truth.cliques.iter().map(Vec::len).max().unwrap_or(0);
@@ -145,7 +119,7 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
                 request(addr, line, &[]).unwrap_or_else(|| panic!("no response to {line}"));
             (status, body)
         };
-        let (want, got) = (response(single), response(routed));
+        let (want, got) = (response(single.addr()), response(router.addr()));
         if want != got {
             differ.push(format!(
                 "{line}\n  server: {} {}\n  router: {} {}",
@@ -154,14 +128,9 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
         }
     }
 
-    router_shutdown.request(15);
-    router_handle
-        .join()
-        .expect("router thread")
-        .expect("router run");
-    for (token, handle) in backends.into_iter().chain([single_handle]) {
-        token.request(15);
-        handle.join().expect("server thread").expect("server run");
+    router.wait().expect("router run");
+    for server in backends.into_iter().chain([single]) {
+        server.wait().expect("server run");
     }
     assert!(
         differ.is_empty(),

@@ -5,14 +5,15 @@
 
 mod support;
 
-use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
+use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use support::{build_index, get, tmp, TempDir};
+use support::{build_index, get, serve, tmp, wait_until, TempDir};
 
 #[test]
 fn storm_then_graceful_drain() {
@@ -26,24 +27,16 @@ fn storm_then_graceful_drain() {
     build_index(&g, &dir, BuildOptions::default());
 
     let metrics_path = dir.join("serve_metrics.json");
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open index"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 8,
             deadline: Duration::from_secs(5),
             metrics_out: Some(metrics_path.clone()),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("server run"))
-    };
+    );
+    let addr = server.addr();
 
     // 16 concurrent clients, each issuing a mixed query workload and
     // verifying every answer against the in-memory truth.
@@ -107,10 +100,9 @@ fn storm_then_graceful_drain() {
         c.join().expect("client thread");
     }
 
-    // SIGINT-style drain: request shutdown, the run() call must return
-    // with every connection answered and the metrics file in place.
-    shutdown.request(2);
-    let report = server_thread.join().expect("server thread");
+    // Drain: the wait must return with every connection answered and
+    // the metrics file in place.
+    let report = server.wait().expect("server run");
     assert!(
         report.requests >= 16 * 20 * 5,
         "requests: {}",
@@ -149,26 +141,18 @@ fn drain_waits_for_queued_connections() {
     let dir = tmp("drain");
     build_index(&g, &dir, BuildOptions::default());
 
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
-            threads: 2,
+            threads: 5,
             deadline: Duration::from_secs(5),
             metrics_out: None,
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
-    // Pre-open sockets; the accept loop will hand them to workers.
+    // Pre-open sockets; the accept loop hands each to a worker.
     let mut pending: Vec<TcpStream> = (0..4)
         .map(|_| {
             let s = TcpStream::connect(addr).expect("connect");
@@ -176,9 +160,11 @@ fn drain_waits_for_queued_connections() {
             s
         })
         .collect();
-    // Give the accept loop time to accept them all.
-    std::thread::sleep(Duration::from_millis(100));
-    shutdown.request(15);
+    // A request answered behind them proves the acceptor took all four
+    // (the listen backlog and the admission queue are both FIFO); the
+    // fifth worker is free to answer it.
+    assert_eq!(get(addr, "/health").expect("response").0, 200);
+    server.drain();
 
     // Requests sent *after* the shutdown request still get answers.
     for s in &mut pending {
@@ -190,8 +176,8 @@ fn drain_waits_for_queued_connections() {
             "drained connection got: {response:?}"
         );
     }
-    let report = server_thread.join().expect("join");
-    assert!(report.connections >= 4);
+    let report = server.wait().expect("run");
+    assert!(report.connections >= 5);
 }
 
 #[test]
@@ -204,24 +190,15 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     let dir = tmp("reload");
     build_index(&g, &dir, BuildOptions::default());
 
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 2,
-            reload_poll: Some(Duration::from_millis(50)),
-            index_dir: Some(dir.to_path_buf()),
+            reload: Some((dir.to_path_buf(), Duration::from_millis(50))),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     let (status, _, body) = get(addr, "/stats").expect("response");
     assert_eq!(status, 200);
@@ -232,19 +209,15 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     let g2 = planted(40, 0.08, &[Module::clique(7), Module::clique(5)], 32);
     build_index(&g2, &dir, BuildOptions::default());
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let (status, _, body) = get(addr, "/stats").expect("response");
-        assert_eq!(status, 200, "server must keep answering during reload");
-        if body.contains("\"generation\":1") {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "hot reload never happened: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_until(
+        "the hot reload serves generation 1",
+        Duration::from_secs(10),
+        || {
+            let (status, _, body) = get(addr, "/stats").expect("response");
+            assert_eq!(status, 200, "server must keep answering during reload");
+            body.contains("\"generation\":1")
+        },
+    );
     let (status, _, body) = get(addr, "/max").expect("response");
     assert_eq!(status, 200);
     assert!(
@@ -253,10 +226,18 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
     );
 
     // A broken rebuild must not take the server down: corrupt the
-    // manifest, give the watcher time to trip over it, and verify the
-    // generation-1 index is still the one answering.
+    // manifest, wait until the watcher has counted the failed reload,
+    // and verify the generation-1 index is still the one answering.
     std::fs::write(dir.join("index.meta"), "garbage, not a manifest\n").expect("clobber meta");
-    std::thread::sleep(Duration::from_millis(300));
+    wait_until(
+        "the failed reload is counted",
+        Duration::from_secs(10),
+        || {
+            let (status, _, body) = get(addr, "/metrics").expect("response");
+            assert_eq!(status, 200, "metrics scrape failed");
+            sample(&body, "gsb_http_reload_errors_total").is_some_and(|n| n > 0)
+        },
+    );
     let (status, _, body) = get(addr, "/stats").expect("response");
     assert_eq!(status, 200);
     assert!(
@@ -264,8 +245,7 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
         "failed reload must keep the old index: {body}"
     );
 
-    shutdown.request(15);
-    let report = server_thread.join().expect("join");
+    let report = server.wait().expect("run");
     assert!(report.reloads >= 1, "reload not counted");
 }
 
@@ -280,11 +260,8 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     let dir = tmp("overload_drain");
     build_index(&g, &dir, BuildOptions::default());
 
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 1,
             queue_limit: 1,
@@ -292,13 +269,8 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
             request_deadline: Duration::from_secs(10),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     let connect = || {
         let s = TcpStream::connect(addr).expect("connect");
@@ -308,11 +280,14 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     // First connection occupies the single worker (we send nothing yet,
     // the worker blocks reading its header on the request budget).
     let mut held = connect();
+    // Pacing: the acceptor hands `held` to the worker before the next
+    // connection arrives. No request can observe that hand-off: with
+    // the one worker held, it would wait in the queue behind `held`.
     std::thread::sleep(Duration::from_millis(100));
     // Second fills the queue (limit 1).
     let mut queued = connect();
-    std::thread::sleep(Duration::from_millis(100));
-    // Third finds the queue full: shed inline with a typed 503.
+    // Third finds the queue full: shed inline with a typed 503. Its
+    // answer also shows the acceptor took `queued` first (FIFO backlog).
     let mut overflow = connect();
     {
         let mut response = String::new();
@@ -328,7 +303,7 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     }
 
     // SIGTERM with the queue still full.
-    shutdown.request(15);
+    server.drain();
 
     // Both accepted connections must still be answered in full.
     for s in [&mut held, &mut queued] {
@@ -341,7 +316,7 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
         );
     }
 
-    let report = server_thread.join().expect("join");
+    let report = server.wait().expect("run");
     assert!(report.connections >= 3, "{:?}", report.connections);
     assert!(report.shed >= 1, "queue-full shed not counted");
 }
@@ -368,19 +343,17 @@ fn idle_server_returns_within_a_second_of_shutdown() {
     // connection can return it, on a loopback or a wildcard listener.
     let (_dir, index) = small_index("idle");
     for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
-        let server = Server::bind(Arc::clone(&index), addr, ServeConfig::default()).expect("bind");
-        let shutdown = ShutdownToken::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || tx.send(server.run(&shutdown).expect("run")));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        shutdown.request(15);
-        let report = rx
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap_or_else(|_| panic!("{addr}: run still blocked 1 s after the shutdown request"));
-        assert_eq!(report.connections, 0, "{addr}: the waker was counted");
+        let server = Server::bind(Arc::clone(&index), addr, ServeConfig::default())
+            .and_then(Server::start)
+            .expect("start");
+        // One answered request: the acceptor is back in accept().
+        let loopback = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        assert_eq!(get(loopback, "/health").expect("response").0, 200);
+        let report = server
+            .wait_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("{addr}: run still blocked 1 s after the shutdown request"))
+            .expect("run");
+        assert_eq!(report.connections, 1, "{addr}: the waker was counted");
         assert_eq!(report.shed, 0, "{addr}: the waker was shed");
     }
 }
@@ -392,25 +365,23 @@ fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
     // sees the counters once the waker's connection has been through
     // the acceptor.
     const N: u64 = 12;
-    let (dir, index) = small_index("wake");
+    let (dir, _) = small_index("wake");
     let access_path = dir.join("access.jsonl");
-    let server = Server::bind(
-        index,
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 2,
             access_log: Some(access_path.clone()),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let shutdown = ShutdownToken::new();
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
+    // The scrape's connection comes first: the requests answered
+    // behind it (by the other worker) show the acceptor took it.
+    let mut held = TcpStream::connect(addr).expect("connect");
+    held.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     for i in 0..N - 1 {
         let path = if i % 2 == 0 {
             "/health"
@@ -419,18 +390,17 @@ fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
         };
         assert_eq!(get(addr, path).expect("response").0, 200, "{path}");
     }
-    let mut held = TcpStream::connect(addr).expect("connect");
-    held.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    shutdown.request(15);
+    server.drain();
+    // Pacing: the waker connects on its 20 ms tick; this lands the
+    // scrape after its connection went through the acceptor. Nothing
+    // shows that moment without a connection of its own.
     std::thread::sleep(Duration::from_millis(300));
     write!(held, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
     let mut response = String::new();
     held.read_to_string(&mut response).expect("read");
     assert!(response.contains("200 OK"), "held scrape: {response:?}");
 
-    let report = server_thread.join().expect("join");
+    let report = server.wait().expect("run");
     assert_eq!(report.connections, N);
     assert_eq!(report.requests, N);
     assert_eq!(report.shed, 0);
@@ -444,4 +414,26 @@ fn shutdown_wake_is_invisible_to_counters_and_the_access_log() {
     }
     let access = std::fs::read_to_string(&access_path).expect("access log");
     assert_eq!(access.lines().count() as u64, N, "{access}");
+}
+
+#[test]
+fn a_panicking_owner_leaves_no_listener_serving() {
+    // The handle drains its server on drop, also while a panic unwinds
+    // through the code that started it: the port refuses afterwards.
+    let (_dir, index) = small_index("panic");
+    let mut addr = None;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default())
+            .and_then(Server::start)
+            .expect("start");
+        addr = Some(server.addr());
+        assert_eq!(get(server.addr(), "/health").expect("response").0, 200);
+        panic!("the test body fails while its server runs");
+    }));
+    assert!(outcome.is_err(), "the closure was meant to panic");
+    let addr = addr.expect("the server started");
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "{addr} still accepts connections after its owner panicked"
+    );
 }

@@ -30,7 +30,7 @@
 mod support;
 
 use gsb_core::failpoint;
-use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
+use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
 use std::sync::Arc;
@@ -71,7 +71,6 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
         }
 
         let index = Arc::new(CliqueIndex::open(&dir).expect("open index"));
-        let shutdown = ShutdownToken::new();
         let server = Server::bind(
             Arc::clone(&index),
             "127.0.0.1:0",
@@ -84,16 +83,13 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
             },
         )
         .expect("bind");
-        let addr = server.local_addr().expect("addr");
 
         failpoint::reset_all();
         for (site, action) in &schedule {
             failpoint::configure(site, *action);
         }
-        let handle = {
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || server.run(&shutdown))
-        };
+        let server = server.start().expect("start");
+        let addr = server.addr();
 
         // A misbehaving client rides along in every schedule.
         {
@@ -189,11 +185,7 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
             );
         }
 
-        shutdown.request(15);
-        let report = handle
-            .join()
-            .expect("server thread must not panic")
-            .expect("server run must not error");
+        let report = server.wait().expect("server run must not error");
         let parsed = gsb_telemetry::json::parse(&report.metrics_json).expect("metrics parse");
         assert_eq!(
             parsed.u64_or_zero("worker_panics"),

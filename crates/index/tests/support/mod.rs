@@ -1,19 +1,21 @@
 //! Shared helpers for the gsb-index integration tests: scratch
-//! directories, the fixture index build, index copies and one HTTP
-//! client.
+//! directories, the fixture index build, index copies, a started
+//! server, one HTTP client and one wait on observable state.
 //!
 //! Each integration-test binary compiles its own copy and may use only
 //! part of the surface, so unused-item lints are off.
 #![allow(dead_code)]
 
 use gsb_graph::BitGraph;
-use gsb_index::{build, BuildOptions, WriteSummary};
+use gsb_index::{build, BuildOptions, CliqueIndex, WriteSummary};
+use gsb_index::{Running, ServeConfig, ServeReport, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 static SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -67,6 +69,30 @@ pub fn copy_index(src: &Path, dst: &Path) {
         if entry.file_type().expect("file type").is_file() {
             std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy index file");
         }
+    }
+}
+
+/// Serve the index in `dir` on a free loopback port until the handle
+/// is waited on or dropped.
+pub fn serve(dir: &Path, config: ServeConfig) -> Running<ServeReport> {
+    let index = Arc::new(CliqueIndex::open(dir).expect("open index"));
+    Server::bind(index, "127.0.0.1:0", config)
+        .and_then(Server::start)
+        .expect("start server")
+}
+
+/// Check `cond` until it holds, and fail naming `what` if it still
+/// does not after `timeout`: a test waits on the state it needs, not
+/// on a sleep it hopes was long enough.
+pub fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + timeout;
+    while !cond() {
+        assert!(
+            Instant::now() < deadline,
+            "waited {timeout:?} in vain until {what}"
+        );
+        // The poll interval: each check is usually a request.
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

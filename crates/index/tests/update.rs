@@ -10,14 +10,14 @@
 
 mod support;
 
-use gsb_core::{Clique, CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
+use gsb_core::{Clique, CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::gnp;
 use gsb_graph::BitGraph;
+use gsb_index::ServeConfig;
 use gsb_index::{compact, update, BuildOptions, CliqueIndex, EditScript, IndexWriter};
-use gsb_index::{ServeConfig, Server};
 use gsb_rng::SplitMix64;
 use std::path::Path;
-use support::{build_index, copy_index, get, tmp};
+use support::{build_index, copy_index, get, serve, tmp, wait_until};
 
 /// Oracle: every maximal clique of `g` with size ≥ `min_k`, in the
 /// canonical (size, lex) order.
@@ -499,24 +499,15 @@ fn live_serve_stays_consistent_across_update_and_compact() {
     let mut expected = std::collections::HashMap::new();
     expected.insert(0u64, enumerate(&g, 2).len() as u64);
 
-    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
-    let shutdown = ShutdownToken::new();
-    let server = Server::bind(
-        Arc::clone(&index),
-        "127.0.0.1:0",
+    let server = serve(
+        &dir,
         ServeConfig {
             threads: 2,
-            reload_poll: Some(Duration::from_millis(20)),
-            index_dir: Some(dir.to_path_buf()),
+            reload: Some((dir.to_path_buf(), Duration::from_millis(20))),
             ..ServeConfig::default()
         },
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let server_thread = {
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || server.run(&shutdown).expect("run"))
-    };
+    );
+    let addr = server.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..3)
@@ -566,6 +557,8 @@ fn live_serve_stays_consistent_across_update_and_compact() {
     // committing a new generation for the poller to swap in.
     let mut rng = SplitMix64::new(0xF00D);
     for _batch in 0..2 {
+        // Pacing: edits under load, each generation live for a few poll
+        // windows before the next commit.
         std::thread::sleep(Duration::from_millis(80));
         let script = random_script(&g, &mut rng, false);
         g = apply_model(&g, &script);
@@ -579,15 +572,24 @@ fn live_serve_stays_consistent_across_update_and_compact() {
             );
         }
     }
+    // Pacing: the same for the last batch before the compaction.
     std::thread::sleep(Duration::from_millis(80));
     let folded = compact(&dir, None).expect("live compact");
     if folded.compacted {
         expected.insert(folded.generation, folded.cliques);
     }
-    std::thread::sleep(Duration::from_millis(120));
+    let last = *expected.keys().max().expect("generation 0 is expected");
+    wait_until(
+        "the server serves the last generation",
+        Duration::from_secs(10),
+        || {
+            let (_, _, body) = get(addr, "/stats").expect("stats answer");
+            let parsed = gsb_telemetry::json::parse(&body).expect("stats json");
+            parsed.u64_or_zero("generation") == last
+        },
+    );
     stop.store(true, Ordering::Release);
-    shutdown.request(15);
-    let report = server_thread.join().expect("join server");
+    let report = server.wait().expect("run");
 
     let mut answers = 0usize;
     let mut gens_seen = std::collections::BTreeSet::new();

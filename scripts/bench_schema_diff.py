@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compare the key structure of two bench JSON files.
 
-CI regenerates the perf baselines (results/BENCH_backends.json,
-results/BENCH_query.json) and runs this script against the committed
-copies. Values are expected to drift run to run — the machine differs —
-but the *schema* must not: a missing field, a renamed query, or a
-dropped backend record means a downstream consumer of the baseline
-silently broke.
+CI regenerates five bench files (results/BENCH_backends.json,
+BENCH_query.json, BENCH_serve.json, BENCH_steal.json and
+BENCH_update.json) and runs this script against each committed copy.
+Values are expected to drift run to run — the machine differs — but
+the *schema* must not: a missing field, a renamed query, or a dropped
+backend record means a downstream consumer of the file silently
+broke.
 
 Usage: bench_schema_diff.py COMMITTED REGENERATED
 Exit 0 if the key structure matches, 1 with a diff listing otherwise.
