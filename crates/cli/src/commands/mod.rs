@@ -296,9 +296,17 @@ mod tests {
         let missing = tmp("g17b-missing.txt");
         let dir = tmp("g17b-index");
         let _ = std::fs::remove_file(&missing);
-        for bad in [["--backend", "hybrid"], ["--block-target", "lots"]] {
+        // An unknown flag, then a bad value for each known one: every
+        // value is parsed before the (missing) graph file is read.
+        for bad in [
+            ["--backend", "hybrid"],
+            ["--min", "lots"],
+            ["--max", "lots"],
+            ["--threads", "lots"],
+        ] {
             let err = index(&argv(&[&missing, "--out", &dir, bad[0], bad[1]])).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
+            assert!(err.to_string().contains(bad[0]), "{bad:?}: {err}");
         }
     }
 

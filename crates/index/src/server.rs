@@ -62,7 +62,7 @@
 //! each answer, and adds rate limits, hot-reload and the access log.
 
 use crate::api::{admission_exempt, parse_route, Answer, Endpoint, ListAnswer, ListQuery, Route};
-use crate::format::FlatCliques;
+use crate::format::{FlatCliques, IndexMeta};
 use crate::http::{
     find_head_end, header_value, read_head_briefly, respond_full, status_key, total_requests,
     trace_headers, write_core_families, write_counters, Http, HttpConfig, Reply, Running, Service,
@@ -360,15 +360,10 @@ impl Server {
                 let state = Arc::clone(&state);
                 let shutdown = shutdown.clone();
                 let (dir, poll) = (dir.clone(), *poll);
-                // The manifest the watcher compares against is read here,
-                // before the acceptor runs: a commit after `start` returns
-                // is always a change, however late the thread first runs.
-                let meta = std::fs::read_to_string(dir.join(crate::format::META_FILE));
-                let last = meta.unwrap_or_default();
                 Some(
                     std::thread::Builder::new()
                         .name("gsb-serve-reload".into())
-                        .spawn(move || watch_index(&dir, poll, last, &state, &shutdown))?,
+                        .spawn(move || watch_index(&dir, poll, &state, &shutdown))?,
                 )
             }
             None => None,
@@ -395,13 +390,15 @@ impl Server {
     }
 }
 
-/// Poll `index.meta`; when it differs from `last`, open + validate the
-/// new index off the serving path and swap it in atomically. A failed
-/// open keeps the old index serving and is retried at the next poll.
+/// Poll `index.meta`; when it commits another generation than the one
+/// served (or does not parse), open + validate the new index off the
+/// serving path and swap it in atomically. Comparing against what is
+/// served misses no commit, however late after the index was opened
+/// this thread first runs. A failed open keeps the old index serving
+/// and is retried at the next poll.
 fn watch_index(
     dir: &std::path::Path,
     poll: Duration,
-    mut last: String,
     state: &ServeState,
     shutdown: &ShutdownToken,
 ) {
@@ -419,20 +416,20 @@ fn watch_index(
         let Ok(text) = std::fs::read_to_string(&meta_path) else {
             continue;
         };
-        if text == last {
+        let served = state.index.lock().unwrap().generation();
+        if IndexMeta::from_text(&text).is_ok_and(|meta| meta.generation == served) {
             continue;
         }
         match CliqueIndex::open(dir) {
             Ok(new_index) => {
                 let generation = new_index.generation();
                 *state.index.lock().unwrap() = Arc::new(new_index);
-                last = text;
                 state.http.recorder.add("http.reloads", 1);
                 eprintln!("gsb serve: hot-reloaded index (generation {generation})");
             }
             Err(e) => {
-                // Keep serving the old index; `last` stays unchanged so
-                // the next poll retries the reload.
+                // Keep serving the old index; the manifest still differs
+                // from it, so the next poll retries the reload.
                 state.http.recorder.add("http.reload_errors", 1);
                 eprintln!("gsb serve: index reload failed, keeping current index: {e}");
             }

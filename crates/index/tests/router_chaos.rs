@@ -42,9 +42,7 @@ mod support;
 
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, Vertex};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{
-    split_index, BuildOptions, CliqueIndex, Running, ServeConfig, ServeReport, Server,
-};
+use gsb_index::{split_index, BuildOptions, CliqueIndex, Running, ServeConfig, ServeReport};
 use gsb_index::{Router, RouterConfig, RouterReport, ShardSpec, ShardSummary, Topology};
 use gsb_rng::SplitMix64;
 use std::io::{Read, Write};
@@ -54,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use support::{build_index, copy_index, get, tmp, wait_until, TempDir};
+use support::{build_index, copy_index, get, serve, serve_on, tmp, wait_until, TempDir};
 
 const SEEDS: u64 = 48;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
@@ -144,18 +142,14 @@ fn ephemeral_range_start() -> u16 {
         .unwrap_or(49152)
 }
 
-fn start_backend(dir: &Path, addr: &str) -> Running<ServeReport> {
-    let index = Arc::new(CliqueIndex::open(dir).expect("open shard index"));
-    let config = ServeConfig {
+fn backend_config() -> ServeConfig {
+    ServeConfig {
         threads: 2,
         deadline: Duration::from_secs(2),
         request_deadline: Duration::from_millis(1500),
         queue_limit: 64,
         ..ServeConfig::default()
-    };
-    Server::bind(index, addr, config)
-        .and_then(Server::start)
-        .expect("start backend")
+    }
 }
 
 fn router_config() -> RouterConfig {
@@ -336,7 +330,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
             for (r, kind) in shard_kinds.iter().enumerate() {
                 let addr = match kind {
                     Kind::Live => {
-                        let server = start_backend(fx.dir(shard), "127.0.0.1:0");
+                        let server = serve(fx.dir(shard), backend_config());
                         let addr = server.addr();
                         servers.push(server);
                         addr
@@ -345,7 +339,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
                         let dir = tmp(&format!("seed{seed}_corrupt{shard}_{r}"));
                         copy_index(fx.dir(shard), &dir);
                         corrupt_tail(&dir);
-                        let server = start_backend(&dir, "127.0.0.1:0");
+                        let server = serve(&dir, backend_config());
                         let addr = server.addr();
                         servers.push(server);
                         corrupt_dirs.push(dir);
@@ -555,7 +549,7 @@ fn seeded_backend_faults_never_panic_and_answers_stay_exact() {
 #[test]
 fn whole_shard_down_degrades_exactly_with_typed_answers() {
     let fx = build_fixture("sharddown");
-    let backends = [0, 0].map(|shard| start_backend(fx.dir(shard), "127.0.0.1:0"));
+    let backends = [0, 0].map(|shard| serve(fx.dir(shard), backend_config()));
     let replicas = vec![
         backends.iter().map(|b| b.addr().to_string()).collect(),
         vec![dead_port().to_string(), dead_port().to_string()],
@@ -611,9 +605,9 @@ fn whole_shard_down_degrades_exactly_with_typed_answers() {
 #[test]
 fn breaker_reopens_then_recloses_after_replica_restart() {
     let fx = build_fixture("recovery");
-    let server_a = start_backend(fx.dir(0), "127.0.0.1:0");
-    let server_b = start_backend(fx.dir(0), "127.0.0.1:0");
-    let server_1 = start_backend(fx.dir(1), "127.0.0.1:0");
+    let server_a = serve(fx.dir(0), backend_config());
+    let server_b = serve(fx.dir(0), backend_config());
+    let server_1 = serve(fx.dir(1), backend_config());
     let addr_a = server_a.addr();
     let replicas = vec![
         vec![addr_a.to_string(), server_b.addr().to_string()],
@@ -651,7 +645,8 @@ fn breaker_reopens_then_recloses_after_replica_restart() {
 
     // Restart on the same port (std listeners set SO_REUSEADDR): the
     // next successful probe must re-close the breaker.
-    let server_a2 = start_backend(fx.dir(0), &a);
+    let index = Arc::new(CliqueIndex::open(fx.dir(0)).expect("open shard index"));
+    let server_a2 = serve_on(index, &a, backend_config());
     assert_eq!(
         server_a2.addr(),
         addr_a,
@@ -709,7 +704,7 @@ fn shutdown_wake_is_invisible_to_router_counters() {
     // through the acceptor.
     const N: u64 = 10;
     let fx = build_fixture("wake");
-    let backends = [0, 1].map(|shard| start_backend(fx.dir(shard), "127.0.0.1:0"));
+    let backends = [0, 1].map(|shard| serve(fx.dir(shard), backend_config()));
     let replicas: Vec<Vec<String>> = backends
         .iter()
         .map(|b| vec![b.addr().to_string()])
@@ -860,8 +855,8 @@ fn hedge_wins_over_a_slow_primary() {
     // is asked too, and its exact answer comes back first.
     let fx = build_fixture("hedgewin");
     let slow = scripted_backend(Some(Duration::from_millis(300)), "{\"size\":0}");
-    let twin = start_backend(fx.dir(1), "127.0.0.1:0");
-    let direct = start_backend(fx.dir(1), "127.0.0.1:0");
+    let twin = serve(fx.dir(1), backend_config());
+    let direct = serve(fx.dir(1), backend_config());
     let tier = start_router(one_shard(&[slow.addr, twin.addr()]));
 
     let started = Instant::now();

@@ -24,19 +24,10 @@ mod support;
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
 use gsb_graph::BitGraph;
-use gsb_index::{split_index, BuildOptions, Running, ServeConfig, ServeReport};
+use gsb_index::{split_index, BuildOptions, ServeConfig};
 use gsb_index::{Router, RouterConfig, ShardSpec, Topology};
 use gsb_rng::SplitMix64;
-use std::path::Path;
-use support::{build_index, request, tmp};
-
-fn serve(dir: &Path) -> Running<ServeReport> {
-    let config = ServeConfig {
-        threads: 2,
-        ..ServeConfig::default()
-    };
-    support::serve(dir, config)
-}
+use support::{build_index, request, serve, tmp};
 
 /// Index `g`, serve it whole and as a routed 2-shard tier, and check
 /// that both answer every request of the oracle's list identically.
@@ -48,8 +39,15 @@ fn check_equivalence(tag: &str, g: &BitGraph) {
     let shards_dir = tmp(&format!("{tag}_shards"));
     let summaries = split_index(&golden, &shards_dir, 2).expect("split index");
 
-    let single = serve(&golden);
-    let backends: Vec<_> = summaries.iter().map(|s| serve(&s.dir)).collect();
+    let config = ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    };
+    let single = serve(&golden, config.clone());
+    let backends: Vec<_> = summaries
+        .iter()
+        .map(|s| serve(&s.dir, config.clone()))
+        .collect();
     let shards = summaries
         .iter()
         .zip(&backends)

@@ -7,13 +7,13 @@ mod support;
 
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
+use gsb_index::{BuildOptions, CliqueIndex, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use support::{build_index, get, serve, tmp, wait_until, TempDir};
+use support::{build_index, get, serve, serve_on, tmp, wait_until, TempDir};
 
 #[test]
 fn storm_then_graceful_drain() {
@@ -144,7 +144,7 @@ fn drain_waits_for_queued_connections() {
     let server = serve(
         &dir,
         ServeConfig {
-            threads: 5,
+            threads: 2,
             deadline: Duration::from_secs(5),
             metrics_out: None,
             ..ServeConfig::default()
@@ -152,7 +152,8 @@ fn drain_waits_for_queued_connections() {
     );
     let addr = server.addr();
 
-    // Pre-open sockets; the accept loop hands each to a worker.
+    // Pre-open sockets: two hold the workers, two wait in the
+    // admission queue behind them.
     let mut pending: Vec<TcpStream> = (0..4)
         .map(|_| {
             let s = TcpStream::connect(addr).expect("connect");
@@ -160,10 +161,10 @@ fn drain_waits_for_queued_connections() {
             s
         })
         .collect();
-    // A request answered behind them proves the acceptor took all four
-    // (the listen backlog and the admission queue are both FIFO); the
-    // fifth worker is free to answer it.
-    assert_eq!(get(addr, "/health").expect("response").0, 200);
+    // Pacing: the acceptor takes all four before the drain. No request
+    // can observe that: with both workers held, it would wait in the
+    // queue behind them.
+    std::thread::sleep(Duration::from_millis(100));
     server.drain();
 
     // Requests sent *after* the shutdown request still get answers.
@@ -177,7 +178,7 @@ fn drain_waits_for_queued_connections() {
         );
     }
     let report = server.wait().expect("run");
-    assert!(report.connections >= 5);
+    assert!(report.connections >= 4);
 }
 
 #[test]
@@ -247,6 +248,36 @@ fn hot_reload_swaps_generations_and_survives_a_bad_rebuild() {
 
     let report = server.wait().expect("run");
     assert!(report.reloads >= 1, "reload not counted");
+}
+
+#[test]
+fn a_rebuild_before_the_server_starts_is_reloaded() {
+    // The index is opened, then rebuilt in place before the server
+    // starts: the watcher compares the manifest with the generation it
+    // serves, not with the manifest it first reads, so it reloads.
+    let g = planted(40, 0.08, &[Module::clique(6)], 31);
+    let dir = tmp("stale");
+    build_index(&g, &dir, BuildOptions::default());
+    let stale = Arc::new(CliqueIndex::open(&dir).expect("open"));
+    build_index(&g, &dir, BuildOptions::default());
+
+    let config = ServeConfig {
+        threads: 2,
+        reload: Some((dir.to_path_buf(), Duration::from_millis(50))),
+        ..ServeConfig::default()
+    };
+    let server = serve_on(stale, "127.0.0.1:0", config);
+    let addr = server.addr();
+    wait_until(
+        "the rebuild made before start-up is served",
+        Duration::from_secs(10),
+        || {
+            let (status, _, body) = get(addr, "/stats").expect("response");
+            assert_eq!(status, 200);
+            body.contains("\"generation\":1")
+        },
+    );
+    assert_eq!(server.wait().expect("run").reloads, 1);
 }
 
 #[test]
@@ -343,9 +374,7 @@ fn idle_server_returns_within_a_second_of_shutdown() {
     // connection can return it, on a loopback or a wildcard listener.
     let (_dir, index) = small_index("idle");
     for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
-        let server = Server::bind(Arc::clone(&index), addr, ServeConfig::default())
-            .and_then(Server::start)
-            .expect("start");
+        let server = serve_on(Arc::clone(&index), addr, ServeConfig::default());
         // One answered request: the acceptor is back in accept().
         let loopback = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
         assert_eq!(get(loopback, "/health").expect("response").0, 200);
@@ -423,9 +452,7 @@ fn a_panicking_owner_leaves_no_listener_serving() {
     let (_dir, index) = small_index("panic");
     let mut addr = None;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default())
-            .and_then(Server::start)
-            .expect("start");
+        let server = serve_on(index, "127.0.0.1:0", ServeConfig::default());
         addr = Some(server.addr());
         assert_eq!(get(server.addr(), "/health").expect("response").0, 200);
         panic!("the test body fails while its server runs");

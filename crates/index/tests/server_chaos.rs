@@ -32,10 +32,9 @@ mod support;
 use gsb_core::failpoint;
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig};
 use gsb_graph::generators::{planted, Module};
-use gsb_index::{BuildOptions, CliqueIndex, ServeConfig, Server};
-use std::sync::Arc;
+use gsb_index::{BuildOptions, ServeConfig};
 use std::time::{Duration, Instant};
-use support::{build_index, copy_index, get, tmp};
+use support::{build_index, copy_index, get, serve, tmp};
 
 const SEEDS: u64 = 72;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
@@ -70,10 +69,12 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
             std::fs::write(&store, &bytes).expect("write corrupt store");
         }
 
-        let index = Arc::new(CliqueIndex::open(&dir).expect("open index"));
-        let server = Server::bind(
-            Arc::clone(&index),
-            "127.0.0.1:0",
+        failpoint::reset_all();
+        for (site, action) in &schedule {
+            failpoint::configure(site, *action);
+        }
+        let server = serve(
+            &dir,
             ServeConfig {
                 threads: 2,
                 deadline: Duration::from_secs(2),
@@ -81,14 +82,7 @@ fn chaos_schedules_never_panic_and_answers_stay_exact() {
                 queue_limit: 16,
                 ..ServeConfig::default()
             },
-        )
-        .expect("bind");
-
-        failpoint::reset_all();
-        for (site, action) in &schedule {
-            failpoint::configure(site, *action);
-        }
-        let server = server.start().expect("start");
+        );
         let addr = server.addr();
 
         // A misbehaving client rides along in every schedule.

@@ -75,8 +75,14 @@ pub fn copy_index(src: &Path, dst: &Path) {
 /// Serve the index in `dir` on a free loopback port until the handle
 /// is waited on or dropped.
 pub fn serve(dir: &Path, config: ServeConfig) -> Running<ServeReport> {
-    let index = Arc::new(CliqueIndex::open(dir).expect("open index"));
-    Server::bind(index, "127.0.0.1:0", config)
+    let index = CliqueIndex::open(dir).expect("open index");
+    serve_on(Arc::new(index), "127.0.0.1:0", config)
+}
+
+/// Serve `index` on `addr`: a wildcard listener, the port of a replica
+/// restarted in place, or an index opened before its files changed.
+pub fn serve_on(index: Arc<CliqueIndex>, addr: &str, config: ServeConfig) -> Running<ServeReport> {
+    Server::bind(index, addr, config)
         .and_then(Server::start)
         .expect("start server")
 }
